@@ -17,15 +17,19 @@ from typing import Callable, Optional
 from .diagnostics import Diagnostics
 from .numeric import format_number, parse_number
 from .options import ConvertOptions
-from .path_data import (
-    PathCommand,
-    closepath,
+
+# emit_vml_path, parse_path_data, shift_commands and to_absolute no longer
+# take part in mapping; they stay bound here because perfbench/spans.py
+# rebinds them by name in its traced run.
+from .path_data import (  # noqa: F401
+    emit_segments,
     emit_vml_path,
-    lineto,
-    moveto,
+    is_finite_path,
     parse_path_data,
+    scan_path,
     shift_commands,
     to_absolute,
+    vml_path,
 )
 from .style import (
     HORIZONTAL,
@@ -483,17 +487,29 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctm = compose_ctm(ops, ctx.diagnostics, ctx.location)
         points = recalc_points(ctm, points)
 
-    commands: list[PathCommand] = [moveto(*points[0])]
-    commands.extend(lineto(*point) for point in points[1:])
+    parts = [("m", points[0])]
+    parts.extend(("l", point) for point in points[1:])
     if node.tag == "polygon":
-        commands.append(closepath())
+        parts.append(("x", ()))
+    path = _finite_path(ctx, emit_segments(parts, ctx.options.precision), node.tag)
+    if path is None:
+        return None
 
     shape = VmlNode("v:shape")
     _apply_id(node, shape)
-    shape.attributes["path"] = emit_vml_path(commands, ctx.options.precision)
+    shape.attributes["path"] = path
     _apply_presentation(node, ctx, shape)
     _apply_opacity(node, ctx, shape)
     return shape
+
+
+def _finite_path(ctx: MapperContext, path: str, tag: str) -> Optional[str]:
+    if is_finite_path(path):
+        return path
+    ctx.diagnostics.error(
+        "BAD_PATH", f"{tag} coordinates overflow to a non-finite value; skipped", ctx.location
+    )
+    return None
 
 
 def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
@@ -503,14 +519,14 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
     mark = len(ctx.diagnostics)
-    commands = parse_path_data(d, ctx.diagnostics, f"{ctx.location}@d")
-    if ctx.diagnostics.errors_since(mark) or not commands:
+    segments = scan_path(d, ctx.diagnostics, f"{ctx.location}@d")
+    if ctx.diagnostics.errors_since(mark):
         return None
-    absolute = to_absolute(commands)
+    if not segments:
+        ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
+        return None
 
-    shape = VmlNode("v:shape")
-    _apply_id(node, shape)
-
+    shift = (0.0, 0.0)
     skew_child: Optional[VmlNode] = None
     ops = _effective_transform_ops(node, ctx)
     if ops:
@@ -529,9 +545,6 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
                 # a single rotate/skew: position corrections come from the
                 # root element size, any translation component is dropped
                 ctm = op_to_matrix(ops[0], ctx.diagnostics, ctx.location)
-                shift = (0.0, 0.0)
-            if shift != (0.0, 0.0):
-                absolute = shift_commands(absolute, *shift)
             if _linear_part(ctm) != _linear_part(IDENTITY):
                 offset = offset_for_linear_path(ctm, ctx.root_size)
                 skew_child = VmlNode("v:skew")
@@ -539,7 +552,12 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
                 skew_child.attributes["matrix"] = skew_matrix_for_path(ctm, ctx.options.precision)
                 skew_child.attributes["offset"] = _offset_attr(ctx, offset)
 
-    shape.attributes["path"] = emit_vml_path(absolute, ctx.options.precision)
+    path = _finite_path(ctx, vml_path(segments, ctx.options.precision, *shift), "path")
+    if path is None:
+        return None
+    shape = VmlNode("v:shape")
+    _apply_id(node, shape)
+    shape.attributes["path"] = path
     _apply_presentation(node, ctx, shape)
     _apply_opacity(node, ctx, shape)
     if skew_child is not None:

@@ -7,19 +7,33 @@ parsing and emission stay symmetric and output never contains "e" forms.
 
 from __future__ import annotations
 
+import math
 import re
 
-NUMBER_PATTERN = r"[+-]?(?:\d+\.?\d*|\.\d+)"
+# Unambiguous on purpose: a run of digits splits between the alternatives in
+# one way only, so anchored matches never backtrack over long digit runs.
+NUMBER_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
 
 _NUMBER_RE = re.compile(NUMBER_PATTERN + r"\Z")
 
 
 def parse_number(token: str) -> float:
-    """Parse one numeric token; raises ValueError on anything else."""
+    """Parse one numeric token; raises ValueError on anything else.
+
+    A token with too many digits for a float overflows to infinity and is
+    rejected as well.
+    """
     token = token.strip()
     if not _NUMBER_RE.match(token):
         raise ValueError(f"invalid number: {token!r}")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number out of range: {token!r}")
+    return value
+
+
+# printf-style fixed-point specs for the precisions ConvertOptions allows.
+_FIXED_SPECS = {precision: f"%.{precision}f" for precision in range(13)}
 
 
 def format_number(value: float, precision: int = 6) -> str:
@@ -27,9 +41,8 @@ def format_number(value: float, precision: int = 6) -> str:
 
     Never produces exponent notation; "-0" collapses to "0".
     """
-    text = f"{value:.{precision}f}"
+    spec = _FIXED_SPECS.get(precision)
+    text = spec % value if spec is not None else f"{value:.{precision}f}"
     if "." in text:
         text = text.rstrip("0").rstrip(".")
-    if text in ("-0", ""):
-        text = "0"
-    return text
+    return "0" if text == "-0" else text

@@ -8,13 +8,33 @@ Supported commands and their VML counterparts:
 S/s, Q/q and T/t have no VML counterpart and are rejected; A/a is rejected
 because elliptic arcs do not translate to the VML "at" command directly.
 All VML commands are emitted in lower case over absolute coordinates.
+
+Conversion is one kernel with three steps, and no per-command objects:
+
+- `scan_path` checks the gaps between tokens once, in linear time, splits
+  the string on command letters and reads each command's numbers with one
+  regex pass.  The result is a list of segments `(kind, relative, values)`,
+  one per command letter, with implicit repetitions kept in `values`.
+- `walk_segments` moves the cursor over plain floats, relative to absolute
+  first and then by the group shift, and yields `(vml_letter, coords)`.
+- `emit_segments` formats every coordinate through `format_number`.
+
+`vml_path` chains the last two.  The `PathCommand` API (`parse_path_data`,
+`to_absolute`, `shift_commands`, `emit_vml_path`) is a thin adapter over the
+same three steps.
+
+An empty or separator-only `d` scans to no segments without a diagnostic;
+the path mapper reports it as DEGENERATE_SHAPE.  A coordinate that is not
+finite, or that overflows while relative values accumulate, shows as "inf"
+or "nan" in the emitted text, so one substring test per path replaces a
+check per value: `is_finite_path` tells the caller to reject it (BAD_PATH).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics
 from .numeric import NUMBER_PATTERN, format_number
@@ -24,6 +44,17 @@ ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
 
 _UNSUPPORTED = {"S", "Q", "T"}
 _ARC = "A"
+
+_SEPARATORS = " \t\r\n,"
+_TOKEN_RE = re.compile(rf"([A-Za-z])|({NUMBER_PATTERN})")
+_LETTER_RE = re.compile(r"([A-Za-z])")
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
+
+# A segment: canonical kind, relative flag, and its coordinates, a whole
+# number of groups.  After a moveto, every group past the first is a lineto.
+Segment = tuple[str, bool, Sequence[float]]
+
+_CLOSE: Segment = ("Z", False, ())
 
 
 @dataclass(frozen=True)
@@ -59,21 +90,144 @@ def closepath():
     return PathCommand("Z", False, ())
 
 
-_TOKEN_RE = re.compile(rf"([A-Za-z])|({NUMBER_PATTERN})")
+# --- the kernel ----------------------------------------------------------------
 
 
-def _tokenize(d: str) -> Optional[list]:
-    tokens = []
-    position = 0
-    for match in _TOKEN_RE.finditer(d):
-        gap = d[position : match.start()]
-        if gap.strip(" \t\r\n,"):
-            return None
-        tokens.append(match.group(1) or float(match.group(2)))
-        position = match.end()
-    if d[position:].strip(" \t\r\n,"):
-        return None
-    return tokens
+def scan_path(
+    d: str,
+    diagnostics: Optional[Diagnostics] = None,
+    location: str = "",
+) -> list[Segment]:
+    """Scan a path definition into segments.
+
+    Implicit repetition is honored: extra coordinate groups after a command
+    repeat it, except after a moveto where they become linetos.  The first
+    problem records one error diagnostic and stops the scan; the segments
+    read before it are returned, so callers check the diagnostics.
+    """
+    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    # Removing every token leaves only the gaps, which may hold separators.
+    if _TOKEN_RE.sub("", d).strip(_SEPARATORS):
+        diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
+        return []
+    pieces = _LETTER_RE.split(d)
+    if _NUMBER_RE.search(pieces[0]):
+        diagnostics.error("BAD_PATH", "coordinates before any command", location)
+        return []
+
+    segments: list[Segment] = []
+    for index in range(1, len(pieces), 2):
+        letter = pieces[index]
+        kind = letter.upper()
+        arity = ARITY.get(kind)
+        if arity is None:
+            if kind in _UNSUPPORTED:
+                diagnostics.error(
+                    "UNSUPPORTED_COMMAND", f"path command {letter!r} has no VML counterpart", location
+                )
+            elif kind == _ARC:
+                diagnostics.error(
+                    "FUTURE_WORK_ARC", f"arc command {letter!r} is not implemented", location
+                )
+            else:
+                diagnostics.error("BAD_PATH", f"unknown path command {letter!r}", location)
+            return segments
+        numbers = _NUMBER_RE.findall(pieces[index + 1])
+        if not arity:
+            segments.append(_CLOSE)
+            if numbers:
+                diagnostics.error("BAD_PATH", "coordinates before any command", location)
+                return segments
+            continue
+        whole = len(numbers) - len(numbers) % arity
+        if whole:
+            segments.append((kind, letter.islower(), list(map(float, numbers[:whole]))))
+        if not whole or whole != len(numbers):
+            # A moveto's incomplete second group is an incomplete lineto.
+            shown = "L" if kind == "M" and whole else kind
+            diagnostics.error("BAD_PATH", f"command {shown} expects {arity} coordinates", location)
+            return segments
+    return segments
+
+
+def walk_segments(
+    segments: Iterable[Segment], dx: float = 0.0, dy: float = 0.0
+) -> Iterator[tuple[str, tuple[float, ...]]]:
+    """Yield `(vml_letter, absolute coords)` per coordinate group, then shifted.
+
+    H/V become linetos.  A leading relative moveto behaves as absolute
+    because the cursor starts at the origin.  Close-path yields ("x", ())
+    and returns the cursor to the subpath start.  The cursor itself never
+    includes the (dx, dy) shift.
+    """
+    cx = cy = sx = sy = 0.0
+    for kind, relative, values in segments:
+        if kind == "L" or kind == "M":
+            it = iter(values)
+            letter = "m" if kind == "M" else "l"
+            for x, y in zip(it, it):
+                if relative:
+                    x += cx
+                    y += cy
+                yield letter, (x + dx, y + dy)
+                cx, cy = x, y
+                if letter == "m":
+                    sx, sy = x, y
+                    letter = "l"
+        elif kind == "C":
+            it = iter(values)
+            for x1, y1, x2, y2, x, y in zip(it, it, it, it, it, it):
+                if relative:
+                    x1 += cx
+                    y1 += cy
+                    x2 += cx
+                    y2 += cy
+                    x += cx
+                    y += cy
+                yield "c", (x1 + dx, y1 + dy, x2 + dx, y2 + dy, x + dx, y + dy)
+                cx, cy = x, y
+        elif kind == "H":
+            for x in values:
+                cx = cx + x if relative else x
+                yield "l", (cx + dx, cy + dy)
+        elif kind == "V":
+            for y in values:
+                cy = cy + y if relative else y
+                yield "l", (cx + dx, cy + dy)
+        else:
+            yield "x", ()
+            cx, cy = sx, sy
+
+
+def emit_segments(parts: Iterable[tuple[str, tuple[float, ...]]], precision: int = 6) -> str:
+    """Serialize `(vml_letter, coords)` pairs; one trailing "e" terminates."""
+    fmt = format_number  # looked up per call, so a rebinding is honored
+    out = [
+        f"{letter} {','.join([fmt(value, precision) for value in coords])}" if coords else letter
+        for letter, coords in parts
+    ]
+    out.append("e")
+    return " ".join(out)
+
+
+def vml_path(segments: Iterable[Segment], precision: int = 6, dx: float = 0.0, dy: float = 0.0) -> str:
+    """Absolute VML path text for scanned segments, shifted by (dx, dy)."""
+    return emit_segments(walk_segments(segments, dx, dy), precision)
+
+
+def is_finite_path(text: str) -> bool:
+    """False when emitted path text holds an overflowed or non-numeric value."""
+    return "inf" not in text and "nan" not in text
+
+
+# --- PathCommand adapters --------------------------------------------------------
+
+_KIND_OF_LETTER = {"m": "M", "l": "L", "c": "C", "x": "Z"}
+_LETTER_OF_KIND = {kind: letter for letter, kind in _KIND_OF_LETTER.items()}
+
+
+def _commands(parts: Iterable[tuple[str, tuple[float, ...]]]) -> list[PathCommand]:
+    return [PathCommand(_KIND_OF_LETTER[letter], False, coords) for letter, coords in parts]
 
 
 def parse_path_data(
@@ -81,63 +235,26 @@ def parse_path_data(
     diagnostics: Optional[Diagnostics] = None,
     location: str = "",
 ) -> list[PathCommand]:
-    """Parse a path definition into commands.
+    """Parse a path definition into commands, one per coordinate group.
 
-    Implicit repetition is honored: extra coordinate groups after a command
-    repeat it, except after a moveto where they become linetos.  Unsupported
-    commands record an error diagnostic and stop the parse.
+    Diagnostics are those of `scan_path`; on error, the commands read before
+    the problem are returned.
     """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    tokens = _tokenize(d)
-    if tokens is None:
-        diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
-        return []
-
     commands: list[PathCommand] = []
-    index = 0
-    pending: Optional[tuple[str, bool]] = None  # command continued by bare numbers
-    while index < len(tokens):
-        token = tokens[index]
-        if isinstance(token, str):
-            upper = token.upper()
-            if upper in _UNSUPPORTED:
-                diagnostics.error(
-                    "UNSUPPORTED_COMMAND", f"path command {token!r} has no VML counterpart", location
-                )
-                return commands
-            if upper == _ARC:
-                diagnostics.error(
-                    "FUTURE_WORK_ARC", f"arc command {token!r} is not implemented", location
-                )
-                return commands
-            if upper not in ARITY:
-                diagnostics.error("BAD_PATH", f"unknown path command {token!r}", location)
-                return commands
-            relative = token.islower()
-            index += 1
-            if upper == "Z":
-                commands.append(closepath())
-                pending = None
-                continue
-            pending = (upper, relative)
-        elif pending is None:
-            diagnostics.error("BAD_PATH", "coordinates before any command", location)
-            return commands
-
-        kind, relative = pending
+    for kind, relative, values in scan_path(d, diagnostics, location):
+        if kind == "Z":
+            commands.append(closepath())
+            continue
         arity = ARITY[kind]
-        group = tokens[index : index + arity]
-        if len(group) < arity or any(isinstance(t, str) for t in group):
-            diagnostics.error(
-                "BAD_PATH", f"command {kind} expects {arity} coordinates", location
-            )
-            return commands
-        commands.append(PathCommand(kind, relative, tuple(group)))
-        index += arity
-        if kind == "M":
-            # Extra pairs after a moveto continue as linetos.
-            pending = ("L", relative)
+        for start in range(0, len(values), arity):
+            commands.append(PathCommand(kind, relative, tuple(values[start : start + arity])))
+            if kind == "M":
+                kind = "L"
     return commands
+
+
+def _segments(commands: list[PathCommand]) -> Iterator[Segment]:
+    return ((command.kind, command.relative, command.coords) for command in commands)
 
 
 def to_absolute(commands: list[PathCommand]) -> list[PathCommand]:
@@ -146,56 +263,21 @@ def to_absolute(commands: list[PathCommand]) -> list[PathCommand]:
     A leading relative moveto behaves as absolute because the cursor starts
     at the origin.  Close-path returns the cursor to the subpath start.
     """
-    result: list[PathCommand] = []
-    cx = cy = 0.0
-    sx = sy = 0.0
+    return _commands(walk_segments(_segments(commands)))
+
+
+def _require_absolute(commands: list[PathCommand], caller: str) -> None:
     for command in commands:
-        kind, relative, coords = command.kind, command.relative, command.coords
-        if kind == "Z":
-            result.append(closepath())
-            cx, cy = sx, sy
-            continue
-        if kind == "H":
-            x = cx + coords[0] if relative else coords[0]
-            result.append(lineto(x, cy))
-            cx = x
-            continue
-        if kind == "V":
-            y = cy + coords[0] if relative else coords[0]
-            result.append(lineto(cx, y))
-            cy = y
-            continue
-        if relative:
-            coords = tuple(
-                value + (cx if i % 2 == 0 else cy) for i, value in enumerate(coords)
-            )
-        if kind == "M":
-            result.append(moveto(*coords))
-            cx, cy = coords
-            sx, sy = coords
-        elif kind == "L":
-            result.append(lineto(*coords))
-            cx, cy = coords
-        elif kind == "C":
-            result.append(curveto(*coords))
-            cx, cy = coords[4], coords[5]
-    return result
+        if command.relative:
+            raise ValueError(f"{caller} requires absolute commands")
+        if command.kind not in _LETTER_OF_KIND:
+            raise ValueError(f"command {command.kind} must be normalized before {caller}")
 
 
 def shift_commands(commands: list[PathCommand], dx: float, dy: float) -> list[PathCommand]:
     """Translate every coordinate pair of absolute commands by (dx, dy)."""
-    shifted = []
-    for command in commands:
-        if command.relative:
-            raise ValueError("shift_commands requires absolute commands")
-        coords = tuple(
-            value + (dx if i % 2 == 0 else dy) for i, value in enumerate(command.coords)
-        )
-        shifted.append(PathCommand(command.kind, False, coords))
-    return shifted
-
-
-_VML_LETTER = {"M": "m", "L": "l", "C": "c"}
+    _require_absolute(commands, "shift_commands")
+    return _commands(walk_segments(_segments(commands), dx, dy))
 
 
 def emit_vml_path(commands: list[PathCommand], precision: int = 6) -> str:
@@ -204,16 +286,7 @@ def emit_vml_path(commands: list[PathCommand], precision: int = 6) -> str:
     Every close-path becomes "x"; exactly one trailing "e" terminates the
     string.
     """
-    parts = []
-    for command in commands:
-        if command.relative:
-            raise ValueError("emit_vml_path requires absolute commands")
-        if command.kind == "Z":
-            parts.append("x")
-            continue
-        if command.kind not in _VML_LETTER:
-            raise ValueError(f"command {command.kind} must be normalized before emission")
-        coords = ",".join(format_number(value, precision) for value in command.coords)
-        parts.append(f"{_VML_LETTER[command.kind]} {coords}")
-    parts.append("e")
-    return " ".join(parts)
+    _require_absolute(commands, "emit_vml_path")
+    return emit_segments(
+        ((_LETTER_OF_KIND[command.kind], command.coords) for command in commands), precision
+    )

@@ -8,6 +8,7 @@ prefixed name kept is "xlink:href", the canonical reference attribute.
 
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -228,6 +229,10 @@ def parse_view_box(
 
 
 _POINTS_SPLIT_RE = re.compile(r"[\s,]+")
+# A whole points list in the strict number grammar.  Numbers need a
+# separator between them, so the check is linear in the list's length.
+_POINTS_RE = re.compile(rf"[\s,]*(?:{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*)?[\s,]*")
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 
 def parse_points(
@@ -237,19 +242,26 @@ def parse_points(
 ) -> list[Point]:
     """Parse a points list: x,y pairs separated by commas and/or whitespace."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    tokens = [t for t in _POINTS_SPLIT_RE.split(value.strip()) if t]
-    if not tokens:
-        return []
-    coords = []
-    for token in tokens:
-        try:
-            coords.append(parse_number(token))
-        except ValueError:
-            diagnostics.error("BAD_POINTS", f"non-numeric coordinate {token!r}", location)
-            return []
+    coords = None
+    if _POINTS_RE.fullmatch(value):
+        coords = list(map(float, _NUMBER_RE.findall(value)))
+        if not all(map(math.isfinite, coords)):
+            coords = None
+    if coords is None:
+        # Slow path, only to name the first bad token.
+        coords = []
+        for token in _POINTS_SPLIT_RE.split(value.strip()):
+            if not token:
+                continue
+            try:
+                coords.append(parse_number(token))
+            except ValueError:
+                diagnostics.error("BAD_POINTS", f"non-numeric coordinate {token!r}", location)
+                return []
     if len(coords) % 2 != 0:
         diagnostics.error("BAD_POINTS", f"odd coordinate count ({len(coords)})", location)
-    return [Point(coords[i], coords[i + 1]) for i in range(0, len(coords) - 1, 2)]
+    it = iter(coords)
+    return list(map(Point, it, it))
 
 
 def parse_length(

@@ -1,0 +1,60 @@
+import time
+
+import pytest
+
+from svg2vml.numeric import format_number, parse_number
+
+# Strings of the f"{value:.{precision}f}" formatter this table was recorded
+# from, for precisions 0..8.
+EDGE_FORMATS = {
+    -0.0: ["0"] * 9,
+    4e-7: ["0"] * 7 + ["0.0000004"] * 2,
+    -4e-7: ["0"] * 7 + ["-0.0000004"] * 2,
+    5e-7: ["0"] * 7 + ["0.0000005"] * 2,
+    1e15: ["1000000000000000"] * 9,
+    -2.5: ["-2"] + ["-2.5"] * 8,
+    123.456789: [
+        "123", "123.5", "123.46", "123.457", "123.4568",
+        "123.45679", "123.456789", "123.456789", "123.456789",
+    ],
+    1 / 3: [
+        "0", "0.3", "0.33", "0.333", "0.3333",
+        "0.33333", "0.333333", "0.3333333", "0.33333333",
+    ],
+}
+
+
+@pytest.mark.parametrize("value", list(EDGE_FORMATS))
+def test_format_number_edge_values(value):
+    assert [format_number(value, precision) for precision in range(9)] == EDGE_FORMATS[value]
+
+
+@pytest.mark.parametrize("precision", [9, 12, 15])
+def test_format_number_matches_format_spec_at_any_precision(precision):
+    for value in (0.1, -0.0, 1 / 7, -123456.789):
+        expected = f"{value:.{precision}f}".rstrip("0").rstrip(".")
+        assert format_number(value, precision) == ("0" if expected == "-0" else expected)
+
+
+@pytest.mark.parametrize(
+    "token", ["1" * 400, "-" + "9" * 309, "9" * 309 + ".5"], ids=["400-digits", "negative", "fraction"]
+)
+def test_parse_number_rejects_overflow(token):
+    with pytest.raises(ValueError):
+        parse_number(token)
+
+
+def test_parse_number_keeps_large_finite_values():
+    assert parse_number("9" * 300) == float("9" * 300)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1" * 200_000 + "x", "1" * 200_000 + ".5.", "." + "5" * 200_000 + "e"],
+    ids=["digits", "second-point", "fraction"],
+)
+def test_parse_number_rejects_long_runs_in_linear_time(token):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_number(token)
+    assert time.perf_counter() - start < 1.0
