@@ -248,7 +248,7 @@ def _apply_box_transform(
     if any(op.name in ("matrix", "rotate") for op in ops):
         ctx.diagnostics.error(
             "UNSUPPORTED_TRANSFORM",
-            "no offset rule for this transform on " + strategy,
+            "matrix() has no offset rule for " + strategy,
             ctx.location,
         )
         return
