@@ -91,7 +91,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         precision=args.precision,
         strict=args.strict,
         pretty=args.pretty,
-        quiet=args.quiet,
         title=args.title,
     )
 

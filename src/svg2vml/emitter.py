@@ -4,11 +4,17 @@ Two modes exist: a VML/HTML document for legacy Internet Explorer, and an
 XHTML document that embeds the original SVG fragment for browsers with
 native support.  Both are deterministic for fixed options and re-parse as
 well-formed XML.
+
+One serializer and one document shell serve both modes.  The mapped
+VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
+head function gives each node's output name and rendered attributes (the
+style dict and the dropped html: prefix for VML, the svg: prefix on
+implemented tags for SVG).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .mappers import VmlNode
 from .options import ConvertOptions
@@ -17,6 +23,11 @@ from .svg_dom import IMPLEMENTED_TAGS, SVG_NS, XLINK_NS, SvgDocument, SvgNode
 VML_NS = "urn:schemas-microsoft-com:vml"
 
 _INDENT = "  "
+
+# Both trees have the same shape; a head function gives a node's output
+# name and its rendered attributes.
+Node = Union[VmlNode, SvgNode]
+Head = Callable[[Node], tuple[str, str]]
 
 
 def _escape_text(text: str) -> str:
@@ -31,141 +42,93 @@ def _style_text(style: dict[str, str]) -> str:
     return "".join(f"{name}:{value};" for name, value in style.items())
 
 
-def _output_tag(tag: str) -> str:
+def _attributes_text(attributes: dict[str, str]) -> str:
+    return "".join(f' {n}="{_escape_attr(v)}"' for n, v in attributes.items())
+
+
+def _vml_head(node: VmlNode) -> tuple[str, str]:
+    attrs = _attributes_text(node.attributes)
+    if node.style:
+        attrs += f' style="{_escape_attr(_style_text(node.style))}"'
     # Plain HTML elements drop their marker prefix; VML elements keep the
     # v: prefix that the behavior rule binds.
-    if tag.startswith("html:"):
-        return tag[5:]
-    return tag
+    return (node.tag[5:] if node.tag.startswith("html:") else node.tag), attrs
 
 
-def _has_mixed_content(node: VmlNode) -> bool:
-    if node.text and node.text.strip():
-        return True
-    return any(child.tail and child.tail.strip() for child in node.children)
+def _svg_head(node: SvgNode) -> tuple[str, str]:
+    name = f"svg:{node.name}" if node.tag in IMPLEMENTED_TAGS else node.name
+    return name, _attributes_text(node.attributes)
 
 
-def _serialize_vml(node: VmlNode, lines: list[str], depth: int, pretty: bool) -> None:
+def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "") -> None:
+    """Append one line per element; an element with character content goes
+    on one line with its whole subtree, so the payload stays intact."""
     pad = _INDENT * depth if pretty else ""
-    attrs = "".join(f' {n}="{_escape_attr(v)}"' for n, v in node.attributes.items())
-    if node.style:
-        attrs += f' style="{_escape_attr(_style_text(node.style))}"'
-    tag = _output_tag(node.tag)
-
-    if not node.children and not (node.text and node.text.strip()):
-        lines.append(f"{pad}<{tag}{attrs}/>")
+    has_text = bool(node.text and node.text.strip())
+    if has_text or not node.children or any(child.tail and child.tail.strip() for child in node.children):
+        lines.append(pad + _inline(node, head, extra))
         return
-    if _has_mixed_content(node) or not node.children:
-        # Inline serialization keeps character payloads intact.
-        lines.append(f"{pad}{_inline_vml(node)}")
-        return
-    lines.append(f"{pad}<{tag}{attrs}>")
+    name, attrs = head(node)
+    lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
-        _serialize_vml(child, lines, depth + 1, pretty)
-    lines.append(f"{pad}</{tag}>")
+        _serialize(child, head, lines, depth + 1, pretty)
+    lines.append(f"{pad}</{name}>")
 
 
-def _inline_vml(node: VmlNode) -> str:
-    attrs = "".join(f' {n}="{_escape_attr(v)}"' for n, v in node.attributes.items())
-    if node.style:
-        attrs += f' style="{_escape_attr(_style_text(node.style))}"'
-    tag = _output_tag(node.tag)
+def _inline(node: Node, head: Head, extra: str = "") -> str:
+    name, attrs = head(node)
     if not node.children and not (node.text and node.text.strip()):
-        return f"<{tag}{attrs}/>"
+        return f"<{name}{extra}{attrs}/>"
     inner = _escape_text(node.text) if node.text else ""
     for child in node.children:
-        inner += _inline_vml(child)
+        inner += _inline(child, head)
         if child.tail:
             inner += _escape_text(child.tail)
-    return f"<{tag}{attrs}>{inner}</{tag}>"
+    return f"<{name}{extra}{attrs}>{inner}</{name}>"
+
+
+def _document(
+    opening: str, title: str, head_extra: tuple[str, ...], root: Node, head: Head, extra: str, pretty: bool
+) -> str:
+    """The html/head/body shell around the serialized root element."""
+    pad = _INDENT if pretty else ""
+    lines = [
+        opening,
+        f"{pad}<head>",
+        f'{pad}{pad}<meta http-equiv="Content-Type" content="text/html; charset=utf-8"/>',
+        f"{pad}{pad}<title>{_escape_text(title)}</title>",
+        *(f"{pad}{pad}{line}" for line in head_extra),
+        f"{pad}</head>",
+        f"{pad}<body>",
+    ]
+    _serialize(root, head, lines, 2 if pretty else 0, pretty, extra)
+    lines += [f"{pad}</body>", "</html>"]
+    return ("\n" if pretty else "").join(lines) + "\n"
 
 
 def emit_vml_html(tree: VmlNode, options: Optional[ConvertOptions] = None) -> str:
     """Serialize a mapped tree as a complete VML/HTML document."""
     options = options or ConvertOptions()
-    title = options.title or "Converted SVG"
-    body_lines: list[str] = []
-    _serialize_vml(tree, body_lines, 2 if options.pretty else 0, options.pretty)
-    body = "\n".join(body_lines) if options.pretty else "".join(body_lines)
-
-    head_pad = _INDENT if options.pretty else ""
-    newline = "\n" if options.pretty else ""
-    return (
-        f'<html xmlns:v="{VML_NS}">{newline}'
-        f"{head_pad}<head>{newline}"
-        f'{head_pad}{head_pad}<meta http-equiv="Content-Type" content="text/html; charset=utf-8"/>{newline}'
-        f"{head_pad}{head_pad}<title>{_escape_text(title)}</title>{newline}"
-        f"{head_pad}{head_pad}<style>v\\:* {{ behavior: url(#default#VML); }}</style>{newline}"
-        f"{head_pad}</head>{newline}"
-        f"{head_pad}<body>{newline}"
-        f"{body}{newline}"
-        f"{head_pad}</body>{newline}"
-        f"</html>\n"
+    return _document(
+        f'<html xmlns:v="{VML_NS}">',
+        options.title or "Converted SVG",
+        ("<style>v\\:* { behavior: url(#default#VML); }</style>",),
+        tree,
+        _vml_head,
+        "",
+        options.pretty,
     )
-
-
-def _svg_output_name(node: SvgNode) -> str:
-    if node.tag in IMPLEMENTED_TAGS:
-        return f"svg:{node.name}"
-    return node.name
-
-
-def _serialize_svg(node: SvgNode, lines: list[str], depth: int, pretty: bool, is_root: bool) -> None:
-    pad = _INDENT * depth if pretty else ""
-    name = _svg_output_name(node)
-    attrs = ""
-    if is_root:
-        attrs += f' xmlns:svg="{SVG_NS}" xmlns:xlink="{XLINK_NS}"'
-    attrs += "".join(f' {n}="{_escape_attr(v)}"' for n, v in node.attributes.items())
-
-    has_text = bool(node.text and node.text.strip())
-    if not node.children and not has_text:
-        lines.append(f"{pad}<{name}{attrs}/>")
-        return
-    if has_text or any(child.tail and child.tail.strip() for child in node.children):
-        lines.append(f"{pad}{_inline_svg(node, is_root)}")
-        return
-    lines.append(f"{pad}<{name}{attrs}>")
-    for child in node.children:
-        _serialize_svg(child, lines, depth + 1, pretty, False)
-    lines.append(f"{pad}</{name}>")
-
-
-def _inline_svg(node: SvgNode, is_root: bool = False) -> str:
-    name = _svg_output_name(node)
-    attrs = ""
-    if is_root:
-        attrs += f' xmlns:svg="{SVG_NS}" xmlns:xlink="{XLINK_NS}"'
-    attrs += "".join(f' {n}="{_escape_attr(v)}"' for n, v in node.attributes.items())
-    if not node.children and not (node.text and node.text.strip()):
-        return f"<{name}{attrs}/>"
-    inner = _escape_text(node.text) if node.text else ""
-    for child in node.children:
-        inner += _inline_svg(child)
-        if child.tail:
-            inner += _escape_text(child.tail)
-    return f"<{name}{attrs}>{inner}</{name}>"
 
 
 def emit_xhtml_passthrough(doc: SvgDocument, options: Optional[ConvertOptions] = None) -> str:
     """Serialize the parsed SVG unchanged inside an XHTML host document."""
     options = options or ConvertOptions()
-    title = options.title or "SVG Document"
-    svg_lines: list[str] = []
-    _serialize_svg(doc.root, svg_lines, 2 if options.pretty else 0, options.pretty, True)
-    svg_text = "\n".join(svg_lines) if options.pretty else "".join(svg_lines)
-
-    head_pad = _INDENT if options.pretty else ""
-    newline = "\n" if options.pretty else ""
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<html xmlns="http://www.w3.org/1999/xhtml">{newline}'
-        f"{head_pad}<head>{newline}"
-        f'{head_pad}{head_pad}<meta http-equiv="Content-Type" content="text/html; charset=utf-8"/>{newline}'
-        f"{head_pad}{head_pad}<title>{_escape_text(title)}</title>{newline}"
-        f"{head_pad}</head>{newline}"
-        f"{head_pad}<body>{newline}"
-        f"{svg_text}{newline}"
-        f"{head_pad}</body>{newline}"
-        f"</html>\n"
+    return _document(
+        '<?xml version="1.0" encoding="UTF-8"?>\n<html xmlns="http://www.w3.org/1999/xhtml">',
+        options.title or "SVG Document",
+        (),
+        doc.root,
+        _svg_head,
+        f' xmlns:svg="{SVG_NS}" xmlns:xlink="{XLINK_NS}"',
+        options.pretty,
     )

@@ -9,7 +9,6 @@ distributed to the children, with child-set values taking precedence.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,24 +39,19 @@ from .style import (
 )
 from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 from .transform import (
-    IDENTITY,
-    MATRIX_FILTER,
-    SKEW_PATH,
     SKEW_SHAPE,
     STRATEGY_BY_TAG,
     Offset,
     RootSize,
     ShapeBox,
+    Simulation,
     TransformMatrix,
     TransformOp,
-    check_support,
     compose_ctm,
-    compute_offset,
     matrix_filter_params,
-    offset_for_linear_path,
-    op_to_matrix,
     parse_transform_list,
     recalc_points,
+    simulate,
     skew_matrix_for_path,
     skew_matrix_for_shape,
 )
@@ -134,6 +128,14 @@ def _apply_id(node: SvgNode, mapped: VmlNode) -> None:
         mapped.attributes["id"] = node_id
 
 
+def _apply_box_style(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
+    """x, y, width and height become left, top, width and height."""
+    for attr_name, style_name in (("x", "left"), ("y", "top"), ("width", "width"), ("height", "height")):
+        value = _length(ctx, node, attr_name)
+        if value is not None:
+            mapped.style[style_name] = _fmt(ctx, value)
+
+
 def _append_filter(mapped: VmlNode, filter_text: str) -> None:
     existing = mapped.style.get("filter")
     mapped.style["filter"] = f"{existing} {filter_text}" if existing else filter_text
@@ -206,15 +208,15 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
 
 # --- transform simulation ----------------------------------------------------
 
+_EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
+_UNTRANSFORMED = Simulation(None, None, Offset(0.0, 0.0))
 
-def _linear_part(m: TransformMatrix) -> tuple[float, float, float, float]:
-    return (m.a, m.b, m.c, m.d)
 
-
-def _offset_attr(ctx: MapperContext, offset: Offset) -> str:
+def _skew(ctx: MapperContext, matrix: str, offset: Offset) -> VmlNode:
     # The correction moves the shape up and left by (dx, dy); the skew
     # offset slot applies additively, hence the sign flip.
-    return f"{_fmt(ctx, -offset.dx)}px,{_fmt(ctx, -offset.dy)}px"
+    offset_text = f"{_fmt(ctx, -offset.dx)}px,{_fmt(ctx, -offset.dy)}px"
+    return VmlNode("v:skew", {"on": "t", "matrix": matrix, "offset": offset_text})
 
 
 def _set_position(ctx: MapperContext, mapped: VmlNode, left: float, top: float) -> None:
@@ -226,70 +228,28 @@ def _set_position(ctx: MapperContext, mapped: VmlNode, left: float, top: float) 
             mapped.style[key] = mapped.style.pop(key)
 
 
-def _shape_offset_from_linear(m: TransformMatrix, box: ShapeBox) -> Offset:
-    return Offset(m.a * box.width + m.c * box.y, m.b * box.x + m.d * box.height)
-
-
-def _apply_box_transform(
-    node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox, strategy: str
-) -> None:
-    """Simulate the element's transform via skew element or matrix filter."""
+def _simulate(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Simulation:
     ops = _effective_transform_ops(node, ctx)
     if not ops:
-        return
-    unsupported = check_support(strategy, ops)
-    if unsupported is not None:
-        ctx.diagnostics.error(unsupported.code, unsupported.message, ctx.location)
-        return
+        return _UNTRANSFORMED
+    strategy = STRATEGY_BY_TAG[node.tag]
+    return simulate(strategy, ops, box, ctx.root_size, ctx.diagnostics, ctx.location) or _UNTRANSFORMED
 
-    if len(ops) == 1 and ops[0].name == "rotate":
-        _apply_rotation(ops[0], ctx, mapped, box, strategy)
-        return
-    if any(op.name in ("matrix", "rotate") for op in ops):
-        ctx.diagnostics.error(
-            "UNSUPPORTED_TRANSFORM",
-            "matrix() has no offset rule for " + strategy,
-            ctx.location,
-        )
-        return
 
-    ctm = compose_ctm(ops, ctx.diagnostics, ctx.location)
-    left, top = box.x + ctm.e, box.y + ctm.f
-    if (ctm.e, ctm.f) != (0.0, 0.0):
+def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox) -> None:
+    """Simulate the element's transform via skew element or matrix filter."""
+    carrier, shift, offset = _simulate(node, ctx, box)
+    left, top = box.x, box.y
+    if shift is not None:
+        left, top = left + shift[0], top + shift[1]
         _set_position(ctx, mapped, left, top)
-    if _linear_part(ctm) == _linear_part(IDENTITY):
+    if carrier is None:
         return
-
-    offset = _shape_offset_from_linear(ctm, box)
-    if strategy == SKEW_SHAPE:
-        skew = VmlNode("v:skew")
-        skew.attributes["on"] = "t"
-        skew.attributes["matrix"] = skew_matrix_for_shape(ctm, ctx.options.precision)
-        skew.attributes["offset"] = _offset_attr(ctx, offset)
-        mapped.children.append(skew)
+    if STRATEGY_BY_TAG[node.tag] == SKEW_SHAPE:
+        mapped.children.append(_skew(ctx, skew_matrix_for_shape(carrier, ctx.options.precision), offset))
     else:
-        _append_filter(mapped, _matrix_filter_text(ctx, ctm))
+        _append_filter(mapped, _matrix_filter_text(ctx, carrier))
         _set_position(ctx, mapped, left - offset.dx, top - offset.dy)
-
-
-def _apply_rotation(
-    op: TransformOp, ctx: MapperContext, mapped: VmlNode, box: ShapeBox, strategy: str
-) -> None:
-    rotation = op_to_matrix(TransformOp("rotate", op.args[:1]), ctx.diagnostics, ctx.location)
-    offset = compute_offset(op, box, ctx.root_size, strategy, ctx.diagnostics, ctx.location)
-    if strategy == SKEW_SHAPE:
-        if len(op.args) == 3:
-            # Rotation about a point: coordinates are pre-shifted to the
-            # rotation center; the re-shift is folded into the offset.
-            _set_position(ctx, mapped, box.x - op.args[1], box.y - op.args[2])
-        skew = VmlNode("v:skew")
-        skew.attributes["on"] = "t"
-        skew.attributes["matrix"] = skew_matrix_for_shape(rotation, ctx.options.precision)
-        skew.attributes["offset"] = _offset_attr(ctx, offset)
-        mapped.children.append(skew)
-    else:
-        _append_filter(mapped, _matrix_filter_text(ctx, rotation))
-        _set_position(ctx, mapped, box.x - offset.dx, box.y - offset.dy)
 
 
 def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
@@ -300,25 +260,6 @@ def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
         f"M21={_fmt(ctx, params.m21)}, M22={_fmt(ctx, params.m22)}, "
         "SizingMethod='auto expand')"
     )
-
-
-def apply_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> VmlNode:
-    """Apply the element's effective transform to an already-mapped node.
-
-    Covers the skew-element and matrix-filter strategies; point-based
-    elements fold the transform into their coordinates while mapping, and
-    groups distribute it to their children instead.
-    """
-    strategy = STRATEGY_BY_TAG.get(node.tag)
-    if strategy in (SKEW_SHAPE, MATRIX_FILTER):
-        box = ShapeBox(
-            _style_value(mapped, "left"),
-            _style_value(mapped, "top"),
-            _style_value(mapped, "width"),
-            _style_value(mapped, "height"),
-        )
-        _apply_box_transform(node, ctx, mapped, box, strategy)
-    return mapped
 
 
 def _style_value(mapped: VmlNode, key: str) -> float:
@@ -421,7 +362,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
     _apply_presentation(node, ctx, shape)
     _apply_opacity(node, ctx, shape)
-    _apply_box_transform(node, ctx, shape, ShapeBox(x or 0.0, y or 0.0, width, height), SKEW_SHAPE)
+    _apply_box_transform(node, ctx, shape, ShapeBox(x or 0.0, y or 0.0, width, height))
     return shape
 
 
@@ -442,7 +383,7 @@ def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Option
     oval.style["height"] = _fmt(ctx, height)
     _apply_presentation(node, ctx, oval)
     _apply_opacity(node, ctx, oval)
-    _apply_box_transform(node, ctx, oval, ShapeBox(left, top, width, height), SKEW_SHAPE)
+    _apply_box_transform(node, ctx, oval, ShapeBox(left, top, width, height))
     return oval
 
 
@@ -526,33 +467,8 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
         return None
 
-    shift = (0.0, 0.0)
-    skew_child: Optional[VmlNode] = None
-    ops = _effective_transform_ops(node, ctx)
-    if ops:
-        unsupported = check_support(SKEW_PATH, ops)
-        if unsupported is not None:
-            ctx.diagnostics.error(unsupported.code, unsupported.message, ctx.location)
-        elif any(op.name == "matrix" for op in ops):
-            ctx.diagnostics.error(
-                "UNSUPPORTED_TRANSFORM", "matrix() has no offset rule for skew-path", ctx.location
-            )
-        else:
-            if all(op.name in ("scale", "translate") for op in ops):
-                ctm = compose_ctm(ops, ctx.diagnostics, ctx.location)
-                shift = (ctm.e, ctm.f)
-            else:
-                # a single rotate/skew: position corrections come from the
-                # root element size, any translation component is dropped
-                ctm = op_to_matrix(ops[0], ctx.diagnostics, ctx.location)
-            if _linear_part(ctm) != _linear_part(IDENTITY):
-                offset = offset_for_linear_path(ctm, ctx.root_size)
-                skew_child = VmlNode("v:skew")
-                skew_child.attributes["on"] = "t"
-                skew_child.attributes["matrix"] = skew_matrix_for_path(ctm, ctx.options.precision)
-                skew_child.attributes["offset"] = _offset_attr(ctx, offset)
-
-    path = _finite_path(ctx, vml_path(segments, ctx.options.precision, *shift), "path")
+    carrier, shift, offset = _simulate(node, ctx, _EMPTY_BOX)
+    path = _finite_path(ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))), "path")
     if path is None:
         return None
     shape = VmlNode("v:shape")
@@ -560,8 +476,8 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     shape.attributes["path"] = path
     _apply_presentation(node, ctx, shape)
     _apply_opacity(node, ctx, shape)
-    if skew_child is not None:
-        shape.children.append(skew_child)
+    if carrier is not None:
+        shape.children.append(_skew(ctx, skew_matrix_for_path(carrier, ctx.options.precision), offset))
     return shape
 
 
@@ -588,13 +504,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if node.text and node.text.strip():
         box.text = node.text.strip()
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(
-        node,
-        ctx,
-        box,
-        ShapeBox(x or 0.0, _style_value(box, "top"), 0.0, 0.0),
-        MATRIX_FILTER,
-    )
+    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, _style_value(box, "top"), 0.0, 0.0))
     return box
 
 
@@ -616,7 +526,7 @@ def map_text_path(
         )
         return None
 
-    shape = map_path(copy.deepcopy(target), ctx)
+    shape = map_path(target, ctx)
     if shape is None:
         return None
     path_flag = VmlNode("v:path")
@@ -636,13 +546,7 @@ def map_text_path(
     if font_tokens:
         text_path.attributes["style"] = ";".join(font_tokens)
     shape.children.append(text_path)
-    _apply_box_transform(
-        node,
-        ctx,
-        shape,
-        ShapeBox(0.0, 0.0, 0.0, 0.0),
-        MATRIX_FILTER,
-    )
+    _apply_box_transform(node, ctx, shape, _EMPTY_BOX)
     return shape
 
 
@@ -650,10 +554,7 @@ def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """foreignObject -> v:textbox carrying its markup through unchanged."""
     box = VmlNode("v:textbox")
     _apply_id(node, box)
-    for attr_name, style_name in (("x", "left"), ("y", "top"), ("width", "width"), ("height", "height")):
-        value = _length(ctx, node, attr_name)
-        if value is not None:
-            box.style[style_name] = _fmt(ctx, value)
+    _apply_box_style(node, ctx, box)
     if node.text and node.text.strip():
         box.text = node.text
     for child in node.children:
@@ -669,7 +570,6 @@ def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
             _style_value(box, "width"),
             _style_value(box, "height"),
         ),
-        MATRIX_FILTER,
     )
     return box
 
@@ -690,13 +590,10 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """use -> html:div containing a mapped copy of the referenced element."""
+    """use -> html:div containing the referenced element, mapped again in place."""
     div = VmlNode("html:div")
     _apply_id(node, div)
-    for attr_name, style_name in (("x", "left"), ("y", "top"), ("width", "width"), ("height", "height")):
-        value = _length(ctx, node, attr_name)
-        if value is not None:
-            div.style[style_name] = _fmt(ctx, value)
+    _apply_box_style(node, ctx, div)
 
     if node.attr("xlink:href") is None and node.attr("href") is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
@@ -706,7 +603,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
     ref_id = target.attr("id") or ""
     child_ctx = dataclasses.replace(ctx, ref_stack=ctx.ref_stack | {ref_id})
-    mapped = _map_node(copy.deepcopy(target), child_ctx)
+    mapped = _map_node(target, child_ctx)
     if mapped is not None:
         div.children.append(mapped)
     return div

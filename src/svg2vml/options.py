@@ -15,7 +15,6 @@ class ConvertOptions:
     precision: int = 6  # output decimals, 0..12
     strict: bool = False
     pretty: bool = False
-    quiet: bool = False
     title: Optional[str] = None
 
     def __post_init__(self):

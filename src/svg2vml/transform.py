@@ -13,6 +13,14 @@ simulation strategy:
                   2x2 linear entries plus a position correction
 * distribute      g: the group's transform list is prepended to each child's
 
+One table, STRATEGIES, says per strategy which transform kinds a
+multi-transform list may mix, which linear offset rule corrects the
+position, and how a lone rotate is handled.  No offset rule covers a lone
+matrix(), so the three strategies that use offsets reject it.
+check_support, compute_offset and simulate all read the table; simulate
+gives the mappers the carrier matrix, the position shift and the offset for
+a skew-shape, skew-path or matrix-filter element.
+
 Matrices are the usual six-value affine form (a, b, c, d, e, f), read as
 [[a, c, e], [b, d, f], [0, 0, 1]].  Angles are written in degrees in source
 and converted to radians here.
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .diagnostics import Diagnostic, Diagnostics
 from .numeric import NUMBER_PATTERN, format_number
@@ -76,14 +84,14 @@ def matrix(a: float, b: float, c: float, d: float, e: float, f: float) -> Transf
     return TransformOp("matrix", (float(a), float(b), float(c), float(d), float(e), float(f)))
 
 
-# Accepted argument counts, before defaults are applied.
-_ARG_COUNTS = {
-    "matrix": (6,),
-    "translate": (1, 2),
-    "scale": (1, 2),
-    "rotate": (1, 3),
-    "skewX": (1,),
-    "skewY": (1,),
+# Constructor and accepted argument counts, before defaults are applied.
+_FUNCTIONS = {
+    "matrix": (matrix, (6,)),
+    "translate": (translate, (1, 2)),
+    "scale": (scale, (1, 2)),
+    "rotate": (rotate, (1, 3)),
+    "skewX": (skew_x, (1,)),
+    "skewY": (skew_y, (1,)),
 }
 
 _FUNCTION_RE = re.compile(r"([A-Za-z]+)\s*\(([^)]*)\)")
@@ -107,31 +115,20 @@ def parse_transform_list(
             return []
         position = found.end()
         name, raw_args = found.group(1), found.group(2)
-        if name not in _ARG_COUNTS:
+        if name not in _FUNCTIONS:
             diagnostics.error("BAD_TRANSFORM", f"unknown transform function {name!r}", location)
             return []
+        constructor, counts = _FUNCTIONS[name]
         tokens = [t for t in _ARG_SPLIT_RE.split(raw_args.strip()) if t]
-        if len(tokens) not in _ARG_COUNTS[name]:
+        if len(tokens) not in counts:
             diagnostics.error(
-                "BAD_TRANSFORM", f"{name}() takes {_ARG_COUNTS[name]} arguments, got {len(tokens)}", location
+                "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
             )
             return []
         if not all(_NUMBER_RE.match(token) for token in tokens):
             diagnostics.error("BAD_TRANSFORM", f"non-numeric argument in {name}({raw_args})", location)
             return []
-        args = [float(token) for token in tokens]
-        if name == "translate":
-            ops.append(translate(*args))
-        elif name == "scale":
-            ops.append(scale(*args))
-        elif name == "rotate":
-            ops.append(rotate(*args))
-        elif name == "skewX":
-            ops.append(skew_x(args[0]))
-        elif name == "skewY":
-            ops.append(skew_y(args[0]))
-        else:
-            ops.append(matrix(*args))
+        ops.append(constructor(*[float(token) for token in tokens]))
     if value[position:].strip(" \t\r\n,"):
         diagnostics.error(
             "BAD_TRANSFORM", f"trailing transform text {value[position:].strip()!r}", location
@@ -218,62 +215,7 @@ def recalc_points(m: TransformMatrix, points: list[Point]) -> list[Point]:
     return [apply_to_point(m, point) for point in points]
 
 
-# --- strategy selection -----------------------------------------------------
-
-SKEW_SHAPE = "skew-shape"
-SKEW_PATH = "skew-path"
-RECALC_POINTS = "recalc-points"
-MATRIX_FILTER = "matrix-filter"
-DISTRIBUTE = "distribute"
-
-STRATEGY_BY_TAG = {
-    "rect": SKEW_SHAPE,
-    "circle": SKEW_SHAPE,
-    "ellipse": SKEW_SHAPE,
-    "path": SKEW_PATH,
-    "line": RECALC_POINTS,
-    "polyline": RECALC_POINTS,
-    "polygon": RECALC_POINTS,
-    "text": MATRIX_FILTER,
-    "textPath": MATRIX_FILTER,
-    "foreignObject": MATRIX_FILTER,
-    "g": DISTRIBUTE,
-}
-
-# Transform kinds usable in multi-op lists, per strategy.  Point
-# recalculation handles anything; the manual offset corrections of the other
-# strategies are only worked out for these combinations.
-_MULTI_OP_SUPPORT = {
-    SKEW_SHAPE: {"scale", "translate", "skewX", "skewY"},
-    SKEW_PATH: {"scale", "translate"},
-    MATRIX_FILTER: {"scale", "skewX", "skewY"},
-}
-
-
-def check_support(strategy: str, ops: list[TransformOp]) -> Optional[Diagnostic]:
-    """Return an UNSUPPORTED_TRANSFORM diagnostic, or None when supported.
-
-    Single transforms are supported by every strategy; multi-transform lists
-    are restricted per strategy (distribute defers to the children).
-    """
-    if len(ops) <= 1:
-        return None
-    if strategy in (RECALC_POINTS, DISTRIBUTE):
-        return None
-    allowed = _MULTI_OP_SUPPORT.get(strategy)
-    if allowed is None:
-        return None
-    offending = sorted({op.name for op in ops} - allowed)
-    if not offending:
-        return None
-    return Diagnostic(
-        "error",
-        "UNSUPPORTED_TRANSFORM",
-        f"multi-transform with {', '.join(offending)} is not supported for {strategy}",
-    )
-
-
-# --- offset corrections -----------------------------------------------------
+# --- offset rules -----------------------------------------------------------
 
 
 class Offset(NamedTuple):
@@ -322,6 +264,97 @@ def _rotate_offset(angle_deg: float, box: ShapeBox, cx: float = 0.0, cy: float =
     )
 
 
+# --- strategy table ---------------------------------------------------------
+
+SKEW_SHAPE = "skew-shape"
+SKEW_PATH = "skew-path"
+RECALC_POINTS = "recalc-points"
+MATRIX_FILTER = "matrix-filter"
+DISTRIBUTE = "distribute"
+
+STRATEGY_BY_TAG = {
+    "rect": SKEW_SHAPE,
+    "circle": SKEW_SHAPE,
+    "ellipse": SKEW_SHAPE,
+    "path": SKEW_PATH,
+    "line": RECALC_POINTS,
+    "polyline": RECALC_POINTS,
+    "polygon": RECALC_POINTS,
+    "text": MATRIX_FILTER,
+    "textPath": MATRIX_FILTER,
+    "foreignObject": MATRIX_FILTER,
+    "g": DISTRIBUTE,
+}
+
+# How a lone rotate is simulated when it does not go through the linear
+# offset rule: in place, or after moving the coordinates to its centre.
+ROTATE_IN_PLACE = "in-place"
+ROTATE_ABOUT_CENTRE = "about-centre"
+
+
+class StrategyRule(NamedTuple):
+    """What one strategy can simulate, and with which offset rule.
+
+    multi_ops  transform kinds a list of two or more may mix; None allows any
+    offset     the linear offset rule, from the matrix and the element box
+               or the root size; None for strategies without offsets, which
+               are also the only ones that accept a lone matrix()
+    rotation   how a lone rotate is simulated; None sends it through the
+               linear rule and drops the translation of its centre
+    """
+
+    multi_ops: Optional[frozenset]
+    offset: Optional[Callable[[TransformMatrix, ShapeBox, RootSize], Offset]]
+    rotation: Optional[str]
+
+
+# The manual offset corrections are only worked out for these combinations;
+# point recalculation handles anything, and distribution defers to the
+# children.
+STRATEGIES = {
+    SKEW_SHAPE: StrategyRule(
+        frozenset({"scale", "translate", "skewX", "skewY"}),
+        lambda m, box, root: offset_for_linear_shape(m, box),
+        ROTATE_ABOUT_CENTRE,
+    ),
+    SKEW_PATH: StrategyRule(
+        frozenset({"scale", "translate"}),
+        lambda m, box, root: offset_for_linear_path(m, root),
+        None,
+    ),
+    RECALC_POINTS: StrategyRule(None, None, None),
+    MATRIX_FILTER: StrategyRule(
+        frozenset({"scale", "skewX", "skewY"}),
+        lambda m, box, root: offset_for_linear_shape(m, box),
+        ROTATE_IN_PLACE,
+    ),
+    DISTRIBUTE: StrategyRule(None, None, None),
+}
+
+
+def check_support(strategy: str, ops: list[TransformOp]) -> Optional[Diagnostic]:
+    """Return an UNSUPPORTED_TRANSFORM diagnostic, or None when supported.
+
+    Multi-transform lists are restricted per strategy, and a lone matrix()
+    has no offset rule; point recalculation and distribution take any list.
+    """
+    rule = STRATEGIES.get(strategy)
+    if rule is None or rule.offset is None:
+        return None
+    if len(ops) == 1 and ops[0].name == "matrix":
+        return Diagnostic("error", "UNSUPPORTED_TRANSFORM", f"matrix() has no offset rule for {strategy}")
+    if len(ops) <= 1:
+        return None
+    offending = sorted({op.name for op in ops} - rule.multi_ops)
+    if not offending:
+        return None
+    return Diagnostic(
+        "error",
+        "UNSUPPORTED_TRANSFORM",
+        f"multi-transform with {', '.join(offending)} is not supported for {strategy}",
+    )
+
+
 def compute_offset(
     op: TransformOp,
     box: ShapeBox,
@@ -339,35 +372,69 @@ def compute_offset(
     shift goes straight into the output coordinates.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    if strategy == SKEW_PATH:
-        if op.name == "matrix":
-            diagnostics.error(
-                "UNSUPPORTED_TRANSFORM", "matrix() has no offset rule for skew-path", location
-            )
-            return Offset(0.0, 0.0)
-        if op.name == "translate":
-            return Offset(0.0, 0.0)
-        return offset_for_linear_path(op_to_matrix(op, diagnostics, location), root)
-
-    if strategy in (SKEW_SHAPE, MATRIX_FILTER):
-        if op.name == "translate":
-            return Offset(0.0, 0.0)
-        if op.name == "rotate":
-            angle = op.args[0]
-            if len(op.args) == 3:
-                return _rotate_offset(angle, box, op.args[1], op.args[2])
-            return _rotate_offset(angle, box)
-        if op.name in ("scale", "skewX", "skewY"):
-            return offset_for_linear_shape(op_to_matrix(op, diagnostics, location), box)
+    rule = STRATEGIES.get(strategy)
+    if rule is None or rule.offset is None:
         diagnostics.error(
-            "UNSUPPORTED_TRANSFORM", f"{op.name}() has no offset rule for {strategy}", location
+            "UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location
         )
         return Offset(0.0, 0.0)
+    unsupported = check_support(strategy, [op])
+    if unsupported is not None:
+        diagnostics.error(unsupported.code, unsupported.message, location)
+        return Offset(0.0, 0.0)
+    if op.name == "translate":
+        return Offset(0.0, 0.0)
+    if op.name == "rotate" and rule.rotation is not None:
+        return _rotate_offset(op.args[0], box, *op.args[1:])
+    return rule.offset(op_to_matrix(op, diagnostics, location), box, root)
 
-    diagnostics.error(
-        "UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location
-    )
-    return Offset(0.0, 0.0)
+
+class Simulation(NamedTuple):
+    """How an element carries its transform list.
+
+    carrier  the matrix for the skew element or filter; None when the
+             linear part is the identity and nothing needs carrying
+    shift    the translation added to the element's position; None leaves
+             the position as it is
+    offset   the position correction that goes with the carrier
+    """
+
+    carrier: Optional[TransformMatrix]
+    shift: Optional[tuple[float, float]]
+    offset: Offset
+
+
+def simulate(
+    strategy: str,
+    ops: list[TransformOp],
+    box: ShapeBox,
+    root: RootSize,
+    diagnostics: Diagnostics,
+    location: str = "",
+) -> Optional[Simulation]:
+    """Simulate a transform list with a skew element or a matrix filter.
+
+    Returns None, after reporting UNSUPPORTED_TRANSFORM, when the strategy
+    has no rule for the list; the element then stays untransformed.
+    """
+    unsupported = check_support(strategy, ops)
+    if unsupported is not None:
+        diagnostics.error(unsupported.code, unsupported.message, location)
+        return None
+    rule = STRATEGIES[strategy]
+    lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
+    if lone_rotate and rule.rotation is not None:
+        angle, *centre = ops[0].args
+        shift = None
+        if centre and rule.rotation == ROTATE_ABOUT_CENTRE:
+            # The re-shift from the centre is folded into the offset.
+            shift = (-centre[0], -centre[1])
+        return Simulation(op_to_matrix(rotate(angle)), shift, _rotate_offset(angle, box, *centre))
+    ctm = compose_ctm(ops, diagnostics, location)
+    shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
+    if ctm[:4] == IDENTITY[:4]:
+        return Simulation(None, shift, Offset(0.0, 0.0))
+    return Simulation(ctm, shift, rule.offset(ctm, box, root))
 
 
 # --- VML carrier strings ----------------------------------------------------

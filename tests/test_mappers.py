@@ -571,3 +571,39 @@ class TestDeterminism:
         tree_a, _ = map_document(doc_a)
         tree_b, _ = map_document(doc_b)
         assert tree_a == tree_b
+
+
+def snapshot(node):
+    """Everything of a parsed node that mapping could change, attribute order included."""
+    children = [snapshot(child) for child in node.children]
+    return (node.tag, node.name, list(node.attributes.items()), node.text, node.tail, children)
+
+
+class TestInputUntouched:
+    SOURCE = wrap_svg(
+        '<defs><linearGradient id="fade" x2="1"><stop offset="0" stop-color="red"/>'
+        '<stop offset="1" stop-color="blue"/></linearGradient>'
+        '<g id="badge" transform="scale(2)" fill="url(#fade)"><rect width="4" height="2"/>'
+        '<path d="m 0 0 l 4 2" transform="translate(1,1)"/></g>'
+        '<use id="twice" xlink:href="#badge" x="3"/>'
+        '<path id="track" d="M 0 0 C 5 5 10 5 15 0" transform="translate(2, 3)"/></defs>'
+        '<g transform="scale(1.5)" stroke="navy" opacity="0.5">'
+        '<g transform="scale(2)"><rect id="r" x="1" y="2" width="3" height="4" transform="scale(2)"/>'
+        '<use xlink:href="#badge"/><use xlink:href="#twice" y="4"/>'
+        '<text font-size="9"><textPath xlink:href="#track" transform="scale(3)">along</textPath></text>'
+        "</g></g>"
+        '<use xlink:href="#track"/>'
+        '<foreignObject x="1" y="2" width="30" height="9" transform="rotate(30)">lead'
+        '<div xmlns="http://www.w3.org/1999/xhtml">a <b>b</b></div>tail</foreignObject>'
+    )
+
+    def test_mapping_leaves_the_parsed_tree_unchanged(self):
+        doc = parse_svg(self.SOURCE)
+        before = snapshot(doc.root)
+        index_before = {key: (id(node), snapshot(node)) for key, node in doc.id_index.items()}
+        first, diagnostics = map_document(doc)
+        assert not diagnostics.has_errors
+        assert snapshot(doc.root) == before
+        assert {key: (id(node), snapshot(node)) for key, node in doc.id_index.items()} == index_before
+        second, _ = map_document(doc)
+        assert second == first
