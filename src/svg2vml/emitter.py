@@ -64,11 +64,13 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
     """Append one line per element; an element with character content goes
     on one line with its whole subtree, so the payload stays intact."""
     pad = _INDENT * depth if pretty else ""
-    has_text = bool(node.text and node.text.strip())
-    if has_text or not node.children or any(child.tail and child.tail.strip() for child in node.children):
+    if (node.text and node.text.strip()) or any(child.tail and child.tail.strip() for child in node.children):
         lines.append(pad + _inline(node, head, extra))
         return
     name, attrs = head(node)
+    if not node.children:
+        lines.append(f"{pad}<{name}{extra}{attrs}/>")
+        return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
         _serialize(child, head, lines, depth + 1, pretty)
