@@ -64,12 +64,13 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
     """Append one line per element; an element with character content goes
     on one line with its whole subtree, so the payload stays intact."""
     pad = _INDENT * depth if pretty else ""
-    if (node.text and node.text.strip()) or any(child.tail and child.tail.strip() for child in node.children):
-        lines.append(pad + _inline(node, head, extra))
-        return
     name, attrs = head(node)
-    if not node.children:
+    has_text = bool(node.text and node.text.strip())
+    if not node.children and not has_text:
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
+        return
+    if has_text or any(child.tail and child.tail.strip() for child in node.children):
+        lines.append(pad + _inline(node, head, extra))
         return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
