@@ -341,18 +341,14 @@ def check_support(strategy: str, ops: list[TransformOp]) -> Optional[Diagnostic]
     rule = STRATEGIES.get(strategy)
     if rule is None or rule.offset is None:
         return None
-    if len(ops) == 1 and ops[0].name == "matrix":
-        return Diagnostic("error", "UNSUPPORTED_TRANSFORM", f"matrix() has no offset rule for {strategy}")
-    if len(ops) <= 1:
-        return None
     offending = sorted({op.name for op in ops} - rule.multi_ops)
-    if not offending:
+    if len(ops) > 1 and offending:
+        message = f"multi-transform with {', '.join(offending)} is not supported for {strategy}"
+    elif len(ops) == 1 and ops[0].name == "matrix":
+        message = f"matrix() has no offset rule for {strategy}"
+    else:
         return None
-    return Diagnostic(
-        "error",
-        "UNSUPPORTED_TRANSFORM",
-        f"multi-transform with {', '.join(offending)} is not supported for {strategy}",
-    )
+    return Diagnostic("error", "UNSUPPORTED_TRANSFORM", message)
 
 
 def compute_offset(
