@@ -12,7 +12,12 @@ The transform fixtures put one element of every family under each single
 transform (`transform_single`) and under every ordered pair of transform
 kinds plus malformed lists (`transform_multi`); `structure` covers nested
 group chains, `use`, `textPath`, mixed-content `foreignObject` and
-`fill="none"` with a translation.
+`fill="none"` with a translation.  `locations` pins the tree-path location
+of every diagnostic kind the other fixtures miss: a bad unit on each length
+attribute, bad `viewBox`, `points`, `transform` and `d`, an unknown element
+three groups deep, errors inside `use` and `textPath` targets (reported at
+the `use`/`text` path) and duplicate ids, which come after every parse-time
+warning.
 """
 
 from pathlib import Path
@@ -22,7 +27,7 @@ import pytest
 from svg2vml import ConvertOptions, convert_text
 
 GOLDEN = Path(__file__).parent / "golden"
-FIXTURES = ("paths", "path_rejects", "transform_single", "transform_multi", "structure")
+FIXTURES = ("paths", "path_rejects", "transform_single", "transform_multi", "structure", "locations")
 SETTINGS = (
     ("default", ConvertOptions()),
     ("precision2", ConvertOptions(precision=2)),
@@ -50,3 +55,22 @@ def test_passthrough_matches_golden(name, suffix, options):
     assert output == (GOLDEN / f"{name}.{suffix}.html").read_text()
     recorded = "".join(f"{diagnostic}\n" for diagnostic in diagnostics)
     assert recorded == (GOLDEN / f"{name}.xhtml.diagnostics.txt").read_text()
+
+
+STRICT_CASES = (
+    (
+        (GOLDEN / "locations.svg").read_text(),
+        "error UNKNOWN_ELEMENT: unsupported element <blink> @svg/g[2]/g[0]/g[6]/blink[0]",
+    ),
+    (
+        '<svg viewBox="0 0 9 9"><g><a href="#"><rect width="1" height="1"/><rect x="2pt" width="1" height="1"/></a></g></svg>',
+        "error UNSUPPORTED_UNIT: unsupported length unit 'pt' in '2pt' @svg/g[0]/a[0]/rect[1]@x",
+    ),
+)
+
+
+@pytest.mark.parametrize("text,first", STRICT_CASES, ids=["parse", "map"])
+def test_strict_mode_stops_at_the_first_location(text, first):
+    output, diagnostics = convert_text(text, ConvertOptions(strict=True))
+    assert output is None
+    assert [str(diagnostic) for diagnostic in diagnostics] == [first]
