@@ -4,11 +4,43 @@ Diagnostics are collected rather than raised so that lenient conversions can
 skip broken subtrees and keep going.  In strict mode every report (warnings
 included) is recorded with error severity and immediately aborts the
 conversion by raising ConversionError.
+
+A location is a tree path such as "svg/g[0]/rect[3]@width".  Callers may
+pass it as a Location chain, which is joined into that text only when a
+diagnostic is recorded, so the conversion pays nothing for locations that
+are never reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
+
+
+class Location:
+    """One step of a tree path, after the location of its parent.
+
+    The root is a plain string ("svg"); each step adds "/name[index]" for a
+    child or "@name" for an attribute.  str() joins the chain.
+    """
+
+    __slots__ = ("parent", "step")
+
+    def __init__(self, parent: "LocationLike", step: str):
+        self.parent = parent
+        self.step = step
+
+    def __str__(self) -> str:
+        steps = []
+        location: LocationLike = self
+        while isinstance(location, Location):
+            steps.append(location.step)
+            location = location.parent
+        steps.append(location)
+        return "".join(reversed(steps))
+
+
+LocationLike = Union[str, Location]
 
 
 @dataclass(frozen=True)
@@ -44,14 +76,14 @@ class Diagnostics:
     def __len__(self) -> int:
         return len(self.items)
 
-    def warning(self, code: str, message: str, location: str = "") -> None:
+    def warning(self, code: str, message: str, location: LocationLike = "") -> None:
         if self.strict:
             self.error(code, message, location)
             return
-        self.items.append(Diagnostic("warning", code, message, location))
+        self.items.append(Diagnostic("warning", code, message, str(location)))
 
-    def error(self, code: str, message: str, location: str = "") -> None:
-        diagnostic = Diagnostic("error", code, message, location)
+    def error(self, code: str, message: str, location: LocationLike = "") -> None:
+        diagnostic = Diagnostic("error", code, message, str(location))
         self.items.append(diagnostic)
         if self.strict:
             raise ConversionError(diagnostic)

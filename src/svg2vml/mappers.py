@@ -9,11 +9,11 @@ distributed to the children, with child-set values taking precedence.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import format_number, parse_number
 from .options import ConvertOptions
 
@@ -39,6 +39,7 @@ from .style import (
 )
 from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 from .transform import (
+    IDENTITY,
     SKEW_SHAPE,
     STRATEGY_BY_TAG,
     Offset,
@@ -87,21 +88,40 @@ class MapperContext:
     inherited: dict[str, str] = field(default_factory=dict)
     inherited_ops: tuple[TransformOp, ...] = ()
     ref_stack: frozenset = frozenset()
-    location: str = "svg"
+    location: LocationLike = "svg"
 
-    def at(self, location: str) -> "MapperContext":
-        return dataclasses.replace(self, location=location)
+    def at(self, step: str) -> "MapperContext":
+        """The context for a child element; step is "/name[index]"."""
+        return self.derive(location=Location(self.location, step))
+
+    def derive(self, **changes) -> "MapperContext":
+        """A copy with the given fields changed.
+
+        Unlike dataclasses.replace, this skips __init__, which costs more
+        than the copy itself on the per-child path.
+        """
+        derived = object.__new__(MapperContext)
+        derived.__dict__.update(self.__dict__, **changes)
+        return derived
 
 
 def _fmt(ctx: MapperContext, value: float) -> str:
     return format_number(value, ctx.options.precision)
 
 
+def _attribute_location(ctx: MapperContext, name: str) -> Location:
+    return Location(ctx.location, f"@{name}")
+
+
 def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
     raw = node.attr(name)
     if raw is None:
         return None
-    return parse_length(raw, ctx.diagnostics, f"{ctx.location}@{name}")
+    value = parse_length(raw)
+    if value is None:
+        # Parsed again only to record the diagnostic at the attribute.
+        parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
+    return value
 
 
 def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
@@ -112,7 +132,7 @@ def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
 def _effective_transform_ops(node: SvgNode, ctx: MapperContext) -> list[TransformOp]:
     own_raw = node.attr("transform")
     own = (
-        parse_transform_list(own_raw, ctx.diagnostics, f"{ctx.location}@transform")
+        parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
         if own_raw is not None
         else []
     )
@@ -236,20 +256,37 @@ def _simulate(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Simulation:
     return simulate(strategy, ops, box, ctx.root_size, ctx.diagnostics, ctx.location) or _UNTRANSFORMED
 
 
+def _finite_transform(ctx: MapperContext, *values: float) -> bool:
+    if all(map(math.isfinite, values)):
+        return True
+    ctx.diagnostics.error(
+        "BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", ctx.location
+    )
+    return False
+
+
 def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox) -> None:
     """Simulate the element's transform via skew element or matrix filter."""
     carrier, shift, offset = _simulate(node, ctx, box)
+    if carrier is None and shift is None:
+        return
     left, top = box.x, box.y
     if shift is not None:
         left, top = left + shift[0], top + shift[1]
+    skew_shape = STRATEGY_BY_TAG[node.tag] == SKEW_SHAPE
+    # The matrix filter's correction replaces the shifted position.
+    corrected = (left, top) if skew_shape else (left - offset.dx, top - offset.dy)
+    if not _finite_transform(ctx, *corrected, *offset, *(carrier or IDENTITY)):
+        return
+    if shift is not None:
         _set_position(ctx, mapped, left, top)
     if carrier is None:
         return
-    if STRATEGY_BY_TAG[node.tag] == SKEW_SHAPE:
+    if skew_shape:
         mapped.children.append(_skew(ctx, skew_matrix_for_shape(carrier, ctx.options.precision), offset))
     else:
         _append_filter(mapped, _matrix_filter_text(ctx, carrier))
-        _set_position(ctx, mapped, left - offset.dx, top - offset.dy)
+        _set_position(ctx, mapped, *corrected)
 
 
 def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
@@ -284,7 +321,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
     raw_box = node.attr("viewBox")
     box = (
-        parse_view_box(raw_box, ctx.diagnostics, f"{ctx.location}@viewBox")
+        parse_view_box(raw_box, ctx.diagnostics, _attribute_location(ctx, "viewBox"))
         if raw_box is not None
         else None
     )
@@ -317,11 +354,7 @@ def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
         value = node.attr(name)
         if value is not None:
             inherited[name] = value
-    child_ctx = dataclasses.replace(
-        ctx,
-        inherited=inherited,
-        inherited_ops=tuple(_effective_transform_ops(node, ctx)),
-    )
+    child_ctx = ctx.derive(inherited=inherited, inherited_ops=tuple(_effective_transform_ops(node, ctx)))
     _map_children(node, child_ctx, group)
     return group
 
@@ -341,13 +374,13 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     shape = VmlNode("v:roundrect")
     _apply_id(node, shape)
     arcsize: Optional[float] = None
-    for name, value in node.attributes.items():
+    for name in node.attributes:
         if name == "rx":
-            radius = parse_length(value, ctx.diagnostics, f"{ctx.location}@rx")
+            radius = _length(ctx, node, "rx")
             if radius is not None:
                 arcsize = radius / (width / 2)
         elif name == "ry":
-            radius = parse_length(value, ctx.diagnostics, f"{ctx.location}@ry")
+            radius = _length(ctx, node, "ry")
             if radius is not None:
                 arcsize = radius / (height / 2)
     if arcsize is not None:
@@ -460,7 +493,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
     mark = len(ctx.diagnostics)
-    segments = scan_path(d, ctx.diagnostics, f"{ctx.location}@d")
+    segments = scan_path(d, ctx.diagnostics, _attribute_location(ctx, "d"))
     if ctx.diagnostics.errors_since(mark):
         return None
     if not segments:
@@ -468,6 +501,9 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
 
     carrier, shift, offset = _simulate(node, ctx, _EMPTY_BOX)
+    # An overflowing shift shows in the path itself and is reported as BAD_PATH.
+    if carrier is not None and not _finite_transform(ctx, *carrier[:4], *offset):
+        carrier, shift, offset = _UNTRANSFORMED
     path = _finite_path(ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))), "path")
     if path is None:
         return None
@@ -602,7 +638,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if target is None:
         return None
     ref_id = target.attr("id") or ""
-    child_ctx = dataclasses.replace(ctx, ref_stack=ctx.ref_stack | {ref_id})
+    child_ctx = ctx.derive(ref_stack=ctx.ref_stack | {ref_id})
     mapped = _map_node(target, child_ctx)
     if mapped is not None:
         div.children.append(mapped)
@@ -677,7 +713,7 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode) -> None:
     for index, child in enumerate(node.children):
-        child_ctx = ctx.at(f"{ctx.location}/{child.name}[{index}]")
+        child_ctx = ctx.at(f"/{child.name}[{index}]")
         mapped = _map_node(child, child_ctx)
         if mapped is not None:
             parent.children.append(mapped)
@@ -686,14 +722,13 @@ def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode) -> None:
 def _root_size(doc: SvgDocument) -> RootSize:
     # Probing only; map_svg_root re-parses these attributes and owns the
     # user-visible diagnostics for them.
-    scratch = Diagnostics()
     width = doc.root.attr("width")
     height = doc.root.attr("height")
-    w = parse_length(width, scratch) if width is not None else None
-    h = parse_length(height, scratch) if height is not None else None
+    w = parse_length(width) if width is not None else None
+    h = parse_length(height) if height is not None else None
     if w is None or h is None:
         raw_box = doc.root.attr("viewBox")
-        box = parse_view_box(raw_box, scratch) if raw_box is not None else None
+        box = parse_view_box(raw_box) if raw_box is not None else None
         if box is not None:
             w = box.width if w is None else w
             h = box.height if h is None else h

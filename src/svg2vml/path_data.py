@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, LocationLike
 from .numeric import NUMBER_PATTERN, format_number
 
 # Coordinate count per canonical (upper-case) command letter.
@@ -96,7 +96,7 @@ def closepath():
 def scan_path(
     d: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> list[Segment]:
     """Scan a path definition into segments.
 
@@ -233,7 +233,7 @@ def _commands(parts: Iterable[tuple[str, tuple[float, ...]]]) -> list[PathComman
 def parse_path_data(
     d: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> list[PathCommand]:
     """Parse a path definition into commands, one per coordinate group.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, LocationLike
 from .numeric import format_number
 from .svg_dom import SvgDocument, SvgNode, parse_length, parse_number
 
@@ -48,7 +48,7 @@ def map_stroke_attribute(name: str, value: str, precision: int = 6) -> tuple[str
 def map_opacity(
     value: float,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> float:
     """Scale an opacity from [0, 1] to the [0, 100] filter range."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
@@ -84,7 +84,7 @@ def _gradient_coordinate(node: SvgNode, name: str, default: float) -> Optional[f
 def resolve_gradient(
     node: SvgNode,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Optional[GradientSpec]:
     """Extract a two-stop horizontal or vertical gradient.
 
@@ -136,7 +136,7 @@ def resolve_fill_reference(
     value: str,
     document: SvgDocument,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Optional[GradientSpec]:
     """Resolve a fill of the form url(#id) to a gradient spec."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()

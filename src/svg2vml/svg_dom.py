@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import NUMBER_PATTERN, parse_number
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -145,33 +145,76 @@ def _find_svg_element(root: ET.Element) -> Optional[ET.Element]:
     return None
 
 
-def _build_node(
-    element: ET.Element,
-    diagnostics: Diagnostics,
-    location: str,
-    inside_foreign: bool,
-) -> SvgNode:
-    name = _local_name(element.tag)
-    if inside_foreign:
-        tag = UNKNOWN_TAG
-    elif name in IMPLEMENTED_TAGS:
-        tag = name
-    else:
-        tag = UNKNOWN_TAG
-        diagnostics.warning("UNKNOWN_ELEMENT", f"unsupported element <{name}>", location)
+class _Names(dict):
+    """Raw ElementTree names mapped to local names, each converted once."""
 
-    attributes: dict[str, str] = {}
-    for raw_name, value in element.attrib.items():
-        plain = _attribute_name(raw_name)
-        if plain not in attributes:
-            attributes[plain] = value
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
 
-    node = SvgNode(tag=tag, name=name, attributes=attributes, text=element.text, tail=element.tail)
-    foreign_below = inside_foreign or name == "foreignObject"
-    for index, child in enumerate(element):
-        child_location = f"{location}/{_local_name(child.tag)}[{index}]"
-        node.children.append(_build_node(child, diagnostics, child_location, foreign_below))
-    return node
+    def __missing__(self, raw: str) -> str:
+        self[raw] = local = self.convert(raw)
+        return local
+
+
+def _child_location(parent: Optional[LocationLike], name: str, index: int) -> LocationLike:
+    return "svg" if parent is None else Location(parent, f"/{name}[{index}]")
+
+
+class _TreeBuilder:
+    """Builds the SvgNode tree and its id index for one parse_svg call.
+
+    A node's location is built only when a diagnostic needs it or its
+    children need it as their parent.  Duplicate ids are collected during
+    the walk and reported after it, behind every UNKNOWN_ELEMENT warning.
+    """
+
+    def __init__(self, diagnostics: Diagnostics):
+        self.diagnostics = diagnostics
+        self.tag_names = _Names(_local_name)
+        self.attribute_names = _Names(_attribute_name)
+        self.id_index: dict[str, SvgNode] = {}
+        self.duplicate_ids: list[str] = []
+
+    def build(
+        self,
+        element: ET.Element,
+        parent: Optional[LocationLike],
+        index: int,
+        inside_foreign: bool,
+    ) -> SvgNode:
+        name = self.tag_names[element.tag]
+        if inside_foreign:
+            tag = UNKNOWN_TAG
+        elif name in IMPLEMENTED_TAGS:
+            tag = name
+        else:
+            tag = UNKNOWN_TAG
+            self.diagnostics.warning(
+                "UNKNOWN_ELEMENT", f"unsupported element <{name}>", _child_location(parent, name, index)
+            )
+
+        attributes: dict[str, str] = {}
+        attribute_names = self.attribute_names
+        for raw_name, value in element.attrib.items():
+            plain = attribute_names[raw_name]
+            if plain not in attributes:
+                attributes[plain] = value
+
+        node = SvgNode(tag=tag, name=name, attributes=attributes, text=element.text, tail=element.tail)
+        node_id = attributes.get("id")
+        if node_id is not None:
+            if node_id in self.id_index:
+                self.duplicate_ids.append(node_id)
+            else:
+                self.id_index[node_id] = node
+        if len(element):
+            location = _child_location(parent, name, index)
+            foreign_below = inside_foreign or name == "foreignObject"
+            children = node.children
+            for child_index, child in enumerate(element):
+                children.append(self.build(child, location, child_index, foreign_below))
+        return node
 
 
 def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[SvgDocument]:
@@ -190,23 +233,17 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
         diagnostics.error("NO_SVG_ROOT", "no <svg> element found in input")
         return None
 
-    root = _build_node(svg_element, diagnostics, "svg", inside_foreign=False)
-    id_index: dict[str, SvgNode] = {}
-    for node in root.iter_nodes():
-        node_id = node.attributes.get("id")
-        if node_id is None:
-            continue
-        if node_id in id_index:
-            diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
-        else:
-            id_index[node_id] = node
-    return SvgDocument(root=root, id_index=id_index, diagnostics=diagnostics)
+    builder = _TreeBuilder(diagnostics)
+    root = builder.build(svg_element, None, 0, inside_foreign=False)
+    for node_id in builder.duplicate_ids:
+        diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
+    return SvgDocument(root=root, id_index=builder.id_index, diagnostics=diagnostics)
 
 
 def parse_view_box(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Optional[ViewBox]:
     """Parse a viewBox value: four whitespace-separated numbers."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
@@ -238,7 +275,7 @@ _NUMBER_RE = re.compile(NUMBER_PATTERN)
 def parse_points(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> list[Point]:
     """Parse a points list: x,y pairs separated by commas and/or whitespace."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
@@ -264,29 +301,45 @@ def parse_points(
     return list(map(Point, it, it))
 
 
+# A whole valid length: the number grammar with an optional "px" suffix,
+# whitespace allowed around both, as the slow path below reads it.
+_LENGTH_RE = re.compile(rf"\s*({NUMBER_PATTERN})(?:\s*px)?\s*")
+
+
 def parse_length(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Optional[float]:
-    """Parse a length in user units; a "px" suffix is accepted and stripped."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    """Parse a length in user units; a "px" suffix is accepted and stripped.
+
+    A bad length records UNSUPPORTED_UNIT when diagnostics are given and
+    returns None.
+    """
+    match = _LENGTH_RE.fullmatch(value)
+    if match is not None:
+        number = float(match[1])
+        if math.isfinite(number):
+            return number
+    if diagnostics is not None:
+        _report_bad_length(value, diagnostics, location)
+    return None
+
+
+def _report_bad_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> None:
+    # Slow path, only to word the diagnostic.
     token = value.strip()
     if token.endswith("px"):
         token = token[:-2].strip()
-    try:
-        return parse_number(token)
-    except ValueError:
-        suffix = re.match(NUMBER_PATTERN, token)
-        if suffix and token[suffix.end():].strip():
-            diagnostics.error(
-                "UNSUPPORTED_UNIT",
-                f"unsupported length unit {token[suffix.end():].strip()!r} in {value!r}",
-                location,
-            )
-        else:
-            diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
-        return None
+    suffix = re.match(NUMBER_PATTERN, token)
+    if suffix and token[suffix.end():].strip():
+        diagnostics.error(
+            "UNSUPPORTED_UNIT",
+            f"unsupported length unit {token[suffix.end():].strip()!r} in {value!r}",
+            location,
+        )
+    else:
+        diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
 
 
 def structurally_equal(a: Optional[SvgNode], b: Optional[SvgNode]) -> bool:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import Diagnostic, Diagnostics
+from .diagnostics import Diagnostic, Diagnostics, LocationLike
 from .numeric import NUMBER_PATTERN, format_number
 from .svg_dom import Point
 
@@ -102,7 +102,7 @@ _NUMBER_RE = re.compile(NUMBER_PATTERN + r"\Z")
 def parse_transform_list(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> list[TransformOp]:
     """Parse a transform attribute into ops, filling in default arguments."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
@@ -128,7 +128,11 @@ def parse_transform_list(
         if not all(_NUMBER_RE.match(token) for token in tokens):
             diagnostics.error("BAD_TRANSFORM", f"non-numeric argument in {name}({raw_args})", location)
             return []
-        ops.append(constructor(*[float(token) for token in tokens]))
+        args = [float(token) for token in tokens]
+        if not all(map(math.isfinite, args)):
+            diagnostics.error("BAD_TRANSFORM", f"argument out of range in {name}({raw_args})", location)
+            return []
+        ops.append(constructor(*args))
     if value[position:].strip(" \t\r\n,"):
         diagnostics.error(
             "BAD_TRANSFORM", f"trailing transform text {value[position:].strip()!r}", location
@@ -156,7 +160,7 @@ def _is_tangent_pole(angle_deg: float) -> bool:
 def op_to_matrix(
     op: TransformOp,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> TransformMatrix:
     """Equivalent matrix of a single transform definition.
 
@@ -197,7 +201,7 @@ def op_to_matrix(
 def compose_ctm(
     ops: list[TransformOp],
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> TransformMatrix:
     """Left-to-right product of a transform list; empty list is identity."""
     result = IDENTITY
@@ -357,7 +361,7 @@ def compute_offset(
     root: RootSize,
     strategy: str,
     diagnostics: Optional[Diagnostics] = None,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Offset:
     """Manual position correction for a single transform.
 
@@ -406,7 +410,7 @@ def simulate(
     box: ShapeBox,
     root: RootSize,
     diagnostics: Diagnostics,
-    location: str = "",
+    location: LocationLike = "",
 ) -> Optional[Simulation]:
     """Simulate a transform list with a skew element or a matrix filter.
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import map_snippet, wrap_svg
+from svg2vml import convert_text
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
@@ -542,6 +543,68 @@ class TestStrokeFillOnShapes:
         rect = find_one(tree, "v:roundrect")
         assert len(find_all(rect, "v:stroke")) == 1
         assert len(find_all(rect, "v:fill")) == 1
+
+
+HUGE = "1" + "0" * 400  # overflows a float
+LARGE = "1" + "0" * 200  # finite, but its square overflows
+
+
+class TestNonFiniteTransforms:
+    """Transform arguments and products that overflow never reach the output."""
+
+    def convert(self, body):
+        output, diagnostics = convert_text(wrap_svg(body))
+        assert output is not None
+        assert "inf" not in output and "nan" not in output
+        return output, [(d.code, d.message, d.location) for d in diagnostics]
+
+    @pytest.mark.parametrize("function", ["rotate", "skewX", "skewY"])
+    def test_overflowing_angle_is_rejected(self, function):
+        _, diagnostics = self.convert(f'<rect width="1" height="1" transform="{function}({HUGE})"/>')
+        assert diagnostics == [
+            ("BAD_TRANSFORM", f"argument out of range in {function}({HUGE})", "svg/rect[0]@transform")
+        ]
+
+    def test_overflowing_rotate_centre_is_rejected(self):
+        _, diagnostics = self.convert(f'<rect width="1" height="1" transform="rotate(10,{HUGE},0)"/>')
+        assert diagnostics == [
+            ("BAD_TRANSFORM", f"argument out of range in rotate(10,{HUGE},0)", "svg/rect[0]@transform")
+        ]
+
+    def test_overflowing_translate_is_rejected(self):
+        _, diagnostics = self.convert(f'<rect width="1" height="1" transform="translate({HUGE})"/>')
+        assert diagnostics == [
+            ("BAD_TRANSFORM", f"argument out of range in translate({HUGE})", "svg/rect[0]@transform")
+        ]
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            '<rect width="1" height="1"{}/>',
+            '<ellipse rx="1" ry="2"{}/>',
+            '<path d="M 0 0 L 1 1"{}/>',
+            '<text x="1" y="20" font-size="10"{}>t</text>',
+            '<foreignObject width="1" height="1"{}/>',
+        ],
+        ids=["rect", "ellipse", "path", "text", "foreignObject"],
+    )
+    def test_overflowing_product_leaves_the_element_untransformed(self, element):
+        output, diagnostics = self.convert(element.format(f' transform="scale({LARGE}) scale({LARGE})"'))
+        untransformed, _ = self.convert(element.format(""))
+        tag = element[1:].split(" ", 1)[0]
+        assert output == untransformed
+        assert diagnostics == [
+            ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", f"svg/{tag}[0]")
+        ]
+
+    def test_overflowing_position_leaves_the_box_untransformed(self):
+        big = "1" + "0" * 308  # finite, but twice it is not
+        output, diagnostics = self.convert(f'<rect x="{big}" width="1" height="1" transform="translate({big})"/>')
+        untransformed, _ = self.convert(f'<rect x="{big}" width="1" height="1"/>')
+        assert output == untransformed
+        assert diagnostics == [
+            ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", "svg/rect[0]")
+        ]
 
 
 class TestDispatchTotality:

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svg2vml.diagnostics import ConversionError, Diagnostics
 from svg2vml.svg_dom import (
@@ -9,6 +13,7 @@ from svg2vml.svg_dom import (
     parse_view_box,
     structurally_equal,
 )
+from svg2vml.numeric import NUMBER_PATTERN, parse_number
 
 XHTML_DEMO = """\
 <html xmlns="http://www.w3.org/1999/xhtml">
@@ -173,6 +178,42 @@ class TestParseLength:
     def test_scientific_notation_rejected(self, diags):
         assert parse_length("1e3", diags) is None
         assert diags.has_errors
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                list("0123456789.+-e_px") + [" ", "\t", "\n", "\r", "\f", "\v", "\u00a0", "\u2003"]
+                + ["inf", "nan", "Infinity", "9" * 400]
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_matches_the_reference_grammar(self, value):
+        expected, actual = Diagnostics(), Diagnostics()
+        reference = reference_parse_length(value, expected, "svg/rect[0]@width")
+        assert parse_length(value, actual, "svg/rect[0]@width") == reference
+        assert actual.items == expected.items
+        assert parse_length(value) == reference
+
+
+def reference_parse_length(value, diagnostics, location):
+    """parse_length as it was before its validate-first fast path."""
+    token = value.strip()
+    if token.endswith("px"):
+        token = token[:-2].strip()
+    try:
+        return parse_number(token)
+    except ValueError:
+        suffix = re.match(NUMBER_PATTERN, token)
+        if suffix and token[suffix.end():].strip():
+            diagnostics.error(
+                "UNSUPPORTED_UNIT",
+                f"unsupported length unit {token[suffix.end():].strip()!r} in {value!r}",
+                location,
+            )
+        else:
+            diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
+        return None
 
 
 class TestStructuralEquality:
