@@ -321,12 +321,8 @@ def parse_length(
         number = float(match[1])
         if math.isfinite(number):
             return number
-    if diagnostics is not None:
-        _report_bad_length(value, diagnostics, location)
-    return None
-
-
-def _report_bad_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> None:
+    if diagnostics is None:
+        return None
     # Slow path, only to word the diagnostic.
     token = value.strip()
     if token.endswith("px"):
@@ -340,6 +336,7 @@ def _report_bad_length(value: str, diagnostics: Diagnostics, location: LocationL
         )
     else:
         diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
+    return None
 
 
 def structurally_equal(a: Optional[SvgNode], b: Optional[SvgNode]) -> bool:

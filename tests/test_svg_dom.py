@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svg2vml.diagnostics import ConversionError, Diagnostics
+from svg2vml.numeric import NUMBER_PATTERN, parse_number
 from svg2vml.svg_dom import (
     Point,
     parse_length,
@@ -13,7 +14,6 @@ from svg2vml.svg_dom import (
     parse_view_box,
     structurally_equal,
 )
-from svg2vml.numeric import NUMBER_PATTERN, parse_number
 
 XHTML_DEMO = """\
 <html xmlns="http://www.w3.org/1999/xhtml">
