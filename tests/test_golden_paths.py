@@ -17,7 +17,12 @@ of every diagnostic kind the other fixtures miss: a bad unit on each length
 attribute, bad `viewBox`, `points`, `transform` and `d`, an unknown element
 three groups deep, errors inside `use` and `textPath` targets (reported at
 the `use`/`text` path) and duplicate ids, which come after every parse-time
-warning.
+warning.  `presentation` pins the paint diagnostics: `fill-opacity` on every
+drawn shape, a `path` without `d`, `fill` URLs without `#`, gradients with a
+stop lacking `stop-color` or `offset` and unparseable axis coordinates, plus
+the positions the box shapes, text and `foreignObject` write under a
+transform (rounded values, absent ones, the root size from `width` and the
+`viewBox` height).
 """
 
 from pathlib import Path
@@ -27,7 +32,15 @@ import pytest
 from svg2vml import ConvertOptions, convert_text
 
 GOLDEN = Path(__file__).parent / "golden"
-FIXTURES = ("paths", "path_rejects", "transform_single", "transform_multi", "structure", "locations")
+FIXTURES = (
+    "paths",
+    "path_rejects",
+    "transform_single",
+    "transform_multi",
+    "structure",
+    "locations",
+    "presentation",
+)
 SETTINGS = (
     ("default", ConvertOptions()),
     ("precision2", ConvertOptions(precision=2)),
