@@ -1,10 +1,13 @@
 """Element-by-element translation of the SVG tree into a VML/HTML tree.
 
-Every implemented element kind has exactly one mapper.  Shared behavior runs
-as passes over the mapped node: id preservation, presentation attributes
-(stroke/fill/opacity), and the transform simulation strategy for the
-element's family.  Group attributes are not emitted on the group itself but
-distributed to the children, with child-set values taking precedence.
+Every implemented element kind has exactly one mapper.  Each mapper makes
+its output node with one constructor, `_new`, which carries the element's id
+over.  Every drawn shape (rect, circle, ellipse, line, polyline, polygon,
+path) then takes one paint step, `_paint`: stroke and fill become v:stroke
+and v:fill children, opacity an alpha filter.  Last, the transform
+simulation strategy for the element's family runs.  Group attributes are not
+emitted on the group itself but distributed to the children, with child-set
+values taking precedence.
 """
 
 from __future__ import annotations
@@ -142,18 +145,28 @@ def _effective_transform_ops(node: SvgNode, ctx: MapperContext) -> list[Transfor
 # --- shared passes -----------------------------------------------------------
 
 
-def _apply_id(node: SvgNode, mapped: VmlNode) -> None:
+def _new(node: SvgNode, tag: str) -> VmlNode:
+    """The output node for node, carrying its id over."""
     node_id = node.attr("id")
-    if node_id is not None:
-        mapped.attributes["id"] = node_id
+    return VmlNode(tag, {"id": node_id} if node_id is not None else {})
 
 
-def _apply_box_style(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
-    """x, y, width and height become left, top, width and height."""
+def _write_style(ctx: MapperContext, mapped: VmlNode, key: str, value: float) -> float:
+    """Set a style length; returns it as written, rounded to the precision."""
+    text = mapped.style[key] = _fmt(ctx, value)
+    return float(text)
+
+
+def _apply_box_style(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> ShapeBox:
+    """x, y, width and height become left, top, width and height.
+
+    Returns the box as written, with 0.0 where a value is absent.
+    """
+    written = []
     for attr_name, style_name in (("x", "left"), ("y", "top"), ("width", "width"), ("height", "height")):
         value = _length(ctx, node, attr_name)
-        if value is not None:
-            mapped.style[style_name] = _fmt(ctx, value)
+        written.append(0.0 if value is None else _write_style(ctx, mapped, style_name, value))
+    return ShapeBox(*written)
 
 
 def _append_filter(mapped: VmlNode, filter_text: str) -> None:
@@ -176,11 +189,13 @@ def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
     )
 
 
-def _apply_presentation(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
-    """Map stroke and fill features onto v:stroke / v:fill children.
+def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
+    """Map stroke, fill and opacity onto a drawn shape.
 
-    The node's own attributes run first in document order, then inherited
-    values fill the gaps; at most one v:stroke and one v:fill child result.
+    Stroke and fill features become v:stroke / v:fill children: the node's
+    own attributes run first in document order, then inherited values fill
+    the gaps; at most one v:stroke and one v:fill child result.  Opacity
+    comes last, as an alpha filter.
     """
     items = [(n, v) for n, v in node.attributes.items() if n in STROKE_TABLE or n == "fill"]
     for name in ("fill", "stroke", "stroke-width"):
@@ -202,28 +217,23 @@ def _apply_presentation(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> No
         ctx.diagnostics.warning(
             "UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", ctx.location
         )
+    _apply_opacity(node, ctx, shape)
 
 
 def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
     if value == "none":
         shape.attributes["filled"] = "f"
         return
+    fill = {"color": value}
     if value.strip().startswith("url("):
         gradient = resolve_fill_reference(value, ctx.document, ctx.diagnostics, ctx.location)
         if gradient is None:
             return
-        fill = VmlNode("v:fill")
-        fill.attributes["type"] = "gradient"
-        fill.attributes["color"] = gradient.color_start
-        fill.attributes["color2"] = gradient.color_end
         # Gradient axis angle convention borrowed from the common SVG shims:
         # 270 runs left-to-right, 180 top-to-bottom.
-        fill.attributes["angle"] = "270" if gradient.direction == HORIZONTAL else "180"
-        shape.children.append(fill)
-        return
-    fill = VmlNode("v:fill")
-    fill.attributes["color"] = value
-    shape.children.append(fill)
+        angle = "270" if gradient.direction == HORIZONTAL else "180"
+        fill = dict(type="gradient", color=gradient.color_start, color2=gradient.color_end, angle=angle)
+    shape.children.append(VmlNode("v:fill", fill))
 
 
 # --- transform simulation ----------------------------------------------------
@@ -239,15 +249,6 @@ def _skew(ctx: MapperContext, matrix: str, offset: Offset) -> VmlNode:
     return VmlNode("v:skew", {"on": "t", "matrix": matrix, "offset": offset_text})
 
 
-def _set_position(ctx: MapperContext, mapped: VmlNode, left: float, top: float) -> None:
-    mapped.style["left"] = _fmt(ctx, left)
-    mapped.style["top"] = _fmt(ctx, top)
-    # keep geometry keys ahead of decorations
-    for key in ("width", "height", "filter"):
-        if key in mapped.style:
-            mapped.style[key] = mapped.style.pop(key)
-
-
 def _simulate(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Simulation:
     ops = _effective_transform_ops(node, ctx)
     if not ops:
@@ -256,13 +257,15 @@ def _simulate(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Simulation:
     return simulate(strategy, ops, box, ctx.root_size, ctx.diagnostics, ctx.location) or _UNTRANSFORMED
 
 
-def _finite_transform(ctx: MapperContext, *values: float) -> bool:
+def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool:
+    """True when every value is finite; otherwise reports code and message."""
     if all(map(math.isfinite, values)):
         return True
-    ctx.diagnostics.error(
-        "BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", ctx.location
-    )
+    ctx.diagnostics.error(code, message, ctx.location)
     return False
+
+
+_TRANSFORM_OVERFLOW = "transform overflows to a non-finite value; ignored"
 
 
 def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox) -> None:
@@ -270,23 +273,27 @@ def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box
     carrier, shift, offset = _simulate(node, ctx, box)
     if carrier is None and shift is None:
         return
-    left, top = box.x, box.y
-    if shift is not None:
-        left, top = left + shift[0], top + shift[1]
+    dx, dy = shift or (0.0, 0.0)
+    left, top = box.x + dx, box.y + dy
     skew_shape = STRATEGY_BY_TAG[node.tag] == SKEW_SHAPE
-    # The matrix filter's correction replaces the shifted position.
-    corrected = (left, top) if skew_shape else (left - offset.dx, top - offset.dy)
-    if not _finite_transform(ctx, *corrected, *offset, *(carrier or IDENTITY)):
+    if not skew_shape:
+        # The matrix filter has no offset slot; its correction moves the position.
+        left, top = left - offset.dx, top - offset.dy
+    if not _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, left, top, *offset, *(carrier or IDENTITY)):
         return
-    if shift is not None:
-        _set_position(ctx, mapped, left, top)
+    if shift is not None or not skew_shape:
+        mapped.style["left"] = _fmt(ctx, left)
+        mapped.style["top"] = _fmt(ctx, top)
+        # keep geometry keys ahead of decorations
+        for key in ("width", "height", "filter"):
+            if key in mapped.style:
+                mapped.style[key] = mapped.style.pop(key)
     if carrier is None:
         return
     if skew_shape:
         mapped.children.append(_skew(ctx, skew_matrix_for_shape(carrier, ctx.options.precision), offset))
     else:
         _append_filter(mapped, _matrix_filter_text(ctx, carrier))
-        _set_position(ctx, mapped, *corrected)
 
 
 def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
@@ -299,23 +306,12 @@ def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
     )
 
 
-def _style_value(mapped: VmlNode, key: str) -> float:
-    raw = mapped.style.get(key)
-    if raw is None:
-        return 0.0
-    try:
-        return parse_number(raw)
-    except ValueError:
-        return 0.0
-
-
 # --- element mappers ----------------------------------------------------------
 
 
 def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """svg -> v:group; viewBox becomes coordorigin/coordsize."""
-    group = VmlNode("v:group")
-    _apply_id(node, group)
+    group = _new(node, "v:group")
     width = _length(ctx, node, "width")
     height = _length(ctx, node, "height")
 
@@ -341,14 +337,19 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
         group.style["width"] = _fmt(ctx, width)
     if height is not None:
         group.style["height"] = _fmt(ctx, height)
+    if node is ctx.document.root:
+        # The skew-path offset rule reads the root size: width and height,
+        # else the viewBox size, else 0.
+        box_width, box_height = (box.width, box.height) if box is not None else (0.0, 0.0)
+        root_size = RootSize(box_width if width is None else width, box_height if height is None else height)
+        ctx = ctx.derive(root_size=root_size)
     _map_children(node, ctx, group)
     return group
 
 
 def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """g -> v:group; inheritable attributes distribute to the children."""
-    group = VmlNode("v:group")
-    _apply_id(node, group)
+    group = _new(node, "v:group")
     inherited = dict(ctx.inherited)
     for name in INHERITED_ATTRIBUTES:
         value = node.attr(name)
@@ -371,8 +372,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     x = _length(ctx, node, "x")
     y = _length(ctx, node, "y")
 
-    shape = VmlNode("v:roundrect")
-    _apply_id(node, shape)
+    shape = _new(node, "v:roundrect")
     arcsize: Optional[float] = None
     for name in node.attributes:
         if name == "rx":
@@ -393,8 +393,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     shape.style["width"] = _fmt(ctx, width)
     shape.style["height"] = _fmt(ctx, height)
 
-    _apply_presentation(node, ctx, shape)
-    _apply_opacity(node, ctx, shape)
+    _paint(node, ctx, shape)
     _apply_box_transform(node, ctx, shape, ShapeBox(x or 0.0, y or 0.0, width, height))
     return shape
 
@@ -407,15 +406,16 @@ def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Option
     cy = _length(ctx, node, "cy") or 0.0
     left, top = cx - rx, cy - ry
     width, height = 2 * rx, 2 * ry
+    overflow = "box overflows to a non-finite value; skipped"
+    if not _finite(ctx, "DEGENERATE_SHAPE", overflow, left, top, width, height):
+        return None
 
-    oval = VmlNode("v:oval")
-    _apply_id(node, oval)
+    oval = _new(node, "v:oval")
     oval.style["left"] = _fmt(ctx, left)
     oval.style["top"] = _fmt(ctx, top)
     oval.style["width"] = _fmt(ctx, width)
     oval.style["height"] = _fmt(ctx, height)
-    _apply_presentation(node, ctx, oval)
-    _apply_opacity(node, ctx, oval)
+    _paint(node, ctx, oval)
     _apply_box_transform(node, ctx, oval, ShapeBox(left, top, width, height))
     return oval
 
@@ -465,25 +465,20 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     parts.extend(("l", point) for point in points[1:])
     if node.tag == "polygon":
         parts.append(("x", ()))
-    path = _finite_path(ctx, emit_segments(parts, ctx.options.precision), node.tag)
-    if path is None:
+    return _path_shape(node, ctx, emit_segments(parts, ctx.options.precision))
+
+
+def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> Optional[VmlNode]:
+    """The painted v:shape for a VML path; None, reported, if it is not finite."""
+    if not is_finite_path(path):
+        ctx.diagnostics.error(
+            "BAD_PATH", f"{node.tag} coordinates overflow to a non-finite value; skipped", ctx.location
+        )
         return None
-
-    shape = VmlNode("v:shape")
-    _apply_id(node, shape)
+    shape = _new(node, "v:shape")
     shape.attributes["path"] = path
-    _apply_presentation(node, ctx, shape)
-    _apply_opacity(node, ctx, shape)
+    _paint(node, ctx, shape)
     return shape
-
-
-def _finite_path(ctx: MapperContext, path: str, tag: str) -> Optional[str]:
-    if is_finite_path(path):
-        return path
-    ctx.diagnostics.error(
-        "BAD_PATH", f"{tag} coordinates overflow to a non-finite value; skipped", ctx.location
-    )
-    return None
 
 
 def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
@@ -502,17 +497,11 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
     carrier, shift, offset = _simulate(node, ctx, _EMPTY_BOX)
     # An overflowing shift shows in the path itself and is reported as BAD_PATH.
-    if carrier is not None and not _finite_transform(ctx, *carrier[:4], *offset):
+    finite = carrier is None or _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, *carrier[:4], *offset)
+    if not finite:
         carrier, shift, offset = _UNTRANSFORMED
-    path = _finite_path(ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))), "path")
-    if path is None:
-        return None
-    shape = VmlNode("v:shape")
-    _apply_id(node, shape)
-    shape.attributes["path"] = path
-    _apply_presentation(node, ctx, shape)
-    _apply_opacity(node, ctx, shape)
-    if carrier is not None:
+    shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))))
+    if shape is not None and carrier is not None:
         shape.children.append(_skew(ctx, skew_matrix_for_path(carrier, ctx.options.precision), offset))
     return shape
 
@@ -523,12 +512,12 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if text_path is not None:
         return map_text_path(text_path, ctx, node)
 
-    box = VmlNode("v:textbox")
-    _apply_id(node, box)
+    box = _new(node, "v:textbox")
     x = _length(ctx, node, "x")
     y = _length(ctx, node, "y")
     if x is not None:
         box.style["left"] = _fmt(ctx, x)
+    top = 0.0
     if y is not None:
         font_size = _length(ctx, node, "font-size")
         if font_size is None:
@@ -536,23 +525,19 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
             ctx.diagnostics.warning(
                 "DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location
             )
-        box.style["top"] = _fmt(ctx, y - font_size)
+        top = y - font_size
+        if not _finite(ctx, "DEGENERATE_SHAPE", "top overflows to a non-finite value; skipped", top):
+            return None
+        top = _write_style(ctx, box, "top", top)
     if node.text and node.text.strip():
         box.text = node.text.strip()
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, _style_value(box, "top"), 0.0, 0.0))
+    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, top, 0.0, 0.0))
     return box
 
 
-def map_text_path(
-    node: SvgNode, ctx: MapperContext, parent: Optional[SvgNode] = None
-) -> Optional[VmlNode]:
+def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optional[VmlNode]:
     """textPath -> the referenced path's v:shape, augmented for text-on-path."""
-    if parent is None or parent.tag != "text":
-        ctx.diagnostics.error(
-            "DANGLING_REF", "textPath must sit inside a text element", ctx.location
-        )
-        return None
     target = _resolve_reference(node, ctx)
     if target is None:
         return None
@@ -588,25 +573,14 @@ def map_text_path(
 
 def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """foreignObject -> v:textbox carrying its markup through unchanged."""
-    box = VmlNode("v:textbox")
-    _apply_id(node, box)
-    _apply_box_style(node, ctx, box)
+    box = _new(node, "v:textbox")
+    written = _apply_box_style(node, ctx, box)
     if node.text and node.text.strip():
         box.text = node.text
     for child in node.children:
         box.children.append(_map_verbatim(child))
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(
-        node,
-        ctx,
-        box,
-        ShapeBox(
-            _style_value(box, "left"),
-            _style_value(box, "top"),
-            _style_value(box, "width"),
-            _style_value(box, "height"),
-        ),
-    )
+    _apply_box_transform(node, ctx, box, written)
     return box
 
 
@@ -618,8 +592,7 @@ def _map_verbatim(node: SvgNode) -> VmlNode:
 
 def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """defs -> hidden html:div; the content only shows through references."""
-    div = VmlNode("html:div")
-    _apply_id(node, div)
+    div = _new(node, "html:div")
     div.style["visibility"] = "hidden"
     _map_children(node, ctx, div)
     return div
@@ -627,8 +600,7 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """use -> html:div containing the referenced element, mapped again in place."""
-    div = VmlNode("html:div")
-    _apply_id(node, div)
+    div = _new(node, "html:div")
     _apply_box_style(node, ctx, div)
 
     if node.attr("xlink:href") is None and node.attr("href") is None:
@@ -663,8 +635,7 @@ def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
 
 def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """a -> html:a with the link target on href."""
-    anchor = VmlNode("html:a")
-    _apply_id(node, anchor)
+    anchor = _new(node, "html:a")
     href = node.attr("xlink:href") or node.attr("href")
     if href is None:
         ctx.diagnostics.warning("MISSING_HREF", "anchor without a link target", ctx.location)
@@ -719,22 +690,6 @@ def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode) -> None:
             parent.children.append(mapped)
 
 
-def _root_size(doc: SvgDocument) -> RootSize:
-    # Probing only; map_svg_root re-parses these attributes and owns the
-    # user-visible diagnostics for them.
-    width = doc.root.attr("width")
-    height = doc.root.attr("height")
-    w = parse_length(width) if width is not None else None
-    h = parse_length(height) if height is not None else None
-    if w is None or h is None:
-        raw_box = doc.root.attr("viewBox")
-        box = parse_view_box(raw_box) if raw_box is not None else None
-        if box is not None:
-            w = box.width if w is None else w
-            h = box.height if h is None else h
-    return RootSize(w or 0.0, h or 0.0)
-
-
 def map_document(
     doc: SvgDocument,
     options: Optional[ConvertOptions] = None,
@@ -745,7 +700,7 @@ def map_document(
     diagnostics = diagnostics if diagnostics is not None else doc.diagnostics
     ctx = MapperContext(
         document=doc,
-        root_size=_root_size(doc),
+        root_size=RootSize(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
     )

@@ -14,7 +14,10 @@ import re
 # one way only, so anchored matches never backtrack over long digit runs.
 NUMBER_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
 
-_NUMBER_RE = re.compile(NUMBER_PATTERN + r"\Z")
+# Compiled once for every module: NUMBER_RE finds numbers anywhere;
+# NUMBER_TOKEN_RE.match accepts a whole token and nothing else.
+NUMBER_RE = re.compile(NUMBER_PATTERN)
+NUMBER_TOKEN_RE = re.compile(NUMBER_PATTERN + r"\Z")
 
 
 def parse_number(token: str) -> float:
@@ -24,7 +27,7 @@ def parse_number(token: str) -> float:
     rejected as well.
     """
     token = token.strip()
-    if not _NUMBER_RE.match(token):
+    if not NUMBER_TOKEN_RE.match(token):
         raise ValueError(f"invalid number: {token!r}")
     value = float(token)
     if not math.isfinite(value):

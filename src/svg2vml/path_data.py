@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_PATTERN, format_number
+from .numeric import NUMBER_PATTERN, NUMBER_RE, format_number
 
 # Coordinate count per canonical (upper-case) command letter.
 ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
@@ -48,7 +48,6 @@ _ARC = "A"
 _SEPARATORS = " \t\r\n,"
 _TOKEN_RE = re.compile(rf"([A-Za-z])|({NUMBER_PATTERN})")
 _LETTER_RE = re.compile(r"([A-Za-z])")
-_NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
 # number of groups.  After a moveto, every group past the first is a lineto.
@@ -111,7 +110,7 @@ def scan_path(
         diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
         return []
     pieces = _LETTER_RE.split(d)
-    if _NUMBER_RE.search(pieces[0]):
+    if NUMBER_RE.search(pieces[0]):
         diagnostics.error("BAD_PATH", "coordinates before any command", location)
         return []
 
@@ -132,7 +131,7 @@ def scan_path(
             else:
                 diagnostics.error("BAD_PATH", f"unknown path command {letter!r}", location)
             return segments
-        numbers = _NUMBER_RE.findall(pieces[index + 1])
+        numbers = NUMBER_RE.findall(pieces[index + 1])
         if not arity:
             segments.append(_CLOSE)
             if numbers:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import NUMBER_PATTERN, parse_number
+from .numeric import NUMBER_PATTERN, NUMBER_RE, parse_number
 
 SVG_NS = "http://www.w3.org/2000/svg"
 XLINK_NS = "http://www.w3.org/1999/xlink"
@@ -269,7 +269,6 @@ _POINTS_SPLIT_RE = re.compile(r"[\s,]+")
 # A whole points list in the strict number grammar.  Numbers need a
 # separator between them, so the check is linear in the list's length.
 _POINTS_RE = re.compile(rf"[\s,]*(?:{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*)?[\s,]*")
-_NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 
 def parse_points(
@@ -281,7 +280,7 @@ def parse_points(
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     coords = None
     if _POINTS_RE.fullmatch(value):
-        coords = list(map(float, _NUMBER_RE.findall(value)))
+        coords = list(map(float, NUMBER_RE.findall(value)))
         if not all(map(math.isfinite, coords)):
             coords = None
     if coords is None:
@@ -327,7 +326,7 @@ def parse_length(
     token = value.strip()
     if token.endswith("px"):
         token = token[:-2].strip()
-    suffix = re.match(NUMBER_PATTERN, token)
+    suffix = NUMBER_RE.match(token)
     if suffix and token[suffix.end():].strip():
         diagnostics.error(
             "UNSUPPORTED_UNIT",

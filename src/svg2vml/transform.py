@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .diagnostics import Diagnostic, Diagnostics, LocationLike
-from .numeric import NUMBER_PATTERN, format_number
+from .numeric import NUMBER_TOKEN_RE, format_number
 from .svg_dom import Point
 
 
@@ -96,7 +96,6 @@ _FUNCTIONS = {
 
 _FUNCTION_RE = re.compile(r"([A-Za-z]+)\s*\(([^)]*)\)")
 _ARG_SPLIT_RE = re.compile(r"[\s,]+")
-_NUMBER_RE = re.compile(NUMBER_PATTERN + r"\Z")
 
 
 def parse_transform_list(
@@ -125,7 +124,7 @@ def parse_transform_list(
                 "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
             )
             return []
-        if not all(_NUMBER_RE.match(token) for token in tokens):
+        if not all(NUMBER_TOKEN_RE.match(token) for token in tokens):
             diagnostics.error("BAD_TRANSFORM", f"non-numeric argument in {name}({raw_args})", location)
             return []
         args = [float(token) for token in tokens]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import map_snippet, wrap_svg
-from svg2vml import convert_text
+from svg2vml import ConvertOptions, convert_text
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
@@ -605,6 +605,32 @@ class TestNonFiniteTransforms:
         assert diagnostics == [
             ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", "svg/rect[0]")
         ]
+
+
+BIG = "1" + "0" * 308  # 309 digits: finite, but twice it is not
+
+
+class TestNonFiniteBoxes:
+    """Box arithmetic on finite lengths that overflows skips the element."""
+
+    @pytest.mark.parametrize(
+        "element,message",
+        [
+            (f'<circle r="{BIG}"/>', "box overflows to a non-finite value; skipped"),
+            (f'<text y="-{BIG}" font-size="{BIG}">t</text>', "top overflows to a non-finite value; skipped"),
+        ],
+        ids=["circle-radius", "text-top"],
+    )
+    def test_overflowing_box_is_reported_and_skipped(self, element, message):
+        output, diagnostics = convert_text(wrap_svg(element))
+        assert "inf" not in output and "nan" not in output
+        assert output == convert_text(wrap_svg(""))[0]
+        tag = element[1:].split(" ", 1)[0]
+        assert [(d.severity, d.code, d.message, d.location) for d in diagnostics] == [
+            ("error", "DEGENERATE_SHAPE", message, f"svg/{tag}[0]")
+        ]
+        strict_output, _ = convert_text(wrap_svg(element), ConvertOptions(strict=True))
+        assert strict_output is None
 
 
 class TestDispatchTotality:
