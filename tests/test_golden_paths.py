@@ -22,7 +22,12 @@ drawn shape, a `path` without `d`, `fill` URLs without `#`, gradients with a
 stop lacking `stop-color` or `offset` and unparseable axis coordinates, plus
 the positions the box shapes, text and `foreignObject` write under a
 transform (rounded values, absent ones, the root size from `width` and the
-`viewBox` height).
+`viewBox` height).  `parsing` pins the reader on an XHTML host page with
+the drawing nested below it: `xlink` bound to another prefix on the host
+root, `xml:space`/`xml:lang`, two prefixed names reducing to one, comments,
+processing instructions, CDATA and entities in text and tails, foreign
+content, unknown elements nested three deep, duplicate ids, a nested `svg`
+and a second top-level drawing that is ignored.
 """
 
 from pathlib import Path
@@ -40,6 +45,7 @@ FIXTURES = (
     "structure",
     "locations",
     "presentation",
+    "parsing",
 )
 SETTINGS = (
     ("default", ConvertOptions()),

@@ -112,6 +112,76 @@ class TestParseSvg:
         assert div.tag == "unknown"
 
 
+def shape(node):
+    """A parsed node as nested tuples: tag, name, attributes, text, tail, children."""
+    return (
+        node.tag,
+        node.name,
+        list(node.attributes.items()),
+        node.text,
+        node.tail,
+        [shape(child) for child in node.children],
+    )
+
+
+FRAGMENTS = (
+    pytest.param(
+        '<rect id="a"/><svg viewBox="0 0 1 1"><circle id="a" r="1"/>x<blink/></svg> tail <svg id="second"/>',
+        (
+            "svg", "svg", [("viewBox", "0 0 1 1")], None, " tail ",
+            [
+                ("circle", "circle", [("id", "a"), ("r", "1")], None, "x", []),
+                ("unknown", "blink", [], None, None, []),
+            ],
+        ),
+        ["warning UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[1]"],
+        id="several-top-level",
+    ),
+    pytest.param(
+        '<?xml version="1.0"?>\n<desc>first</desc>\n<svg><g id="g"><rect/></g></svg>',
+        ("svg", "svg", [], None, None, [("g", "g", [("id", "g")], None, None, [("rect", "rect", [], None, None, [])])]),
+        [],
+        id="sibling-before-svg",
+    ),
+    pytest.param(
+        '<svg:svg><svg:use xlink:href="#a" foo:x="1" foo:width="2"/>'
+        '<svg:rect id="a" foo:width="3" svg:height="4"/></svg:svg>',
+        (
+            "svg", "svg", [], None, None,
+            [
+                ("use", "use", [("xlink:href", "#a"), ("x", "1"), ("width", "2")], None, None, []),
+                ("rect", "rect", [("id", "a"), ("width", "3"), ("height", "4")], None, None, []),
+            ],
+        ),
+        [],
+        id="undeclared-prefixes",
+    ),
+    pytest.param(
+        '<svg xmlns:xlink="urn:other"><use xlink:href="#a"/><rect id="a"/></svg>',
+        (
+            "svg", "svg", [], None, None,
+            [("use", "use", [("href", "#a")], None, None, []), ("rect", "rect", [("id", "a")], None, None, [])],
+        ),
+        [],
+        id="xlink-bound-elsewhere",
+    ),
+    pytest.param(
+        '<svg xmlns:xlink="urn:other"><use xlink:href="#a" href="#b" foo:x="1"/></svg>',
+        ("svg", "svg", [], None, None, [("use", "use", [("href", "#a"), ("x", "1")], None, None, [])]),
+        [],
+        id="xlink-bound-elsewhere-with-undeclared",
+    ),
+)
+
+
+@pytest.mark.parametrize("text,tree,diagnostics", FRAGMENTS)
+def test_fragment_parses_to_tree(text, tree, diagnostics):
+    diags = Diagnostics()
+    doc = parse_svg(text, diags)
+    assert shape(doc.root) == tree
+    assert [str(diagnostic) for diagnostic in diags] == diagnostics
+
+
 class TestParseViewBox:
     def test_standard_box(self, diags):
         assert parse_view_box("0 0 800 800", diags) == (0, 0, 800, 800)
