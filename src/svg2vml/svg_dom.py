@@ -1,18 +1,34 @@
 """SVG text parsing into a typed element tree.
 
-The parser accepts full XML documents, XHTML documents embedding an SVG
-fragment, and bare fragments that use namespace prefixes without declaring
-them.  Element and attribute names are reduced to local names; the only
-prefixed name kept is "xlink:href", the canonical reference attribute.
+The input is XML text: an SVG document, a host page (XHTML or any other
+XML) that holds the drawing anywhere below its root, or a fragment.  The
+tree is built from the first `svg` start tag in document order, whatever
+its prefix, to its end tag; everything outside it is ignored.
+
+One expat parser runs without namespace processing, so names arrive as
+written.  An element keeps its local name, the part after any prefix.  An
+attribute prefix resolves through the `xmlns:` declarations in scope,
+where an undeclared `xlink` means the XLink namespace: a name bound to
+XLink becomes "xlink:<local>" (so "xlink:href" is the one prefixed name
+kept), any other prefix, `xml` included, is stripped, and `xmlns`
+declarations are dropped.  When two names reduce alike, the first wins.
+
+Text follows ElementTree's rules: an element's text runs up to its first
+child and each child's tail up to the next tag, the root's tail included;
+comments and processing instructions are skipped, CDATA and entities
+folded in.  Input that is not well-formed is parsed once more as the
+content of a plain <wrapper> element, without its XML declaration, which
+accepts fragments with several top-level elements or text around them; if
+that fails too, the first error is reported as MALFORMED_XML.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
+from xml.parsers import expat
 
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import NUMBER_PATTERN, NUMBER_RE, parse_number
@@ -23,25 +39,8 @@ XLINK_NS = "http://www.w3.org/1999/xlink"
 # Element kinds with a working VML/HTML counterpart.  Everything else parses
 # as an "unknown" node and is skipped by the mappers.
 IMPLEMENTED_TAGS = frozenset(
-    {
-        "svg",
-        "g",
-        "defs",
-        "use",
-        "circle",
-        "ellipse",
-        "path",
-        "rect",
-        "line",
-        "polygon",
-        "polyline",
-        "text",
-        "textPath",
-        "linearGradient",
-        "stop",
-        "a",
-        "foreignObject",
-    }
+    {"svg", "g", "defs", "use", "circle", "ellipse", "path", "rect", "line", "polygon", "polyline"}
+    | {"text", "textPath", "linearGradient", "stop", "a", "foreignObject"}
 )
 
 UNKNOWN_TAG = "unknown"
@@ -92,129 +91,118 @@ class SvgDocument:
 
 
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>", re.DOTALL)
-_PREFIX_RE = re.compile(r"<\s*/?\s*([A-Za-z_][\w.-]*):")
-_ATTR_PREFIX_RE = re.compile(r"[\s\"']([A-Za-z_][\w.-]*):[A-Za-z_][\w.-]*\s*=")
 
-_KNOWN_NAMESPACES = {
-    "svg": SVG_NS,
-    "xlink": XLINK_NS,
-}
+# Prefixes bound before any declaration; every other prefix is stripped.
+_UNDECLARED = {"xlink": XLINK_NS}
 
 
-def _local_name(qualified: str) -> str:
-    if qualified.startswith("{"):
-        return qualified.split("}", 1)[1]
-    if ":" in qualified:
-        return qualified.split(":", 1)[1]
-    return qualified
+class _Builder:
+    """Expat handlers that build the SvgNode tree of one parse.
 
-
-def _attribute_name(qualified: str) -> str:
-    if qualified.startswith("{" + XLINK_NS + "}"):
-        return "xlink:" + qualified.split("}", 1)[1]
-    return _local_name(qualified)
-
-
-def _parse_xml(text: str, diagnostics: Diagnostics) -> Optional[ET.Element]:
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError as first_error:
-        # Fragments may use prefixes without declaring them, or have several
-        # top-level elements.  Wrap the payload in a synthetic root that
-        # declares every prefix seen in the text, then retry once.
-        body = _XML_DECL_RE.sub("", text)
-        prefixes = set(_PREFIX_RE.findall(body)) | set(_ATTR_PREFIX_RE.findall(body))
-        prefixes.discard("xmlns")
-        declarations = "".join(
-            f' xmlns:{p}="{_KNOWN_NAMESPACES.get(p, "urn:prefix:" + p)}"'
-            for p in sorted(prefixes)
-        )
-        try:
-            return ET.fromstring(f"<wrapper{declarations}>{body}</wrapper>")
-        except ET.ParseError:
-            diagnostics.error("MALFORMED_XML", f"not well-formed XML: {first_error}")
-            return None
-
-
-def _find_svg_element(root: ET.Element) -> Optional[ET.Element]:
-    if _local_name(root.tag) == "svg":
-        return root
-    for element in root.iter():
-        if _local_name(element.tag) == "svg":
-            return element
-    return None
-
-
-class _Names(dict):
-    """Raw ElementTree names mapped to local names, each converted once."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, raw: str) -> str:
-        self[raw] = local = self.convert(raw)
-        return local
-
-
-def _child_location(parent: Optional[LocationLike], name: str, index: int) -> LocationLike:
-    return "svg" if parent is None else Location(parent, f"/{name}[{index}]")
-
-
-class _TreeBuilder:
-    """Builds the SvgNode tree and its id index for one parse_svg call.
-
-    A node's location is built only when a diagnostic needs it or its
-    children need it as their parent.  Duplicate ids are collected during
-    the walk and reported after it, behind every UNKNOWN_ELEMENT warning.
+    `open` runs from the root to the current element, each the last child
+    of the one before it.  Elements outside the first svg only open and
+    close their prefix scope.  The pending character data goes to the
+    `slot` ("text", or "tail" once it has ended) of `last`.
     """
 
-    def __init__(self, diagnostics: Diagnostics):
-        self.diagnostics = diagnostics
-        self.tag_names = _Names(_local_name)
-        self.attribute_names = _Names(_attribute_name)
+    def __init__(self) -> None:
+        self.root: Optional[SvgNode] = None
+        self.open: list[SvgNode] = []
+        self.foreign: Optional[SvgNode] = None  # the open foreignObject, if any
+        self.scopes = [_UNDECLARED]
+        self.data: list[str] = []
+        self.last: Optional[SvgNode] = None
+        self.slot = "text"
+        self.unknown: list[tuple[str, LocationLike]] = []
         self.id_index: dict[str, SvgNode] = {}
         self.duplicate_ids: list[str] = []
 
-    def build(
-        self,
-        element: ET.Element,
-        parent: Optional[LocationLike],
-        index: int,
-        inside_foreign: bool,
-    ) -> SvgNode:
-        name = self.tag_names[element.tag]
-        if inside_foreign:
-            tag = UNKNOWN_TAG
-        elif name in IMPLEMENTED_TAGS:
-            tag = name
+    def flush(self) -> None:
+        if self.last is not None:
+            setattr(self.last, self.slot, "".join(self.data))
+        self.data.clear()
+
+    def start(self, name: str, attributes: dict[str, str]) -> None:
+        scope = self.scopes[-1]
+        if ":" in "".join(attributes) or "xmlns" in attributes:
+            scope, attributes = _resolve_prefixes(scope, attributes)
+        self.scopes.append(scope)
+        if self.data:
+            self.flush()
+        local = name[name.find(":") + 1 :]
+        if self.open:
+            inside_foreign = self.foreign is not None
+            tag = local if local in IMPLEMENTED_TAGS and not inside_foreign else UNKNOWN_TAG
+            node = SvgNode(tag, local, attributes)
+            self.open[-1].children.append(node)
+            self.open.append(node)
+            if not inside_foreign and tag == UNKNOWN_TAG:
+                self.unknown.append((local, self.location()))
+            elif not inside_foreign and tag == "foreignObject":
+                self.foreign = node
+        elif self.root is None and local == "svg":
+            node = self.root = SvgNode("svg", local, attributes)
+            self.open.append(node)
         else:
-            tag = UNKNOWN_TAG
-            self.diagnostics.warning(
-                "UNKNOWN_ELEMENT", f"unsupported element <{name}>", _child_location(parent, name, index)
-            )
-
-        attributes: dict[str, str] = {}
-        attribute_names = self.attribute_names
-        for raw_name, value in element.attrib.items():
-            plain = attribute_names[raw_name]
-            if plain not in attributes:
-                attributes[plain] = value
-
-        node = SvgNode(tag=tag, name=name, attributes=attributes, text=element.text, tail=element.tail)
+            self.last = None
+            return
+        self.last = node
+        self.slot = "text"
         node_id = attributes.get("id")
-        if node_id is not None:
-            if node_id in self.id_index:
-                self.duplicate_ids.append(node_id)
-            else:
-                self.id_index[node_id] = node
-        if len(element):
-            location = _child_location(parent, name, index)
-            foreign_below = inside_foreign or name == "foreignObject"
-            children = node.children
-            for child_index, child in enumerate(element):
-                children.append(self.build(child, location, child_index, foreign_below))
-        return node
+        if node_id is not None and self.id_index.setdefault(node_id, node) is not node:
+            self.duplicate_ids.append(node_id)
+
+    def end(self, name: str) -> None:
+        self.scopes.pop()
+        if self.data:
+            self.flush()
+        if not self.open:
+            self.last = None
+            return
+        node = self.last = self.open.pop()
+        self.slot = "tail"
+        if node is self.foreign:
+            self.foreign = None
+
+    def location(self) -> LocationLike:
+        """The tree path of the newest open element."""
+        location: LocationLike = "svg"
+        for parent, child in zip(self.open, self.open[1:]):
+            location = Location(location, f"/{child.name}[{len(parent.children) - 1}]")
+        return location
+
+
+def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tuple[dict, dict]:
+    """The element's prefix scope, and its attributes under resolved names."""
+    declared = {raw[6:]: uri for raw, uri in attributes.items() if raw.startswith("xmlns:")}
+    scope = {**scope, **declared} if declared else scope
+    resolved: dict[str, str] = {}
+    for raw, value in attributes.items():
+        prefix, colon, local = raw.partition(":")
+        if prefix != "xmlns":
+            name = ("xlink:" + local if scope.get(prefix) == XLINK_NS else local) if colon else raw
+            resolved.setdefault(name, value)
+    return scope, resolved
+
+
+def _build(text: str) -> _Builder:
+    builder = _Builder()
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data.append
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        # Behind an external DTD expat leaves an undefined entity to the
+        # application; its text is unknown, so it is an error as elsewhere.
+        if not is_parameter_entity:
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            raise expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
+
+    parser.SkippedEntityHandler = skipped_entity
+    parser.Parse(text, True)
+    return builder
 
 
 def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[SvgDocument]:
@@ -225,19 +213,24 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     case.  In strict mode the same conditions raise ConversionError.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    xml_root = _parse_xml(text, diagnostics)
-    if xml_root is None:
-        return None
-    svg_element = _find_svg_element(xml_root)
-    if svg_element is None:
+    try:
+        builder = _build(text)
+    except expat.ExpatError as error:
+        # Several top-level elements, or text around them: parse the body
+        # once more as the content of one element.
+        try:
+            builder = _build(f"<wrapper>{_XML_DECL_RE.sub('', text)}</wrapper>")
+        except expat.ExpatError:
+            diagnostics.error("MALFORMED_XML", f"not well-formed XML: {error}")
+            return None
+    if builder.root is None:
         diagnostics.error("NO_SVG_ROOT", "no <svg> element found in input")
         return None
-
-    builder = _TreeBuilder(diagnostics)
-    root = builder.build(svg_element, None, 0, inside_foreign=False)
+    for name, location in builder.unknown:
+        diagnostics.warning("UNKNOWN_ELEMENT", f"unsupported element <{name}>", location)
     for node_id in builder.duplicate_ids:
         diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
-    return SvgDocument(root=root, id_index=builder.id_index, diagnostics=diagnostics)
+    return SvgDocument(root=builder.root, id_index=builder.id_index, diagnostics=diagnostics)
 
 
 def parse_view_box(

@@ -182,6 +182,54 @@ def test_fragment_parses_to_tree(text, tree, diagnostics):
     assert [str(diagnostic) for diagnostic in diags] == diagnostics
 
 
+class TestReader:
+    """Deep trees, declared differences from the ElementTree reader, and error paths."""
+
+    def test_deep_chain_parses_without_recursion(self):
+        depth = 5000
+        doc = parse_svg("<svg>" + "<g>" * depth + "</g>" * depth + "</svg>")
+        node, levels = doc.root, 0
+        while node.children:
+            (node,) = node.children
+            levels += 1
+        assert levels == depth
+        assert doc.diagnostics.codes() == []
+
+    def test_malformed_input_names_the_syntax_error_not_an_undeclared_prefix(self):
+        diags = Diagnostics()
+        assert parse_svg("<svg:svg><rect</svg:svg>", diags) is None
+        assert [str(d) for d in diags] == [
+            "error MALFORMED_XML: not well-formed XML: not well-formed (invalid token): line 1, column 14"
+        ]
+
+    def test_doctype_before_undeclared_prefixes_parses(self):
+        doc = parse_svg('<!DOCTYPE svg><svg:svg viewBox="0 0 9 9"><svg:use xlink:href="#a" foo:x="1"/></svg:svg>')
+        assert shape(doc.root) == (
+            "svg", "svg", [("viewBox", "0 0 9 9")], None, None,
+            [("use", "use", [("xlink:href", "#a"), ("x", "1")], None, None, [])],
+        )
+        assert doc.diagnostics.codes() == []
+
+    def test_names_are_not_checked_against_namespace_rules(self):
+        # Two prefixes bound to one namespace: a duplicate attribute under
+        # namespace processing, two names that reduce alike here.
+        doc = parse_svg('<svg xmlns:a="urn:u" xmlns:b="urn:u"><rect a:x="1" b:x="2"/></svg>')
+        assert doc.root.children[0].attributes == {"x": "1"}
+
+    def test_undefined_entity_behind_an_external_dtd_is_malformed(self):
+        diags = Diagnostics()
+        assert parse_svg('<!DOCTYPE svg SYSTEM "svg.dtd"><svg>&nbsp;</svg>', diags) is None
+        assert [str(d) for d in diags] == [
+            "error MALFORMED_XML: not well-formed XML: undefined entity &nbsp;: line 1, column 36"
+        ]
+
+    def test_warnings_come_only_from_the_parse_that_succeeds(self):
+        diags = Diagnostics()
+        doc = parse_svg('<svg><blink id="x"/></svg><svg id="x"/>', diags)
+        assert [child.name for child in doc.root.children] == ["blink"]
+        assert [str(d) for d in diags] == ["warning UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]"]
+
+
 class TestParseViewBox:
     def test_standard_box(self, diags):
         assert parse_view_box("0 0 800 800", diags) == (0, 0, 800, 800)
