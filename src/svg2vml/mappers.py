@@ -122,9 +122,13 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
         return None
     value = parse_length(raw)
     if value is None:
-        # Parsed again only to record the diagnostic at the attribute.
-        parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
+        _report_length(ctx, name, raw)
     return value
+
+
+def _report_length(ctx: MapperContext, name: str, raw: str) -> None:
+    """Record why raw is not a length; parsed again only for the diagnostic."""
+    parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
 
 
 def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
@@ -207,10 +211,14 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
         if name == "fill":
             _apply_fill(value, ctx, shape)
             continue
+        mapped = map_stroke_attribute(name, value, ctx.options.precision)
+        if mapped is None:
+            _report_length(ctx, name, value)
+            continue
         if stroke_child is None:
             stroke_child = VmlNode("v:stroke")
             shape.children.append(stroke_child)
-        target, mapped_value = map_stroke_attribute(name, value, ctx.options.precision)
+        target, mapped_value = mapped
         stroke_child.attributes[target] = mapped_value
 
     if node.attr("fill-opacity") is not None:

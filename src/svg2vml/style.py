@@ -35,14 +35,16 @@ class GradientSpec:
     color_end: str
 
 
-def map_stroke_attribute(name: str, value: str, precision: int = 6) -> tuple[str, str]:
-    """Translate one stroke attribute to its v:stroke counterpart."""
+def map_stroke_attribute(name: str, value: str, precision: int = 6) -> Optional[tuple[str, str]]:
+    """Translate one stroke attribute to its v:stroke counterpart.
+
+    Returns None for a stroke-width that is not a valid length.
+    """
     target = STROKE_TABLE[name]
-    if name == "stroke-width":
-        length = parse_length(value)
-        if length is not None:
-            return target, format_number(length, precision)
-    return target, value
+    if name != "stroke-width":
+        return target, value
+    length = parse_length(value)
+    return None if length is None else (target, format_number(length, precision))
 
 
 def map_opacity(

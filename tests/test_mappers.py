@@ -544,6 +544,28 @@ class TestStrokeFillOnShapes:
         assert len(find_all(rect, "v:stroke")) == 1
         assert len(find_all(rect, "v:fill")) == 1
 
+    @pytest.mark.parametrize(
+        "width,message",
+        [
+            ("nan", "invalid length 'nan'"),
+            ("inf", "invalid length 'inf'"),
+            ("2em", "unsupported length unit 'em' in '2em'"),
+            ("1e3", "unsupported length unit 'e3' in '1e3'"),
+        ],
+    )
+    def test_bad_stroke_width_is_reported_and_omitted(self, width, message):
+        tree, diags = map_snippet(f'<rect width="5" height="5" stroke="blue" stroke-width="{width}"/>')
+        rect = find_one(tree, "v:roundrect")
+        assert rect.find("v:stroke").attributes == {"color": "blue"}
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            ("error", "UNSUPPORTED_UNIT", message, "svg/rect[0]@stroke-width")
+        ]
+
+    def test_inherited_bad_stroke_width_is_reported_at_each_painted_element(self):
+        tree, diags = map_snippet('<g stroke-width="nan"><rect width="5" height="5"/><circle r="2"/></g>')
+        assert find_all(tree, "v:stroke") == []
+        assert [d.location for d in diags] == ["svg/g[0]/rect[0]@stroke-width", "svg/g[0]/circle[1]@stroke-width"]
+
 
 HUGE = "1" + "0" * 400  # overflows a float
 LARGE = "1" + "0" * 200  # finite, but its square overflows

@@ -34,6 +34,10 @@ class TestStrokeTable:
     def test_rows(self, svg_name, svg_value, vml_name, vml_value):
         assert map_stroke_attribute(svg_name, svg_value) == (vml_name, vml_value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "2em", "1e3", ""])
+    def test_bad_stroke_width_has_no_counterpart(self, value):
+        assert map_stroke_attribute("stroke-width", value) is None
+
 
 class TestMapOpacity:
     @pytest.mark.parametrize("value,expected", [(0.5, 50), (0, 0), (1, 100), (0.25, 25)])
