@@ -611,7 +611,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     div = _new(node, "html:div")
     _apply_box_style(node, ctx, div)
 
-    if node.attr("xlink:href") is None and node.attr("href") is None:
+    if _href(node) is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
         return div
     target = _resolve_reference(node, ctx)
@@ -625,8 +625,14 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return div
 
 
+def _href(node: SvgNode) -> Optional[str]:
+    """The link target: xlink:href when present, else href."""
+    href = node.attr("xlink:href")
+    return href if href is not None else node.attr("href")
+
+
 def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
-    raw = node.attr("xlink:href") or node.attr("href")
+    raw = _href(node)
     if raw is None or not raw.startswith("#"):
         ctx.diagnostics.error("DANGLING_REF", f"unresolvable reference {raw!r}", ctx.location)
         return None
@@ -644,7 +650,7 @@ def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
 def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """a -> html:a with the link target on href."""
     anchor = _new(node, "html:a")
-    href = node.attr("xlink:href") or node.attr("href")
+    href = _href(node)
     if href is None:
         ctx.diagnostics.warning("MISSING_HREF", "anchor without a link target", ctx.location)
     else:

@@ -431,6 +431,13 @@ class TestReferences:
         tree, diags = map_snippet('<g id="loop"><use xlink:href="#loop"/></g>')
         assert "DANGLING_REF" in diags.codes()
 
+    def test_empty_xlink_href_is_the_reference(self):
+        tree, diags = map_snippet('<rect id="r" width="1" height="1"/><use xlink:href="" href="#r"/>')
+        assert [child.tag for child in tree.children] == ["v:roundrect"]
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("DANGLING_REF", "unresolvable reference ''", "svg/use[1]")
+        ]
+
 
 class TestTextPath:
     SOURCE = (
@@ -486,6 +493,11 @@ class TestAnchor:
         anchor = find_one(tree, "html:a")
         assert "href" not in anchor.attributes
         assert "MISSING_HREF" in diags.codes()
+
+    def test_empty_href_is_kept(self):
+        tree, diags = map_snippet('<a xlink:href="" href="http://x"><rect width="5" height="5"/></a>')
+        assert find_one(tree, "html:a").attributes["href"] == ""
+        assert diags.codes() == []
 
     def test_anchor_inside_group(self):
         tree, _ = map_snippet('<g><a xlink:href="#x"><circle cx="1" cy="1" r="1"/></a></g>')
