@@ -678,22 +678,18 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
     "a": map_anchor,
 }
 
-# Reference-only elements realized through the attributes that point at them.
-# An orphaned textPath (outside a text parent) falls through to the
-# skipped-element warning instead.
-_SILENT_TAGS = frozenset({"linearGradient", "stop"})
-
-
 def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    if node.tag in _SILENT_TAGS:
-        return None
     mapper = _MAPPERS.get(node.tag)
-    if mapper is None:
+    if mapper is not None:
+        return mapper(node, ctx)
+    # Gradients and stops show through the fills that reference them, and
+    # parsing already reported unknown elements; an orphaned textPath
+    # (outside a text parent) is the one element skipped here.
+    if node.tag == "textPath":
         ctx.diagnostics.warning(
             "SKIPPED_ELEMENT", f"element <{node.name}> has no mapping; skipped", ctx.location
         )
-        return None
-    return mapper(node, ctx)
+    return None
 
 
 def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode) -> None:

@@ -675,8 +675,12 @@ class TestDispatchTotality:
     def test_unknown_elements_warn_and_produce_no_output(self):
         tree, diags = map_snippet("<desc>meta</desc>")
         assert tree.children == []
-        codes = diags.codes()
-        assert "UNKNOWN_ELEMENT" in codes and "SKIPPED_ELEMENT" in codes
+        assert diags.codes() == ["UNKNOWN_ELEMENT"]
+
+    def test_orphan_text_path_is_skipped(self):
+        tree, diags = map_snippet('<path id="p" d="M 0 0 L 1 1"/><textPath xlink:href="#p">x</textPath>')
+        assert [child.tag for child in tree.children] == ["v:shape"]
+        assert [(d.code, d.location) for d in diags] == [("SKIPPED_ELEMENT", "svg/textPath[1]")]
 
 
 class TestDeterminism:
