@@ -17,16 +17,15 @@ The documents are:
 
 A document differs when, at any setting, the output bytes, the full
 diagnostic text or the exception raised differs.  The report counts the
-differing documents of each family, then groups them by class: a parse
-that now succeeds, a MALFORMED_XML message that changed, or the
-diagnostic codes that went (-) and came (+) plus "bytes" when the output
-changed.  The exit status is 1 when any document differs.
+differing documents of each family, then lists the documents under each
+class of difference they show (see `classify`), with the families they
+come from and one example.  The exit status is 1 when any document
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -264,31 +263,42 @@ def export(revision: str, directory: Path) -> None:
         tar.extractall(directory)
 
 
-def _codes(lines: list[str]) -> set[str]:
-    return {line.split(" ", 2)[1].rstrip(":") for line in lines}
+def _split(line: str) -> tuple[str, str]:
+    """A diagnostic line's code and location."""
+    head, _, location = line.rpartition(" @")
+    return line.split(" ", 2)[1].rstrip(":"), location if head else ""
 
 
-def classify(old: list, new: list) -> tuple[str, str]:
-    """The class of one differing document, and an example of the difference."""
-    example = ""
-    removed: set[str] = set()
-    added: set[str] = set()
-    bytes_differ = False
+def classify(old: list, new: list) -> dict[str, str]:
+    """The classes of difference in one document, each with an example.
+
+    Classes come from the lenient settings, where no diagnostic cuts the
+    conversion short: "~CODE" for a message changed at the same location,
+    "-CODE" and "+CODE" for a diagnostic gone or new, "bytes" for changed
+    output, and one class for a parse that now succeeds.
+    """
+    classes: dict[str, str] = {}
     for setting, a, b in zip(SETTING_NAMES, old, new):
-        if a == b:
+        if a == b or setting.endswith("+strict"):
             continue
         if len(a) == 1 or len(b) == 1:
-            return f"raised: {a[0] if len(a) == 1 else 'returned'} -> {b[0] if len(b) == 1 else 'returned'}", setting
+            classes.setdefault(f"raised: {a[0] if len(a) == 1 else 'returned'} -> {b[0] if len(b) == 1 else 'returned'}", setting)
+            continue
         gone = [line for line in a[1] if line not in b[1]]
         came = [line for line in b[1] if line not in a[1]]
-        removed |= _codes(gone)
-        added |= _codes(came)
-        bytes_differ |= a[0] != b[0]
-        example = example or f"{setting}: {gone[:1]} -> {came[:1]}"
-    if "MALFORMED_XML" in removed:
-        return ("MALFORMED_XML names another error" if "MALFORMED_XML" in added else "parses now, was MALFORMED_XML"), example
-    delta = " ".join(sorted(f"-{code}" for code in removed) + sorted(f"+{code}" for code in added))
-    return " ".join(part for part in (delta, "bytes" if bytes_differ else "") if part) or "diagnostic order", example
+        example = f"{setting}: {gone[:1]} -> {came[:1]}"
+        if any(_split(line)[0] == "MALFORMED_XML" for line in gone) and not any(
+            _split(line)[0] == "MALFORMED_XML" for line in came
+        ):
+            return {"parses now, was MALFORMED_XML": example}
+        changed = {_split(line) for line in gone} & {_split(line) for line in came}
+        for sign, lines in (("-", gone), ("+", came)):
+            for line in lines:
+                key = _split(line)
+                classes.setdefault(f"~{key[0]}" if key in changed else f"{sign}{key[0]}", f"{setting}: {line}")
+        if a[0] != b[0]:
+            classes.setdefault("bytes", f"{setting}: output {a[0]} -> {b[0]}")
+    return classes or {"strict settings only": "see the +strict settings"}
 
 
 def main(argv=None) -> int:
@@ -315,8 +325,8 @@ def main(argv=None) -> int:
         totals[family] += 1
         if old != new:
             differing[family] += 1
-            kind, example = classify(old, new)
-            classes[kind].append((family, name, example))
+            for kind, example in classify(old, new).items():
+                classes[kind].append((family, name, example))
     print(f"{len(documents)} documents x {len(SETTING_NAMES)} settings, {args.against} -> {args.mine or 'working tree'}")
     for family, total in totals.items():
         print(f"  {family}: {differing[family]} of {total} differ")
