@@ -38,10 +38,10 @@ XLINK_NS = "http://www.w3.org/1999/xlink"
 
 # Element kinds with a working VML/HTML counterpart.  Everything else parses
 # as an "unknown" node and is skipped by the mappers.
-IMPLEMENTED_TAGS = frozenset(
-    {"svg", "g", "defs", "use", "circle", "ellipse", "path", "rect", "line", "polygon", "polyline"}
-    | {"text", "textPath", "linearGradient", "stop", "a", "foreignObject"}
-)
+IMPLEMENTED_TAGS = frozenset({
+    "svg", "g", "defs", "use", "circle", "ellipse", "path", "rect", "line", "polygon", "polyline",
+    "text", "textPath", "linearGradient", "stop", "a", "foreignObject",
+})
 
 UNKNOWN_TAG = "unknown"
 
@@ -194,14 +194,17 @@ def _build(text: str) -> _Builder:
     parser.CharacterDataHandler = builder.data.append
 
     def skipped_entity(name: str, is_parameter_entity: bool) -> None:
-        # Behind an external DTD expat leaves an undefined entity to the
-        # application; its text is unknown, so it is an error as elsewhere.
+        # Behind an external DTD, expat leaves an undefined entity to us; it is still an error.
         if not is_parameter_entity:
             line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
             raise expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
 
     parser.SkippedEntityHandler = skipped_entity
-    parser.Parse(text, True)
+    try:
+        parser.Parse(text, True)
+    finally:
+        # The handler holds the parser: break the cycle so the tree is freed with its document.
+        parser.SkippedEntityHandler = None
     return builder
 
 
@@ -216,8 +219,7 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     try:
         builder = _build(text)
     except expat.ExpatError as error:
-        # Several top-level elements, or text around them: parse the body
-        # once more as the content of one element.
+        # A fragment: parse its body once more as the content of one element.
         try:
             builder = _build(f"<wrapper>{_XML_DECL_RE.sub('', text)}</wrapper>")
         except expat.ExpatError:

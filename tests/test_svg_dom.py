@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -222,6 +223,19 @@ class TestReader:
         assert [str(d) for d in diags] == [
             "error MALFORMED_XML: not well-formed XML: undefined entity &nbsp;: line 1, column 36"
         ]
+
+    def test_parse_leaves_no_reference_cycles(self):
+        # A cycle through the parser would keep each tree alive until the
+        # cyclic collector runs, raising peak memory over many documents.
+        gc.collect()
+        gc.disable()
+        try:
+            parse_svg("<svg><rect/></svg>")
+            parse_svg("<rect/><svg/>")
+            parse_svg('<!DOCTYPE svg SYSTEM "svg.dtd"><svg>&nbsp;</svg>')
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_warnings_come_only_from_the_parse_that_succeeds(self):
         diags = Diagnostics()
