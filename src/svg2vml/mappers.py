@@ -122,13 +122,9 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
         return None
     value = parse_length(raw)
     if value is None:
-        _report_length(ctx, name, raw)
+        # Parsed again only to record the diagnostic at the attribute.
+        parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
     return value
-
-
-def _report_length(ctx: MapperContext, name: str, raw: str) -> None:
-    """Record why raw is not a length; parsed again only for the diagnostic."""
-    parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
 
 
 def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
@@ -212,8 +208,8 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
             _apply_fill(value, ctx, shape)
             continue
         mapped = map_stroke_attribute(name, value, ctx.options.precision)
-        if mapped is None:
-            _report_length(ctx, name, value)
+        if mapped is None:  # a bad stroke-width, parsed again for its diagnostic
+            parse_length(value, ctx.diagnostics, _attribute_location(ctx, name))
             continue
         if stroke_child is None:
             stroke_child = VmlNode("v:stroke")
@@ -627,8 +623,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 def _href(node: SvgNode) -> Optional[str]:
     """The link target: xlink:href when present, else href."""
-    href = node.attr("xlink:href")
-    return href if href is not None else node.attr("href")
+    return node.attributes.get("xlink:href", node.attr("href"))
 
 
 def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:

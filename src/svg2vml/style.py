@@ -36,10 +36,7 @@ class GradientSpec:
 
 
 def map_stroke_attribute(name: str, value: str, precision: int = 6) -> Optional[tuple[str, str]]:
-    """Translate one stroke attribute to its v:stroke counterpart.
-
-    Returns None for a stroke-width that is not a valid length.
-    """
+    """Translate one stroke attribute to its v:stroke counterpart; None for a bad stroke-width."""
     target = STROKE_TABLE[name]
     if name != "stroke-width":
         return target, value
