@@ -169,11 +169,11 @@ class _Fragments:
     def gradient(self) -> str:
         rng = self.rng
         p = self.prefix
-        stops = "".join(
-            f'<{p}stop offset="{rng.choice(("0", "0%", "1", "100%", "50%", "x"))}"'
-            f'{" stop-color=" + chr(34) + rng.choice(("red", "blue")) + chr(34) if rng.random() < 0.9 else ""}/>'
-            for _ in range(rng.choice((1, 2, 2, 3)))
-        )
+        stops = ""
+        for _ in range(rng.choice((1, 2, 2, 3))):
+            offset = rng.choice(("0", "0%", "1", "100%", "50%", "x"))
+            color = f' stop-color="{rng.choice(("red", "blue"))}"' if rng.random() < 0.9 else ""
+            stops += f'<{p}stop offset="{offset}"{color}/>'
         axis = rng.choice(('x2="1"', 'y2="1"', 'x1="0" y1="0" x2="1" y2="1"', 'x2="q"'))
         return f'<{p}linearGradient id="{rng.choice(IDS)}" {axis}>{stops}</{p}linearGradient>'
 
@@ -202,7 +202,8 @@ def _fragment(family: str, rng: random.Random) -> str:
         after = "".join(fragments.element(1) for _ in range(rng.randint(1, 2)))
         return f"{rng.choice(TEXTS)}{before}{fragments.drawing()} tail {after}"
     if family == "sibling-before-svg":
-        return f"<desc>first</desc>{rng.choice(('', chr(10)))}{_Fragments(rng).drawing()}"
+        gap = rng.choice(("", "\n"))
+        return f"<desc>first</desc>{gap}{_Fragments(rng).drawing()}"
     if family == "undeclared-prefixes":
         return _Fragments(rng, rng.choice(("svg:", "")), "foo").drawing()
     if family == "xlink-bound-elsewhere":
