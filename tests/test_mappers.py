@@ -640,6 +640,14 @@ class TestNonFiniteTransforms:
             ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", "svg/rect[0]")
         ]
 
+    def test_overflowing_path_shift_skips_the_path(self):
+        big = "1" + "0" * 308
+        output, diagnostics = self.convert(f'<path d="M 0 0 L 1 1" transform="translate({big}) translate({big})"/>')
+        assert output == self.convert("")[0]
+        assert diagnostics == [
+            ("BAD_PATH", "path coordinates overflow to a non-finite value; skipped", "svg/path[0]")
+        ]
+
 
 BIG = "1" + "0" * 308  # 309 digits: finite, but twice it is not
 
