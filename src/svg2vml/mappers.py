@@ -500,9 +500,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
 
     carrier, shift, offset = _simulate(node, ctx, _EMPTY_BOX)
-    # An overflowing shift shows in the path itself and is reported as BAD_PATH.
-    finite = carrier is None or _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, *carrier[:4], *offset)
-    if not finite:
+    if not _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, *(shift or ()), *(carrier or IDENTITY)[:4], *offset):
         carrier, shift, offset = _UNTRANSFORMED
     shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))))
     if shape is not None and carrier is not None:

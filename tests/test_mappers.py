@@ -633,20 +633,18 @@ class TestNonFiniteTransforms:
 
     def test_overflowing_position_leaves_the_box_untransformed(self):
         big = "1" + "0" * 308  # finite, but twice it is not
-        output, diagnostics = self.convert(f'<rect x="{big}" width="1" height="1" transform="translate({big})"/>')
-        untransformed, _ = self.convert(f'<rect x="{big}" width="1" height="1"/>')
-        assert output == untransformed
-        assert diagnostics == [
-            ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", "svg/rect[0]")
+        cases = [
+            (f'<rect x="{big}" width="1" height="1"{{}}/>', f' transform="translate({big})"'),
+            ('<path d="M 0 0 L 1 1"{}/>', f' transform="translate({big}) translate({big})"'),
         ]
-
-    def test_overflowing_path_shift_skips_the_path(self):
-        big = "1" + "0" * 308
-        output, diagnostics = self.convert(f'<path d="M 0 0 L 1 1" transform="translate({big}) translate({big})"/>')
-        assert output == self.convert("")[0]
-        assert diagnostics == [
-            ("BAD_PATH", "path coordinates overflow to a non-finite value; skipped", "svg/path[0]")
-        ]
+        for element, transform in cases:
+            output, diagnostics = self.convert(element.format(transform))
+            untransformed, _ = self.convert(element.format(""))
+            tag = element[1:].split(" ", 1)[0]
+            assert output == untransformed
+            assert diagnostics == [
+                ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", f"svg/{tag}[0]")
+            ]
 
 
 BIG = "1" + "0" * 308  # 309 digits: finite, but twice it is not
