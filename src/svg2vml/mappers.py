@@ -42,22 +42,15 @@ from .style import (
 )
 from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 from .transform import (
-    IDENTITY,
-    SKEW_SHAPE,
     STRATEGY_BY_TAG,
-    Offset,
+    Placement,
     RootSize,
     ShapeBox,
-    Simulation,
-    TransformMatrix,
     TransformOp,
     compose_ctm,
-    matrix_filter_params,
     parse_transform_list,
+    place,
     recalc_points,
-    simulate,
-    skew_matrix_for_path,
-    skew_matrix_for_shape,
 )
 
 # Presentation attributes a group pushes down to its descendants.
@@ -243,22 +236,14 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
 # --- transform simulation ----------------------------------------------------
 
 _EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
-_UNTRANSFORMED = Simulation(None, None, Offset(0.0, 0.0))
 
 
-def _skew(ctx: MapperContext, matrix: str, offset: Offset) -> VmlNode:
-    # The correction moves the shape up and left by (dx, dy); the skew
-    # offset slot applies additively, hence the sign flip.
-    offset_text = f"{_fmt(ctx, -offset.dx)}px,{_fmt(ctx, -offset.dy)}px"
-    return VmlNode("v:skew", {"on": "t", "matrix": matrix, "offset": offset_text})
-
-
-def _simulate(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Simulation:
+def _place(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Optional[Placement]:
     ops = _effective_transform_ops(node, ctx)
     if not ops:
-        return _UNTRANSFORMED
+        return None
     strategy = STRATEGY_BY_TAG[node.tag]
-    return simulate(strategy, ops, box, ctx.root_size, ctx.diagnostics, ctx.location) or _UNTRANSFORMED
+    return place(strategy, ops, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
 
 def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool:
@@ -269,45 +254,23 @@ def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool
     return False
 
 
-_TRANSFORM_OVERFLOW = "transform overflows to a non-finite value; ignored"
-
-
 def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox) -> None:
-    """Simulate the element's transform via skew element or matrix filter."""
-    carrier, shift, offset = _simulate(node, ctx, box)
-    if carrier is None and shift is None:
+    """Write the element's placement: its position, skew child or matrix filter."""
+    placed = _place(node, ctx, box)
+    if placed is None:
         return
-    dx, dy = shift or (0.0, 0.0)
-    left, top = box.x + dx, box.y + dy
-    skew_shape = STRATEGY_BY_TAG[node.tag] == SKEW_SHAPE
-    if not skew_shape:
-        # The matrix filter has no offset slot; its correction moves the position.
-        left, top = left - offset.dx, top - offset.dy
-    if not _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, left, top, *offset, *(carrier or IDENTITY)):
-        return
-    if shift is not None or not skew_shape:
+    if placed.origin is not None:
+        left, top = placed.origin
         mapped.style["left"] = _fmt(ctx, left)
         mapped.style["top"] = _fmt(ctx, top)
         # keep geometry keys ahead of decorations
         for key in ("width", "height", "filter"):
             if key in mapped.style:
                 mapped.style[key] = mapped.style.pop(key)
-    if carrier is None:
-        return
-    if skew_shape:
-        mapped.children.append(_skew(ctx, skew_matrix_for_shape(carrier, ctx.options.precision), offset))
-    else:
-        _append_filter(mapped, _matrix_filter_text(ctx, carrier))
-
-
-def _matrix_filter_text(ctx: MapperContext, m: TransformMatrix) -> str:
-    params = matrix_filter_params(m)
-    return (
-        "progid:DXImageTransform.Microsoft.Matrix("
-        f"M11={_fmt(ctx, params.m11)}, M12={_fmt(ctx, params.m12)}, "
-        f"M21={_fmt(ctx, params.m21)}, M22={_fmt(ctx, params.m22)}, "
-        "SizingMethod='auto expand')"
-    )
+    if placed.skew is not None:
+        mapped.children.append(VmlNode("v:skew", placed.skew))
+    if placed.filter is not None:
+        _append_filter(mapped, placed.filter)
 
 
 # --- element mappers ----------------------------------------------------------
@@ -499,12 +462,11 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
         return None
 
-    carrier, shift, offset = _simulate(node, ctx, _EMPTY_BOX)
-    if not _finite(ctx, "BAD_TRANSFORM", _TRANSFORM_OVERFLOW, *(shift or ()), *(carrier or IDENTITY)[:4], *offset):
-        carrier, shift, offset = _UNTRANSFORMED
-    shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(shift or (0.0, 0.0))))
-    if shape is not None and carrier is not None:
-        shape.children.append(_skew(ctx, skew_matrix_for_path(carrier, ctx.options.precision), offset))
+    placed = _place(node, ctx, _EMPTY_BOX)
+    origin, skew = (placed.origin, placed.skew) if placed is not None else (None, None)
+    shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(origin or (0.0, 0.0))))
+    if shape is not None and skew is not None:
+        shape.children.append(VmlNode("v:skew", skew))
     return shape
 
 

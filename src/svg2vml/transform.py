@@ -13,13 +13,17 @@ simulation strategy:
                   2x2 linear entries plus a position correction
 * distribute      g: the group's transform list is prepended to each child's
 
-One table, STRATEGIES, says per strategy which transform kinds a
+One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
-position, and how a lone rotate is handled.  No offset rule covers a lone
-matrix(), so the three strategies that use offsets reject it.
-check_support, compute_offset and simulate all read the table; simulate
-gives the mappers the carrier matrix, the position shift and the offset for
-a skew-shape, skew-path or matrix-filter element.
+position, how a lone rotate is handled, and the carrier: the v:skew matrix
+writer, whose offset slot takes the correction, or none for the matrix
+filter, whose correction moves the position instead.  No offset rule
+covers a lone matrix(), so the three strategies that use offsets reject it.
+place() reads the table and returns everything a mapper writes: the moved
+box origin, the v:skew attributes or the Matrix filter text, and the raw
+offset.  It reports an unsupported list, or any of those values
+overflowing, and the element then stays untransformed.  check_support
+reads the same table, and compute_offset takes its offset from place().
 
 Matrices are the usual six-value affine form (a, b, c, d, e, f), read as
 [[a, c, e], [b, d, f], [0, 0, 1]].  Angles are written in degrees in source
@@ -240,7 +244,7 @@ class RootSize(NamedTuple):
     height: float
 
 
-def offset_for_linear_shape(m: TransformMatrix, box: ShapeBox) -> Offset:
+def offset_for_linear_shape(m: TransformMatrix, box: ShapeBox, root: RootSize) -> Offset:
     """Position correction for a skewed/filtered box, from the linear part.
 
     Specializes to (sx*w, sy*h) for scale, (tan*y + w, h) for skewX,
@@ -250,7 +254,7 @@ def offset_for_linear_shape(m: TransformMatrix, box: ShapeBox) -> Offset:
     return Offset(m.a * box.width + m.c * box.y, m.b * box.x + m.d * box.height)
 
 
-def offset_for_linear_path(m: TransformMatrix, root: RootSize) -> Offset:
+def offset_for_linear_path(m: TransformMatrix, box: ShapeBox, root: RootSize) -> Offset:
     """Position correction for a skewed path, from the root element size."""
     return Offset(
         m.a * root.width + m.c * root.height - root.width,
@@ -264,6 +268,45 @@ def _rotate_offset(angle_deg: float, box: ShapeBox, cx: float = 0.0, cy: float =
     return Offset(
         cos_a * (box.x - cx) - sin_a * (box.y - cy) - box.width + cx,
         sin_a * (box.x - cx) + cos_a * (box.y - cy) - box.height + cy,
+    )
+
+
+# --- VML carrier strings ----------------------------------------------------
+
+
+def skew_matrix_for_shape(m: TransformMatrix, precision: int = 6) -> str:
+    """Skew matrix string for shapes: sign-negated linear part.
+
+    The last two slots are perspective terms, not pixel offsets; they stay
+    zero and translation is carried by the output coordinates instead.
+    """
+    values = (-m.a, -m.b, -m.c, -m.d, 0.0, 0.0)
+    return ", ".join(format_number(value, precision) for value in values)
+
+
+def skew_matrix_for_path(m: TransformMatrix, precision: int = 6) -> str:
+    """Skew matrix string for paths: plain linear part, row-major order."""
+    values = (m.a, m.c, m.b, m.d, 0.0, 0.0)
+    return ", ".join(format_number(value, precision) for value in values)
+
+
+class MatrixFilterParams(NamedTuple):
+    m11: float
+    m12: float
+    m21: float
+    m22: float
+
+
+def matrix_filter_params(m: TransformMatrix) -> MatrixFilterParams:
+    """Linear entries in matrix-filter order (row-major)."""
+    return MatrixFilterParams(m.a, m.c, m.b, m.d)
+
+
+def _matrix_filter_text(m: TransformMatrix, precision: int) -> str:
+    m11, m12, m21, m22 = (format_number(value, precision) for value in matrix_filter_params(m))
+    return (
+        "progid:DXImageTransform.Microsoft.Matrix("
+        f"M11={m11}, M12={m12}, M21={m21}, M22={m22}, SizingMethod='auto expand')"
     )
 
 
@@ -296,7 +339,7 @@ ROTATE_ABOUT_CENTRE = "about-centre"
 
 
 class StrategyRule(NamedTuple):
-    """What one strategy can simulate, and with which offset rule.
+    """What one strategy can simulate, with which offset rule and carrier.
 
     multi_ops  transform kinds a list of two or more may mix; None allows any
     offset     the linear offset rule, from the matrix and the element box
@@ -304,11 +347,15 @@ class StrategyRule(NamedTuple):
                are also the only ones that accept a lone matrix()
     rotation   how a lone rotate is simulated; None sends it through the
                linear rule and drops the translation of its centre
+    carrier    the v:skew matrix writer, whose offset slot takes the
+               correction; None for the matrix filter, which has no offset
+               slot, so its correction moves the position
     """
 
     multi_ops: Optional[frozenset]
     offset: Optional[Callable[[TransformMatrix, ShapeBox, RootSize], Offset]]
     rotation: Optional[str]
+    carrier: Optional[Callable[[TransformMatrix, int], str]]
 
 
 # The manual offset corrections are only worked out for these combinations;
@@ -317,21 +364,24 @@ class StrategyRule(NamedTuple):
 STRATEGIES = {
     SKEW_SHAPE: StrategyRule(
         frozenset({"scale", "translate", "skewX", "skewY"}),
-        lambda m, box, root: offset_for_linear_shape(m, box),
+        offset_for_linear_shape,
         ROTATE_ABOUT_CENTRE,
+        skew_matrix_for_shape,
     ),
     SKEW_PATH: StrategyRule(
         frozenset({"scale", "translate"}),
-        lambda m, box, root: offset_for_linear_path(m, root),
+        offset_for_linear_path,
         None,
+        skew_matrix_for_path,
     ),
-    RECALC_POINTS: StrategyRule(None, None, None),
+    RECALC_POINTS: StrategyRule(None, None, None, None),
     MATRIX_FILTER: StrategyRule(
         frozenset({"scale", "skewX", "skewY"}),
-        lambda m, box, root: offset_for_linear_shape(m, box),
+        offset_for_linear_shape,
         ROTATE_IN_PLACE,
+        None,
     ),
-    DISTRIBUTE: StrategyRule(None, None, None),
+    DISTRIBUTE: StrategyRule(None, None, None, None),
 }
 
 
@@ -354,6 +404,81 @@ def check_support(strategy: str, ops: list[TransformOp]) -> Optional[Diagnostic]
     return Diagnostic("error", "UNSUPPORTED_TRANSFORM", message)
 
 
+class Placement(NamedTuple):
+    """What a mapper writes for a transformed element.
+
+    origin  the box origin after the transform, for left and top; for a
+            path, whose box sits at the origin, the shift added to every
+            coordinate.  None keeps the position as written
+    skew    the v:skew attributes, or None
+    filter  the Matrix filter text, or None
+    offset  the raw position correction
+    """
+
+    origin: Optional[tuple[float, float]]
+    skew: Optional[dict[str, str]]
+    filter: Optional[str]
+    offset: Offset
+
+
+_NO_OFFSET = Offset(0.0, 0.0)
+
+
+def place(
+    strategy: str,
+    ops: list[TransformOp],
+    box: ShapeBox,
+    root: RootSize,
+    precision: int,
+    diagnostics: Diagnostics,
+    location: LocationLike = "",
+) -> Optional[Placement]:
+    """Simulate a transform list with the strategy's offset rule and carrier.
+
+    Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
+    has no rule for the list or BAD_TRANSFORM when a value to be written
+    overflows; the element then stays untransformed.
+    """
+    rule = STRATEGIES.get(strategy)
+    if rule is None or rule.offset is None:
+        diagnostics.error("UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location)
+        return None
+    unsupported = check_support(strategy, ops)
+    if unsupported is not None:
+        diagnostics.error(unsupported.code, unsupported.message, location)
+        return None
+    lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
+    if lone_rotate and rule.rotation is not None:
+        angle, *centre = ops[0].args
+        linear: Optional[TransformMatrix] = op_to_matrix(rotate(angle))
+        # The re-shift from the centre is folded into the offset.
+        shift = (-centre[0], -centre[1]) if centre and rule.rotation == ROTATE_ABOUT_CENTRE else None
+        offset = _rotate_offset(angle, box, *centre)
+    else:
+        ctm = compose_ctm(ops, diagnostics, location)
+        shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
+        linear = None if ctm[:4] == IDENTITY[:4] else ctm
+        offset = _NO_OFFSET if linear is None else rule.offset(ctm, box, root)
+    if linear is None and shift is None:
+        return Placement(None, None, None, offset)
+    dx, dy = shift or (0.0, 0.0)
+    origin = None if shift is None else (box.x + dx, box.y + dy)
+    if rule.carrier is None:
+        origin = (box.x + dx - offset.dx, box.y + dy - offset.dy)
+    if not all(map(math.isfinite, (*(origin or ()), *offset, *(linear or IDENTITY)[:4]))):
+        diagnostics.error("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", location)
+        return None
+    if linear is None:
+        return Placement(origin, None, None, offset)
+    if rule.carrier is None:
+        return Placement(origin, None, _matrix_filter_text(linear, precision), offset)
+    # The correction moves the shape up and left by (dx, dy); the skew
+    # offset slot applies additively, hence the sign flip.
+    offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
+    skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
+    return Placement(origin, skew, None, offset)
+
+
 def compute_offset(
     op: TransformOp,
     box: ShapeBox,
@@ -362,106 +487,15 @@ def compute_offset(
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> Offset:
-    """Manual position correction for a single transform.
+    """Manual position correction for a single transform, as place() finds it.
 
     VML's skew element and the matrix filter transform a shape in place; the
     coordinate shift a transform implies has to be applied by hand.  These
     rules were established experimentally against IE rendering, they are not
-    derivable from the matrices alone.  Translation needs no correction: its
-    shift goes straight into the output coordinates.
+    derivable from the matrices alone.  A transform whose linear part is the
+    identity, such as a translation, needs no correction: its shift goes
+    straight into the output coordinates.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    rule = STRATEGIES.get(strategy)
-    if rule is None or rule.offset is None:
-        diagnostics.error(
-            "UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location
-        )
-        return Offset(0.0, 0.0)
-    unsupported = check_support(strategy, [op])
-    if unsupported is not None:
-        diagnostics.error(unsupported.code, unsupported.message, location)
-        return Offset(0.0, 0.0)
-    if op.name == "translate":
-        return Offset(0.0, 0.0)
-    if op.name == "rotate" and rule.rotation is not None:
-        return _rotate_offset(op.args[0], box, *op.args[1:])
-    return rule.offset(op_to_matrix(op, diagnostics, location), box, root)
-
-
-class Simulation(NamedTuple):
-    """How an element carries its transform list.
-
-    carrier  the matrix for the skew element or filter; None when the
-             linear part is the identity and nothing needs carrying
-    shift    the translation added to the element's position; None leaves
-             the position as it is
-    offset   the position correction that goes with the carrier
-    """
-
-    carrier: Optional[TransformMatrix]
-    shift: Optional[tuple[float, float]]
-    offset: Offset
-
-
-def simulate(
-    strategy: str,
-    ops: list[TransformOp],
-    box: ShapeBox,
-    root: RootSize,
-    diagnostics: Diagnostics,
-    location: LocationLike = "",
-) -> Optional[Simulation]:
-    """Simulate a transform list with a skew element or a matrix filter.
-
-    Returns None, after reporting UNSUPPORTED_TRANSFORM, when the strategy
-    has no rule for the list; the element then stays untransformed.
-    """
-    unsupported = check_support(strategy, ops)
-    if unsupported is not None:
-        diagnostics.error(unsupported.code, unsupported.message, location)
-        return None
-    rule = STRATEGIES[strategy]
-    lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
-    if lone_rotate and rule.rotation is not None:
-        angle, *centre = ops[0].args
-        shift = None
-        if centre and rule.rotation == ROTATE_ABOUT_CENTRE:
-            # The re-shift from the centre is folded into the offset.
-            shift = (-centre[0], -centre[1])
-        return Simulation(op_to_matrix(rotate(angle)), shift, _rotate_offset(angle, box, *centre))
-    ctm = compose_ctm(ops, diagnostics, location)
-    shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
-    if ctm[:4] == IDENTITY[:4]:
-        return Simulation(None, shift, Offset(0.0, 0.0))
-    return Simulation(ctm, shift, rule.offset(ctm, box, root))
-
-
-# --- VML carrier strings ----------------------------------------------------
-
-
-def skew_matrix_for_shape(m: TransformMatrix, precision: int = 6) -> str:
-    """Skew matrix string for shapes: sign-negated linear part.
-
-    The last two slots are perspective terms, not pixel offsets; they stay
-    zero and translation is carried by the output coordinates instead.
-    """
-    values = (-m.a, -m.b, -m.c, -m.d, 0.0, 0.0)
-    return ", ".join(format_number(value, precision) for value in values)
-
-
-def skew_matrix_for_path(m: TransformMatrix, precision: int = 6) -> str:
-    """Skew matrix string for paths: plain linear part, row-major order."""
-    values = (m.a, m.c, m.b, m.d, 0.0, 0.0)
-    return ", ".join(format_number(value, precision) for value in values)
-
-
-class MatrixFilterParams(NamedTuple):
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-
-def matrix_filter_params(m: TransformMatrix) -> MatrixFilterParams:
-    """Linear entries in matrix-filter order (row-major)."""
-    return MatrixFilterParams(m.a, m.c, m.b, m.d)
+    placed = place(strategy, [op], box, root, 6, diagnostics, location)
+    return _NO_OFFSET if placed is None else placed.offset

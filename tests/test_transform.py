@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from svg2vml.diagnostics import Diagnostics
 from svg2vml.svg_dom import Point
 from svg2vml.transform import (
     DISTRIBUTE,
@@ -22,6 +23,7 @@ from svg2vml.transform import (
     matrix_filter_params,
     op_to_matrix,
     parse_transform_list,
+    place,
     recalc_points,
     rotate,
     scale,
@@ -389,6 +391,53 @@ class TestComputeOffset:
             got = compute_offset(rotate(angle), box, root, SKEW_PATH)
             assert abs(got.dx - (math.cos(r) * root.width - math.sin(r) * root.height - root.width)) < 1e-9
             assert abs(got.dy - (math.sin(r) * root.width + math.cos(r) * root.height - root.height)) < 1e-9
+
+
+class TestPlace:
+    """place() returns what a mapper writes, read from the strategy table."""
+
+    def test_skew_shape_carries_the_correction_in_the_skew_offset_slot(self, diags):
+        placed = place(SKEW_SHAPE, [scale(3, 1)], ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
+        assert placed.origin is None and placed.filter is None
+        assert placed.skew == {"on": "t", "matrix": "-3, 0, 0, -1, 0, 0", "offset": "-210px,-50px"}
+        assert placed.offset == pytest.approx((210, 50))
+
+    def test_skew_path_writes_the_plain_matrix_and_the_shift(self, diags):
+        placed = place(SKEW_PATH, [translate(5, 6), scale(2)], ShapeBox(0, 0, 0, 0), RootSize(100, 50), 6, diags)
+        assert placed.origin == (5, 6)
+        assert placed.skew == {"on": "t", "matrix": "2, 0, 0, 2, 0, 0", "offset": "-100px,-50px"}
+
+    def test_matrix_filter_moves_the_position_by_the_correction(self, diags):
+        placed = place(MATRIX_FILTER, [scale(2)], BOX, ROOT, 2, diags)
+        assert placed.skew is None
+        assert placed.origin == (BOX.x - 2 * BOX.width, BOX.y - 2 * BOX.height)
+        assert placed.filter == (
+            "progid:DXImageTransform.Microsoft.Matrix(M11=2, M12=0, M21=0, M22=2, SizingMethod='auto expand')"
+        )
+
+    @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
+    def test_translation_alone_only_moves_the_origin(self, strategy, diags):
+        placed = place(strategy, [translate(5, 6)], BOX, ROOT, 6, diags)
+        assert placed == ((BOX.x + 5, BOX.y + 6), None, None, (0, 0))
+
+    @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
+    def test_overflow_is_reported_once(self, strategy, diags):
+        big = float("1" + "0" * 308)  # finite, but twice it is not
+        assert place(strategy, [translate(big)], ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored")
+        ]
+
+    @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
+    def test_lone_matrix_is_unsupported(self, strategy, diags):
+        assert place(strategy, [matrix(1, 0, 0, 1, 0, 0)], BOX, ROOT, 6, diags) is None
+        assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
+
+    @pytest.mark.parametrize("strategy", [RECALC_POINTS, DISTRIBUTE])
+    def test_strategies_without_offsets_place_nothing(self, strategy):
+        diags = Diagnostics()
+        assert place(strategy, [scale(2)], BOX, ROOT, 6, diags) is None
+        assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
 
 # --- support matrix --------------------------------------------------------------
