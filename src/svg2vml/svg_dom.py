@@ -19,7 +19,8 @@ comments and processing instructions are skipped, CDATA and entities
 folded in.  Input that is not well-formed is parsed once more as the
 content of a plain <wrapper> element, without its XML declaration, which
 accepts fragments with several top-level elements or text around them; if
-that fails too, the first error is reported as MALFORMED_XML.
+that fails too, the first error is reported as MALFORMED_XML.  Text that
+cannot be encoded as UTF-8 (a lone surrogate) is malformed too.
 """
 
 from __future__ import annotations
@@ -216,13 +217,15 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     case.  In strict mode the same conditions raise ConversionError.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    # expat reads the text as UTF-8, so a lone surrogate fails to encode.
+    unreadable = (expat.ExpatError, UnicodeEncodeError)
     try:
         builder = _build(text)
-    except expat.ExpatError as error:
+    except unreadable as error:
         # A fragment: parse its body once more as the content of one element.
         try:
             builder = _build(f"<wrapper>{_XML_DECL_RE.sub('', text)}</wrapper>")
-        except expat.ExpatError:
+        except unreadable:
             diagnostics.error("MALFORMED_XML", f"not well-formed XML: {error}")
             return None
     if builder.root is None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import ConversionError, Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN, parse_number
 from svg2vml.svg_dom import (
@@ -222,6 +223,20 @@ class TestReader:
         assert parse_svg('<!DOCTYPE svg SYSTEM "svg.dtd"><svg>&nbsp;</svg>', diags) is None
         assert [str(d) for d in diags] == [
             "error MALFORMED_XML: not well-formed XML: undefined entity &nbsp;: line 1, column 36"
+        ]
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("<svg>\ud800</svg>", 5), ('<svg><rect id="\ud800"/></svg>', 15), ("<rect/>\ud800<svg/>", 7)],
+        ids=["text", "attribute", "fragment"],
+    )
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_lone_surrogate_is_malformed(self, text, position, strict):
+        output, diags = convert_text(text, ConvertOptions(strict=strict))
+        assert output is None
+        assert [str(d) for d in diags] == [
+            "error MALFORMED_XML: not well-formed XML: 'utf-8' codec can't encode character "
+            f"'\\ud800' in position {position}: surrogates not allowed"
         ]
 
     def test_parse_leaves_no_reference_cycles(self):
