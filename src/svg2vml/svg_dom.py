@@ -9,9 +9,10 @@ One expat parser runs without namespace processing, so names arrive as
 written.  An element keeps its local name, the part after any prefix.  An
 attribute prefix resolves through the `xmlns:` declarations in scope,
 where an undeclared `xlink` means the XLink namespace: a name bound to
-XLink becomes "xlink:<local>" (so "xlink:href" is the one prefixed name
-kept), any other prefix, `xml` included, is stripped, and `xmlns`
-declarations are dropped.  When two names reduce alike, the first wins.
+XLink becomes "xlink:<local>", the `xml` prefix (always bound, never
+declared) is kept, as in "xml:space", any other prefix is stripped, and
+`xmlns` declarations are dropped.  When two names reduce alike, the first
+wins.
 
 Text follows ElementTree's rules: an element's text runs up to its first
 child and each child's tail up to the next tag, the root's tail included;
@@ -181,7 +182,9 @@ def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tupl
     for raw, value in attributes.items():
         prefix, colon, local = raw.partition(":")
         if prefix != "xmlns":
-            name = ("xlink:" + local if scope.get(prefix) == XLINK_NS else local) if colon else raw
+            name = raw
+            if colon and prefix != "xml":
+                name = "xlink:" + local if scope.get(prefix) == XLINK_NS else local
             resolved.setdefault(name, value)
     return scope, resolved
 

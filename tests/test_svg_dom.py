@@ -218,6 +218,11 @@ class TestReader:
         doc = parse_svg('<svg xmlns:a="urn:u" xmlns:b="urn:u"><rect a:x="1" b:x="2"/></svg>')
         assert doc.root.children[0].attributes == {"x": "1"}
 
+    def test_xml_prefix_is_kept(self):
+        doc = parse_svg('<svg xml:lang="en" foo:lang="fr"><text xml:space="preserve"> a </text></svg>')
+        assert doc.root.attributes == {"xml:lang": "en", "lang": "fr"}
+        assert doc.root.children[0].attributes == {"xml:space": "preserve"}
+
     def test_undefined_entity_behind_an_external_dtd_is_malformed(self):
         diags = Diagnostics()
         assert parse_svg('<!DOCTYPE svg SYSTEM "svg.dtd"><svg>&nbsp;</svg>', diags) is None
