@@ -167,7 +167,16 @@ def _append_filter(mapped: VmlNode, filter_text: str) -> None:
     mapped.style["filter"] = f"{existing} {filter_text}" if existing else filter_text
 
 
+def _report_fill_opacity(node: SvgNode, ctx: MapperContext) -> None:
+    if node.attr("fill-opacity") is not None:
+        ctx.diagnostics.warning(
+            "UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", ctx.location
+        )
+
+
 def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
+    """Report fill-opacity, then map the effective opacity to an alpha filter."""
+    _report_fill_opacity(node, ctx)
     raw = _effective(node, ctx, "opacity")
     if raw is None:
         return
@@ -210,10 +219,6 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
         target, mapped_value = mapped
         stroke_child.attributes[target] = mapped_value
 
-    if node.attr("fill-opacity") is not None:
-        ctx.diagnostics.warning(
-            "UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", ctx.location
-        )
     _apply_opacity(node, ctx, shape)
 
 
@@ -317,6 +322,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """g -> v:group; inheritable attributes distribute to the children."""
     group = _new(node, "v:group")
+    _report_fill_opacity(node, ctx)
     inherited = dict(ctx.inherited)
     for name in INHERITED_ATTRIBUTES:
         value = node.attr(name)

@@ -579,6 +579,29 @@ class TestStrokeFillOnShapes:
         assert [d.location for d in diags] == ["svg/g[0]/rect[0]@stroke-width", "svg/g[0]/circle[1]@stroke-width"]
 
 
+class TestFillOpacity:
+    """fill-opacity has no VML mapping: every element that carries it reports it."""
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            '<text x="1" y="20" font-size="10"{}>t</text>',
+            '<foreignObject width="1" height="1"{}/>',
+            '<g{}><rect width="1" height="1"/></g>',
+        ],
+        ids=["text", "foreignObject", "g"],
+    )
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_reported_at_the_element(self, element, strict):
+        options = ConvertOptions(strict=strict)
+        output, diagnostics = convert_text(wrap_svg(element.format(' fill-opacity="0.5"')), options)
+        tag = element[1:].split(" ", 1)[0].split("{", 1)[0]
+        assert [(d.code, d.message, d.location) for d in diagnostics] == [
+            ("UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", f"svg/{tag}[0]")
+        ]
+        assert output == (None if strict else convert_text(wrap_svg(element.format("")))[0])
+
+
 HUGE = "1" + "0" * 400  # overflows a float
 LARGE = "1" + "0" * 200  # finite, but its square overflows
 
