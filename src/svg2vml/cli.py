@@ -83,16 +83,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"error IO_ERROR: {io_error}", file=sys.stderr)
         return 1
 
-    if not 0 <= args.precision <= 12:
-        print("usage error: --precision must be in [0, 12]", file=sys.stderr)
+    try:
+        options = ConvertOptions(
+            mode=args.mode, precision=args.precision, strict=args.strict, pretty=args.pretty, title=args.title
+        )
+    except ValueError as bad_option:
+        print(f"usage error: {bad_option}", file=sys.stderr)
         return 2
-    options = ConvertOptions(
-        mode=args.mode,
-        precision=args.precision,
-        strict=args.strict,
-        pretty=args.pretty,
-        title=args.title,
-    )
 
     output_text, diagnostics = convert_text(text, options)
     _print_diagnostics(diagnostics, args.quiet)

@@ -43,7 +43,9 @@ class TestConvertCommand:
         assert "IO_ERROR" in capsys.readouterr().err
 
     def test_bad_precision_is_usage_error(self, demo_file, capsys):
-        assert run(["convert", str(demo_file), "--precision", "99"]) == 2
+        for precision in ("99", "-1"):
+            assert run(["convert", str(demo_file), "--precision", precision]) == 2
+            assert capsys.readouterr().err == "usage error: precision must be in [0, 12]\n"
 
 
 class TestStrictAndDiagnostics:
