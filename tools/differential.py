@@ -81,6 +81,7 @@ FRAGMENT_FAMILIES = (
     "xlink-bound-elsewhere",  # xmlns:xlink bound to another namespace
     "malformed-with-undeclared-prefix",  # a syntax error plus an undeclared prefix
     "doctype-with-undeclared-prefix",  # a DOCTYPE before undeclared prefixes
+    "transforms",  # every transformed element family under nested transformed groups
 )
 
 NUMBERS = ("0", "1", "2.5", "-3", ".5", "-.5e-2", "1e3", "2em", "10px", "3pt", "nan", "inf", "abc", "",
@@ -91,6 +92,26 @@ TRANSFORMS = ("translate(3,4)", "scale(2)", "rotate(30)", "rotate(30,5,5)", "ske
               f"rotate({'9' * 400})")
 PATHS = ("M 0 0 L 10 10", "m 1 1 l 5 5 h 3 v 4 z", "M 0 0 C 1 2 3 4 5 6", "M 0 0 Q 1 1 2 2",
          "M 0 0 A 1 1 0 0 1 5 5", "M 0 0 L 10", "", "M 0 0 L 1e3 5", f"M 0 0 L {'9' * 309} 1")
+# The "transforms" family: every combination of the support grid (each allowed
+# on some strategies and rejected on others), lone rotates with and without a
+# centre, a lone matrix(), tangent-pole skews and a translation pair that
+# overflows; "" leaves an element or group untransformed.
+BIG = "1" + "0" * 308
+TRANSFORM_LISTS = ("scale(2) translate(1,1)", "scale(2) skewX(10)", "skewX(10) skewY(10)",
+                   "scale(2) translate(1,1) skewX(10) skewY(10)", "rotate(30) scale(2)", "rotate(30) translate(1,1)",
+                   "rotate(30)", "rotate(-45,5,5)", "matrix(1,0.2,0.3,1,2,3)", "skewX(90)", "skewY(-270)",
+                   f"translate({BIG}) translate({BIG})", "translate(3,4)", "scale(1.5,0.5)", "skewY(20)", "")
+TRANSFORMED_ELEMENTS = (
+    '<rect x="{n}" y="{n}" width="10" height="5"{t}/>',
+    '<circle cx="{n}" cy="{n}" r="4"{t}/>',
+    '<ellipse cx="{n}" cy="{n}" rx="6" ry="3"{t}/>',
+    '<path d="M {n} {n} L 20 10 C 1 2 3 4 5 6 z"{t}/>',
+    '<text x="{n}" y="20" font-size="8"{t}>label</text>',
+    '<text font-size="8"><textPath xlink:href="#track"{t}>on a path</textPath></text>',
+    '<foreignObject x="{n}" y="{n}" width="20" height="10"{t}><div xmlns="http://www.w3.org/1999/xhtml">x</div>'
+    "</foreignObject>",
+    '<polyline points="{n},{n} 10,0 20,10"{t}/>',
+)
 TEXTS = ("plain", "a &amp; b", "<![CDATA[x<y]]>", "one <!-- c --> two", "&#38;&#169;", "p<?pi x?>q", "\n  ")
 
 
@@ -186,7 +207,24 @@ class _Fragments:
 SVG_DECLARATIONS = ' xmlns="http://www.w3.org/2000/svg" xmlns:xlink="http://www.w3.org/1999/xlink"'
 
 
+def _transformed(rng: random.Random) -> str:
+    def transform() -> str:
+        chosen = rng.choice(TRANSFORM_LISTS)
+        return f' transform="{chosen}"' if chosen else ""
+
+    body = ""
+    for _ in range(rng.randint(1, 4)):
+        element = rng.choice(TRANSFORMED_ELEMENTS).format(n=rng.randint(-20, 40), t=transform())
+        for _ in range(rng.randint(0, 2)):
+            element = f"<g{transform() if rng.random() < 0.5 else ''}>{element}</g>"
+        body += element
+    defs = '<defs><path id="track" d="M 0 0 L 50 20" transform="scale(2)"/></defs>'
+    return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100">{defs}{body}</svg>'
+
+
 def _fragment(family: str, rng: random.Random) -> str:
+    if family == "transforms":
+        return _transformed(rng)
     if family == "drawing":
         return _Fragments(rng).drawing(SVG_DECLARATIONS)
     if family == "host-page":
