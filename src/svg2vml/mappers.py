@@ -175,7 +175,6 @@ def _report_fill_opacity(node: SvgNode, ctx: MapperContext) -> None:
 
 
 def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
-    """Report fill-opacity, then map the effective opacity to an alpha filter."""
     _report_fill_opacity(node, ctx)
     raw = _effective(node, ctx, "opacity")
     if raw is None:
@@ -265,9 +264,7 @@ def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box
     if placed is None:
         return
     if placed.origin is not None:
-        left, top = placed.origin
-        mapped.style["left"] = _fmt(ctx, left)
-        mapped.style["top"] = _fmt(ctx, top)
+        mapped.style["left"], mapped.style["top"] = (_fmt(ctx, value) for value in placed.origin)
         # keep geometry keys ahead of decorations
         for key in ("width", "height", "filter"):
             if key in mapped.style:

@@ -220,15 +220,13 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     case.  In strict mode the same conditions raise ConversionError.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    # expat reads the text as UTF-8, so a lone surrogate fails to encode.
-    unreadable = (expat.ExpatError, UnicodeEncodeError)
     try:
         builder = _build(text)
-    except unreadable as error:
+    except (expat.ExpatError, UnicodeEncodeError) as error:  # expat reads UTF-8: a lone surrogate fails
         # A fragment: parse its body once more as the content of one element.
         try:
             builder = _build(f"<wrapper>{_XML_DECL_RE.sub('', text)}</wrapper>")
-        except unreadable:
+        except (expat.ExpatError, UnicodeEncodeError):
             diagnostics.error("MALFORMED_XML", f"not well-formed XML: {error}")
             return None
     if builder.root is None:

@@ -459,24 +459,24 @@ def place(
         shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
         linear = None if ctm[:4] == IDENTITY[:4] else ctm
         offset = _NO_OFFSET if linear is None else rule.offset(ctm, box, root)
-    if linear is None and shift is None:
-        return Placement(None, None, None, offset)
     dx, dy = shift or (0.0, 0.0)
-    origin = None if shift is None else (box.x + dx, box.y + dy)
-    if rule.carrier is None:
+    if rule.carrier is None and (linear is not None or shift is not None):
+        # The matrix filter has no offset slot; its correction moves the position.
         origin = (box.x + dx - offset.dx, box.y + dy - offset.dy)
+    else:
+        origin = None if shift is None else (box.x + dx, box.y + dy)
     if not all(map(math.isfinite, (*(origin or ()), *offset, *(linear or IDENTITY)[:4]))):
         diagnostics.error("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", location)
         return None
-    if linear is None:
-        return Placement(origin, None, None, offset)
-    if rule.carrier is None:
-        return Placement(origin, None, _matrix_filter_text(linear, precision), offset)
-    # The correction moves the shape up and left by (dx, dy); the skew
-    # offset slot applies additively, hence the sign flip.
-    offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
-    skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
-    return Placement(origin, skew, None, offset)
+    skew = filter_text = None
+    if linear is not None and rule.carrier is None:
+        filter_text = _matrix_filter_text(linear, precision)
+    elif linear is not None:
+        # The correction moves the shape up and left by (dx, dy); the skew
+        # offset slot applies additively, hence the sign flip.
+        offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
+        skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
+    return Placement(origin, skew, filter_text, offset)
 
 
 def compute_offset(
@@ -492,9 +492,8 @@ def compute_offset(
     VML's skew element and the matrix filter transform a shape in place; the
     coordinate shift a transform implies has to be applied by hand.  These
     rules were established experimentally against IE rendering, they are not
-    derivable from the matrices alone.  A transform whose linear part is the
-    identity, such as a translation, needs no correction: its shift goes
-    straight into the output coordinates.
+    derivable from the matrices alone.  A translation (any identity linear
+    part) needs no correction: its shift goes into the output coordinates.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     placed = place(strategy, [op], box, root, 6, diagnostics, location)
