@@ -29,3 +29,5 @@ def test_convert_text_never_raises(text, mode, strict):
     output, diagnostics = convert_text(text, ConvertOptions(mode=mode, strict=strict))
     assert output is None or isinstance(output, str)
     assert output is not None or diagnostics.has_errors
+    if strict:
+        assert (output is None) == (len(diagnostics) > 0)
