@@ -472,8 +472,8 @@ def place(
     if linear is not None and rule.carrier is None:
         filter_text = _matrix_filter_text(linear, precision)
     elif linear is not None:
-        # The correction moves the shape up and left by (dx, dy); the skew
-        # offset slot applies additively, hence the sign flip.
+        # The correction moves the shape up and left by the offset; the
+        # skew offset slot applies additively, hence the sign flip.
         offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
         skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
     return Placement(origin, skew, filter_text, offset)
