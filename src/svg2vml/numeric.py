@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Sequence
 
 # Unambiguous on purpose: a run of digits splits between the alternatives in
 # one way only, so anchored matches never backtrack over long digit runs.
@@ -49,3 +50,21 @@ def format_number(value: float, precision: int = 6) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+def format_numbers(values: Sequence[float], precision: int = 6) -> list[str]:
+    """Format many numbers at once; exactly `[format_number(v, precision) for v in values]`.
+
+    One `%` pass formats every value, with NUL as the separator no number
+    text holds, and the trim runs per token, so the cost per value is a
+    split and a C-level `rstrip`, not a Python call.
+    """
+    if not values:
+        return []
+    spec = _FIXED_SPECS.get(precision) or f"%.{precision}f"
+    texts = ("\x00".join([spec] * len(values)) % tuple(values)).split("\x00")
+    if precision > 0:
+        texts = [text.rstrip("0").rstrip(".") for text in texts]
+    if "-0" in texts:
+        texts = ["0" if text == "-0" else text for text in texts]
+    return texts

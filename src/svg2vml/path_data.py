@@ -17,7 +17,8 @@ Conversion is one kernel with three steps, and no per-command objects:
   one per command letter, with implicit repetitions kept in `values`.
 - `walk_segments` moves the cursor over plain floats, relative to absolute
   first and then by the group shift, and yields `(vml_letter, coords)`.
-- `emit_segments` formats every coordinate through `format_number`.
+- `emit_segments` formats every coordinate of the path with one
+  `format_numbers` call and fills one template with the results.
 
 `vml_path` chains the last two.  The `PathCommand` API (`parse_path_data`,
 `to_absolute`, `shift_commands`, `emit_vml_path`) is a thin adapter over the
@@ -37,7 +38,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_PATTERN, NUMBER_RE, format_number
+from .numeric import NUMBER_PATTERN, NUMBER_RE, format_numbers
+
+# Emission no longer calls format_number; the name stays bound here because
+# perfbench/spans.py rebinds it by name in its traced run.
+from .numeric import format_number  # noqa: F401
 
 # Coordinate count per canonical (upper-case) command letter.
 ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
@@ -198,15 +203,23 @@ def walk_segments(
             cx, cy = sx, sy
 
 
+# One template per VML group; every coordinate fills one "%s".
+_TEMPLATES = {"m": "m %s,%s", "l": "l %s,%s", "c": "c %s,%s,%s,%s,%s,%s", "x": "x"}
+
+
 def emit_segments(parts: Iterable[tuple[str, tuple[float, ...]]], precision: int = 6) -> str:
-    """Serialize `(vml_letter, coords)` pairs; one trailing "e" terminates."""
-    fmt = format_number  # looked up per call, so a rebinding is honored
-    out = [
-        f"{letter} {','.join([fmt(value, precision) for value in coords])}" if coords else letter
-        for letter, coords in parts
-    ]
-    out.append("e")
-    return " ".join(out)
+    """Serialize `(vml_letter, coords)` pairs; one trailing "e" terminates.
+
+    The groups become one template and all their coordinates one list, so
+    the whole path takes one `format_numbers` call and one `%` fill.
+    """
+    templates = []
+    coords: list[float] = []
+    for letter, values in parts:
+        templates.append(_TEMPLATES[letter])
+        coords.extend(values)
+    templates.append("e")
+    return " ".join(templates) % tuple(format_numbers(coords, precision))
 
 
 def vml_path(segments: Iterable[Segment], precision: int = 6, dx: float = 0.0, dy: float = 0.0) -> str:
