@@ -1,8 +1,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svg2vml.numeric import format_number, parse_number
+from svg2vml.numeric import format_number, format_numbers, parse_number
 
 # Strings of the f"{value:.{precision}f}" formatter this table was recorded
 # from, for precisions 0..8.
@@ -27,6 +29,29 @@ EDGE_FORMATS = {
 @pytest.mark.parametrize("value", list(EDGE_FORMATS))
 def test_format_number_edge_values(value):
     assert [format_number(value, precision) for precision in range(9)] == EDGE_FORMATS[value]
+
+
+@pytest.mark.parametrize("precision", range(9))
+def test_format_numbers_edge_values(precision):
+    values = list(EDGE_FORMATS)
+    assert format_numbers(values, precision) == [EDGE_FORMATS[value][precision] for value in values]
+
+
+EDGE_FLOATS = [0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e300, -1e300, 5e-324, -5e-324,
+               float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=40),
+    precision=st.integers(0, 15),
+)
+def test_format_numbers_matches_format_number(values, precision):
+    assert format_numbers(values, precision) == [format_number(value, precision) for value in values]
+
+
+def test_format_numbers_of_nothing_is_empty():
+    assert format_numbers([], 6) == []
 
 
 @pytest.mark.parametrize("precision", [9, 12, 15])

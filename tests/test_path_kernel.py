@@ -100,7 +100,7 @@ def cursor_walk(commands, precision, dx=0.0, dy=0.0) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), precision=st.sampled_from([0, 2, 6]), shift=st.sampled_from([(0.0, 0.0), (12.5, -3.0)]))
+@given(data=st.data(), precision=st.sampled_from([0, 2, 6, 12]), shift=st.sampled_from([(0.0, 0.0), (12.5, -3.0)]))
 def test_valid_paths_match_an_independent_cursor_walk(data, precision, shift):
     commands = data.draw(path_programs())
     d = render(commands, data.draw)
@@ -160,6 +160,17 @@ def test_adversarial_path_is_rejected_in_linear_time(d):
     output, diagnostics = convert_text(wrap_svg(f'<path d="{d}"/>'))
     assert time.perf_counter() - start < 1.0
     assert diagnostics.codes() == ["BAD_PATH"]
+
+
+def test_long_valid_path_converts_in_linear_time():
+    groups = 60_000
+    d = "M 0 0" + " l 1.5,-2.25 c 1,2 3,4 5,6 h 7 V 8" * (groups // 4)
+    start = time.perf_counter()
+    output, diagnostics = convert_text(wrap_svg(f'<path d="{d}"/>'))
+    assert time.perf_counter() - start < 2.0
+    assert not len(diagnostics)
+    assert len(output) < 3 * len(d)
+    assert output.count(" c ") == groups // 4
 
 
 def test_adversarial_points_are_rejected_in_linear_time():
