@@ -669,6 +669,20 @@ class TestNonFiniteTransforms:
                 ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", f"svg/{tag}[0]")
             ]
 
+    @pytest.mark.parametrize(
+        "element",
+        ['<line x2="1" y2="1"{}/>', '<polyline points="0,0 1,1"{}/>', '<polygon points="0,0 1,1 1,0"{}/>'],
+        ids=["line", "polyline", "polygon"],
+    )
+    def test_overflowing_recalculated_points_skip_the_element(self, element):
+        big = "1" + "0" * 308
+        output, diagnostics = self.convert(element.format(f' transform="translate({big}) translate({big})"'))
+        tag = element[1:].split(" ", 1)[0]
+        assert "v:shape" not in output
+        assert diagnostics == [
+            ("BAD_PATH", f"{tag} coordinates overflow to a non-finite value; skipped", f"svg/{tag}[0]")
+        ]
+
 
 BIG = "1" + "0" * 308  # 309 digits: finite, but twice it is not
 
