@@ -42,6 +42,7 @@ from .style import (
 )
 from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 from .transform import (
+    OVERFLOW_IGNORED,
     STRATEGY_BY_TAG,
     Placement,
     RootSize,
@@ -426,16 +427,25 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         )
         return None
 
+    closed = node.tag == "polygon"
     ops = _effective_transform_ops(node, ctx)
     if ops:
         ctm = compose_ctm(ops, ctx.diagnostics, ctx.location)
-        points = recalc_points(ctm, points)
+        # The points as read are finite, so only the transform can overflow.
+        path = _points_path(recalc_points(ctm, points), closed, ctx.options.precision)
+        if is_finite_path(path):
+            return _path_shape(node, ctx, path)
+        ctx.diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, ctx.location)
+    return _path_shape(node, ctx, _points_path(points, closed, ctx.options.precision))
 
+
+def _points_path(points: list[Point], closed: bool, precision: int) -> str:
+    """The VML path through the points, closed for a polygon."""
     parts = [("m", points[0])]
     parts.extend(("l", point) for point in points[1:])
-    if node.tag == "polygon":
+    if closed:
         parts.append(("x", ()))
-    return _path_shape(node, ctx, emit_segments(parts, ctx.options.precision))
+    return emit_segments(parts, precision)
 
 
 def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> Optional[VmlNode]:

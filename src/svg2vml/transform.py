@@ -423,6 +423,10 @@ class Placement(NamedTuple):
 
 _NO_OFFSET = Offset(0.0, 0.0)
 
+# The one overflow rule: an element whose transformed values would not be
+# finite is drawn untransformed, with this BAD_TRANSFORM message.
+OVERFLOW_IGNORED = "transform overflows to a non-finite value; ignored"
+
 
 def place(
     strategy: str,
@@ -466,7 +470,7 @@ def place(
     else:
         origin = None if shift is None else (box.x + dx, box.y + dy)
     if not all(map(math.isfinite, (*(origin or ()), *offset, *(linear or IDENTITY)[:4]))):
-        diagnostics.error("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored", location)
+        diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, location)
         return None
     skew = filter_text = None
     if linear is not None and rule.carrier is None:

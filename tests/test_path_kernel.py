@@ -210,7 +210,7 @@ NEAR_MAX = "9" * 308
         (f'<path d="M {HUGE} 0 l -{HUGE} 0"/>', ["BAD_PATH"]),
         (f'<path transform="translate(5,5)" d="M 0 0 L {HUGE} 1"/>', ["BAD_PATH"]),
         (f'<polyline points="0,0 {HUGE},1"/>', ["BAD_POINTS", "DEGENERATE_SHAPE"]),
-        (f'<polygon transform="scale(10)" points="0,0 {NEAR_MAX},1"/>', ["BAD_PATH"]),
+        (f'<polygon transform="scale(10)" points="0,0 {NEAR_MAX},1"/>', ["BAD_TRANSFORM"]),
         (f'<rect width="{HUGE}" height="5"/>', ["UNSUPPORTED_UNIT", "DEGENERATE_SHAPE"]),
     ],
     ids=["digits", "accumulated", "nan", "shifted", "points", "scaled-points", "width"],
