@@ -38,12 +38,14 @@ def test_format_numbers_edge_values(precision):
 
 
 EDGE_FLOATS = [0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e300, -1e300, 5e-324, -5e-324,
-               float("inf"), float("-inf"), float("nan")]
+               float("inf"), float("-inf"), float("nan"), 1 / 3, -2 / 7]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    values=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=40),
+    values=st.lists(
+        st.one_of(st.floats(), st.floats(-1e6, 1e6), st.sampled_from(EDGE_FLOATS)), max_size=40
+    ),
     precision=st.integers(0, 15),
 )
 def test_format_numbers_matches_format_number(values, precision):
