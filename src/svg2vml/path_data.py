@@ -28,7 +28,8 @@ An empty or separator-only `d` scans to no segments without a diagnostic;
 the path mapper reports it as DEGENERATE_SHAPE.  A coordinate that is not
 finite, or that overflows while relative values accumulate, shows as "inf"
 or "nan" in the emitted text, so one substring test per path replaces a
-check per value: `is_finite_path` tells the caller to reject it (BAD_PATH).
+check per value: `is_finite_path` tells the caller to reject the path
+(BAD_PATH) or, for transformed points, to drop the transform (BAD_TRANSFORM).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import NUMBER_PATTERN, NUMBER_RE, format_numbers
 
-# Emission no longer calls format_number; the name stays bound here because
-# perfbench/spans.py rebinds it by name in its traced run.
+# Not called here; bound because perfbench/spans.py rebinds format_number by
+# name in this module during its traced run.
 from .numeric import format_number  # noqa: F401
 
 # Coordinate count per canonical (upper-case) command letter.
