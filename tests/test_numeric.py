@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svg2vml.numeric import format_number, format_numbers, parse_number
@@ -48,12 +48,9 @@ EDGE_FLOATS = [0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e300, -1e300, 5e-324, -5e-3
     ),
     precision=st.integers(0, 15),
 )
+@example(values=[], precision=6)
 def test_format_numbers_matches_format_number(values, precision):
     assert format_numbers(values, precision) == [format_number(value, precision) for value in values]
-
-
-def test_format_numbers_of_nothing_is_empty():
-    assert format_numbers([], 6) == []
 
 
 @pytest.mark.parametrize("precision", [9, 12, 15])
