@@ -17,13 +17,14 @@ One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
 position, how a lone rotate is handled, and the carrier: the v:skew matrix
 writer, whose offset slot takes the correction, or none for the matrix
-filter, whose correction moves the position instead.  No offset rule
-covers a lone matrix(), so the three strategies that use offsets reject it.
-place() reads the table and returns everything a mapper writes: the moved
-box origin, the v:skew attributes or the Matrix filter text, and the raw
-offset.  It reports an unsupported list, or any of those values
-overflowing, and the element then stays untransformed.  check_support
-reads the same table, and compute_offset takes its offset from place().
+filter, whose correction moves the position instead.  Only the three
+strategies that use offsets have a row; point recalculation takes any list,
+and distribution defers to the children.  No offset rule covers a lone
+matrix(), so every row rejects it.  place() is the only reader of the
+table and returns everything a mapper writes: the moved box origin, the
+v:skew attributes or the Matrix filter text, and the raw offset.  It
+reports an unsupported list, or any of those values overflowing, and the
+element then stays untransformed.
 
 Matrices are the usual six-value affine form (a, b, c, d, e, f), read as
 [[a, c, e], [b, d, f], [0, 0, 1]].  Angles are written in degrees in source
@@ -37,7 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import Diagnostic, Diagnostics, LocationLike
+from .diagnostics import Diagnostics, LocationLike
 from .numeric import NUMBER_TOKEN_RE, format_number
 from .svg_dom import Point
 
@@ -223,6 +224,11 @@ def recalc_points(m: TransformMatrix, points: list[Point]) -> list[Point]:
 
 
 # --- offset rules -----------------------------------------------------------
+# VML's skew element and the matrix filter transform a shape in place; the
+# coordinate shift a transform implies has to be applied by hand.  These
+# rules were established experimentally against IE rendering and are not
+# derivable from the matrices alone.  A translation (any identity linear
+# part) needs no correction: its shift goes into the output coordinates.
 
 
 class Offset(NamedTuple):
@@ -290,20 +296,8 @@ def skew_matrix_for_path(m: TransformMatrix, precision: int = 6) -> str:
     return ", ".join(format_number(value, precision) for value in values)
 
 
-class MatrixFilterParams(NamedTuple):
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-
-def matrix_filter_params(m: TransformMatrix) -> MatrixFilterParams:
-    """Linear entries in matrix-filter order (row-major)."""
-    return MatrixFilterParams(m.a, m.c, m.b, m.d)
-
-
 def _matrix_filter_text(m: TransformMatrix, precision: int) -> str:
-    m11, m12, m21, m22 = (format_number(value, precision) for value in matrix_filter_params(m))
+    m11, m12, m21, m22 = (format_number(value, precision) for value in (m.a, m.c, m.b, m.d))
     return (
         "progid:DXImageTransform.Microsoft.Matrix("
         f"M11={m11}, M12={m12}, M21={m21}, M22={m22}, SizingMethod='auto expand')"
@@ -341,10 +335,9 @@ ROTATE_ABOUT_CENTRE = "about-centre"
 class StrategyRule(NamedTuple):
     """What one strategy can simulate, with which offset rule and carrier.
 
-    multi_ops  transform kinds a list of two or more may mix; None allows any
+    multi_ops  transform kinds a list of two or more may mix
     offset     the linear offset rule, from the matrix and the element box
-               or the root size; None for strategies without offsets, which
-               are also the only ones that accept a lone matrix()
+               or the root size
     rotation   how a lone rotate is simulated; None sends it through the
                linear rule and drops the translation of its centre
     carrier    the v:skew matrix writer, whose offset slot takes the
@@ -352,15 +345,13 @@ class StrategyRule(NamedTuple):
                slot, so its correction moves the position
     """
 
-    multi_ops: Optional[frozenset]
-    offset: Optional[Callable[[TransformMatrix, ShapeBox, RootSize], Offset]]
+    multi_ops: frozenset
+    offset: Callable[[TransformMatrix, ShapeBox, RootSize], Offset]
     rotation: Optional[str]
     carrier: Optional[Callable[[TransformMatrix, int], str]]
 
 
-# The manual offset corrections are only worked out for these combinations;
-# point recalculation handles anything, and distribution defers to the
-# children.
+# The manual offset corrections are only worked out for these combinations.
 STRATEGIES = {
     SKEW_SHAPE: StrategyRule(
         frozenset({"scale", "translate", "skewX", "skewY"}),
@@ -374,34 +365,13 @@ STRATEGIES = {
         None,
         skew_matrix_for_path,
     ),
-    RECALC_POINTS: StrategyRule(None, None, None, None),
     MATRIX_FILTER: StrategyRule(
         frozenset({"scale", "skewX", "skewY"}),
         offset_for_linear_shape,
         ROTATE_IN_PLACE,
         None,
     ),
-    DISTRIBUTE: StrategyRule(None, None, None, None),
 }
-
-
-def check_support(strategy: str, ops: list[TransformOp]) -> Optional[Diagnostic]:
-    """Return an UNSUPPORTED_TRANSFORM diagnostic, or None when supported.
-
-    Multi-transform lists are restricted per strategy, and a lone matrix()
-    has no offset rule; point recalculation and distribution take any list.
-    """
-    rule = STRATEGIES.get(strategy)
-    if rule is None or rule.offset is None:
-        return None
-    offending = sorted({op.name for op in ops} - rule.multi_ops)
-    if len(ops) > 1 and offending:
-        message = f"multi-transform with {', '.join(offending)} is not supported for {strategy}"
-    elif len(ops) == 1 and ops[0].name == "matrix":
-        message = f"matrix() has no offset rule for {strategy}"
-    else:
-        return None
-    return Diagnostic("error", "UNSUPPORTED_TRANSFORM", message)
 
 
 class Placement(NamedTuple):
@@ -441,15 +411,20 @@ def place(
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
     has no rule for the list or BAD_TRANSFORM when a value to be written
-    overflows; the element then stays untransformed.
+    overflows; the element then stays untransformed.  A list of two or more
+    may mix only the rule's kinds, and a lone matrix() has no offset rule.
     """
     rule = STRATEGIES.get(strategy)
-    if rule is None or rule.offset is None:
+    if rule is None:
         diagnostics.error("UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location)
         return None
-    unsupported = check_support(strategy, ops)
-    if unsupported is not None:
-        diagnostics.error(unsupported.code, unsupported.message, location)
+    offending = sorted({op.name for op in ops} - rule.multi_ops)
+    if len(ops) > 1 and offending:
+        message = f"multi-transform with {', '.join(offending)} is not supported for {strategy}"
+        diagnostics.error("UNSUPPORTED_TRANSFORM", message, location)
+        return None
+    if len(ops) == 1 and ops[0].name == "matrix":
+        diagnostics.error("UNSUPPORTED_TRANSFORM", f"matrix() has no offset rule for {strategy}", location)
         return None
     lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
     if lone_rotate and rule.rotation is not None:
@@ -481,24 +456,3 @@ def place(
         offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
         skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
     return Placement(origin, skew, filter_text, offset)
-
-
-def compute_offset(
-    op: TransformOp,
-    box: ShapeBox,
-    root: RootSize,
-    strategy: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Offset:
-    """Manual position correction for a single transform, as place() finds it.
-
-    VML's skew element and the matrix filter transform a shape in place; the
-    coordinate shift a transform implies has to be applied by hand.  These
-    rules were established experimentally against IE rendering, they are not
-    derivable from the matrices alone.  A translation (any identity linear
-    part) needs no correction: its shift goes into the output coordinates.
-    """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    placed = place(strategy, [op], box, root, 6, diagnostics, location)
-    return _NO_OFFSET if placed is None else placed.offset

@@ -1,10 +1,19 @@
 import pytest
 
+from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import MapperContext, map_document
 from svg2vml.options import ConvertOptions
-from svg2vml.svg_dom import parse_svg
-from svg2vml.transform import RootSize
+from svg2vml.svg_dom import parse_points, parse_svg
+from svg2vml.transform import (
+    DISTRIBUTE,
+    RECALC_POINTS,
+    RootSize,
+    ShapeBox,
+    compose_ctm,
+    place,
+    recalc_points,
+)
 
 
 @pytest.fixture
@@ -38,3 +47,43 @@ def make_context(**overrides) -> MapperContext:
     )
     defaults.update(overrides)
     return MapperContext(**defaults)
+
+
+def transform_attr(ops) -> str:
+    """A transform attribute that parses back to exactly these ops."""
+    return " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)
+
+
+_POLYLINE_POINTS = "0,0 10,0 10,10"
+
+
+def rejects(strategy: str, ops) -> bool:
+    """Whether the converter reports the list UNSUPPORTED_TRANSFORM for the strategy.
+
+    The offset strategies are asked through place(), which then places
+    nothing.  recalc-points is asked end to end: a polyline carrying the list
+    must map like one whose points were run through the CTM beforehand.  So
+    is distribute: a group carrying the list over that polyline must convert
+    to the same bytes as the polyline carrying the list itself.
+    """
+    attr = transform_attr(ops)
+    if strategy == RECALC_POINTS:
+        got, diagnostics = map_snippet(f'<polyline points="{_POLYLINE_POINTS}" transform="{attr}"/>')
+        moved = recalc_points(compose_ctm(ops), parse_points(_POLYLINE_POINTS))
+        expected, _ = map_snippet(f'<polyline points="{" ".join(f"{p.x!r},{p.y!r}" for p in moved)}"/>')
+        assert got == expected
+        return "UNSUPPORTED_TRANSFORM" in diagnostics.codes()
+    if strategy == DISTRIBUTE:
+        grouped, grouped_diagnostics = convert_text(
+            wrap_svg(f'<g transform="{attr}"><polyline points="{_POLYLINE_POINTS}"/></g>')
+        )
+        direct, direct_diagnostics = convert_text(
+            wrap_svg(f'<g><polyline points="{_POLYLINE_POINTS}" transform="{attr}"/></g>')
+        )
+        assert grouped == direct
+        assert grouped_diagnostics.codes() == direct_diagnostics.codes()
+        return "UNSUPPORTED_TRANSFORM" in grouped_diagnostics.codes()
+    diagnostics = Diagnostics()
+    placed = place(strategy, ops, ShapeBox(100.0, 50.0, 70.0, 40.0), RootSize(800.0, 800.0), 6, diagnostics)
+    assert diagnostics.codes() == ([] if placed is not None else ["UNSUPPORTED_TRANSFORM"])
+    return placed is None

@@ -8,7 +8,7 @@ cursor simulation); tolerances are stated per criterion.
 import math
 import random
 
-from conftest import map_snippet, wrap_svg
+from conftest import map_snippet, rejects, wrap_svg
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.options import ConvertOptions
@@ -23,11 +23,9 @@ from svg2vml.transform import (
     RootSize,
     ShapeBox,
     apply_to_point,
-    check_support,
     compose_ctm,
-    compute_offset,
-    matrix_filter_params,
     op_to_matrix,
+    place,
     recalc_points,
     rotate,
     scale,
@@ -81,8 +79,10 @@ def test_criterion_04_arcsize_quotient():
 
 
 def test_criterion_05_rotation_filter_parameters():
-    params = matrix_filter_params(op_to_matrix(rotate(20)))
-    assert [round(v, 2) for v in params] == [0.94, -0.34, 0.34, 0.94]
+    placed = place(MATRIX_FILTER, [rotate(20)], ShapeBox(0, 0, 10, 10), RootSize(100, 100), 2, Diagnostics())
+    assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
+    m = op_to_matrix(rotate(20))
+    assert abs(m.a**2 + m.b**2 - 1) < 1e-12 and abs(m.c**2 + m.d**2 - 1) < 1e-12
     report(5, "rotate(20) filter entries round to 0.94, -0.34, 0.34, 0.94")
 
 
@@ -104,6 +104,11 @@ def test_criterion_07_skew_matrix_negation():
 
 
 def test_criterion_08_offset_formulas_against_direct_arithmetic():
+    def compute_offset(op, box, root, strategy):
+        placed = place(strategy, [op], box, root, 6, Diagnostics())
+        assert placed is not None
+        return placed.offset
+
     rng = random.Random(20090401)
     root = RootSize(1000.0, 1500.0)
     worst = 0.0
@@ -224,11 +229,7 @@ def test_criterion_10_transform_support_matrix():
     }
     for strategy, row in grid.items():
         for combo, expected_ok in zip(combos, row):
-            result = check_support(strategy, combo)
-            if expected_ok:
-                assert result is None, (strategy, combo)
-            else:
-                assert result is not None and result.code == "UNSUPPORTED_TRANSFORM", (strategy, combo)
+            assert rejects(strategy, combo) is not expected_ok, (strategy, combo)
     report(10, "5x6 strategy/multi-transform support grid matches")
 
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from conftest import rejects
 
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.svg_dom import Point
@@ -16,11 +17,8 @@ from svg2vml.transform import (
     ShapeBox,
     TransformMatrix,
     apply_to_point,
-    check_support,
     compose_ctm,
-    compute_offset,
     matrix,
-    matrix_filter_params,
     op_to_matrix,
     parse_transform_list,
     place,
@@ -287,21 +285,26 @@ class TestSkewMatrixStrings:
 
 
 class TestMatrixFilterParams:
-    def test_rotate_20(self):
-        params = matrix_filter_params(op_to_matrix(rotate(20)))
-        assert [round(v, 2) for v in params] == [0.94, -0.34, 0.34, 0.94]
+    """The Matrix filter entries, in row-major order, as place() writes them."""
 
-    def test_identity(self):
-        assert matrix_filter_params(IDENTITY) == (1, 0, 0, 1)
+    def test_rotate_20(self, diags):
+        placed = place(MATRIX_FILTER, [rotate(20)], BOX, ROOT, 2, diags)
+        assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
 
-    def test_scale(self):
-        assert matrix_filter_params(op_to_matrix(scale(2, 3))) == (2, 0, 0, 3)
+    def test_identity(self, diags):
+        # rotate(0) goes through the rotation rule, so its identity entries are written
+        placed = place(MATRIX_FILTER, [rotate(0)], BOX, ROOT, 6, diags)
+        assert "(M11=1, M12=0, M21=0, M22=1," in placed.filter
+
+    def test_scale(self, diags):
+        placed = place(MATRIX_FILTER, [scale(2, 3)], BOX, ROOT, 6, diags)
+        assert "(M11=2, M12=0, M21=0, M22=3," in placed.filter
 
     def test_rotation_rows_stay_unit_length(self):
         rng = random.Random(5)
         for _ in range(100):
-            params = matrix_filter_params(op_to_matrix(rotate(rng.uniform(-360, 360))))
-            assert abs(params.m11**2 + params.m21**2 - 1) < 1e-9
+            m = op_to_matrix(rotate(rng.uniform(-360, 360)))
+            assert abs(m.a**2 + m.b**2 - 1) < 1e-9
 
 
 # --- offsets --------------------------------------------------------------------
@@ -309,6 +312,13 @@ class TestMatrixFilterParams:
 
 BOX = ShapeBox(100.0, 50.0, 70.0, 40.0)
 ROOT = RootSize(800.0, 800.0)
+
+
+def compute_offset(op, box, root, strategy):
+    """The position correction place() finds for a single transform."""
+    placed = place(strategy, [op], box, root, 6, Diagnostics())
+    assert placed is not None
+    return placed.offset
 
 
 class TestComputeOffset:
@@ -356,7 +366,7 @@ class TestComputeOffset:
             assert plain.dy == pytest.approx(centered.dy, abs=1e-9)
 
     def test_matrix_op_is_unsupported(self, diags):
-        compute_offset(matrix(1, 0, 0, 1, 0, 0), BOX, ROOT, SKEW_SHAPE, diags)
+        assert place(SKEW_SHAPE, [matrix(1, 0, 0, 1, 0, 0)], BOX, ROOT, 6, diags) is None
         assert "UNSUPPORTED_TRANSFORM" in diags.codes()
 
     def test_random_draws_match_direct_arithmetic(self):
@@ -462,26 +472,24 @@ SUPPORT_GRID = {
 
 
 class TestCheckSupport:
+    """The support grid, asked the way the converter asks it (see conftest.rejects)."""
+
     @pytest.mark.parametrize("strategy", list(SUPPORT_GRID))
     @pytest.mark.parametrize("combo_index", range(len(MULTI_COMBOS)))
     def test_grid(self, strategy, combo_index):
         expected_ok = SUPPORT_GRID[strategy][combo_index]
-        result = check_support(strategy, MULTI_COMBOS[combo_index])
-        if expected_ok:
-            assert result is None
-        else:
-            assert result is not None and result.code == "UNSUPPORTED_TRANSFORM"
+        assert rejects(strategy, MULTI_COMBOS[combo_index]) is not expected_ok
 
     @pytest.mark.parametrize("strategy", list(SUPPORT_GRID))
     def test_empty_list_supported(self, strategy):
-        assert check_support(strategy, []) is None
+        assert not rejects(strategy, [])
 
     @pytest.mark.parametrize("strategy", list(SUPPORT_GRID))
     @pytest.mark.parametrize(
         "op", [scale(2), translate(1), rotate(20), rotate(20, 1, 2), skew_x(5), skew_y(5)]
     )
     def test_single_op_supported_everywhere(self, strategy, op):
-        assert check_support(strategy, [op]) is None
+        assert not rejects(strategy, [op])
 
     def test_multi_rotate_on_points_is_fine(self):
-        assert check_support(RECALC_POINTS, [rotate(30), scale(2), translate(1, 1)]) is None
+        assert not rejects(RECALC_POINTS, [rotate(30), scale(2), translate(1, 1)])
