@@ -239,14 +239,18 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     return SvgDocument(root=builder.root, id_index=builder.id_index, diagnostics=diagnostics)
 
 
+# Separators in a number list: runs of whitespace and commas.
+_LIST_SPLIT_RE = re.compile(r"[\s,]+")
+
+
 def parse_view_box(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> Optional[ViewBox]:
-    """Parse a viewBox value: four whitespace-separated numbers."""
+    """Parse a viewBox value: four numbers separated by whitespace and/or commas."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    tokens = value.split()
+    tokens = [token for token in _LIST_SPLIT_RE.split(value) if token]
     if len(tokens) != 4:
         diagnostics.error(
             "BAD_VIEWBOX", f"viewBox needs 4 numbers, got {len(tokens)}: {value!r}", location
@@ -264,7 +268,6 @@ def parse_view_box(
     return box
 
 
-_POINTS_SPLIT_RE = re.compile(r"[\s,]+")
 # A whole points list in the strict number grammar.  Numbers need a
 # separator between them, so the check is linear in the list's length.
 _POINTS_RE = re.compile(rf"[\s,]*(?:{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*)?[\s,]*")
@@ -285,7 +288,7 @@ def parse_points(
     if coords is None:
         # Slow path, only to name the first bad token.
         coords = []
-        for token in _POINTS_SPLIT_RE.split(value.strip()):
+        for token in _LIST_SPLIT_RE.split(value.strip()):
             if not token:
                 continue
             try:

@@ -2,6 +2,7 @@ import gc
 import re
 
 import pytest
+from conftest import wrap_svg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -266,18 +267,31 @@ class TestReader:
 
 class TestParseViewBox:
     def test_standard_box(self, diags):
-        assert parse_view_box("0 0 800 800", diags) == (0, 0, 800, 800)
+        for value in ("0 0 800 800", "0,0,800,800", "0, 0, 800, 800"):
+            assert parse_view_box(value, diags) == (0, 0, 800, 800)
+        assert not diags.has_errors
 
     def test_unit_box(self, diags):
-        assert parse_view_box("0 0 1 1", diags) == (0, 0, 1, 1)
+        for value in ("0 0 1 1", "0,0,1,1", "0 ,0 , 1,1"):
+            assert parse_view_box(value, diags) == (0, 0, 1, 1)
+        assert not diags.has_errors
 
     def test_whitespace_runs(self, diags):
-        # oracle: split on runs of whitespace
-        value = "  10   20  30 40 "
-        expected = tuple(float(t) for t in value.split())
-        assert parse_view_box(value, diags) == expected
+        # oracle: split on runs of whitespace, with the commas taken out first
+        for value in ("  10   20  30 40 ", " 10,\t20 ,30\n,40,"):
+            expected = tuple(float(t) for t in value.replace(",", " ").split())
+            assert parse_view_box(value, diags) == expected
+        assert not diags.has_errors
 
-    @pytest.mark.parametrize("bad", ["0 0 800", "0 0 800 800 9", "a b c d", "0 0 -1 5", ""])
+    def test_comma_form_converts_like_the_spaced_form(self):
+        spaced = convert_text(wrap_svg('<rect width="5" height="5"/>', view_box="0 0 400 300"))
+        commas = convert_text(wrap_svg('<rect width="5" height="5"/>', view_box="0, 0,400,300"))
+        assert commas[0] == spaced[0] and len(commas[1]) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0 0 800", "0 0 800 800 9", "a b c d", "0 0 -1 5", "", "0,0,800", "0,0,800,800,9", "0,0,-1,5", ","],
+    )
     def test_bad_values(self, bad, diags):
         assert parse_view_box(bad, diags) is None
         assert diags.has_errors

@@ -112,6 +112,9 @@ TRANSFORMED_ELEMENTS = (
     "</foreignObject>",
     '<polyline points="{n},{n} 10,0 20,10"{t}/>',
 )
+# A nested svg's viewBox: mostly space-separated, some with commas, some short.
+NESTED_VIEW_BOXES = ((' viewBox="0 0 10 10"',) * 4
+                     + (' viewBox="0,0,10,10"', ' viewBox="0, 0 ,10,10"', ' viewBox="0,0,10"', "", ""))
 TEXTS = ("plain", "a &amp; b", "<![CDATA[x<y]]>", "one <!-- c --> two", "&#38;&#169;", "p<?pi x?>q", "\n  ")
 
 
@@ -157,7 +160,7 @@ class _Fragments:
         kind = rng.choice(("rect", "circle", "ellipse", "line", "polyline", "polygon", "path", "text", "g", "g",
                            "use", "a", "foreignObject", "defs", "svg", "desc", "blink"))
         if kind in ("g", "a", "defs", "svg", "blink") and depth < 3:
-            extra = {"a": self.href(), "svg": ' viewBox="0 0 10 10"' if rng.random() < 0.7 else ""}.get(kind, "")
+            extra = {"a": self.href(), "svg": rng.choice(NESTED_VIEW_BOXES)}.get(kind, "")
             body = "".join(self.element(depth + 1) for _ in range(rng.randint(0, 3)))
             if kind == "defs" and rng.random() < 0.5:
                 body += self.gradient()
