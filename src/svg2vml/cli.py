@@ -74,6 +74,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exit_request:
         return int(exit_request.code or 0)
 
+    destination = args.output
+    if destination is None:
+        destination = "-" if args.input == "-" else _default_output(args.input, args.mode)
+        if destination != "-" and Path(destination).resolve() == Path(args.input).resolve():
+            print(f"usage error: the default output is the input file {args.input}; use -o", file=sys.stderr)
+            return 2
+
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -96,9 +103,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     if output_text is None:
         return 1
 
-    destination = args.output
-    if destination is None:
-        destination = "-" if args.input == "-" else _default_output(args.input, args.mode)
     try:
         if destination == "-":
             sys.stdout.write(output_text)

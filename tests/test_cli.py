@@ -27,6 +27,17 @@ class TestConvertCommand:
         assert run(["convert", str(demo_file), "--mode", "xhtml"]) == 0
         assert demo_file.with_suffix(".xhtml").exists()
 
+    @pytest.mark.parametrize("name,mode", [("page.xhtml", "xhtml"), ("d.html", "vml")])
+    def test_default_output_never_overwrites_the_input(self, tmp_path, capsys, name, mode):
+        page = tmp_path / name
+        page.write_text(DEMO, encoding="utf-8")
+        assert run(["convert", str(page), "--mode", mode]) == 2
+        assert page.read_text(encoding="utf-8") == DEMO
+        assert "-o" in capsys.readouterr().err
+        # an explicit -o still wins
+        assert run(["convert", str(page), "--mode", mode, "-o", str(page)]) == 0
+        assert page.read_text(encoding="utf-8") != DEMO
+
     def test_stdout_marker(self, demo_file, capsys):
         assert run(["convert", str(demo_file), "-o", "-"]) == 0
         captured = capsys.readouterr()
