@@ -79,7 +79,7 @@ def test_criterion_04_arcsize_quotient():
 
 
 def test_criterion_05_rotation_filter_parameters():
-    placed = place(MATRIX_FILTER, [rotate(20)], ShapeBox(0, 0, 10, 10), RootSize(100, 100), 2, Diagnostics())
+    placed = place(MATRIX_FILTER, [rotate(20)], ShapeBox(0, 0, 10, 10), RootSize(9, 9), 2, Diagnostics())
     assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
     m = op_to_matrix(rotate(20))
     assert abs(m.a**2 + m.b**2 - 1) < 1e-12 and abs(m.c**2 + m.d**2 - 1) < 1e-12

@@ -3,6 +3,8 @@ import random
 
 import pytest
 from conftest import rejects
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.svg_dom import Point
@@ -448,6 +450,44 @@ class TestPlace:
         diags = Diagnostics()
         assert place(strategy, [scale(2)], BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
+
+
+# Arguments up to the float maximum, and skew angles on the tangent pole.
+_ARGS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0, 45.0])
+_POLE_ANGLES = st.sampled_from([90.0, -90.0, 270.0, 450.0, -630.0])
+_OPS = st.one_of(
+    st.builds(translate, _ARGS, _ARGS),
+    st.builds(scale, _ARGS, _ARGS),
+    st.builds(rotate, _ARGS),
+    st.builds(rotate, _ARGS, _ARGS, _ARGS),
+    st.builds(skew_x, _ARGS | _POLE_ANGLES),
+    st.builds(skew_y, _ARGS | _POLE_ANGLES),
+    st.builds(matrix, _ARGS, _ARGS, _ARGS, _ARGS, _ARGS, _ARGS),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    strategy=st.sampled_from([SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER]),
+    ops=st.lists(_OPS, max_size=3),
+    box=st.builds(ShapeBox, _ARGS, _ARGS, _ARGS, _ARGS),
+    root=st.builds(RootSize, _ARGS, _ARGS),
+    precision=st.integers(0, 12),
+)
+def test_place_either_places_finite_values_or_reports_one_error(strategy, ops, box, root, precision):
+    diags = Diagnostics()
+    placed = place(strategy, ops, box, root, precision, diags)
+    # A tangent-pole skew reports SINGULAR_SKEW and composes as the identity;
+    # place() itself reports at most one error, and only when it places nothing.
+    own = [code for code in diags.codes() if code != "SINGULAR_SKEW"]
+    assert all(d.severity == "error" for d in diags)
+    assert diags.codes().count("SINGULAR_SKEW") <= sum(op.name in ("skewX", "skewY") for op in ops)
+    assert own in ([], ["UNSUPPORTED_TRANSFORM"], ["BAD_TRANSFORM"])
+    assert (placed is None) == (len(own) == 1)
+    if placed is not None:
+        assert all(map(math.isfinite, (*(placed.origin or ()), *placed.offset)))
+        for text in (*(placed.skew or {}).values(), placed.filter or ""):
+            assert "inf" not in text and "nan" not in text
 
 
 # --- support matrix --------------------------------------------------------------
