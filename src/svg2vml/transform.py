@@ -411,8 +411,7 @@ def place(
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
     has no rule for the list or BAD_TRANSFORM when a value to be written
-    overflows; the element then stays untransformed.  A list of two or more
-    may mix only the rule's kinds, and a lone matrix() has no offset rule.
+    overflows; the element then stays untransformed.
     """
     rule = STRATEGIES.get(strategy)
     if rule is None:

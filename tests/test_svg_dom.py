@@ -2,7 +2,6 @@ import gc
 import re
 
 import pytest
-from conftest import wrap_svg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -282,11 +281,6 @@ class TestParseViewBox:
             expected = tuple(float(t) for t in value.replace(",", " ").split())
             assert parse_view_box(value, diags) == expected
         assert not diags.has_errors
-
-    def test_comma_form_converts_like_the_spaced_form(self):
-        spaced = convert_text(wrap_svg('<rect width="5" height="5"/>', view_box="0 0 400 300"))
-        commas = convert_text(wrap_svg('<rect width="5" height="5"/>', view_box="0, 0,400,300"))
-        assert commas[0] == spaced[0] and len(commas[1]) == 0
 
     @pytest.mark.parametrize(
         "bad",
