@@ -49,11 +49,6 @@ def make_context(**overrides) -> MapperContext:
     return MapperContext(**defaults)
 
 
-def transform_attr(ops) -> str:
-    """A transform attribute that parses back to exactly these ops."""
-    return " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)
-
-
 _POLYLINE_POINTS = "0,0 10,0 10,10"
 
 
@@ -66,7 +61,7 @@ def rejects(strategy: str, ops) -> bool:
     is distribute: a group carrying the list over that polyline must convert
     to the same bytes as the polyline carrying the list itself.
     """
-    attr = transform_attr(ops)
+    attr = " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)  # parses back exactly
     if strategy == RECALC_POINTS:
         got, diagnostics = map_snippet(f'<polyline points="{_POLYLINE_POINTS}" transform="{attr}"/>')
         moved = recalc_points(compose_ctm(ops), parse_points(_POLYLINE_POINTS))
