@@ -41,13 +41,16 @@ from .style import (
     resolve_fill_reference,
 )
 from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
-from .transform import (
+# compose_ctm takes no part in mapping, where each Chain composes its own
+# list; it stays bound here because perfbench/spans.py rebinds it by name.
+from .transform import (  # noqa: F401
+    EMPTY_CHAIN,
     OVERFLOW_IGNORED,
     STRATEGY_BY_TAG,
+    Chain,
     Placement,
     RootSize,
     ShapeBox,
-    TransformOp,
     compose_ctm,
     parse_transform_list,
     place,
@@ -83,7 +86,7 @@ class MapperContext:
     options: ConvertOptions
     diagnostics: Diagnostics
     inherited: dict[str, str] = field(default_factory=dict)
-    inherited_ops: tuple[TransformOp, ...] = ()
+    chain: Chain = EMPTY_CHAIN
     ref_stack: frozenset = frozenset()
     location: LocationLike = "svg"
 
@@ -126,14 +129,13 @@ def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
     return own if own is not None else ctx.inherited.get(name)
 
 
-def _effective_transform_ops(node: SvgNode, ctx: MapperContext) -> list[TransformOp]:
+def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
+    """The inherited chain extended by the node's own transform list."""
     own_raw = node.attr("transform")
-    own = (
-        parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
-        if own_raw is not None
-        else []
-    )
-    return list(ctx.inherited_ops) + own
+    if own_raw is None:
+        return ctx.chain
+    own = parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
+    return ctx.chain.extend(own)
 
 
 # --- shared passes -----------------------------------------------------------
@@ -244,11 +246,11 @@ _EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
 
 
 def _place(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Optional[Placement]:
-    ops = _effective_transform_ops(node, ctx)
-    if not ops:
+    chain = _effective_chain(node, ctx)
+    if not chain.ops:
         return None
     strategy = STRATEGY_BY_TAG[node.tag]
-    return place(strategy, ops, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
+    return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
 
 def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool:
@@ -326,7 +328,7 @@ def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
         value = node.attr(name)
         if value is not None:
             inherited[name] = value
-    child_ctx = ctx.derive(inherited=inherited, inherited_ops=tuple(_effective_transform_ops(node, ctx)))
+    child_ctx = ctx.derive(inherited=inherited, chain=_effective_chain(node, ctx))
     _map_children(node, child_ctx, group)
     return group
 
@@ -428,11 +430,11 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
 
     closed = node.tag == "polygon"
-    ops = _effective_transform_ops(node, ctx)
-    if ops:
-        ctm = compose_ctm(ops, ctx.diagnostics, ctx.location)
+    chain = _effective_chain(node, ctx)
+    if chain.ops:
+        chain.report_singular(ctx.diagnostics, ctx.location)
         # The points as read are finite, so only the transform can overflow.
-        path = _points_path(recalc_points(ctm, points), closed, ctx.options.precision)
+        path = _points_path(recalc_points(chain.ctm, points), closed, ctx.options.precision)
         if is_finite_path(path):
             return _path_shape(node, ctx, path)
         ctx.diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, ctx.location)

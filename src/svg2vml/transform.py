@@ -13,6 +13,15 @@ simulation strategy:
                   2x2 linear entries plus a position correction
 * distribute      g: the group's transform list is prepended to each child's
 
+A transform list is read in one regex pass when the whole list matches the
+grammar; the call-by-call scanner runs only for the rest, and words the
+BAD_TRANSFORM message.  A Chain holds a list with its left-to-right product:
+a group extends its parent's chain by its own list, so the product of a
+group's list is composed once for all its descendants, and a leaf extends
+it by its own list only.  The SINGULAR_SKEW messages met while composing
+travel with the chain and are reported at each element that uses its
+product, as if that element had composed the whole list itself.
+
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
 position, how a lone rotate is handled, and the carrier: the v:skew matrix
@@ -35,11 +44,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_TOKEN_RE, format_number
+from .numeric import NUMBER_PATTERN, NUMBER_RE, NUMBER_TOKEN_RE, format_number, format_numbers
 from .svg_dom import Point
 
 
@@ -55,8 +63,7 @@ class TransformMatrix(NamedTuple):
 IDENTITY = TransformMatrix(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class TransformOp:
+class TransformOp(NamedTuple):
     """One parsed transform definition with defaults already applied."""
 
     name: str  # matrix | translate | scale | rotate | skewX | skewY
@@ -103,12 +110,45 @@ _FUNCTION_RE = re.compile(r"([A-Za-z]+)\s*\(([^)]*)\)")
 _ARG_SPLIT_RE = re.compile(r"[\s,]+")
 
 
+# The whole list grammar: calls with one or more numbers, split by whitespace
+# or commas, between runs of the characters the scanner allows between calls.
+_LIST_RE = re.compile(
+    rf"[ \t\r\n,]*(?:(?:{'|'.join(_FUNCTIONS)})\s*\(\s*{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*\s*\)"
+    r"[ \t\r\n,]*)*"
+)
+
+
 def parse_transform_list(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> list[TransformOp]:
-    """Parse a transform attribute into ops, filling in default arguments."""
+    """Parse a transform attribute into ops, filling in default arguments.
+
+    A list the grammar accepts whole, with finite arguments in counts the
+    functions take, is read in one pass; anything else goes to the scanner,
+    which decides and words the BAD_TRANSFORM message.
+    """
+    if _LIST_RE.fullmatch(value):
+        ops = []
+        for name, raw_args in _FUNCTION_RE.findall(value):
+            constructor, counts = _FUNCTIONS[name]
+            args = [float(token) for token in NUMBER_RE.findall(raw_args)]
+            if len(args) not in counts or not all(map(math.isfinite, args)):
+                break
+            ops.append(constructor(*args))
+        else:
+            return ops
+    return _scan_transform_list(value, diagnostics, location)
+
+
+def _scan_transform_list(
+    value: str,
+    diagnostics: Optional[Diagnostics] = None,
+    location: LocationLike = "",
+) -> list[TransformOp]:
+    """Scan a transform list call by call; the first fault is reported and
+    the whole list dropped."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     ops: list[TransformOp] = []
     position = 0
@@ -148,17 +188,21 @@ def parse_transform_list(
 def multiply(m: TransformMatrix, n: TransformMatrix) -> TransformMatrix:
     """Product m . n of two affine matrices (n applies first to points)."""
     return TransformMatrix(
-        a=m.a * n.a + m.c * n.b,
-        b=m.b * n.a + m.d * n.b,
-        c=m.a * n.c + m.c * n.d,
-        d=m.b * n.c + m.d * n.d,
-        e=m.a * n.e + m.c * n.f + m.e,
-        f=m.b * n.e + m.d * n.f + m.f,
+        m.a * n.a + m.c * n.b,
+        m.b * n.a + m.d * n.b,
+        m.a * n.c + m.c * n.d,
+        m.b * n.c + m.d * n.d,
+        m.a * n.e + m.c * n.f + m.e,
+        m.b * n.e + m.d * n.f + m.f,
     )
 
 
 def _is_tangent_pole(angle_deg: float) -> bool:
     return math.isclose(math.fmod(abs(angle_deg), 180.0), 90.0, abs_tol=1e-12)
+
+
+def _singular_skew(op: TransformOp) -> str:
+    return f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
 
 
 def op_to_matrix(
@@ -169,10 +213,10 @@ def op_to_matrix(
     """Equivalent matrix of a single transform definition.
 
     Skews at 90 + k*180 degrees hit the tangent pole; they record a
-    SINGULAR_SKEW error and fall back to the identity.
+    SINGULAR_SKEW error, when given diagnostics, and fall back to IDENTITY
+    itself, the one matrix no other op returns.
     """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    name, args = op.name, op.args
+    name, args = op
     if name == "matrix":
         return TransformMatrix(*args)
     if name == "translate":
@@ -191,9 +235,8 @@ def op_to_matrix(
         return multiply(shifted, TransformMatrix(1, 0, 0, 1, -cx, -cy))
     if name in ("skewX", "skewY"):
         if _is_tangent_pole(args[0]):
-            diagnostics.error(
-                "SINGULAR_SKEW", f"{name}({format_number(args[0])}) is undefined (tangent pole)", location
-            )
+            if diagnostics is not None:
+                diagnostics.error("SINGULAR_SKEW", _singular_skew(op), location)
             return IDENTITY
         t = math.tan(math.radians(args[0]))
         if name == "skewX":
@@ -202,16 +245,52 @@ def op_to_matrix(
     raise ValueError(f"unknown transform op {name!r}")
 
 
+class Chain(NamedTuple):
+    """A transform list with its left-to-right product, composed once.
+
+    A group's chain is shared by everything under it.  singular holds the
+    SINGULAR_SKEW messages met while composing; each element that uses the
+    product reports them at its own location (report_singular).
+    """
+
+    ops: tuple[TransformOp, ...]
+    ctm: TransformMatrix
+    singular: tuple[str, ...]
+
+    def extend(self, ops: Sequence[TransformOp]) -> "Chain":
+        """This chain followed by ops.
+
+        The product is a left fold, so extending it gives the same floats
+        as composing the whole list from the identity.
+        """
+        if not ops:
+            return self
+        ctm, singular = self.ctm, self.singular
+        for op in ops:
+            factor = op_to_matrix(op)
+            if factor is IDENTITY:
+                singular += (_singular_skew(op),)
+            ctm = multiply(ctm, factor)
+        return Chain(self.ops + tuple(ops), ctm, singular)
+
+    def report_singular(self, diagnostics: Diagnostics, location: LocationLike) -> None:
+        for message in self.singular:
+            diagnostics.error("SINGULAR_SKEW", message, location)
+
+
+EMPTY_CHAIN = Chain((), IDENTITY, ())
+
+
 def compose_ctm(
-    ops: list[TransformOp],
+    ops: Sequence[TransformOp],
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> TransformMatrix:
     """Left-to-right product of a transform list; empty list is identity."""
-    result = IDENTITY
-    for op in ops:
-        result = multiply(result, op_to_matrix(op, diagnostics, location))
-    return result
+    chain = EMPTY_CHAIN.extend(ops)
+    if diagnostics is not None:
+        chain.report_singular(diagnostics, location)
+    return chain.ctm
 
 
 def apply_to_point(m: TransformMatrix, point: Point) -> Point:
@@ -286,18 +365,16 @@ def skew_matrix_for_shape(m: TransformMatrix, precision: int = 6) -> str:
     The last two slots are perspective terms, not pixel offsets; they stay
     zero and translation is carried by the output coordinates instead.
     """
-    values = (-m.a, -m.b, -m.c, -m.d, 0.0, 0.0)
-    return ", ".join(format_number(value, precision) for value in values)
+    return ", ".join(format_numbers((-m.a, -m.b, -m.c, -m.d, 0.0, 0.0), precision))
 
 
 def skew_matrix_for_path(m: TransformMatrix, precision: int = 6) -> str:
     """Skew matrix string for paths: plain linear part, row-major order."""
-    values = (m.a, m.c, m.b, m.d, 0.0, 0.0)
-    return ", ".join(format_number(value, precision) for value in values)
+    return ", ".join(format_numbers((m.a, m.c, m.b, m.d, 0.0, 0.0), precision))
 
 
 def _matrix_filter_text(m: TransformMatrix, precision: int) -> str:
-    m11, m12, m21, m22 = (format_number(value, precision) for value in (m.a, m.c, m.b, m.d))
+    m11, m12, m21, m22 = format_numbers((m.a, m.c, m.b, m.d), precision)
     return (
         "progid:DXImageTransform.Microsoft.Matrix("
         f"M11={m11}, M12={m12}, M21={m21}, M22={m22}, SizingMethod='auto expand')"
@@ -400,29 +477,32 @@ OVERFLOW_IGNORED = "transform overflows to a non-finite value; ignored"
 
 def place(
     strategy: str,
-    ops: list[TransformOp],
+    chain: Chain,
     box: ShapeBox,
     root: RootSize,
     precision: int,
     diagnostics: Diagnostics,
     location: LocationLike = "",
 ) -> Optional[Placement]:
-    """Simulate a transform list with the strategy's offset rule and carrier.
+    """Simulate a transform chain with the strategy's offset rule and carrier.
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
     has no rule for the list or BAD_TRANSFORM when a value to be written
-    overflows; the element then stays untransformed.
+    overflows; the element then stays untransformed.  The chain's
+    SINGULAR_SKEW messages are reported here, where its product is used.
     """
     rule = STRATEGIES.get(strategy)
     if rule is None:
         diagnostics.error("UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location)
         return None
-    offending = sorted({op.name for op in ops} - rule.multi_ops)
-    if len(ops) > 1 and offending:
-        message = f"multi-transform with {', '.join(offending)} is not supported for {strategy}"
-        diagnostics.error("UNSUPPORTED_TRANSFORM", message, location)
-        return None
-    if len(ops) == 1 and ops[0].name == "matrix":
+    ops = chain.ops
+    if len(ops) > 1:
+        offending = {op.name for op in ops} - rule.multi_ops
+        if offending:
+            message = f"multi-transform with {', '.join(sorted(offending))} is not supported for {strategy}"
+            diagnostics.error("UNSUPPORTED_TRANSFORM", message, location)
+            return None
+    elif ops and ops[0].name == "matrix":
         diagnostics.error("UNSUPPORTED_TRANSFORM", f"matrix() has no offset rule for {strategy}", location)
         return None
     lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
@@ -433,7 +513,8 @@ def place(
         shift = (-centre[0], -centre[1]) if centre and rule.rotation == ROTATE_ABOUT_CENTRE else None
         offset = _rotate_offset(angle, box, *centre)
     else:
-        ctm = compose_ctm(ops, diagnostics, location)
+        chain.report_singular(diagnostics, location)
+        ctm = chain.ctm
         shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
         linear = None if ctm[:4] == IDENTITY[:4] else ctm
         offset = _NO_OFFSET if linear is None else rule.offset(ctm, box, root)
@@ -452,6 +533,6 @@ def place(
     elif linear is not None:
         # The correction moves the shape up and left by the offset; the
         # skew offset slot applies additively, hence the sign flip.
-        offset_text = f"{format_number(-offset.dx, precision)}px,{format_number(-offset.dy, precision)}px"
+        offset_text = "{}px,{}px".format(*format_numbers((-offset.dx, -offset.dy), precision))
         skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
     return Placement(origin, skew, filter_text, offset)

@@ -7,6 +7,7 @@ from svg2vml.options import ConvertOptions
 from svg2vml.svg_dom import parse_points, parse_svg
 from svg2vml.transform import (
     DISTRIBUTE,
+    EMPTY_CHAIN,
     RECALC_POINTS,
     RootSize,
     ShapeBox,
@@ -79,6 +80,7 @@ def rejects(strategy: str, ops) -> bool:
         assert grouped_diagnostics.codes() == direct_diagnostics.codes()
         return "UNSUPPORTED_TRANSFORM" in grouped_diagnostics.codes()
     diagnostics = Diagnostics()
-    placed = place(strategy, ops, ShapeBox(100.0, 50.0, 70.0, 40.0), RootSize(800.0, 800.0), 6, diagnostics)
+    box, root = ShapeBox(100.0, 50.0, 70.0, 40.0), RootSize(800.0, 800.0)
+    placed = place(strategy, EMPTY_CHAIN.extend(ops), box, root, 6, diagnostics)
     assert diagnostics.codes() == ([] if placed is not None else ["UNSUPPORTED_TRANSFORM"])
     return placed is None

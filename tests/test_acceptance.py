@@ -16,6 +16,7 @@ from svg2vml.path_data import parse_path_data, to_absolute
 from svg2vml.svg_dom import Point, parse_svg, structurally_equal
 from svg2vml.transform import (
     DISTRIBUTE,
+    EMPTY_CHAIN,
     MATRIX_FILTER,
     RECALC_POINTS,
     SKEW_PATH,
@@ -79,7 +80,8 @@ def test_criterion_04_arcsize_quotient():
 
 
 def test_criterion_05_rotation_filter_parameters():
-    placed = place(MATRIX_FILTER, [rotate(20)], ShapeBox(0, 0, 10, 10), RootSize(9, 9), 2, Diagnostics())
+    chain = EMPTY_CHAIN.extend([rotate(20)])
+    placed = place(MATRIX_FILTER, chain, ShapeBox(0, 0, 10, 10), RootSize(9, 9), 2, Diagnostics())
     assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
     m = op_to_matrix(rotate(20))
     assert abs(m.a**2 + m.b**2 - 1) < 1e-12 and abs(m.c**2 + m.d**2 - 1) < 1e-12
@@ -105,7 +107,7 @@ def test_criterion_07_skew_matrix_negation():
 
 def test_criterion_08_offset_formulas_against_direct_arithmetic():
     def compute_offset(op, box, root, strategy):
-        placed = place(strategy, [op], box, root, 6, Diagnostics())
+        placed = place(strategy, EMPTY_CHAIN.extend([op]), box, root, 6, Diagnostics())
         assert placed is not None
         return placed.offset
 

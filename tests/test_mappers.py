@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import map_snippet, wrap_svg
-from svg2vml import ConvertOptions, convert_text
+from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
@@ -308,6 +308,16 @@ class TestGroups:
         tree_a, _ = map_snippet(nested)
         tree_b, _ = map_snippet(flat)
         assert find_one(tree_a, "v:shape") == find_one(tree_b, "v:shape")
+
+    def test_a_group_chain_is_composed_once(self, monkeypatch):
+        calls = []
+        op_to_matrix = transform.op_to_matrix
+        counted = lambda op, *rest: calls.append(op) or op_to_matrix(op, *rest)  # noqa: E731
+        monkeypatch.setattr(transform, "op_to_matrix", counted)
+        rects = '<rect width="4" height="3" transform="scale(3)"/>' * 5
+        tree, diagnostics = map_snippet(f'<g transform="scale(2) translate(1,2) skewX(10)">{rects}</g>')
+        assert len(find_all(tree, "v:skew")) == 5 and not list(diagnostics)
+        assert len(calls) == 3 + 5
 
     def test_group_opacity_inherited(self):
         tree, _ = map_snippet('<g opacity="0.5"><rect width="5" height="5"/></g>')

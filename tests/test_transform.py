@@ -1,15 +1,18 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
-from conftest import rejects
+from conftest import rejects, wrap_svg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svg2vml import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.svg_dom import Point
 from svg2vml.transform import (
     DISTRIBUTE,
+    EMPTY_CHAIN,
     IDENTITY,
     MATRIX_FILTER,
     RECALC_POINTS,
@@ -18,6 +21,7 @@ from svg2vml.transform import (
     RootSize,
     ShapeBox,
     TransformMatrix,
+    _scan_transform_list,
     apply_to_point,
     compose_ctm,
     matrix,
@@ -143,6 +147,55 @@ class TestParseTransformList:
     def test_bad_lists(self, bad, diags):
         assert parse_transform_list(bad, diags) == []
         assert "BAD_TRANSFORM" in diags.codes()
+
+
+_NAMES = st.sampled_from(
+    ["matrix", "translate", "scale", "rotate", "skewX", "skewY", "Scale", "skewx", "ROTATE", "spin"]
+)
+_DIGITS = st.text(st.sampled_from("0123456789\u0663"), min_size=1, max_size=4)  # U+0663 is a digit to re and float
+# Signed numbers in the forms 1, 1., 1.5 and .1, and now and then a digit run
+# long enough to overflow to inf.
+_SIGNED = st.builds("".join, st.tuples(st.sampled_from(["", "-", "+"]), _DIGITS, st.sampled_from(["", ".", ".5"])))
+_NUMBER_TEXT = st.one_of(
+    _SIGNED, _SIGNED, _SIGNED, st.builds(".".__add__, _DIGITS), st.integers(300, 400).map("9".__mul__)
+)
+_WHITESPACE = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\xa0", "\u2003", "\u3000"])
+_STRAY = st.sampled_from(["x", "e", "E", ";", ".", "-", "+", "(", ")"])
+_PIECES = _NAMES | _NUMBER_TEXT | _WHITESPACE | _STRAY | st.sampled_from(["(", ")", ","])
+
+
+_ARG_COUNTS = {"matrix": [6], "translate": [1, 2], "scale": [1, 2], "rotate": [1, 3], "skewX": [1], "skewY": [1]}
+
+
+@st.composite
+def _transform_lists(draw):
+    """Lists of calls: half of them well formed, the rest with any name, count and spacing."""
+    if draw(st.booleans()):
+        names = st.sampled_from(sorted(_ARG_COUNTS))
+        gap = st.text(st.sampled_from(" \t\r\n,"), max_size=2)
+        inner = st.text(_WHITESPACE, max_size=1)
+        separator = st.text(_WHITESPACE | st.just(","), min_size=1, max_size=2)
+    else:
+        names = _NAMES
+        gap = inner = separator = st.text(_WHITESPACE | _STRAY | st.just(","), max_size=2)
+    text = ""
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(names)
+        count = draw(st.integers(0, 7) if names is _NAMES else st.sampled_from(_ARG_COUNTS[name]))
+        args = [draw(_NUMBER_TEXT) for _ in range(count)]
+        text += draw(gap) + name + draw(inner) + "(" + draw(inner) + (args[0] if args else "")
+        for arg in args[1:]:
+            text += draw(separator) + arg
+        text += draw(inner) + ")"
+    return text + draw(gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_transform_lists() | st.lists(_PIECES, max_size=24).map("".join))
+def test_one_pass_parse_agrees_with_the_scanner(text):
+    fast, scanned = Diagnostics(), Diagnostics()
+    assert repr(parse_transform_list(text, fast, "here")) == repr(_scan_transform_list(text, scanned, "here"))
+    assert list(fast) == list(scanned)
 
 
 # --- matrices -----------------------------------------------------------------
@@ -290,16 +343,16 @@ class TestMatrixFilterParams:
     """The Matrix filter entries, in row-major order, as place() writes them."""
 
     def test_rotate_20(self, diags):
-        placed = place(MATRIX_FILTER, [rotate(20)], BOX, ROOT, 2, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([rotate(20)]), BOX, ROOT, 2, diags)
         assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
 
     def test_identity(self, diags):
         # rotate(0) goes through the rotation rule, so its identity entries are written
-        placed = place(MATRIX_FILTER, [rotate(0)], BOX, ROOT, 6, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([rotate(0)]), BOX, ROOT, 6, diags)
         assert "(M11=1, M12=0, M21=0, M22=1," in placed.filter
 
     def test_scale(self, diags):
-        placed = place(MATRIX_FILTER, [scale(2, 3)], BOX, ROOT, 6, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([scale(2, 3)]), BOX, ROOT, 6, diags)
         assert "(M11=2, M12=0, M21=0, M22=3," in placed.filter
 
     def test_rotation_rows_stay_unit_length(self):
@@ -318,7 +371,7 @@ ROOT = RootSize(800.0, 800.0)
 
 def compute_offset(op, box, root, strategy):
     """The position correction place() finds for a single transform."""
-    placed = place(strategy, [op], box, root, 6, Diagnostics())
+    placed = place(strategy, EMPTY_CHAIN.extend([op]), box, root, 6, Diagnostics())
     assert placed is not None
     return placed.offset
 
@@ -368,7 +421,7 @@ class TestComputeOffset:
             assert plain.dy == pytest.approx(centered.dy, abs=1e-9)
 
     def test_matrix_op_is_unsupported(self, diags):
-        assert place(SKEW_SHAPE, [matrix(1, 0, 0, 1, 0, 0)], BOX, ROOT, 6, diags) is None
+        assert place(SKEW_SHAPE, EMPTY_CHAIN.extend([matrix(1, 0, 0, 1, 0, 0)]), BOX, ROOT, 6, diags) is None
         assert "UNSUPPORTED_TRANSFORM" in diags.codes()
 
     def test_random_draws_match_direct_arithmetic(self):
@@ -409,18 +462,19 @@ class TestPlace:
     """place() returns what a mapper writes, read from the strategy table."""
 
     def test_skew_shape_carries_the_correction_in_the_skew_offset_slot(self, diags):
-        placed = place(SKEW_SHAPE, [scale(3, 1)], ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
+        placed = place(SKEW_SHAPE, EMPTY_CHAIN.extend([scale(3, 1)]), ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
         assert placed.origin is None and placed.filter is None
         assert placed.skew == {"on": "t", "matrix": "-3, 0, 0, -1, 0, 0", "offset": "-210px,-50px"}
         assert placed.offset == pytest.approx((210, 50))
 
     def test_skew_path_writes_the_plain_matrix_and_the_shift(self, diags):
-        placed = place(SKEW_PATH, [translate(5, 6), scale(2)], ShapeBox(0, 0, 0, 0), RootSize(100, 50), 6, diags)
+        chain = EMPTY_CHAIN.extend([translate(5, 6), scale(2)])
+        placed = place(SKEW_PATH, chain, ShapeBox(0, 0, 0, 0), RootSize(100, 50), 6, diags)
         assert placed.origin == (5, 6)
         assert placed.skew == {"on": "t", "matrix": "2, 0, 0, 2, 0, 0", "offset": "-100px,-50px"}
 
     def test_matrix_filter_moves_the_position_by_the_correction(self, diags):
-        placed = place(MATRIX_FILTER, [scale(2)], BOX, ROOT, 2, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([scale(2)]), BOX, ROOT, 2, diags)
         assert placed.skew is None
         assert placed.origin == (BOX.x - 2 * BOX.width, BOX.y - 2 * BOX.height)
         assert placed.filter == (
@@ -429,26 +483,26 @@ class TestPlace:
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_translation_alone_only_moves_the_origin(self, strategy, diags):
-        placed = place(strategy, [translate(5, 6)], BOX, ROOT, 6, diags)
+        placed = place(strategy, EMPTY_CHAIN.extend([translate(5, 6)]), BOX, ROOT, 6, diags)
         assert placed == ((BOX.x + 5, BOX.y + 6), None, None, (0, 0))
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_overflow_is_reported_once(self, strategy, diags):
         big = float("1" + "0" * 308)  # finite, but twice it is not
-        assert place(strategy, [translate(big)], ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend([translate(big)]), ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
         assert [(d.code, d.message) for d in diags] == [
             ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored")
         ]
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_lone_matrix_is_unsupported(self, strategy, diags):
-        assert place(strategy, [matrix(1, 0, 0, 1, 0, 0)], BOX, ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend([matrix(1, 0, 0, 1, 0, 0)]), BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
     @pytest.mark.parametrize("strategy", [RECALC_POINTS, DISTRIBUTE])
     def test_strategies_without_offsets_place_nothing(self, strategy):
         diags = Diagnostics()
-        assert place(strategy, [scale(2)], BOX, ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend([scale(2)]), BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
 
@@ -476,7 +530,7 @@ _OPS = st.one_of(
 )
 def test_place_either_places_finite_values_or_reports_one_error(strategy, ops, box, root, precision):
     diags = Diagnostics()
-    placed = place(strategy, ops, box, root, precision, diags)
+    placed = place(strategy, EMPTY_CHAIN.extend(ops), box, root, precision, diags)
     # A tangent-pole skew reports SINGULAR_SKEW and composes as the identity;
     # place() itself reports at most one error, and only when it places nothing.
     own = [code for code in diags.codes() if code != "SINGULAR_SKEW"]
@@ -488,6 +542,44 @@ def test_place_either_places_finite_values_or_reports_one_error(strategy, ops, b
         assert all(map(math.isfinite, (*(placed.origin or ()), *placed.offset)))
         for text in (*(placed.skew or {}).values(), placed.filter or ""):
             assert "inf" not in text and "nan" not in text
+
+
+def _transform_attribute(ops) -> str:
+    """The transform attribute for ops, empty for none; every argument parses back exactly."""
+    if not ops:
+        return ""
+    calls = (f"{op.name}({' '.join(format(Decimal(repr(arg)), 'f') for arg in op.args)})" for op in ops)
+    return f' transform="{" ".join(calls)}"'
+
+
+# textPath is left out: its target path is mapped with the text's chain, so a
+# group's transform reaches text on a path twice.
+_LEAVES = [
+    '<rect x="1" y="2" width="3" height="4"{}/>',
+    '<circle cx="5" cy="6" r="2"{}/>',
+    '<path d="M 0 0 L 5 5"{}/>',
+    '<polyline points="0,0 10,0 10,10"{}/>',
+    '<text x="3" y="9" font-size="8"{}>hi</text>',
+    '<foreignObject x="1" y="1" width="9" height="9"{}>hi</foreignObject>',
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    leaf=st.sampled_from(_LEAVES),
+    group_lists=st.lists(st.lists(_OPS, max_size=2), max_size=3),
+    own=st.lists(_OPS, max_size=2),
+)
+def test_nested_groups_map_like_the_leaf_carrying_the_whole_list(leaf, group_lists, own):
+    closing = "</g>" * len(group_lists)
+    nested = "".join(f"<g{_transform_attribute(ops)}>" for ops in group_lists)
+    nested += leaf.format(_transform_attribute(own)) + closing
+    whole = [op for ops in group_lists for op in ops] + own
+    flat = "<g>" * len(group_lists) + leaf.format(_transform_attribute(whole)) + closing
+    nested_output, nested_diagnostics = convert_text(wrap_svg(nested))
+    flat_output, flat_diagnostics = convert_text(wrap_svg(flat))
+    assert nested_output == flat_output
+    assert [str(d) for d in nested_diagnostics] == [str(d) for d in flat_diagnostics]
 
 
 # --- support matrix --------------------------------------------------------------
