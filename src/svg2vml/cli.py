@@ -116,3 +116,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

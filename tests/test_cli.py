@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import svg2vml
 from conftest import wrap_svg
-from svg2vml.cli import run
+from svg2vml.cli import convert_text, run
 
 DEMO = wrap_svg('<rect x="1" y="1" width="1198" height="398" fill="red" stroke="blue" stroke-width="2"/>')
 
@@ -57,6 +63,18 @@ class TestConvertCommand:
         for precision in ("99", "-1"):
             assert run(["convert", str(demo_file), "--precision", precision]) == 2
             assert capsys.readouterr().err == "usage error: precision must be in [0, 12]\n"
+
+
+    @pytest.mark.parametrize("module", ["svg2vml", "svg2vml.cli"])
+    def test_module_entry_point_converts_stdin(self, module):
+        src = str(Path(svg2vml.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", module, "convert", "-", "-o", "-"],
+            input=DEMO, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout == convert_text(DEMO)[0]
 
 
 class TestStrictAndDiagnostics:
