@@ -201,7 +201,7 @@ def _is_tangent_pole(angle_deg: float) -> bool:
     return math.isclose(math.fmod(abs(angle_deg), 180.0), 90.0, abs_tol=1e-12)
 
 
-def _singular_skew(op: TransformOp) -> str:
+def _singular_skew_message(op: TransformOp) -> str:
     return f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
 
 
@@ -236,7 +236,7 @@ def op_to_matrix(
     if name in ("skewX", "skewY"):
         if _is_tangent_pole(args[0]):
             if diagnostics is not None:
-                diagnostics.error("SINGULAR_SKEW", _singular_skew(op), location)
+                diagnostics.error("SINGULAR_SKEW", _singular_skew_message(op), location)
             return IDENTITY
         t = math.tan(math.radians(args[0]))
         if name == "skewX":
@@ -269,7 +269,7 @@ class Chain(NamedTuple):
         for op in ops:
             factor = op_to_matrix(op)
             if factor is IDENTITY:
-                singular += (_singular_skew(op),)
+                singular += (_singular_skew_message(op),)
             ctm = multiply(ctm, factor)
         return Chain(self.ops + tuple(ops), ctm, singular)
 

@@ -312,7 +312,11 @@ class TestGroups:
     def test_a_group_chain_is_composed_once(self, monkeypatch):
         calls = []
         op_to_matrix = transform.op_to_matrix
-        counted = lambda op, *rest: calls.append(op) or op_to_matrix(op, *rest)  # noqa: E731
+
+        def counted(op, *rest):
+            calls.append(op)
+            return op_to_matrix(op, *rest)
+
         monkeypatch.setattr(transform, "op_to_matrix", counted)
         rects = '<rect width="4" height="3" transform="scale(3)"/>' * 5
         tree, diagnostics = map_snippet(f'<g transform="scale(2) translate(1,2) skewX(10)">{rects}</g>')
