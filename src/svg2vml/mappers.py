@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import format_number, parse_number
+from .numeric import format_number, format_numbers, parse_number
 from .options import ConvertOptions
 
 # emit_vml_path, parse_path_data, shift_commands and to_absolute no longer
 # take part in mapping; they stay bound here because perfbench/spans.py
 # rebinds them by name in its traced run.
 from .path_data import (  # noqa: F401
-    emit_segments,
     emit_vml_path,
     is_finite_path,
     parse_path_data,
@@ -442,12 +441,9 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 
 def _points_path(points: list[Point], closed: bool, precision: int) -> str:
-    """The VML path through the points, closed for a polygon."""
-    parts = [("m", points[0])]
-    parts.extend(("l", point) for point in points[1:])
-    if closed:
-        parts.append(("x", ()))
-    return emit_segments(parts, precision)
+    """The VML path through the points, closed for a polygon: one template, one format call."""
+    template = "m %s,%s" + " l %s,%s" * (len(points) - 1) + (" x e" if closed else " e")
+    return template % tuple(format_numbers([value for point in points for value in point], precision))
 
 
 def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> Optional[VmlNode]:

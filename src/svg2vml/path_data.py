@@ -11,10 +11,13 @@ All VML commands are emitted in lower case over absolute coordinates.
 
 Conversion is one kernel with three steps, and no per-command objects:
 
-- `scan_path` checks the gaps between tokens once, in linear time, splits
-  the string on command letters and reads each command's numbers with one
-  regex pass.  The result is a list of segments `(kind, relative, values)`,
-  one per command letter, with implicit repetitions kept in `values`.
+- `scan_path` splits the string on command letters and reads the numbers
+  of every piece with one regex pass.  The string is valid when its length
+  is the number of letters plus the length of the numbers plus the count of
+  separators: no token holds a separator, so anything else left between
+  tokens breaks the sum.  The result is a list of segments
+  `(kind, relative, values)`, one per command letter, with implicit
+  repetitions kept in `values`.
 - `walk_segments` moves the cursor over plain floats, relative to absolute
   first and then by the group shift, and yields `(vml_letter, coords)`.
 - `emit_segments` formats every coordinate of the path with one
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_PATTERN, NUMBER_RE, format_numbers
+from .numeric import NUMBER_RE, format_numbers
 
 # Not called here; bound because perfbench/spans.py rebinds format_number by
 # name in this module during its traced run.
@@ -52,7 +55,6 @@ _UNSUPPORTED = {"S", "Q", "T"}
 _ARC = "A"
 
 _SEPARATORS = " \t\r\n,"
-_TOKEN_RE = re.compile(rf"([A-Za-z])|({NUMBER_PATTERN})")
 _LETTER_RE = re.compile(r"([A-Za-z])")
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
@@ -111,18 +113,20 @@ def scan_path(
     read before it are returned, so callers check the diagnostics.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    # Removing every token leaves only the gaps, which may hold separators.
-    if _TOKEN_RE.sub("", d).strip(_SEPARATORS):
+    pieces = _LETTER_RE.split(d)
+    groups = list(map(NUMBER_RE.findall, pieces[::2]))
+    # Tokens never hold a separator, so every character outside them is one
+    # exactly when the letters, the numbers and the separators add up to d.
+    tokens = len(pieces) // 2 + len("".join(map("".join, groups)))
+    if tokens + sum(map(d.count, _SEPARATORS)) != len(d):
         diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
         return []
-    pieces = _LETTER_RE.split(d)
-    if NUMBER_RE.search(pieces[0]):
+    if groups[0]:
         diagnostics.error("BAD_PATH", "coordinates before any command", location)
         return []
 
     segments: list[Segment] = []
-    for index in range(1, len(pieces), 2):
-        letter = pieces[index]
+    for letter, numbers in zip(pieces[1::2], groups[1:]):
         kind = letter.upper()
         arity = ARITY.get(kind)
         if arity is None:
@@ -137,7 +141,6 @@ def scan_path(
             else:
                 diagnostics.error("BAD_PATH", f"unknown path command {letter!r}", location)
             return segments
-        numbers = NUMBER_RE.findall(pieces[index + 1])
         if not arity:
             segments.append(_CLOSE)
             if numbers:

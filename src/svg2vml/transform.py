@@ -299,7 +299,8 @@ def apply_to_point(m: TransformMatrix, point: Point) -> Point:
 
 def recalc_points(m: TransformMatrix, points: list[Point]) -> list[Point]:
     """Apply the matrix to every point, preserving order."""
-    return [apply_to_point(m, point) for point in points]
+    a, b, c, d, e, f = m
+    return [Point(a * x + c * y + e, b * x + d * y + f) for x, y in points]
 
 
 # --- offset rules -----------------------------------------------------------

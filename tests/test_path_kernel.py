@@ -1,5 +1,6 @@
 """Properties of the single-pass path kernel and the mappers that use it."""
 
+import re
 import time
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.numeric import format_number
+from svg2vml.mappers import _points_path
+from svg2vml.numeric import NUMBER_PATTERN, NUMBER_RE, format_number
 from svg2vml.path_data import (
+    emit_segments,
     emit_vml_path,
     parse_path_data,
     scan_path,
@@ -17,7 +20,7 @@ from svg2vml.path_data import (
     to_absolute,
     vml_path,
 )
-from svg2vml.svg_dom import parse_points
+from svg2vml.svg_dom import Point, parse_points
 
 from conftest import wrap_svg
 
@@ -111,6 +114,89 @@ def test_valid_paths_match_an_independent_cursor_walk(data, precision, shift):
     assert vml_path(segments, precision, *shift) == expected, d
     absolute = to_absolute(parse_path_data(d))
     assert emit_vml_path(shift_commands(absolute, *shift), precision) == expected, d
+
+
+# The gap check the scanner used before it counted lengths: removing every
+# token must leave only separators.  Kept as the reference for the count.
+OLD_TOKEN_RE = re.compile(rf"([A-Za-z])|({NUMBER_PATTERN})")
+OLD_SEPARATORS = " \t\r\n,"
+
+
+def old_scan_path(d, diagnostics):
+    """The scanner as it was with the regex gap check, rest unchanged."""
+    if OLD_TOKEN_RE.sub("", d).strip(OLD_SEPARATORS):
+        diagnostics.error("BAD_PATH", f"unparseable path data {d!r}")
+        return []
+    pieces = re.split(r"([A-Za-z])", d)
+    if NUMBER_RE.search(pieces[0]):
+        diagnostics.error("BAD_PATH", "coordinates before any command")
+        return []
+    segments = []
+    for index in range(1, len(pieces), 2):
+        letter = pieces[index]
+        kind = letter.upper()
+        arity = ARITY.get(kind)
+        if arity is None:
+            if kind in "SQT":
+                diagnostics.error("UNSUPPORTED_COMMAND", f"path command {letter!r} has no VML counterpart")
+            elif kind == "A":
+                diagnostics.error("FUTURE_WORK_ARC", f"arc command {letter!r} is not implemented")
+            else:
+                diagnostics.error("BAD_PATH", f"unknown path command {letter!r}")
+            return segments
+        numbers = NUMBER_RE.findall(pieces[index + 1])
+        if not arity:
+            segments.append(("Z", False, ()))
+            if numbers:
+                diagnostics.error("BAD_PATH", "coordinates before any command")
+                return segments
+            continue
+        whole = len(numbers) - len(numbers) % arity
+        if whole:
+            segments.append((kind, letter.islower(), list(map(float, numbers[:whole]))))
+        if not whole or whole != len(numbers):
+            shown = "L" if kind == "M" and whole else kind
+            diagnostics.error("BAD_PATH", f"command {shown} expects {arity} coordinates")
+            return segments
+    return segments
+
+
+# Every command letter, the exponent letter, number characters, the five
+# separators, Unicode spaces, Unicode digits (which \d matches) and NUL.
+PATH_ALPHABET = "MmLlHhVvCcZzSsQqTtAaEe0123456789.+- \t\r\n,\u2003\u00a0\u0663\uff11\x00"
+
+
+@st.composite
+def path_texts(draw):
+    """Random strings over the alphabet, or a valid path with a few of them spliced in."""
+    if draw(st.booleans()):
+        return draw(st.text(PATH_ALPHABET, max_size=40))
+    d = render(draw(path_programs()), draw)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(d)))
+        d = d[:at] + draw(st.text(PATH_ALPHABET, min_size=1, max_size=3)) + d[at:]
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=path_texts())
+def test_length_count_accepts_what_the_gap_check_accepted(d):
+    diagnostics, expected = Diagnostics(), Diagnostics()
+    assert scan_path(d, diagnostics) == old_scan_path(d, expected)
+    assert [(x.code, x.message) for x in diagnostics] == [(x.code, x.message) for x in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.builds(Point, st.floats(), st.floats()), min_size=2, max_size=12),
+    closed=st.booleans(),
+    precision=st.integers(0, 12),
+)
+def test_points_path_is_the_segment_form(points, closed, precision):
+    parts = [("m", points[0])] + [("l", point) for point in points[1:]]
+    if closed:
+        parts.append(("x", ()))
+    assert _points_path(points, closed, precision) == emit_segments(parts, precision)
 
 
 FAULTS = {
