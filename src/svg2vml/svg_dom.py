@@ -21,7 +21,9 @@ folded in.  Input that is not well-formed is parsed once more as the
 content of a plain <wrapper> element, without its XML declaration, which
 accepts fragments with several top-level elements or text around them; if
 that fails too, the first error is reported as MALFORMED_XML.  Text that
-cannot be encoded as UTF-8 (a lone surrogate) is malformed too.
+cannot be encoded as UTF-8 (a lone surrogate) is malformed too.  Elements
+nested deeper than MAX_DEPTH are left out with their subtrees, and the
+first of them is reported as TOO_DEEP.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ IMPLEMENTED_TAGS = frozenset({
 })
 
 UNKNOWN_TAG = "unknown"
+
+# Mapping and emitting recurse once per level, so the tree is cut at this
+# depth (the root svg is level 1) well inside Python's recursion limit.
+MAX_DEPTH = 200
 
 
 class Point(NamedTuple):
@@ -104,7 +110,9 @@ class _Builder:
     `open` runs from the root to the current element, each the last child
     of the one before it.  Elements outside the first svg only open and
     close their prefix scope.  The pending character data goes to the
-    `slot` ("text", or "tail" once it has ended) of `last`.
+    `slot` ("text", or "tail" once it has ended) of `last`.  An element past
+    MAX_DEPTH is skipped with its subtree and text; `too_deep` keeps the
+    location of the first one.
     """
 
     def __init__(self) -> None:
@@ -118,6 +126,8 @@ class _Builder:
         self.unknown: list[tuple[str, LocationLike]] = []
         self.id_index: dict[str, SvgNode] = {}
         self.duplicate_ids: list[str] = []
+        self.skipped = 0  # open elements past MAX_DEPTH
+        self.too_deep: Optional[LocationLike] = None
 
     def flush(self) -> None:
         if self.last is not None:
@@ -132,6 +142,12 @@ class _Builder:
         if self.data:
             self.flush()
         local = name[name.find(":") + 1 :]
+        if len(self.open) == MAX_DEPTH:
+            if self.too_deep is None:
+                self.too_deep = Location(self.location(), f"/{local}[{len(self.open[-1].children)}]")
+            self.skipped += 1
+            self.last = None
+            return
         if self.open:
             inside_foreign = self.foreign is not None
             tag = local if local in IMPLEMENTED_TAGS and not inside_foreign else UNKNOWN_TAG
@@ -158,6 +174,10 @@ class _Builder:
         self.scopes.pop()
         if self.data:
             self.flush()
+        if self.skipped:
+            self.skipped -= 1
+            self.last = None
+            return
         if not self.open:
             self.last = None
             return
@@ -234,6 +254,10 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
         return None
     for name, location in builder.unknown:
         diagnostics.warning("UNKNOWN_ELEMENT", f"unsupported element <{name}>", location)
+    if builder.too_deep is not None:
+        diagnostics.error(
+            "TOO_DEEP", f"elements nest deeper than {MAX_DEPTH} levels; the deeper ones are skipped", builder.too_deep
+        )
     for node_id in builder.duplicate_ids:
         diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
     return SvgDocument(root=builder.root, id_index=builder.id_index, diagnostics=diagnostics)

@@ -1,5 +1,6 @@
 """Properties of convert_text over arbitrary str input."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,3 +32,15 @@ def test_convert_text_never_raises(text, mode, strict):
     assert output is not None or diagnostics.has_errors
     if strict:
         assert (output is None) == (len(diagnostics) > 0)
+
+
+@pytest.mark.parametrize("mode", ["vml", "xhtml"])
+def test_deep_nesting_is_cut_not_raised(mode):
+    depth = 5000
+    text = '<svg viewBox="0 0 9 9">' + "<g>" * depth + '<rect width="1" height="1"/>' + "</g>" * depth + "</svg>"
+    output, diagnostics = convert_text(text, ConvertOptions(mode=mode))
+    assert diagnostics.codes() == ["TOO_DEEP"]
+    assert output is not None and "rect" not in output
+    strict_output, diagnostics = convert_text(text, ConvertOptions(mode=mode, strict=True))
+    assert strict_output is None
+    assert diagnostics.codes() == ["TOO_DEEP"]

@@ -9,6 +9,7 @@ from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import ConversionError, Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN, parse_number
 from svg2vml.svg_dom import (
+    MAX_DEPTH,
     Point,
     parse_length,
     parse_points,
@@ -190,12 +191,27 @@ class TestReader:
     def test_deep_chain_parses_without_recursion(self):
         depth = 5000
         doc = parse_svg("<svg>" + "<g>" * depth + "</g>" * depth + "</svg>")
-        node, levels = doc.root, 0
+        node, levels = doc.root, 1
         while node.children:
             (node,) = node.children
             levels += 1
-        assert levels == depth
-        assert doc.diagnostics.codes() == []
+        assert levels == MAX_DEPTH
+        assert doc.diagnostics.codes() == ["TOO_DEEP"]
+
+    def test_elements_past_the_depth_cap_are_skipped_once_reported(self):
+        # The root svg is level 1, so the innermost g is at the cap.
+        chain = 'text<g id="deep"><rect id="deeper"/></g>tail<rect id="last"/>'
+        for _ in range(MAX_DEPTH - 1):
+            chain = f"<g>{chain}</g>"
+        doc = parse_svg(f'<svg>{chain}<g><g id="kept"/></g></svg>')
+        assert [(x.severity, x.code) for x in doc.diagnostics] == [("error", "TOO_DEEP")]
+        (diagnostic,) = doc.diagnostics
+        assert diagnostic.location == "svg" + "/g[0]" * (MAX_DEPTH - 1) + "/g[0]"
+        assert sorted(doc.id_index) == ["kept"]
+        innermost = doc.root
+        while innermost.children and innermost.children[0].tag == "g":
+            innermost = innermost.children[0]
+        assert innermost.children == [] and innermost.text == "text"
 
     def test_malformed_input_names_the_syntax_error_not_an_undeclared_prefix(self):
         diags = Diagnostics()
