@@ -1,10 +1,10 @@
 """svg2vml: batch transpiler from an SVG subset to VML/HTML for legacy IE."""
 
-from .cli import convert_text, run
 from .diagnostics import ConversionError, Diagnostic, Diagnostics
 from .emitter import emit_vml_html, emit_xhtml_passthrough
 from .mappers import MapperContext, VmlNode, map_document
 from .options import ConvertOptions
+from .pipeline import convert_text
 from .svg_dom import (
     SvgDocument,
     SvgNode,
@@ -34,6 +34,5 @@ __all__ = [
     "parse_points",
     "parse_svg",
     "parse_view_box",
-    "run",
     "structurally_equal",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: parse, map, emit, report diagnostics.
+"""Command-line front end: read the input, convert it, write it, report diagnostics.
 
 Exit codes: 0 success (warnings allowed unless --strict), 1 conversion
 error, 2 usage error.
@@ -11,31 +11,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .diagnostics import ConversionError, Diagnostics
-from .emitter import emit_vml_html, emit_xhtml_passthrough
-from .mappers import map_document
+from .diagnostics import Diagnostics
 from .options import MODE_VML, MODE_XHTML, ConvertOptions
-from .svg_dom import parse_svg
-
-
-def convert_text(text: str, options: Optional[ConvertOptions] = None) -> tuple[Optional[str], Diagnostics]:
-    """Run the full pipeline on SVG text; returns (output, diagnostics).
-
-    Output is None when the conversion failed outright (unparseable input,
-    or any diagnostic in strict mode).
-    """
-    options = options or ConvertOptions()
-    diagnostics = Diagnostics(strict=options.strict)
-    try:
-        doc = parse_svg(text, diagnostics)
-        if doc is None:
-            return None, diagnostics
-        if options.mode == MODE_XHTML:
-            return emit_xhtml_passthrough(doc, options), diagnostics
-        tree, _ = map_document(doc, options, diagnostics)
-        return emit_vml_html(tree, options), diagnostics
-    except ConversionError:
-        return None, diagnostics
+from .pipeline import convert_text
 
 
 def build_parser() -> argparse.ArgumentParser:

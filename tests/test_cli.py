@@ -75,6 +75,7 @@ class TestConvertCommand:
         )
         assert result.returncode == 0
         assert result.stdout == convert_text(DEMO)[0]
+        assert result.stderr == ""
 
 
 class TestStrictAndDiagnostics:
