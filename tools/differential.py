@@ -82,6 +82,7 @@ FRAGMENT_FAMILIES = (
     "malformed-with-undeclared-prefix",  # a syntax error plus an undeclared prefix
     "doctype-with-undeclared-prefix",  # a DOCTYPE before undeclared prefixes
     "transforms",  # every transformed element family under nested transformed groups
+    "outside-grammar",  # characters outside the number grammar in every numeric attribute
 )
 
 NUMBERS = ("0", "1", "2.5", "-3", ".5", "-.5e-2", "1e3", "2em", "10px", "3pt", "nan", "inf", "abc", "",
@@ -115,6 +116,9 @@ TRANSFORMED_ELEMENTS = (
 # A nested svg's viewBox: mostly space-separated, some with commas, some short.
 NESTED_VIEW_BOXES = ((' viewBox="0 0 10 10"',) * 4
                      + (' viewBox="0,0,10,10"', ' viewBox="0, 0 ,10,10"', ' viewBox="0,0,10"', "", ""))
+# XML-legal characters that are neither separators nor digits in the number
+# grammar: em space, no-break space, ideographic space, NEL, Arabic-Indic three.
+OUTSIDE_GRAMMAR = ("\u2003", "\u00a0", "\u3000", "\u0085", "\u0663")
 TEXTS = ("plain", "a &amp; b", "<![CDATA[x<y]]>", "one <!-- c --> two", "&#38;&#169;", "p<?pi x?>q", "\n  ")
 
 
@@ -225,6 +229,26 @@ def _transformed(rng: random.Random) -> str:
     return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100">{defs}{body}</svg>'
 
 
+def _outside_grammar(rng: random.Random) -> str:
+    """A drawing whose numeric attributes each hold, half the time, one character outside the grammar."""
+
+    def value(text: str) -> str:
+        if rng.random() < 0.5:
+            return text
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(OUTSIDE_GRAMMAR) + text[at:]
+
+    return (
+        f'<svg{SVG_DECLARATIONS} viewBox="{value("0 0 100 100")}" width="{value("100")}" height="100">'
+        f'<defs><linearGradient id="fade" x2="1"><stop offset="{value("0")}" stop-color="red"/>'
+        f'<stop offset="{value("100%")}" stop-color="blue"/></linearGradient></defs>'
+        f'<g transform="{value("translate(3,4) scale(2)")}" opacity="{value("0.5")}">'
+        f'<rect x="{value("5")}" y="1" width="{value("10px")}" height="5" fill="url(#fade)"/>'
+        f'<path d="{value("M 0 0 L 10 10 C 1 2 3 4 5 6 z")}"/>'
+        f'<polyline points="{value("0,0 10,0 20,10")}" opacity="{value("0.75")}"/></g></svg>'
+    )
+
+
 def _fragment(family: str, rng: random.Random) -> str:
     if family == "transforms":
         return _transformed(rng)
@@ -258,12 +282,18 @@ def _fragment(family: str, rng: random.Random) -> str:
 
 
 def build_fragments(seed: int, count: int) -> list[tuple[str, str, str]]:
-    """`count` fragments as (family, name, text), the families in turn; the same for the same seed."""
+    """`count` fragments as (family, name, text), the families in turn; the same for the same seed.
+
+    The outside-grammar family draws from its own generator, so the other
+    families draw the same fragments as before it was added.
+    """
     rng = random.Random(seed)
+    own_rng = random.Random(f"outside-grammar-{seed}")
     fragments = []
     for index in range(count):
         family = FRAGMENT_FAMILIES[index % len(FRAGMENT_FAMILIES)]
-        fragments.append((family, f"{family}-{index}", _fragment(family, rng)))
+        text = _outside_grammar(own_rng) if family == "outside-grammar" else _fragment(family, rng)
+        fragments.append((family, f"{family}-{index}", text))
     return fragments
 
 
