@@ -1,24 +1,44 @@
-"""Shared numeric grammar and deterministic number formatting.
+"""The one number grammar, and deterministic number formatting.
 
-The accepted number grammar is deliberately small: optional sign, digits,
-optional decimal point.  Exponent notation is rejected everywhere so that
-parsing and emission stay symmetric and output never contains "e" forms.
+SVG 1.1's grammar, kept small: sign, ASCII digits, decimal point, no exponent,
+so parsing and emission stay symmetric and output never holds "e" forms.  A
+list splits on runs of space, tab, CR, LF and comma; every parser uses these.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Sequence
+from typing import Optional, Sequence
 
-# Unambiguous on purpose: a run of digits splits between the alternatives in
-# one way only, so anchored matches never backtrack over long digit runs.
-NUMBER_PATTERN = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
+WSP = " \t\r\n"
+SEPARATORS = WSP + ","
+
+# Unambiguous on purpose: a digit run splits between the alternatives one way
+# only, and list numbers need a separator between them, so matches are linear.
+NUMBER_PATTERN = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+NUMBER_LIST_PATTERN = rf"[{SEPARATORS}]*(?:{NUMBER_PATTERN}(?:[{SEPARATORS}]+{NUMBER_PATTERN})*)?[{SEPARATORS}]*"
 
 # Compiled once for every module: NUMBER_RE finds numbers anywhere;
 # NUMBER_TOKEN_RE.match accepts a whole token and nothing else.
 NUMBER_RE = re.compile(NUMBER_PATTERN)
 NUMBER_TOKEN_RE = re.compile(NUMBER_PATTERN + r"\Z")
+_NUMBER_LIST_RE = re.compile(NUMBER_LIST_PATTERN)
+_SPLIT_RE = re.compile(f"[{SEPARATORS}]+")
+
+
+def split_list(text: str) -> list[str]:
+    """The tokens between runs of separators."""
+    return [token for token in _SPLIT_RE.split(text) if token]
+
+
+def read_numbers(text: str) -> Optional[list[float]]:
+    """The numbers of a whole list, or None when a token is not a finite number."""
+    if _NUMBER_LIST_RE.fullmatch(text):
+        numbers = list(map(float, NUMBER_RE.findall(text)))
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    return None
 
 
 def parse_number(token: str) -> float:
@@ -27,7 +47,7 @@ def parse_number(token: str) -> float:
     A token with too many digits for a float overflows to infinity and is
     rejected as well.
     """
-    token = token.strip()
+    token = token.strip(WSP)
     if not NUMBER_TOKEN_RE.match(token):
         raise ValueError(f"invalid number: {token!r}")
     value = float(token)

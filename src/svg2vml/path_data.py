@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_RE, format_numbers
+from .numeric import NUMBER_RE, SEPARATORS, format_numbers
 
 # Not called here; bound because perfbench/spans.py rebinds format_number by
 # name in this module during its traced run.
@@ -54,7 +54,6 @@ ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
 _UNSUPPORTED = {"S", "Q", "T"}
 _ARC = "A"
 
-_SEPARATORS = " \t\r\n,"
 _LETTER_RE = re.compile(r"([A-Za-z])")
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
@@ -118,7 +117,7 @@ def scan_path(
     # Tokens never hold a separator, so every character outside them is one
     # exactly when the letters, the numbers and the separators add up to d.
     tokens = len(pieces) // 2 + len("".join(map("".join, groups)))
-    if tokens + sum(map(d.count, _SEPARATORS)) != len(d):
+    if tokens + sum(map(d.count, SEPARATORS)) != len(d):
         diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
         return []
     if groups[0]:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import format_number
-from .svg_dom import SvgDocument, SvgNode, parse_length, parse_number
+from .numeric import WSP, format_number, parse_number
+from .svg_dom import SvgDocument, SvgNode, parse_length
 
 # SVG stroke attribute -> v:stroke attribute.
 STROKE_TABLE = {
@@ -62,10 +62,10 @@ def map_opacity(
 def _stop_offset(value: Optional[str]) -> Optional[float]:
     if value is None:
         return None
-    token = value.strip()
+    token = value.strip(WSP)
     scale = 1.0
     if token.endswith("%"):
-        token = token[:-1].strip()
+        token = token[:-1].strip(WSP)
         scale = 0.01
     try:
         return parse_number(token) * scale

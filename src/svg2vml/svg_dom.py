@@ -24,6 +24,9 @@ that fails too, the first error is reported as MALFORMED_XML.  Text that
 cannot be encoded as UTF-8 (a lone surrogate) is malformed too.  Elements
 nested deeper than MAX_DEPTH are left out with their subtrees, and the
 first of them is reported as TOO_DEEP.
+
+viewBox, points and lengths read numbers and separators through `numeric`;
+any other character there is an error under the attribute's own code.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple, Optional
 from xml.parsers import expat
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import NUMBER_PATTERN, NUMBER_RE, parse_number
+from .numeric import NUMBER_PATTERN, NUMBER_RE, WSP, parse_number, read_numbers, split_list
 
 SVG_NS = "http://www.w3.org/2000/svg"
 XLINK_NS = "http://www.w3.org/1999/xlink"
@@ -263,26 +266,21 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     return SvgDocument(root=builder.root, id_index=builder.id_index, diagnostics=diagnostics)
 
 
-# Separators in a number list: runs of whitespace and commas.
-_LIST_SPLIT_RE = re.compile(r"[\s,]+")
-
-
 def parse_view_box(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> Optional[ViewBox]:
-    """Parse a viewBox value: four numbers separated by whitespace and/or commas."""
+    """Parse a viewBox value: a list of four numbers."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    tokens = [token for token in _LIST_SPLIT_RE.split(value) if token]
+    numbers = read_numbers(value)
+    tokens = numbers if numbers is not None else split_list(value)
     if len(tokens) != 4:
         diagnostics.error(
             "BAD_VIEWBOX", f"viewBox needs 4 numbers, got {len(tokens)}: {value!r}", location
         )
         return None
-    try:
-        numbers = [parse_number(token) for token in tokens]
-    except ValueError:
+    if numbers is None:
         diagnostics.error("BAD_VIEWBOX", f"non-numeric viewBox token in {value!r}", location)
         return None
     box = ViewBox(*numbers)
@@ -292,31 +290,19 @@ def parse_view_box(
     return box
 
 
-# A whole points list in the strict number grammar.  Numbers need a
-# separator between them, so the check is linear in the list's length.
-_POINTS_RE = re.compile(rf"[\s,]*(?:{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*)?[\s,]*")
-
-
 def parse_points(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> list[Point]:
-    """Parse a points list: x,y pairs separated by commas and/or whitespace."""
+    """Parse a points list: a list of x,y pairs."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    coords = None
-    if _POINTS_RE.fullmatch(value):
-        coords = list(map(float, NUMBER_RE.findall(value)))
-        if not all(map(math.isfinite, coords)):
-            coords = None
+    coords = read_numbers(value)
     if coords is None:
-        # Slow path, only to name the first bad token.
-        coords = []
-        for token in _LIST_SPLIT_RE.split(value.strip()):
-            if not token:
-                continue
+        # Only to name the first bad token; a list the grammar rejects holds one.
+        for token in split_list(value):
             try:
-                coords.append(parse_number(token))
+                parse_number(token)
             except ValueError:
                 diagnostics.error("BAD_POINTS", f"non-numeric coordinate {token!r}", location)
                 return []
@@ -327,8 +313,8 @@ def parse_points(
 
 
 # A whole valid length: the number grammar with an optional "px" suffix,
-# whitespace allowed around both, as the slow path below reads it.
-_LENGTH_RE = re.compile(rf"\s*({NUMBER_PATTERN})(?:\s*px)?\s*")
+# white space allowed around both, as the slow path below reads it.
+_LENGTH_RE = re.compile(rf"[{WSP}]*({NUMBER_PATTERN})(?:[{WSP}]*px)?[{WSP}]*")
 
 
 def parse_length(
@@ -349,16 +335,13 @@ def parse_length(
     if diagnostics is None:
         return None
     # Slow path, only to word the diagnostic.
-    token = value.strip()
+    token = value.strip(WSP)
     if token.endswith("px"):
-        token = token[:-2].strip()
+        token = token[:-2].strip(WSP)
     suffix = NUMBER_RE.match(token)
-    if suffix and token[suffix.end():].strip():
-        diagnostics.error(
-            "UNSUPPORTED_UNIT",
-            f"unsupported length unit {token[suffix.end():].strip()!r} in {value!r}",
-            location,
-        )
+    unit = token[suffix.end():].strip(WSP) if suffix else ""
+    if unit:
+        diagnostics.error("UNSUPPORTED_UNIT", f"unsupported length unit {unit!r} in {value!r}", location)
     else:
         diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
     return None

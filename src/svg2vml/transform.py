@@ -14,13 +14,13 @@ simulation strategy:
 * distribute      g: the group's transform list is prepended to each child's
 
 A transform list is read in one regex pass when the whole list matches the
-grammar; the call-by-call scanner runs only for the rest, and words the
-BAD_TRANSFORM message.  A Chain holds a list with its left-to-right product:
-a group extends its parent's chain by its own list, so the product of a
-group's list is composed once for all its descendants, and a leaf extends
-it by its own list only.  The SINGULAR_SKEW messages met while composing
-travel with the chain and are reported at each element that uses its
-product, as if that element had composed the whole list itself.
+grammar, with `numeric`'s number lists as arguments; a scanner reads the
+rest and words the BAD_TRANSFORM message.  A Chain holds a list with its
+left-to-right product: a group extends its parent's chain by its own list,
+so the product of a group's list is composed once for all its descendants,
+and a leaf extends it by its own list only.  The SINGULAR_SKEW messages met
+while composing travel with the chain and are reported at each element that
+uses its product, as if that element had composed the whole list itself.
 
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
@@ -47,7 +47,9 @@ import re
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_PATTERN, NUMBER_RE, NUMBER_TOKEN_RE, format_number, format_numbers
+from .numeric import (
+    NUMBER_LIST_PATTERN, NUMBER_RE, NUMBER_TOKEN_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
+)
 from .svg_dom import Point
 
 
@@ -106,15 +108,11 @@ _FUNCTIONS = {
     "skewY": (skew_y, (1,)),
 }
 
-_FUNCTION_RE = re.compile(r"([A-Za-z]+)\s*\(([^)]*)\)")
-_ARG_SPLIT_RE = re.compile(r"[\s,]+")
+_FUNCTION_RE = re.compile(rf"([A-Za-z]+)[{WSP}]*\(([^)]*)\)")
 
-
-# The whole list grammar: calls with one or more numbers, split by whitespace
-# or commas, between runs of the characters the scanner allows between calls.
+# The whole list grammar: calls with number lists, between runs of separators.
 _LIST_RE = re.compile(
-    rf"[ \t\r\n,]*(?:(?:{'|'.join(_FUNCTIONS)})\s*\(\s*{NUMBER_PATTERN}(?:[\s,]+{NUMBER_PATTERN})*\s*\)"
-    r"[ \t\r\n,]*)*"
+    rf"[{SEPARATORS}]*(?:(?:{'|'.join(_FUNCTIONS)})[{WSP}]*\({NUMBER_LIST_PATTERN}\)[{SEPARATORS}]*)*"
 )
 
 
@@ -154,8 +152,8 @@ def _scan_transform_list(
     position = 0
     for found in _FUNCTION_RE.finditer(value):
         gap = value[position : found.start()]
-        if gap.strip(" \t\r\n,"):
-            diagnostics.error("BAD_TRANSFORM", f"unparseable transform text {gap.strip()!r}", location)
+        if gap.strip(SEPARATORS):
+            diagnostics.error("BAD_TRANSFORM", f"unparseable transform text {gap.strip(WSP)!r}", location)
             return []
         position = found.end()
         name, raw_args = found.group(1), found.group(2)
@@ -163,7 +161,7 @@ def _scan_transform_list(
             diagnostics.error("BAD_TRANSFORM", f"unknown transform function {name!r}", location)
             return []
         constructor, counts = _FUNCTIONS[name]
-        tokens = [t for t in _ARG_SPLIT_RE.split(raw_args.strip()) if t]
+        tokens = split_list(raw_args)
         if len(tokens) not in counts:
             diagnostics.error(
                 "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
@@ -177,9 +175,9 @@ def _scan_transform_list(
             diagnostics.error("BAD_TRANSFORM", f"argument out of range in {name}({raw_args})", location)
             return []
         ops.append(constructor(*args))
-    if value[position:].strip(" \t\r\n,"):
+    if value[position:].strip(SEPARATORS):
         diagnostics.error(
-            "BAD_TRANSFORM", f"trailing transform text {value[position:].strip()!r}", location
+            "BAD_TRANSFORM", f"trailing transform text {value[position:].strip(WSP)!r}", location
         )
         return []
     return ops

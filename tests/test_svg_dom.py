@@ -372,19 +372,23 @@ class TestParseLength:
         assert parse_length(value) == reference
 
 
+# SVG 1.1 white space: the only characters a length may have around it.
+SVG_WSP = " \t\r\n"
+
+
 def reference_parse_length(value, diagnostics, location):
-    """parse_length as it was before its validate-first fast path."""
-    token = value.strip()
+    """parse_length as it was before its validate-first fast path, stripping SVG white space only."""
+    token = value.strip(SVG_WSP)
     if token.endswith("px"):
-        token = token[:-2].strip()
+        token = token[:-2].strip(SVG_WSP)
     try:
         return parse_number(token)
     except ValueError:
         suffix = re.match(NUMBER_PATTERN, token)
-        if suffix and token[suffix.end():].strip():
+        if suffix and token[suffix.end():].strip(SVG_WSP):
             diagnostics.error(
                 "UNSUPPORTED_UNIT",
-                f"unsupported length unit {token[suffix.end():].strip()!r} in {value!r}",
+                f"unsupported length unit {token[suffix.end():].strip(SVG_WSP)!r} in {value!r}",
                 location,
             )
         else:
