@@ -39,7 +39,7 @@ from .style import (
     map_stroke_attribute,
     resolve_fill_reference,
 )
-from .svg_dom import Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
+from .svg_dom import MAX_DEPTH, Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 # compose_ctm takes no part in mapping, where each Chain composes its own
 # list; it stays bound here because perfbench/spans.py rebinds it by name.
 from .transform import (  # noqa: F401
@@ -88,10 +88,11 @@ class MapperContext:
     chain: Chain = EMPTY_CHAIN
     ref_stack: frozenset = frozenset()
     location: LocationLike = "svg"
+    depth: int = 1  # the root svg is level 1; each child and each use hop adds one
 
     def at(self, step: str) -> "MapperContext":
         """The context for a child element; step is "/name[index]"."""
-        return self.derive(location=Location(self.location, step))
+        return self.derive(location=Location(self.location, step), depth=self.depth + 1)
 
     def derive(self, **changes) -> "MapperContext":
         """A copy with the given fields changed.
@@ -585,7 +586,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if target is None:
         return None
     ref_id = target.attr("id") or ""
-    child_ctx = ctx.derive(ref_stack=ctx.ref_stack | {ref_id})
+    child_ctx = ctx.derive(ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
     mapped = _map_node(target, child_ctx)
     if mapped is not None:
         div.children.append(mapped)
@@ -645,6 +646,12 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
 }
 
 def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+    if ctx.depth > MAX_DEPTH:
+        # Parsing caps the tree, but use targets stack their depth on the use's.
+        if "TOO_DEEP" not in ctx.diagnostics.codes():
+            message = f"elements nest deeper than {MAX_DEPTH} levels through use; the deeper ones are skipped"
+            ctx.diagnostics.error("TOO_DEEP", message, ctx.location)
+        return None
     mapper = _MAPPERS.get(node.tag)
     if mapper is not None:
         return mapper(node, ctx)

@@ -53,7 +53,8 @@ IMPLEMENTED_TAGS = frozenset({
 UNKNOWN_TAG = "unknown"
 
 # Mapping and emitting recurse once per level, so the tree is cut at this
-# depth (the root svg is level 1) well inside Python's recursion limit.
+# depth (the root svg is level 1) well inside Python's recursion limit, and
+# mapping counts each use hop as one more level against the same cap.
 MAX_DEPTH = 200
 
 

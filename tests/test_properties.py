@@ -44,3 +44,37 @@ def test_deep_nesting_is_cut_not_raised(mode):
     strict_output, diagnostics = convert_text(text, ConvertOptions(mode=mode, strict=True))
     assert strict_output is None
     assert diagnostics.codes() == ["TOO_DEEP"]
+
+
+def _use_under_groups():
+    """A use under 190 nested groups whose target is a 190-deep chain."""
+    target = "<g>" * 189 + '<rect width="1" height="1"/>' + "</g>" * 189
+    use = "<g>" * 190 + '<use xlink:href="#t"/>' + "</g>" * 190
+    return f'<svg viewBox="0 0 9 9"><defs><g id="t">{target}</g></defs>{use}</svg>'
+
+
+def _linked_chains():
+    """Six defs targets, each a 150-deep chain ending in a use of the next."""
+    defs = ""
+    for index in range(6):
+        inner = f'<use xlink:href="#c{index + 1}"/>' if index < 5 else '<rect width="1" height="1"/>'
+        defs += f'<g id="c{index}">' + "<g>" * 149 + inner + "</g>" * 149 + "</g>"
+    return f'<svg viewBox="0 0 9 9"><defs>{defs}</defs><use xlink:href="#c0"/></svg>'
+
+
+def _flat_use_chain(hops=3000):
+    """A flat chain of use hops in defs, each use referring to the next."""
+    uses = "".join(f'<use id="u{index}" xlink:href="#u{index + 1}"/>' for index in range(hops))
+    return f'<svg viewBox="0 0 9 9"><defs>{uses}<rect id="u{hops}" width="1" height="1"/></defs></svg>'
+
+
+@pytest.mark.parametrize("build", [_use_under_groups, _linked_chains, _flat_use_chain])
+def test_use_chains_are_cut_at_the_depth_cap_not_raised(build):
+    # Each stays inside the parse cap; only mapping through use goes deeper.
+    text = build()
+    output, diagnostics = convert_text(text)
+    assert diagnostics.codes() == ["TOO_DEEP"]
+    assert output is not None
+    strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
+    assert strict_output is None
+    assert diagnostics.codes() == ["TOO_DEEP"]
