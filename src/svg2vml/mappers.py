@@ -92,7 +92,9 @@ class MapperContext:
 
     def at(self, step: str) -> "MapperContext":
         """The context for a child element; step is "/name[index]"."""
-        return self.derive(location=Location(self.location, step), depth=self.depth + 1)
+        derived = object.__new__(MapperContext)  # derive's copy, inlined: this runs once per child
+        derived.__dict__.update(self.__dict__, location=Location(self.location, step), depth=self.depth + 1)
+        return derived
 
     def derive(self, **changes) -> "MapperContext":
         """A copy with the given fields changed.
