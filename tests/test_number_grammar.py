@@ -33,16 +33,18 @@ def _stop_offset(value, diagnostics):
     return resolve_gradient(gradient, diagnostics)
 
 
-# name: (reader taking (text, diagnostics), text with {c} where the character
-# goes, the reader's own code, whether {c} splits a list)
+# name: (reader taking (text, diagnostics), text with a {c} slot wherever the
+# grammar allows white space, the reader's own code, whether a comma may stand
+# in every slot)
 PARSERS = {
     "d": (scan_path, "M 1{c}2 L 3{c}4", "BAD_PATH", True),
     "points": (parse_points, "1{c}2 3{c}4", "BAD_POINTS", True),
     "viewBox": (parse_view_box, "0{c}0 10{c}10", "BAD_VIEWBOX", True),
-    "transform": (parse_transform_list, "translate(1{c}2) scale(3{c}4)", "BAD_TRANSFORM", True),
-    "length": (parse_length, "{c}5{c}", "UNSUPPORTED_UNIT", False),
+    "transform": (parse_transform_list, "translate(1{c}2){c}scale(3{c}4)", "BAD_TRANSFORM", True),
+    "transform call": (parse_transform_list, "rotate{c}({c}30{c})", "BAD_TRANSFORM", False),
+    "length": (parse_length, "{c}5{c}px{c}", "UNSUPPORTED_UNIT", False),
     "opacity": (_opacity, "{c}0.5{c}", "BAD_ATTRIBUTE", False),
-    "stop offset": (_stop_offset, "{c}0{c}", "UNSUPPORTED_GRADIENT", False),
+    "stop offset": (_stop_offset, "{c}0{c}%{c}", "UNSUPPORTED_GRADIENT", False),
 }
 
 WHITE_SPACE = [" ", "\t", "\r", "\n"]
@@ -51,7 +53,7 @@ WHITE_SPACE = [" ", "\t", "\r", "\n"]
 OUTSIDE = ["\u2003", "\u00a0", "\f", "\v", "\u0085", "\u0663"]
 
 ACCEPTED = [
-    (name, c) for name, (_, _, _, is_list) in PARSERS.items() for c in WHITE_SPACE + ([","] if is_list else [])
+    (name, c) for name, (_, _, _, commas) in PARSERS.items() for c in WHITE_SPACE + ([","] if commas else [])
 ]
 REJECTED = [(name, c) for name in PARSERS for c in OUTSIDE]
 
@@ -61,19 +63,26 @@ def _id(case):
     return f"{name}-U+{ord(c):04X}"
 
 
+def _fill(text, c, slot=None):
+    """The text with c in every slot, or in the given slot only and a space in the others."""
+    first, *rest = text.split("{c}")
+    return first + "".join((c if slot in (None, index) else " ") + part for index, part in enumerate(rest))
+
+
 @pytest.mark.parametrize("name,c", ACCEPTED, ids=map(_id, ACCEPTED))
 def test_each_parser_accepts_the_separators(name, c):
     read, text, _, _ = PARSERS[name]
-    plain = read(text.format(c=" "), Diagnostics())
+    plain = read(_fill(text, " "), Diagnostics())
     assert plain
     diagnostics = Diagnostics()
-    assert read(text.format(c=c), diagnostics) == plain
+    assert read(_fill(text, c), diagnostics) == plain
     assert diagnostics.codes() == []
 
 
 @pytest.mark.parametrize("name,c", REJECTED, ids=map(_id, REJECTED))
 def test_each_parser_rejects_characters_outside_the_grammar(name, c):
     read, text, code, _ = PARSERS[name]
-    diagnostics = Diagnostics()
-    assert not read(text.format(c=c), diagnostics)
-    assert diagnostics.codes() == [code]
+    for slot in range(text.count("{c}")):
+        diagnostics = Diagnostics()
+        assert not read(_fill(text, c, slot), diagnostics), slot
+        assert diagnostics.codes() == [code], slot
