@@ -434,7 +434,6 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     closed = node.tag == "polygon"
     chain = _effective_chain(node, ctx)
     if chain.ops:
-        chain.report_singular(ctx.diagnostics, ctx.location)
         # The points as read are finite, so only the transform can overflow.
         path = _points_path(recalc_points(chain.ctm, points), closed, ctx.options.precision)
         if is_finite_path(path):

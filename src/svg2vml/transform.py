@@ -14,13 +14,13 @@ simulation strategy:
 * distribute      g: the group's transform list is prepended to each child's
 
 A transform list is read in one regex pass when the whole list matches the
-grammar, with `numeric`'s number lists as arguments; a scanner reads the
-rest and words the BAD_TRANSFORM message.  A Chain holds a list with its
+grammar, with `numeric`'s number lists as arguments, and holds no skew on
+the tangent pole; a scanner reads the rest and words its diagnostics: the
+BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
+where the list is read.  A Chain is plain data, a list with its
 left-to-right product: a group extends its parent's chain by its own list,
 so the product of a group's list is composed once for all its descendants,
-and a leaf extends it by its own list only.  The SINGULAR_SKEW messages met
-while composing travel with the chain and are reported at each element that
-uses its product, as if that element had composed the whole list itself.
+and a leaf extends it by its own list only.
 
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
@@ -124,8 +124,9 @@ def parse_transform_list(
     """Parse a transform attribute into ops, filling in default arguments.
 
     A list the grammar accepts whole, with finite arguments in counts the
-    functions take, is read in one pass; anything else goes to the scanner,
-    which decides and words the BAD_TRANSFORM message.
+    functions take and no skew on the tangent pole, is read in one pass;
+    anything else goes to the scanner, which decides and words the
+    diagnostics.
     """
     if _LIST_RE.fullmatch(value):
         ops = []
@@ -136,7 +137,8 @@ def parse_transform_list(
                 break
             ops.append(constructor(*args))
         else:
-            return ops
+            if not any(map(_is_singular, ops)):
+                return ops
     return _scan_transform_list(value, diagnostics, location)
 
 
@@ -146,7 +148,8 @@ def _scan_transform_list(
     location: LocationLike = "",
 ) -> list[TransformOp]:
     """Scan a transform list call by call; the first fault is reported and
-    the whole list dropped."""
+    the whole list dropped.  A list that reads keeps its pole skews, each
+    reported as SINGULAR_SKEW."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     ops: list[TransformOp] = []
     position = 0
@@ -180,6 +183,9 @@ def _scan_transform_list(
             "BAD_TRANSFORM", f"trailing transform text {value[position:].strip(WSP)!r}", location
         )
         return []
+    for op in filter(_is_singular, ops):
+        message = f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
+        diagnostics.error("SINGULAR_SKEW", message, location)
     return ops
 
 
@@ -199,20 +205,15 @@ def _is_tangent_pole(angle_deg: float) -> bool:
     return math.isclose(math.fmod(abs(angle_deg), 180.0), 90.0, abs_tol=1e-12)
 
 
-def _singular_skew_message(op: TransformOp) -> str:
-    return f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
+def _is_singular(op: TransformOp) -> bool:
+    return op.name in ("skewX", "skewY") and _is_tangent_pole(op.args[0])
 
 
-def op_to_matrix(
-    op: TransformOp,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> TransformMatrix:
+def op_to_matrix(op: TransformOp) -> TransformMatrix:
     """Equivalent matrix of a single transform definition.
 
-    Skews at 90 + k*180 degrees hit the tangent pole; they record a
-    SINGULAR_SKEW error, when given diagnostics, and fall back to IDENTITY
-    itself, the one matrix no other op returns.
+    Skews at 90 + k*180 degrees hit the tangent pole and count as the
+    identity; parse_transform_list reports them.
     """
     name, args = op
     if name == "matrix":
@@ -233,8 +234,6 @@ def op_to_matrix(
         return multiply(shifted, TransformMatrix(1, 0, 0, 1, -cx, -cy))
     if name in ("skewX", "skewY"):
         if _is_tangent_pole(args[0]):
-            if diagnostics is not None:
-                diagnostics.error("SINGULAR_SKEW", _singular_skew_message(op), location)
             return IDENTITY
         t = math.tan(math.radians(args[0]))
         if name == "skewX":
@@ -246,14 +245,11 @@ def op_to_matrix(
 class Chain(NamedTuple):
     """A transform list with its left-to-right product, composed once.
 
-    A group's chain is shared by everything under it.  singular holds the
-    SINGULAR_SKEW messages met while composing; each element that uses the
-    product reports them at its own location (report_singular).
+    A group's chain is shared by everything under it.
     """
 
     ops: tuple[TransformOp, ...]
     ctm: TransformMatrix
-    singular: tuple[str, ...]
 
     def extend(self, ops: Sequence[TransformOp]) -> "Chain":
         """This chain followed by ops.
@@ -263,32 +259,18 @@ class Chain(NamedTuple):
         """
         if not ops:
             return self
-        ctm, singular = self.ctm, self.singular
+        ctm = self.ctm
         for op in ops:
-            factor = op_to_matrix(op)
-            if factor is IDENTITY:
-                singular += (_singular_skew_message(op),)
-            ctm = multiply(ctm, factor)
-        return Chain(self.ops + tuple(ops), ctm, singular)
-
-    def report_singular(self, diagnostics: Diagnostics, location: LocationLike) -> None:
-        for message in self.singular:
-            diagnostics.error("SINGULAR_SKEW", message, location)
+            ctm = multiply(ctm, op_to_matrix(op))
+        return Chain(self.ops + tuple(ops), ctm)
 
 
-EMPTY_CHAIN = Chain((), IDENTITY, ())
+EMPTY_CHAIN = Chain((), IDENTITY)
 
 
-def compose_ctm(
-    ops: Sequence[TransformOp],
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> TransformMatrix:
+def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
     """Left-to-right product of a transform list; empty list is identity."""
-    chain = EMPTY_CHAIN.extend(ops)
-    if diagnostics is not None:
-        chain.report_singular(diagnostics, location)
-    return chain.ctm
+    return EMPTY_CHAIN.extend(ops).ctm
 
 
 def apply_to_point(m: TransformMatrix, point: Point) -> Point:
@@ -487,8 +469,7 @@ def place(
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
     has no rule for the list or BAD_TRANSFORM when a value to be written
-    overflows; the element then stays untransformed.  The chain's
-    SINGULAR_SKEW messages are reported here, where its product is used.
+    overflows; the element then stays untransformed.
     """
     rule = STRATEGIES.get(strategy)
     if rule is None:
@@ -512,7 +493,6 @@ def place(
         shift = (-centre[0], -centre[1]) if centre and rule.rotation == ROTATE_ABOUT_CENTRE else None
         offset = _rotate_offset(angle, box, *centre)
     else:
-        chain.report_singular(diagnostics, location)
         ctm = chain.ctm
         shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
         linear = None if ctm[:4] == IDENTITY[:4] else ctm

@@ -7,7 +7,7 @@ from conftest import rejects, wrap_svg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svg2vml import convert_text
+from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.svg_dom import Point
 from svg2vml.transform import (
@@ -225,8 +225,9 @@ class TestOpToMatrix:
 
     @pytest.mark.parametrize("angle", [90, -90, 270, 450])
     def test_singular_skew(self, angle, diags):
-        op_to_matrix(skew_x(angle), diags)
-        assert "SINGULAR_SKEW" in diags.codes()
+        (op,) = parse_transform_list(f"skewX({angle})", diags, "here")
+        assert op_to_matrix(op) == IDENTITY
+        assert [(d.code, d.location) for d in diags] == [("SINGULAR_SKEW", "here")]
 
 
 class TestComposeCtm:
@@ -531,13 +532,13 @@ _OPS = st.one_of(
 def test_place_either_places_finite_values_or_reports_one_error(strategy, ops, box, root, precision):
     diags = Diagnostics()
     placed = place(strategy, EMPTY_CHAIN.extend(ops), box, root, precision, diags)
-    # A tangent-pole skew reports SINGULAR_SKEW and composes as the identity;
-    # place() itself reports at most one error, and only when it places nothing.
-    own = [code for code in diags.codes() if code != "SINGULAR_SKEW"]
+    # A tangent-pole skew composes as the identity; it was reported when its
+    # list was read.  place() reports at most one error, and only when it
+    # places nothing.
+    codes = diags.codes()
     assert all(d.severity == "error" for d in diags)
-    assert diags.codes().count("SINGULAR_SKEW") <= sum(op.name in ("skewX", "skewY") for op in ops)
-    assert own in ([], ["UNSUPPORTED_TRANSFORM"], ["BAD_TRANSFORM"])
-    assert (placed is None) == (len(own) == 1)
+    assert codes in ([], ["UNSUPPORTED_TRANSFORM"], ["BAD_TRANSFORM"])
+    assert (placed is None) == (len(codes) == 1)
     if placed is not None:
         assert all(map(math.isfinite, (*(placed.origin or ()), *placed.offset)))
         for text in (*(placed.skew or {}).values(), placed.filter or ""):
@@ -579,7 +580,47 @@ def test_nested_groups_map_like_the_leaf_carrying_the_whole_list(leaf, group_lis
     nested_output, nested_diagnostics = convert_text(wrap_svg(nested))
     flat_output, flat_diagnostics = convert_text(wrap_svg(flat))
     assert nested_output == flat_output
-    assert [str(d) for d in nested_diagnostics] == [str(d) for d in flat_diagnostics]
+    assert [(d.code, d.message) for d in nested_diagnostics] == [(d.code, d.message) for d in flat_diagnostics]
+    assert [str(d) for d in nested_diagnostics if d.code != "SINGULAR_SKEW"] == [
+        str(d) for d in flat_diagnostics if d.code != "SINGULAR_SKEW"
+    ]
+    # Each tangent-pole skew is reported once, at the list that holds it.
+    leaf_name = leaf[1 : leaf.index(" ")]
+    holders = [(ops, "/g[0]" * (depth + 1)) for depth, ops in enumerate(group_lists)]
+    holders.append((own, "/g[0]" * len(group_lists) + f"/{leaf_name}[0]"))
+    expected = [f"svg{path}@transform" for ops, path in holders for op in ops if _on_tangent_pole(op)]
+    assert [d.location for d in nested_diagnostics if d.code == "SINGULAR_SKEW"] == expected
+
+
+def _on_tangent_pole(op) -> bool:
+    """A skew at 90 + k*180 degrees."""
+    return op.name in ("skewX", "skewY") and math.isclose(math.fmod(abs(op.args[0]), 180.0), 90.0, abs_tol=1e-12)
+
+
+_RECTS = '<rect width="4" height="3"/>' * 5
+
+
+@pytest.mark.parametrize(
+    "children", ["", '<a xlink:href="#x"/>', _RECTS], ids=["empty", "anchor", "five-rects"]
+)
+def test_a_group_skew_on_the_pole_is_reported_once_at_its_list(children):
+    text = wrap_svg(f'<g transform="skewX(90)">{children}</g>')
+    output, diagnostics = convert_text(text)
+    assert output is not None
+    assert [str(d) for d in diagnostics] == [
+        "error SINGULAR_SKEW: skewX(90) is undefined (tangent pole) @svg/g[0]@transform"
+    ]
+    strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
+    assert strict_output is None
+    assert diagnostics.codes() == ["SINGULAR_SKEW"]
+
+
+def test_a_pole_skew_in_an_unsupported_list_is_a_second_fault():
+    _, diagnostics = convert_text(wrap_svg('<rect width="4" height="3" transform="skewY(-90) rotate(30)"/>'))
+    assert [(d.code, d.location) for d in diagnostics] == [
+        ("SINGULAR_SKEW", "svg/rect[0]@transform"),
+        ("UNSUPPORTED_TRANSFORM", "svg/rect[0]"),
+    ]
 
 
 # --- support matrix --------------------------------------------------------------
