@@ -337,12 +337,11 @@ def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """rect -> v:roundrect; rx/ry become the arcsize rounding ratio."""
+    mark = len(ctx.diagnostics)
     width = _length(ctx, node, "width")
     height = _length(ctx, node, "height")
     if width is None or height is None or width <= 0 or height <= 0:
-        ctx.diagnostics.warning(
-            "DEGENERATE_SHAPE", "rect needs positive width and height; skipped", ctx.location
-        )
+        _report_degenerate(ctx, mark, "rect needs positive width and height; skipped")
         return None
     x = _length(ctx, node, "x")
     y = _length(ctx, node, "y")
@@ -373,6 +372,12 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return shape
 
 
+def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
+    """A DEGENERATE_SHAPE warning, unless a length read after mark was already reported."""
+    if not ctx.diagnostics.errors_since(mark):
+        ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
+
+
 def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Optional[VmlNode]:
     if rx < 0 or ry < 0:
         ctx.diagnostics.error("DEGENERATE_SHAPE", "negative radius", ctx.location)
@@ -397,21 +402,21 @@ def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Option
 
 def map_circle(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """circle -> v:oval with left/top/width/height derived from cx, cy, r."""
+    mark = len(ctx.diagnostics)
     r = _length(ctx, node, "r")
     if r is None:
-        ctx.diagnostics.warning("DEGENERATE_SHAPE", "circle without r; skipped", ctx.location)
+        _report_degenerate(ctx, mark, "circle without r; skipped")
         return None
     return _map_oval(node, ctx, r, r)
 
 
 def map_ellipse(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """ellipse -> v:oval with left/top/width/height derived from cx, cy, rx, ry."""
+    mark = len(ctx.diagnostics)
     rx = _length(ctx, node, "rx")
     ry = _length(ctx, node, "ry")
     if rx is None or ry is None:
-        ctx.diagnostics.warning(
-            "DEGENERATE_SHAPE", "ellipse without rx/ry; skipped", ctx.location
-        )
+        _report_degenerate(ctx, mark, "ellipse without rx/ry; skipped")
         return None
     return _map_oval(node, ctx, rx, ry)
 

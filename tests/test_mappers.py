@@ -83,6 +83,12 @@ class TestRect:
         assert find_all(tree, "v:roundrect") == []
         assert "DEGENERATE_SHAPE" in diags.codes()
 
+    @pytest.mark.parametrize("attrs", ['width="2em" height="1"', 'width="2em" height="0"'])
+    def test_unreadable_width_is_one_diagnostic(self, attrs):
+        tree, diags = map_snippet(f"<rect {attrs}/>")
+        assert find_all(tree, "v:roundrect") == []
+        assert [(d.code, d.location) for d in diags] == [("UNSUPPORTED_UNIT", "svg/rect[0]@width")]
+
 
 class TestCircleAndEllipse:
     def test_origin_cornered_circle(self):
@@ -99,6 +105,16 @@ class TestCircleAndEllipse:
         tree, _ = map_snippet('<ellipse cx="100" cy="50" rx="30" ry="10"/>')
         oval = find_one(tree, "v:oval")
         assert oval.style == {"left": "70", "top": "40", "width": "60", "height": "20"}
+
+    @pytest.mark.parametrize(
+        "element,attribute",
+        [('<circle r="2em"/>', "svg/circle[0]@r"), ('<ellipse rx="1" ry="2em"/>', "svg/ellipse[0]@ry")],
+        ids=["circle", "ellipse"],
+    )
+    def test_unreadable_radius_is_one_diagnostic(self, element, attribute):
+        tree, diags = map_snippet(element)
+        assert find_all(tree, "v:oval") == []
+        assert [(d.code, d.location) for d in diags] == [("UNSUPPORTED_UNIT", attribute)]
 
     def test_negative_radius_is_error(self):
         tree, diags = map_snippet('<circle cx="1" cy="1" r="-4"/>')
