@@ -39,7 +39,7 @@ from .style import (
     map_stroke_attribute,
     resolve_fill_reference,
 )
-from .svg_dom import MAX_DEPTH, Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
+from .svg_dom import MAX_DEPTH, MAX_EXPANSION, Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
 # compose_ctm takes no part in mapping, where each Chain composes its own
 # list; it stays bound here because perfbench/spans.py rebinds it by name.
 from .transform import (  # noqa: F401
@@ -84,6 +84,7 @@ class MapperContext:
     root_size: RootSize
     options: ConvertOptions
     diagnostics: Diagnostics
+    budget: list[int]  # mapper calls left, one counter shared by every context of a document
     inherited: dict[str, str] = field(default_factory=dict)
     chain: Chain = EMPTY_CHAIN
     ref_stack: frozenset = frozenset()
@@ -660,7 +661,13 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
     mapper = _MAPPERS.get(node.tag)
     if mapper is not None:
-        return mapper(node, ctx)
+        ctx.budget[0] -= 1
+        if ctx.budget[0] >= 0:
+            return mapper(node, ctx)
+        if ctx.budget[0] == -1:
+            message = f"use copies map more than {MAX_EXPANSION} elements per parsed element; the rest are skipped"
+            ctx.diagnostics.error("EXPANSION_LIMIT", message, ctx.location)
+        return None
     # Gradients and stops show through the fills that reference them, and
     # parsing already reported unknown elements; an orphaned textPath
     # (outside a text parent) is the one element skipped here.
@@ -692,5 +699,6 @@ def map_document(
         root_size=RootSize(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
+        budget=[MAX_EXPANSION * doc.elements],
     )
     return map_svg_root(doc.root, ctx), diagnostics

@@ -57,6 +57,10 @@ UNKNOWN_TAG = "unknown"
 # mapping counts each use hop as one more level against the same cap.
 MAX_DEPTH = 200
 
+# use references can copy a subtree many times over; mapping stops after
+# this many mapped elements per element the parser kept.
+MAX_EXPANSION = 16
+
 
 class Point(NamedTuple):
     x: float
@@ -100,6 +104,7 @@ class SvgDocument:
     root: SvgNode
     id_index: dict[str, SvgNode]
     diagnostics: Diagnostics
+    elements: int  # the nodes of the tree, the root included
 
 
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>", re.DOTALL)
@@ -131,6 +136,7 @@ class _Builder:
         self.id_index: dict[str, SvgNode] = {}
         self.duplicate_ids: list[str] = []
         self.skipped = 0  # open elements past MAX_DEPTH
+        self.elements = 0
         self.too_deep: Optional[LocationLike] = None
 
     def flush(self) -> None:
@@ -170,6 +176,7 @@ class _Builder:
             return
         self.last = node
         self.slot = "text"
+        self.elements += 1
         node_id = attributes.get("id")
         if node_id is not None and self.id_index.setdefault(node_id, node) is not node:
             self.duplicate_ids.append(node_id)
@@ -264,7 +271,7 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
         )
     for node_id in builder.duplicate_ids:
         diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
-    return SvgDocument(root=builder.root, id_index=builder.id_index, diagnostics=diagnostics)
+    return SvgDocument(builder.root, builder.id_index, diagnostics, builder.elements)
 
 
 def parse_view_box(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
+from svg2vml.svg_dom import MAX_EXPANSION
 
 # Pieces of markup, numbers and characters that expat or the mappers treat
 # specially, lone surrogates included; joined at random they give mostly
@@ -68,13 +69,41 @@ def _flat_use_chain(hops=3000):
     return f'<svg viewBox="0 0 9 9"><defs>{uses}<rect id="u{hops}" width="1" height="1"/></defs></svg>'
 
 
-@pytest.mark.parametrize("build", [_use_under_groups, _linked_chains, _flat_use_chain])
-def test_use_chains_are_cut_at_the_depth_cap_not_raised(build):
+@pytest.mark.parametrize(
+    "build,codes",
+    [
+        (_use_under_groups, ["TOO_DEEP"]),
+        (_linked_chains, ["TOO_DEEP"]),
+        # Every use in defs maps its own chain, so the chain also runs out of budget.
+        (_flat_use_chain, ["TOO_DEEP", "EXPANSION_LIMIT"]),
+    ],
+    ids=["_use_under_groups", "_linked_chains", "_flat_use_chain"],
+)
+def test_use_chains_are_cut_at_the_depth_cap_not_raised(build, codes):
     # Each stays inside the parse cap; only mapping through use goes deeper.
     text = build()
     output, diagnostics = convert_text(text)
-    assert diagnostics.codes() == ["TOO_DEEP"]
+    assert diagnostics.codes() == codes
     assert output is not None
     strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
     assert strict_output is None
     assert diagnostics.codes() == ["TOO_DEEP"]
+
+
+def _binary_use_tree(levels):
+    """Two rects, then levels of groups that each use the one below twice: 2 ** (levels + 1) rects."""
+    defs = '<g id="t0"><rect width="1" height="1"/><rect x="2" width="1" height="1"/></g>'
+    for level in range(1, levels + 1):
+        defs += f'<g id="t{level}">' + f'<use xlink:href="#t{level - 1}"/>' * 2 + "</g>"
+    return f'<svg viewBox="0 0 9 9"><defs>{defs}</defs><use xlink:href="#t{levels}"/></svg>'
+
+
+def test_a_binary_use_tree_is_cut_at_the_expansion_budget():
+    text = _binary_use_tree(18)
+    output, diagnostics = convert_text(text)
+    assert diagnostics.codes() == ["EXPANSION_LIMIT"]
+    elements = text.count("<") - text.count("</")
+    assert output is not None and output.count("<v:roundrect") <= MAX_EXPANSION * elements
+    strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
+    assert strict_output is None
+    assert diagnostics.codes() == ["EXPANSION_LIMIT"]
