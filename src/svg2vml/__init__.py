@@ -12,7 +12,6 @@ from .svg_dom import (
     parse_points,
     parse_svg,
     parse_view_box,
-    structurally_equal,
 )
 
 __version__ = "0.1.0"
@@ -34,5 +33,4 @@ __all__ = [
     "parse_points",
     "parse_svg",
     "parse_view_box",
-    "structurally_equal",
 ]

@@ -353,20 +353,3 @@ def parse_length(
     else:
         diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)
     return None
-
-
-def structurally_equal(a: Optional[SvgNode], b: Optional[SvgNode]) -> bool:
-    """Compare two trees by local name, attribute table, order and payload."""
-    if a is None or b is None:
-        return a is b
-
-    def norm(text: Optional[str]) -> str:
-        return (text or "").strip()
-
-    if a.name != b.name or norm(a.text) != norm(b.text):
-        return False
-    if list(a.attributes.items()) != list(b.attributes.items()):
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))

@@ -1,10 +1,12 @@
+from typing import Optional
+
 import pytest
 
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import MapperContext, map_document
 from svg2vml.options import ConvertOptions
-from svg2vml.svg_dom import MAX_EXPANSION, parse_points, parse_svg
+from svg2vml.svg_dom import MAX_EXPANSION, SvgNode, parse_points, parse_svg
 from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,
@@ -28,6 +30,23 @@ def wrap_svg(body: str, view_box: str = "0 0 800 800", size: tuple = (800, 800))
         f'xmlns:xlink="http://www.w3.org/1999/xlink" '
         f'viewBox="{view_box}" width="{size[0]}" height="{size[1]}">{body}</svg>'
     )
+
+
+def structurally_equal(a: Optional[SvgNode], b: Optional[SvgNode]) -> bool:
+    """Compare two trees by local name, attribute table, order and payload."""
+    if a is None or b is None:
+        return a is b
+
+    def norm(text: Optional[str]) -> str:
+        return (text or "").strip()
+
+    if a.name != b.name or norm(a.text) != norm(b.text):
+        return False
+    if list(a.attributes.items()) != list(b.attributes.items()):
+        return False
+    if len(a.children) != len(b.children):
+        return False
+    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
 
 
 def map_snippet(body: str, options: ConvertOptions = None, **wrap_kwargs):

@@ -8,12 +8,12 @@ cursor simulation); tolerances are stated per criterion.
 import math
 import random
 
-from conftest import map_snippet, rejects, wrap_svg
+from conftest import map_snippet, rejects, structurally_equal, wrap_svg
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.options import ConvertOptions
 from svg2vml.path_data import parse_path_data, to_absolute
-from svg2vml.svg_dom import Point, parse_svg, structurally_equal
+from svg2vml.svg_dom import Point, parse_svg
 from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,

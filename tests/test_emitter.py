@@ -3,11 +3,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import wrap_svg
+from conftest import structurally_equal, wrap_svg
 from svg2vml.emitter import emit_vml_html, emit_xhtml_passthrough
 from svg2vml.mappers import map_document
 from svg2vml.options import ConvertOptions
-from svg2vml.svg_dom import parse_svg, structurally_equal
+from svg2vml.svg_dom import parse_svg
 
 SOURCE = wrap_svg(
     '<defs><linearGradient id="lg"><stop offset="0%" stop-color="red"/>'

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import structurally_equal
+
 from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import ConversionError, Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN, parse_number
@@ -15,7 +17,6 @@ from svg2vml.svg_dom import (
     parse_points,
     parse_svg,
     parse_view_box,
-    structurally_equal,
 )
 
 XHTML_DEMO = """\
