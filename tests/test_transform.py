@@ -597,11 +597,8 @@ def _on_tangent_pole(op) -> bool:
     return op.name in ("skewX", "skewY") and math.isclose(math.fmod(abs(op.args[0]), 180.0), 90.0, abs_tol=1e-12)
 
 
-_RECTS = '<rect width="4" height="3"/>' * 5
-
-
 @pytest.mark.parametrize(
-    "children", ["", '<a xlink:href="#x"/>', _RECTS], ids=["empty", "anchor", "five-rects"]
+    "children", ["", '<a xlink:href="#x"/>', '<rect width="4" height="3"/>' * 5], ids=["empty", "anchor", "five-rects"]
 )
 def test_a_group_skew_on_the_pole_is_reported_once_at_its_list(children):
     text = wrap_svg(f'<g transform="skewX(90)">{children}</g>')
