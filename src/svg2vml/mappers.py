@@ -39,7 +39,16 @@ from .style import (
     map_stroke_attribute,
     resolve_fill_reference,
 )
-from .svg_dom import MAX_DEPTH, MAX_EXPANSION, Point, SvgDocument, SvgNode, parse_length, parse_points, parse_view_box
+from .svg_dom import (
+    MAX_DEPTH,
+    Point,
+    SvgDocument,
+    SvgNode,
+    expansion_budget,
+    parse_length,
+    parse_points,
+    parse_view_box,
+)
 # compose_ctm takes no part in mapping, where each Chain composes its own
 # list; it stays bound here because perfbench/spans.py rebinds it by name.
 from .transform import (  # noqa: F401
@@ -665,7 +674,8 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         if ctx.budget[0] >= 0:
             return mapper(node, ctx)
         if ctx.budget[0] == -1:
-            message = f"use copies map more than {MAX_EXPANSION} elements per parsed element; the rest are skipped"
+            budget = expansion_budget(ctx.document.elements)
+            message = f"use copies map more than {budget} elements; the rest are skipped"
             ctx.diagnostics.error("EXPANSION_LIMIT", message, ctx.location)
         return None
     # Gradients and stops show through the fills that reference them, and
@@ -699,6 +709,6 @@ def map_document(
         root_size=RootSize(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
-        budget=[MAX_EXPANSION * doc.elements],
+        budget=[expansion_budget(doc.elements)],
     )
     return map_svg_root(doc.root, ctx), diagnostics

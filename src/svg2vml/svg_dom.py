@@ -58,8 +58,17 @@ UNKNOWN_TAG = "unknown"
 MAX_DEPTH = 200
 
 # use references can copy a subtree many times over; mapping stops after
-# this many mapped elements per element the parser kept.
+# EXPANSION_ALLOWANCE mapped elements plus MAX_EXPANSION per element the
+# parser kept. The allowance lets a symbol be used many times over (a sprite
+# sheet maps about symbol size x uses); only chains and trees of use that
+# grow faster than the input run past it.
 MAX_EXPANSION = 16
+EXPANSION_ALLOWANCE = 100_000
+
+
+def expansion_budget(elements: int) -> int:
+    """The mapped elements allowed for a document of this many parsed elements."""
+    return EXPANSION_ALLOWANCE + MAX_EXPANSION * elements
 
 
 class Point(NamedTuple):

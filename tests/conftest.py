@@ -6,7 +6,7 @@ from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import MapperContext, map_document
 from svg2vml.options import ConvertOptions
-from svg2vml.svg_dom import MAX_EXPANSION, SvgNode, parse_points, parse_svg
+from svg2vml.svg_dom import SvgNode, expansion_budget, parse_points, parse_svg
 from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,
@@ -64,7 +64,7 @@ def make_context(**overrides) -> MapperContext:
         root_size=RootSize(800.0, 800.0),
         options=ConvertOptions(),
         diagnostics=doc.diagnostics,
-        budget=[MAX_EXPANSION * doc.elements],
+        budget=[expansion_budget(doc.elements)],
     )
     defaults.update(overrides)
     return MapperContext(**defaults)

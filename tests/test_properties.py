@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
-from svg2vml.svg_dom import MAX_EXPANSION
+from svg2vml.svg_dom import expansion_budget
 
 # Pieces of markup, numbers and characters that expat or the mappers treat
 # specially, lone surrogates included; joined at random they give mostly
@@ -103,7 +103,18 @@ def test_a_binary_use_tree_is_cut_at_the_expansion_budget():
     output, diagnostics = convert_text(text)
     assert diagnostics.codes() == ["EXPANSION_LIMIT"]
     elements = text.count("<") - text.count("</")
-    assert output is not None and output.count("<v:roundrect") <= MAX_EXPANSION * elements
+    assert output is not None and output.count("<v:roundrect") <= expansion_budget(elements)
     strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
     assert strict_output is None
     assert diagnostics.codes() == ["EXPANSION_LIMIT"]
+
+
+@pytest.mark.parametrize("uses", [100, 1000])
+def test_a_symbol_used_many_times_maps_every_copy(uses):
+    # A sprite sheet maps about (symbol size) x (uses) elements from symbol size + uses parsed ones.
+    paths = "".join(f'<path d="M {index} 0 L {index} 9"/>' for index in range(20))
+    copies = "".join(f'<use xlink:href="#i" x="{index}"/>' for index in range(uses))
+    text = f'<svg viewBox="0 0 9 9"><defs><g id="i">{paths}</g></defs>{copies}</svg>'
+    output, diagnostics = convert_text(text, ConvertOptions(strict=True))
+    assert diagnostics.codes() == []
+    assert output is not None and output.count("<v:shape") == 20 * (uses + 1)
