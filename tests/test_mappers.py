@@ -121,6 +121,34 @@ class TestCircleAndEllipse:
         assert find_all(tree, "v:oval") == []
         assert diags.has_errors
 
+    OVERFLOWING_RADIUS = "1" + "0" * 308  # finite, but twice it is not
+
+    @pytest.mark.parametrize(
+        "element,severity,message",
+        [
+            ('<circle cx="1" cy="1"/>', "warning", "circle without r; skipped"),
+            ('<ellipse ry="1"/>', "warning", "ellipse without rx/ry; skipped"),
+            ('<ellipse rx="1"/>', "warning", "ellipse without rx/ry; skipped"),
+            ('<circle r="-1"/>', "error", "negative radius"),
+            ('<ellipse rx="-1" ry="1"/>', "error", "negative radius"),
+            ('<ellipse rx="1" ry="-1"/>', "error", "negative radius"),
+            (f'<circle r="{OVERFLOWING_RADIUS}"/>', "error", "box overflows to a non-finite value; skipped"),
+            (f'<ellipse rx="1" ry="{OVERFLOWING_RADIUS}"/>', "error", "box overflows to a non-finite value; skipped"),
+        ],
+        ids=[
+            "circle-no-r", "ellipse-no-rx", "ellipse-no-ry",
+            "circle-negative-r", "ellipse-negative-rx", "ellipse-negative-ry",
+            "circle-overflow", "ellipse-overflow",
+        ],
+    )
+    def test_skipped_oval_gives_its_exact_diagnostic(self, element, severity, message):
+        tree, diags = map_snippet(element)
+        assert find_all(tree, "v:oval") == []
+        tag = element[1:].split(" ", 1)[0]
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            (severity, "DEGENERATE_SHAPE", message, f"svg/{tag}[0]")
+        ]
+
 
 class TestPoly:
     def test_polyline(self):
