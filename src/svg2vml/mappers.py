@@ -136,11 +136,6 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
     return value
 
 
-def _effective(node: SvgNode, ctx: MapperContext, name: str) -> Optional[str]:
-    own = node.attr(name)
-    return own if own is not None else ctx.inherited.get(name)
-
-
 def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
     """The inherited chain extended by the node's own transform list."""
     own_raw = node.attr("transform")
@@ -159,22 +154,32 @@ def _new(node: SvgNode, tag: str) -> VmlNode:
     return VmlNode(tag, {"id": node_id} if node_id is not None else {})
 
 
-def _write_style(ctx: MapperContext, mapped: VmlNode, key: str, value: float) -> float:
-    """Set a style length; returns it as written, rounded to the precision."""
-    text = mapped.style[key] = _fmt(ctx, value)
-    return float(text)
+def _write_box(
+    ctx: MapperContext,
+    mapped: VmlNode,
+    left: Optional[float],
+    top: Optional[float],
+    width: Optional[float] = None,
+    height: Optional[float] = None,
+) -> None:
+    """Write the box: left, top, width and height, ahead of every other style key.
 
-
-def _apply_box_style(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> ShapeBox:
-    """x, y, width and height become left, top, width and height.
-
-    Returns the box as written, with 0.0 where a value is absent.
+    A value of None leaves its key out.  This is the one place a mapper
+    writes an element's position and size.
     """
-    written = []
-    for attr_name, style_name in (("x", "left"), ("y", "top"), ("width", "width"), ("height", "height")):
-        value = _length(ctx, node, attr_name)
-        written.append(0.0 if value is None else _write_style(ctx, mapped, style_name, value))
-    return ShapeBox(*written)
+    precision = ctx.options.precision
+    box = {}
+    if left is not None:
+        box["left"] = format_number(left, precision)
+    if top is not None:
+        box["top"] = format_number(top, precision)
+    if width is not None:
+        box["width"] = format_number(width, precision)
+    if height is not None:
+        box["height"] = format_number(height, precision)
+    for key, value in mapped.style.items():
+        box.setdefault(key, value)
+    mapped.style = box
 
 
 def _append_filter(mapped: VmlNode, filter_text: str) -> None:
@@ -191,7 +196,7 @@ def _report_fill_opacity(node: SvgNode, ctx: MapperContext) -> None:
 
 def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
     _report_fill_opacity(node, ctx)
-    raw = _effective(node, ctx, "opacity")
+    raw = node.attr("opacity", ctx.inherited.get("opacity"))
     if raw is None:
         return
     try:
@@ -317,10 +322,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
         if width is not None and height is not None:
             group.attributes["coordsize"] = f"{_fmt(ctx, width)},{_fmt(ctx, height)}"
 
-    if width is not None:
-        group.style["width"] = _fmt(ctx, width)
-    if height is not None:
-        group.style["height"] = _fmt(ctx, height)
+    _write_box(ctx, group, None, None, width, height)
     if node is ctx.document.root:
         # The skew-path offset rule reads the root size: width and height,
         # else the viewBox size, else 0.
@@ -370,12 +372,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if arcsize is not None:
         shape.attributes["arcsize"] = _fmt(ctx, min(1.0, max(0.0, arcsize)))
 
-    if x is not None:
-        shape.style["left"] = _fmt(ctx, x)
-    if y is not None:
-        shape.style["top"] = _fmt(ctx, y)
-    shape.style["width"] = _fmt(ctx, width)
-    shape.style["height"] = _fmt(ctx, height)
+    _write_box(ctx, shape, x, y, width, height)
 
     _paint(node, ctx, shape)
     _apply_box_transform(node, ctx, shape, ShapeBox(x or 0.0, y or 0.0, width, height))
@@ -388,7 +385,19 @@ def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
 
 
-def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Optional[VmlNode]:
+def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+    """circle/ellipse -> v:oval with left/top/width/height derived from cx, cy and r or rx, ry."""
+    mark = len(ctx.diagnostics)
+    if node.tag == "circle":
+        rx = ry = _length(ctx, node, "r")
+        missing = "circle without r; skipped"
+    else:
+        rx = _length(ctx, node, "rx")
+        ry = _length(ctx, node, "ry")
+        missing = "ellipse without rx/ry; skipped"
+    if rx is None or ry is None:
+        _report_degenerate(ctx, mark, missing)
+        return None
     if rx < 0 or ry < 0:
         ctx.diagnostics.error("DEGENERATE_SHAPE", "negative radius", ctx.location)
         return None
@@ -401,34 +410,10 @@ def _map_oval(node: SvgNode, ctx: MapperContext, rx: float, ry: float) -> Option
         return None
 
     oval = _new(node, "v:oval")
-    oval.style["left"] = _fmt(ctx, left)
-    oval.style["top"] = _fmt(ctx, top)
-    oval.style["width"] = _fmt(ctx, width)
-    oval.style["height"] = _fmt(ctx, height)
+    _write_box(ctx, oval, left, top, width, height)
     _paint(node, ctx, oval)
     _apply_box_transform(node, ctx, oval, ShapeBox(left, top, width, height))
     return oval
-
-
-def map_circle(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """circle -> v:oval with left/top/width/height derived from cx, cy, r."""
-    mark = len(ctx.diagnostics)
-    r = _length(ctx, node, "r")
-    if r is None:
-        _report_degenerate(ctx, mark, "circle without r; skipped")
-        return None
-    return _map_oval(node, ctx, r, r)
-
-
-def map_ellipse(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """ellipse -> v:oval with left/top/width/height derived from cx, cy, rx, ry."""
-    mark = len(ctx.diagnostics)
-    rx = _length(ctx, node, "rx")
-    ry = _length(ctx, node, "ry")
-    if rx is None or ry is None:
-        _report_degenerate(ctx, mark, "ellipse without rx/ry; skipped")
-        return None
-    return _map_oval(node, ctx, rx, ry)
 
 
 def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
@@ -504,27 +489,24 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if text_path is not None:
         return map_text_path(text_path, ctx, node)
 
-    box = _new(node, "v:textbox")
     x = _length(ctx, node, "x")
-    y = _length(ctx, node, "y")
-    if x is not None:
-        box.style["left"] = _fmt(ctx, x)
-    top = 0.0
-    if y is not None:
+    top = _length(ctx, node, "y")
+    if top is not None:
         font_size = _length(ctx, node, "font-size")
         if font_size is None:
             font_size = 16.0
             ctx.diagnostics.warning(
                 "DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location
             )
-        top = y - font_size
+        top -= font_size
         if not _finite(ctx, "DEGENERATE_SHAPE", "top overflows to a non-finite value; skipped", top):
             return None
-        top = _write_style(ctx, box, "top", top)
+    box = _new(node, "v:textbox")
+    _write_box(ctx, box, x, top)
     if node.text and node.text.strip():
         box.text = node.text.strip()
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, top, 0.0, 0.0))
+    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, 0.0 if top is None else float(box.style["top"]), 0.0, 0.0))
     return box
 
 
@@ -566,13 +548,13 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optiona
 def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """foreignObject -> v:textbox carrying its markup through unchanged."""
     box = _new(node, "v:textbox")
-    written = _apply_box_style(node, ctx, box)
+    _write_box(ctx, box, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     if node.text and node.text.strip():
         box.text = node.text
     for child in node.children:
         box.children.append(_map_verbatim(child))
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(node, ctx, box, written)
+    _apply_box_transform(node, ctx, box, ShapeBox(*(float(box.style.get(key, 0.0)) for key in ("left", "top", "width", "height"))))
     return box
 
 
@@ -593,7 +575,7 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """use -> html:div containing the referenced element, mapped again in place."""
     div = _new(node, "html:div")
-    _apply_box_style(node, ctx, div)
+    _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
 
     if _href(node) is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
@@ -648,8 +630,8 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
     "svg": map_svg_root,
     "g": map_g,
     "rect": map_rect,
-    "circle": map_circle,
-    "ellipse": map_ellipse,
+    "circle": map_oval,
+    "ellipse": map_oval,
     "line": map_poly,
     "polyline": map_poly,
     "polygon": map_poly,
