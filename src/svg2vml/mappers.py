@@ -262,10 +262,20 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
 _EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
 
 
-def _place(node: SvgNode, ctx: MapperContext, box: ShapeBox) -> Optional[Placement]:
+def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Optional[Placement]:
+    """The placement of the element's transform chain; None when the chain is empty.
+
+    The offset rules read the box as mapped's style holds it, rounded to the
+    precision, with 0.0 for an absent key; a path (mapped None) has no box.
+    """
     chain = _effective_chain(node, ctx)
     if not chain.ops:
         return None
+    if mapped is None:
+        box = _EMPTY_BOX
+    else:
+        style = mapped.style
+        box = ShapeBox(*(float(style.get(key, 0.0)) for key in ("left", "top", "width", "height")))
     strategy = STRATEGY_BY_TAG[node.tag]
     return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
@@ -278,9 +288,9 @@ def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool
     return False
 
 
-def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode, box: ShapeBox) -> None:
+def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
     """Write the element's placement: its position, skew child or matrix filter."""
-    placed = _place(node, ctx, box)
+    placed = _place(node, ctx, mapped)
     if placed is None:
         return
     if placed.origin is not None:
@@ -375,7 +385,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     _write_box(ctx, shape, x, y, width, height)
 
     _paint(node, ctx, shape)
-    _apply_box_transform(node, ctx, shape, ShapeBox(x or 0.0, y or 0.0, width, height))
+    _apply_box_transform(node, ctx, shape)
     return shape
 
 
@@ -412,7 +422,7 @@ def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     oval = _new(node, "v:oval")
     _write_box(ctx, oval, left, top, width, height)
     _paint(node, ctx, oval)
-    _apply_box_transform(node, ctx, oval, ShapeBox(left, top, width, height))
+    _apply_box_transform(node, ctx, oval)
     return oval
 
 
@@ -475,7 +485,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
         return None
 
-    placed = _place(node, ctx, _EMPTY_BOX)
+    placed = _place(node, ctx, None)
     origin, skew = (placed.origin, placed.skew) if placed is not None else (None, None)
     shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(origin or (0.0, 0.0))))
     if shape is not None and skew is not None:
@@ -506,7 +516,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if node.text and node.text.strip():
         box.text = node.text.strip()
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(node, ctx, box, ShapeBox(x or 0.0, 0.0 if top is None else float(box.style["top"]), 0.0, 0.0))
+    _apply_box_transform(node, ctx, box)
     return box
 
 
@@ -541,7 +551,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optiona
     if font_tokens:
         text_path.attributes["style"] = ";".join(font_tokens)
     shape.children.append(text_path)
-    _apply_box_transform(node, ctx, shape, _EMPTY_BOX)
+    _apply_box_transform(node, ctx, shape)
     return shape
 
 
@@ -554,7 +564,7 @@ def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     for child in node.children:
         box.children.append(_map_verbatim(child))
     _apply_opacity(node, ctx, box)
-    _apply_box_transform(node, ctx, box, ShapeBox(*(float(box.style.get(key, 0.0)) for key in ("left", "top", "width", "height"))))
+    _apply_box_transform(node, ctx, box)
     return box
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import map_snippet, wrap_svg
 from svg2vml import ConvertOptions, convert_text, transform
+from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
-from svg2vml.numeric import parse_number
+from svg2vml.numeric import format_number, parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
 from svg2vml.transform import apply_to_point, compose_ctm, parse_transform_list
 
@@ -319,6 +320,41 @@ class TestShapeTransforms:
         t = math.tan(math.radians(10))
         dx = t * 20 + 100
         assert skew.attributes["offset"] == f"-{dx:.6f}".rstrip("0").rstrip(".") + "px,-100px"
+
+
+class TestPlacementReadsTheWrittenBox:
+    """The offset rules read the box as the style holds it, rounded to the precision."""
+
+    ELEMENTS = {
+        "rect": ('<rect x="1.234" y="5.678" width="9.876" height="5.432"{}/>', "v:roundrect"),
+        "circle": ('<circle cx="3.333" cy="1.777" r="2.2222"{}/>', "v:oval"),
+        "ellipse": ('<ellipse cx="3.337" cy="1.771" rx="2.2262" ry="1.155"{}/>', "v:oval"),
+        "text": ('<text x="1.555" y="30.123" font-size="8.25"{}>t</text>', "v:textbox"),
+        "foreignObject": ('<foreignObject x="1.555" y="2.345" width="7.77" height="3.336"{}/>', "v:textbox"),
+    }
+
+    @pytest.mark.parametrize("precision", [0, 1, 2])
+    @pytest.mark.parametrize("transform_list", ["skewX(25)", "skewY(-35)", "rotate(30)", "rotate(30, 5, 5)"])
+    @pytest.mark.parametrize("name", list(ELEMENTS))
+    def test_placement_is_computed_from_the_emitted_box(self, name, transform_list, precision):
+        element, tag = self.ELEMENTS[name]
+        options = ConvertOptions(precision=precision)
+        plain = find_one(map_snippet(element.format(""), options)[0], tag)
+        box = transform.ShapeBox(*(float(plain.style.get(key, 0)) for key in ("left", "top", "width", "height")))
+        chain = transform.EMPTY_CHAIN.extend(parse_transform_list(transform_list))
+        placed = transform.place(
+            transform.STRATEGY_BY_TAG[name], chain, box, transform.RootSize(800, 800), precision, Diagnostics()
+        )
+        expected_style = dict(plain.style)
+        if placed.origin is not None:
+            expected_style["left"], expected_style["top"] = (format_number(v, precision) for v in placed.origin)
+        if placed.filter is not None:
+            expected_style["filter"] = placed.filter
+
+        mapped = find_one(map_snippet(element.format(f' transform="{transform_list}"'), options)[0], tag)
+        assert mapped.style == expected_style
+        skew = mapped.find("v:skew")
+        assert (None if skew is None else skew.attributes) == placed.skew
 
 
 class TestGroups:
