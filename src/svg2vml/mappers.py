@@ -2,10 +2,13 @@
 
 Every implemented element kind has exactly one mapper.  Each mapper makes
 its output node with one constructor, `_new`, which carries the element's id
-over.  Every drawn shape (rect, circle, ellipse, line, polyline, polygon,
-path) then takes one paint step, `_paint`: stroke and fill become v:stroke
-and v:fill children, opacity an alpha filter.  Last, the transform
-simulation strategy for the element's family runs.  Group attributes are not
+over, and writes its left, top, width and height with one box writer,
+`_write_box`.  Every drawn shape (rect, circle, ellipse, line, polyline,
+polygon, path) then takes one paint step, `_paint`: stroke and fill become
+v:stroke and v:fill children, opacity an alpha filter.  Last, the transform
+simulation strategy for the element's family runs; its offset rules read
+the box back from the style as written, rounded to the precision, and the
+moved origin goes through `_write_box` again.  Group attributes are not
 emitted on the group itself but distributed to the children, with child-set
 values taking precedence.
 """
@@ -154,18 +157,11 @@ def _new(node: SvgNode, tag: str) -> VmlNode:
     return VmlNode(tag, {"id": node_id} if node_id is not None else {})
 
 
-def _write_box(
-    ctx: MapperContext,
-    mapped: VmlNode,
-    left: Optional[float],
-    top: Optional[float],
-    width: Optional[float] = None,
-    height: Optional[float] = None,
-) -> None:
-    """Write the box: left, top, width and height, ahead of every other style key.
+def _write_box(ctx: MapperContext, mapped: VmlNode, left: Optional[float], top: Optional[float],
+               width: Optional[float] = None, height: Optional[float] = None) -> None:
+    """Write left, top, width and height ahead of every other style key; None leaves a key out.
 
-    A value of None leaves its key out.  This is the one place a mapper
-    writes an element's position and size.
+    The one place a mapper writes an element's position and size.
     """
     precision = ctx.options.precision
     box = {}
@@ -260,22 +256,19 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
 # --- transform simulation ----------------------------------------------------
 
 _EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
+_BOX_KEYS = ("left", "top", "width", "height")
 
 
 def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Optional[Placement]:
     """The placement of the element's transform chain; None when the chain is empty.
 
-    The offset rules read the box as mapped's style holds it, rounded to the
-    precision, with 0.0 for an absent key; a path (mapped None) has no box.
+    The offset rules read the box as written in mapped's style, 0.0 for an
+    absent key; a path (mapped None) has the empty box.
     """
     chain = _effective_chain(node, ctx)
     if not chain.ops:
         return None
-    if mapped is None:
-        box = _EMPTY_BOX
-    else:
-        style = mapped.style
-        box = ShapeBox(*(float(style.get(key, 0.0)) for key in ("left", "top", "width", "height")))
+    box = _EMPTY_BOX if mapped is None else ShapeBox(*(float(mapped.style.get(key, 0)) for key in _BOX_KEYS))
     strategy = STRATEGY_BY_TAG[node.tag]
     return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
@@ -294,11 +287,7 @@ def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> 
     if placed is None:
         return
     if placed.origin is not None:
-        mapped.style["left"], mapped.style["top"] = (_fmt(ctx, value) for value in placed.origin)
-        # keep geometry keys ahead of decorations
-        for key in ("width", "height", "filter"):
-            if key in mapped.style:
-                mapped.style[key] = mapped.style.pop(key)
+        _write_box(ctx, mapped, *placed.origin)
     if placed.skew is not None:
         mapped.children.append(VmlNode("v:skew", placed.skew))
     if placed.filter is not None:
