@@ -69,6 +69,7 @@ class Diagnostics:
     def __init__(self, strict: bool = False):
         self.strict = strict
         self.items: list[Diagnostic] = []
+        self._codes: set[str] = set()  # every code in items, for has_code
 
     def __iter__(self):
         return iter(self.items)
@@ -81,10 +82,12 @@ class Diagnostics:
             self.error(code, message, location)
             return
         self.items.append(Diagnostic("warning", code, message, str(location)))
+        self._codes.add(code)
 
     def error(self, code: str, message: str, location: LocationLike = "") -> None:
         diagnostic = Diagnostic("error", code, message, str(location))
         self.items.append(diagnostic)
+        self._codes.add(code)
         if self.strict:
             raise ConversionError(diagnostic)
 
@@ -98,3 +101,7 @@ class Diagnostics:
 
     def codes(self) -> list[str]:
         return [d.code for d in self.items]
+
+    def has_code(self, code: str) -> bool:
+        """True if a diagnostic with this code was recorded; constant time."""
+        return code in self._codes

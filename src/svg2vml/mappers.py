@@ -645,7 +645,7 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
 def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if ctx.depth > MAX_DEPTH:
         # Parsing caps the tree, but use targets stack their depth on the use's.
-        if "TOO_DEEP" not in ctx.diagnostics.codes():
+        if not ctx.diagnostics.has_code("TOO_DEEP"):
             message = f"elements nest deeper than {MAX_DEPTH} levels through use; the deeper ones are skipped"
             ctx.diagnostics.error("TOO_DEEP", message, ctx.location)
         return None

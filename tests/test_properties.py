@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
-from svg2vml.svg_dom import expansion_budget
+from svg2vml.diagnostics import Diagnostics
+from svg2vml.mappers import map_document
+from svg2vml.svg_dom import expansion_budget, parse_svg
 
 # Pieces of markup, numbers and characters that expat or the mappers treat
 # specially, lone surrogates included; joined at random they give mostly
@@ -88,6 +90,43 @@ def test_use_chains_are_cut_at_the_depth_cap_not_raised(build, codes):
     strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
     assert strict_output is None
     assert diagnostics.codes() == ["TOO_DEEP"]
+
+
+class _ScanCountingList(list):
+    """A list that counts the scans over it, from a for loop or a comprehension."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_the_mapping_depth_cut_does_not_scan_the_diagnostics():
+    # n rects reported at parse time, then n uses whose target lies past the
+    # depth cap: each cut use asks whether TOO_DEEP was already reported.
+    count = 2000
+    body = '<rect width="1em" height="1"/>' * count + '<use xlink:href="#t"/>' * count
+    text = (
+        '<svg viewBox="0 0 9 9"><defs><rect id="t" width="1" height="1"/></defs>'
+        + "<g>" * 198 + body + "</g>" * 198 + "</svg>"
+    )
+    diagnostics = Diagnostics()
+    diagnostics.items = _ScanCountingList()
+    doc = parse_svg(text, diagnostics)
+    map_document(doc, ConvertOptions(), diagnostics)
+    assert diagnostics.items.scans == 0  # not one scan per cut use
+    assert diagnostics.codes() == ["UNSUPPORTED_UNIT"] * count + ["TOO_DEEP"]
+
+
+def test_a_parse_time_depth_cut_suppresses_the_mapping_one():
+    too_deep = "<g>" * 250 + "</g>" * 250
+    cut_use = "<g>" * 198 + '<use xlink:href="#t"/>' + "</g>" * 198
+    text = f'<svg viewBox="0 0 9 9"><defs><rect id="t" width="1" height="1"/></defs>{too_deep}{cut_use}</svg>'
+    output, diagnostics = convert_text(text)
+    assert output is not None
+    assert diagnostics.codes() == ["TOO_DEEP"]
+    assert diagnostics.items[0].location.startswith("svg/g[1]/")  # the parsed chain, not the use in g[2]
 
 
 def _binary_use_tree(levels):
