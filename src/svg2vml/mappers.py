@@ -486,6 +486,10 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """text -> v:textbox (or the referenced shape when wrapping a textPath)."""
     text_path = next((child for child in node.children if child.tag == "textPath"), None)
     if text_path is not None:
+        for name in ("opacity", "fill-opacity", "transform"):
+            if node.attr(name) is not None:
+                message = f"{name} on a text holding a textPath has no VML mapping and is ignored"
+                ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
         return map_text_path(text_path, ctx, node)
 
     x = _length(ctx, node, "x")

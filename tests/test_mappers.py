@@ -572,6 +572,23 @@ class TestTextPath:
         )
         assert "DANGLING_REF" in diags.codes()
 
+    def test_dropped_text_attributes_are_reported(self):
+        source = (
+            '<defs><path id="p" d="M 0 0 L 9 9"/></defs>'
+            '<text transform="rotate(30)" fill-opacity="0.5" opacity="0.5" font-size="8">'
+            '<textPath xlink:href="#p">x</textPath></text>'
+        )
+        tree, diags = map_snippet(source)
+        shape = find_all(tree, "v:shape")[-1]
+        assert find_all(shape, "v:skew") == [] and "filter" not in shape.style
+        message = "{} on a text holding a textPath has no VML mapping and is ignored"
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            ("warning", "UNSUPPORTED_ATTRIBUTE", message.format(name), "svg/text[1]")
+            for name in ("opacity", "fill-opacity", "transform")
+        ]
+        strict_output, _ = convert_text(wrap_svg(source), ConvertOptions(strict=True))
+        assert strict_output is None
+
 
 class TestAnchor:
     def test_anchor_wraps_children(self):
