@@ -256,7 +256,6 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
 # --- transform simulation ----------------------------------------------------
 
 _EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
-_BOX_KEYS = ("left", "top", "width", "height")
 
 
 def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Optional[Placement]:
@@ -268,7 +267,11 @@ def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Opti
     chain = _effective_chain(node, ctx)
     if not chain.ops:
         return None
-    box = _EMPTY_BOX if mapped is None else ShapeBox(*(float(mapped.style.get(key, 0)) for key in _BOX_KEYS))
+    if mapped is None:
+        box = _EMPTY_BOX
+    else:
+        get = mapped.style.get
+        box = ShapeBox(float(get("left", 0)), float(get("top", 0)), float(get("width", 0)), float(get("height", 0)))
     strategy = STRATEGY_BY_TAG[node.tag]
     return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
