@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import format_number, format_numbers, parse_number
+from .numeric import format_number, format_numbers
 from .options import ConvertOptions
 
 # emit_vml_path, parse_path_data, shift_commands and to_absolute no longer
@@ -36,9 +36,8 @@ from .path_data import (  # noqa: F401
     vml_path,
 )
 from .style import (
-    HORIZONTAL,
     STROKE_TABLE,
-    map_opacity,
+    alpha_filter,
     map_stroke_attribute,
     resolve_fill_reference,
 )
@@ -195,15 +194,9 @@ def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
     raw = node.attr("opacity", ctx.inherited.get("opacity"))
     if raw is None:
         return
-    try:
-        value = parse_number(raw)
-    except ValueError:
-        ctx.diagnostics.warning("BAD_ATTRIBUTE", f"unparseable opacity {raw!r}", ctx.location)
-        return
-    alpha = map_opacity(value, ctx.diagnostics, ctx.location)
-    _append_filter(
-        mapped, f"progid:DXImageTransform.Microsoft.Alpha(opacity={_fmt(ctx, alpha)})"
-    )
+    alpha = alpha_filter(raw, ctx.options.precision, ctx.diagnostics, ctx.location)
+    if alpha is not None:
+        _append_filter(mapped, alpha)
 
 
 def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
@@ -243,14 +236,9 @@ def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
         return
     fill = {"color": value}
     if value.strip().startswith("url("):
-        gradient = resolve_fill_reference(value, ctx.document, ctx.diagnostics, ctx.location)
-        if gradient is None:
-            return
-        # Gradient axis angle convention borrowed from the common SVG shims:
-        # 270 runs left-to-right, 180 top-to-bottom.
-        angle = "270" if gradient.direction == HORIZONTAL else "180"
-        fill = dict(type="gradient", color=gradient.color_start, color2=gradient.color_end, angle=angle)
-    shape.children.append(VmlNode("v:fill", fill))
+        fill = resolve_fill_reference(value, ctx.document, ctx.diagnostics, ctx.location)
+    if fill is not None:
+        shape.children.append(VmlNode("v:fill", fill))
 
 
 # --- transform simulation ----------------------------------------------------

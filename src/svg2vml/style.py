@@ -1,13 +1,12 @@
-"""Presentation attribute mapping: stroke, fill, gradients and opacity.
+"""Presentation attribute mapping: the VML that stroke, fill and opacity become.
 
-Stroke features collect into a single v:stroke child, fill features into a
-single v:fill child.  Colors pass through untranslated; named colors and hex
-values are valid on both sides.
+Stroke features become the attributes of a v:stroke child, a fill those of
+a v:fill child, and opacity an alpha filter; the mappers only attach them.
+Colors pass through untranslated, valid on both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import Diagnostics, LocationLike
@@ -24,16 +23,6 @@ STROKE_TABLE = {
     "stroke-opacity": "opacity",
 }
 
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-
-
-@dataclass(frozen=True)
-class GradientSpec:
-    direction: str  # horizontal | vertical
-    color_start: str
-    color_end: str
-
 
 def map_stroke_attribute(name: str, value: str, precision: int = 6) -> Optional[tuple[str, str]]:
     """Translate one stroke attribute to its v:stroke counterpart; None for a bad stroke-width."""
@@ -44,19 +33,25 @@ def map_stroke_attribute(name: str, value: str, precision: int = 6) -> Optional[
     return None if length is None else (target, format_number(length, precision))
 
 
-def map_opacity(
-    value: float,
+def alpha_filter(
+    raw: str,
+    precision: int = 6,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
-) -> float:
-    """Scale an opacity from [0, 1] to the [0, 100] filter range."""
+) -> Optional[str]:
+    """The alpha filter for an opacity, scaled from [0, 1] to [0, 100]; None if it does not parse."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    try:
+        value = parse_number(raw)
+    except ValueError:
+        diagnostics.warning("BAD_ATTRIBUTE", f"unparseable opacity {raw!r}", location)
+        return None
     if value < 0.0 or value > 1.0:
         diagnostics.warning(
             "BAD_ATTRIBUTE", f"opacity {format_number(value)} outside [0, 1], clamped", location
         )
         value = min(1.0, max(0.0, value))
-    return 100.0 * value
+    return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * value, precision)})"
 
 
 def _stop_offset(value: Optional[str]) -> Optional[float]:
@@ -84,8 +79,8 @@ def resolve_gradient(
     node: SvgNode,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
-) -> Optional[GradientSpec]:
-    """Extract a two-stop horizontal or vertical gradient.
+) -> Optional[dict[str, str]]:
+    """The v:fill attributes of a two-stop horizontal or vertical gradient.
 
     Only gradients of exactly two stops at 0% and 100% along a horizontal or
     vertical axis are expressible; everything else records
@@ -113,22 +108,21 @@ def resolve_gradient(
     if None in (x1, y1, x2, y2):
         unsupported("unparseable gradient axis coordinates")
         return None
+    # Gradient axis angle convention borrowed from the common SVG shims:
+    # 270 runs left-to-right, 180 top-to-bottom.
     if y1 == y2 and x1 != x2:
-        direction = HORIZONTAL
+        angle = "270"
     elif x1 == x2 and y1 != y2:
-        direction = VERTICAL
+        angle = "180"
     else:
         unsupported("only horizontal or vertical gradient axes are supported")
         return None
 
-    colors = []
-    for stop in stops:
-        color = stop.attr("stop-color")
-        if color is None:
-            unsupported("gradient stop without stop-color")
-            return None
-        colors.append(color)
-    return GradientSpec(direction, colors[0], colors[1])
+    colors = [stop.attr("stop-color") for stop in stops]
+    if None in colors:
+        unsupported("gradient stop without stop-color")
+        return None
+    return {"type": "gradient", "color": colors[0], "color2": colors[1], "angle": angle}
 
 
 def resolve_fill_reference(
@@ -136,8 +130,8 @@ def resolve_fill_reference(
     document: SvgDocument,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
-) -> Optional[GradientSpec]:
-    """Resolve a fill of the form url(#id) to a gradient spec."""
+) -> Optional[dict[str, str]]:
+    """Resolve a fill of the form url(#id) to its gradient's v:fill attributes."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     inner = value.strip()[4:-1].strip().strip("'\"")
     if not inner.startswith("#"):

@@ -1,8 +1,7 @@
 import pytest
 
 from svg2vml.style import (
-    GradientSpec,
-    map_opacity,
+    alpha_filter,
     map_stroke_attribute,
     resolve_fill_reference,
     resolve_gradient,
@@ -16,6 +15,19 @@ def gradient_node(body: str, attrs: str = ""):
 
 
 TWO_STOPS = '<stop offset="0%" stop-color="red"/><stop offset="100%" stop-color="blue"/>'
+HORIZONTAL, VERTICAL = "270", "180"  # the v:fill angles
+
+
+def gradient_fill(color: str, color2: str, angle: str) -> dict:
+    return {"type": "gradient", "color": color, "color2": color2, "angle": angle}
+
+
+def alpha(value: float, diags) -> float:
+    """The opacity in the alpha filter written for value."""
+    text = alpha_filter(str(value), 6, diags)
+    prefix = "progid:DXImageTransform.Microsoft.Alpha(opacity="
+    assert text.startswith(prefix) and text.endswith(")")
+    return float(text[len(prefix):-1])
 
 
 class TestStrokeTable:
@@ -42,16 +54,16 @@ class TestStrokeTable:
 class TestMapOpacity:
     @pytest.mark.parametrize("value,expected", [(0.5, 50), (0, 0), (1, 100), (0.25, 25)])
     def test_scale(self, value, expected, diags):
-        assert map_opacity(value, diags) == expected
+        assert alpha(value, diags) == expected
 
     def test_clamps_and_warns(self, diags):
-        assert map_opacity(1.5, diags) == 100
-        assert map_opacity(-0.5, diags) == 0
+        assert alpha(1.5, diags) == 100
+        assert alpha(-0.5, diags) == 0
         assert any(d.severity == "warning" for d in diags)
 
     def test_monotone_linear_onto_0_100(self, diags):
         samples = [i / 20 for i in range(21)]
-        mapped = [map_opacity(v, diags) for v in samples]
+        mapped = [alpha(v, diags) for v in samples]
         assert mapped == sorted(mapped)
         assert mapped[0] == 0 and mapped[-1] == 100
         for v, m in zip(samples, mapped):
@@ -61,20 +73,20 @@ class TestMapOpacity:
 class TestResolveGradient:
     def test_horizontal_two_stop(self, diags):
         node = gradient_node(TWO_STOPS, 'x1="0%" y1="0%" x2="100%" y2="0%"')
-        assert resolve_gradient(node, diags) == GradientSpec("horizontal", "red", "blue")
+        assert resolve_gradient(node, diags) == gradient_fill("red", "blue", HORIZONTAL)
 
     def test_default_axis_is_horizontal(self, diags):
-        assert resolve_gradient(gradient_node(TWO_STOPS), diags).direction == "horizontal"
+        assert resolve_gradient(gradient_node(TWO_STOPS), diags)["angle"] == HORIZONTAL
 
     def test_vertical(self, diags):
         node = gradient_node(TWO_STOPS, 'x1="0%" y1="0%" x2="0%" y2="100%"')
-        assert resolve_gradient(node, diags).direction == "vertical"
+        assert resolve_gradient(node, diags)["angle"] == VERTICAL
 
     def test_degenerate_equal_colors(self, diags):
         node = gradient_node(
             '<stop offset="0%" stop-color="black"/><stop offset="100%" stop-color="black"/>'
         )
-        assert resolve_gradient(node, diags) == GradientSpec("horizontal", "black", "black")
+        assert resolve_gradient(node, diags) == gradient_fill("black", "black", HORIZONTAL)
 
     def test_three_stops_unsupported(self, diags):
         node = gradient_node(
@@ -109,7 +121,7 @@ class TestResolveFillReference:
             f'<svg><defs><linearGradient id="grad1">{TWO_STOPS}</linearGradient></defs></svg>'
         )
         spec = resolve_fill_reference("url(#grad1)", doc, diags)
-        assert spec == GradientSpec("horizontal", "red", "blue")
+        assert spec == gradient_fill("red", "blue", HORIZONTAL)
 
     def test_dangling_reference(self, diags):
         doc = parse_svg("<svg/>")
