@@ -8,9 +8,9 @@ polygon, path) then takes one paint step, `_paint`: stroke and fill become
 v:stroke and v:fill children, opacity an alpha filter.  Last, the transform
 simulation strategy for the element's family runs; its offset rules read
 the box back from the style as written, rounded to the precision, and the
-moved origin goes through `_write_box` again.  Group attributes are not
-emitted on the group itself but distributed to the children, with child-set
-values taking precedence.
+moved origin goes through `_write_box` again.  The attributes of a group
+(a g or an a) are not emitted on the group itself but distributed to the
+children, with child-set values taking precedence.
 """
 
 from __future__ import annotations
@@ -323,17 +323,21 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
     return group
 
 
-def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """g -> v:group; inheritable attributes distribute to the children."""
-    group = _new(node, "v:group")
+def _group_context(node: SvgNode, ctx: MapperContext) -> MapperContext:
+    """The context of a g's or an a's children: its inheritable attributes and transform pushed down."""
     _report_fill_opacity(node, ctx)
     inherited = dict(ctx.inherited)
     for name in INHERITED_ATTRIBUTES:
         value = node.attr(name)
         if value is not None:
             inherited[name] = value
-    child_ctx = ctx.derive(inherited=inherited, chain=_effective_chain(node, ctx))
-    _map_children(node, child_ctx, group)
+    return ctx.derive(inherited=inherited, chain=_effective_chain(node, ctx))
+
+
+def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
+    """g -> v:group; inheritable attributes distribute to the children."""
+    group = _new(node, "v:group")
+    _map_children(node, _group_context(node, ctx), group)
     return group
 
 
@@ -607,7 +611,7 @@ def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
 
 
 def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """a -> html:a with the link target on href."""
+    """a -> html:a with the link target on href; like a g, it hands its attributes to its children."""
     anchor = _new(node, "html:a")
     href = _href(node)
     if href is None:
@@ -616,7 +620,7 @@ def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
         anchor.attributes["href"] = href
     if node.text and node.text.strip():
         anchor.text = node.text.strip()
-    _map_children(node, ctx, anchor)
+    _map_children(node, _group_context(node, ctx), anchor)
     return anchor
 
 

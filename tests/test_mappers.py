@@ -616,6 +616,26 @@ class TestAnchor:
         anchor = find_one(groups[1], "html:a")
         assert anchor.children[0].tag == "v:oval"
 
+    def test_anchor_hands_its_transform_and_paint_to_its_children(self):
+        tree, diags = map_snippet('<a href="#x" transform="scale(3)" fill="red"><rect width="1" height="1"/></a>')
+        direct, _ = map_snippet('<rect width="1" height="1" transform="scale(3)" fill="red"/>')
+        rect = find_one(tree, "v:roundrect")
+        assert rect == find_one(direct, "v:roundrect")
+        assert rect.find("v:fill").attributes == {"color": "red"} and rect.find("v:skew") is not None
+        assert not list(diags)
+
+    @pytest.mark.parametrize(
+        "attributes",
+        ['fill="red" stroke="blue" stroke-width="2" opacity="0.5"', 'transform="scale(2) translate(2, 1)"'],
+        ids=["paint", "transform"],
+    )
+    def test_anchor_distributes_as_a_group_does(self, attributes):
+        children = '<rect x="1" width="2" height="1" fill="green"/><circle r="1"/><polyline points="0,0 1,1"/>'
+        anchored, anchor_diags = map_snippet(f'<a href="#x" {attributes}>{children}</a>')
+        grouped, group_diags = map_snippet(f'<g {attributes}>{children}</g>')
+        assert find_one(anchored, "html:a").children == find_all(grouped, "v:group")[1].children
+        assert list(anchor_diags) == list(group_diags) == []
+
 
 class TestStrokeFillOnShapes:
     def test_example_5_2_children(self):
@@ -699,8 +719,9 @@ class TestFillOpacity:
             '<text x="1" y="20" font-size="10"{}>t</text>',
             '<foreignObject width="1" height="1"{}/>',
             '<g{}><rect width="1" height="1"/></g>',
+            '<a href="#x"{}><rect width="1" height="1"/></a>',
         ],
-        ids=["text", "foreignObject", "g"],
+        ids=["text", "foreignObject", "g", "a"],
     )
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_reported_at_the_element(self, element, strict):
