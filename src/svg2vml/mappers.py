@@ -189,6 +189,14 @@ def _report_fill_opacity(node: SvgNode, ctx: MapperContext) -> None:
         )
 
 
+def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], owner: str) -> None:
+    """An UNSUPPORTED_ATTRIBUTE warning for each of names that node carries."""
+    for name in names:
+        if node.attr(name) is not None:
+            message = f"{name} on {owner} has no VML mapping and is ignored"
+            ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
+
+
 def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
     _report_fill_opacity(node, ctx)
     raw = node.attr("opacity", ctx.inherited.get("opacity"))
@@ -479,14 +487,14 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """text -> v:textbox (or the referenced shape when wrapping a textPath)."""
-    text_path = next((child for child in node.children if child.tag == "textPath"), None)
-    if text_path is not None:
-        for name in ("opacity", "fill-opacity", "transform"):
-            if node.attr(name) is not None:
-                message = f"{name} on a text holding a textPath has no VML mapping and is ignored"
-                ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
-        return map_text_path(text_path, ctx, node)
+    for index, child in enumerate(node.children):
+        if child.tag == "textPath":
+            dropped = ("opacity", "fill-opacity", "transform", "x", "y", "dx", "dy")
+            _report_ignored(node, ctx, dropped, "a text holding a textPath")
+            _report_ignored(child, ctx.at(f"/{child.name}[{index}]"), ("startOffset",), "a textPath")
+            return map_text_path(child, ctx, node)
 
+    _report_ignored(node, ctx, ("dx", "dy"), "a text")
     x = _length(ctx, node, "x")
     top = _length(ctx, node, "y")
     if top is not None:
@@ -574,6 +582,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """use -> html:div containing the referenced element, mapped again in place."""
     div = _new(node, "html:div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
+    _report_ignored(node, ctx, ("transform",), "a use")
 
     if _href(node) is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)

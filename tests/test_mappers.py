@@ -590,6 +590,42 @@ class TestTextPath:
         assert strict_output is None
 
 
+class TestDroppedTextAndUseAttributes:
+    """Attributes that mapping drops give one UNSUPPORTED_ATTRIBUTE warning each, at their element."""
+
+    VALUES = {"x": "4", "y": "5", "dx": "2", "dy": "3", "startOffset": "50%", "transform": "scale(2)"}
+
+    @pytest.mark.parametrize(
+        "element,names,owner,location",
+        [
+            ('<text x="1" y="9" font-size="4"{}>t</text>', ("dx", "dy"), "a text", "svg/text[1]"),
+            (
+                '<text font-size="8"{}><textPath xlink:href="#p">x</textPath></text>',
+                ("x", "y", "dx", "dy"),
+                "a text holding a textPath",
+                "svg/text[1]",
+            ),
+            (
+                '<text font-size="8"><textPath xlink:href="#p"{}>x</textPath></text>',
+                ("startOffset",),
+                "a textPath",
+                "svg/text[1]/textPath[0]",
+            ),
+            ('<use xlink:href="#p"{}/>', ("transform",), "a use", "svg/use[1]"),
+        ],
+        ids=["text", "text-on-path", "textPath", "use"],
+    )
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_reported_at_the_element(self, element, names, owner, location, strict):
+        attributes = "".join(f' {name}="{self.VALUES[name]}"' for name in names)
+        source = '<defs><path id="p" d="M 0 0 L 9 9"/></defs>' + element
+        output, diagnostics = convert_text(wrap_svg(source.format(attributes)), ConvertOptions(strict=strict))
+        message = "{} on {} has no VML mapping and is ignored"
+        expected = [("UNSUPPORTED_ATTRIBUTE", message.format(name, owner), location) for name in names]
+        assert [(d.code, d.message, d.location) for d in diagnostics] == expected[: 1 if strict else None]
+        assert output == (None if strict else convert_text(wrap_svg(source.format("")))[0])
+
+
 class TestAnchor:
     def test_anchor_wraps_children(self):
         tree, _ = map_snippet(
