@@ -272,11 +272,11 @@ def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Opti
     return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
 
-def _finite(ctx: MapperContext, code: str, message: str, *values: float) -> bool:
-    """True when every value is finite; otherwise reports code and message."""
+def _finite(ctx: MapperContext, message: str, *values: float) -> bool:
+    """True when every value is finite; otherwise reports message as a DEGENERATE_SHAPE error."""
     if all(map(math.isfinite, values)):
         return True
-    ctx.diagnostics.error(code, message, ctx.location)
+    ctx.diagnostics.error("DEGENERATE_SHAPE", message, ctx.location)
     return False
 
 
@@ -408,7 +408,7 @@ def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     left, top = cx - rx, cy - ry
     width, height = 2 * rx, 2 * ry
     overflow = "box overflows to a non-finite value; skipped"
-    if not _finite(ctx, "DEGENERATE_SHAPE", overflow, left, top, width, height):
+    if not _finite(ctx, overflow, left, top, width, height):
         return None
 
     oval = _new(node, "v:oval")
@@ -505,7 +505,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
                 "DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location
             )
         top -= font_size
-        if not _finite(ctx, "DEGENERATE_SHAPE", "top overflows to a non-finite value; skipped", top):
+        if not _finite(ctx, "top overflows to a non-finite value; skipped", top):
             return None
     box = _new(node, "v:textbox")
     _write_box(ctx, box, x, top)

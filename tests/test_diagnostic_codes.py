@@ -2,7 +2,9 @@
 
 The codes are found as string literals passed to `Diagnostics.warning`,
 `Diagnostics.error` or `Diagnostic(severity, code, ...)` in the package
-source; README lists each in its diagnostic table with its severity.
+source; README lists each in its diagnostic table with its severity.  So
+that the scan sees every code, each `.warning(`/`.error(` call outside
+`diagnostics.py` names its code as a string literal.
 """
 
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CODE_CALL = re.compile(r'(?:\.(warning|error)|Diagnostic)\(\s*(?:"(warning|error)",\s*)?"([A-Z][A-Z_]+)"')
+REPORT_CALL = re.compile(r'\.(?:warning|error)\((?!\s*")')
 TABLE_ROW = re.compile(r"^\| `([A-Z][A-Z_]+)` \| ([^|]+) \|", re.MULTILINE)
 
 
@@ -43,3 +46,13 @@ def test_documented_severity_names_every_emitted_severity():
         for code, severities in emitted().items()
     }
     assert {code: names for code, names in missing.items() if names} == {}
+
+
+def test_every_report_names_its_code_as_a_literal():
+    unnamed = []
+    for path in sorted((ROOT / "src" / "svg2vml").glob("*.py")):
+        if path.name == "diagnostics.py":
+            continue
+        text = path.read_text()
+        unnamed += [f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}" for match in REPORT_CALL.finditer(text)]
+    assert unnamed == []
