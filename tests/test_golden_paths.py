@@ -1,12 +1,15 @@
 """Byte-exact goldens for path data, point lists, transforms and their diagnostics.
 
-Each fixture `tests/golden/<name>.svg` is converted in VML mode at the
-default settings, pretty-printed and at precision 2; the output must equal
-`<name>.<setting>.html` byte for byte, and the diagnostics (code, message,
-location, order) must equal `<name>.diagnostics.txt` at every VML setting.
-The XHTML passthrough of the same fixture, plain and pretty-printed, must
+Each fixture `tests/golden/<name>.svg` is converted by the command line,
+`svg2vml.cli.run`, in-process: in VML mode at the default settings,
+pretty-printed and at precision 2, written through `-o` to a file; the
+output must equal `<name>.<setting>.html` byte for byte, and stderr, the
+diagnostics (code, message, location, order), must equal
+`<name>.diagnostics.txt` at every VML setting.  The XHTML passthrough of
+the same fixture, plain and pretty-printed, is written to stdout and must
 equal `<name>.xhtml.html` and `<name>.xhtml-pretty.html`, with the
-parse-side diagnostics in `<name>.xhtml.diagnostics.txt`.
+parse-side diagnostics in `<name>.xhtml.diagnostics.txt`.  Every run exits
+with 1 exactly when its diagnostics hold an error, else 0.
 
 The transform fixtures put one element of every family under each single
 transform (`transform_single`) and under every ordered pair of transform
@@ -35,6 +38,7 @@ from pathlib import Path
 import pytest
 
 from svg2vml import ConvertOptions, convert_text
+from svg2vml.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = (
@@ -48,32 +52,39 @@ FIXTURES = (
     "parsing",
 )
 SETTINGS = (
-    ("default", ConvertOptions()),
-    ("precision2", ConvertOptions(precision=2)),
-    ("pretty", ConvertOptions(pretty=True)),
+    ("default", []),
+    ("precision2", ["--precision", "2"]),
+    ("pretty", ["--pretty"]),
 )
 XHTML_SETTINGS = (
-    ("xhtml", ConvertOptions(mode="xhtml")),
-    ("xhtml-pretty", ConvertOptions(mode="xhtml", pretty=True)),
+    ("xhtml", ["--mode", "xhtml"]),
+    ("xhtml-pretty", ["--mode", "xhtml", "--pretty"]),
 )
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-@pytest.mark.parametrize("suffix,options", SETTINGS, ids=[s for s, _ in SETTINGS])
-def test_output_matches_golden(name, suffix, options):
-    output, diagnostics = convert_text((GOLDEN / f"{name}.svg").read_text(), options)
-    assert output == (GOLDEN / f"{name}.{suffix}.html").read_text()
-    recorded = "".join(f"{diagnostic}\n" for diagnostic in diagnostics)
-    assert recorded == (GOLDEN / f"{name}.diagnostics.txt").read_text()
+def check_run(name: str, flags: list[str], destination: str, diagnostics_name: str, capsysbinary) -> bytes:
+    """Run the CLI on a fixture and check its stderr and exit status; returns its stdout."""
+    code = run(["convert", str(GOLDEN / f"{name}.svg"), *flags, "-o", destination])
+    captured = capsysbinary.readouterr()
+    expected_diagnostics = (GOLDEN / diagnostics_name).read_bytes()
+    assert captured.err == expected_diagnostics
+    assert code == (1 if any(line.startswith(b"error ") for line in expected_diagnostics.splitlines()) else 0)
+    return captured.out
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-@pytest.mark.parametrize("suffix,options", XHTML_SETTINGS, ids=[s for s, _ in XHTML_SETTINGS])
-def test_passthrough_matches_golden(name, suffix, options):
-    output, diagnostics = convert_text((GOLDEN / f"{name}.svg").read_text(), options)
-    assert output == (GOLDEN / f"{name}.{suffix}.html").read_text()
-    recorded = "".join(f"{diagnostic}\n" for diagnostic in diagnostics)
-    assert recorded == (GOLDEN / f"{name}.xhtml.diagnostics.txt").read_text()
+@pytest.mark.parametrize("suffix,flags", SETTINGS, ids=[s for s, _ in SETTINGS])
+def test_output_matches_golden(name, suffix, flags, tmp_path, capsysbinary):
+    output = tmp_path / "out.html"
+    assert check_run(name, flags, str(output), f"{name}.diagnostics.txt", capsysbinary) == b""
+    assert output.read_bytes() == (GOLDEN / f"{name}.{suffix}.html").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("suffix,flags", XHTML_SETTINGS, ids=[s for s, _ in XHTML_SETTINGS])
+def test_passthrough_matches_golden(name, suffix, flags, capsysbinary):
+    output = check_run(name, flags, "-", f"{name}.xhtml.diagnostics.txt", capsysbinary)
+    assert output == (GOLDEN / f"{name}.{suffix}.html").read_bytes()
 
 
 STRICT_CASES = (
