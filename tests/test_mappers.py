@@ -652,14 +652,6 @@ class TestAnchor:
         anchor = find_one(groups[1], "html:a")
         assert anchor.children[0].tag == "v:oval"
 
-    def test_anchor_hands_its_transform_and_paint_to_its_children(self):
-        tree, diags = map_snippet('<a href="#x" transform="scale(3)" fill="red"><rect width="1" height="1"/></a>')
-        direct, _ = map_snippet('<rect width="1" height="1" transform="scale(3)" fill="red"/>')
-        rect = find_one(tree, "v:roundrect")
-        assert rect == find_one(direct, "v:roundrect")
-        assert rect.find("v:fill").attributes == {"color": "red"} and rect.find("v:skew") is not None
-        assert not list(diags)
-
     @pytest.mark.parametrize(
         "attributes",
         ['fill="red" stroke="blue" stroke-width="2" opacity="0.5"', 'transform="scale(2) translate(2, 1)"'],
