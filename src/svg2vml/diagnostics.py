@@ -13,8 +13,7 @@ are never reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class Location:
@@ -43,8 +42,7 @@ class Location:
 LocationLike = Union[str, Location]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "warning" | "error"
     code: str
     message: str

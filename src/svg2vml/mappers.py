@@ -16,7 +16,6 @@ children, with child-set values taking precedence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
@@ -46,6 +45,7 @@ from .svg_dom import (
     Point,
     SvgDocument,
     SvgNode,
+    TreeNode,
     expansion_budget,
     parse_length,
     parse_points,
@@ -71,16 +71,20 @@ from .transform import (  # noqa: F401
 INHERITED_ATTRIBUTES = ("fill", "stroke", "stroke-width", "opacity")
 
 
-@dataclass
-class VmlNode:
+class VmlNode(TreeNode):
     """Output tree node: a VML or plain HTML element."""
 
-    tag: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    style: dict[str, str] = field(default_factory=dict)
-    children: list["VmlNode"] = field(default_factory=list)
-    text: Optional[str] = None
-    tail: Optional[str] = None
+    __slots__ = ("tag", "attributes", "style", "children", "text", "tail")
+
+    def __init__(self, tag: str, attributes: Optional[dict[str, str]] = None,
+                 style: Optional[dict[str, str]] = None, children: Optional[list["VmlNode"]] = None,
+                 text: Optional[str] = None, tail: Optional[str] = None):
+        self.tag = tag
+        self.attributes = {} if attributes is None else attributes
+        self.style = {} if style is None else style
+        self.children = [] if children is None else children
+        self.text = text
+        self.tail = tail
 
     def find(self, tag: str) -> Optional["VmlNode"]:
         for child in self.children:
@@ -89,18 +93,26 @@ class VmlNode:
         return None
 
 
-@dataclass(frozen=True)
 class MapperContext:
-    document: SvgDocument
-    root_size: RootSize
-    options: ConvertOptions
-    diagnostics: Diagnostics
-    budget: list[int]  # mapper calls left, one counter shared by every context of a document
-    inherited: dict[str, str] = field(default_factory=dict)
-    chain: Chain = EMPTY_CHAIN
-    ref_stack: frozenset = frozenset()
-    location: LocationLike = "svg"
-    depth: int = 1  # the root svg is level 1; each child and each use hop adds one
+    """What mapping one element reads from its place in the tree.
+
+    A context is never changed once made: `at` and `derive` copy it.
+    """
+
+    def __init__(self, document: SvgDocument, root_size: RootSize, options: ConvertOptions,
+                 diagnostics: Diagnostics, budget: list[int], inherited: Optional[dict[str, str]] = None,
+                 chain: Chain = EMPTY_CHAIN, ref_stack: frozenset = frozenset(),
+                 location: LocationLike = "svg", depth: int = 1):
+        self.document = document
+        self.root_size = root_size
+        self.options = options
+        self.diagnostics = diagnostics
+        self.budget = budget  # mapper calls left, one counter shared by every context of a document
+        self.inherited = {} if inherited is None else inherited
+        self.chain = chain
+        self.ref_stack = ref_stack
+        self.location = location
+        self.depth = depth  # the root svg is level 1; each child and each use hop adds one
 
     def at(self, step: str) -> "MapperContext":
         """The context for a child element; step is "/name[index]"."""
@@ -111,8 +123,8 @@ class MapperContext:
     def derive(self, **changes) -> "MapperContext":
         """A copy with the given fields changed.
 
-        Unlike dataclasses.replace, this skips __init__, which costs more
-        than the copy itself on the per-child path.
+        The copy skips __init__, which would cost more than the copy itself
+        on the per-child path.
         """
         derived = object.__new__(MapperContext)
         derived.__dict__.update(self.__dict__, **changes)

@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 MODE_VML = "vml"
 MODE_XHTML = "xhtml"
 
 
-@dataclass(frozen=True)
-class ConvertOptions:
+class _Options(NamedTuple):
     mode: str = MODE_VML
     precision: int = 6  # output decimals, 0..12
     strict: bool = False
     pretty: bool = False
     title: Optional[str] = None
 
-    def __post_init__(self):
-        if self.mode not in (MODE_VML, MODE_XHTML):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.precision <= 12:
+
+class ConvertOptions(_Options):
+    """The options of one conversion; immutable, and checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        options = super().__new__(cls, *args, **kwargs)
+        if options.mode not in (MODE_VML, MODE_XHTML):
+            raise ValueError(f"unknown mode {options.mode!r}")
+        if not 0 <= options.precision <= 12:
             raise ValueError("precision must be in [0, 12]")
+        return options

@@ -38,8 +38,7 @@ check per value: `is_finite_path` tells the caller to reject the path
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import NUMBER_RE, SEPARATORS, format_numbers
@@ -63,21 +62,25 @@ Segment = tuple[str, bool, Sequence[float]]
 _CLOSE: Segment = ("Z", False, ())
 
 
-@dataclass(frozen=True)
-class PathCommand:
+class _Command(NamedTuple):
     kind: str  # one of M, L, H, V, C, Z
     relative: bool
     coords: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.kind not in ARITY:
-            raise ValueError(f"unknown path command kind {self.kind!r}")
-        if len(self.coords) != ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs {ARITY[self.kind]} coordinates, got {len(self.coords)}"
-            )
-        if self.kind == "Z" and self.relative:
+
+class PathCommand(_Command):
+    """One canonical path command; immutable, and checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, relative: bool, coords: tuple[float, ...]):
+        if kind not in ARITY:
+            raise ValueError(f"unknown path command kind {kind!r}")
+        if len(coords) != ARITY[kind]:
+            raise ValueError(f"{kind} needs {ARITY[kind]} coordinates, got {len(coords)}")
+        if kind == "Z" and relative:
             raise ValueError("close-path is never relative")
+        return tuple.__new__(cls, (kind, relative, coords))
 
 
 def moveto(x, y, relative=False):

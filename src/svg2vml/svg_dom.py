@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 from xml.parsers import expat
 
@@ -83,8 +82,30 @@ class ViewBox(NamedTuple):
     height: float
 
 
-@dataclass
-class SvgNode:
+class TreeNode:
+    """Base of the parsed and the mapped tree nodes, which list their fields in __slots__.
+
+    Nodes compare field by field, and only with nodes of their own class;
+    they are mutable, so they have no hash.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class SvgNode(TreeNode):
     """One element of the parsed tree.
 
     `tag` is the element kind (an implemented local name, or "unknown");
@@ -92,12 +113,17 @@ class SvgNode:
     be re-serialized.
     """
 
-    tag: str
-    name: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list["SvgNode"] = field(default_factory=list)
-    text: Optional[str] = None
-    tail: Optional[str] = None
+    __slots__ = ("tag", "name", "attributes", "children", "text", "tail")
+
+    def __init__(self, tag: str, name: str, attributes: Optional[dict[str, str]] = None,
+                 children: Optional[list["SvgNode"]] = None, text: Optional[str] = None,
+                 tail: Optional[str] = None):
+        self.tag = tag
+        self.name = name
+        self.attributes = {} if attributes is None else attributes
+        self.children = [] if children is None else children
+        self.text = text
+        self.tail = tail
 
     def attr(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self.attributes.get(name, default)
@@ -108,8 +134,7 @@ class SvgNode:
             yield from child.iter_nodes()
 
 
-@dataclass
-class SvgDocument:
+class SvgDocument(NamedTuple):
     root: SvgNode
     id_index: dict[str, SvgNode]
     diagnostics: Diagnostics
