@@ -224,8 +224,9 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
 
     Stroke and fill features become v:stroke / v:fill children: the node's
     own attributes run first in document order, then inherited values fill
-    the gaps; at most one v:stroke and one v:fill child result.  Opacity
-    comes last, as an alpha filter.
+    the gaps; at most one v:stroke and one v:fill child result.  A "none"
+    stroke or fill sets stroked or filled to "f" on the shape instead.
+    Opacity comes last, as an alpha filter.
     """
     items = [(n, v) for n, v in node.attributes.items() if n in STROKE_TABLE or n == "fill"]
     for name in ("fill", "stroke", "stroke-width"):
@@ -237,9 +238,11 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
         if name == "fill":
             _apply_fill(value, ctx, shape)
             continue
-        mapped = map_stroke_attribute(name, value, ctx.options.precision)
-        if mapped is None:  # a bad stroke-width, parsed again for its diagnostic
-            parse_length(value, ctx.diagnostics, _attribute_location(ctx, name))
+        if name == "stroke" and value == "none":
+            shape.attributes["stroked"] = "f"
+            continue
+        mapped = map_stroke_attribute(name, value, ctx.options.precision, ctx.diagnostics, ctx.location)
+        if mapped is None:
             continue
         if stroke_child is None:
             stroke_child = VmlNode("v:stroke")

@@ -2,14 +2,15 @@
 
 Stroke features become the attributes of a v:stroke child, a fill those of
 a v:fill child, and opacity an alpha filter; the mappers only attach them.
-Colors pass through untranslated, valid on both sides.
+Colors pass through untranslated, valid on both sides; a "none" stroke or
+fill is a flag on the shape, which the mappers set.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .diagnostics import Diagnostics, LocationLike
+from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import WSP, format_number, parse_number
 from .svg_dom import SvgDocument, SvgNode, parse_length
 
@@ -23,14 +24,49 @@ STROKE_TABLE = {
     "stroke-opacity": "opacity",
 }
 
+# stroke-linecap values that VML spells otherwise; the rest are the same on both sides.
+ENDCAP_TABLE = {"butt": "flat"}
 
-def map_stroke_attribute(name: str, value: str, precision: int = 6) -> Optional[tuple[str, str]]:
-    """Translate one stroke attribute to its v:stroke counterpart; None for a bad stroke-width."""
+
+def map_stroke_attribute(
+    name: str,
+    value: str,
+    precision: int = 6,
+    diagnostics: Optional[Diagnostics] = None,
+    location: LocationLike = "",
+) -> Optional[tuple[str, str]]:
+    """Translate one stroke attribute of the element at location to its v:stroke counterpart.
+
+    stroke-width is a length, and stroke-opacity a number clamped to [0, 1]
+    as opacity is; a value that does not parse is reported and has no
+    counterpart (None).
+    """
     target = STROKE_TABLE[name]
-    if name != "stroke-width":
-        return target, value
-    length = parse_length(value)
-    return None if length is None else (target, format_number(length, precision))
+    if name == "stroke-width":
+        length = parse_length(value)
+        if length is None:  # parsed again only to record the diagnostic at the attribute
+            parse_length(value, diagnostics, Location(location, "@stroke-width"))
+            return None
+        return target, format_number(length, precision)
+    if name == "stroke-opacity":
+        opacity = _unit_interval(name, value, diagnostics if diagnostics is not None else Diagnostics(), location)
+        return None if opacity is None else (target, format_number(opacity, precision))
+    if name == "stroke-linecap":
+        return target, ENDCAP_TABLE.get(value, value)
+    return target, value
+
+
+def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
+    """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
+    try:
+        value = parse_number(raw)
+    except ValueError:
+        diagnostics.warning("BAD_ATTRIBUTE", f"unparseable {name} {raw!r}", location)
+        return None
+    if value < 0.0 or value > 1.0:
+        diagnostics.warning("BAD_ATTRIBUTE", f"{name} {format_number(value)} outside [0, 1], clamped", location)
+        value = min(1.0, max(0.0, value))
+    return value
 
 
 def alpha_filter(
@@ -40,17 +76,9 @@ def alpha_filter(
     location: LocationLike = "",
 ) -> Optional[str]:
     """The alpha filter for an opacity, scaled from [0, 1] to [0, 100]; None if it does not parse."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    try:
-        value = parse_number(raw)
-    except ValueError:
-        diagnostics.warning("BAD_ATTRIBUTE", f"unparseable opacity {raw!r}", location)
+    value = _unit_interval("opacity", raw, diagnostics if diagnostics is not None else Diagnostics(), location)
+    if value is None:
         return None
-    if value < 0.0 or value > 1.0:
-        diagnostics.warning(
-            "BAD_ATTRIBUTE", f"opacity {format_number(value)} outside [0, 1], clamped", location
-        )
-        value = min(1.0, max(0.0, value))
     return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * value, precision)})"
 
 

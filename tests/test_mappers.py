@@ -737,6 +737,52 @@ class TestStrokeFillOnShapes:
         assert find_all(tree, "v:stroke") == []
         assert [d.location for d in diags] == ["svg/g[0]/rect[0]@stroke-width", "svg/g[0]/circle[1]@stroke-width"]
 
+    @pytest.mark.parametrize("cap,endcap", [("butt", "flat"), ("round", "round"), ("square", "square")])
+    def test_linecap_takes_the_vml_name(self, cap, endcap):
+        tree, diags = map_snippet(f'<rect width="5" height="5" stroke-linecap="{cap}"/>')
+        assert find_one(tree, "v:roundrect").find("v:stroke").attributes == {"endcap": endcap}
+        assert list(diags) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '<rect width="5" height="5" stroke="none"/>',
+            '<g stroke="none"><rect width="5" height="5"/></g>',
+            '<a href="#x" stroke="none"><rect width="5" height="5"/></a>',
+        ],
+        ids=["own", "from-g", "from-a"],
+    )
+    def test_stroke_none_sets_stroked_flag(self, source):
+        tree, diags = map_snippet(source)
+        rect = find_one(tree, "v:roundrect")
+        assert rect.attributes["stroked"] == "f"
+        assert rect.find("v:stroke") is None
+        assert list(diags) == []
+
+    def test_own_stroke_overrides_an_inherited_none(self):
+        tree, _ = map_snippet('<g stroke="none"><rect width="5" height="5" stroke="red"/></g>')
+        rect = find_one(tree, "v:roundrect")
+        assert "stroked" not in rect.attributes
+        assert rect.find("v:stroke").attributes == {"color": "red"}
+
+    @pytest.mark.parametrize(
+        "value,written,message",
+        [
+            ("2", "1", "stroke-opacity 2 outside [0, 1], clamped"),
+            ("-0.5", "0", "stroke-opacity -0.5 outside [0, 1], clamped"),
+            ("half", None, "unparseable stroke-opacity 'half'"),
+        ],
+    )
+    def test_bad_stroke_opacity_is_reported_at_the_element(self, value, written, message):
+        source = f'<rect width="5" height="5" stroke="blue" stroke-opacity="{value}"/>'
+        tree, diags = map_snippet(source)
+        stroke = find_one(tree, "v:roundrect").find("v:stroke")
+        assert stroke.attributes.get("opacity") == written
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            ("warning", "BAD_ATTRIBUTE", message, "svg/rect[0]")
+        ]
+        assert convert_text(wrap_svg(source), ConvertOptions(strict=True))[0] is None
+
 
 class TestFillOpacity:
     """fill-opacity has no VML mapping: every element that carries it reports it."""

@@ -38,9 +38,11 @@ class TestStrokeTable:
             ("stroke-width", "2", "weight", "2"),
             ("stroke-width", "10px", "weight", "10"),
             ("stroke-linecap", "round", "endcap", "round"),
+            ("stroke-linecap", "butt", "endcap", "flat"),
             ("stroke-linejoin", "miter", "joinstyle", "miter"),
             ("stroke-miterlimit", "4", "miterlimit", "4"),
             ("stroke-opacity", "1", "opacity", "1"),
+            ("stroke-opacity", "2", "opacity", "1"),
         ],
     )
     def test_rows(self, svg_name, svg_value, vml_name, vml_value):
