@@ -28,3 +28,7 @@ class ConvertOptions(_Options):
         if not 0 <= options.precision <= 12:
             raise ValueError("precision must be in [0, 12]")
         return options
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, which would skip the checks
+        return cls(*iterable)

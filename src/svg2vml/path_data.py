@@ -82,6 +82,10 @@ class PathCommand(_Command):
             raise ValueError("close-path is never relative")
         return tuple.__new__(cls, (kind, relative, coords))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
+
 
 def moveto(x, y, relative=False):
     return PathCommand("M", relative, (float(x), float(y)))

@@ -49,15 +49,18 @@ def map_stroke_attribute(
             return None
         return target, format_number(length, precision)
     if name == "stroke-opacity":
-        opacity = _unit_interval(name, value, diagnostics if diagnostics is not None else Diagnostics(), location)
+        opacity = _unit_interval(name, value, diagnostics, location)
         return None if opacity is None else (target, format_number(opacity, precision))
     if name == "stroke-linecap":
         return target, ENDCAP_TABLE.get(value, value)
     return target, value
 
 
-def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
+def _unit_interval(
+    name: str, raw: str, diagnostics: Optional[Diagnostics], location: LocationLike
+) -> Optional[float]:
     """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
+    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     try:
         value = parse_number(raw)
     except ValueError:
@@ -76,7 +79,7 @@ def alpha_filter(
     location: LocationLike = "",
 ) -> Optional[str]:
     """The alpha filter for an opacity, scaled from [0, 1] to [0, 100]; None if it does not parse."""
-    value = _unit_interval("opacity", raw, diagnostics if diagnostics is not None else Diagnostics(), location)
+    value = _unit_interval("opacity", raw, diagnostics, location)
     if value is None:
         return None
     return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * value, precision)})"

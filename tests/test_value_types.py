@@ -32,6 +32,11 @@ class TestConvertOptions:
             options.precision = 2
         assert options.precision == 6
 
+    def test_replace_checks_the_new_values(self):
+        assert ConvertOptions()._replace(precision=2) == ConvertOptions(precision=2)
+        with pytest.raises(ValueError):
+            ConvertOptions()._replace(precision=13)
+
 
 class TestDiagnostic:
     def test_str(self):
@@ -64,6 +69,11 @@ class TestPathCommand:
         assert command == PathCommand("M", True, (1.0, 2.0))
         with pytest.raises(AttributeError):
             command.kind = "L"
+
+    def test_replace_checks_the_new_values(self):
+        assert PathCommand("M", False, (1.0, 2.0))._replace(kind="L") == PathCommand("L", False, (1.0, 2.0))
+        with pytest.raises(ValueError):
+            PathCommand("M", False, (1.0, 2.0))._replace(kind="Z")
 
 
 @pytest.mark.parametrize(
