@@ -83,6 +83,7 @@ FRAGMENT_FAMILIES = (
     "doctype-with-undeclared-prefix",  # a DOCTYPE before undeclared prefixes
     "transforms",  # every transformed element family under nested transformed groups
     "outside-grammar",  # characters outside the number grammar in every numeric attribute
+    "inheritance",  # paint values, some faulty, on nested g and a over shapes, text and use
 )
 
 NUMBERS = ("0", "1", "2.5", "-3", ".5", "-.5e-2", "1e3", "2em", "10px", "3pt", "nan", "inf", "abc", "",
@@ -119,6 +120,15 @@ NESTED_VIEW_BOXES = ((' viewBox="0 0 10 10"',) * 4
 # XML-legal characters that are neither separators nor digits in the number
 # grammar: em space, no-break space, ideographic space, NEL, Arabic-Indic three.
 OUTSIDE_GRAMMAR = ("\u2003", "\u00a0", "\u3000", "\u0085", "\u0663")
+# The "inheritance" family: each inheritable paint property with good values
+# and faulty ones, set on nested groups and anchors and on what they hold.
+PAINT_VALUES = (("fill", ("red", "none", "url(#fade)", "url(#nope)")), ("stroke", ("navy", "none")),
+                ("stroke-width", ("2", "nan", "2em")), ("stroke-linecap", ("butt", "round", "wide")),
+                ("stroke-linejoin", ("bevel", "arcs")), ("stroke-miterlimit", ("4", "abc", "0.5")),
+                ("stroke-opacity", ("0.5", "2", "half")), ("opacity", ("0.5", "0.25", "2", "lots")))
+INHERITING_ELEMENTS = ('<rect width="10" height="5"{p}/>', '<circle r="4"{p}/>', '<path d="M 0 0 L 10 10"{p}/>',
+                       '<polyline points="0,0 10,0 20,10"{p}/>', '<text x="1" y="20" font-size="8"{p}>t</text>',
+                       '<foreignObject width="5" height="5"{p}/>', '<use xlink:href="#shared"{p}/>')
 TEXTS = ("plain", "a &amp; b", "<![CDATA[x<y]]>", "one <!-- c --> two", "&#38;&#169;", "p<?pi x?>q", "\n  ")
 
 
@@ -249,6 +259,34 @@ def _outside_grammar(rng: random.Random) -> str:
     )
 
 
+def _inheritance(rng: random.Random) -> str:
+    """Paint values from a small alphabet, faulty ones included, on nested g and a over shapes, text and use."""
+
+    def paint(chance: float) -> str:
+        parts = [f' {name}="{rng.choice(values)}"' for name, values in PAINT_VALUES if rng.random() < chance]
+        rng.shuffle(parts)
+        return "".join(parts)
+
+    def element(depth: int) -> str:
+        if depth < 3 and rng.random() < 0.5:
+            body = "".join(element(depth + 1) for _ in range(rng.randint(1, 3)))
+            return rng.choice(("<g{p}>{b}</g>", '<a href="#x"{p}>{b}</a>')).format(p=paint(0.4), b=body)
+        return rng.choice(INHERITING_ELEMENTS).format(p=paint(0.15))
+
+    defs = (
+        '<defs><linearGradient id="fade" x2="1"><stop offset="0" stop-color="red"/>'
+        f'<stop offset="1" stop-color="blue"/></linearGradient><g id="shared"{paint(0.3)}>'
+        f'<rect width="3" height="3"{paint(0.15)}/></g></defs>'
+    )
+    body = "".join(element(0) for _ in range(rng.randint(1, 3)))
+    return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100">{defs}{body}</svg>'
+
+
+# Families that draw from a generator of their own, so adding one leaves the
+# fragments of every other family as they were.
+OWN_GENERATOR = {"outside-grammar": _outside_grammar, "inheritance": _inheritance}
+
+
 def _fragment(family: str, rng: random.Random) -> str:
     if family == "transforms":
         return _transformed(rng)
@@ -284,15 +322,16 @@ def _fragment(family: str, rng: random.Random) -> str:
 def build_fragments(seed: int, count: int) -> list[tuple[str, str, str]]:
     """`count` fragments as (family, name, text), the families in turn; the same for the same seed.
 
-    The outside-grammar family draws from its own generator, so the other
-    families draw the same fragments as before it was added.
+    The families in OWN_GENERATOR each draw from a generator of their own,
+    so the other families draw the same fragments as before those were added.
     """
     rng = random.Random(seed)
-    own_rng = random.Random(f"outside-grammar-{seed}")
+    own_rngs = {family: random.Random(f"{family}-{seed}") for family in OWN_GENERATOR}
     fragments = []
     for index in range(count):
         family = FRAGMENT_FAMILIES[index % len(FRAGMENT_FAMILIES)]
-        text = _outside_grammar(own_rng) if family == "outside-grammar" else _fragment(family, rng)
+        own = OWN_GENERATOR.get(family)
+        text = own(own_rngs[family]) if own is not None else _fragment(family, rng)
         fragments.append((family, f"{family}-{index}", text))
     return fragments
 
