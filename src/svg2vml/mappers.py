@@ -8,9 +8,10 @@ polygon, path) then takes one paint step, `_paint`: stroke and fill become
 v:stroke and v:fill children, opacity an alpha filter.  Last, the transform
 simulation strategy for the element's family runs; its offset rules read
 the box back from the style as written, rounded to the precision, and the
-moved origin goes through `_write_box` again.  The attributes of a group
-(a g or an a) are not emitted on the group itself but distributed to the
-children, with child-set values taking precedence.
+moved origin goes through `_write_box` again.  The paint and transform of a
+group (a g or an a) are not emitted on the group itself: its context carries
+them down, parsed once (`style.Paint`, `transform.Chain`), and each element
+extends them by its own values, which take precedence.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import format_number, format_numbers
 from .options import ConvertOptions
 
-# emit_vml_path, parse_path_data, shift_commands and to_absolute no longer
-# take part in mapping; they stay bound here because perfbench/spans.py
-# rebinds them by name in its traced run.
+# emit_vml_path, parse_path_data, shift_commands, to_absolute and
+# resolve_fill_reference take no part in mapping here; they stay bound because
+# perfbench/spans.py rebinds them by name in its traced run.
 from .path_data import (  # noqa: F401
     emit_vml_path,
     is_finite_path,
@@ -34,10 +35,13 @@ from .path_data import (  # noqa: F401
     to_absolute,
     vml_path,
 )
-from .style import (
-    STROKE_TABLE,
+from .style import (  # noqa: F401
+    INHERITED,
+    NO_PAINT,
+    NONE_FLAGS,
+    PAINTED,
+    Paint,
     alpha_filter,
-    map_stroke_attribute,
     resolve_fill_reference,
 )
 from .svg_dom import (
@@ -66,10 +70,6 @@ from .transform import (  # noqa: F401
     place,
     recalc_points,
 )
-
-# Presentation attributes a group pushes down to its descendants.
-INHERITED_ATTRIBUTES = ("fill", "stroke", "stroke-width", "opacity")
-
 
 class VmlNode(TreeNode):
     """Output tree node: a VML or plain HTML element."""
@@ -100,7 +100,7 @@ class MapperContext:
     """
 
     def __init__(self, document: SvgDocument, root_size: RootSize, options: ConvertOptions,
-                 diagnostics: Diagnostics, budget: list[int], inherited: Optional[dict[str, str]] = None,
+                 diagnostics: Diagnostics, budget: list[int], paint: Paint = NO_PAINT,
                  chain: Chain = EMPTY_CHAIN, ref_stack: frozenset = frozenset(),
                  location: LocationLike = "svg", depth: int = 1):
         self.document = document
@@ -108,7 +108,7 @@ class MapperContext:
         self.options = options
         self.diagnostics = diagnostics
         self.budget = budget  # mapper calls left, one counter shared by every context of a document
-        self.inherited = {} if inherited is None else inherited
+        self.paint = paint  # what the enclosing groups hand down
         self.chain = chain
         self.ref_stack = ref_stack
         self.location = location
@@ -194,13 +194,6 @@ def _append_filter(mapped: VmlNode, filter_text: str) -> None:
     mapped.style["filter"] = f"{existing} {filter_text}" if existing else filter_text
 
 
-def _report_fill_opacity(node: SvgNode, ctx: MapperContext) -> None:
-    if node.attr("fill-opacity") is not None:
-        ctx.diagnostics.warning(
-            "UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", ctx.location
-        )
-
-
 def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], owner: str) -> None:
     """An UNSUPPORTED_ATTRIBUTE warning for each of names that node carries."""
     for name in names:
@@ -209,59 +202,29 @@ def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], o
             ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
 
 
-def _apply_opacity(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> None:
-    _report_fill_opacity(node, ctx)
-    raw = node.attr("opacity", ctx.inherited.get("opacity"))
-    if raw is None:
-        return
-    alpha = alpha_filter(raw, ctx.options.precision, ctx.diagnostics, ctx.location)
-    if alpha is not None:
-        _append_filter(mapped, alpha)
+def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, ...] = PAINTED) -> None:
+    """Write the inherited paint, extended by the node's own properties among names, onto shape.
 
-
-def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode) -> None:
-    """Map stroke, fill and opacity onto a drawn shape.
-
-    Stroke and fill features become v:stroke / v:fill children: the node's
-    own attributes run first in document order, then inherited values fill
-    the gaps; at most one v:stroke and one v:fill child result.  A "none"
-    stroke or fill sets stroked or filled to "f" on the shape instead.
-    Opacity comes last, as an alpha filter.
+    Fill and stroke values become one v:fill and one v:stroke child at most,
+    in the paint's order; a "none" fill or stroke sets filled or stroked to
+    "f" instead.  Opacity becomes an alpha filter.
     """
-    items = [(n, v) for n, v in node.attributes.items() if n in STROKE_TABLE or n == "fill"]
-    for name in ("fill", "stroke", "stroke-width"):
-        if name in ctx.inherited and node.attr(name) is None:
-            items.append((name, ctx.inherited[name]))
-
+    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, names)
     stroke_child: Optional[VmlNode] = None
-    for name, value in items:
-        if name == "fill":
-            _apply_fill(value, ctx, shape)
-            continue
-        if name == "stroke" and value == "none":
-            shape.attributes["stroked"] = "f"
-            continue
-        mapped = map_stroke_attribute(name, value, ctx.options.precision, ctx.diagnostics, ctx.location)
+    for name, mapped in paint.values.items():
         if mapped is None:
             continue
-        if stroke_child is None:
-            stroke_child = VmlNode("v:stroke")
-            shape.children.append(stroke_child)
-        target, mapped_value = mapped
-        stroke_child.attributes[target] = mapped_value
-
-    _apply_opacity(node, ctx, shape)
-
-
-def _apply_fill(value: str, ctx: MapperContext, shape: VmlNode) -> None:
-    if value == "none":
-        shape.attributes["filled"] = "f"
-        return
-    fill = {"color": value}
-    if value.strip().startswith("url("):
-        fill = resolve_fill_reference(value, ctx.document, ctx.diagnostics, ctx.location)
-    if fill is not None:
-        shape.children.append(VmlNode("v:fill", fill))
+        if mapped is NONE_FLAGS.get(name):
+            shape.attributes[mapped[0]] = mapped[1]
+        elif name == "fill":
+            shape.children.append(VmlNode("v:fill", dict(mapped)))
+        else:
+            if stroke_child is None:
+                stroke_child = VmlNode("v:stroke")
+                shape.children.append(stroke_child)
+            stroke_child.attributes[mapped[0]] = mapped[1]
+    if paint.opacity is not None:
+        _append_filter(shape, alpha_filter(paint.opacity, ctx.options.precision))
 
 
 # --- transform simulation ----------------------------------------------------
@@ -347,14 +310,9 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 
 def _group_context(node: SvgNode, ctx: MapperContext) -> MapperContext:
-    """The context of a g's or an a's children: its inheritable attributes and transform pushed down."""
-    _report_fill_opacity(node, ctx)
-    inherited = dict(ctx.inherited)
-    for name in INHERITED_ATTRIBUTES:
-        value = node.attr(name)
-        if value is not None:
-            inherited[name] = value
-    return ctx.derive(inherited=inherited, chain=_effective_chain(node, ctx))
+    """The context of a g's or an a's children: its inheritable paint and transform pushed down."""
+    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, INHERITED)
+    return ctx.derive(paint=paint, chain=_effective_chain(node, ctx))
 
 
 def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
@@ -526,7 +484,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     _write_box(ctx, box, x, top)
     if node.text and node.text.strip():
         box.text = node.text.strip()
-    _apply_opacity(node, ctx, box)
+    _paint(node, ctx, box, ("opacity",))
     _apply_box_transform(node, ctx, box)
     return box
 
@@ -574,7 +532,7 @@ def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
         box.text = node.text
     for child in node.children:
         box.children.append(_map_verbatim(child))
-    _apply_opacity(node, ctx, box)
+    _paint(node, ctx, box, ("opacity",))
     _apply_box_transform(node, ctx, box)
     return box
 

@@ -1,14 +1,15 @@
 """Presentation attribute mapping: the VML that stroke, fill and opacity become.
 
 Stroke features become the attributes of a v:stroke child, a fill those of
-a v:fill child, and opacity an alpha filter; the mappers only attach them.
-Colors pass through untranslated, valid on both sides; a "none" stroke or
-fill is a flag on the shape, which the mappers set.
+a v:fill child, and opacity an alpha filter; a "none" stroke or fill is a
+flag on the shape.  Colors pass through untranslated, valid on both sides.
+Inheritance is one fold, `Paint.extend`, applied by each g, a and drawn
+element, so every value is parsed and reported once, where it is written.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import WSP, format_number, parse_number
@@ -27,14 +28,16 @@ STROKE_TABLE = {
 # stroke-linecap values that VML spells otherwise; the rest are the same on both sides.
 ENDCAP_TABLE = {"butt": "flat"}
 
+# The paint properties a drawn shape reads, and those a g or an a hands down.
+PAINTED = ("fill", *STROKE_TABLE, "opacity")
+INHERITED = ("fill", "stroke", "stroke-width", "opacity")
 
-def map_stroke_attribute(
-    name: str,
-    value: str,
-    precision: int = 6,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[tuple[str, str]]:
+# What a "none" fill or stroke writes: a flag on the shape, not a v:fill or v:stroke child.
+NONE_FLAGS = {"fill": ("filled", "f"), "stroke": ("stroked", "f")}
+
+
+def map_stroke_attribute(name: str, value: str, precision: int = 6, diagnostics: Optional[Diagnostics] = None,
+                         location: LocationLike = "") -> Optional[tuple[str, str]]:
     """Translate one stroke attribute of the element at location to its v:stroke counterpart.
 
     stroke-width is a length, and stroke-opacity a number clamped to [0, 1]
@@ -43,11 +46,8 @@ def map_stroke_attribute(
     """
     target = STROKE_TABLE[name]
     if name == "stroke-width":
-        length = parse_length(value)
-        if length is None:  # parsed again only to record the diagnostic at the attribute
-            parse_length(value, diagnostics, Location(location, "@stroke-width"))
-            return None
-        return target, format_number(length, precision)
+        length = parse_length(value, diagnostics, Location(location, "@stroke-width"))
+        return None if length is None else (target, format_number(length, precision))
     if name == "stroke-opacity":
         opacity = _unit_interval(name, value, diagnostics, location)
         return None if opacity is None else (target, format_number(opacity, precision))
@@ -56,9 +56,7 @@ def map_stroke_attribute(
     return target, value
 
 
-def _unit_interval(
-    name: str, raw: str, diagnostics: Optional[Diagnostics], location: LocationLike
-) -> Optional[float]:
+def _unit_interval(name: str, raw: str, diagnostics: Optional[Diagnostics], location: LocationLike) -> Optional[float]:
     """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     try:
@@ -72,17 +70,59 @@ def _unit_interval(
     return value
 
 
-def alpha_filter(
-    raw: str,
-    precision: int = 6,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[str]:
-    """The alpha filter for an opacity, scaled from [0, 1] to [0, 100]; None if it does not parse."""
-    value = _unit_interval("opacity", raw, diagnostics, location)
-    if value is None:
-        return None
-    return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * value, precision)})"
+def alpha_filter(opacity: float, precision: int = 6) -> str:
+    """The alpha filter for an opacity, scaled from [0, 1] to [0, 100]."""
+    return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * opacity, precision)})"
+
+
+class Paint(NamedTuple):
+    """The paint an element draws with: its own values over those its groups hand down.
+
+    values maps each fill and stroke property, in writing order, to its VML:
+    a fill to its v:fill attributes, a stroke property to its (v:stroke
+    attribute, value) pair, "none" to its NONE_FLAGS entry, and a value that
+    does not parse to None, which writes nothing.  opacity is None when
+    unset.
+    """
+
+    values: dict
+    opacity: Optional[float]
+
+    def extend(self, node: SvgNode, document: SvgDocument, precision: int, diagnostics: Diagnostics,
+               location: LocationLike, names: tuple[str, ...] = PAINTED) -> "Paint":
+        """This paint's names under node's own, each parsed and reported here; names keep PAINTED's order.
+
+        node's values come first, in document order, then the inherited ones
+        in names' order.  fill-opacity is reported before opacity is read.
+        """
+        values = {}
+        own_opacity = None
+        for name, raw in node.attributes.items():
+            if name not in names:
+                continue
+            if name == "opacity":
+                own_opacity = raw
+            elif raw == "none" and name in NONE_FLAGS:
+                values[name] = NONE_FLAGS[name]
+            elif name == "fill":
+                url = raw.strip().startswith("url(")
+                values[name] = resolve_fill_reference(raw, document, diagnostics, location) if url else {"color": raw}
+            else:
+                values[name] = map_stroke_attribute(name, raw, precision, diagnostics, location)
+        if "fill-opacity" in node.attributes:
+            diagnostics.warning("UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", location)
+        opacity = self.opacity
+        if own_opacity is not None:
+            opacity = _unit_interval("opacity", own_opacity, diagnostics, location)
+        inherited = self.values
+        if inherited:
+            for name in names:
+                if name in inherited and name not in values:
+                    values[name] = inherited[name]
+        return Paint(values, opacity)
+
+
+NO_PAINT = Paint({}, None)
 
 
 def _stop_offset(value: Optional[str]) -> Optional[float]:

@@ -1,6 +1,7 @@
 import pytest
 
 from svg2vml.style import (
+    NO_PAINT,
     alpha_filter,
     map_stroke_attribute,
     resolve_fill_reference,
@@ -23,8 +24,9 @@ def gradient_fill(color: str, color2: str, angle: str) -> dict:
 
 
 def alpha(value: float, diags) -> float:
-    """The opacity in the alpha filter written for value."""
-    text = alpha_filter(str(value), 6, diags)
+    """The opacity in the alpha filter written for value, read through the paint fold."""
+    doc = parse_svg(f'<svg><rect opacity="{value}"/></svg>')
+    text = alpha_filter(NO_PAINT.extend(doc.root.children[0], doc, 6, diags, "").opacity, 6)
     prefix = "progid:DXImageTransform.Microsoft.Alpha(opacity="
     assert text.startswith(prefix) and text.endswith(")")
     return float(text[len(prefix):-1])
