@@ -81,8 +81,8 @@ class Paint(NamedTuple):
     values maps each fill and stroke property, in writing order, to its VML:
     a fill to its v:fill attributes, a stroke property to its (v:stroke
     attribute, value) pair, "none" to its NONE_FLAGS entry, and a value that
-    does not parse to None, which writes nothing.  opacity is None when
-    unset.
+    does not parse to None, which writes nothing.  opacity is the product
+    down the group chain, None when no element sets one.
     """
 
     values: dict
@@ -113,7 +113,9 @@ class Paint(NamedTuple):
             diagnostics.warning("UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", location)
         opacity = self.opacity
         if own_opacity is not None:
-            opacity = _unit_interval("opacity", own_opacity, diagnostics, location)
+            own = _unit_interval("opacity", own_opacity, diagnostics, location)
+            if own is not None:
+                opacity = own if opacity is None else opacity * own
         inherited = self.values
         if inherited:
             for name in names:

@@ -409,21 +409,22 @@ class TestGroups:
         assert rect.style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=50)"
 
     @pytest.mark.parametrize(
-        "name,group_value,child_value,probe",
+        "name,group_value,child_value,probe,expected",
         [
-            ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"]),
-            ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"]),
-            ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"]),
-            ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1]),
+            ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"], "blue"),
+            ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"], "blue"),
+            ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"], "2"),
+            # Opacities multiply down the group chain.
+            ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "12.5"),
+            ("opacity", "0.5", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "25"),
         ],
     )
-    def test_child_value_survives_push_down(self, name, group_value, child_value, probe):
-        tree, _ = map_snippet(
+    def test_child_value_survives_push_down(self, name, group_value, child_value, probe, expected):
+        tree, diagnostics = map_snippet(
             f'<g {name}="{group_value}"><rect width="5" height="5" {name}="{child_value}"/></g>'
         )
-        rect = find_one(tree, "v:roundrect")
-        expected = {"fill": "blue", "stroke": "blue", "stroke-width": "2", "opacity": "50"}[name]
-        assert probe(rect) == expected
+        assert probe(find_one(tree, "v:roundrect")) == expected
+        assert list(diagnostics) == []
 
 
 class TestTextAndForeignObject:
