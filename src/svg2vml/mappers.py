@@ -39,7 +39,6 @@ from .style import (  # noqa: F401
     INHERITED,
     NO_PAINT,
     NONE_FLAGS,
-    PAINTED,
     Paint,
     alpha_filter,
     resolve_fill_reference,
@@ -202,7 +201,7 @@ def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], o
             ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
 
 
-def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, ...] = PAINTED) -> None:
+def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, ...] = INHERITED) -> None:
     """Write the inherited paint, extended by the node's own properties among names, onto shape.
 
     Fill and stroke values become one v:fill and one v:stroke child at most,
@@ -311,7 +310,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 def _group_context(node: SvgNode, ctx: MapperContext) -> MapperContext:
     """The context of a g's or an a's children: its inheritable paint and transform pushed down."""
-    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, INHERITED)
+    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
     return ctx.derive(paint=paint, chain=_effective_chain(node, ctx))
 
 

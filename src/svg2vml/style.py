@@ -28,9 +28,8 @@ STROKE_TABLE = {
 # stroke-linecap values that VML spells otherwise; the rest are the same on both sides.
 ENDCAP_TABLE = {"butt": "flat"}
 
-# The paint properties a drawn shape reads, and those a g or an a hands down.
-PAINTED = ("fill", *STROKE_TABLE, "opacity")
-INHERITED = ("fill", "stroke", "stroke-width", "opacity")
+# The paint properties a drawn shape reads and a g or an a hands down.
+INHERITED = ("fill", *STROKE_TABLE, "opacity")
 
 # What a "none" fill or stroke writes: a flag on the shape, not a v:fill or v:stroke child.
 NONE_FLAGS = {"fill": ("filled", "f"), "stroke": ("stroked", "f")}
@@ -89,8 +88,8 @@ class Paint(NamedTuple):
     opacity: Optional[float]
 
     def extend(self, node: SvgNode, document: SvgDocument, precision: int, diagnostics: Diagnostics,
-               location: LocationLike, names: tuple[str, ...] = PAINTED) -> "Paint":
-        """This paint's names under node's own, each parsed and reported here; names keep PAINTED's order.
+               location: LocationLike, names: tuple[str, ...] = INHERITED) -> "Paint":
+        """This paint's names under node's own, each parsed and reported here; names keep INHERITED's order.
 
         node's values come first, in document order, then the inherited ones
         in names' order.  fill-opacity is reported before opacity is read.

@@ -414,6 +414,10 @@ class TestGroups:
             ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"], "blue"),
             ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"], "blue"),
             ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"], "2"),
+            ("stroke-linecap", "round", "butt", lambda rect: rect.find("v:stroke").attributes["endcap"], "flat"),
+            ("stroke-linejoin", "round", "bevel", lambda rect: rect.find("v:stroke").attributes["joinstyle"], "bevel"),
+            ("stroke-miterlimit", "8", "4", lambda rect: rect.find("v:stroke").attributes["miterlimit"], "4"),
+            ("stroke-opacity", "0.25", "0.5", lambda rect: rect.find("v:stroke").attributes["opacity"], "0.5"),
             # Opacities multiply down the group chain.
             ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "12.5"),
             ("opacity", "0.5", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "25"),
@@ -758,6 +762,17 @@ class TestStrokeFillOnShapes:
         rect = find_one(tree, "v:roundrect")
         assert rect.attributes["stroked"] == "f"
         assert rect.find("v:stroke") is None
+        assert list(diags) == []
+
+    def test_stroke_properties_inherit(self):
+        tree, diags = map_snippet(
+            '<g stroke="red" stroke-linecap="round"><a href="#x" stroke-linejoin="bevel" stroke-miterlimit="8"'
+            ' stroke-opacity="0.5"><path d="M 0 0 L 5 5"/></a></g>'
+        )
+        stroke = find_one(tree, "v:shape").find("v:stroke")
+        assert stroke.attributes == {
+            "color": "red", "endcap": "round", "joinstyle": "bevel", "miterlimit": "8", "opacity": "0.5"
+        }
         assert list(diags) == []
 
     def test_own_stroke_overrides_an_inherited_none(self):
