@@ -25,8 +25,11 @@ STROKE_TABLE = {
     "stroke-opacity": "opacity",
 }
 
-# stroke-linecap values that VML spells otherwise; the rest are the same on both sides.
-ENDCAP_TABLE = {"butt": "flat"}
+# The keywords stroke-linecap and stroke-linejoin take, each with its VML spelling.
+STROKE_KEYWORDS = {
+    "stroke-linecap": {"butt": "flat", "round": "round", "square": "square"},
+    "stroke-linejoin": {"miter": "miter", "round": "round", "bevel": "bevel"},
+}
 
 # The paint properties a drawn shape reads and a g or an a hands down.
 INHERITED = ("fill", *STROKE_TABLE, "opacity")
@@ -39,25 +42,40 @@ def map_stroke_attribute(name: str, value: str, precision: int = 6, diagnostics:
                          location: LocationLike = "") -> Optional[tuple[str, str]]:
     """Translate one stroke attribute of the element at location to its v:stroke counterpart.
 
-    stroke-width is a length, and stroke-opacity a number clamped to [0, 1]
-    as opacity is; a value that does not parse is reported and has no
-    counterpart (None).
+    stroke-width is a length, stroke-opacity a number clamped to [0, 1] as
+    opacity is, stroke-miterlimit a number of at least 1, and stroke-linecap
+    and stroke-linejoin one of their STROKE_KEYWORDS.  Any other value is
+    reported and has no counterpart (None).
     """
+    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     target = STROKE_TABLE[name]
+    if name == "stroke":
+        return target, value
     if name == "stroke-width":
         length = parse_length(value, diagnostics, Location(location, "@stroke-width"))
         return None if length is None else (target, format_number(length, precision))
     if name == "stroke-opacity":
         opacity = _unit_interval(name, value, diagnostics, location)
         return None if opacity is None else (target, format_number(opacity, precision))
-    if name == "stroke-linecap":
-        return target, ENDCAP_TABLE.get(value, value)
-    return target, value
+    keywords = STROKE_KEYWORDS.get(name)
+    if keywords is not None:
+        if value in keywords:
+            return target, keywords[value]
+        fault = f"is not one of {', '.join(keywords)}"
+    else:
+        try:
+            limit = parse_number(value)
+        except ValueError:
+            limit = 0.0
+        if limit >= 1.0:
+            return target, format_number(limit, precision)
+        fault = "is not a number of at least 1"
+    diagnostics.warning("BAD_ATTRIBUTE", f"{name} {value!r} {fault}", location)
+    return None
 
 
-def _unit_interval(name: str, raw: str, diagnostics: Optional[Diagnostics], location: LocationLike) -> Optional[float]:
+def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
     """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     try:
         value = parse_number(raw)
     except ValueError:

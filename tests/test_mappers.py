@@ -431,6 +431,47 @@ class TestGroups:
         assert list(diagnostics) == []
 
 
+class TestPaintInheritance:
+    """A group's paint is parsed once, and each fault in it reported once, at the group."""
+
+    def test_dangling_group_fill_is_reported_once_at_the_group(self):
+        tree, diags = map_snippet('<g fill="url(#nope)"><rect width="5" height="5"/><rect width="6" height="6"/></g>')
+        assert find_all(tree, "v:fill") == []
+        assert [(d.code, d.location) for d in diags] == [("DANGLING_REF", "svg/g[0]")]
+
+    def test_bad_group_opacity_is_reported_even_with_nothing_under_it(self):
+        source = wrap_svg('<g opacity="lots"/>')
+        output, diags = convert_text(source)
+        assert output is not None
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("BAD_ATTRIBUTE", "unparseable opacity 'lots'", "svg/g[0]")
+        ]
+        assert convert_text(source, ConvertOptions(strict=True))[0] is None
+
+    def test_group_linecap_reaches_a_path(self):
+        tree, diags = map_snippet('<g stroke="red" stroke-linecap="round"><path d="M 0 0 L 5 5"/></g>')
+        assert find_one(tree, "v:shape").find("v:stroke").attributes == {"color": "red", "endcap": "round"}
+        assert list(diags) == []
+
+    def test_bad_group_linecap_is_reported_once_and_not_handed_down(self):
+        tree, diags = map_snippet(
+            '<g stroke="red" stroke-linecap="wide"><rect width="5" height="5"/><circle r="2"/></g>'
+        )
+        assert [stroke.attributes for stroke in find_all(tree, "v:stroke")] == [{"color": "red"}] * 2
+        assert [(d.code, d.location) for d in diags] == [("BAD_ATTRIBUTE", "svg/g[0]")]
+
+    def test_nested_opacities_multiply(self):
+        tree, _ = map_snippet(
+            '<g opacity="0.5"><a href="#x" opacity="0.5"><rect width="5" height="5" opacity="0.4"/></a></g>'
+        )
+        assert find_one(tree, "v:roundrect").style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=10)"
+
+    def test_bad_own_opacity_leaves_the_inherited_one(self):
+        tree, diags = map_snippet('<g opacity="0.5"><rect width="5" height="5" opacity="lots"/></g>')
+        assert find_one(tree, "v:roundrect").style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=50)"
+        assert [(d.code, d.location) for d in diags] == [("BAD_ATTRIBUTE", "svg/g[0]/rect[0]")]
+
+
 class TestTextAndForeignObject:
     def test_text_top_subtracts_font_size(self):
         tree, _ = map_snippet('<text x="10" y="100" font-size="40">hi</text>')
@@ -658,16 +699,27 @@ class TestAnchor:
         assert anchor.children[0].tag == "v:oval"
 
     @pytest.mark.parametrize(
-        "attributes",
-        ['fill="red" stroke="blue" stroke-width="2" opacity="0.5"', 'transform="scale(2) translate(2, 1)"'],
-        ids=["paint", "transform"],
+        "attributes,codes",
+        [
+            ('fill="red" stroke="blue" stroke-width="2" opacity="0.5"', []),
+            ('transform="scale(2) translate(2, 1)"', []),
+            (
+                'fill="url(#nope)" stroke-width="nan" stroke-linecap="wide" opacity="lots"',
+                ["DANGLING_REF", "UNSUPPORTED_UNIT", "BAD_ATTRIBUTE", "BAD_ATTRIBUTE"],
+            ),
+        ],
+        ids=["paint", "transform", "faulty-paint"],
     )
-    def test_anchor_distributes_as_a_group_does(self, attributes):
+    def test_anchor_distributes_as_a_group_does(self, attributes, codes):
         children = '<rect x="1" width="2" height="1" fill="green"/><circle r="1"/><polyline points="0,0 1,1"/>'
         anchored, anchor_diags = map_snippet(f'<a href="#x" {attributes}>{children}</a>')
         grouped, group_diags = map_snippet(f'<g {attributes}>{children}</g>')
         assert find_one(anchored, "html:a").children == find_all(grouped, "v:group")[1].children
-        assert list(anchor_diags) == list(group_diags) == []
+        # One report per fault, at the carrier itself: svg/a[0] or svg/g[0], with or without its @attribute.
+        reports = [(d.code, d.message, d.location.replace("svg/a[0]", "svg/g[0]")) for d in anchor_diags]
+        assert reports == [(d.code, d.message, d.location) for d in group_diags]
+        assert [code for code, _, _ in reports] == codes
+        assert all(location.split("@")[0] == "svg/g[0]" for _, _, location in reports)
 
 
 class TestStrokeFillOnShapes:
@@ -780,6 +832,17 @@ class TestStrokeFillOnShapes:
         rect = find_one(tree, "v:roundrect")
         assert "stroked" not in rect.attributes
         assert rect.find("v:stroke").attributes == {"color": "red"}
+
+    def test_unchecked_stroke_values_are_reported_and_not_written(self):
+        source = '<rect width="5" height="5" stroke-miterlimit="abc" stroke-linejoin="arcs" stroke-linecap="wide"/>'
+        tree, diags = map_snippet(source)
+        assert find_one(tree, "v:roundrect").find("v:stroke") is None
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("BAD_ATTRIBUTE", "stroke-miterlimit 'abc' is not a number of at least 1", "svg/rect[0]"),
+            ("BAD_ATTRIBUTE", "stroke-linejoin 'arcs' is not one of miter, round, bevel", "svg/rect[0]"),
+            ("BAD_ATTRIBUTE", "stroke-linecap 'wide' is not one of butt, round, square", "svg/rect[0]"),
+        ]
+        assert convert_text(wrap_svg(source), ConvertOptions(strict=True))[0] is None
 
     @pytest.mark.parametrize(
         "value,written,message",

@@ -41,8 +41,13 @@ class TestStrokeTable:
             ("stroke-width", "10px", "weight", "10"),
             ("stroke-linecap", "round", "endcap", "round"),
             ("stroke-linecap", "butt", "endcap", "flat"),
+            ("stroke-linecap", "square", "endcap", "square"),
             ("stroke-linejoin", "miter", "joinstyle", "miter"),
+            ("stroke-linejoin", "round", "joinstyle", "round"),
+            ("stroke-linejoin", "bevel", "joinstyle", "bevel"),
             ("stroke-miterlimit", "4", "miterlimit", "4"),
+            ("stroke-miterlimit", "1", "miterlimit", "1"),
+            ("stroke-miterlimit", "4.50", "miterlimit", "4.5"),
             ("stroke-opacity", "1", "opacity", "1"),
             ("stroke-opacity", "2", "opacity", "1"),
         ],
@@ -53,6 +58,25 @@ class TestStrokeTable:
     @pytest.mark.parametrize("value", ["nan", "inf", "2em", "1e3", ""])
     def test_bad_stroke_width_has_no_counterpart(self, value):
         assert map_stroke_attribute("stroke-width", value) is None
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("stroke-linecap", "wide", "stroke-linecap 'wide' is not one of butt, round, square"),
+            ("stroke-linecap", "flat", "stroke-linecap 'flat' is not one of butt, round, square"),
+            ("stroke-linejoin", "arcs", "stroke-linejoin 'arcs' is not one of miter, round, bevel"),
+            ("stroke-linejoin", "", "stroke-linejoin '' is not one of miter, round, bevel"),
+            ("stroke-miterlimit", "abc", "stroke-miterlimit 'abc' is not a number of at least 1"),
+            ("stroke-miterlimit", "0.5", "stroke-miterlimit '0.5' is not a number of at least 1"),
+            ("stroke-miterlimit", "nan", "stroke-miterlimit 'nan' is not a number of at least 1"),
+            ("stroke-miterlimit", "1e999", "stroke-miterlimit '1e999' is not a number of at least 1"),
+        ],
+    )
+    def test_bad_keyword_or_miterlimit_is_reported_with_no_counterpart(self, name, value, message, diags):
+        assert map_stroke_attribute(name, value, 6, diags, "svg/rect[0]") is None
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            ("warning", "BAD_ATTRIBUTE", message, "svg/rect[0]")
+        ]
 
 
 class TestMapOpacity:
