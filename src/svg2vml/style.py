@@ -158,18 +158,8 @@ def _stop_offset(value: Optional[str]) -> Optional[float]:
         return None
 
 
-def _gradient_coordinate(node: SvgNode, name: str, default: float) -> Optional[float]:
-    raw = node.attr(name)
-    if raw is None:
-        return default
-    return _stop_offset(raw)
-
-
-def resolve_gradient(
-    node: SvgNode,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[dict[str, str]]:
+def resolve_gradient(node: SvgNode, diagnostics: Optional[Diagnostics] = None,
+                     location: LocationLike = "") -> Optional[dict[str, str]]:
     """The v:fill attributes of a two-stop horizontal or vertical gradient.
 
     Only gradients of exactly two stops at 0% and 100% along a horizontal or
@@ -191,10 +181,10 @@ def resolve_gradient(
         unsupported("gradient stops must sit at 0% and 100%")
         return None
 
-    x1 = _gradient_coordinate(node, "x1", 0.0)
-    y1 = _gradient_coordinate(node, "y1", 0.0)
-    x2 = _gradient_coordinate(node, "x2", 1.0)
-    y2 = _gradient_coordinate(node, "y2", 0.0)
+    x1 = _stop_offset(node.attr("x1", "0"))
+    y1 = _stop_offset(node.attr("y1", "0"))
+    x2 = _stop_offset(node.attr("x2", "1"))
+    y2 = _stop_offset(node.attr("y2", "0"))
     if None in (x1, y1, x2, y2):
         unsupported("unparseable gradient axis coordinates")
         return None
@@ -215,12 +205,8 @@ def resolve_gradient(
     return {"type": "gradient", "color": colors[0], "color2": colors[1], "angle": angle}
 
 
-def resolve_fill_reference(
-    value: str,
-    document: SvgDocument,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[dict[str, str]]:
+def resolve_fill_reference(value: str, document: SvgDocument, diagnostics: Optional[Diagnostics] = None,
+                           location: LocationLike = "") -> Optional[dict[str, str]]:
     """Resolve a fill of the form url(#id) to its gradient's v:fill attributes."""
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     inner = value.strip()[4:-1].strip().strip("'\"")
@@ -232,8 +218,6 @@ def resolve_fill_reference(
         diagnostics.error("DANGLING_REF", f"fill references unknown id {inner!r}", location)
         return None
     if target.tag != "linearGradient":
-        diagnostics.error(
-            "UNSUPPORTED_GRADIENT", f"fill reference {inner!r} is not a linear gradient", location
-        )
+        diagnostics.error("UNSUPPORTED_GRADIENT", f"fill reference {inner!r} is not a linear gradient", location)
         return None
     return resolve_gradient(target, diagnostics, location)
