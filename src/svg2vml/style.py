@@ -107,10 +107,10 @@ class Paint(NamedTuple):
 
     def extend(self, node: SvgNode, document: SvgDocument, precision: int, diagnostics: Diagnostics,
                location: LocationLike, names: tuple[str, ...] = INHERITED) -> "Paint":
-        """This paint's names under node's own, each parsed and reported here; names keep INHERITED's order.
+        """This paint extended by node's own properties among names, each parsed and reported here.
 
-        node's values come first, in document order, then the inherited ones
-        in names' order.  fill-opacity is reported before opacity is read.
+        names is INHERITED or an ordered part of it.  Own values come first, in
+        document order, then inherited ones; fill-opacity is reported before opacity.
         """
         values = {}
         own_opacity = None

@@ -409,24 +409,25 @@ class TestGroups:
         assert rect.style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=50)"
 
     @pytest.mark.parametrize(
-        "name,group_value,child_value,probe,expected",
+        "name,group_value,child_value,probe",
         [
-            ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"], "blue"),
-            ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"], "blue"),
-            ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"], "2"),
-            ("stroke-linecap", "round", "butt", lambda rect: rect.find("v:stroke").attributes["endcap"], "flat"),
-            ("stroke-linejoin", "round", "bevel", lambda rect: rect.find("v:stroke").attributes["joinstyle"], "bevel"),
-            ("stroke-miterlimit", "8", "4", lambda rect: rect.find("v:stroke").attributes["miterlimit"], "4"),
-            ("stroke-opacity", "0.25", "0.5", lambda rect: rect.find("v:stroke").attributes["opacity"], "0.5"),
-            # Opacities multiply down the group chain.
-            ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "12.5"),
-            ("opacity", "0.5", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1], "25"),
+            ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"]),
+            ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"]),
+            ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"]),
+            ("stroke-linecap", "round", "square", lambda rect: rect.find("v:stroke").attributes["endcap"]),
+            ("stroke-linejoin", "round", "bevel", lambda rect: rect.find("v:stroke").attributes["joinstyle"]),
+            ("stroke-miterlimit", "8", "4", lambda rect: rect.find("v:stroke").attributes["miterlimit"]),
+            ("stroke-opacity", "0.25", "0.5", lambda rect: rect.find("v:stroke").attributes["opacity"]),
+            ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1]),
+            ("opacity", "0.5", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1]),
         ],
     )
-    def test_child_value_survives_push_down(self, name, group_value, child_value, probe, expected):
+    def test_child_value_survives_push_down(self, name, group_value, child_value, probe):
         tree, diagnostics = map_snippet(
             f'<g {name}="{group_value}"><rect width="5" height="5" {name}="{child_value}"/></g>'
         )
+        # The child's own value wins, except that opacities multiply down the group chain.
+        expected = format_number(100 * float(group_value) * float(child_value)) if name == "opacity" else child_value
         assert probe(find_one(tree, "v:roundrect")) == expected
         assert list(diagnostics) == []
 
