@@ -12,12 +12,17 @@ All VML commands are emitted in lower case over absolute coordinates.
 Conversion is one kernel with three steps, and no per-command objects:
 
 - `scan_path` splits the string on command letters and reads the numbers
-  of every piece with one regex pass.  The string is valid when its length
-  is the number of letters plus the length of the numbers plus the count of
-  separators: no token holds a separator, so anything else left between
-  tokens breaks the sum.  The result is a list of segments
-  `(kind, relative, values)`, one per command letter, with implicit
-  repetitions kept in `values`.
+  of every piece.  A string made only of letters, number characters and
+  separators, the common case, is read in C: a space goes before every
+  sign, and each piece splits with `str.split()` and converts with
+  `float`, which on those characters accept exactly the grammar's tokens.
+  Any other string, or a token `float` rejects, is read by the grammar's
+  regex instead, and that reading decides validity and words the
+  diagnostic: the string is valid when its length is the number of letters
+  plus the length of the numbers plus the count of separators, since no
+  token holds a separator, so anything else left between tokens breaks the
+  sum.  The result is a list of segments `(kind, relative, values)`, one
+  per command letter, with implicit repetitions kept in `values`.
 - `walk_segments` moves the cursor over plain floats, relative to absolute
   first and then by the group shift, and yields `(vml_letter, coords)`.
 - `emit_segments` formats every coordinate of the path with one
@@ -41,7 +46,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import NUMBER_RE, SEPARATORS, format_numbers
+from .numeric import LIST_CHARS, NUMBER_RE, SEPARATORS, format_numbers
 
 # Not called here; bound because perfbench/spans.py rebinds format_number by
 # name in this module during its traced run.
@@ -54,6 +59,7 @@ _UNSUPPORTED = {"S", "Q", "T"}
 _ARC = "A"
 
 _LETTER_RE = re.compile(r"([A-Za-z])")
+_OUTSIDE_PATH_RE = re.compile(f"[^A-Za-z{LIST_CHARS}]")
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
 # number of groups.  After a moveto, every group past the first is a lineto.
@@ -119,20 +125,17 @@ def scan_path(
     read before it are returned, so callers check the diagnostics.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    pieces = _LETTER_RE.split(d)
-    groups = list(map(NUMBER_RE.findall, pieces[::2]))
-    # Tokens never hold a separator, so every character outside them is one
-    # exactly when the letters, the numbers and the separators add up to d.
-    tokens = len(pieces) // 2 + len("".join(map("".join, groups)))
-    if tokens + sum(map(d.count, SEPARATORS)) != len(d):
+    read = _read_pieces(d)
+    if read is None:
         diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)
         return []
+    letters, groups = read
     if groups[0]:
         diagnostics.error("BAD_PATH", "coordinates before any command", location)
         return []
 
     segments: list[Segment] = []
-    for letter, numbers in zip(pieces[1::2], groups[1:]):
+    for letter, numbers in zip(letters, groups[1:]):
         kind = letter.upper()
         arity = ARITY.get(kind)
         if arity is None:
@@ -155,13 +158,38 @@ def scan_path(
             continue
         whole = len(numbers) - len(numbers) % arity
         if whole:
-            segments.append((kind, letter.islower(), list(map(float, numbers[:whole]))))
+            segments.append((kind, letter.islower(), numbers[:whole]))
         if not whole or whole != len(numbers):
             # A moveto's incomplete second group is an incomplete lineto.
             shown = "L" if kind == "M" and whole else kind
             diagnostics.error("BAD_PATH", f"command {shown} expects {arity} coordinates", location)
             return segments
     return segments
+
+
+def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
+    """The command letters of d and the numbers before, between and after them.
+
+    None when d is outside the grammar.  A d made only of ASCII letters and
+    `LIST_CHARS` is read in C: a space before every sign, a split on the
+    letters, then `str.split()` and `float` per piece.  Any other d, or a
+    token `float` rejects (the compact "1.2.3", which is valid), goes to the
+    grammar's regex and the length count, which decide.
+    """
+    if not _OUTSIDE_PATH_RE.search(d):
+        pieces = _LETTER_RE.split(d.replace(",", " ").replace("-", " -").replace("+", " +"))
+        try:
+            return pieces[1::2], [list(map(float, piece.split())) for piece in pieces[::2]]
+        except ValueError:
+            pass
+    pieces = _LETTER_RE.split(d)
+    groups = list(map(NUMBER_RE.findall, pieces[::2]))
+    # Tokens never hold a separator, so every character outside them is one
+    # exactly when the letters, the numbers and the separators add up to d.
+    tokens = len(pieces) // 2 + len("".join(map("".join, groups)))
+    if tokens + sum(map(d.count, SEPARATORS)) != len(d):
+        return None
+    return pieces[1::2], [list(map(float, numbers)) for numbers in groups]
 
 
 def walk_segments(
