@@ -118,8 +118,9 @@ TRANSFORMED_ELEMENTS = (
 NESTED_VIEW_BOXES = ((' viewBox="0 0 10 10"',) * 4
                      + (' viewBox="0,0,10,10"', ' viewBox="0, 0 ,10,10"', ' viewBox="0,0,10"', "", ""))
 # XML-legal characters that are neither separators nor digits in the number
-# grammar: em space, no-break space, ideographic space, NEL, Arabic-Indic three.
-OUTSIDE_GRAMMAR = ("\u2003", "\u00a0", "\u3000", "\u0085", "\u0663")
+# grammar: em space, no-break space, ideographic space, NEL, Arabic-Indic three,
+# and the underscore, which float() reads as a digit separator.
+OUTSIDE_GRAMMAR = ("\u2003", "\u00a0", "\u3000", "\u0085", "\u0663", "_")
 # The "inheritance" family: each inheritable paint property with good values
 # and faulty ones, set on nested groups and anchors and on what they hold.
 PAINT_VALUES = (("fill", ("red", "none", "url(#fade)", "url(#nope)")), ("stroke", ("navy", "none")),
