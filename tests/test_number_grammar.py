@@ -48,9 +48,11 @@ PARSERS = {
 }
 
 WHITE_SPACE = [" ", "\t", "\r", "\n"]
-# Unicode spaces, the two ASCII controls Python's str.strip() also strips,
-# NEL, and ARABIC-INDIC DIGIT THREE, which float() reads as 3.
-OUTSIDE = ["\u2003", "\u00a0", "\f", "\v", "\u0085", "\u0663"]
+# Unicode spaces, the ASCII controls Python's str.strip() and str.split()
+# also treat as white space (FF, VT and the information separators
+# \x1c-\x1f), NEL, ARABIC-INDIC DIGIT THREE, which float() reads as 3, and
+# the underscore, which float() reads as a digit separator.
+OUTSIDE = ["\u2003", "\u00a0", "\f", "\v", "\x1c", "\x1f", "\u0085", "\u0663", "_"]
 
 ACCEPTED = [
     (name, c) for name, (_, _, _, commas) in PARSERS.items() for c in WHITE_SPACE + ([","] if commas else [])

@@ -1,10 +1,14 @@
+import math
+import re
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svg2vml.numeric import format_number, format_numbers, parse_number
+from svg2vml.numeric import (
+    NUMBER_LIST_PATTERN, NUMBER_PATTERN, NUMBER_RE, format_number, format_numbers, parse_number, read_numbers,
+)
 
 # Strings of the f"{value:.{precision}f}" formatter this table was recorded
 # from, for precisions 0..8.
@@ -82,3 +86,42 @@ def test_parse_number_rejects_long_runs_in_linear_time(token):
     with pytest.raises(ValueError):
         parse_number(token)
     assert time.perf_counter() - start < 1.0
+
+
+_LIST_RE = re.compile(NUMBER_LIST_PATTERN)
+
+
+def regex_read_numbers(text):
+    """A list read by the grammar's regex alone: the reference for read_numbers."""
+    if _LIST_RE.fullmatch(text):
+        numbers = list(map(float, NUMBER_RE.findall(text)))
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    return None
+
+
+# Number characters and separators, the letters of exponents, "inf" and "nan",
+# the underscore float() reads as a digit separator, NUL, the characters
+# str.split() splits on beyond the separators (VT, FF, the information
+# separators, NEL, a Unicode space), and a Unicode digit float() reads.
+LIST_ALPHABET = "0123456789.+- \t\r\n,eEinf_\x00\x0b\x0c\x1c\x1f\x85\u2003\u0663"
+
+list_chunks = st.one_of(
+    st.text(LIST_ALPHABET, max_size=4),
+    st.from_regex(NUMBER_PATTERN, fullmatch=True),
+    st.sampled_from([" ", ",", " , ", "\t", "\r\n"]),
+    # Digit runs long enough to overflow a float, or to round to a finite one after a point.
+    st.builds(lambda lead, digit, count: lead + digit * count,
+              st.sampled_from(["1", "-9", ".", "0."]), st.sampled_from("0123456789"), st.integers(309, 400)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(list_chunks, max_size=8).map("".join))
+@example(text="1.2.3")
+@example(text="1_0 2")
+@example(text="1\x0b2")
+@example(text="1\x1c2")
+@example(text="inf 1")
+def test_read_numbers_is_the_regex_reader(text):
+    assert read_numbers(text) == regex_read_numbers(text)

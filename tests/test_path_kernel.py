@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
@@ -162,8 +162,10 @@ def old_scan_path(d, diagnostics):
 
 
 # Every command letter, the exponent letter, number characters, the five
-# separators, Unicode spaces, Unicode digits (which \d matches) and NUL.
-PATH_ALPHABET = "MmLlHhVvCcZzSsQqTtAaEe0123456789.+- \t\r\n,\u2003\u00a0\u0663\uff11\x00"
+# separators, Unicode spaces, Unicode digits (which \d matches) and NUL, plus
+# what the split reader must keep out: the underscore float() reads as a digit
+# separator, and VT, FF and the information separators str.split() splits on.
+PATH_ALPHABET = "MmLlHhVvCcZzSsQqTtAaEe0123456789.+- \t\r\n,\u2003\u00a0\u0663\uff11\x00_\x0b\x0c\x1c\x1f"
 
 
 @st.composite
@@ -180,6 +182,10 @@ def path_texts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(d=path_texts())
+@example(d="M 1_0 2")
+@example(d="M 1\x0b2")
+@example(d="M 1\x1c2")
+@example(d="M 1.2.3")
 def test_length_count_accepts_what_the_gap_check_accepted(d):
     diagnostics, expected = Diagnostics(), Diagnostics()
     assert scan_path(d, diagnostics) == old_scan_path(d, expected)
