@@ -551,7 +551,10 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """use -> html:div containing the referenced element, mapped again in place."""
+    """use -> html:div containing the referenced element, mapped again in place.
+
+    Like a g, the use hands its inheritable paint to the copy.
+    """
     div = _new(node, "html:div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
@@ -563,7 +566,8 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if target is None:
         return None
     ref_id = target.attr("id") or ""
-    child_ctx = ctx.derive(ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
+    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
+    child_ctx = ctx.derive(paint=paint, ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
     mapped = _map_node(target, child_ctx)
     if mapped is not None:
         div.children.append(mapped)

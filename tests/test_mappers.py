@@ -559,6 +559,26 @@ class TestReferences:
         use_div = tree.children[1]
         assert use_div.style == {"left": "10", "top": "20", "width": "30", "height": "40"}
 
+    def test_use_hands_its_paint_to_the_copy(self):
+        tree, diags = map_snippet(
+            '<defs><rect id="r" width="2" height="2"/></defs>'
+            '<use xlink:href="#r" fill="red" stroke="blue" opacity="0.5"/>'
+        )
+        assert not len(diags)
+        copy = tree.children[1].children[0]
+        assert copy.find("v:fill").attributes == {"color": "red"}
+        assert copy.find("v:stroke").attributes == {"color": "blue"}
+        assert copy.style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=50)"
+
+    def test_a_use_paint_fault_is_reported_once_at_the_use(self):
+        tree, diags = map_snippet(
+            '<defs><g id="g"><rect width="2" height="2"/><circle r="1"/></g></defs>'
+            '<use xlink:href="#g" opacity="lots" fill-opacity="0.5"/>'
+        )
+        assert [(d.code, d.location) for d in diags] == [
+            ("UNSUPPORTED_ATTRIBUTE", "svg/use[1]"), ("BAD_ATTRIBUTE", "svg/use[1]")
+        ]
+
     def test_dangling_use(self):
         tree, diags = map_snippet('<use xlink:href="#nope"/>')
         assert "DANGLING_REF" in diags.codes()
