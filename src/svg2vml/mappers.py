@@ -551,10 +551,7 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """use -> html:div containing the referenced element, mapped again in place.
-
-    Like a g, the use hands its inheritable paint to the copy.
-    """
+    """use -> html:div containing the referenced element, mapped again in place under the use's paint."""
     div = _new(node, "html:div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")

@@ -12,17 +12,12 @@ All VML commands are emitted in lower case over absolute coordinates.
 Conversion is one kernel with three steps, and no per-command objects:
 
 - `scan_path` splits the string on command letters and reads the numbers
-  of every piece.  A string made only of letters, number characters and
-  separators, the common case, is read in C: a space goes before every
-  sign, and each piece splits with `str.split()` and converts with
-  `float`, which on those characters accept exactly the grammar's tokens.
-  Any other string, or a token `float` rejects, is read by the grammar's
-  regex instead, and that reading decides validity and words the
-  diagnostic: the string is valid when its length is the number of letters
-  plus the length of the numbers plus the count of separators, since no
-  token holds a separator, so anything else left between tokens breaks the
-  sum.  The result is a list of segments `(kind, relative, values)`, one
-  per command letter, with implicit repetitions kept in `values`.
+  of every piece: in C, with `str.split()` and `float`, when the string
+  holds only letters, number characters and separators; otherwise, and
+  when `float` rejects a token, by the grammar's regex and a length count,
+  which decide validity (`_read_pieces`).  The result is a list of
+  segments `(kind, relative, values)`, one per command letter, with
+  implicit repetitions kept in `values`.
 - `walk_segments` moves the cursor over plain floats, relative to absolute
   first and then by the group shift, and yields `(vml_letter, coords)`.
 - `emit_segments` formats every coordinate of the path with one
