@@ -104,7 +104,7 @@ def regex_read_numbers(text):
 # the underscore float() reads as a digit separator, NUL, the characters
 # str.split() splits on beyond the separators (VT, FF, the information
 # separators, NEL, a Unicode space), and a Unicode digit float() reads.
-LIST_ALPHABET = "0123456789.+- \t\r\n,eEinf_\x00\x0b\x0c\x1c\x1f\x85\u2003\u0663"
+LIST_ALPHABET = "0123456789.+- \t\r\n,eEinfa_\x00\x0b\x0c\x1c\x1f\x85\u2003\u0663"
 
 list_chunks = st.one_of(
     st.text(LIST_ALPHABET, max_size=4),
