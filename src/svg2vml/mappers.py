@@ -555,6 +555,8 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     div = _new(node, "html:div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
+    # Read before the reference, so a paint fault is reported whether or not it resolves.
+    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
 
     if _href(node) is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
@@ -563,7 +565,6 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if target is None:
         return None
     ref_id = target.attr("id") or ""
-    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
     child_ctx = ctx.derive(paint=paint, ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
     mapped = _map_node(target, child_ctx)
     if mapped is not None:

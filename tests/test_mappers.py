@@ -579,6 +579,13 @@ class TestReferences:
             ("UNSUPPORTED_ATTRIBUTE", "svg/use[1]"), ("BAD_ATTRIBUTE", "svg/use[1]")
         ]
 
+    def test_a_use_paint_fault_is_reported_whether_or_not_the_use_resolves(self):
+        tree, diags = map_snippet('<use opacity="lots"/><use xlink:href="#nope" opacity="lots"/>')
+        assert [(d.code, d.location) for d in diags] == [
+            ("BAD_ATTRIBUTE", "svg/use[0]"), ("MISSING_HREF", "svg/use[0]"),
+            ("BAD_ATTRIBUTE", "svg/use[1]"), ("DANGLING_REF", "svg/use[1]"),
+        ]
+
     def test_dangling_use(self):
         tree, diags = map_snippet('<use xlink:href="#nope"/>')
         assert "DANGLING_REF" in diags.codes()
