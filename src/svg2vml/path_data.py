@@ -13,11 +13,11 @@ Conversion is one kernel with three steps, and no per-command objects:
 
 - `scan_path` splits the string on command letters and reads the numbers
   of every piece: in C, with `str.split()` and `float`, when the string
-  holds only letters, number characters and separators; otherwise, and
-  when `float` rejects a token, by the grammar's regex and a length count,
-  which decide validity (`_read_pieces`).  The result is a list of
-  segments `(kind, relative, values)`, one per command letter, with
-  implicit repetitions kept in `values`.
+  holds only letters, number characters and separators and no compact
+  "1.2.3"; otherwise, and when `float` rejects a token, by the grammar's
+  regex and a length count, which decide validity (`_read_pieces`).  The
+  result is a list of segments `(kind, relative, values)`, one per command
+  letter, with implicit repetitions kept in `values`.
 - `walk_segments` moves the cursor over plain floats, relative to absolute
   first and then by the group shift, and yields `(vml_letter, coords)`.
 - `emit_segments` formats every coordinate of the path with one
@@ -55,6 +55,8 @@ _ARC = "A"
 
 _LETTER_RE = re.compile(r"([A-Za-z])")
 _OUTSIDE_PATH_RE = re.compile(f"[^A-Za-z{LIST_CHARS}]")
+# A "." right after a fraction: the compact "1.2.3", valid, which float rejects.
+_COMPACT_RE = re.compile(r"\.[0-9]*\.")
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
 # number of groups.  After a moveto, every group past the first is a lineto.
@@ -166,12 +168,13 @@ def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
     """The command letters of d and the numbers before, between and after them.
 
     None when d is outside the grammar.  A d made only of ASCII letters and
-    `LIST_CHARS` is read in C: a space before every sign, a split on the
-    letters, then `str.split()` and `float` per piece.  Any other d, or a
-    token `float` rejects (the compact "1.2.3", which is valid), goes to the
-    grammar's regex and the length count, which decide.
+    `LIST_CHARS`, with no compact "1.2.3", is read in C: a space before every
+    sign, a split on the letters, then `str.split()` and `float` per piece.
+    Any other d, or a token `float` rejects, goes to the grammar's regex and
+    the length count, which decide.  A compact d goes there first: minified
+    paths hold many, and a split that fails late costs more than the regex.
     """
-    if not _OUTSIDE_PATH_RE.search(d):
+    if not _COMPACT_RE.search(d) and not _OUTSIDE_PATH_RE.search(d):
         pieces = _LETTER_RE.split(d.replace(",", " ").replace("-", " -").replace("+", " +"))
         try:
             return pieces[1::2], [list(map(float, piece.split())) for piece in pieces[::2]]
