@@ -578,8 +578,7 @@ class TestReferences:
         assert [(d.code, d.location) for d in diags] == [
             ("UNSUPPORTED_ATTRIBUTE", "svg/use[1]"), ("BAD_ATTRIBUTE", "svg/use[1]")
         ]
-
-    def test_a_use_paint_fault_is_reported_whether_or_not_the_use_resolves(self):
+        # whether or not the use resolves
         tree, diags = map_snippet('<use opacity="lots"/><use xlink:href="#nope" opacity="lots"/>')
         assert [(d.code, d.location) for d in diags] == [
             ("BAD_ATTRIBUTE", "svg/use[0]"), ("MISSING_HREF", "svg/use[0]"),
