@@ -22,19 +22,11 @@ from typing import Callable, Optional
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import format_number, format_numbers
 from .options import ConvertOptions
+from .path_data import emit_vml_path, is_finite_path, parse_path_data, to_absolute
 
-# emit_vml_path, parse_path_data, shift_commands, to_absolute and
-# resolve_fill_reference take no part in mapping here; they stay bound because
-# perfbench/spans.py rebinds them by name in its traced run.
-from .path_data import (  # noqa: F401
-    emit_vml_path,
-    is_finite_path,
-    parse_path_data,
-    scan_path,
-    shift_commands,
-    to_absolute,
-    vml_path,
-)
+# resolve_fill_reference takes no part in mapping here, where style.Paint
+# resolves fill references; it stays bound because perfbench/spans.py
+# rebinds it by name.
 from .style import (  # noqa: F401
     INHERITED,
     NO_PAINT,
@@ -69,6 +61,11 @@ from .transform import (  # noqa: F401
     place,
     recalc_points,
 )
+
+# Not called in mapping; bound because perfbench/spans.py rebinds
+# shift_commands by name in this module during its traced run.
+shift_commands = to_absolute
+
 
 class VmlNode(TreeNode):
     """Output tree node: a VML or plain HTML element."""
@@ -442,7 +439,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
     mark = len(ctx.diagnostics)
-    segments = scan_path(d, ctx.diagnostics, _attribute_location(ctx, "d"))
+    segments = parse_path_data(d, ctx.diagnostics, _attribute_location(ctx, "d"))
     if ctx.diagnostics.errors_since(mark):
         return None
     if not segments:
@@ -451,7 +448,8 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
     placed = _place(node, ctx, None)
     origin, skew = (placed.origin, placed.skew) if placed is not None else (None, None)
-    shape = _path_shape(node, ctx, vml_path(segments, ctx.options.precision, *(origin or (0.0, 0.0))))
+    dx, dy = origin or (0.0, 0.0)
+    shape = _path_shape(node, ctx, emit_vml_path(to_absolute(segments, dx, dy), ctx.options.precision))
     if shape is not None and skew is not None:
         shape.children.append(VmlNode("v:skew", skew))
     return shape

@@ -9,25 +9,24 @@ S/s, Q/q and T/t have no VML counterpart and are rejected; A/a is rejected
 because elliptic arcs do not translate to the VML "at" command directly.
 All VML commands are emitted in lower case over absolute coordinates.
 
-Conversion is one kernel with three steps, and no per-command objects:
+Conversion is three steps over plain tuples, which the path mapper chains
+as `emit_vml_path(to_absolute(parse_path_data(d), dx, dy), precision)`:
 
-- `scan_path` splits the string on command letters and reads the numbers
-  of every piece: in C, with `str.split()` and `float`, when the string
-  holds only letters, number characters and separators and no compact
-  "1.2.3"; otherwise, and when `float` rejects a token, by the grammar's
-  regex and a length count, which decide validity (`_read_pieces`).  The
-  result is a list of segments `(kind, relative, values)`, one per command
-  letter, with implicit repetitions kept in `values`.
-- `walk_segments` moves the cursor over plain floats, relative to absolute
-  first and then by the group shift, and yields `(vml_letter, coords)`.
-- `emit_segments` formats every coordinate of the path with one
+- `parse_path_data` splits the string on command letters and reads the
+  numbers of every piece: in C, with `str.split()` and `float`, when the
+  string holds only letters, number characters and separators and no
+  compact "1.2.3"; otherwise, and when `float` rejects a token, by the
+  grammar's regex and a length count, which decide validity
+  (`_read_pieces`).  The result is a list of segments
+  `(kind, relative, values)`, one per command letter, with implicit
+  repetitions kept in `values`.
+- `to_absolute` moves the cursor over plain floats, relative to absolute
+  first and then by the shift (dx, dy), and yields `(vml_letter, coords)`
+  per coordinate group.
+- `emit_vml_path` formats every coordinate of the path with one
   `format_numbers` call and fills one template with the results.
 
-`vml_path` chains the last two.  The `PathCommand` API (`parse_path_data`,
-`to_absolute`, `shift_commands`, `emit_vml_path`) is a thin adapter over the
-same three steps.
-
-An empty or separator-only `d` scans to no segments without a diagnostic;
+An empty or separator-only `d` parses to no segments without a diagnostic;
 the path mapper reports it as DEGENERATE_SHAPE.  A coordinate that is not
 finite, or that overflows while relative values accumulate, shows as "inf"
 or "nan" in the emitted text, so one substring test per path replaces a
@@ -38,7 +37,7 @@ check per value: `is_finite_path` tells the caller to reject the path
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import LIST_CHARS, NUMBER_RE, SEPARATORS, format_numbers
@@ -65,56 +64,12 @@ Segment = tuple[str, bool, Sequence[float]]
 _CLOSE: Segment = ("Z", False, ())
 
 
-class _Command(NamedTuple):
-    kind: str  # one of M, L, H, V, C, Z
-    relative: bool
-    coords: tuple[float, ...]
-
-
-class PathCommand(_Command):
-    """One canonical path command; immutable, and checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, relative: bool, coords: tuple[float, ...]):
-        if kind not in ARITY:
-            raise ValueError(f"unknown path command kind {kind!r}")
-        if len(coords) != ARITY[kind]:
-            raise ValueError(f"{kind} needs {ARITY[kind]} coordinates, got {len(coords)}")
-        if kind == "Z" and relative:
-            raise ValueError("close-path is never relative")
-        return tuple.__new__(cls, (kind, relative, coords))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
-
-
-def moveto(x, y, relative=False):
-    return PathCommand("M", relative, (float(x), float(y)))
-
-
-def lineto(x, y, relative=False):
-    return PathCommand("L", relative, (float(x), float(y)))
-
-
-def curveto(x1, y1, x2, y2, x, y, relative=False):
-    return PathCommand("C", relative, (float(x1), float(y1), float(x2), float(y2), float(x), float(y)))
-
-
-def closepath():
-    return PathCommand("Z", False, ())
-
-
-# --- the kernel ----------------------------------------------------------------
-
-
-def scan_path(
+def parse_path_data(
     d: str,
     diagnostics: Optional[Diagnostics] = None,
     location: LocationLike = "",
 ) -> list[Segment]:
-    """Scan a path definition into segments.
+    """Parse a path definition into segments.
 
     Implicit repetition is honored: extra coordinate groups after a command
     repeat it, except after a moveto where they become linetos.  The first
@@ -190,7 +145,7 @@ def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
     return pieces[1::2], [list(map(float, numbers)) for numbers in groups]
 
 
-def walk_segments(
+def to_absolute(
     segments: Iterable[Segment], dx: float = 0.0, dy: float = 0.0
 ) -> Iterator[tuple[str, tuple[float, ...]]]:
     """Yield `(vml_letter, absolute coords)` per coordinate group, then shifted.
@@ -243,7 +198,7 @@ def walk_segments(
 _TEMPLATES = {"m": "m %s,%s", "l": "l %s,%s", "c": "c %s,%s,%s,%s,%s,%s", "x": "x"}
 
 
-def emit_segments(parts: Iterable[tuple[str, tuple[float, ...]]], precision: int = 6) -> str:
+def emit_vml_path(parts: Iterable[tuple[str, tuple[float, ...]]], precision: int = 6) -> str:
     """Serialize `(vml_letter, coords)` pairs; one trailing "e" terminates.
 
     The groups become one template and all their coordinates one list, so
@@ -258,83 +213,6 @@ def emit_segments(parts: Iterable[tuple[str, tuple[float, ...]]], precision: int
     return " ".join(templates) % tuple(format_numbers(coords, precision))
 
 
-def vml_path(segments: Iterable[Segment], precision: int = 6, dx: float = 0.0, dy: float = 0.0) -> str:
-    """Absolute VML path text for scanned segments, shifted by (dx, dy)."""
-    return emit_segments(walk_segments(segments, dx, dy), precision)
-
-
 def is_finite_path(text: str) -> bool:
     """False when emitted path text holds an overflowed or non-numeric value."""
     return "inf" not in text and "nan" not in text
-
-
-# --- PathCommand adapters --------------------------------------------------------
-
-_KIND_OF_LETTER = {"m": "M", "l": "L", "c": "C", "x": "Z"}
-_LETTER_OF_KIND = {kind: letter for letter, kind in _KIND_OF_LETTER.items()}
-
-
-def _commands(parts: Iterable[tuple[str, tuple[float, ...]]]) -> list[PathCommand]:
-    return [PathCommand(_KIND_OF_LETTER[letter], False, coords) for letter, coords in parts]
-
-
-def parse_path_data(
-    d: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> list[PathCommand]:
-    """Parse a path definition into commands, one per coordinate group.
-
-    Diagnostics are those of `scan_path`; on error, the commands read before
-    the problem are returned.
-    """
-    commands: list[PathCommand] = []
-    for kind, relative, values in scan_path(d, diagnostics, location):
-        if kind == "Z":
-            commands.append(closepath())
-            continue
-        arity = ARITY[kind]
-        for start in range(0, len(values), arity):
-            commands.append(PathCommand(kind, relative, tuple(values[start : start + arity])))
-            if kind == "M":
-                kind = "L"
-    return commands
-
-
-def _segments(commands: list[PathCommand]) -> Iterator[Segment]:
-    return ((command.kind, command.relative, command.coords) for command in commands)
-
-
-def to_absolute(commands: list[PathCommand]) -> list[PathCommand]:
-    """Rewrite commands to absolute form with H/V expanded to linetos.
-
-    A leading relative moveto behaves as absolute because the cursor starts
-    at the origin.  Close-path returns the cursor to the subpath start.
-    """
-    return _commands(walk_segments(_segments(commands)))
-
-
-def _require_absolute(commands: list[PathCommand], caller: str) -> None:
-    for command in commands:
-        if command.relative:
-            raise ValueError(f"{caller} requires absolute commands")
-        if command.kind not in _LETTER_OF_KIND:
-            raise ValueError(f"command {command.kind} must be normalized before {caller}")
-
-
-def shift_commands(commands: list[PathCommand], dx: float, dy: float) -> list[PathCommand]:
-    """Translate every coordinate pair of absolute commands by (dx, dy)."""
-    _require_absolute(commands, "shift_commands")
-    return _commands(walk_segments(_segments(commands), dx, dy))
-
-
-def emit_vml_path(commands: list[PathCommand], precision: int = 6) -> str:
-    """Serialize absolute commands as a VML path string.
-
-    Every close-path becomes "x"; exactly one trailing "e" terminates the
-    string.
-    """
-    _require_absolute(commands, "emit_vml_path")
-    return emit_segments(
-        ((_LETTER_OF_KIND[command.kind], command.coords) for command in commands), precision
-    )

@@ -273,10 +273,6 @@ def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
     return EMPTY_CHAIN.extend(ops).ctm
 
 
-def apply_to_point(m: TransformMatrix, point: Point) -> Point:
-    return Point(m.a * point.x + m.c * point.y + m.e, m.b * point.x + m.d * point.y + m.f)
-
-
 def recalc_points(m: TransformMatrix, points: list[Point]) -> list[Point]:
     """Apply the matrix to every point, preserving order."""
     a, b, c, d, e, f = m

@@ -9,7 +9,7 @@ from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import format_number, parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
-from svg2vml.transform import apply_to_point, compose_ctm, parse_transform_list
+from svg2vml.transform import compose_ctm, parse_transform_list, recalc_points
 
 
 def find_all(node: VmlNode, tag: str) -> list[VmlNode]:
@@ -193,7 +193,7 @@ class TestPoly:
             assert not diags.has_errors
             path = find_one(tree, "v:shape").attributes["path"]
             ctm = compose_ctm(parse_transform_list(transform))
-            expected = [apply_to_point(ctm, p) for p in points]
+            expected = recalc_points(ctm, points)
             numbers = [
                 parse_number(token)
                 for chunk in path[:-1].replace("m", "").replace("l", "").split()

@@ -9,7 +9,7 @@ import pytest
 
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import map_document
-from svg2vml.path_data import scan_path
+from svg2vml.path_data import parse_path_data
 from svg2vml.style import resolve_gradient
 from svg2vml.svg_dom import parse_length, parse_points, parse_svg, parse_view_box
 from svg2vml.transform import parse_transform_list
@@ -37,7 +37,7 @@ def _stop_offset(value, diagnostics):
 # grammar allows white space, the reader's own code, whether a comma may stand
 # in every slot)
 PARSERS = {
-    "d": (scan_path, "M 1{c}2 L 3{c}4", "BAD_PATH", True),
+    "d": (parse_path_data, "M 1{c}2 L 3{c}4", "BAD_PATH", True),
     "points": (parse_points, "1{c}2 3{c}4", "BAD_POINTS", True),
     "viewBox": (parse_view_box, "0{c}0 10{c}10", "BAD_VIEWBOX", True),
     "transform": (parse_transform_list, "translate(1{c}2){c}scale(3{c}4)", "BAD_TRANSFORM", True),

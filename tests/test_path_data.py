@@ -3,58 +3,70 @@ import random
 import pytest
 
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.path_data import (
-    closepath,
-    curveto,
-    emit_vml_path,
-    lineto,
-    moveto,
-    parse_path_data,
-    shift_commands,
-    to_absolute,
-)
+from svg2vml.path_data import emit_vml_path, parse_path_data, to_absolute
+
+ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
+KIND_OF_LETTER = {"m": "M", "l": "L", "c": "C", "x": "Z"}
 
 
-def simulate_cursor(commands):
-    """Independent cursor walk over commands in any form.
+def absolute(d, dx=0.0, dy=0.0):
+    return list(to_absolute(parse_path_data(d), dx, dy))
 
-    Returns the sequence of absolute cursor positions after each command;
-    used as the oracle for to_absolute.
+
+def as_segments(parts):
+    """The absolute segments that to_absolute's (vml_letter, coords) pairs spell."""
+    return [(KIND_OF_LETTER[letter], False, coords) for letter, coords in parts]
+
+
+def simulate_cursor(segments):
+    """Independent cursor walk over segments in any form.
+
+    Returns the sequence of absolute cursor positions after each coordinate
+    group (a moveto's later groups are linetos); used as the oracle for
+    to_absolute.
     """
     positions = []
     cx = cy = sx = sy = 0.0
-    for cmd in commands:
-        k, rel, co = cmd.kind, cmd.relative, cmd.coords
-        if k == "Z":
-            cx, cy = sx, sy
-        elif k == "H":
-            cx = cx + co[0] if rel else co[0]
-        elif k == "V":
-            cy = cy + co[0] if rel else co[0]
-        else:
-            x, y = co[-2], co[-1]
-            if rel:
-                x, y = cx + x, cy + y
-            cx, cy = x, y
-            if k == "M":
-                sx, sy = cx, cy
-        positions.append((cx, cy))
+    for kind, rel, values in segments:
+        arity = ARITY[kind]
+        groups = [values[i : i + arity] for i in range(0, len(values), arity)] if arity else [()]
+        for index, co in enumerate(groups):
+            k = "L" if kind == "M" and index else kind
+            if k == "Z":
+                cx, cy = sx, sy
+            elif k == "H":
+                cx = cx + co[0] if rel else co[0]
+            elif k == "V":
+                cy = cy + co[0] if rel else co[0]
+            else:
+                x, y = co[-2], co[-1]
+                if rel:
+                    x, y = cx + x, cy + y
+                cx, cy = x, y
+                if k == "M":
+                    sx, sy = cx, cy
+            positions.append((cx, cy))
     return positions
 
 
 class TestParsePathData:
     def test_implicit_lineto_after_moveto(self, diags):
-        cmds = parse_path_data("M 100 100 200 200 L 300 100 200 300 Z", diags)
-        assert cmds == [
-            moveto(100, 100),
-            lineto(200, 200),
-            lineto(300, 100),
-            lineto(200, 300),
-            closepath(),
+        d = "M 100 100 200 200 L 300 100 200 300 Z"
+        assert parse_path_data(d, diags) == [
+            ("M", False, [100, 100, 200, 200]),
+            ("L", False, [300, 100, 200, 300]),
+            ("Z", False, ()),
+        ]
+        assert absolute(d) == [
+            ("m", (100, 100)),
+            ("l", (200, 200)),
+            ("l", (300, 100)),
+            ("l", (200, 300)),
+            ("x", ()),
         ]
 
     def test_single_moveto(self, diags):
-        assert parse_path_data("M 0 0", diags) == [moveto(0, 0)]
+        assert parse_path_data("M 0 0", diags) == [("M", False, [0, 0])]
 
     def test_quadratic_is_unsupported(self, diags):
         parse_path_data("M 0 0 Q 1 1 2 2", diags)
@@ -84,11 +96,11 @@ class TestParsePathData:
         ],
     )
     def test_supported_commands(self, d, kinds, diags):
-        assert [c.kind for c in parse_path_data(d, diags)] == kinds
+        assert [kind for kind, _, _ in parse_path_data(d, diags)] == kinds
         assert not diags.has_errors
 
     def test_comma_and_whitespace_separators(self, diags):
-        assert parse_path_data("M1,2L3,4", diags) == [moveto(1, 2), lineto(3, 4)]
+        assert parse_path_data("M1,2L3,4", diags) == [("M", False, [1, 2]), ("L", False, [3, 4])]
 
     @pytest.mark.parametrize("bad", ["M 1", "M 1 2 L 3", "M 1 2 B 3 4", "M 1 2 C 1 2 3", "1 2"])
     def test_malformed(self, bad, diags):
@@ -96,44 +108,37 @@ class TestParsePathData:
         assert diags.has_errors
 
     def test_implicit_relative_lineto(self, diags):
-        cmds = parse_path_data("m 1 2 3 4", diags)
-        assert cmds == [moveto(1, 2, relative=True), lineto(3, 4, relative=True)]
+        assert parse_path_data("m 1 2 3 4", diags) == [("M", True, [1, 2, 3, 4])]
+        assert absolute("m 1 2 3 4") == [("m", (1, 2)), ("l", (4, 6))]
 
 
 class TestToAbsolute:
-    def test_relative_moveto_chain(self, diags):
-        cmds = parse_path_data("m 100,100 m 200,200", diags)
-        assert to_absolute(cmds) == [moveto(100, 100), moveto(300, 300)]
+    def test_relative_moveto_chain(self):
+        assert absolute("m 100,100 m 200,200") == [("m", (100, 100)), ("m", (300, 300))]
 
-    def test_already_absolute_unchanged(self, diags):
-        cmds = parse_path_data("M 100,100 M 200,200", diags)
-        assert to_absolute(cmds) == list(cmds)
+    def test_already_absolute_unchanged(self):
+        assert absolute("M 100,100 M 200,200") == [("m", (100, 100)), ("m", (200, 200))]
 
     def test_h_and_v_become_linetos(self, diags):
-        cmds = parse_path_data("M 10 20 h 5 V 7", diags)
-        result = to_absolute(cmds)
-        assert result == [moveto(10, 20), lineto(15, 20), lineto(15, 7)]
+        segments = parse_path_data("M 10 20 h 5 V 7", diags)
+        result = list(to_absolute(segments))
+        assert result == [("m", (10, 20)), ("l", (15, 20)), ("l", (15, 7))]
         # cursor oracle agrees
-        assert simulate_cursor(cmds) == simulate_cursor(result)
+        assert simulate_cursor(segments) == simulate_cursor(as_segments(result))
 
-    def test_uppercase_h_is_absolute(self, diags):
+    def test_uppercase_h_is_absolute(self):
         # "H a" targets x=a, it does not add to the cursor
-        cmds = parse_path_data("M 10 20 H 5", diags)
-        assert to_absolute(cmds) == [moveto(10, 20), lineto(5, 20)]
+        assert absolute("M 10 20 H 5") == [("m", (10, 20)), ("l", (5, 20))]
 
-    def test_close_resets_cursor_to_subpath_start(self, diags):
-        cmds = parse_path_data("M 10 10 l 5 0 z l 1 1", diags)
-        result = to_absolute(cmds)
-        assert result[-1] == lineto(11, 11)
+    def test_close_resets_cursor_to_subpath_start(self):
+        assert absolute("M 10 10 l 5 0 z l 1 1")[-1] == ("l", (11, 11))
 
-    def test_relative_cubic(self, diags):
-        cmds = parse_path_data("M 10 20 c 1 2 3 4 5 6", diags)
-        assert to_absolute(cmds) == [moveto(10, 20), curveto(11, 22, 13, 24, 15, 26)]
+    def test_relative_cubic(self):
+        assert absolute("M 10 20 c 1 2 3 4 5 6") == [("m", (10, 20)), ("c", (11, 22, 13, 24, 15, 26))]
 
-    def test_idempotent(self, diags):
-        cmds = parse_path_data("m 1 2 h 3 v 4 c 1 1 2 2 3 3 z m 5 5 L 9 9", diags)
-        once = to_absolute(cmds)
-        assert to_absolute(once) == once
+    def test_idempotent(self):
+        once = absolute("m 1 2 h 3 v 4 c 1 1 2 2 3 3 z m 5 5 L 9 9")
+        assert list(to_absolute(as_segments(once))) == once
 
     def test_random_paths_preserve_trajectory(self):
         rng = random.Random(2009)
@@ -142,17 +147,16 @@ class TestToAbsolute:
             d_parts = ["M", "0", "0"]
             for _ in range(rng.randint(1, 12)):
                 letter = rng.choice(letters)
-                arity = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}[letter.upper()]
+                arity = ARITY[letter.upper()]
                 d_parts.append(letter)
                 d_parts.extend(str(rng.randint(-50, 50)) for _ in range(arity))
             diags = Diagnostics()
-            cmds = parse_path_data(" ".join(d_parts), diags)
+            segments = parse_path_data(" ".join(d_parts), diags)
             assert not diags.has_errors
-            result = to_absolute(cmds)
-            assert all(not c.relative for c in result)
-            assert all(c.kind in ("M", "L", "C", "Z") for c in result)
-            original = simulate_cursor(cmds)
-            normalized = simulate_cursor(result)
+            result = list(to_absolute(segments))
+            assert all(letter in KIND_OF_LETTER for letter, _ in result)
+            original = simulate_cursor(segments)
+            normalized = simulate_cursor(as_segments(result))
             assert len(original) == len(normalized)
             for (x0, y0), (x1, y1) in zip(original, normalized):
                 assert abs(x0 - x1) <= 1e-9
@@ -161,60 +165,64 @@ class TestToAbsolute:
 
 class TestEmitVmlPath:
     def test_polyline_form(self):
-        cmds = [moveto(0, 0), lineto(100, 100), lineto(200, 200)]
-        assert emit_vml_path(cmds) == "m 0,0 l 100,100 l 200,200 e"
+        parts = [("m", (0, 0)), ("l", (100, 100)), ("l", (200, 200))]
+        assert emit_vml_path(parts) == "m 0,0 l 100,100 l 200,200 e"
 
     def test_polygon_form(self):
-        cmds = [moveto(0, 0), lineto(100, 100), lineto(200, 200), closepath()]
-        assert emit_vml_path(cmds) == "m 0,0 l 100,100 l 200,200 x e"
+        parts = [("m", (0, 0)), ("l", (100, 100)), ("l", (200, 200)), ("x", ())]
+        assert emit_vml_path(parts) == "m 0,0 l 100,100 l 200,200 x e"
 
     def test_single_moveto(self):
-        assert emit_vml_path([moveto(0, 0)]) == "m 0,0 e"
+        assert emit_vml_path([("m", (0, 0))]) == "m 0,0 e"
 
     def test_line_form(self):
-        assert emit_vml_path([moveto(0, 0), lineto(100, 200)]) == "m 0,0 l 100,200 e"
+        assert emit_vml_path([("m", (0, 0)), ("l", (100, 200))]) == "m 0,0 l 100,200 e"
 
     def test_cubic(self):
-        cmds = [moveto(100, 200), curveto(200, 100, 300, 0, 400, 100)]
-        assert emit_vml_path(cmds) == "m 100,200 c 200,100,300,0,400,100 e"
+        parts = [("m", (100, 200)), ("c", (200, 100, 300, 0, 400, 100))]
+        assert emit_vml_path(parts) == "m 100,200 c 200,100,300,0,400,100 e"
 
     def test_terminator_and_case_invariants(self, diags):
         rng = random.Random(7)
         for _ in range(50):
-            cmds = [moveto(rng.randint(0, 9), rng.randint(0, 9))]
+            parts = [("m", (rng.randint(0, 9), rng.randint(0, 9)))]
             for _ in range(rng.randint(0, 5)):
-                cmds.append(lineto(rng.uniform(-5, 5), rng.uniform(-5, 5)))
+                parts.append(("l", (rng.uniform(-5, 5), rng.uniform(-5, 5))))
             if rng.random() < 0.5:
-                cmds.append(closepath())
-            text = emit_vml_path(cmds)
+                parts.append(("x", ()))
+            text = emit_vml_path(parts)
             assert text.endswith("e")
             assert text == text.lower()
 
     def test_precision_and_zero_normalization(self):
-        assert emit_vml_path([moveto(-0.0000001, 2.5)], precision=6) == "m 0,2.5 e"
-        assert emit_vml_path([moveto(1.23456789, 0)], precision=3) == "m 1.235,0 e"
-
-    def test_rejects_relative_input(self):
-        with pytest.raises(ValueError):
-            emit_vml_path([moveto(1, 2, relative=True)])
+        assert emit_vml_path([("m", (-0.0000001, 2.5))], precision=6) == "m 0,2.5 e"
+        assert emit_vml_path([("m", (1.23456789, 0))], precision=3) == "m 1.235,0 e"
 
     def test_reference_translations_byte_for_byte(self, diags):
         # polyline, polygon and line translations, reproduced from their
         # source coordinate lists at precision 6
-        polyline = [moveto(0, 0), lineto(100, 100), lineto(200, 200)]
+        polyline = [("m", (0, 0)), ("l", (100, 100)), ("l", (200, 200))]
         assert emit_vml_path(polyline, 6) == "m 0,0 l 100,100 l 200,200 e"
-        polygon = polyline + [closepath()]
+        polygon = polyline + [("x", ())]
         assert emit_vml_path(polygon, 6) == "m 0,0 l 100,100 l 200,200 x e"
-        line = [moveto(0, 0), lineto(100, 200)]
+        line = [("m", (0, 0)), ("l", (100, 200))]
         assert emit_vml_path(line, 6) == "m 0,0 l 100,200 e"
 
 
-class TestShiftCommands:
+class TestShift:
     def test_shifts_all_pairs(self):
-        cmds = [moveto(1, 2), curveto(0, 0, 1, 1, 2, 2), closepath()]
-        shifted = shift_commands(cmds, 10, -5)
-        assert shifted == [moveto(11, -3), curveto(10, -5, 11, -4, 12, -3), closepath()]
+        segments = [("M", False, (1, 2)), ("C", False, (0, 0, 1, 1, 2, 2)), ("Z", False, ())]
+        shifted = list(to_absolute(segments, 10, -5))
+        assert shifted == [("m", (11, -3)), ("c", (10, -5, 11, -4, 12, -3)), ("x", ())]
 
-    def test_rejects_relative(self):
-        with pytest.raises(ValueError):
-            shift_commands([moveto(1, 2, relative=True)], 1, 1)
+    def test_shift_stays_out_of_the_cursor(self):
+        # relative groups add to the unshifted cursor, so the shift applies once
+        assert absolute("m 1 1 l 1 1 h 1 v 1", 10, 20) == [
+            ("m", (11, 21)),
+            ("l", (12, 22)),
+            ("l", (13, 22)),
+            ("l", (13, 23)),
+        ]
+
+    def test_close_returns_to_the_unshifted_subpath_start(self):
+        assert absolute("M 5 5 l 1 0 z l 2 2", -5, 5)[-2:] == [("x", ()), ("l", (2, 12))]

@@ -11,15 +11,7 @@ from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _points_path
 from svg2vml.numeric import NUMBER_PATTERN, NUMBER_RE, format_number
-from svg2vml.path_data import (
-    emit_segments,
-    emit_vml_path,
-    parse_path_data,
-    scan_path,
-    shift_commands,
-    to_absolute,
-    vml_path,
-)
+from svg2vml.path_data import emit_vml_path, parse_path_data, to_absolute
 from svg2vml.svg_dom import Point, parse_points
 
 from conftest import wrap_svg
@@ -108,12 +100,10 @@ def test_valid_paths_match_an_independent_cursor_walk(data, precision, shift):
     commands = data.draw(path_programs())
     d = render(commands, data.draw)
     diagnostics = Diagnostics()
-    segments = scan_path(d, diagnostics)
+    segments = parse_path_data(d, diagnostics)
     assert not len(diagnostics), d
     expected = cursor_walk(commands, precision, *shift)
-    assert vml_path(segments, precision, *shift) == expected, d
-    absolute = to_absolute(parse_path_data(d))
-    assert emit_vml_path(shift_commands(absolute, *shift), precision) == expected, d
+    assert emit_vml_path(to_absolute(segments, *shift), precision) == expected, d
 
 
 # The gap check the scanner used before it counted lengths: removing every
@@ -188,7 +178,7 @@ def path_texts(draw):
 @example(d="M 1.2.3")
 def test_length_count_accepts_what_the_gap_check_accepted(d):
     diagnostics, expected = Diagnostics(), Diagnostics()
-    assert scan_path(d, diagnostics) == old_scan_path(d, expected)
+    assert parse_path_data(d, diagnostics) == old_scan_path(d, expected)
     assert [(x.code, x.message) for x in diagnostics] == [(x.code, x.message) for x in expected]
 
 
@@ -202,7 +192,7 @@ def test_points_path_is_the_segment_form(points, closed, precision):
     parts = [("m", points[0])] + [("l", point) for point in points[1:]]
     if closed:
         parts.append(("x", ()))
-    assert _points_path(points, closed, precision) == emit_segments(parts, precision)
+    assert _points_path(points, closed, precision) == emit_vml_path(parts, precision)
 
 
 FAULTS = {
@@ -230,7 +220,7 @@ def test_invalid_paths_give_exactly_one_diagnostic(fault, data):
         text, expected = FAULTS[fault]
         d = valid + text
     diagnostics = Diagnostics()
-    scan_path(d, diagnostics)
+    parse_path_data(d, diagnostics)
     assert diagnostics.codes() == [expected], d
 
     output, diagnostics = convert_text(wrap_svg(f'<path d="{d}"/>'))

@@ -22,7 +22,6 @@ from svg2vml.transform import (
     ShapeBox,
     TransformMatrix,
     _scan_transform_list,
-    apply_to_point,
     compose_ctm,
     matrix,
     op_to_matrix,
@@ -261,28 +260,32 @@ class TestComposeCtm:
             assert_matrix_close(left, as_3x3(right), tol=1e-12)
 
 
-class TestApplyToPoint:
+def apply(m, point):
+    return recalc_points(m, [point])[0]
+
+
+class TestRecalcOnePoint:
     def test_identity(self):
-        assert apply_to_point(IDENTITY, Point(7, 9)) == (7, 9)
+        assert apply(IDENTITY, Point(7, 9)) == (7, 9)
 
     def test_rotate_about_point(self):
         m = op_to_matrix(rotate(90, 300, 300))
-        x, y = apply_to_point(m, Point(350, 300))
+        x, y = apply(m, Point(350, 300))
         assert abs(x - 300) < 1e-9 and abs(y - 350) < 1e-9
 
     def test_scale(self):
-        assert apply_to_point(op_to_matrix(scale(3, 1)), Point(100, 50)) == (300, 50)
+        assert apply(op_to_matrix(scale(3, 1)), Point(100, 50)) == (300, 50)
 
     def test_fold_matches_composition(self):
         rng = random.Random(3)
         for _ in range(1000):
             ops = random_ops(rng)
             point = Point(rng.uniform(-100, 100), rng.uniform(-100, 100))
-            composed = apply_to_point(compose_ctm(ops), point)
+            composed = apply(compose_ctm(ops), point)
             # right-to-left fold: the last matrix in the product hits first
             folded = point
             for op in reversed(ops):
-                folded = apply_to_point(op_to_matrix(op), folded)
+                folded = apply(op_to_matrix(op), folded)
             assert abs(composed.x - folded.x) < 1e-9
             assert abs(composed.y - folded.y) < 1e-9
 

@@ -1,14 +1,13 @@
 """The contracts of the package's exported value types.
 
-Options, diagnostics and path commands are immutable and check their
-arguments; tree nodes compare field by field, only with their own kind, and
-cannot be hashed.  Each node gets its own attribute table and child list.
+Options and diagnostics are immutable and check their arguments; tree nodes
+compare field by field, only with their own kind, and cannot be hashed.  Each
+node gets its own attribute table and child list.
 """
 
 import pytest
 
 from svg2vml import ConvertOptions, Diagnostic, SvgNode, VmlNode
-from svg2vml.path_data import PathCommand
 
 
 class TestConvertOptions:
@@ -53,27 +52,6 @@ class TestDiagnostic:
         with pytest.raises(AttributeError):
             diagnostic.code = "BAD_ATTRIBUTE"
         assert diagnostic.code == "BAD_PATH"
-
-
-class TestPathCommand:
-    @pytest.mark.parametrize(
-        "args", [("Q", False, ()), ("M", False, (1.0,)), ("Z", True, ())], ids=["kind", "arity", "relative-close"]
-    )
-    def test_rejects_bad_commands(self, args):
-        with pytest.raises(ValueError):
-            PathCommand(*args)
-
-    def test_fields_and_immutability(self):
-        command = PathCommand("M", True, (1.0, 2.0))
-        assert (command.kind, command.relative, command.coords) == ("M", True, (1.0, 2.0))
-        assert command == PathCommand("M", True, (1.0, 2.0))
-        with pytest.raises(AttributeError):
-            command.kind = "L"
-
-    def test_replace_checks_the_new_values(self):
-        assert PathCommand("M", False, (1.0, 2.0))._replace(kind="L") == PathCommand("L", False, (1.0, 2.0))
-        with pytest.raises(ValueError):
-            PathCommand("M", False, (1.0, 2.0))._replace(kind="Z")
 
 
 @pytest.mark.parametrize(
