@@ -13,19 +13,27 @@ simulation strategy:
                   2x2 linear entries plus a position correction
 * distribute      g: the group's transform list is prepended to each child's
 
-A transform list is read in one regex pass when the whole list matches the
-grammar, with `numeric`'s number lists as arguments, and holds no skew on
-the tangent pole; a scanner reads the rest and words its diagnostics: the
-BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
+A transform list the whole-list grammar accepts is read in one pass: each
+call's arguments split on separators and convert with float(), which is
+exact, since the grammar admits only its own numbers between runs of space,
+tab, CR, LF and comma.  One table, _SIGNATURES, gives each function's
+argument counts and completes a short list (translate(tx), scale(s)) for
+the reader, the scanner and the constructors alike.  A list the grammar
+rejects, or with a wrong count, a non-finite argument or a skew on the
+tangent pole, goes to a scanner, which decides and words its diagnostics:
+the BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
 where the list is read.  A Chain is plain data, a list with its
 left-to-right product: a group extends its parent's chain by its own list,
 so the product of a group's list is composed once for all its descendants,
-and a leaf extends it by its own list only.
+and a leaf extends it by its own list only.  Extending folds on plain
+floats, with multiply's expressions in multiply's order, so it gives the
+same floats as multiplying by op_to_matrix op by op.
 
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
-position, how a lone rotate is handled, and the carrier: the v:skew matrix
-writer, whose offset slot takes the correction, or none for the matrix
+position, how a lone rotate is handled, and the carrier: the v:skew
+matrix's four linear entries in writing order, formatted with the
+correction for the skew's offset slot in one pass, or none for the matrix
 filter, whose correction moves the position instead.  Only the three
 strategies that use offsets have a row; point recalculation takes any list,
 and distribution defers to the children.  No offset rule covers a lone
@@ -48,7 +56,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
-    NUMBER_LIST_PATTERN, NUMBER_RE, NUMBER_TOKEN_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
+    NUMBER_LIST_PATTERN, NUMBER_TOKEN_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
 )
 from .svg_dom import Point
 
@@ -72,47 +80,59 @@ class TransformOp(NamedTuple):
     args: tuple[float, ...]
 
 
-def translate(tx: float, ty: float = 0.0) -> TransformOp:
-    return TransformOp("translate", (float(tx), float(ty)))
+def _op(name: str, *args: float) -> TransformOp:
+    """The op for a call with these arguments, completed by its signature."""
+    args = tuple(map(float, args))
+    complete = _SIGNATURES[name][len(args)]
+    return TransformOp(name, args if complete is None else complete(*args))
+
+
+def translate(tx: float, ty: Optional[float] = None) -> TransformOp:
+    return _op("translate", tx) if ty is None else _op("translate", tx, ty)
 
 
 def scale(sx: float, sy: Optional[float] = None) -> TransformOp:
-    return TransformOp("scale", (float(sx), float(sx if sy is None else sy)))
+    return _op("scale", sx) if sy is None else _op("scale", sx, sy)
 
 
 def rotate(angle: float, cx: Optional[float] = None, cy: Optional[float] = None) -> TransformOp:
     if cx is None and cy is None:
-        return TransformOp("rotate", (float(angle),))
-    return TransformOp("rotate", (float(angle), float(cx or 0.0), float(cy or 0.0)))
+        return _op("rotate", angle)
+    return _op("rotate", angle, 0.0 if cx is None else cx, 0.0 if cy is None else cy)
 
 
 def skew_x(angle: float) -> TransformOp:
-    return TransformOp("skewX", (float(angle),))
+    return _op("skewX", angle)
 
 
 def skew_y(angle: float) -> TransformOp:
-    return TransformOp("skewY", (float(angle),))
+    return _op("skewY", angle)
 
 
 def matrix(a: float, b: float, c: float, d: float, e: float, f: float) -> TransformOp:
-    return TransformOp("matrix", (float(a), float(b), float(c), float(d), float(e), float(f)))
+    return _op("matrix", a, b, c, d, e, f)
 
 
-# Constructor and accepted argument counts, before defaults are applied.
-_FUNCTIONS = {
-    "matrix": (matrix, (6,)),
-    "translate": (translate, (1, 2)),
-    "scale": (scale, (1, 2)),
-    "rotate": (rotate, (1, 3)),
-    "skewX": (skew_x, (1,)),
-    "skewY": (skew_y, (1,)),
+# Each function's argument counts, each with what completes the arguments
+# read: None keeps them as they are, a function returns them completed.
+# translate(tx) is translate(tx, 0) and scale(s) is scale(s, s); a rotate
+# centre coordinate of -0 reads as 0.  The list readers and the
+# constructors above complete every op here.
+_SIGNATURES = {
+    "matrix": {6: None},
+    "translate": {1: lambda tx: (tx, 0.0), 2: None},
+    "scale": {1: lambda s: (s, s), 2: None},
+    "rotate": {1: None, 3: lambda angle, cx, cy: (angle, cx or 0.0, cy or 0.0)},
+    "skewX": {1: None},
+    "skewY": {1: None},
 }
+_SKEWS = ("skewX", "skewY")
 
 _FUNCTION_RE = re.compile(rf"([A-Za-z]+)[{WSP}]*\(([^)]*)\)")
 
 # The whole list grammar: calls with number lists, between runs of separators.
 _LIST_RE = re.compile(
-    rf"[{SEPARATORS}]*(?:(?:{'|'.join(_FUNCTIONS)})[{WSP}]*\({NUMBER_LIST_PATTERN}\)[{SEPARATORS}]*)*"
+    rf"[{SEPARATORS}]*(?:(?:{'|'.join(_SIGNATURES)})[{WSP}]*\({NUMBER_LIST_PATTERN}\)[{SEPARATORS}]*)*"
 )
 
 
@@ -131,14 +151,18 @@ def parse_transform_list(
     if _LIST_RE.fullmatch(value):
         ops = []
         for name, raw_args in _FUNCTION_RE.findall(value):
-            constructor, counts = _FUNCTIONS[name]
-            args = [float(token) for token in NUMBER_RE.findall(raw_args)]
-            if len(args) not in counts or not all(map(math.isfinite, args)):
+            # The grammar admits only its numbers between runs of space,
+            # tab, CR, LF and comma, so split() and float() read them exactly.
+            args = tuple(map(float, raw_args.replace(",", " ").split()))
+            forms = _SIGNATURES[name]
+            if len(args) not in forms or not all(map(math.isfinite, args)):
                 break
-            ops.append(constructor(*args))
+            if name in _SKEWS and _is_tangent_pole(args[0]):
+                break
+            complete = forms[len(args)]
+            ops.append(TransformOp(name, args if complete is None else complete(*args)))
         else:
-            if not any(map(_is_singular, ops)):
-                return ops
+            return ops
     return _scan_transform_list(value, diagnostics, location)
 
 
@@ -160,12 +184,12 @@ def _scan_transform_list(
             return []
         position = found.end()
         name, raw_args = found.group(1), found.group(2)
-        if name not in _FUNCTIONS:
+        if name not in _SIGNATURES:
             diagnostics.error("BAD_TRANSFORM", f"unknown transform function {name!r}", location)
             return []
-        constructor, counts = _FUNCTIONS[name]
         tokens = split_list(raw_args)
-        if len(tokens) not in counts:
+        if len(tokens) not in _SIGNATURES[name]:
+            counts = tuple(_SIGNATURES[name])
             diagnostics.error(
                 "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
             )
@@ -177,7 +201,7 @@ def _scan_transform_list(
         if not all(map(math.isfinite, args)):
             diagnostics.error("BAD_TRANSFORM", f"argument out of range in {name}({raw_args})", location)
             return []
-        ops.append(constructor(*args))
+        ops.append(_op(name, *args))
     if value[position:].strip(SEPARATORS):
         diagnostics.error(
             "BAD_TRANSFORM", f"trailing transform text {value[position:].strip(WSP)!r}", location
@@ -189,16 +213,21 @@ def _scan_transform_list(
     return ops
 
 
+def _product(m: Sequence[float], n: Sequence[float]) -> tuple[float, ...]:
+    """Product m . n of two six-entry affine matrices, as a plain tuple."""
+    return (
+        m[0] * n[0] + m[2] * n[1],
+        m[1] * n[0] + m[3] * n[1],
+        m[0] * n[2] + m[2] * n[3],
+        m[1] * n[2] + m[3] * n[3],
+        m[0] * n[4] + m[2] * n[5] + m[4],
+        m[1] * n[4] + m[3] * n[5] + m[5],
+    )
+
+
 def multiply(m: TransformMatrix, n: TransformMatrix) -> TransformMatrix:
     """Product m . n of two affine matrices (n applies first to points)."""
-    return TransformMatrix(
-        m.a * n.a + m.c * n.b,
-        m.b * n.a + m.d * n.b,
-        m.a * n.c + m.c * n.d,
-        m.b * n.c + m.d * n.d,
-        m.a * n.e + m.c * n.f + m.e,
-        m.b * n.e + m.d * n.f + m.f,
-    )
+    return TransformMatrix(*_product(m, n))
 
 
 def _is_tangent_pole(angle_deg: float) -> bool:
@@ -206,40 +235,39 @@ def _is_tangent_pole(angle_deg: float) -> bool:
 
 
 def _is_singular(op: TransformOp) -> bool:
-    return op.name in ("skewX", "skewY") and _is_tangent_pole(op.args[0])
+    return op.name in _SKEWS and _is_tangent_pole(op.args[0])
 
 
-def op_to_matrix(op: TransformOp) -> TransformMatrix:
-    """Equivalent matrix of a single transform definition.
+def _entries(name: str, args: tuple[float, ...]) -> tuple[float, ...]:
+    """The six entries of one op's matrix, as plain floats.
 
     Skews at 90 + k*180 degrees hit the tangent pole and count as the
     identity; parse_transform_list reports them.
     """
-    name, args = op
-    if name == "matrix":
-        return TransformMatrix(*args)
-    if name == "translate":
-        return TransformMatrix(1.0, 0.0, 0.0, 1.0, args[0], args[1])
     if name == "scale":
-        return TransformMatrix(args[0], 0.0, 0.0, args[1], 0.0, 0.0)
-    if name == "rotate":
-        radians = math.radians(args[0])
-        rotation = TransformMatrix(
-            math.cos(radians), math.sin(radians), -math.sin(radians), math.cos(radians), 0.0, 0.0
-        )
-        if len(args) == 1:
-            return rotation
-        cx, cy = args[1], args[2]
-        shifted = multiply(TransformMatrix(1, 0, 0, 1, cx, cy), rotation)
-        return multiply(shifted, TransformMatrix(1, 0, 0, 1, -cx, -cy))
-    if name in ("skewX", "skewY"):
+        return args[0], 0.0, 0.0, args[1], 0.0, 0.0
+    if name in _SKEWS:
         if _is_tangent_pole(args[0]):
             return IDENTITY
         t = math.tan(math.radians(args[0]))
-        if name == "skewX":
-            return TransformMatrix(1.0, 0.0, t, 1.0, 0.0, 0.0)
-        return TransformMatrix(1.0, t, 0.0, 1.0, 0.0, 0.0)
+        return (1.0, 0.0, t, 1.0, 0.0, 0.0) if name == "skewX" else (1.0, t, 0.0, 1.0, 0.0, 0.0)
+    if name == "translate":
+        return 1.0, 0.0, 0.0, 1.0, args[0], args[1]
+    if name == "rotate":
+        radians = math.radians(args[0])
+        rotation = (math.cos(radians), math.sin(radians), -math.sin(radians), math.cos(radians), 0.0, 0.0)
+        if len(args) == 1:
+            return rotation
+        cx, cy = args[1], args[2]
+        return _product(_product((1, 0, 0, 1, cx, cy), rotation), (1, 0, 0, 1, -cx, -cy))
+    if name == "matrix":
+        return args
     raise ValueError(f"unknown transform op {name!r}")
+
+
+def op_to_matrix(op: TransformOp) -> TransformMatrix:
+    """Equivalent matrix of a single transform definition."""
+    return TransformMatrix(*_entries(*op))
 
 
 class Chain(NamedTuple):
@@ -255,14 +283,23 @@ class Chain(NamedTuple):
         """This chain followed by ops.
 
         The product is a left fold, so extending it gives the same floats
-        as composing the whole list from the identity.
+        as composing the whole list from the identity.  It folds on plain
+        floats, with multiply's expressions in multiply's order.
         """
         if not ops:
             return self
-        ctm = self.ctm
-        for op in ops:
-            ctm = multiply(ctm, op_to_matrix(op))
-        return Chain(self.ops + tuple(ops), ctm)
+        a, b, c, d, e, f = self.ctm
+        for name, args in ops:
+            na, nb, nc, nd, ne, nf = _entries(name, args)
+            a, b, c, d, e, f = (
+                a * na + c * nb,
+                b * na + d * nb,
+                a * nc + c * nd,
+                b * nc + d * nd,
+                a * ne + c * nf + e,
+                b * ne + d * nf + f,
+            )
+        return Chain(self.ops + tuple(ops), TransformMatrix(a, b, c, d, e, f))
 
 
 EMPTY_CHAIN = Chain((), IDENTITY)
@@ -333,25 +370,22 @@ def _rotate_offset(angle_deg: float, box: ShapeBox, cx: float = 0.0, cy: float =
     )
 
 
-# --- VML carrier strings ----------------------------------------------------
+# --- VML carriers ------------------------------------------------------------
+# Each takes the linear part of a matrix, its first four entries.
 
 
-def skew_matrix_for_shape(m: TransformMatrix, precision: int = 6) -> str:
-    """Skew matrix string for shapes: sign-negated linear part.
-
-    The last two slots are perspective terms, not pixel offsets; they stay
-    zero and translation is carried by the output coordinates instead.
-    """
-    return ", ".join(format_numbers((-m.a, -m.b, -m.c, -m.d, 0.0, 0.0), precision))
+def _shape_skew(m: Sequence[float]) -> tuple[float, ...]:
+    """The v:skew linear entries for shapes, in writing order: the sign-negated linear part."""
+    return -m[0], -m[1], -m[2], -m[3]
 
 
-def skew_matrix_for_path(m: TransformMatrix, precision: int = 6) -> str:
-    """Skew matrix string for paths: plain linear part, row-major order."""
-    return ", ".join(format_numbers((m.a, m.c, m.b, m.d, 0.0, 0.0), precision))
+def _path_skew(m: Sequence[float]) -> tuple[float, ...]:
+    """The v:skew linear entries for paths, in writing order: the plain linear part, row-major."""
+    return m[0], m[2], m[1], m[3]
 
 
-def _matrix_filter_text(m: TransformMatrix, precision: int) -> str:
-    m11, m12, m21, m22 = format_numbers((m.a, m.c, m.b, m.d), precision)
+def _matrix_filter_text(m: Sequence[float], precision: int) -> str:
+    m11, m12, m21, m22 = format_numbers((m[0], m[2], m[1], m[3]), precision)
     return (
         "progid:DXImageTransform.Microsoft.Matrix("
         f"M11={m11}, M12={m12}, M21={m21}, M22={m22}, SizingMethod='auto expand')"
@@ -394,15 +428,16 @@ class StrategyRule(NamedTuple):
                or the root size
     rotation   how a lone rotate is simulated; None sends it through the
                linear rule and drops the translation of its centre
-    carrier    the v:skew matrix writer, whose offset slot takes the
-               correction; None for the matrix filter, which has no offset
+    carrier    the v:skew matrix's four linear entries in writing order,
+               from the linear part; the skew's offset slot takes the
+               correction.  None for the matrix filter, which has no offset
                slot, so its correction moves the position
     """
 
     multi_ops: frozenset
     offset: Callable[[TransformMatrix, ShapeBox, RootSize], Offset]
     rotation: Optional[str]
-    carrier: Optional[Callable[[TransformMatrix, int], str]]
+    carrier: Optional[Callable[[Sequence[float]], tuple[float, ...]]]
 
 
 # The manual offset corrections are only worked out for these combinations.
@@ -411,13 +446,13 @@ STRATEGIES = {
         frozenset({"scale", "translate", "skewX", "skewY"}),
         offset_for_linear_shape,
         ROTATE_ABOUT_CENTRE,
-        skew_matrix_for_shape,
+        _shape_skew,
     ),
     SKEW_PATH: StrategyRule(
         frozenset({"scale", "translate"}),
         offset_for_linear_path,
         None,
-        skew_matrix_for_path,
+        _path_skew,
     ),
     MATRIX_FILTER: StrategyRule(
         frozenset({"scale", "skewX", "skewY"}),
@@ -484,14 +519,15 @@ def place(
     lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
     if lone_rotate and rule.rotation is not None:
         angle, *centre = ops[0].args
-        linear: Optional[TransformMatrix] = op_to_matrix(rotate(angle))
+        linear: Optional[Sequence[float]] = _entries("rotate", (angle,))
         # The re-shift from the centre is folded into the offset.
         shift = (-centre[0], -centre[1]) if centre and rule.rotation == ROTATE_ABOUT_CENTRE else None
         offset = _rotate_offset(angle, box, *centre)
     else:
         ctm = chain.ctm
-        shift = None if lone_rotate or (ctm.e, ctm.f) == (0.0, 0.0) else (ctm.e, ctm.f)
-        linear = None if ctm[:4] == IDENTITY[:4] else ctm
+        a, b, c, d, e, f = ctm
+        shift = None if lone_rotate or (e == 0.0 and f == 0.0) else (e, f)
+        linear = None if (a, b, c, d) == (1.0, 0.0, 0.0, 1.0) else ctm
         offset = _NO_OFFSET if linear is None else rule.offset(ctm, box, root)
     dx, dy = shift or (0.0, 0.0)
     if rule.carrier is None and (linear is not None or shift is not None):
@@ -506,8 +542,11 @@ def place(
     if linear is not None and rule.carrier is None:
         filter_text = _matrix_filter_text(linear, precision)
     elif linear is not None:
-        # The correction moves the shape up and left by the offset; the
-        # skew offset slot applies additively, hence the sign flip.
-        offset_text = "{}px,{}px".format(*format_numbers((-offset.dx, -offset.dy), precision))
-        skew = {"on": "t", "matrix": rule.carrier(linear, precision), "offset": offset_text}
+        # One format pass for the matrix and the offset.  The correction
+        # moves the shape up and left by the offset; the skew offset slot
+        # applies additively, hence the sign flip.  The last two matrix
+        # slots are perspective terms, not pixel offsets: they stay 0, and
+        # translation is carried by the output coordinates instead.
+        m1, m2, m3, m4, ox, oy = format_numbers((*rule.carrier(linear), -offset.dx, -offset.dy), precision)
+        skew = {"on": "t", "matrix": f"{m1}, {m2}, {m3}, {m4}, 0, 0", "offset": f"{ox}px,{oy}px"}
     return Placement(origin, skew, filter_text, offset)

@@ -391,13 +391,13 @@ class TestGroups:
 
     def test_a_group_chain_is_composed_once(self, monkeypatch):
         calls = []
-        op_to_matrix = transform.op_to_matrix
+        entries = transform._entries  # each op's matrix, as Chain.extend reads it
 
-        def counted(op, *rest):
-            calls.append(op)
-            return op_to_matrix(op, *rest)
+        def counted(name, args):
+            calls.append(name)
+            return entries(name, args)
 
-        monkeypatch.setattr(transform, "op_to_matrix", counted)
+        monkeypatch.setattr(transform, "_entries", counted)
         rects = '<rect width="4" height="3" transform="scale(3)"/>' * 5
         tree, diagnostics = map_snippet(f'<g transform="scale(2) translate(1,2) skewX(10)">{rects}</g>')
         assert len(find_all(tree, "v:skew")) == 5 and not list(diagnostics)

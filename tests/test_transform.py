@@ -18,6 +18,7 @@ from svg2vml.transform import (
     RECALC_POINTS,
     SKEW_PATH,
     SKEW_SHAPE,
+    STRATEGIES,
     RootSize,
     ShapeBox,
     TransformMatrix,
@@ -30,8 +31,6 @@ from svg2vml.transform import (
     recalc_points,
     rotate,
     scale,
-    skew_matrix_for_path,
-    skew_matrix_for_shape,
     skew_x,
     skew_y,
     translate,
@@ -319,28 +318,34 @@ class TestRecalcPoints:
 # --- VML carrier strings --------------------------------------------------------
 
 
+def skew_matrix(strategy, op) -> str:
+    """The v:skew matrix place() writes for a single transform."""
+    return place(strategy, EMPTY_CHAIN.extend([op]), BOX, ROOT, 6, Diagnostics()).skew["matrix"]
+
+
 class TestSkewMatrixStrings:
+    """The v:skew matrix: the carrier's four linear entries, then two perspective slots written as 0."""
+
     def test_shape_scale(self):
-        assert skew_matrix_for_shape(op_to_matrix(scale(3, 1))) == "-3, 0, 0, -1, 0, 0"
+        assert skew_matrix(SKEW_SHAPE, scale(3, 1)) == "-3, 0, 0, -1, 0, 0"
 
     def test_shape_identity(self):
-        assert skew_matrix_for_shape(IDENTITY) == "-1, 0, 0, -1, 0, 0"
+        # rotate(0) goes through the rotation rule, so its identity linear part is written
+        assert skew_matrix(SKEW_SHAPE, rotate(0)) == "-1, 0, 0, -1, 0, 0"
 
     def test_shape_skew_x(self):
         # -tan(10 deg) lands in the third slot
-        assert skew_matrix_for_shape(op_to_matrix(skew_x(10))) == "-1, 0, -0.176327, -1, 0, 0"
+        assert skew_matrix(SKEW_SHAPE, skew_x(10)) == "-1, 0, -0.176327, -1, 0, 0"
 
     def test_path_rotate(self):
-        assert (
-            skew_matrix_for_path(op_to_matrix(rotate(20)))
-            == "0.939693, -0.34202, 0.34202, 0.939693, 0, 0"
-        )
+        assert skew_matrix(SKEW_PATH, rotate(20)) == "0.939693, -0.34202, 0.34202, 0.939693, 0, 0"
 
     def test_path_identity(self):
-        assert skew_matrix_for_path(IDENTITY) == "1, 0, 0, 1, 0, 0"
+        # place() writes no skew for an identity linear part, so the carrier is asked directly
+        assert STRATEGIES[SKEW_PATH].carrier(IDENTITY) == (1, 0, 0, 1)
 
     def test_path_scale(self):
-        assert skew_matrix_for_path(op_to_matrix(scale(2, 2))) == "2, 0, 0, 2, 0, 0"
+        assert skew_matrix(SKEW_PATH, scale(2, 2)) == "2, 0, 0, 2, 0, 0"
 
 
 class TestMatrixFilterParams:
