@@ -22,6 +22,7 @@ from svg2vml.transform import (
     RootSize,
     ShapeBox,
     TransformMatrix,
+    TransformOp,
     _scan_transform_list,
     compose_ctm,
     matrix,
@@ -165,22 +166,34 @@ _PIECES = _NAMES | _NUMBER_TEXT | _WHITESPACE | _STRAY | st.sampled_from(["(", "
 _ARG_COUNTS = {"matrix": [6], "translate": [1, 2], "scale": [1, 2], "rotate": [1, 3], "skewX": [1], "skewY": [1]}
 
 
+# Tokens float() reads that the grammar rejects, and zeros with a sign.
+_FLOAT_ONLY = st.sampled_from(["1e5", "2E-1", "inf", "-inf", "nan", "+nan", "Infinity", "1_0"])
+_ZEROS = st.sampled_from(["-0", "-0.", "-0.0", "-.0", "+0", "0"])
+
+
 @st.composite
 def _transform_lists(draw):
-    """Lists of calls: half of them well formed, the rest with any name, count and spacing."""
+    """Lists of calls: half of them well formed, the rest with any name, count and spacing.
+
+    A well-formed call's arguments are mostly grammar numbers, with now and
+    then a token only float() reads, or a signed zero (a rotate's -0 centre).
+    """
     if draw(st.booleans()):
         names = st.sampled_from(sorted(_ARG_COUNTS))
         gap = st.text(st.sampled_from(" \t\r\n,"), max_size=2)
         inner = st.text(_WHITESPACE, max_size=1)
-        separator = st.text(_WHITESPACE | st.just(","), min_size=1, max_size=2)
+        comma_run = st.sampled_from([",,", ", ,", ",\t,", " ,, "])
+        separator = st.text(_WHITESPACE | st.just(","), min_size=1, max_size=2) | comma_run
+        number = st.one_of(_NUMBER_TEXT, _NUMBER_TEXT, _NUMBER_TEXT, _FLOAT_ONLY, _ZEROS)
     else:
         names = _NAMES
         gap = inner = separator = st.text(_WHITESPACE | _STRAY | st.just(","), max_size=2)
+        number = _NUMBER_TEXT
     text = ""
     for _ in range(draw(st.integers(0, 4))):
         name = draw(names)
         count = draw(st.integers(0, 7) if names is _NAMES else st.sampled_from(_ARG_COUNTS[name]))
-        args = [draw(_NUMBER_TEXT) for _ in range(count)]
+        args = [draw(number) for _ in range(count)]
         text += draw(gap) + name + draw(inner) + "(" + draw(inner) + (args[0] if args else "")
         for arg in args[1:]:
             text += draw(separator) + arg
@@ -194,6 +207,11 @@ def test_one_pass_parse_agrees_with_the_scanner(text):
     fast, scanned = Diagnostics(), Diagnostics()
     assert repr(parse_transform_list(text, fast, "here")) == repr(_scan_transform_list(text, scanned, "here"))
     assert list(fast) == list(scanned)
+
+
+def test_rotate_centres_of_minus_zero_read_as_zero(diags):
+    (op,) = parse_transform_list("rotate(30,-0,-0.0)", diags)
+    assert repr(op.args) == "(30.0, 0.0, 0.0)" and not list(diags)
 
 
 # --- matrices -----------------------------------------------------------------
@@ -257,6 +275,76 @@ class TestComposeCtm:
 
             right = multiply(m_ab, m_c)
             assert_matrix_close(left, as_3x3(right), tol=1e-12)
+
+
+def _reference_multiply(m, n):
+    """multiply as it read before Chain.extend folded on plain floats."""
+    return TransformMatrix(
+        m.a * n.a + m.c * n.b,
+        m.b * n.a + m.d * n.b,
+        m.a * n.c + m.c * n.d,
+        m.b * n.c + m.d * n.d,
+        m.a * n.e + m.c * n.f + m.e,
+        m.b * n.e + m.d * n.f + m.f,
+    )
+
+
+def _reference_op_to_matrix(op):
+    """op_to_matrix as it read before Chain.extend folded on plain floats."""
+    name, args = op
+    if name == "matrix":
+        return TransformMatrix(*args)
+    if name == "translate":
+        return TransformMatrix(1.0, 0.0, 0.0, 1.0, args[0], args[1])
+    if name == "scale":
+        return TransformMatrix(args[0], 0.0, 0.0, args[1], 0.0, 0.0)
+    if name == "rotate":
+        radians = math.radians(args[0])
+        rotation = TransformMatrix(
+            math.cos(radians), math.sin(radians), -math.sin(radians), math.cos(radians), 0.0, 0.0
+        )
+        if len(args) == 1:
+            return rotation
+        cx, cy = args[1], args[2]
+        shifted = _reference_multiply(TransformMatrix(1, 0, 0, 1, cx, cy), rotation)
+        return _reference_multiply(shifted, TransformMatrix(1, 0, 0, 1, -cx, -cy))
+    if _on_tangent_pole(op):
+        return IDENTITY
+    t = math.tan(math.radians(args[0]))
+    if name == "skewX":
+        return TransformMatrix(1.0, 0.0, t, 1.0, 0.0, 0.0)
+    return TransformMatrix(1.0, t, 0.0, 1.0, 0.0, 0.0)
+
+
+# Signed zeros, values whose products overflow (1e200 squared is inf, and
+# inf times 0 is nan), and skew angles on the tangent pole.
+_EXACT_ARGS = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e200, -1e200, 90.0, -270.0])
+_EXACT_OPS = st.one_of(
+    st.builds(translate, _EXACT_ARGS, _EXACT_ARGS),
+    st.builds(scale, _EXACT_ARGS, _EXACT_ARGS),
+    st.builds(scale, st.sampled_from([1e200, -1e200])),
+    st.builds(rotate, _EXACT_ARGS),
+    st.builds(rotate, _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
+    # A -0 centre as a list reader would hand it over, not as rotate() writes it.
+    st.builds(lambda angle, cx, cy: TransformOp("rotate", (angle, cx, cy)), _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
+    st.builds(skew_x, _EXACT_ARGS),
+    st.builds(skew_y, _EXACT_ARGS),
+    st.builds(matrix, *[_EXACT_ARGS] * 6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.lists(_EXACT_OPS, max_size=4), tail=st.lists(_EXACT_OPS, max_size=4))
+def test_chain_extend_gives_the_left_fold_of_multiply_exactly(head, tail):
+    want = IDENTITY
+    for op in head + tail:
+        want = _reference_multiply(want, _reference_op_to_matrix(op))
+    got = EMPTY_CHAIN.extend(head).extend(tail).ctm
+    assert type(got) is TransformMatrix
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert [list(map(repr, op_to_matrix(op))) for op in head] == [
+        list(map(repr, _reference_op_to_matrix(op))) for op in head
+    ]
 
 
 def apply(m, point):
