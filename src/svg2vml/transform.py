@@ -189,7 +189,7 @@ def _scan_transform_list(
             return []
         tokens = split_list(raw_args)
         if len(tokens) not in _SIGNATURES[name]:
-            counts = tuple(_SIGNATURES[name])
+            counts = " or ".join(map(str, _SIGNATURES[name]))
             diagnostics.error(
                 "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
             )

@@ -147,6 +147,18 @@ class TestParseTransformList:
         assert parse_transform_list(bad, diags) == []
         assert "BAD_TRANSFORM" in diags.codes()
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("matrix(1 2 3)", "matrix() takes 6 arguments, got 3"),
+            ("rotate(1, 2)", "rotate() takes 1 or 3 arguments, got 2"),
+            ("scale()", "scale() takes 1 or 2 arguments, got 0"),
+        ],
+    )
+    def test_argument_count_message(self, bad, message, diags):
+        assert parse_transform_list(bad, diags) == []
+        assert [(d.code, d.message) for d in diags] == [("BAD_TRANSFORM", message)]
+
 
 _NAMES = st.sampled_from(
     ["matrix", "translate", "scale", "rotate", "skewX", "skewY", "Scale", "skewx", "ROTATE", "spin"]
