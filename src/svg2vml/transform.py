@@ -25,9 +25,9 @@ the BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
 where the list is read.  A Chain is plain data, a list with its
 left-to-right product: a group extends its parent's chain by its own list,
 so the product of a group's list is composed once for all its descendants,
-and a leaf extends it by its own list only.  Extending folds on plain
-floats, with multiply's expressions in multiply's order, so it gives the
-same floats as multiplying by op_to_matrix op by op.
+and a leaf extends it by its own list only.  Extending folds each op's
+entries on plain floats, with the expressions multiply uses, so it gives
+the same floats as multiplying by op_to_matrix op by op.
 
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import starmap
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
@@ -213,21 +214,24 @@ def _scan_transform_list(
     return ops
 
 
-def _product(m: Sequence[float], n: Sequence[float]) -> tuple[float, ...]:
-    """Product m . n of two six-entry affine matrices, as a plain tuple."""
-    return (
-        m[0] * n[0] + m[2] * n[1],
-        m[1] * n[0] + m[3] * n[1],
-        m[0] * n[2] + m[2] * n[3],
-        m[1] * n[2] + m[3] * n[3],
-        m[0] * n[4] + m[2] * n[5] + m[4],
-        m[1] * n[4] + m[3] * n[5] + m[5],
-    )
+def _fold(m: Sequence[float], matrices: Iterable[Sequence[float]]) -> tuple[float, ...]:
+    """The product m . n1 . n2 ... of six-entry affine matrices, folded left on plain floats."""
+    a, b, c, d, e, f = m
+    for na, nb, nc, nd, ne, nf in matrices:
+        a, b, c, d, e, f = (
+            a * na + c * nb,
+            b * na + d * nb,
+            a * nc + c * nd,
+            b * nc + d * nd,
+            a * ne + c * nf + e,
+            b * ne + d * nf + f,
+        )
+    return a, b, c, d, e, f
 
 
 def multiply(m: TransformMatrix, n: TransformMatrix) -> TransformMatrix:
     """Product m . n of two affine matrices (n applies first to points)."""
-    return TransformMatrix(*_product(m, n))
+    return TransformMatrix(*_fold(m, (n,)))
 
 
 def _is_tangent_pole(angle_deg: float) -> bool:
@@ -259,7 +263,7 @@ def _entries(name: str, args: tuple[float, ...]) -> tuple[float, ...]:
         if len(args) == 1:
             return rotation
         cx, cy = args[1], args[2]
-        return _product(_product((1, 0, 0, 1, cx, cy), rotation), (1, 0, 0, 1, -cx, -cy))
+        return _fold((1, 0, 0, 1, cx, cy), (rotation, (1, 0, 0, 1, -cx, -cy)))
     if name == "matrix":
         return args
     raise ValueError(f"unknown transform op {name!r}")
@@ -283,23 +287,11 @@ class Chain(NamedTuple):
         """This chain followed by ops.
 
         The product is a left fold, so extending it gives the same floats
-        as composing the whole list from the identity.  It folds on plain
-        floats, with multiply's expressions in multiply's order.
+        as composing the whole list from the identity.
         """
         if not ops:
             return self
-        a, b, c, d, e, f = self.ctm
-        for name, args in ops:
-            na, nb, nc, nd, ne, nf = _entries(name, args)
-            a, b, c, d, e, f = (
-                a * na + c * nb,
-                b * na + d * nb,
-                a * nc + c * nd,
-                b * nc + d * nd,
-                a * ne + c * nf + e,
-                b * ne + d * nf + f,
-            )
-        return Chain(self.ops + tuple(ops), TransformMatrix(a, b, c, d, e, f))
+        return Chain(self.ops + tuple(ops), TransformMatrix(*_fold(self.ctm, starmap(_entries, ops))))
 
 
 EMPTY_CHAIN = Chain((), IDENTITY)
