@@ -99,7 +99,7 @@ def scale(sx: float, sy: Optional[float] = None) -> TransformOp:
 def rotate(angle: float, cx: Optional[float] = None, cy: Optional[float] = None) -> TransformOp:
     if cx is None and cy is None:
         return _op("rotate", angle)
-    return _op("rotate", angle, 0.0 if cx is None else cx, 0.0 if cy is None else cy)
+    return _op("rotate", angle, cx or 0.0, cy or 0.0)
 
 
 def skew_x(angle: float) -> TransformOp:
