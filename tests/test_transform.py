@@ -290,7 +290,7 @@ class TestComposeCtm:
 
 
 def _reference_multiply(m, n):
-    """multiply as it read before Chain.extend folded on plain floats."""
+    """The reference product: multiply written on TransformMatrix fields, kept apart from the library."""
     return TransformMatrix(
         m.a * n.a + m.c * n.b,
         m.b * n.a + m.d * n.b,
@@ -302,7 +302,7 @@ def _reference_multiply(m, n):
 
 
 def _reference_op_to_matrix(op):
-    """op_to_matrix as it read before Chain.extend folded on plain floats."""
+    """The reference op matrix: op_to_matrix built from TransformMatrix values, kept apart from the library."""
     name, args = op
     if name == "matrix":
         return TransformMatrix(*args)
