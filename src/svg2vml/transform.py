@@ -18,7 +18,7 @@ call's arguments split on separators and convert with float(), which is
 exact, since the grammar admits only its own numbers between runs of space,
 tab, CR, LF and comma.  One table, _SIGNATURES, gives each function's
 argument counts and completes a short list (translate(tx), scale(s)) for
-the reader, the scanner and the constructors alike.  A list the grammar
+the reader and the scanner alike.  A list the grammar
 rejects, or with a wrong count, a non-finite argument or a skew on the
 tangent pole, goes to a scanner, which decides and words its diagnostics:
 the BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
@@ -26,8 +26,8 @@ where the list is read.  A Chain is plain data, a list with its
 left-to-right product: a group extends its parent's chain by its own list,
 so the product of a group's list is composed once for all its descendants,
 and a leaf extends it by its own list only.  Extending folds each op's
-entries on plain floats, with the expressions multiply uses, so it gives
-the same floats as multiplying by op_to_matrix op by op.
+six entries on plain floats, left to right, so a chain extended list by
+list gives the same floats as the whole list composed from the identity.
 
 One table, STRATEGIES, holds per strategy which transform kinds a
 multi-transform list may mix, which linear offset rule corrects the
@@ -88,37 +88,11 @@ def _op(name: str, *args: float) -> TransformOp:
     return TransformOp(name, args if complete is None else complete(*args))
 
 
-def translate(tx: float, ty: Optional[float] = None) -> TransformOp:
-    return _op("translate", tx) if ty is None else _op("translate", tx, ty)
-
-
-def scale(sx: float, sy: Optional[float] = None) -> TransformOp:
-    return _op("scale", sx) if sy is None else _op("scale", sx, sy)
-
-
-def rotate(angle: float, cx: Optional[float] = None, cy: Optional[float] = None) -> TransformOp:
-    if cx is None and cy is None:
-        return _op("rotate", angle)
-    return _op("rotate", angle, cx or 0.0, cy or 0.0)
-
-
-def skew_x(angle: float) -> TransformOp:
-    return _op("skewX", angle)
-
-
-def skew_y(angle: float) -> TransformOp:
-    return _op("skewY", angle)
-
-
-def matrix(a: float, b: float, c: float, d: float, e: float, f: float) -> TransformOp:
-    return _op("matrix", a, b, c, d, e, f)
-
-
 # Each function's argument counts, each with what completes the arguments
 # read: None keeps them as they are, a function returns them completed.
 # translate(tx) is translate(tx, 0) and scale(s) is scale(s, s); a rotate
-# centre coordinate of -0 reads as 0.  The list readers and the
-# constructors above complete every op here.
+# centre coordinate of -0 reads as 0.  Both list readers complete every op
+# here.
 _SIGNATURES = {
     "matrix": {6: None},
     "translate": {1: lambda tx: (tx, 0.0), 2: None},
@@ -229,11 +203,6 @@ def _fold(m: Sequence[float], matrices: Iterable[Sequence[float]]) -> tuple[floa
     return a, b, c, d, e, f
 
 
-def multiply(m: TransformMatrix, n: TransformMatrix) -> TransformMatrix:
-    """Product m . n of two affine matrices (n applies first to points)."""
-    return TransformMatrix(*_fold(m, (n,)))
-
-
 def _is_tangent_pole(angle_deg: float) -> bool:
     return math.isclose(math.fmod(abs(angle_deg), 180.0), 90.0, abs_tol=1e-12)
 
@@ -269,11 +238,6 @@ def _entries(name: str, args: tuple[float, ...]) -> tuple[float, ...]:
     raise ValueError(f"unknown transform op {name!r}")
 
 
-def op_to_matrix(op: TransformOp) -> TransformMatrix:
-    """Equivalent matrix of a single transform definition."""
-    return TransformMatrix(*_entries(*op))
-
-
 class Chain(NamedTuple):
     """A transform list with its left-to-right product, composed once.
 
@@ -298,7 +262,11 @@ EMPTY_CHAIN = Chain((), IDENTITY)
 
 
 def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
-    """Left-to-right product of a transform list; empty list is identity."""
+    """Left-to-right product of a transform list; empty list is identity.
+
+    Mapping composes through Chain.extend; this stays only because
+    perfbench/spans.py rebinds it by name in mappers.
+    """
     return EMPTY_CHAIN.extend(ops).ctm
 
 

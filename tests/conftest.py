@@ -13,7 +13,9 @@ from svg2vml.transform import (
     RECALC_POINTS,
     RootSize,
     ShapeBox,
-    compose_ctm,
+    TransformMatrix,
+    TransformOp,
+    parse_transform_list,
     place,
     recalc_points,
 )
@@ -70,6 +72,19 @@ def make_context(**overrides) -> MapperContext:
     return MapperContext(**defaults)
 
 
+def read_ops(text: str) -> list[TransformOp]:
+    """The ops of a transform list that reads without a diagnostic, as mapping reads them."""
+    diagnostics = Diagnostics()
+    ops = parse_transform_list(text, diagnostics)
+    assert not list(diagnostics), text
+    return ops
+
+
+def ctm_of(ops) -> TransformMatrix:
+    """The product of ops as mapping composes it, through Chain.extend."""
+    return EMPTY_CHAIN.extend(ops).ctm
+
+
 _POLYLINE_POINTS = "0,0 10,0 10,10"
 
 
@@ -85,7 +100,7 @@ def rejects(strategy: str, ops) -> bool:
     attr = " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)  # parses back exactly
     if strategy == RECALC_POINTS:
         got, diagnostics = map_snippet(f'<polyline points="{_POLYLINE_POINTS}" transform="{attr}"/>')
-        moved = recalc_points(compose_ctm(ops), parse_points(_POLYLINE_POINTS))
+        moved = recalc_points(ctm_of(ops), parse_points(_POLYLINE_POINTS))
         expected, _ = map_snippet(f'<polyline points="{" ".join(f"{p.x!r},{p.y!r}" for p in moved)}"/>')
         assert got == expected
         return "UNSUPPORTED_TRANSFORM" in diagnostics.codes()

@@ -8,7 +8,7 @@ cursor simulation); tolerances are stated per criterion.
 import math
 import random
 
-from conftest import map_snippet, rejects, structurally_equal, wrap_svg
+from conftest import ctm_of, map_snippet, read_ops, rejects, structurally_equal, wrap_svg
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.options import ConvertOptions
@@ -23,15 +23,9 @@ from svg2vml.transform import (
     SKEW_SHAPE,
     RootSize,
     ShapeBox,
-    compose_ctm,
-    op_to_matrix,
+    TransformOp,
     place,
     recalc_points,
-    rotate,
-    scale,
-    skew_x,
-    skew_y,
-    translate,
 )
 
 
@@ -79,17 +73,17 @@ def test_criterion_04_arcsize_quotient():
 
 
 def test_criterion_05_rotation_filter_parameters():
-    chain = EMPTY_CHAIN.extend([rotate(20)])
+    chain = EMPTY_CHAIN.extend(read_ops("rotate(20)"))
     placed = place(MATRIX_FILTER, chain, ShapeBox(0, 0, 10, 10), RootSize(9, 9), 2, Diagnostics())
     assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
-    m = op_to_matrix(rotate(20))
+    m = chain.ctm
     assert abs(m.a**2 + m.b**2 - 1) < 1e-12 and abs(m.c**2 + m.d**2 - 1) < 1e-12
     report(5, "rotate(20) filter entries round to 0.94, -0.34, 0.34, 0.94")
 
 
 def test_criterion_06_point_recalculation():
     points = [Point(300, 300), Point(350, 300), Point(350, 250), Point(400, 250), Point(400, 300), Point(450, 300)]
-    got = recalc_points(op_to_matrix(rotate(90, 300, 300)), points)
+    got = recalc_points(ctm_of(read_ops("rotate(90, 300, 300)")), points)
     rounded = [(round(x), round(y)) for x, y in got]
     assert rounded == [(300, 300), (300, 350), (350, 350), (350, 400), (300, 400), (300, 450)]
     for (gx, gy), (ex, ey) in zip(got, rounded):
@@ -105,8 +99,8 @@ def test_criterion_07_skew_matrix_negation():
 
 
 def test_criterion_08_offset_formulas_against_direct_arithmetic():
-    def compute_offset(op, box, root, strategy):
-        placed = place(strategy, EMPTY_CHAIN.extend([op]), box, root, 6, Diagnostics())
+    def compute_offset(name, args, box, root, strategy):
+        placed = place(strategy, EMPTY_CHAIN.extend([TransformOp(name, args)]), box, root, 6, Diagnostics())
         assert placed is not None
         return placed.offset
 
@@ -123,21 +117,21 @@ def test_criterion_08_offset_formulas_against_direct_arithmetic():
         x, y, w, h = box
 
         checks = [
-            (compute_offset(skew_x(a), box, root, SKEW_SHAPE), (math.tan(r) * y + w, h)),
-            (compute_offset(skew_y(a), box, root, SKEW_SHAPE), (w, math.tan(r) * x + h)),
+            (compute_offset("skewX", (a,), box, root, SKEW_SHAPE), (math.tan(r) * y + w, h)),
+            (compute_offset("skewY", (a,), box, root, SKEW_SHAPE), (w, math.tan(r) * x + h)),
             (
-                compute_offset(rotate(a), box, root, SKEW_SHAPE),
+                compute_offset("rotate", (a,), box, root, SKEW_SHAPE),
                 (x * math.cos(r) - y * math.sin(r) - w, x * math.sin(r) + y * math.cos(r) - h),
             ),
             (
-                compute_offset(rotate(a, cx, cy), box, root, MATRIX_FILTER),
+                compute_offset("rotate", (a, cx, cy), box, root, MATRIX_FILTER),
                 (
                     math.cos(r) * (x - cx) - math.sin(r) * (y - cy) - w + cx,
                     math.sin(r) * (x - cx) + math.cos(r) * (y - cy) - h + cy,
                 ),
             ),
             (
-                compute_offset(rotate(a), box, root, SKEW_PATH),
+                compute_offset("rotate", (a,), box, root, SKEW_PATH),
                 (
                     math.cos(r) * root.width - math.sin(r) * root.height - root.width,
                     math.sin(r) * root.width + math.cos(r) * root.height - root.height,
@@ -179,21 +173,19 @@ def test_criterion_09_ctm_algebra():
         for _ in range(rng.randint(0, 5)):
             choice = rng.randrange(5)
             if choice == 0:
-                ops.append(translate(rng.uniform(-99, 99), rng.uniform(-99, 99)))
+                ops.append(TransformOp("translate", (rng.uniform(-99, 99), rng.uniform(-99, 99))))
             elif choice == 1:
-                ops.append(scale(rng.uniform(0.1, 10), rng.uniform(0.1, 10)))
+                ops.append(TransformOp("scale", (rng.uniform(0.1, 10), rng.uniform(0.1, 10))))
             elif choice == 2:
                 ops.append(
-                    rotate(rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50))
+                    TransformOp("rotate", (rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50)))
                     if rng.random() < 0.5
-                    else rotate(rng.uniform(-80, 80))
+                    else TransformOp("rotate", (rng.uniform(-80, 80),))
                 )
-            elif choice == 3:
-                ops.append(skew_x(rng.uniform(-80, 80)))
             else:
-                ops.append(skew_y(rng.uniform(-80, 80)))
+                ops.append(TransformOp("skewX" if choice == 3 else "skewY", (rng.uniform(-80, 80),)))
 
-        ctm = compose_ctm(ops)
+        ctm = ctm_of(ops)
         expected = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         for op in ops:
             expected = matmul(expected, oracle_matrix(op))
@@ -206,7 +198,7 @@ def test_criterion_09_ctm_algebra():
         composed = recalc_points(ctm, [point])[0]
         sequential = point
         for op in reversed(ops):
-            sequential = recalc_points(op_to_matrix(op), [sequential])[0]
+            sequential = recalc_points(ctm_of([op]), [sequential])[0]
         worst = max(worst, abs(composed.x - sequential.x), abs(composed.y - sequential.y))
     assert worst < 1e-9
     report(9, f"1000 composed transform lists match the 3x3 oracle (max err {worst:.2e})")
@@ -214,12 +206,12 @@ def test_criterion_09_ctm_algebra():
 
 def test_criterion_10_transform_support_matrix():
     combos = [
-        [scale(2), translate(1, 1)],
-        [scale(2), skew_x(10)],
-        [skew_x(10), skew_y(10)],
-        [scale(2), translate(1, 1), skew_x(10), skew_y(10)],
-        [rotate(30), scale(2)],
-        [rotate(30), translate(1, 1)],
+        read_ops("scale(2) translate(1, 1)"),
+        read_ops("scale(2) skewX(10)"),
+        read_ops("skewX(10) skewY(10)"),
+        read_ops("scale(2) translate(1, 1) skewX(10) skewY(10)"),
+        read_ops("rotate(30) scale(2)"),
+        read_ops("rotate(30) translate(1, 1)"),
     ]
     grid = {
         RECALC_POINTS: [True, True, True, True, True, True],

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import map_snippet, wrap_svg
+from conftest import ctm_of, map_snippet, wrap_svg
 from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import format_number, parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
-from svg2vml.transform import compose_ctm, parse_transform_list, recalc_points
+from svg2vml.transform import parse_transform_list, recalc_points
 
 
 def find_all(node: VmlNode, tag: str) -> list[VmlNode]:
@@ -192,7 +192,7 @@ class TestPoly:
             tree, diags = map_snippet(f'<polyline points="{point_text}" transform="{transform}"/>')
             assert not diags.has_errors
             path = find_one(tree, "v:shape").attributes["path"]
-            ctm = compose_ctm(parse_transform_list(transform))
+            ctm = ctm_of(parse_transform_list(transform))
             expected = recalc_points(ctm, points)
             numbers = [
                 parse_number(token)
@@ -426,7 +426,7 @@ class TestGroups:
         tree, diagnostics = map_snippet(
             f'<g {name}="{group_value}"><rect width="5" height="5" {name}="{child_value}"/></g>'
         )
-        # The child's own value wins, except that opacities multiply down the group chain.
+        # The child's own value wins, except that opacities compound down the group chain.
         expected = format_number(100 * float(group_value) * float(child_value)) if name == "opacity" else child_value
         assert probe(find_one(tree, "v:roundrect")) == expected
         assert list(diagnostics) == []

@@ -3,7 +3,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from conftest import rejects, wrap_svg
+from conftest import ctm_of, read_ops, rejects, wrap_svg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,17 +24,9 @@ from svg2vml.transform import (
     TransformMatrix,
     TransformOp,
     _scan_transform_list,
-    compose_ctm,
-    matrix,
-    op_to_matrix,
     parse_transform_list,
     place,
     recalc_points,
-    rotate,
-    scale,
-    skew_x,
-    skew_y,
-    translate,
 )
 
 # --- independent oracles ------------------------------------------------------
@@ -96,21 +88,16 @@ def random_ops(rng, max_len=5):
     for _ in range(rng.randint(0, max_len)):
         kind = rng.choice(["translate", "scale", "rotate", "rotate3", "skewX", "skewY", "matrix"])
         if kind == "translate":
-            ops.append(translate(rng.uniform(-100, 100), rng.uniform(-100, 100)))
+            args = (rng.uniform(-100, 100), rng.uniform(-100, 100))
         elif kind == "scale":
-            ops.append(scale(rng.uniform(0.1, 10), rng.uniform(0.1, 10)))
-        elif kind == "rotate":
-            ops.append(rotate(rng.uniform(-80, 80)))
+            args = (rng.uniform(0.1, 10), rng.uniform(0.1, 10))
         elif kind == "rotate3":
-            ops.append(rotate(rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50)))
-        elif kind == "skewX":
-            ops.append(skew_x(rng.uniform(-80, 80)))
-        elif kind == "skewY":
-            ops.append(skew_y(rng.uniform(-80, 80)))
+            kind, args = "rotate", (rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50))
+        elif kind == "matrix":
+            args = (*(rng.uniform(-2, 2) for _ in range(4)), rng.uniform(-10, 10), rng.uniform(-10, 10))
         else:
-            ops.append(
-                matrix(*(rng.uniform(-2, 2) for _ in range(4)), rng.uniform(-10, 10), rng.uniform(-10, 10))
-            )
+            args = (rng.uniform(-80, 80),)
+        ops.append(TransformOp(kind, args))
     return ops
 
 
@@ -119,25 +106,25 @@ def random_ops(rng, max_len=5):
 
 class TestParseTransformList:
     def test_rotate_about_point(self, diags):
-        assert parse_transform_list("rotate(20, 300, 300)", diags) == [rotate(20, 300, 300)]
+        assert parse_transform_list("rotate(20, 300, 300)", diags) == [TransformOp("rotate", (20.0, 300.0, 300.0))]
 
     def test_empty(self, diags):
         assert parse_transform_list("", diags) == []
 
     def test_scale_two_args(self, diags):
-        assert parse_transform_list("scale(3,1)", diags) == [scale(3, 1)]
+        assert parse_transform_list("scale(3,1)", diags) == [TransformOp("scale", (3.0, 1.0))]
 
     def test_defaults(self, diags):
-        assert parse_transform_list("translate(7)", diags) == [translate(7, 0)]
-        assert parse_transform_list("scale(2)", diags) == [scale(2, 2)]
-        assert parse_transform_list("rotate(30)", diags) == [rotate(30)]
+        assert parse_transform_list("translate(7)", diags) == [TransformOp("translate", (7.0, 0.0))]
+        assert parse_transform_list("scale(2)", diags) == [TransformOp("scale", (2.0, 2.0))]
+        assert parse_transform_list("rotate(30)", diags) == [TransformOp("rotate", (30.0,))]
 
     def test_list_with_mixed_separators(self, diags):
         ops = parse_transform_list("translate(1 2), rotate(3)\nscale(4)", diags)
         assert [op.name for op in ops] == ["translate", "rotate", "scale"]
 
     def test_matrix_six_values(self, diags):
-        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags) == [matrix(1, 2, 3, 4, 5, 6)]
+        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags) == [TransformOp("matrix", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
 
     @pytest.mark.parametrize(
         "bad",
@@ -229,68 +216,67 @@ def test_rotate_centres_of_minus_zero_read_as_zero(diags):
 # --- matrices -----------------------------------------------------------------
 
 
-class TestOpToMatrix:
+class TestOneOpProduct:
+    """A chain of one op composes that op's matrix."""
+
     def test_scale(self):
-        assert op_to_matrix(scale(3, 1)) == (3, 0, 0, 1, 0, 0)
+        assert ctm_of(read_ops("scale(3, 1)")) == (3, 0, 0, 1, 0, 0)
 
     def test_zero_translate_is_identity(self):
-        assert op_to_matrix(translate(0, 0)) == IDENTITY
+        assert ctm_of(read_ops("translate(0, 0)")) == IDENTITY
 
     def test_rotate_90(self):
-        got = op_to_matrix(rotate(90))
+        got = ctm_of(read_ops("rotate(90)"))
         want = (0, 1, -1, 0, 0, 0)
         assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
 
     def test_rotate_about_point_matches_conjugation(self):
-        got = op_to_matrix(rotate(20, 300, 300))
-        want = oracle_compose([translate(300, 300), rotate(20), translate(-300, -300)])
+        got = ctm_of(read_ops("rotate(20, 300, 300)"))
+        want = oracle_compose(read_ops("translate(300, 300) rotate(20) translate(-300, -300)"))
         assert_matrix_close(got, want, tol=1e-12)
 
     def test_skews(self):
         t = math.tan(math.radians(10))
-        assert op_to_matrix(skew_x(10)) == (1, 0, t, 1, 0, 0)
-        assert op_to_matrix(skew_y(10)) == (1, t, 0, 1, 0, 0)
+        assert ctm_of(read_ops("skewX(10)")) == (1, 0, t, 1, 0, 0)
+        assert ctm_of(read_ops("skewY(10)")) == (1, t, 0, 1, 0, 0)
 
     @pytest.mark.parametrize("angle", [90, -90, 270, 450])
     def test_singular_skew(self, angle, diags):
-        (op,) = parse_transform_list(f"skewX({angle})", diags, "here")
-        assert op_to_matrix(op) == IDENTITY
+        ops = parse_transform_list(f"skewX({angle})", diags, "here")
+        assert len(ops) == 1 and ctm_of(ops) == IDENTITY
         assert [(d.code, d.location) for d in diags] == [("SINGULAR_SKEW", "here")]
 
 
-class TestComposeCtm:
+class TestChainProduct:
     def test_inverse_pair_is_identity(self):
-        got = compose_ctm([translate(2, 3), translate(-2, -3)])
+        got = ctm_of(read_ops("translate(2, 3) translate(-2, -3)"))
         assert_matrix_close(got, as_3x3(IDENTITY), tol=1e-12)
 
     def test_scale_then_translate(self):
-        got = compose_ctm([scale(2), translate(5, 0)])
+        got = ctm_of(read_ops("scale(2) translate(5, 0)"))
         assert got == (2, 0, 0, 2, 10, 0)
 
-    def test_singleton_equals_op_to_matrix(self):
-        assert compose_ctm([rotate(20, 300, 300)]) == op_to_matrix(rotate(20, 300, 300))
+    def test_singleton_equals_the_reference_op_matrix(self):
+        (op,) = read_ops("rotate(20, 300, 300)")
+        assert ctm_of([op]) == _reference_op_to_matrix(op)
 
     def test_brute_force_oracle(self):
         rng = random.Random(1)
         for _ in range(1000):
             ops = random_ops(rng)
-            assert_matrix_close(compose_ctm(ops), oracle_compose(ops))
+            assert_matrix_close(ctm_of(ops), oracle_compose(ops))
 
     def test_associativity(self):
         rng = random.Random(2)
         for _ in range(300):
-            a, b, c = (random_ops(rng, 1) or [translate(0)] for _ in range(3))
-            left = compose_ctm([*a, *b, *c])
-            m_ab = compose_ctm(a + b)
-            m_c = compose_ctm(c)
-            from svg2vml.transform import multiply
-
-            right = multiply(m_ab, m_c)
+            a, b, c = (random_ops(rng, 1) or read_ops("translate(0)") for _ in range(3))
+            left = ctm_of([*a, *b, *c])
+            right = _reference_multiply(ctm_of(a + b), ctm_of(c))
             assert_matrix_close(left, as_3x3(right), tol=1e-12)
 
 
 def _reference_multiply(m, n):
-    """The reference product: multiply written on TransformMatrix fields, kept apart from the library."""
+    """The reference product m . n, written on TransformMatrix fields, kept apart from the library."""
     return TransformMatrix(
         m.a * n.a + m.c * n.b,
         m.b * n.a + m.d * n.b,
@@ -302,7 +288,7 @@ def _reference_multiply(m, n):
 
 
 def _reference_op_to_matrix(op):
-    """The reference op matrix: op_to_matrix built from TransformMatrix values, kept apart from the library."""
+    """The reference op matrix, built from TransformMatrix values, kept apart from the library."""
     name, args = op
     if name == "matrix":
         return TransformMatrix(*args)
@@ -331,17 +317,22 @@ def _reference_op_to_matrix(op):
 # Signed zeros, values whose products overflow (1e200 squared is inf, and
 # inf times 0 is nan), and skew angles on the tangent pole.
 _EXACT_ARGS = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e200, -1e200, 90.0, -270.0])
+
+
+def _ops(name, *args):
+    """Ops named name with one argument drawn from each of args."""
+    return st.tuples(*args).map(lambda drawn: TransformOp(name, drawn))
+
+
 _EXACT_OPS = st.one_of(
-    st.builds(translate, _EXACT_ARGS, _EXACT_ARGS),
-    st.builds(scale, _EXACT_ARGS, _EXACT_ARGS),
-    st.builds(scale, st.sampled_from([1e200, -1e200])),
-    st.builds(rotate, _EXACT_ARGS),
-    st.builds(rotate, _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
-    # A -0 centre as a list reader would hand it over, not as rotate() writes it.
-    st.builds(lambda angle, cx, cy: TransformOp("rotate", (angle, cx, cy)), _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
-    st.builds(skew_x, _EXACT_ARGS),
-    st.builds(skew_y, _EXACT_ARGS),
-    st.builds(matrix, *[_EXACT_ARGS] * 6),
+    _ops("translate", _EXACT_ARGS, _EXACT_ARGS),
+    _ops("scale", _EXACT_ARGS, _EXACT_ARGS),
+    st.sampled_from([1e200, -1e200]).map(lambda s: TransformOp("scale", (s, s))),
+    _ops("rotate", _EXACT_ARGS),
+    _ops("rotate", _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
+    _ops("skewX", _EXACT_ARGS),
+    _ops("skewY", _EXACT_ARGS),
+    _ops("matrix", *[_EXACT_ARGS] * 6),
 )
 
 
@@ -354,9 +345,6 @@ def test_chain_extend_gives_the_left_fold_of_multiply_exactly(head, tail):
     got = EMPTY_CHAIN.extend(head).extend(tail).ctm
     assert type(got) is TransformMatrix
     assert list(map(repr, got)) == list(map(repr, want))
-    assert [list(map(repr, op_to_matrix(op))) for op in head] == [
-        list(map(repr, _reference_op_to_matrix(op))) for op in head
-    ]
 
 
 def apply(m, point):
@@ -368,23 +356,23 @@ class TestRecalcOnePoint:
         assert apply(IDENTITY, Point(7, 9)) == (7, 9)
 
     def test_rotate_about_point(self):
-        m = op_to_matrix(rotate(90, 300, 300))
+        m = ctm_of(read_ops("rotate(90, 300, 300)"))
         x, y = apply(m, Point(350, 300))
         assert abs(x - 300) < 1e-9 and abs(y - 350) < 1e-9
 
     def test_scale(self):
-        assert apply(op_to_matrix(scale(3, 1)), Point(100, 50)) == (300, 50)
+        assert apply(ctm_of(read_ops("scale(3, 1)")), Point(100, 50)) == (300, 50)
 
     def test_fold_matches_composition(self):
         rng = random.Random(3)
         for _ in range(1000):
             ops = random_ops(rng)
             point = Point(rng.uniform(-100, 100), rng.uniform(-100, 100))
-            composed = apply(compose_ctm(ops), point)
+            composed = apply(ctm_of(ops), point)
             # right-to-left fold: the last matrix in the product hits first
             folded = point
             for op in reversed(ops):
-                folded = apply(op_to_matrix(op), folded)
+                folded = apply(ctm_of([op]), folded)
             assert abs(composed.x - folded.x) < 1e-9
             assert abs(composed.y - folded.y) < 1e-9
 
@@ -392,7 +380,7 @@ class TestRecalcOnePoint:
 class TestRecalcPoints:
     def test_rotate_90_about_300_300(self):
         points = [Point(300, 300), Point(350, 300), Point(350, 250), Point(400, 250), Point(400, 300), Point(450, 300)]
-        got = recalc_points(op_to_matrix(rotate(90, 300, 300)), points)
+        got = recalc_points(ctm_of(read_ops("rotate(90, 300, 300)")), points)
         expected = [(300, 300), (300, 350), (350, 350), (350, 400), (300, 400), (300, 450)]
         for (gx, gy), (ex, ey) in zip(got, expected):
             assert abs(gx - ex) < 1e-9 and abs(gy - ey) < 1e-9
@@ -402,15 +390,15 @@ class TestRecalcPoints:
         assert recalc_points(IDENTITY, points) == points
 
     def test_translate(self):
-        got = recalc_points(op_to_matrix(translate(10, -5)), [Point(0, 0), Point(1, 1)])
+        got = recalc_points(ctm_of(read_ops("translate(10, -5)")), [Point(0, 0), Point(1, 1)])
         assert got == [(10, -5), (11, -4)]
 
     def test_preserves_length_and_order(self):
         rng = random.Random(4)
         points = [Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(25)]
-        got = recalc_points(op_to_matrix(rotate(33)), points)
+        got = recalc_points(ctm_of(read_ops("rotate(33)")), points)
         assert len(got) == len(points)
-        back = recalc_points(op_to_matrix(rotate(-33)), got)
+        back = recalc_points(ctm_of(read_ops("rotate(-33)")), got)
         for (gx, gy), (ex, ey) in zip(back, points):
             assert abs(gx - ex) < 1e-9 and abs(gy - ey) < 1e-9
 
@@ -418,56 +406,56 @@ class TestRecalcPoints:
 # --- VML carrier strings --------------------------------------------------------
 
 
-def skew_matrix(strategy, op) -> str:
-    """The v:skew matrix place() writes for a single transform."""
-    return place(strategy, EMPTY_CHAIN.extend([op]), BOX, ROOT, 6, Diagnostics()).skew["matrix"]
+def skew_matrix(strategy, transform) -> str:
+    """The v:skew matrix place() writes for a transform list."""
+    return place(strategy, EMPTY_CHAIN.extend(read_ops(transform)), BOX, ROOT, 6, Diagnostics()).skew["matrix"]
 
 
 class TestSkewMatrixStrings:
     """The v:skew matrix: the carrier's four linear entries, then two perspective slots written as 0."""
 
     def test_shape_scale(self):
-        assert skew_matrix(SKEW_SHAPE, scale(3, 1)) == "-3, 0, 0, -1, 0, 0"
+        assert skew_matrix(SKEW_SHAPE, "scale(3, 1)") == "-3, 0, 0, -1, 0, 0"
 
     def test_shape_identity(self):
         # rotate(0) goes through the rotation rule, so its identity linear part is written
-        assert skew_matrix(SKEW_SHAPE, rotate(0)) == "-1, 0, 0, -1, 0, 0"
+        assert skew_matrix(SKEW_SHAPE, "rotate(0)") == "-1, 0, 0, -1, 0, 0"
 
     def test_shape_skew_x(self):
         # -tan(10 deg) lands in the third slot
-        assert skew_matrix(SKEW_SHAPE, skew_x(10)) == "-1, 0, -0.176327, -1, 0, 0"
+        assert skew_matrix(SKEW_SHAPE, "skewX(10)") == "-1, 0, -0.176327, -1, 0, 0"
 
     def test_path_rotate(self):
-        assert skew_matrix(SKEW_PATH, rotate(20)) == "0.939693, -0.34202, 0.34202, 0.939693, 0, 0"
+        assert skew_matrix(SKEW_PATH, "rotate(20)") == "0.939693, -0.34202, 0.34202, 0.939693, 0, 0"
 
     def test_path_identity(self):
         # place() writes no skew for an identity linear part, so the carrier is asked directly
         assert STRATEGIES[SKEW_PATH].carrier(IDENTITY) == (1, 0, 0, 1)
 
     def test_path_scale(self):
-        assert skew_matrix(SKEW_PATH, scale(2, 2)) == "2, 0, 0, 2, 0, 0"
+        assert skew_matrix(SKEW_PATH, "scale(2, 2)") == "2, 0, 0, 2, 0, 0"
 
 
 class TestMatrixFilterParams:
     """The Matrix filter entries, in row-major order, as place() writes them."""
 
     def test_rotate_20(self, diags):
-        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([rotate(20)]), BOX, ROOT, 2, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend(read_ops("rotate(20)")), BOX, ROOT, 2, diags)
         assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
 
     def test_identity(self, diags):
         # rotate(0) goes through the rotation rule, so its identity entries are written
-        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([rotate(0)]), BOX, ROOT, 6, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend(read_ops("rotate(0)")), BOX, ROOT, 6, diags)
         assert "(M11=1, M12=0, M21=0, M22=1," in placed.filter
 
     def test_scale(self, diags):
-        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([scale(2, 3)]), BOX, ROOT, 6, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend(read_ops("scale(2, 3)")), BOX, ROOT, 6, diags)
         assert "(M11=2, M12=0, M21=0, M22=3," in placed.filter
 
     def test_rotation_rows_stay_unit_length(self):
         rng = random.Random(5)
         for _ in range(100):
-            m = op_to_matrix(rotate(rng.uniform(-360, 360)))
+            m = ctm_of([TransformOp("rotate", (rng.uniform(-360, 360),))])
             assert abs(m.a**2 + m.b**2 - 1) < 1e-9
 
 
@@ -478,59 +466,59 @@ BOX = ShapeBox(100.0, 50.0, 70.0, 40.0)
 ROOT = RootSize(800.0, 800.0)
 
 
-def compute_offset(op, box, root, strategy):
-    """The position correction place() finds for a single transform."""
-    placed = place(strategy, EMPTY_CHAIN.extend([op]), box, root, 6, Diagnostics())
+def compute_offset(ops, box, root, strategy):
+    """The position correction place() finds for a transform list."""
+    placed = place(strategy, EMPTY_CHAIN.extend(ops), box, root, 6, Diagnostics())
     assert placed is not None
     return placed.offset
 
 
 class TestComputeOffset:
     def test_scale_times_box(self):
-        got = compute_offset(scale(3, 1), ShapeBox(0, 150, 70, 50), ROOT, SKEW_SHAPE)
+        got = compute_offset(read_ops("scale(3, 1)"), ShapeBox(0, 150, 70, 50), ROOT, SKEW_SHAPE)
         assert got.dx == pytest.approx(210)
         assert got.dy == pytest.approx(50)
 
     def test_rotate_zero_angle(self):
         w, h = 70.0, 40.0
-        got = compute_offset(rotate(0), ShapeBox(0, 0, w, h), ROOT, SKEW_SHAPE)
+        got = compute_offset(read_ops("rotate(0)"), ShapeBox(0, 0, w, h), ROOT, SKEW_SHAPE)
         assert got == (-w, -h)
 
     def test_skew_path_rotate(self):
         # frozen from direct evaluation: cos20*1000 - sin20*1500 - 1000 and
         # sin20*1000 + cos20*1500 - 1500
-        got = compute_offset(rotate(20), ShapeBox(0, 0, 0, 0), RootSize(1000, 1500), SKEW_PATH)
+        got = compute_offset(read_ops("rotate(20)"), ShapeBox(0, 0, 0, 0), RootSize(1000, 1500), SKEW_PATH)
         assert got.dx == pytest.approx(-573.3375942025947, abs=1e-9)
         assert got.dy == pytest.approx(251.55907450453128, abs=1e-9)
 
     def test_skew_x_formula(self):
         t = math.tan(math.radians(10))
-        got = compute_offset(skew_x(10), BOX, ROOT, SKEW_SHAPE)
+        got = compute_offset(read_ops("skewX(10)"), BOX, ROOT, SKEW_SHAPE)
         assert got.dx == pytest.approx(t * BOX.y + BOX.width)
         assert got.dy == pytest.approx(BOX.height)
 
     def test_skew_y_formula(self):
         t = math.tan(math.radians(10))
-        got = compute_offset(skew_y(10), BOX, ROOT, MATRIX_FILTER)
+        got = compute_offset(read_ops("skewY(10)"), BOX, ROOT, MATRIX_FILTER)
         assert got.dx == pytest.approx(BOX.width)
         assert got.dy == pytest.approx(t * BOX.x + BOX.height)
 
     def test_translate_has_no_offset(self):
-        assert compute_offset(translate(5, 6), BOX, ROOT, SKEW_SHAPE) == (0, 0)
-        assert compute_offset(translate(5, 6), BOX, ROOT, SKEW_PATH) == (0, 0)
+        assert compute_offset(read_ops("translate(5, 6)"), BOX, ROOT, SKEW_SHAPE) == (0, 0)
+        assert compute_offset(read_ops("translate(5, 6)"), BOX, ROOT, SKEW_PATH) == (0, 0)
 
     def test_rotate_about_origin_specializes_centered_form(self):
         rng = random.Random(6)
         for _ in range(100):
             angle = rng.uniform(-180, 180)
             box = ShapeBox(rng.uniform(-99, 99), rng.uniform(-99, 99), rng.uniform(0, 99), rng.uniform(0, 99))
-            plain = compute_offset(rotate(angle), box, ROOT, SKEW_SHAPE)
-            centered = compute_offset(rotate(angle, 0, 0), box, ROOT, SKEW_SHAPE)
+            plain = compute_offset([TransformOp("rotate", (angle,))], box, ROOT, SKEW_SHAPE)
+            centered = compute_offset([TransformOp("rotate", (angle, 0.0, 0.0))], box, ROOT, SKEW_SHAPE)
             assert plain.dx == pytest.approx(centered.dx, abs=1e-9)
             assert plain.dy == pytest.approx(centered.dy, abs=1e-9)
 
     def test_matrix_op_is_unsupported(self, diags):
-        assert place(SKEW_SHAPE, EMPTY_CHAIN.extend([matrix(1, 0, 0, 1, 0, 0)]), BOX, ROOT, 6, diags) is None
+        assert place(SKEW_SHAPE, EMPTY_CHAIN.extend(read_ops("matrix(1 0 0 1 0 0)")), BOX, ROOT, 6, diags) is None
         assert "UNSUPPORTED_TRANSFORM" in diags.codes()
 
     def test_random_draws_match_direct_arithmetic(self):
@@ -545,24 +533,24 @@ class TestComputeOffset:
             cx, cy = rng.uniform(-300, 300), rng.uniform(-300, 300)
             sx, sy = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
 
-            got = compute_offset(skew_x(angle), box, root, SKEW_SHAPE)
+            got = compute_offset([TransformOp("skewX", (angle,))], box, root, SKEW_SHAPE)
             assert abs(got.dx - (math.tan(r) * y + w)) < 1e-9 and abs(got.dy - h) < 1e-9
 
-            got = compute_offset(skew_y(angle), box, root, SKEW_SHAPE)
+            got = compute_offset([TransformOp("skewY", (angle,))], box, root, SKEW_SHAPE)
             assert abs(got.dx - w) < 1e-9 and abs(got.dy - (math.tan(r) * x + h)) < 1e-9
 
-            got = compute_offset(rotate(angle), box, root, SKEW_SHAPE)
+            got = compute_offset([TransformOp("rotate", (angle,))], box, root, SKEW_SHAPE)
             assert abs(got.dx - (x * math.cos(r) - y * math.sin(r) - w)) < 1e-9
             assert abs(got.dy - (x * math.sin(r) + y * math.cos(r) - h)) < 1e-9
 
-            got = compute_offset(rotate(angle, cx, cy), box, root, SKEW_SHAPE)
+            got = compute_offset([TransformOp("rotate", (angle, cx, cy))], box, root, SKEW_SHAPE)
             assert abs(got.dx - (math.cos(r) * (x - cx) - math.sin(r) * (y - cy) - w + cx)) < 1e-9
             assert abs(got.dy - (math.sin(r) * (x - cx) + math.cos(r) * (y - cy) - h + cy)) < 1e-9
 
-            got = compute_offset(scale(sx, sy), box, root, SKEW_SHAPE)
+            got = compute_offset([TransformOp("scale", (sx, sy))], box, root, SKEW_SHAPE)
             assert abs(got.dx - sx * w) < 1e-9 and abs(got.dy - sy * h) < 1e-9
 
-            got = compute_offset(rotate(angle), box, root, SKEW_PATH)
+            got = compute_offset([TransformOp("rotate", (angle,))], box, root, SKEW_PATH)
             assert abs(got.dx - (math.cos(r) * root.width - math.sin(r) * root.height - root.width)) < 1e-9
             assert abs(got.dy - (math.sin(r) * root.width + math.cos(r) * root.height - root.height)) < 1e-9
 
@@ -571,19 +559,19 @@ class TestPlace:
     """place() returns what a mapper writes, read from the strategy table."""
 
     def test_skew_shape_carries_the_correction_in_the_skew_offset_slot(self, diags):
-        placed = place(SKEW_SHAPE, EMPTY_CHAIN.extend([scale(3, 1)]), ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
+        placed = place(SKEW_SHAPE, EMPTY_CHAIN.extend(read_ops("scale(3, 1)")), ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
         assert placed.origin is None and placed.filter is None
         assert placed.skew == {"on": "t", "matrix": "-3, 0, 0, -1, 0, 0", "offset": "-210px,-50px"}
         assert placed.offset == pytest.approx((210, 50))
 
     def test_skew_path_writes_the_plain_matrix_and_the_shift(self, diags):
-        chain = EMPTY_CHAIN.extend([translate(5, 6), scale(2)])
+        chain = EMPTY_CHAIN.extend(read_ops("translate(5, 6) scale(2)"))
         placed = place(SKEW_PATH, chain, ShapeBox(0, 0, 0, 0), RootSize(100, 50), 6, diags)
         assert placed.origin == (5, 6)
         assert placed.skew == {"on": "t", "matrix": "2, 0, 0, 2, 0, 0", "offset": "-100px,-50px"}
 
     def test_matrix_filter_moves_the_position_by_the_correction(self, diags):
-        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend([scale(2)]), BOX, ROOT, 2, diags)
+        placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend(read_ops("scale(2)")), BOX, ROOT, 2, diags)
         assert placed.skew is None
         assert placed.origin == (BOX.x - 2 * BOX.width, BOX.y - 2 * BOX.height)
         assert placed.filter == (
@@ -592,26 +580,26 @@ class TestPlace:
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_translation_alone_only_moves_the_origin(self, strategy, diags):
-        placed = place(strategy, EMPTY_CHAIN.extend([translate(5, 6)]), BOX, ROOT, 6, diags)
+        placed = place(strategy, EMPTY_CHAIN.extend(read_ops("translate(5, 6)")), BOX, ROOT, 6, diags)
         assert placed == ((BOX.x + 5, BOX.y + 6), None, None, (0, 0))
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_overflow_is_reported_once(self, strategy, diags):
         big = float("1" + "0" * 308)  # finite, but twice it is not
-        assert place(strategy, EMPTY_CHAIN.extend([translate(big)]), ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend([TransformOp("translate", (big, 0.0))]), ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
         assert [(d.code, d.message) for d in diags] == [
             ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored")
         ]
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_lone_matrix_is_unsupported(self, strategy, diags):
-        assert place(strategy, EMPTY_CHAIN.extend([matrix(1, 0, 0, 1, 0, 0)]), BOX, ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend(read_ops("matrix(1 0 0 1 0 0)")), BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
     @pytest.mark.parametrize("strategy", [RECALC_POINTS, DISTRIBUTE])
     def test_strategies_without_offsets_place_nothing(self, strategy):
         diags = Diagnostics()
-        assert place(strategy, EMPTY_CHAIN.extend([scale(2)]), BOX, ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend(read_ops("scale(2)")), BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
 
@@ -619,13 +607,13 @@ class TestPlace:
 _ARGS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0, 45.0])
 _POLE_ANGLES = st.sampled_from([90.0, -90.0, 270.0, 450.0, -630.0])
 _OPS = st.one_of(
-    st.builds(translate, _ARGS, _ARGS),
-    st.builds(scale, _ARGS, _ARGS),
-    st.builds(rotate, _ARGS),
-    st.builds(rotate, _ARGS, _ARGS, _ARGS),
-    st.builds(skew_x, _ARGS | _POLE_ANGLES),
-    st.builds(skew_y, _ARGS | _POLE_ANGLES),
-    st.builds(matrix, _ARGS, _ARGS, _ARGS, _ARGS, _ARGS, _ARGS),
+    _ops("translate", _ARGS, _ARGS),
+    _ops("scale", _ARGS, _ARGS),
+    _ops("rotate", _ARGS),
+    _ops("rotate", _ARGS, _ARGS, _ARGS),
+    _ops("skewX", _ARGS | _POLE_ANGLES),
+    _ops("skewY", _ARGS | _POLE_ANGLES),
+    _ops("matrix", *[_ARGS] * 6),
 )
 
 
@@ -732,12 +720,12 @@ def test_a_pole_skew_in_an_unsupported_list_is_a_second_fault():
 
 
 MULTI_COMBOS = [
-    [scale(2), translate(1, 1)],
-    [scale(2), skew_x(10)],
-    [skew_x(10), skew_y(10)],
-    [scale(2), translate(1, 1), skew_x(10), skew_y(10)],
-    [rotate(30), scale(2)],
-    [rotate(30), translate(1, 1)],
+    read_ops("scale(2) translate(1, 1)"),
+    read_ops("scale(2) skewX(10)"),
+    read_ops("skewX(10) skewY(10)"),
+    read_ops("scale(2) translate(1, 1) skewX(10) skewY(10)"),
+    read_ops("rotate(30) scale(2)"),
+    read_ops("rotate(30) translate(1, 1)"),
 ]
 
 SUPPORT_GRID = {
@@ -763,11 +751,9 @@ class TestCheckSupport:
         assert not rejects(strategy, [])
 
     @pytest.mark.parametrize("strategy", list(SUPPORT_GRID))
-    @pytest.mark.parametrize(
-        "op", [scale(2), translate(1), rotate(20), rotate(20, 1, 2), skew_x(5), skew_y(5)]
-    )
+    @pytest.mark.parametrize("op", read_ops("scale(2) translate(1) rotate(20) rotate(20, 1, 2) skewX(5) skewY(5)"))
     def test_single_op_supported_everywhere(self, strategy, op):
         assert not rejects(strategy, [op])
 
     def test_multi_rotate_on_points_is_fine(self):
-        assert not rejects(RECALC_POINTS, [rotate(30), scale(2), translate(1, 1)])
+        assert not rejects(RECALC_POINTS, read_ops("rotate(30) scale(2) translate(1, 1)"))
