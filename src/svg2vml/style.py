@@ -42,23 +42,27 @@ def map_stroke_attribute(name: str, value: str, precision: int = 6, diagnostics:
                          location: LocationLike = "") -> Optional[tuple[str, str]]:
     """Translate one stroke attribute of the element at location to its v:stroke counterpart.
 
-    stroke-width is a length, stroke-opacity a number clamped to [0, 1] as
-    opacity is, stroke-miterlimit a number of at least 1, and stroke-linecap
-    and stroke-linejoin one of their STROKE_KEYWORDS.  Any other value is
-    reported and has no counterpart (None).
+    stroke-width is a length of at least 0, stroke-opacity a number clamped
+    to [0, 1] as opacity is, stroke-miterlimit a number of at least 1, and
+    stroke-linecap and stroke-linejoin one of their STROKE_KEYWORDS.  Any
+    other value is reported and has no counterpart (None).
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     target = STROKE_TABLE[name]
     if name == "stroke":
         return target, value
-    if name == "stroke-width":
-        length = parse_length(value, diagnostics, Location(location, "@stroke-width"))
-        return None if length is None else (target, format_number(length, precision))
     if name == "stroke-opacity":
         opacity = _unit_interval(name, value, diagnostics, location)
         return None if opacity is None else (target, format_number(opacity, precision))
     keywords = STROKE_KEYWORDS.get(name)
-    if keywords is not None:
+    if name == "stroke-width":
+        length = parse_length(value, diagnostics, Location(location, "@stroke-width"))
+        if length is None:
+            return None
+        if length >= 0.0:
+            return target, format_number(length, precision)
+        fault = "is negative"
+    elif keywords is not None:
         if value in keywords:
             return target, keywords[value]
         fault = f"is not one of {', '.join(keywords)}"

@@ -872,6 +872,22 @@ class TestStrokeFillOnShapes:
         assert convert_text(wrap_svg(source), ConvertOptions(strict=True))[0] is None
 
     @pytest.mark.parametrize(
+        "source,location",
+        [
+            ('<rect width="2" height="1" stroke="red" stroke-width="-2"/>', "svg/rect[0]"),
+            ('<g stroke-width="-2"><rect width="2" height="1" stroke="red"/></g>', "svg/g[0]"),
+        ],
+        ids=["rect", "group"],
+    )
+    def test_a_negative_stroke_width_is_reported_and_not_written(self, source, location):
+        tree, diags = map_snippet(source)
+        assert find_one(tree, "v:roundrect").find("v:stroke").attributes == {"color": "red"}
+        assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
+            ("warning", "BAD_ATTRIBUTE", "stroke-width '-2' is negative", location)
+        ]
+        assert convert_text(wrap_svg(source), ConvertOptions(strict=True))[0] is None
+
+    @pytest.mark.parametrize(
         "value,written,message",
         [
             ("2", "1", "stroke-opacity 2 outside [0, 1], clamped"),

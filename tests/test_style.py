@@ -39,6 +39,7 @@ class TestStrokeTable:
             ("stroke", "blue", "color", "blue"),
             ("stroke-width", "2", "weight", "2"),
             ("stroke-width", "10px", "weight", "10"),
+            ("stroke-width", "-0", "weight", "0"),
             ("stroke-linecap", "round", "endcap", "round"),
             ("stroke-linecap", "butt", "endcap", "flat"),
             ("stroke-linecap", "square", "endcap", "square"),
