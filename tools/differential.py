@@ -124,7 +124,7 @@ OUTSIDE_GRAMMAR = ("\u2003", "\u00a0", "\u3000", "\u0085", "\u0663", "_")
 # The "inheritance" family: each inheritable paint property with good values
 # and faulty ones, set on nested groups and anchors and on what they hold.
 PAINT_VALUES = (("fill", ("red", "none", "url(#fade)", "url(#nope)")), ("stroke", ("navy", "none")),
-                ("stroke-width", ("2", "nan", "2em")), ("stroke-linecap", ("butt", "round", "wide")),
+                ("stroke-width", ("2", "-2", "nan", "2em")), ("stroke-linecap", ("butt", "round", "wide")),
                 ("stroke-linejoin", ("bevel", "arcs")), ("stroke-miterlimit", ("4", "abc", "0.5")),
                 ("stroke-opacity", ("0.5", "2", "half")), ("opacity", ("0.5", "0.25", "2", "lots")))
 INHERITING_ELEMENTS = ('<rect width="10" height="5"{p}/>', '<circle r="4"{p}/>', '<path d="M 0 0 L 10 10"{p}/>',
