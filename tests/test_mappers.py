@@ -485,6 +485,13 @@ class TestTextAndForeignObject:
         assert find_one(tree, "v:textbox").style["top"] == "84"
         assert "DEFAULT_FONT_SIZE" in diags.codes()
 
+    def test_an_unreadable_font_size_is_reported_once_and_16_assumed(self):
+        tree, diags = map_snippet('<text x="0" y="20" font-size="12pt">hi</text>')
+        assert find_one(tree, "v:textbox").style["top"] == "4"
+        assert [str(d) for d in diags] == [
+            "error UNSUPPORTED_UNIT: unsupported length unit 'pt' in '12pt' @svg/text[0]@font-size"
+        ]
+
     def test_foreign_object_geometry_and_payload(self):
         tree, _ = map_snippet(
             '<foreignObject x="400px" y="300px" width="600px" height="400px">'
