@@ -461,8 +461,9 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         if child.tag == "textPath":
             dropped = ("opacity", "fill-opacity", "transform", "x", "y", "dx", "dy")
             _report_ignored(node, ctx, dropped, "a text holding a textPath")
-            _report_ignored(child, ctx.at(f"/{child.name}[{index}]"), ("startOffset",), "a textPath")
-            return map_text_path(child, ctx, node)
+            child_ctx = ctx.at(f"/{child.name}[{index}]")
+            _report_ignored(child, child_ctx, ("startOffset",), "a textPath")
+            return map_text_path(child, child_ctx, node, ctx)
 
     _report_ignored(node, ctx, ("dx", "dy"), "a text")
     x = _length(ctx, node, "x")
@@ -488,8 +489,12 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return box
 
 
-def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optional[VmlNode]:
-    """textPath -> the referenced path's v:shape, augmented for text-on-path."""
+def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx: MapperContext) -> Optional[VmlNode]:
+    """textPath -> the referenced path's v:shape, augmented for text-on-path.
+
+    ctx locates the textPath's own reference and transform; the target path
+    and the text's font-size are read under the text's parent_ctx.
+    """
     target = _resolve_reference(node, ctx)
     if target is None:
         return None
@@ -499,7 +504,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optiona
         )
         return None
 
-    shape = map_path(target, ctx)
+    shape = map_path(target, parent_ctx)
     if shape is None:
         return None
     path_flag = VmlNode("v:path")
@@ -510,7 +515,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode) -> Optiona
     text_path.attributes["on"] = "t"
     text_path.attributes["string"] = (node.text or "").strip()
     font_tokens = []
-    font_size = _length(ctx, parent, "font-size")
+    font_size = _length(parent_ctx, parent, "font-size")
     if font_size is not None:
         font_tokens.append(f"FONT-SIZE:{_fmt(ctx, font_size)}")
     family = parent.attr("font-family")

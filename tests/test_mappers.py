@@ -652,6 +652,20 @@ class TestTextPath:
         )
         assert "DANGLING_REF" in diags.codes()
 
+    def test_its_own_faults_are_located_at_the_text_path(self):
+        source = (
+            '<defs><path id="p" d="M 0 0 L 9 9"/></defs>'
+            '<text font-size="8"><textPath xlink:href="#p" transform="rotate(1, 2)">x</textPath></text>'
+            '<text font-size="8"><textPath xlink:href="#gone">x</textPath></text>'
+            '<text font-size="8q"><textPath xlink:href="#p">x</textPath></text>'
+        )
+        _, diags = map_snippet(source)
+        assert [(d.code, d.location) for d in diags] == [
+            ("BAD_TRANSFORM", "svg/text[1]/textPath[0]@transform"),
+            ("DANGLING_REF", "svg/text[2]/textPath[0]"),
+            ("UNSUPPORTED_UNIT", "svg/text[3]@font-size"),
+        ]
+
     def test_dropped_text_attributes_are_reported(self):
         source = (
             '<defs><path id="p" d="M 0 0 L 9 9"/></defs>'
