@@ -474,9 +474,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
             font_size = 16.0
             # An unreadable font-size was reported where it was read.
             if node.attr("font-size") is None:
-                ctx.diagnostics.warning(
-                    "DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location
-                )
+                ctx.diagnostics.warning("DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location)
         top -= font_size
         if not _finite(ctx, "top overflows to a non-finite value; skipped", top):
             return None
