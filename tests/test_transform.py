@@ -23,6 +23,7 @@ from svg2vml.transform import (
     ShapeBox,
     TransformMatrix,
     TransformOp,
+    _entries,
     _scan_transform_list,
     parse_transform_list,
     place,
@@ -345,6 +346,10 @@ def test_chain_extend_gives_the_left_fold_of_multiply_exactly(head, tail):
     got = EMPTY_CHAIN.extend(head).extend(tail).ctm
     assert type(got) is TransformMatrix
     assert list(map(repr, got)) == list(map(repr, want))
+    # each op's own entries, signed zeros included, as Chain.extend and place read them
+    assert [list(map(repr, _entries(*op))) for op in head] == [
+        list(map(repr, _reference_op_to_matrix(op))) for op in head
+    ]
 
 
 def apply(m, point):
