@@ -30,20 +30,25 @@ Node = Union[VmlNode, SvgNode]
 Head = Callable[[Node], tuple[str, str]]
 
 
+# Most values (numbers, colours, ids, path data) need no escaping: check first.
 def _escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "&" in text or "<" in text or ">" in text:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text
 
 
 def _escape_attr(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+    if "&" in value or "<" in value or ">" in value or '"' in value:
+        return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    return value
 
 
 def _style_text(style: dict[str, str]) -> str:
-    return "".join(f"{name}:{value};" for name, value in style.items())
+    return "".join([f"{name}:{value};" for name, value in style.items()])
 
 
 def _attributes_text(attributes: dict[str, str]) -> str:
-    return "".join(f' {n}="{_escape_attr(v)}"' for n, v in attributes.items())
+    return "".join([f' {n}="{_escape_attr(v)}"' for n, v in attributes.items()])
 
 
 def _vml_head(node: VmlNode) -> tuple[str, str]:
@@ -64,16 +69,16 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
     """Append one line per element; an element with character content goes
     on one line with its whole subtree, so the payload stays intact."""
     pad = _INDENT * depth if pretty else ""
-    name, attrs = head(node)
-    has_text = bool(node.text and node.text.strip())
-    if not node.children and not has_text:
-        lines.append(f"{pad}<{name}{extra}{attrs}/>")
-        return
-    if has_text or any(child.tail and child.tail.strip() for child in node.children):
+    text, children = node.text, node.children
+    if (text and text.strip()) or (children and any([child.tail and child.tail.strip() for child in children])):
         lines.append(pad + _inline(node, head, extra))
         return
+    name, attrs = head(node)
+    if not children:
+        lines.append(f"{pad}<{name}{extra}{attrs}/>")
+        return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
-    for child in node.children:
+    for child in children:
         _serialize(child, head, lines, depth + 1, pretty)
     lines.append(f"{pad}</{name}>")
 

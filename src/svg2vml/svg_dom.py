@@ -152,8 +152,9 @@ class _Builder:
 
     `open` runs from the root to the current element, each the last child
     of the one before it.  Elements outside the first svg only open and
-    close their prefix scope.  The pending character data goes to the
-    `slot` ("text", or "tail" once it has ended) of `last`.  An element past
+    close their prefix scope.  The pending character data goes to the text
+    of `last`, or to its tail once it has `ended`; both handlers write it
+    out inline, as the per-element hot path.  An element past
     MAX_DEPTH is skipped with its subtree and text; `too_deep` keeps the
     location of the first one.
     """
@@ -165,7 +166,7 @@ class _Builder:
         self.scopes = [_UNDECLARED]
         self.data: list[str] = []
         self.last: Optional[SvgNode] = None
-        self.slot = "text"
+        self.ended = False
         self.unknown: list[tuple[str, LocationLike]] = []
         self.id_index: dict[str, SvgNode] = {}
         self.duplicate_ids: list[str] = []
@@ -173,35 +174,37 @@ class _Builder:
         self.elements = 0
         self.too_deep: Optional[LocationLike] = None
 
-    def flush(self) -> None:
-        if self.last is not None:
-            setattr(self.last, self.slot, "".join(self.data))
-        self.data.clear()
-
     def start(self, name: str, attributes: dict[str, str]) -> None:
         scope = self.scopes[-1]
         if ":" in "".join(attributes) or "xmlns" in attributes:
             scope, attributes = _resolve_prefixes(scope, attributes)
         self.scopes.append(scope)
-        if self.data:
-            self.flush()
-        local = name[name.find(":") + 1 :]
+        data = self.data
+        if data:
+            if self.last is not None:
+                if self.ended:
+                    self.last.tail = "".join(data)
+                else:
+                    self.last.text = "".join(data)
+            data.clear()
+        local = name[name.find(":") + 1 :] if ":" in name else name
         if len(self.open) == MAX_DEPTH:
             if self.too_deep is None:
-                self.too_deep = Location(self.location(), f"/{local}[{len(self.open[-1].children)}]")
+                self.too_deep = self.location(local)
             self.skipped += 1
             self.last = None
             return
         if self.open:
-            inside_foreign = self.foreign is not None
-            tag = local if local in IMPLEMENTED_TAGS and not inside_foreign else UNKNOWN_TAG
-            node = SvgNode(tag, local, attributes)
+            if local in IMPLEMENTED_TAGS and self.foreign is None:
+                node = SvgNode(local, local, attributes)
+                if local == "foreignObject":
+                    self.foreign = node
+            else:
+                if self.foreign is None:
+                    self.unknown.append((local, self.location(local)))
+                node = SvgNode(UNKNOWN_TAG, local, attributes)
             self.open[-1].children.append(node)
             self.open.append(node)
-            if not inside_foreign and tag == UNKNOWN_TAG:
-                self.unknown.append((local, self.location()))
-            elif not inside_foreign and tag == "foreignObject":
-                self.foreign = node
         elif self.root is None and local == "svg":
             node = self.root = SvgNode("svg", local, attributes)
             self.open.append(node)
@@ -209,7 +212,7 @@ class _Builder:
             self.last = None
             return
         self.last = node
-        self.slot = "text"
+        self.ended = False
         self.elements += 1
         node_id = attributes.get("id")
         if node_id is not None and self.id_index.setdefault(node_id, node) is not node:
@@ -217,26 +220,31 @@ class _Builder:
 
     def end(self, name: str) -> None:
         self.scopes.pop()
-        if self.data:
-            self.flush()
+        data = self.data
+        if data:
+            if self.last is not None:
+                if self.ended:
+                    self.last.tail = "".join(data)
+                else:
+                    self.last.text = "".join(data)
+            data.clear()
         if self.skipped:
             self.skipped -= 1
             self.last = None
-            return
-        if not self.open:
+        elif self.open:
+            node = self.last = self.open.pop()
+            self.ended = True
+            if node is self.foreign:
+                self.foreign = None
+        else:
             self.last = None
-            return
-        node = self.last = self.open.pop()
-        self.slot = "tail"
-        if node is self.foreign:
-            self.foreign = None
 
-    def location(self) -> LocationLike:
-        """The tree path of the newest open element."""
+    def location(self, name: str) -> Location:
+        """The tree path of a new child `name` of the newest open element."""
         location: LocationLike = "svg"
         for parent, child in zip(self.open, self.open[1:]):
             location = Location(location, f"/{child.name}[{len(parent.children) - 1}]")
-        return location
+        return Location(location, f"/{name}[{len(self.open[-1].children)}]")
 
 
 def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tuple[dict, dict]:
