@@ -1,5 +1,6 @@
 import gc
 import re
+from xml.parsers import expat
 
 import pytest
 from hypothesis import given
@@ -184,6 +185,79 @@ def test_fragment_parses_to_tree(text, tree, diagnostics):
     doc = parse_svg(text, diags)
     assert shape(doc.root) == tree
     assert [str(diagnostic) for diagnostic in diags] == diagnostics
+
+
+# Longer than expat's 8,192-character text buffer, so it arrives in several
+# data events; entity references and a CDATA section fall inside it.
+LONG_SOURCE = "a" * 9000 + "&amp;" + "b" * 9000 + "<![CDATA[<x>&]]>" + "&#x41;&lt;" + "c" * 9000
+LONG_TEXT = "a" * 9000 + "&" + "b" * 9000 + "<x>&" + "A<" + "c" * 9000
+
+
+def data_events(text):
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    events = []
+    parser.CharacterDataHandler = events.append
+    parser.Parse(text, True)
+    return events
+
+
+class TestExactTrees:
+    """Builder cases the fragment table does not reach: long text, foreign content, the depth cap."""
+
+    def test_long_text_is_joined_from_its_data_events(self):
+        text = f"<svg>{LONG_SOURCE}<rect/></svg>"
+        assert len(data_events(text)) > 2
+        doc = parse_svg(text)
+        assert shape(doc.root) == ("svg", "svg", [], LONG_TEXT, None, [("rect", "rect", [], None, None, [])])
+        assert doc.diagnostics.codes() == []
+
+    def test_long_tail_is_joined_from_its_data_events(self):
+        text = f"<svg><g><rect/>{LONG_SOURCE}</g>x</svg>"
+        assert len(data_events(text)) > 3
+        doc = parse_svg(text)
+        assert shape(doc.root) == (
+            "svg", "svg", [], None, None,
+            [("g", "g", [], None, "x", [("rect", "rect", [], None, LONG_TEXT, [])])],
+        )
+        assert doc.diagnostics.codes() == []
+
+    def test_implemented_tags_inside_a_foreign_object_are_unknown_without_a_warning(self):
+        doc = parse_svg(
+            '<svg><foreignObject id="f"><rect id="in"/>t<foreignObject><g/></foreignObject>'
+            '<circle r="1"/></foreignObject><rect id="after"/><blink/></svg>'
+        )
+        assert shape(doc.root) == (
+            "svg", "svg", [], None, None,
+            [
+                (
+                    "foreignObject", "foreignObject", [("id", "f")], None, None,
+                    [
+                        ("unknown", "rect", [("id", "in")], None, "t", []),
+                        ("unknown", "foreignObject", [], None, None, [("unknown", "g", [], None, None, [])]),
+                        ("unknown", "circle", [("r", "1")], None, None, []),
+                    ],
+                ),
+                ("rect", "rect", [("id", "after")], None, None, []),
+                ("unknown", "blink", [], None, None, []),
+            ],
+        )
+        assert [str(d) for d in doc.diagnostics] == ["warning UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[2]"]
+        assert sorted(doc.id_index) == ["after", "f", "in"]
+
+    def test_text_and_tail_around_a_skipped_subtree(self):
+        # The g holding "before" is at the cap; its child g is past it, so
+        # that g's own text, its subtree and its tail ("after") are skipped.
+        chain = '<g>before<g id="deep">inside<rect/>in-tail</g>after</g>outer-tail'
+        for _ in range(MAX_DEPTH - 2):
+            chain = f"<g>{chain}</g>"
+        doc = parse_svg(f"<svg>{chain}</svg>")
+        expected = ("g", "g", [], "before", "outer-tail", [])
+        for _ in range(MAX_DEPTH - 2):
+            expected = ("g", "g", [], None, None, [expected])
+        assert shape(doc.root) == ("svg", "svg", [], None, None, [expected])
+        assert doc.diagnostics.codes() == ["TOO_DEEP"]
+        assert doc.id_index == {}
 
 
 class TestReader:
