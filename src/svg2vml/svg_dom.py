@@ -389,8 +389,11 @@ def parse_length(
     if token.endswith("px"):
         token = token[:-2].strip(WSP)
     suffix = NUMBER_RE.match(token)
-    unit = token[suffix.end():].strip(WSP) if suffix else ""
-    if unit:
+    rest = token[suffix.end():] if suffix else ""
+    unit = rest.strip(WSP)
+    if re.match("[eE][+-]?[0-9]", rest):
+        diagnostics.error("UNSUPPORTED_UNIT", f"exponent notation is not supported in {value!r}", location)
+    elif unit:
         diagnostics.error("UNSUPPORTED_UNIT", f"unsupported length unit {unit!r} in {value!r}", location)
     else:
         diagnostics.error("UNSUPPORTED_UNIT", f"invalid length {value!r}", location)

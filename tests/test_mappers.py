@@ -826,7 +826,8 @@ class TestStrokeFillOnShapes:
             ("nan", "invalid length 'nan'"),
             ("inf", "invalid length 'inf'"),
             ("2em", "unsupported length unit 'em' in '2em'"),
-            ("1e3", "unsupported length unit 'e3' in '1e3'"),
+            ("1e3", "exponent notation is not supported in '1e3'"),
+            ("2E-3px", "exponent notation is not supported in '2E-3px'"),
         ],
     )
     def test_bad_stroke_width_is_reported_and_omitted(self, width, message):

@@ -3,7 +3,7 @@ import re
 from xml.parsers import expat
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import structurally_equal
@@ -426,9 +426,15 @@ class TestParseLength:
         assert parse_length(bad, diags) is None
         assert "UNSUPPORTED_UNIT" in diags.codes()
 
-    def test_scientific_notation_rejected(self, diags):
-        assert parse_length("1e3", diags) is None
-        assert diags.has_errors
+    @pytest.mark.parametrize("value", ["1e3", "2E-3px", "-1e+1", ".5e2", " 1e3 ", "1e3em"])
+    def test_exponent_notation_is_rejected_and_named(self, value, diags):
+        assert parse_length(value, diags) is None
+        assert [str(d) for d in diags] == [f"error UNSUPPORTED_UNIT: exponent notation is not supported in {value!r}"]
+
+    @pytest.mark.parametrize("value,unit", [("1e", "e"), ("1em", "em"), ("1 e3", "e3"), ("1e-", "e-")])
+    def test_an_e_without_exponent_digits_is_a_unit(self, value, unit, diags):
+        assert parse_length(value, diags) is None
+        assert [str(d) for d in diags] == [f"error UNSUPPORTED_UNIT: unsupported length unit {unit!r} in {value!r}"]
 
     @given(
         st.lists(
@@ -439,6 +445,10 @@ class TestParseLength:
             max_size=12,
         ).map("".join)
     )
+    @example("1e3")
+    @example(" -1e+1px")
+    @example("1 e3")
+    @example("1e-")
     def test_matches_the_reference_grammar(self, value):
         expected, actual = Diagnostics(), Diagnostics()
         reference = reference_parse_length(value, expected, "svg/rect[0]@width")
@@ -452,7 +462,8 @@ SVG_WSP = " \t\r\n"
 
 
 def reference_parse_length(value, diagnostics, location):
-    """parse_length as it was before its validate-first fast path, stripping SVG white space only."""
+    """parse_length as it was before its validate-first fast path, stripping SVG white space only,
+    with a number followed by an exponent reported as exponent notation."""
     token = value.strip(SVG_WSP)
     if token.endswith("px"):
         token = token[:-2].strip(SVG_WSP)
@@ -460,7 +471,9 @@ def reference_parse_length(value, diagnostics, location):
         return parse_number(token)
     except ValueError:
         suffix = re.match(NUMBER_PATTERN, token)
-        if suffix and token[suffix.end():].strip(SVG_WSP):
+        if re.match(f"(?:{NUMBER_PATTERN})[eE][+-]?[0-9]", token):
+            diagnostics.error("UNSUPPORTED_UNIT", f"exponent notation is not supported in {value!r}", location)
+        elif suffix and token[suffix.end():].strip(SVG_WSP):
             diagnostics.error(
                 "UNSUPPORTED_UNIT",
                 f"unsupported length unit {token[suffix.end():].strip(SVG_WSP)!r} in {value!r}",
