@@ -152,11 +152,10 @@ class _Builder:
 
     `open` runs from the root to the current element, each the last child
     of the one before it.  Elements outside the first svg only open and
-    close their prefix scope.  The pending character data goes to the text
-    of `last`, or to its tail once it has `ended`; both handlers write it
-    out inline, as the per-element hot path.  An element past
-    MAX_DEPTH is skipped with its subtree and text; `too_deep` keeps the
-    location of the first one.
+    close their prefix scope.  Both handlers write the pending character
+    data to the text of `last`, or to its tail once it has `ended`, inline
+    (the per-element hot path).  An element past MAX_DEPTH is skipped with
+    its subtree, text and tail; `too_deep` keeps the location of the first one.
     """
 
     def __init__(self) -> None:
