@@ -39,7 +39,7 @@ def _escape_text(text: str) -> str:
 
 def _escape_attr(value: str) -> str:
     if "&" in value or "<" in value or ">" in value or '"' in value:
-        return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+        return _escape_text(value).replace('"', "&quot;")
     return value
 
 
