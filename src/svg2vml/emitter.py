@@ -8,8 +8,7 @@ well-formed XML.
 One serializer and one document shell serve both modes.  The mapped
 VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
 head function gives each node's output name and rendered attributes (the
-style dict and the dropped html: prefix for VML, the svg: prefix on
-implemented tags for SVG).
+style dict for VML, the svg: prefix on implemented tags for SVG).
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ def _vml_head(node: VmlNode) -> tuple[str, str]:
     attrs = _attributes_text(node.attributes)
     if node.style:
         attrs += f' style="{_escape_attr(_style_text(node.style))}"'
-    # Plain HTML elements drop their marker prefix; VML elements keep the
-    # v: prefix that the behavior rule binds.
-    return (node.tag[5:] if node.tag.startswith("html:") else node.tag), attrs
+    return node.tag, attrs
 
 
 def _svg_head(node: SvgNode) -> tuple[str, str]:

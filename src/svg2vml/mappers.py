@@ -136,7 +136,7 @@ def _attribute_location(ctx: MapperContext, name: str) -> Location:
 
 
 def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
-    raw = node.attr(name)
+    raw = node.attributes.get(name)
     if raw is None:
         return None
     value = parse_length(raw)
@@ -148,7 +148,7 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
 
 def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
     """The inherited chain extended by the node's own transform list."""
-    own_raw = node.attr("transform")
+    own_raw = node.attributes.get("transform")
     if own_raw is None:
         return ctx.chain
     own = parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
@@ -160,7 +160,7 @@ def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
 
 def _new(node: SvgNode, tag: str) -> VmlNode:
     """The output node for node, carrying its id over."""
-    node_id = node.attr("id")
+    node_id = node.attributes.get("id")
     return VmlNode(tag, {"id": node_id} if node_id is not None else {})
 
 
@@ -193,7 +193,7 @@ def _append_filter(mapped: VmlNode, filter_text: str) -> None:
 def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], owner: str) -> None:
     """An UNSUPPORTED_ATTRIBUTE warning for each of names that node carries."""
     for name in names:
-        if node.attr(name) is not None:
+        if name in node.attributes:
             message = f"{name} on {owner} has no VML mapping and is ignored"
             ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
 
@@ -276,7 +276,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
     width = _length(ctx, node, "width")
     height = _length(ctx, node, "height")
 
-    raw_box = node.attr("viewBox")
+    raw_box = node.attributes.get("viewBox")
     box = (
         parse_view_box(raw_box, ctx.diagnostics, _attribute_location(ctx, "viewBox"))
         if raw_box is not None
@@ -395,7 +395,7 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
             Point(_length(ctx, node, "x2") or 0.0, _length(ctx, node, "y2") or 0.0),
         ]
     else:
-        points = parse_points(node.attr("points", ""), ctx.diagnostics, ctx.location)
+        points = parse_points(node.attributes.get("points", ""), ctx.diagnostics, ctx.location)
     if len(points) < 2:
         ctx.diagnostics.warning(
             "DEGENERATE_SHAPE", f"{node.tag} needs at least 2 points; skipped", ctx.location
@@ -434,7 +434,7 @@ def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> Optional[VmlNod
 
 def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """path -> v:shape; the d attribute is normalized to absolute commands."""
-    d = node.attr("d")
+    d = node.attributes.get("d")
     if d is None:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
@@ -473,7 +473,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         if font_size is None:
             font_size = 16.0
             # An unreadable font-size was reported where it was read.
-            if node.attr("font-size") is None:
+            if node.attributes.get("font-size") is None:
                 ctx.diagnostics.warning("DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location)
         top -= font_size
         if not _finite(ctx, "top overflows to a non-finite value; skipped", top):
@@ -516,7 +516,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx
     font_size = _length(parent_ctx, parent, "font-size")
     if font_size is not None:
         font_tokens.append(f"FONT-SIZE:{_fmt(ctx, font_size)}")
-    family = parent.attr("font-family")
+    family = parent.attributes.get("font-family")
     if family is not None:
         font_tokens.append(f"FONT-FAMILY:{family}")
     if font_tokens:
@@ -546,16 +546,16 @@ def _map_verbatim(node: SvgNode) -> VmlNode:
 
 
 def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """defs -> hidden html:div; the content only shows through references."""
-    div = _new(node, "html:div")
+    """defs -> a hidden div; the content only shows through references."""
+    div = _new(node, "div")
     div.style["visibility"] = "hidden"
     _map_children(node, ctx, div)
     return div
 
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """use -> html:div containing the referenced element, mapped again in place under the use's paint."""
-    div = _new(node, "html:div")
+    """use -> a div containing the referenced element, mapped again in place under the use's paint."""
+    div = _new(node, "div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
     # Read before the reference, so a paint fault is reported whether or not it resolves.
@@ -567,7 +567,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     target = _resolve_reference(node, ctx)
     if target is None:
         return None
-    ref_id = target.attr("id") or ""
+    ref_id = target.attributes.get("id") or ""
     child_ctx = ctx.derive(paint=paint, ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
     mapped = _map_node(target, child_ctx)
     if mapped is not None:
@@ -577,7 +577,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 def _href(node: SvgNode) -> Optional[str]:
     """The link target: xlink:href when present, else href."""
-    return node.attributes.get("xlink:href", node.attr("href"))
+    return node.attributes.get("xlink:href", node.attributes.get("href"))
 
 
 def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
@@ -597,8 +597,8 @@ def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
 
 
 def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """a -> html:a with the link target on href; like a g, it hands its attributes to its children."""
-    anchor = _new(node, "html:a")
+    """a -> an HTML a with the link target on href; like a g, it hands its attributes to its children."""
+    anchor = _new(node, "a")
     href = _href(node)
     if href is None:
         ctx.diagnostics.warning("MISSING_HREF", "anchor without a link target", ctx.location)

@@ -26,10 +26,9 @@ SEPARATORS = WSP + ","
 NUMBER_PATTERN = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 NUMBER_LIST_PATTERN = rf"[{SEPARATORS}]*(?:{NUMBER_PATTERN}(?:[{SEPARATORS}]+{NUMBER_PATTERN})*)?[{SEPARATORS}]*"
 
-# Compiled once for every module: NUMBER_RE finds numbers anywhere;
-# NUMBER_TOKEN_RE.match accepts a whole token and nothing else.
+# Compiled once for every module: NUMBER_RE finds numbers anywhere, and its
+# fullmatch accepts a whole token and nothing else.
 NUMBER_RE = re.compile(NUMBER_PATTERN)
-NUMBER_TOKEN_RE = re.compile(NUMBER_PATTERN + r"\Z")
 _NUMBER_LIST_RE = re.compile(NUMBER_LIST_PATTERN)
 _SPLIT_RE = re.compile(f"[{SEPARATORS}]+")
 
@@ -65,7 +64,7 @@ def parse_number(token: str) -> float:
     rejected as well.
     """
     token = token.strip(WSP)
-    if not NUMBER_TOKEN_RE.match(token):
+    if not NUMBER_RE.fullmatch(token):
         raise ValueError(f"invalid number: {token!r}")
     value = float(token)
     if not math.isfinite(value):

@@ -64,11 +64,7 @@ Segment = tuple[str, bool, Sequence[float]]
 _CLOSE: Segment = ("Z", False, ())
 
 
-def parse_path_data(
-    d: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> list[Segment]:
+def parse_path_data(d: str, diagnostics: Diagnostics, location: LocationLike) -> list[Segment]:
     """Parse a path definition into segments.
 
     Implicit repetition is honored: extra coordinate groups after a command
@@ -76,7 +72,6 @@ def parse_path_data(
     problem records one error diagnostic and stops the scan; the segments
     read before it are returned, so callers check the diagnostics.
     """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     read = _read_pieces(d)
     if read is None:
         diagnostics.error("BAD_PATH", f"unparseable path data {d!r}", location)

@@ -38,8 +38,8 @@ INHERITED = ("fill", *STROKE_TABLE, "opacity")
 NONE_FLAGS = {"fill": ("filled", "f"), "stroke": ("stroked", "f")}
 
 
-def map_stroke_attribute(name: str, value: str, precision: int = 6, diagnostics: Optional[Diagnostics] = None,
-                         location: LocationLike = "") -> Optional[tuple[str, str]]:
+def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Diagnostics,
+                         location: LocationLike) -> Optional[tuple[str, str]]:
     """Translate one stroke attribute of the element at location to its v:stroke counterpart.
 
     stroke-width is a length of at least 0, stroke-opacity a number clamped
@@ -47,7 +47,6 @@ def map_stroke_attribute(name: str, value: str, precision: int = 6, diagnostics:
     stroke-linecap and stroke-linejoin one of their STROKE_KEYWORDS.  Any
     other value is reported and has no counterpart (None).
     """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     target = STROKE_TABLE[name]
     if name == "stroke":
         return target, value
@@ -162,15 +161,13 @@ def _stop_offset(value: Optional[str]) -> Optional[float]:
         return None
 
 
-def resolve_gradient(node: SvgNode, diagnostics: Optional[Diagnostics] = None,
-                     location: LocationLike = "") -> Optional[dict[str, str]]:
+def resolve_gradient(node: SvgNode, diagnostics: Diagnostics, location: LocationLike) -> Optional[dict[str, str]]:
     """The v:fill attributes of a two-stop horizontal or vertical gradient.
 
     Only gradients of exactly two stops at 0% and 100% along a horizontal or
     vertical axis are expressible; everything else records
     UNSUPPORTED_GRADIENT and returns None.
     """
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
 
     def unsupported(reason: str) -> None:
         diagnostics.error("UNSUPPORTED_GRADIENT", reason, location)
@@ -180,15 +177,15 @@ def resolve_gradient(node: SvgNode, diagnostics: Optional[Diagnostics] = None,
         unsupported(f"gradient needs exactly 2 stops, got {len(stops)}")
         return None
 
-    offsets = [_stop_offset(stop.attr("offset")) for stop in stops]
+    offsets = [_stop_offset(stop.attributes.get("offset")) for stop in stops]
     if offsets[0] != 0.0 or offsets[1] != 1.0:
         unsupported("gradient stops must sit at 0% and 100%")
         return None
 
-    x1 = _stop_offset(node.attr("x1", "0"))
-    y1 = _stop_offset(node.attr("y1", "0"))
-    x2 = _stop_offset(node.attr("x2", "1"))
-    y2 = _stop_offset(node.attr("y2", "0"))
+    x1 = _stop_offset(node.attributes.get("x1", "0"))
+    y1 = _stop_offset(node.attributes.get("y1", "0"))
+    x2 = _stop_offset(node.attributes.get("x2", "1"))
+    y2 = _stop_offset(node.attributes.get("y2", "0"))
     if None in (x1, y1, x2, y2):
         unsupported("unparseable gradient axis coordinates")
         return None
@@ -202,17 +199,16 @@ def resolve_gradient(node: SvgNode, diagnostics: Optional[Diagnostics] = None,
         unsupported("only horizontal or vertical gradient axes are supported")
         return None
 
-    colors = [stop.attr("stop-color") for stop in stops]
+    colors = [stop.attributes.get("stop-color") for stop in stops]
     if None in colors:
         unsupported("gradient stop without stop-color")
         return None
     return {"type": "gradient", "color": colors[0], "color2": colors[1], "angle": angle}
 
 
-def resolve_fill_reference(value: str, document: SvgDocument, diagnostics: Optional[Diagnostics] = None,
-                           location: LocationLike = "") -> Optional[dict[str, str]]:
+def resolve_fill_reference(value: str, document: SvgDocument, diagnostics: Diagnostics,
+                           location: LocationLike) -> Optional[dict[str, str]]:
     """Resolve a fill of the form url(#id) to its gradient's v:fill attributes."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     inner = value.strip()[4:-1].strip().strip("'\"")
     if not inner.startswith("#"):
         diagnostics.error("DANGLING_REF", f"unresolvable fill reference {value!r}", location)

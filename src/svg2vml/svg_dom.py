@@ -125,9 +125,6 @@ class SvgNode(TreeNode):
         self.text = text
         self.tail = tail
 
-    def attr(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self.attributes.get(name, default)
-
     def iter_nodes(self):
         yield self
         for child in self.children:
@@ -315,13 +312,8 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     return SvgDocument(builder.root, builder.id_index, diagnostics, builder.elements)
 
 
-def parse_view_box(
-    value: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[ViewBox]:
+def parse_view_box(value: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[ViewBox]:
     """Parse a viewBox value: a list of four numbers."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     numbers = read_numbers(value)
     tokens = numbers if numbers is not None else split_list(value)
     if len(tokens) != 4:
@@ -339,13 +331,8 @@ def parse_view_box(
     return box
 
 
-def parse_points(
-    value: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> list[Point]:
+def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[Point]:
     """Parse a points list: a list of x,y pairs."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     coords = read_numbers(value)
     if coords is None:
         # Only to name the first bad token; a list the grammar rejects holds one.

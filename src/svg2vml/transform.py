@@ -57,7 +57,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
-    NUMBER_LIST_PATTERN, NUMBER_TOKEN_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
+    NUMBER_LIST_PATTERN, NUMBER_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
 )
 from .svg_dom import Point
 
@@ -111,11 +111,7 @@ _LIST_RE = re.compile(
 )
 
 
-def parse_transform_list(
-    value: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> list[TransformOp]:
+def parse_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[TransformOp]:
     """Parse a transform attribute into ops, filling in default arguments.
 
     A list the grammar accepts whole, with finite arguments in counts the
@@ -141,15 +137,10 @@ def parse_transform_list(
     return _scan_transform_list(value, diagnostics, location)
 
 
-def _scan_transform_list(
-    value: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> list[TransformOp]:
+def _scan_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[TransformOp]:
     """Scan a transform list call by call; the first fault is reported and
     the whole list dropped.  A list that reads keeps its pole skews, each
     reported as SINGULAR_SKEW."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     ops: list[TransformOp] = []
     position = 0
     for found in _FUNCTION_RE.finditer(value):
@@ -169,7 +160,7 @@ def _scan_transform_list(
                 "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
             )
             return []
-        if not all(NUMBER_TOKEN_RE.match(token) for token in tokens):
+        if not all(NUMBER_RE.fullmatch(token) for token in tokens):
             diagnostics.error("BAD_TRANSFORM", f"non-numeric argument in {name}({raw_args})", location)
             return []
         args = [float(token) for token in tokens]

@@ -75,7 +75,7 @@ def make_context(**overrides) -> MapperContext:
 def read_ops(text: str) -> list[TransformOp]:
     """The ops of a transform list that reads without a diagnostic, as mapping reads them."""
     diagnostics = Diagnostics()
-    ops = parse_transform_list(text, diagnostics)
+    ops = parse_transform_list(text, diagnostics, "svg/g[0]@transform")
     assert not list(diagnostics), text
     return ops
 
@@ -100,7 +100,7 @@ def rejects(strategy: str, ops) -> bool:
     attr = " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)  # parses back exactly
     if strategy == RECALC_POINTS:
         got, diagnostics = map_snippet(f'<polyline points="{_POLYLINE_POINTS}" transform="{attr}"/>')
-        moved = recalc_points(ctm_of(ops), parse_points(_POLYLINE_POINTS))
+        moved = recalc_points(ctm_of(ops), parse_points(_POLYLINE_POINTS, Diagnostics(), "svg/polyline[0]"))
         expected, _ = map_snippet(f'<polyline points="{" ".join(f"{p.x!r},{p.y!r}" for p in moved)}"/>')
         assert got == expected
         return "UNSUPPORTED_TRANSFORM" in diagnostics.codes()

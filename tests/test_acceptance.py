@@ -51,7 +51,9 @@ def test_criterion_01_straight_segment_translations():
 
 
 def test_criterion_02_relative_moveto_normalization():
-    parts = list(to_absolute(parse_path_data("m 100,100 m 200,200 z")))
+    diags = Diagnostics()
+    parts = list(to_absolute(parse_path_data("m 100,100 m 200,200 z", diags, "svg/path[0]@d")))
+    assert not len(diags)
     movetos = [coords for letter, coords in parts if letter == "m"]
     assert movetos == [(100.0, 100.0), (300.0, 300.0)]
     assert [letter for letter, _ in parts] == ["m", "m", "x"]
@@ -243,17 +245,17 @@ def test_criterion_11_path_command_coverage():
     }
     for d, kind in translated.items():
         diags = Diagnostics()
-        segments = parse_path_data(d, diags)
+        segments = parse_path_data(d, diags, "svg/path[0]@d")
         assert not diags.has_errors, d
         assert segments[-1][0] == kind
 
     for letter in "SsQqTt":
         diags = Diagnostics()
-        parse_path_data(f"M 0 0 {letter} 1 2 3 4 5 6", diags)
+        parse_path_data(f"M 0 0 {letter} 1 2 3 4 5 6", diags, "svg/path[0]@d")
         assert "UNSUPPORTED_COMMAND" in diags.codes(), letter
     for letter in "Aa":
         diags = Diagnostics()
-        parse_path_data(f"M 0 0 {letter} 1 1 0 0 0 5 5", diags)
+        parse_path_data(f"M 0 0 {letter} 1 1 0 0 0 5 5", diags, "svg/path[0]@d")
         assert "FUTURE_WORK_ARC" in diags.codes(), letter
     report(11, "M/Z/L/H/V/C translate; S/Q/T and A are rejected by code")
 

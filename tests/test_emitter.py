@@ -214,7 +214,7 @@ def reference_vml_head(node):
     attrs = reference_attributes_text(node.attributes)
     if node.style:
         attrs += f' style="{reference_escape_attr("".join(f"{n}:{v};" for n, v in node.style.items()))}"'
-    return (node.tag[5:] if node.tag.startswith("html:") else node.tag), attrs
+    return node.tag, attrs
 
 
 def reference_svg_head(node):
@@ -276,7 +276,7 @@ attribute_tables = st.dictionaries(st.sampled_from(["id", "title", "href", "x"])
 def vml_trees():
     leaf = st.builds(
         VmlNode,
-        st.sampled_from(["v:shape", "v:textbox", "html:div", "b"]),
+        st.sampled_from(["v:shape", "v:textbox", "div", "b"]),
         attribute_tables,
         st.dictionaries(st.sampled_from(["left", "font-family"]), payloads, max_size=2),
         st.just(None),

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import ctm_of, map_snippet, wrap_svg
+from conftest import ctm_of, map_snippet, read_ops, wrap_svg
 from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import format_number, parse_number
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
-from svg2vml.transform import parse_transform_list, recalc_points
+from svg2vml.transform import recalc_points
 
 
 def find_all(node: VmlNode, tag: str) -> list[VmlNode]:
@@ -192,7 +192,7 @@ class TestPoly:
             tree, diags = map_snippet(f'<polyline points="{point_text}" transform="{transform}"/>')
             assert not diags.has_errors
             path = find_one(tree, "v:shape").attributes["path"]
-            ctm = ctm_of(parse_transform_list(transform))
+            ctm = ctm_of(read_ops(transform))
             expected = recalc_points(ctm, points)
             numbers = [
                 parse_number(token)
@@ -341,7 +341,7 @@ class TestPlacementReadsTheWrittenBox:
         options = ConvertOptions(precision=precision)
         plain = find_one(map_snippet(element.format(""), options)[0], tag)
         box = transform.ShapeBox(*(float(plain.style.get(key, 0)) for key in ("left", "top", "width", "height")))
-        chain = transform.EMPTY_CHAIN.extend(parse_transform_list(transform_list))
+        chain = transform.EMPTY_CHAIN.extend(read_ops(transform_list))
         placed = transform.place(
             transform.STRATEGY_BY_TAG[name], chain, box, transform.RootSize(800, 800), precision, Diagnostics()
         )
@@ -545,7 +545,7 @@ class TestReferences:
     def test_defs_is_hidden_div(self):
         tree, _ = map_snippet(self.REF_DOC, view_box="0 0 1000 1500", size=(1000, 1500))
         defs_div = tree.children[0]
-        assert defs_div.tag == "html:div"
+        assert defs_div.tag == "div"
         assert defs_div.style == {"visibility": "hidden"}
         assert defs_div.children[0].tag == "v:roundrect"
 
@@ -553,7 +553,7 @@ class TestReferences:
         tree, diags = map_snippet(self.REF_DOC, view_box="0 0 1000 1500", size=(1000, 1500))
         assert not diags.has_errors
         use_div = tree.children[1]
-        assert use_div.tag == "html:div"
+        assert use_div.tag == "div"
         copy = use_div.children[0]
         assert copy.tag == "v:roundrect"
         assert copy.style == {"left": "100", "top": "200", "width": "600", "height": "200"}
@@ -599,7 +599,7 @@ class TestReferences:
     def test_use_without_href_warns(self):
         tree, diags = map_snippet("<use/>")
         assert "MISSING_HREF" in diags.codes()
-        assert tree.children[0].tag == "html:div"
+        assert tree.children[0].tag == "div"
 
     def test_circular_use_is_reported(self):
         tree, diags = map_snippet('<g id="loop"><use xlink:href="#loop"/></g>')
@@ -725,25 +725,25 @@ class TestAnchor:
         tree, _ = map_snippet(
             '<a xlink:href="http://x"><rect width="5" height="5"/></a>'
         )
-        anchor = find_one(tree, "html:a")
+        anchor = find_one(tree, "a")
         assert anchor.attributes["href"] == "http://x"
         assert anchor.children[0].tag == "v:roundrect"
 
     def test_anchor_without_href_warns(self):
         tree, diags = map_snippet('<a><rect width="5" height="5"/></a>')
-        anchor = find_one(tree, "html:a")
+        anchor = find_one(tree, "a")
         assert "href" not in anchor.attributes
         assert "MISSING_HREF" in diags.codes()
 
     def test_empty_href_is_kept(self):
         tree, diags = map_snippet('<a xlink:href="" href="http://x"><rect width="5" height="5"/></a>')
-        assert find_one(tree, "html:a").attributes["href"] == ""
+        assert find_one(tree, "a").attributes["href"] == ""
         assert diags.codes() == []
 
     def test_anchor_inside_group(self):
         tree, _ = map_snippet('<g><a xlink:href="#x"><circle cx="1" cy="1" r="1"/></a></g>')
         groups = find_all(tree, "v:group")
-        anchor = find_one(groups[1], "html:a")
+        anchor = find_one(groups[1], "a")
         assert anchor.children[0].tag == "v:oval"
 
     @pytest.mark.parametrize(
@@ -762,7 +762,7 @@ class TestAnchor:
         children = '<rect x="1" width="2" height="1" fill="green"/><circle r="1"/><polyline points="0,0 1,1"/>'
         anchored, anchor_diags = map_snippet(f'<a href="#x" {attributes}>{children}</a>')
         grouped, group_diags = map_snippet(f'<g {attributes}>{children}</g>')
-        assert find_one(anchored, "html:a").children == find_all(grouped, "v:group")[1].children
+        assert find_one(anchored, "a").children == find_all(grouped, "v:group")[1].children
         # One report per fault, at the carrier itself: svg/a[0] or svg/g[0], with or without its @attribute.
         reports = [(d.code, d.message, d.location.replace("svg/a[0]", "svg/g[0]")) for d in anchor_diags]
         assert reports == [(d.code, d.message, d.location) for d in group_diags]

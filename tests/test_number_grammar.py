@@ -15,7 +15,7 @@ from svg2vml.svg_dom import parse_length, parse_points, parse_svg, parse_view_bo
 from svg2vml.transform import parse_transform_list
 
 
-def _opacity(value, diagnostics):
+def _opacity(value, diagnostics, location):
     """The alpha filter of a rect with this opacity (set after parsing, so any character reaches it)."""
     doc = parse_svg('<svg viewBox="0 0 10 10"><rect width="1" height="1"/></svg>', diagnostics)
     doc.root.children[0].attributes["opacity"] = value
@@ -23,17 +23,17 @@ def _opacity(value, diagnostics):
     return tree.children[0].style.get("filter")
 
 
-def _stop_offset(value, diagnostics):
+def _stop_offset(value, diagnostics, location):
     """The gradient whose first stop has this offset."""
     doc = parse_svg(
         '<svg><linearGradient><stop stop-color="red"/><stop offset="1" stop-color="blue"/></linearGradient></svg>'
     )
     gradient = doc.root.children[0]
     gradient.children[0].attributes["offset"] = value
-    return resolve_gradient(gradient, diagnostics)
+    return resolve_gradient(gradient, diagnostics, location)
 
 
-# name: (reader taking (text, diagnostics), text with a {c} slot wherever the
+# name: (reader taking (text, diagnostics, location), text with a {c} slot wherever the
 # grammar allows white space, the reader's own code, whether a comma may stand
 # in every slot)
 PARSERS = {
@@ -74,10 +74,10 @@ def _fill(text, c, slot=None):
 @pytest.mark.parametrize("name,c", ACCEPTED, ids=map(_id, ACCEPTED))
 def test_each_parser_accepts_the_separators(name, c):
     read, text, _, _ = PARSERS[name]
-    plain = read(_fill(text, " "), Diagnostics())
+    plain = read(_fill(text, " "), Diagnostics(), "svg")
     assert plain
     diagnostics = Diagnostics()
-    assert read(_fill(text, c), diagnostics) == plain
+    assert read(_fill(text, c), diagnostics, "svg") == plain
     assert diagnostics.codes() == []
 
 
@@ -86,5 +86,5 @@ def test_each_parser_rejects_characters_outside_the_grammar(name, c):
     read, text, code, _ = PARSERS[name]
     for slot in range(text.count("{c}")):
         diagnostics = Diagnostics()
-        assert not read(_fill(text, c, slot), diagnostics), slot
+        assert not read(_fill(text, c, slot), diagnostics, "svg"), slot
         assert diagnostics.codes() == [code], slot

@@ -10,7 +10,10 @@ KIND_OF_LETTER = {"m": "M", "l": "L", "c": "C", "x": "Z"}
 
 
 def absolute(d, dx=0.0, dy=0.0):
-    return list(to_absolute(parse_path_data(d), dx, dy))
+    diagnostics = Diagnostics()
+    segments = parse_path_data(d, diagnostics, "svg/path[0]@d")
+    assert not len(diagnostics), d
+    return list(to_absolute(segments, dx, dy))
 
 
 def as_segments(parts):
@@ -52,7 +55,7 @@ def simulate_cursor(segments):
 class TestParsePathData:
     def test_implicit_lineto_after_moveto(self, diags):
         d = "M 100 100 200 200 L 300 100 200 300 Z"
-        assert parse_path_data(d, diags) == [
+        assert parse_path_data(d, diags, "svg/path[0]@d") == [
             ("M", False, [100, 100, 200, 200]),
             ("L", False, [300, 100, 200, 300]),
             ("Z", False, ()),
@@ -66,20 +69,20 @@ class TestParsePathData:
         ]
 
     def test_single_moveto(self, diags):
-        assert parse_path_data("M 0 0", diags) == [("M", False, [0, 0])]
+        assert parse_path_data("M 0 0", diags, "svg/path[0]@d") == [("M", False, [0, 0])]
 
     def test_quadratic_is_unsupported(self, diags):
-        parse_path_data("M 0 0 Q 1 1 2 2", diags)
+        parse_path_data("M 0 0 Q 1 1 2 2", diags, "svg/path[0]@d")
         assert "UNSUPPORTED_COMMAND" in diags.codes()
 
     @pytest.mark.parametrize("letter", list("SsQqTt"))
     def test_unsupported_commands(self, letter, diags):
-        parse_path_data(f"M 0 0 {letter} 1 1 2 2 3 3", diags)
+        parse_path_data(f"M 0 0 {letter} 1 1 2 2 3 3", diags, "svg/path[0]@d")
         assert "UNSUPPORTED_COMMAND" in diags.codes()
 
     @pytest.mark.parametrize("letter", ["A", "a"])
     def test_arc_is_future_work(self, letter, diags):
-        parse_path_data(f"M 0 0 {letter} 1 1 0 0 0 5 5", diags)
+        parse_path_data(f"M 0 0 {letter} 1 1 0 0 0 5 5", diags, "svg/path[0]@d")
         assert "FUTURE_WORK_ARC" in diags.codes()
 
     @pytest.mark.parametrize(
@@ -96,19 +99,19 @@ class TestParsePathData:
         ],
     )
     def test_supported_commands(self, d, kinds, diags):
-        assert [kind for kind, _, _ in parse_path_data(d, diags)] == kinds
+        assert [kind for kind, _, _ in parse_path_data(d, diags, "svg/path[0]@d")] == kinds
         assert not diags.has_errors
 
     def test_comma_and_whitespace_separators(self, diags):
-        assert parse_path_data("M1,2L3,4", diags) == [("M", False, [1, 2]), ("L", False, [3, 4])]
+        assert parse_path_data("M1,2L3,4", diags, "svg/path[0]@d") == [("M", False, [1, 2]), ("L", False, [3, 4])]
 
     @pytest.mark.parametrize("bad", ["M 1", "M 1 2 L 3", "M 1 2 B 3 4", "M 1 2 C 1 2 3", "1 2"])
     def test_malformed(self, bad, diags):
-        parse_path_data(bad, diags)
+        parse_path_data(bad, diags, "svg/path[0]@d")
         assert diags.has_errors
 
     def test_implicit_relative_lineto(self, diags):
-        assert parse_path_data("m 1 2 3 4", diags) == [("M", True, [1, 2, 3, 4])]
+        assert parse_path_data("m 1 2 3 4", diags, "svg/path[0]@d") == [("M", True, [1, 2, 3, 4])]
         assert absolute("m 1 2 3 4") == [("m", (1, 2)), ("l", (4, 6))]
 
 
@@ -120,7 +123,7 @@ class TestToAbsolute:
         assert absolute("M 100,100 M 200,200") == [("m", (100, 100)), ("m", (200, 200))]
 
     def test_h_and_v_become_linetos(self, diags):
-        segments = parse_path_data("M 10 20 h 5 V 7", diags)
+        segments = parse_path_data("M 10 20 h 5 V 7", diags, "svg/path[0]@d")
         result = list(to_absolute(segments))
         assert result == [("m", (10, 20)), ("l", (15, 20)), ("l", (15, 7))]
         # cursor oracle agrees
@@ -151,7 +154,7 @@ class TestToAbsolute:
                 d_parts.append(letter)
                 d_parts.extend(str(rng.randint(-50, 50)) for _ in range(arity))
             diags = Diagnostics()
-            segments = parse_path_data(" ".join(d_parts), diags)
+            segments = parse_path_data(" ".join(d_parts), diags, "svg/path[0]@d")
             assert not diags.has_errors
             result = list(to_absolute(segments))
             assert all(letter in KIND_OF_LETTER for letter, _ in result)

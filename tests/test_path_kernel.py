@@ -100,7 +100,7 @@ def test_valid_paths_match_an_independent_cursor_walk(data, precision, shift):
     commands = data.draw(path_programs())
     d = render(commands, data.draw)
     diagnostics = Diagnostics()
-    segments = parse_path_data(d, diagnostics)
+    segments = parse_path_data(d, diagnostics, "svg/path[0]@d")
     assert not len(diagnostics), d
     expected = cursor_walk(commands, precision, *shift)
     assert emit_vml_path(to_absolute(segments, *shift), precision) == expected, d
@@ -178,7 +178,7 @@ def path_texts(draw):
 @example(d="M 1.2.3")
 def test_length_count_accepts_what_the_gap_check_accepted(d):
     diagnostics, expected = Diagnostics(), Diagnostics()
-    assert parse_path_data(d, diagnostics) == old_scan_path(d, expected)
+    assert parse_path_data(d, diagnostics, "svg/path[0]@d") == old_scan_path(d, expected)
     assert [(x.code, x.message) for x in diagnostics] == [(x.code, x.message) for x in expected]
 
 
@@ -220,7 +220,7 @@ def test_invalid_paths_give_exactly_one_diagnostic(fault, data):
         text, expected = FAULTS[fault]
         d = valid + text
     diagnostics = Diagnostics()
-    parse_path_data(d, diagnostics)
+    parse_path_data(d, diagnostics, "svg/path[0]@d")
     assert diagnostics.codes() == [expected], d
 
     output, diagnostics = convert_text(wrap_svg(f'<path d="{d}"/>'))
@@ -305,5 +305,5 @@ def test_non_finite_values_never_reach_the_output(body, codes):
 
 def test_non_finite_points_name_the_token():
     diagnostics = Diagnostics()
-    assert parse_points(f"0,0 1,1 {HUGE},2", diagnostics) == []
+    assert parse_points(f"0,0 1,1 {HUGE},2", diagnostics, "svg/polyline[0]") == []
     assert [x.message for x in diagnostics] == [f"non-numeric coordinate {HUGE!r}"]

@@ -50,15 +50,22 @@ class TestStrokeTable:
             ("stroke-miterlimit", "1", "miterlimit", "1"),
             ("stroke-miterlimit", "4.50", "miterlimit", "4.5"),
             ("stroke-opacity", "1", "opacity", "1"),
-            ("stroke-opacity", "2", "opacity", "1"),
         ],
     )
-    def test_rows(self, svg_name, svg_value, vml_name, vml_value):
-        assert map_stroke_attribute(svg_name, svg_value) == (vml_name, vml_value)
+    def test_rows(self, svg_name, svg_value, vml_name, vml_value, diags):
+        assert map_stroke_attribute(svg_name, svg_value, 6, diags, "svg/rect[0]") == (vml_name, vml_value)
+        assert not len(diags)
+
+    def test_stroke_opacity_above_one_is_clamped_and_reported(self, diags):
+        assert map_stroke_attribute("stroke-opacity", "2", 6, diags, "svg/rect[0]") == ("opacity", "1")
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("BAD_ATTRIBUTE", "stroke-opacity 2 outside [0, 1], clamped", "svg/rect[0]")
+        ]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "2em", "1e3", ""])
-    def test_bad_stroke_width_has_no_counterpart(self, value):
-        assert map_stroke_attribute("stroke-width", value) is None
+    def test_bad_stroke_width_has_no_counterpart(self, value, diags):
+        assert map_stroke_attribute("stroke-width", value, 6, diags, "svg/rect[0]") is None
+        assert [(d.code, d.location) for d in diags] == [("UNSUPPORTED_UNIT", "svg/rect[0]@stroke-width")]
 
     @pytest.mark.parametrize(
         "name,value,message",
@@ -102,46 +109,46 @@ class TestMapOpacity:
 class TestResolveGradient:
     def test_horizontal_two_stop(self, diags):
         node = gradient_node(TWO_STOPS, 'x1="0%" y1="0%" x2="100%" y2="0%"')
-        assert resolve_gradient(node, diags) == gradient_fill("red", "blue", HORIZONTAL)
+        assert resolve_gradient(node, diags, "svg/rect[0]") == gradient_fill("red", "blue", HORIZONTAL)
 
     def test_default_axis_is_horizontal(self, diags):
-        assert resolve_gradient(gradient_node(TWO_STOPS), diags)["angle"] == HORIZONTAL
+        assert resolve_gradient(gradient_node(TWO_STOPS), diags, "svg/rect[0]")["angle"] == HORIZONTAL
 
     def test_vertical(self, diags):
         node = gradient_node(TWO_STOPS, 'x1="0%" y1="0%" x2="0%" y2="100%"')
-        assert resolve_gradient(node, diags)["angle"] == VERTICAL
+        assert resolve_gradient(node, diags, "svg/rect[0]")["angle"] == VERTICAL
 
     def test_degenerate_equal_colors(self, diags):
         node = gradient_node(
             '<stop offset="0%" stop-color="black"/><stop offset="100%" stop-color="black"/>'
         )
-        assert resolve_gradient(node, diags) == gradient_fill("black", "black", HORIZONTAL)
+        assert resolve_gradient(node, diags, "svg/rect[0]") == gradient_fill("black", "black", HORIZONTAL)
 
     def test_three_stops_unsupported(self, diags):
         node = gradient_node(
             TWO_STOPS + '<stop offset="50%" stop-color="green"/>'
         )
-        assert resolve_gradient(node, diags) is None
+        assert resolve_gradient(node, diags, "svg/rect[0]") is None
         assert "UNSUPPORTED_GRADIENT" in diags.codes()
 
     def test_diagonal_unsupported(self, diags):
         node = gradient_node(TWO_STOPS, 'x1="0%" y1="0%" x2="100%" y2="100%"')
-        assert resolve_gradient(node, diags) is None
+        assert resolve_gradient(node, diags, "svg/rect[0]") is None
         assert "UNSUPPORTED_GRADIENT" in diags.codes()
 
     def test_wrong_offsets_unsupported(self, diags):
         node = gradient_node(
             '<stop offset="10%" stop-color="red"/><stop offset="90%" stop-color="blue"/>'
         )
-        assert resolve_gradient(node, diags) is None
+        assert resolve_gradient(node, diags, "svg/rect[0]") is None
         assert "UNSUPPORTED_GRADIENT" in diags.codes()
 
     def test_acceptance_is_decidable_from_the_element(self, diags):
         # accepted iff: exactly two stops, offsets 0/100, axis-aligned
         accepted = gradient_node(TWO_STOPS)
-        assert resolve_gradient(accepted, diags) is not None
+        assert resolve_gradient(accepted, diags, "svg/rect[0]") is not None
         rejected = gradient_node('<stop offset="0%" stop-color="red"/>')
-        assert resolve_gradient(rejected, diags) is None
+        assert resolve_gradient(rejected, diags, "svg/rect[0]") is None
 
 
 class TestResolveFillReference:
@@ -149,15 +156,15 @@ class TestResolveFillReference:
         doc = parse_svg(
             f'<svg><defs><linearGradient id="grad1">{TWO_STOPS}</linearGradient></defs></svg>'
         )
-        spec = resolve_fill_reference("url(#grad1)", doc, diags)
+        spec = resolve_fill_reference("url(#grad1)", doc, diags, "svg/rect[0]")
         assert spec == gradient_fill("red", "blue", HORIZONTAL)
 
     def test_dangling_reference(self, diags):
         doc = parse_svg("<svg/>")
-        assert resolve_fill_reference("url(#nope)", doc, diags) is None
+        assert resolve_fill_reference("url(#nope)", doc, diags, "svg/rect[0]") is None
         assert "DANGLING_REF" in diags.codes()
 
     def test_reference_to_non_gradient(self, diags):
         doc = parse_svg('<svg><rect id="r" width="1" height="1"/></svg>')
-        assert resolve_fill_reference("url(#r)", doc, diags) is None
+        assert resolve_fill_reference("url(#r)", doc, diags, "svg/rect[0]") is None
         assert "UNSUPPORTED_GRADIENT" in diags.codes()

@@ -66,7 +66,7 @@ class TestParseSvg:
         assert [child.tag for child in doc.root.children] == ["defs", "use"]
         assert "MyRect" in doc.id_index
         assert doc.id_index["MyRect"].tag == "rect"
-        assert doc.root.children[1].attr("xlink:href") == "#MyRect"
+        assert doc.root.children[1].attributes.get("xlink:href") == "#MyRect"
 
     def test_undeclared_prefixes_are_tolerated(self):
         doc = parse_svg('<svg:svg viewBox="0 0 10 10"><svg:rect width="1" height="1"/></svg:svg>')
@@ -95,7 +95,7 @@ class TestParseSvg:
 
     def test_duplicate_id_first_wins(self):
         doc = parse_svg('<svg><rect id="a" x="1"/><rect id="a" x="2"/></svg>')
-        assert doc.id_index["a"].attr("x") == "1"
+        assert doc.id_index["a"].attributes.get("x") == "1"
         assert "DUPLICATE_ID" in doc.diagnostics.codes()
 
     def test_id_index_points_back_at_nodes(self):
@@ -103,7 +103,7 @@ class TestParseSvg:
             '<svg id="root"><g id="grp"><circle id="c" r="5"/></g><defs id="d"/></svg>'
         )
         for node in doc.root.iter_nodes():
-            node_id = node.attr("id")
+            node_id = node.attributes.get("id")
             if node_id is not None:
                 assert doc.id_index[node_id] is node
 
@@ -358,19 +358,19 @@ class TestReader:
 class TestParseViewBox:
     def test_standard_box(self, diags):
         for value in ("0 0 800 800", "0,0,800,800", "0, 0, 800, 800"):
-            assert parse_view_box(value, diags) == (0, 0, 800, 800)
+            assert parse_view_box(value, diags, "svg@viewBox") == (0, 0, 800, 800)
         assert not diags.has_errors
 
     def test_unit_box(self, diags):
         for value in ("0 0 1 1", "0,0,1,1", "0 ,0 , 1,1"):
-            assert parse_view_box(value, diags) == (0, 0, 1, 1)
+            assert parse_view_box(value, diags, "svg@viewBox") == (0, 0, 1, 1)
         assert not diags.has_errors
 
     def test_whitespace_runs(self, diags):
         # oracle: split on runs of whitespace, with the commas taken out first
         for value in ("  10   20  30 40 ", " 10,\t20 ,30\n,40,"):
             expected = tuple(float(t) for t in value.replace(",", " ").split())
-            assert parse_view_box(value, diags) == expected
+            assert parse_view_box(value, diags, "svg@viewBox") == expected
         assert not diags.has_errors
 
     @pytest.mark.parametrize(
@@ -378,24 +378,24 @@ class TestParseViewBox:
         ["0 0 800", "0 0 800 800 9", "a b c d", "0 0 -1 5", "", "0,0,800", "0,0,800,800,9", "0,0,-1,5", ","],
     )
     def test_bad_values(self, bad, diags):
-        assert parse_view_box(bad, diags) is None
+        assert parse_view_box(bad, diags, "svg@viewBox") is None
         assert diags.has_errors
 
 
 class TestParsePoints:
     def test_three_point_polyline(self, diags):
-        assert parse_points("0,0 100,100 200,200", diags) == [(0, 0), (100, 100), (200, 200)]
+        assert parse_points("0,0 100,100 200,200", diags, "svg/polyline[0]") == [(0, 0), (100, 100), (200, 200)]
 
     def test_empty(self, diags):
-        assert parse_points("", diags) == []
+        assert parse_points("", diags, "svg/polyline[0]") == []
         assert not diags.has_errors
 
     def test_testing_elements_points(self, diags):
-        points = parse_points("300,300 350,300 350,250 400,250 400,300 450,300", diags)
+        points = parse_points("300,300 350,300 350,250 400,250 400,300 450,300", diags, "svg/polyline[0]")
         assert len(points) == 6
 
     def test_odd_count_is_error(self, diags):
-        parse_points("1,2 3", diags)
+        parse_points("1,2 3", diags, "svg/polyline[0]")
         assert "BAD_POINTS" in diags.codes()
 
     @pytest.mark.parametrize(
@@ -408,7 +408,7 @@ class TestParsePoints:
     )
     def test_join_then_parse_is_identity(self, points, diags):
         joined = " ".join(f"{x},{y}" for x, y in points)
-        assert parse_points(joined, diags) == [Point(x, y) for x, y in points]
+        assert parse_points(joined, diags, "svg/polyline[0]") == [Point(x, y) for x, y in points]
 
 
 class TestParseLength:
