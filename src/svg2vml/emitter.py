@@ -64,10 +64,13 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
 
 def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "") -> None:
     """Append one line per element; an element with character content goes
-    on one line with its whole subtree, so the payload stays intact."""
+    on one line with its whole subtree, so the payload stays intact.  The
+    text of an element with no children counts even when it is white space."""
     pad = _INDENT * depth if pretty else ""
     text, children = node.text, node.children
-    if (text and text.strip()) or (children and any([child.tail and child.tail.strip() for child in children])):
+    if (text and (not children or text.strip())) or (
+        children and any([child.tail and child.tail.strip() for child in children])
+    ):
         lines.append(pad + _inline(node, head, extra))
         return
     name, attrs = head(node)
@@ -82,7 +85,7 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
 
 def _inline(node: Node, head: Head, extra: str = "") -> str:
     name, attrs = head(node)
-    if not node.children and not (node.text and node.text.strip()):
+    if not node.children and not node.text:
         return f"<{name}{extra}{attrs}/>"
     inner = _escape_text(node.text) if node.text else ""
     for child in node.children:

@@ -196,6 +196,41 @@ class TestEscaping:
         assert (div.text, div[0].tail) == (value, value)
 
 
+def _local(element):
+    return element.tag.rpartition("}")[2]
+
+
+class TestWhiteSpaceOnlyText:
+    """An element with no children keeps text that is only white space, in both modes."""
+
+    @MODES
+    @PRETTY
+    def test_in_foreign_content(self, mode, pretty):
+        body = "<foreignObject width='9' height='9'><div>a<b> </b>c</div></foreignObject>"
+        output, diagnostics = convert_text(wrap_svg(body), ConvertOptions(mode=mode, pretty=pretty, strict=True))
+        assert "<div>a<b> </b>c</div>" in output
+        (b,) = [el for el in ET.fromstring(output).iter() if _local(el) == "b"]
+        assert (b.text, b.tail) == (" ", "c")
+
+    @PRETTY
+    @pytest.mark.parametrize("text", ["  ", "\n", " \t "])
+    def test_preserved_text_passes_through(self, pretty, text):
+        body = f'<text xml:space="preserve" x="1" y="9" font-size="8">{text}</text>'
+        output, _ = convert_text(wrap_svg(body), ConvertOptions(mode="xhtml", pretty=pretty, strict=True))
+        assert f'<svg:text xml:space="preserve" x="1" y="9" font-size="8">{text}</svg:text>' in output
+        (element,) = [el for el in ET.fromstring(output).iter() if _local(el) == "text"]
+        assert element.text == text
+
+    @PRETTY
+    def test_vml_text_is_still_stripped(self, pretty):
+        body = '<text xml:space="preserve" x="1" y="9" font-size="8">  </text>'
+        output, _ = convert_text(wrap_svg(body), ConvertOptions(pretty=pretty, strict=True))
+        assert '<v:textbox style="left:1;top:1;"/>' in output
+
+    def test_an_empty_element_still_closes_itself(self):
+        output = convert("<foreignObject width='9' height='9'><div>a<b></b>c</div></foreignObject>", "xhtml")
+        assert "<div>a<b/>c</div>" in output
+
 # The serializer as it was before the escapers checked for special
 # characters: every value goes through every replace.
 def reference_escape_text(text):
@@ -226,10 +261,10 @@ def reference_serialize(node, head, lines, depth, pretty, extra=""):
     pad = "  " * depth if pretty else ""
     name, attrs = head(node)
     has_text = bool(node.text and node.text.strip())
-    if not node.children and not has_text:
+    if not node.children and not node.text:
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
         return
-    if has_text or any(child.tail and child.tail.strip() for child in node.children):
+    if has_text or not node.children or any(child.tail and child.tail.strip() for child in node.children):
         lines.append(pad + reference_inline(node, head, extra))
         return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
@@ -240,7 +275,7 @@ def reference_serialize(node, head, lines, depth, pretty, extra=""):
 
 def reference_inline(node, head, extra=""):
     name, attrs = head(node)
-    if not node.children and not (node.text and node.text.strip()):
+    if not node.children and not node.text:
         return f"<{name}{extra}{attrs}/>"
     inner = reference_escape_text(node.text) if node.text else ""
     for child in node.children:
