@@ -31,6 +31,7 @@ from .style import (  # noqa: F401
     INHERITED,
     NO_PAINT,
     NONE_FLAGS,
+    STROKE_TABLE,
     Paint,
     alpha_filter,
     resolve_fill_reference,
@@ -154,6 +155,10 @@ def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
     own = parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
     return ctx.chain.extend(own)
 
+
+# The paint a text, a textPath and a foreignObject have no VML for: their
+# own values are reported, the ones their groups hand down are not.
+_DROPPED_PAINT = ("fill", *STROKE_TABLE)
 
 # --- shared passes -----------------------------------------------------------
 
@@ -459,13 +464,13 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """text -> v:textbox (or the referenced shape when wrapping a textPath)."""
     for index, child in enumerate(node.children):
         if child.tag == "textPath":
-            dropped = ("opacity", "fill-opacity", "transform", "x", "y", "dx", "dy")
+            dropped = ("opacity", "fill-opacity", "transform", "x", "y", "dx", "dy", *_DROPPED_PAINT)
             _report_ignored(node, ctx, dropped, "a text holding a textPath")
             child_ctx = ctx.at(f"/{child.name}[{index}]")
-            _report_ignored(child, child_ctx, ("startOffset",), "a textPath")
+            _report_ignored(child, child_ctx, ("startOffset", *_DROPPED_PAINT), "a textPath")
             return map_text_path(child, child_ctx, node, ctx)
 
-    _report_ignored(node, ctx, ("dx", "dy"), "a text")
+    _report_ignored(node, ctx, ("dx", "dy", *_DROPPED_PAINT), "a text")
     x = _length(ctx, node, "x")
     top = _length(ctx, node, "y")
     if top is not None:
@@ -528,6 +533,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx
 
 def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     """foreignObject -> v:textbox carrying its markup through unchanged."""
+    _report_ignored(node, ctx, _DROPPED_PAINT, "a foreignObject")
     box = _new(node, "v:textbox")
     _write_box(ctx, box, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     if node.text and node.text.strip():

@@ -8,6 +8,7 @@ from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
 from svg2vml.numeric import format_number, parse_number
+from svg2vml.style import STROKE_TABLE
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
 from svg2vml.transform import recalc_points
 
@@ -687,7 +688,12 @@ class TestTextPath:
 class TestDroppedTextAndUseAttributes:
     """Attributes that mapping drops give one UNSUPPORTED_ATTRIBUTE warning each, at their element."""
 
-    VALUES = {"x": "4", "y": "5", "dx": "2", "dy": "3", "startOffset": "50%", "transform": "scale(2)"}
+    VALUES = {
+        "x": "4", "y": "5", "dx": "2", "dy": "3", "startOffset": "50%", "transform": "scale(2)",
+        "fill": "url(#nope)", "stroke": "blue", "stroke-width": "2", "stroke-linecap": "round",
+        "stroke-linejoin": "bevel", "stroke-miterlimit": "4", "stroke-opacity": "0.5",
+    }
+    PAINT = ("fill", *STROKE_TABLE)
 
     @pytest.mark.parametrize(
         "element,names,owner,location",
@@ -706,8 +712,23 @@ class TestDroppedTextAndUseAttributes:
                 "svg/text[1]/textPath[0]",
             ),
             ('<use xlink:href="#p"{}/>', ("transform",), "a use", "svg/use[1]"),
+            ('<text x="1" y="9" font-size="4"{}>t</text>', PAINT, "a text", "svg/text[1]"),
+            (
+                '<text font-size="8"{}><textPath xlink:href="#p">x</textPath></text>',
+                PAINT,
+                "a text holding a textPath",
+                "svg/text[1]",
+            ),
+            (
+                '<text font-size="8"><textPath xlink:href="#p"{}>x</textPath></text>',
+                PAINT,
+                "a textPath",
+                "svg/text[1]/textPath[0]",
+            ),
+            ('<foreignObject width="9" height="9"{}/>', PAINT, "a foreignObject", "svg/foreignObject[1]"),
         ],
-        ids=["text", "text-on-path", "textPath", "use"],
+        ids=["text", "text-on-path", "textPath", "use", "text-paint", "text-on-path-paint", "textPath-paint",
+             "foreignObject-paint"],
     )
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_reported_at_the_element(self, element, names, owner, location, strict):
@@ -718,6 +739,21 @@ class TestDroppedTextAndUseAttributes:
         expected = [("UNSUPPORTED_ATTRIBUTE", message.format(name, owner), location) for name in names]
         assert [(d.code, d.message, d.location) for d in diagnostics] == expected[: 1 if strict else None]
         assert output == (None if strict else convert_text(wrap_svg(source.format("")))[0])
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            '<text x="1" y="9" font-size="4">t</text>',
+            '<text font-size="8"><textPath xlink:href="#p">x</textPath></text>',
+            '<foreignObject width="9" height="9"/>',
+        ],
+        ids=["text", "text-on-path", "foreignObject"],
+    )
+    def test_inherited_paint_is_not_reported(self, element):
+        paint = "".join(f' {name}="{self.VALUES[name]}"' for name in self.PAINT if name != "fill")
+        source = f'<defs><path id="p" d="M 0 0 L 9 9"/></defs><g fill="red"{paint}>{element}</g>'
+        output, diagnostics = convert_text(wrap_svg(source), ConvertOptions(strict=True))
+        assert output is not None and not len(diagnostics)
 
 
 class TestAnchor:
