@@ -5,8 +5,9 @@ Supported commands and their VML counterparts:
     M,m -> m      L,l -> l      H,h -> l      V,v -> l
     C,c -> c      Z,z -> x (plus the final e terminator)
 
-S/s, Q/q and T/t have no VML counterpart and are rejected; A/a is rejected
-because elliptic arcs do not translate to the VML "at" command directly.
+S/s, Q/q and T/t are not implemented yet and are rejected, though each has
+an exact cubic form; A/a is rejected because elliptic arcs do not translate
+to the VML "at" command directly.
 All VML commands are emitted in lower case over absolute coordinates.
 
 Conversion is three steps over plain tuples, which the path mapper chains
@@ -88,7 +89,7 @@ def parse_path_data(d: str, diagnostics: Diagnostics, location: LocationLike) ->
         if arity is None:
             if kind in _UNSUPPORTED:
                 diagnostics.error(
-                    "UNSUPPORTED_COMMAND", f"path command {letter!r} has no VML counterpart", location
+                    "UNSUPPORTED_COMMAND", f"path command {letter!r} is not implemented", location
                 )
             elif kind == _ARC:
                 diagnostics.error(

@@ -128,7 +128,7 @@ def old_scan_path(d, diagnostics):
         arity = ARITY.get(kind)
         if arity is None:
             if kind in "SQT":
-                diagnostics.error("UNSUPPORTED_COMMAND", f"path command {letter!r} has no VML counterpart")
+                diagnostics.error("UNSUPPORTED_COMMAND", f"path command {letter!r} is not implemented")
             elif kind == "A":
                 diagnostics.error("FUTURE_WORK_ARC", f"arc command {letter!r} is not implemented")
             else:
