@@ -30,6 +30,8 @@ from svg2vml.transform import (
     recalc_points,
 )
 
+AT = "svg/g[0]@transform"  # where the reader calls below read their list
+
 # --- independent oracles ------------------------------------------------------
 
 
@@ -107,32 +109,32 @@ def random_ops(rng, max_len=5):
 
 class TestParseTransformList:
     def test_rotate_about_point(self, diags):
-        assert parse_transform_list("rotate(20, 300, 300)", diags, "svg/g[0]@transform") == [TransformOp("rotate", (20.0, 300.0, 300.0))]
+        assert parse_transform_list("rotate(20, 300, 300)", diags, AT) == [TransformOp("rotate", (20.0, 300.0, 300.0))]
 
     def test_empty(self, diags):
-        assert parse_transform_list("", diags, "svg/g[0]@transform") == []
+        assert parse_transform_list("", diags, AT) == []
 
     def test_scale_two_args(self, diags):
-        assert parse_transform_list("scale(3,1)", diags, "svg/g[0]@transform") == [TransformOp("scale", (3.0, 1.0))]
+        assert parse_transform_list("scale(3,1)", diags, AT) == [TransformOp("scale", (3.0, 1.0))]
 
     def test_defaults(self, diags):
-        assert parse_transform_list("translate(7)", diags, "svg/g[0]@transform") == [TransformOp("translate", (7.0, 0.0))]
-        assert parse_transform_list("scale(2)", diags, "svg/g[0]@transform") == [TransformOp("scale", (2.0, 2.0))]
-        assert parse_transform_list("rotate(30)", diags, "svg/g[0]@transform") == [TransformOp("rotate", (30.0,))]
+        assert parse_transform_list("translate(7)", diags, AT) == [TransformOp("translate", (7.0, 0.0))]
+        assert parse_transform_list("scale(2)", diags, AT) == [TransformOp("scale", (2.0, 2.0))]
+        assert parse_transform_list("rotate(30)", diags, AT) == [TransformOp("rotate", (30.0,))]
 
     def test_list_with_mixed_separators(self, diags):
-        ops = parse_transform_list("translate(1 2), rotate(3)\nscale(4)", diags, "svg/g[0]@transform")
+        ops = parse_transform_list("translate(1 2), rotate(3)\nscale(4)", diags, AT)
         assert [op.name for op in ops] == ["translate", "rotate", "scale"]
 
     def test_matrix_six_values(self, diags):
-        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags, "svg/g[0]@transform") == [TransformOp("matrix", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
+        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags, AT) == [TransformOp("matrix", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
 
     @pytest.mark.parametrize(
         "bad",
         ["spin(10)", "rotate(1, 2)", "scale()", "matrix(1 2 3 4 5)", "rotate(1x)", "rotate(1) junk"],
     )
     def test_bad_lists(self, bad, diags):
-        assert parse_transform_list(bad, diags, "svg/g[0]@transform") == []
+        assert parse_transform_list(bad, diags, AT) == []
         assert "BAD_TRANSFORM" in diags.codes()
 
     @pytest.mark.parametrize(
@@ -144,7 +146,7 @@ class TestParseTransformList:
         ],
     )
     def test_argument_count_message(self, bad, message, diags):
-        assert parse_transform_list(bad, diags, "svg/g[0]@transform") == []
+        assert parse_transform_list(bad, diags, AT) == []
         assert [(d.code, d.message) for d in diags] == [("BAD_TRANSFORM", message)]
 
 
@@ -210,7 +212,7 @@ def test_one_pass_parse_agrees_with_the_scanner(text):
 
 
 def test_rotate_centres_of_minus_zero_read_as_zero(diags):
-    (op,) = parse_transform_list("rotate(30,-0,-0.0)", diags, "svg/g[0]@transform")
+    (op,) = parse_transform_list("rotate(30,-0,-0.0)", diags, AT)
     assert repr(op.args) == "(30.0, 0.0, 0.0)" and not list(diags)
 
 
