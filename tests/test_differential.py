@@ -1,4 +1,4 @@
-"""The differential check's fragment generator (tools/differential.py)."""
+"""The differential check (tools/differential.py): its fragment generator and its classifier."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +30,77 @@ def test_only_the_malformed_family_is_malformed(seed):
     for family, name, text in differential.build_fragments(seed, 80):
         if family != "malformed-with-undeclared-prefix":
             assert "MALFORMED_XML" not in convert_text(text)[1].codes(), name
+
+
+# --- classify, on hand-made result pairs ------------------------------------------
+
+
+def results(digest="aaaa", lines=(), strict=None):
+    """One document's runs at every setting: the same output and diagnostics
+    at each, or at the strict settings the run given as strict."""
+    return [
+        strict if strict is not None and name.endswith("+strict") else [digest, list(lines)]
+        for name in differential.SETTING_NAMES
+    ]
+
+
+def test_classify_changed_bytes_only():
+    assert differential.classify(results("aaaa"), results("bbbb")) == {"bytes": "default: output aaaa -> bbbb"}
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("error BAD_PATH: old words @svg/path[0]@d", "error BAD_PATH: new words @svg/path[0]@d"),
+        ("warning DUPLICATE_ID: duplicate id 'a'; first", "warning DUPLICATE_ID: duplicate id 'b'; first"),
+    ],
+    ids=["located", "no-location"],
+)
+def test_classify_a_changed_message_at_the_same_location(old, new):
+    code = old.split(" ")[1].rstrip(":")
+    assert differential.classify(results(lines=[old]), results(lines=[new])) == {f"~{code}": f"default: {old}"}
+
+
+def test_classify_the_same_code_at_another_location_is_gone_and_new():
+    old = results(lines=["error BAD_PATH: words @svg/path[0]@d"])
+    new = results(lines=["error BAD_PATH: words @svg/path[1]@d"])
+    assert differential.classify(old, new) == {
+        "-BAD_PATH": "default: error BAD_PATH: words @svg/path[0]@d",
+        "+BAD_PATH": "default: error BAD_PATH: words @svg/path[1]@d",
+    }
+
+
+def test_classify_a_new_code_with_its_bytes():
+    kept = "warning MISSING_VIEWBOX: svg has no viewBox; coordinate system defaults @svg"
+    came = "warning UNSUPPORTED_ATTRIBUTE: fill on a text has no VML mapping and is ignored @svg/text[0]"
+    classes = differential.classify(results("aaaa", [kept]), results("bbbb", [kept, came]))
+    assert classes == {"+UNSUPPORTED_ATTRIBUTE": f"default: {came}", "bytes": "default: output aaaa -> bbbb"}
+
+
+@pytest.mark.parametrize(
+    "old,new,kind",
+    [
+        (["raised ValueError"], ["aaaa", []], "raised: raised ValueError -> returned"),
+        (["aaaa", []], ["raised KeyError"], "raised: returned -> raised KeyError"),
+        (["raised ValueError"], ["raised KeyError"], "raised: raised ValueError -> raised KeyError"),
+    ],
+    ids=["raised-returned", "returned-raised", "raised-raised"],
+)
+def test_classify_returned_against_raised(old, new, kind):
+    old_results = [old] * len(differential.SETTING_NAMES)
+    new_results = [new] * len(differential.SETTING_NAMES)
+    assert differential.classify(old_results, new_results) == {kind: "default"}
+
+
+def test_classify_malformed_xml_that_now_parses_is_one_class():
+    malformed = "error MALFORMED_XML: not well-formed XML: mismatched tag: line 1, column 9"
+    parsed = ["warning MISSING_VIEWBOX: svg has no viewBox; coordinate system defaults @svg"]
+    classes = differential.classify(results(None, [malformed]), results("aaaa", parsed))
+    assert list(classes) == ["parses now, was MALFORMED_XML"]
+    assert malformed in classes["parses now, was MALFORMED_XML"]
+
+
+def test_classify_a_difference_at_strict_settings_only():
+    old = results(strict=[None, ["error BAD_PATH: words @svg/path[0]@d"]])
+    new = results(strict=["raised ConversionError"])
+    assert differential.classify(old, new) == {"strict settings only": "see the +strict settings"}
