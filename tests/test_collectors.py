@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from svg2vml.diagnostics import ConversionError, Diagnostics
+from svg2vml.diagnostics import Diagnostics
 from svg2vml.path_data import parse_path_data
 from svg2vml.style import map_stroke_attribute, resolve_fill_reference, resolve_gradient
 from svg2vml.svg_dom import parse_length, parse_points, parse_svg, parse_view_box
@@ -53,16 +53,6 @@ def test_the_fault_lands_in_the_given_collector(name):
     diagnostics = Diagnostics()
     read(diagnostics, "svg/here[0]")
     assert [(d.code, d.location) for d in diagnostics] == [(code, "svg/here[0]")]
-
-
-@pytest.mark.parametrize("name", READERS)
-def test_a_strict_collector_stops_the_reader(name):
-    read, code = READERS[name]
-    diagnostics = Diagnostics(strict=True)
-    with pytest.raises(ConversionError) as raised:
-        read(diagnostics, "svg/here[0]")
-    assert raised.value.diagnostic.code == code
-    assert diagnostics.codes() == [code]
 
 
 def test_parse_svg_reports_into_the_given_collector():
