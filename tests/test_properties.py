@@ -1,5 +1,7 @@
 """Properties of convert_text over arbitrary str input."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,28 @@ def test_a_binary_use_tree_is_cut_at_the_expansion_budget():
     strict_output, diagnostics = convert_text(text, ConvertOptions(strict=True))
     assert strict_output is None
     assert diagnostics.codes() == ["EXPANSION_LIMIT"]
+
+
+@pytest.mark.parametrize(
+    "build,digest,located",
+    [
+        (_use_under_groups, "2aefa7bef444db058f250116278262aab79c43cecaf91dd37ec2ce690d9cf964",
+         [("TOO_DEEP", "svg/g[1]" + "/g[0]" * 189 + "/use[0]" + "/g[0]" * 8)]),
+        (_linked_chains, "10b2c41513fc767aa39f65e4c8346891e86839f927bba7ebfc7595c67794b751",
+         [("TOO_DEEP", "svg/defs[0]" + "/g[0]" * 150 + "/use[0]" + "/g[0]" * 47)]),
+        (_flat_use_chain, "3dc91dc2ccd1c72fd378fd309014f9fac177ea6a7f0c23f0b4f7751072c29a46",
+         [("TOO_DEEP", "svg/defs[0]/use[0]"), ("EXPANSION_LIMIT", "svg/defs[0]/use[747]")]),
+        (lambda: _binary_use_tree(18), "718c60b99447008af26ee92a6c401b3c27486f94f1806a59b829314a5317d610",
+         [("EXPANSION_LIMIT", "svg/defs[0]/g[14]" + "/use[0]" * 5 + "/use[1]" * 3 + "/use[0]" * 3)]),
+    ],
+    ids=["_use_under_groups", "_linked_chains", "_flat_use_chain", "_binary_use_tree(18)"],
+)
+def test_use_pathologies_keep_their_output_and_locations(build, digest, located):
+    # The codes alone let a copy cut at one depth be reused at another; the
+    # bytes and where each cut is reported do not.  Measured in lenient mode.
+    output, diagnostics = convert_text(build())
+    assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
+    assert [(d.code, d.location) for d in diagnostics] == located
 
 
 @pytest.mark.parametrize("uses", [100, 1000])
