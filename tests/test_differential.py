@@ -25,6 +25,24 @@ def test_every_family_is_drawn_in_turn():
     assert families == 2 * list(differential.FRAGMENT_FAMILIES)
 
 
+def _family(family, seed, count):
+    return [text for drawn, _, text in differential.build_fragments(seed, count) if drawn == family]
+
+
+def test_the_copies_family_is_the_same_for_the_same_seed():
+    first = _family("copies", 3, 120)
+    assert len(first) == 10
+    assert first == _family("copies", 3, 120)
+    assert first != _family("copies", 4, 120)
+
+
+def test_the_copies_family_leaves_the_other_families_their_fragments(monkeypatch):
+    drawn = [(family, text) for family, _, text in differential.build_fragments(5, 48) if family != "copies"]
+    others = tuple(family for family in differential.FRAGMENT_FAMILIES if family != "copies")
+    monkeypatch.setattr(differential, "FRAGMENT_FAMILIES", others)
+    assert drawn == [(family, text) for family, _, text in differential.build_fragments(5, 44)]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_only_the_malformed_family_is_malformed(seed):
     for family, name, text in differential.build_fragments(seed, 80):

@@ -84,6 +84,7 @@ FRAGMENT_FAMILIES = (
     "transforms",  # every transformed element family under nested transformed groups
     "outside-grammar",  # characters outside the number grammar in every numeric attribute
     "inheritance",  # paint values, some faulty, on nested g and a over shapes, text and use
+    "copies",  # reference targets used again and again, faulty ones, cycles, the depth cap and the budget
 )
 
 NUMBERS = ("0", "1", "2.5", "-3", ".5", "-.5e-2", "1e3", "2em", "10px", "3pt", "nan", "inf", "abc", "",
@@ -283,9 +284,66 @@ def _inheritance(rng: random.Random) -> str:
     return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100">{defs}{body}</svg>'
 
 
+# The "copies" family: reference targets, each used several times under
+# transforms and paints drawn from short lists, so that some copies repeat a
+# chain and paint and others do not.
+COPY_TRANSFORMS = ("", "", "translate(3,4)", "scale(2)", "rotate(30)", "skewX(10)", "scale(2) translate(1,1)")
+COPY_PAINTS = ("", "", ' fill="red"', ' fill="url(#fade)"', ' stroke="navy" stroke-width="2"', ' opacity="0.5"',
+               ' fill="none"', ' stroke-linecap="wide"')
+COPY_TARGETS = (
+    # one symbol of every drawn family
+    '<g id="sym"><rect x="1" y="1" width="4" height="3"/><circle cx="2" cy="2" r="2" transform="scale(2)"/>'
+    '<path d="M 0 0 L 5 5 C 1 2 3 4 5 6"/><polyline points="0,0 3,1 4,4"/>'
+    '<text x="1" y="9" font-size="8">t</text></g>',
+    # nested symbols: s2 uses s1 twice, s1 uses s0 twice
+    '<g id="s0"><rect width="2" height="2"/><ellipse rx="2" ry="1"/></g>'
+    '<g id="s1"><use xlink:href="#s0"/><use xlink:href="#s0" x="3" fill="blue"/></g>'
+    '<g id="s2" stroke="black"><use xlink:href="#s1"/><use xlink:href="#s1" y="5"/></g>',
+    # faulty targets: each reports, so each reference maps them again
+    '<rect id="bad-unit" width="1em" height="2"/><path id="bad-path" d="M 0 0 L 10"/>'
+    '<rect id="bad-fill" width="2" height="2" fill="url(#nope)"/>'
+    '<g id="bad-group" stroke-width="-2"><rect width="2" height="2"/></g>',
+    # circular references, direct and through a second target
+    '<g id="loop"><rect width="1" height="1"/><use xlink:href="#loop"/></g>'
+    '<g id="ping"><use xlink:href="#pong"/></g><g id="pong"><circle r="1"/><use xlink:href="#ping"/></g>',
+)
+COPY_IDS = ("sym", "s0", "s1", "s2", "bad-unit", "bad-path", "bad-fill", "bad-group", "loop", "ping", "pong")
+
+
+def _copies(rng: random.Random) -> str:
+    """Uses of shared targets under transforms and paints, faulty and circular targets, a
+    target whose depth brings its copies to the depth cap, and at times a use tree past
+    the expansion budget."""
+    ids = list(COPY_IDS)
+    deep_levels = rng.randint(185, 198)
+    defs = "".join(COPY_TARGETS) + '<g id="deep">' + "<g>" * deep_levels + '<rect width="1" height="1"/>'
+    defs += "</g>" * deep_levels + "</g>"
+    ids += ["deep"] * 3
+    if rng.random() < 0.05:
+        # 2 ** 16 copies of two rects: far past the budget of so small a document
+        defs += '<g id="t0"><rect width="1" height="1"/><rect x="2" width="1" height="1"/></g>'
+        defs += "".join(f'<g id="t{level}">' + f'<use xlink:href="#t{level - 1}"/>' * 2 + "</g>" for level in range(1, 17))
+        ids.append("t16")
+    body = ""
+    for _ in range(rng.randint(2, 8)):
+        xy = f' x="{rng.randint(-5, 40)}" y="{rng.randint(-5, 40)}"' if rng.random() < 0.5 else ""
+        element = f'<use xlink:href="#{rng.choice(ids)}"{xy}{rng.choice(COPY_PAINTS)}/>'
+        for _ in range(rng.randint(0, 2)):
+            transform = rng.choice(COPY_TRANSFORMS)
+            attribute = f' transform="{transform}"' if transform else ""
+            element = f"<g{attribute}{rng.choice(COPY_PAINTS)}>{element}</g>"
+        if rng.random() < 0.2:
+            levels = rng.randint(1, 14)  # the deep target's copies then cross the cap by a few levels
+            element = "<g>" * levels + element + "</g>" * levels
+        body += element
+    gradient = ('<linearGradient id="fade" x2="1"><stop offset="0" stop-color="red"/>'
+                '<stop offset="1" stop-color="blue"/></linearGradient>')
+    return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100"><defs>{gradient}{defs}</defs>{body}</svg>'
+
+
 # Families that draw from a generator of their own, so adding one leaves the
 # fragments of every other family as they were.
-OWN_GENERATOR = {"outside-grammar": _outside_grammar, "inheritance": _inheritance}
+OWN_GENERATOR = {"outside-grammar": _outside_grammar, "inheritance": _inheritance, "copies": _copies}
 
 
 def _fragment(family: str, rng: random.Random) -> str:
