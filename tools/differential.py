@@ -311,14 +311,17 @@ COPY_IDS = ("sym", "s0", "s1", "s2", "bad-unit", "bad-path", "bad-fill", "bad-gr
 
 
 def _copies(rng: random.Random) -> str:
-    """Uses of shared targets under transforms and paints, faulty and circular targets, a
-    target whose depth brings its copies to the depth cap, and at times a use tree past
-    the expansion budget."""
+    """Uses of shared targets under transforms and paints, faulty and circular targets,
+    targets whose depth brings their copies to the depth cap, and at times a use tree
+    past the expansion budget."""
     ids = list(COPY_IDS)
     deep_levels = rng.randint(185, 198)
-    defs = "".join(COPY_TARGETS) + '<g id="deep">' + "<g>" * deep_levels + '<rect width="1" height="1"/>'
-    defs += "</g>" * deep_levels + "</g>"
-    ids += ["deep"] * 3
+    chain = "<g>" * deep_levels + '<rect width="1" height="1"/>' + "</g>" * deep_levels
+    # deep, a target that reuses it, and one whose depth comes before a copy it maps first
+    defs = "".join(COPY_TARGETS) + f'<g id="deep">{chain}</g><g id="deep-outer"><use xlink:href="#deep"/></g>'
+    defs += f'<g id="deep-first">{chain}<use xlink:href="#late"/></g><circle id="late" r="1"/>'
+    # and one outside defs, so that its first copy may be the deepest
+    ids += ["deep", "deep-outer", "deep-first", "free"] * 3
     if rng.random() < 0.05:
         # 2 ** 16 copies of two rects: far past the budget of so small a document
         defs += '<g id="t0"><rect width="1" height="1"/><rect x="2" width="1" height="1"/></g>'
@@ -332,12 +335,13 @@ def _copies(rng: random.Random) -> str:
             transform = rng.choice(COPY_TRANSFORMS)
             attribute = f' transform="{transform}"' if transform else ""
             element = f"<g{attribute}{rng.choice(COPY_PAINTS)}>{element}</g>"
-        if rng.random() < 0.2:
-            levels = rng.randint(1, 14)  # the deep target's copies then cross the cap by a few levels
+        if rng.random() < 0.3:
+            levels = rng.randint(1, 14)  # the deep targets' copies then cross the cap by a few levels
             element = "<g>" * levels + element + "</g>" * levels
         body += element
     gradient = ('<linearGradient id="fade" x2="1"><stop offset="0" stop-color="red"/>'
                 '<stop offset="1" stop-color="blue"/></linearGradient>')
+    body += f'<g id="free">{chain}</g>'
     return f'<svg{SVG_DECLARATIONS} viewBox="0 0 100 100" width="100" height="100"><defs>{gradient}{defs}</defs>{body}</svg>'
 
 
