@@ -12,6 +12,13 @@ moved origin goes through `_write_box` again.  The paint and transform of a
 group (a g or an a) are not emitted on the group itself: its context carries
 them down, parsed once (`style.Paint`, `transform.Chain`), and each element
 extends them by its own values, which take precedence.
+
+VML has no reference mechanism, so a use holds a copy of its target, mapped
+under the use's context.  Each child of a defs and each use target goes
+through one helper, `_map_copy`: within one map_document call, a target
+already mapped under the same chain and paint is appended again, not mapped
+again, where that copy is exact.  The mapped tree may therefore hold one node
+at several places; the emitter only reads it.
 """
 
 from __future__ import annotations
@@ -90,6 +97,28 @@ class VmlNode(TreeNode):
         return None
 
 
+class Conversion:
+    """What every context of one map_document call shares.
+
+    budget     mapper calls left; the first call past it reports EXPANSION_LIMIT
+    referring  the ids of the use targets being mapped, which a reference
+               inside them may not name again
+    deepest    the deepest level a _map_node call has reached since the copy
+               being mapped began (see _map_copy)
+    copies     each exact copy of a reference target, keyed by (target, chain,
+               paint): the mapped subtree, its mapper calls, and how many
+               levels below the target it reaches
+    """
+
+    __slots__ = ("budget", "referring", "deepest", "copies")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.referring: set[str] = set()
+        self.deepest = 0
+        self.copies: dict[tuple, tuple[Optional[VmlNode], int, int]] = {}
+
+
 class MapperContext:
     """What mapping one element reads from its place in the tree.
 
@@ -97,17 +126,15 @@ class MapperContext:
     """
 
     def __init__(self, document: SvgDocument, root_size: RootSize, options: ConvertOptions,
-                 diagnostics: Diagnostics, budget: list[int], paint: Paint = NO_PAINT,
-                 chain: Chain = EMPTY_CHAIN, ref_stack: frozenset = frozenset(),
-                 location: LocationLike = "svg", depth: int = 1):
+                 diagnostics: Diagnostics, conversion: Conversion, paint: Paint = NO_PAINT,
+                 chain: Chain = EMPTY_CHAIN, location: LocationLike = "svg", depth: int = 1):
         self.document = document
         self.root_size = root_size
         self.options = options
         self.diagnostics = diagnostics
-        self.budget = budget  # mapper calls left, one counter shared by every context of a document
+        self.conversion = conversion  # one per document, shared by every context
         self.paint = paint  # what the enclosing groups hand down
         self.chain = chain
-        self.ref_stack = ref_stack
         self.location = location
         self.depth = depth  # the root svg is level 1; each child and each use hop adds one
 
@@ -552,15 +579,15 @@ def _map_verbatim(node: SvgNode) -> VmlNode:
 
 
 def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """defs -> a hidden div; the content only shows through references."""
+    """defs -> a hidden div; the content only shows through references, which share its copies."""
     div = _new(node, "div")
     div.style["visibility"] = "hidden"
-    _map_children(node, ctx, div)
+    _map_children(node, ctx, div, _map_copy)
     return div
 
 
 def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    """use -> a div containing the referenced element, mapped again in place under the use's paint."""
+    """use -> a div containing the referenced element's copy under the use's paint."""
     div = _new(node, "div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
@@ -574,8 +601,10 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     if target is None:
         return None
     ref_id = target.attributes.get("id") or ""
-    child_ctx = ctx.derive(paint=paint, ref_stack=ctx.ref_stack | {ref_id}, depth=ctx.depth + 1)
-    mapped = _map_node(target, child_ctx)
+    referring = ctx.conversion.referring
+    referring.add(ref_id)
+    mapped = _map_copy(target, ctx.derive(paint=paint, depth=ctx.depth + 1))
+    referring.discard(ref_id)
     if mapped is not None:
         div.children.append(mapped)
     return div
@@ -592,7 +621,7 @@ def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
         ctx.diagnostics.error("DANGLING_REF", f"unresolvable reference {raw!r}", ctx.location)
         return None
     ref_id = raw[1:]
-    if ref_id in ctx.ref_stack:
+    if ref_id in ctx.conversion.referring:
         ctx.diagnostics.error("DANGLING_REF", f"circular reference to #{ref_id}", ctx.location)
         return None
     target = ctx.document.id_index.get(ref_id)
@@ -634,7 +663,11 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
 }
 
 def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
-    if ctx.depth > MAX_DEPTH:
+    conversion = ctx.conversion
+    depth = ctx.depth
+    if depth > conversion.deepest:
+        conversion.deepest = depth
+    if depth > MAX_DEPTH:
         # Parsing caps the tree, but use targets stack their depth on the use's.
         if not ctx.diagnostics.has_code("TOO_DEEP"):
             message = f"elements nest deeper than {MAX_DEPTH} levels through use; the deeper ones are skipped"
@@ -642,10 +675,10 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
     mapper = _MAPPERS.get(node.tag)
     if mapper is not None:
-        ctx.budget[0] -= 1
-        if ctx.budget[0] >= 0:
+        conversion.budget -= 1
+        if conversion.budget >= 0:
             return mapper(node, ctx)
-        if ctx.budget[0] == -1:
+        if conversion.budget == -1:
             budget = expansion_budget(ctx.document.elements)
             message = f"use copies map more than {budget} elements; the rest are skipped"
             ctx.diagnostics.error("EXPANSION_LIMIT", message, ctx.location)
@@ -660,10 +693,45 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return None
 
 
-def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode) -> None:
+def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+    """A reference target mapped under ctx: the subtree an earlier copy mapped, where it is exact.
+
+    A copy depends only on its target, chain and paint, and the emitter only
+    reads the tree, so a copy under the same chain and paint appends the same
+    subtree again.  A copy is kept only when it is exact anywhere: it reported
+    nothing, stayed inside the budget and was not cut at the depth cap (after
+    the first TOO_DEEP a cut is silent).  Its reuse charges the budget its
+    mapper calls; where those calls or its levels do not fit, the target is
+    mapped again, so each cut and its report fall where they would.
+    """
+    conversion = ctx.conversion
+    depth = ctx.depth
+    paint = ctx.paint
+    key = (id(node), ctx.chain, tuple(paint.values.items()), paint.opacity)
+    copy = conversion.copies.get(key)
+    if copy is not None:
+        mapped, calls, span = copy
+        if calls <= conversion.budget and depth + span <= MAX_DEPTH:
+            conversion.budget -= calls
+            if depth + span > conversion.deepest:
+                conversion.deepest = depth + span
+            return mapped
+    reported, budget, deepest = len(ctx.diagnostics), conversion.budget, conversion.deepest
+    conversion.deepest = depth
+    mapped = _map_node(node, ctx)
+    reached = conversion.deepest
+    if reached <= MAX_DEPTH and conversion.budget >= 0 and len(ctx.diagnostics) == reported:
+        conversion.copies[key] = (mapped, budget - conversion.budget, reached - depth)
+    if deepest > reached:
+        conversion.deepest = deepest
+    return mapped
+
+
+def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode,
+                  map_child: Callable[[SvgNode, MapperContext], Optional[VmlNode]] = _map_node) -> None:
     for index, child in enumerate(node.children):
         child_ctx = ctx.at(f"/{child.name}[{index}]")
-        mapped = _map_node(child, child_ctx)
+        mapped = map_child(child, child_ctx)
         if mapped is not None:
             parent.children.append(mapped)
 
@@ -681,6 +749,6 @@ def map_document(
         root_size=RootSize(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
-        budget=[expansion_budget(doc.elements)],
+        conversion=Conversion(expansion_budget(doc.elements)),
     )
     return map_svg_root(doc.root, ctx), diagnostics

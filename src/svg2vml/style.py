@@ -99,10 +99,11 @@ class Paint(NamedTuple):
     """The paint an element draws with: its own values over those its groups hand down.
 
     values maps each fill and stroke property, in writing order, to its VML:
-    a fill to its v:fill attributes, a stroke property to its (v:stroke
-    attribute, value) pair, "none" to its NONE_FLAGS entry, and a value that
-    does not parse to None, which writes nothing.  opacity is the product
-    down the group chain, None when no element sets one.
+    a fill to its v:fill attributes as (name, value) pairs, a stroke property
+    to its (v:stroke attribute, value) pair, "none" to its NONE_FLAGS entry,
+    and a value that does not parse to None, which writes nothing.  Every
+    value is a tuple or None, so a paint's items hash.  opacity is the
+    product down the group chain, None when no element sets one.
     """
 
     values: dict
@@ -125,8 +126,11 @@ class Paint(NamedTuple):
             elif raw == "none" and name in NONE_FLAGS:
                 values[name] = NONE_FLAGS[name]
             elif name == "fill":
-                url = raw.strip().startswith("url(")
-                values[name] = resolve_fill_reference(raw, document, diagnostics, location) if url else {"color": raw}
+                if raw.strip().startswith("url("):
+                    fill = resolve_fill_reference(raw, document, diagnostics, location)
+                    values[name] = None if fill is None else tuple(fill.items())
+                else:
+                    values[name] = (("color", raw),)
             else:
                 values[name] = map_stroke_attribute(name, raw, precision, diagnostics, location)
         if "fill-opacity" in node.attributes:

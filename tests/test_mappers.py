@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -612,6 +613,80 @@ class TestReferences:
         assert [(d.code, d.message, d.location) for d in diags] == [
             ("DANGLING_REF", "unresolvable reference ''", "svg/use[1]")
         ]
+
+
+class TestSharedCopies:
+    """A reference target is mapped once per chain and paint; its copies share the subtree where that is exact."""
+
+    def test_a_sprite_sheet_maps_its_paths_once(self, monkeypatch):
+        calls = []
+        map_path = _MAPPERS["path"]
+        monkeypatch.setitem(_MAPPERS, "path", lambda node, ctx: calls.append(node) or map_path(node, ctx))
+        paths = "".join(f'<path d="M {index} 0 L {index} 9"/>' for index in range(20))
+        copies = "".join(f'<use xlink:href="#i" x="{index}"/>' for index in range(1000))
+        tree, diags = map_snippet(f'<defs><g id="i">{paths}</g></defs>{copies}')
+        assert not len(diags)
+        assert len(calls) == 20
+        hidden, first, second = tree.children[:3]
+        assert first.children[0] is second.children[0] is hidden.children[0]
+        assert len(find_all(tree, "v:shape")) == 20 * 1001
+
+    def test_a_faulty_target_reports_at_each_reference(self):
+        tree, diags = map_snippet(
+            '<defs><rect id="r" width="1em" height="2"/></defs><use xlink:href="#r"/><use xlink:href="#r"/>'
+        )
+        assert [(d.code, d.location) for d in diags] == [
+            ("UNSUPPORTED_UNIT", "svg/defs[0]/rect[0]@width"),
+            ("UNSUPPORTED_UNIT", "svg/use[1]@width"),
+            ("UNSUPPORTED_UNIT", "svg/use[2]@width"),
+        ]
+
+    def test_each_chain_and_paint_has_its_own_copy(self):
+        tree, diags = map_snippet(
+            '<defs><rect id="r" width="2" height="2"/></defs>'
+            '<use xlink:href="#r"/>'
+            '<g transform="translate(1,2)"><use xlink:href="#r"/></g>'
+            '<use xlink:href="#r" fill="red"/>'
+            '<g opacity="0.5"><use xlink:href="#r"/></g>'
+            '<g transform="scale(2)"><use xlink:href="#r"/></g>'
+            '<g transform="scale(2)"><use xlink:href="#r"/></g>'
+        )
+        assert not len(diags)
+        copies = find_all(tree, "v:roundrect")
+        assert len(copies) == 7
+        hidden, plain, moved, red, faded, scaled, scaled_again = copies
+        assert plain is hidden
+        assert scaled_again is scaled  # an equal chain under another group
+        assert len({id(copy) for copy in copies}) == 5
+        assert moved.style["left"] == "1" and red.find("v:fill").attributes == {"color": "red"}
+        assert "Alpha(opacity=50)" in faded.style["filter"] and scaled.find("v:skew") is not None
+
+    DEEP = "<g>" * 9 + '<rect width="1" height="1"/>' + "</g>" * 9
+
+    @pytest.mark.parametrize(
+        "defs,cut_below_use,digest",
+        [
+            # the copy itself reaches 10 levels below its target
+            (f'<g id="x">{DEEP}</g>', "/g[0]" * 8,
+             "acc2c733471268688362119ecc0d1157861d5dd7b9e95cd24c576522c29bc6a8"),
+            # its depth comes from a copy it reuses
+            (f'<g id="y">{DEEP}</g><g id="x"><use xlink:href="#y"/></g>', "/use[0]" + "/g[0]" * 6,
+             "8e4f3b0d7f4dea6d3d2e0cad788bad80b9044cb1cca42ce8fa58ba965ead9e4e"),
+            # its depth comes before a shallower copy it maps
+            (f'<g id="x">{DEEP}<use xlink:href="#y"/></g><rect id="y" width="1" height="1"/>', "/g[0]" * 8,
+             "510458358e288d5c0bf3e5433e6882f9c09a3df2d7c9b9c9ef994922fc6079d5"),
+        ],
+        ids=["own-depth", "reused-depth", "depth-before-a-copy"],
+    )
+    def test_a_copy_reused_past_the_depth_cap_is_cut_where_it_was(self, defs, cut_below_use, digest):
+        # The copy from defs fits where the shallow use reuses it; under 190
+        # groups it would pass the cap, so it is mapped again and cut.
+        deep_use = "<g>" * 190 + '<use xlink:href="#x"/>' + "</g>" * 190
+        text = f'<svg viewBox="0 0 9 9"><defs>{defs}</defs><use xlink:href="#x"/>{deep_use}</svg>'
+        output, diags = convert_text(text)
+        cut_at = "svg/g[2]" + "/g[0]" * 189 + "/use[0]" + cut_below_use
+        assert [(d.code, d.location) for d in diags] == [("TOO_DEEP", cut_at)]
+        assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
 
 
 class TestTextPath:
