@@ -62,25 +62,35 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
     return name, _attributes_text(node.attributes)
 
 
-def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "") -> None:
+# A foreignObject's tag in the mapped tree and in the parsed one: its
+# content is HTML, where white space between elements is text.
+_HTML_HOSTS = ("v:textbox", "foreignObject")
+
+
+def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "",
+               in_html: bool = False) -> None:
     """Append one line per element; an element with character content goes
     on one line with its whole subtree, so the payload stays intact.  The
-    text of an element with no children counts even when it is white space."""
+    text of an element with no children counts even when it is white space,
+    and so does the tail of any element in a foreignObject."""
     pad = _INDENT * depth if pretty else ""
     text, children = node.text, node.children
-    if (text and (not children or text.strip())) or (
-        children and any([child.tail and child.tail.strip() for child in children])
-    ):
+    if children:
+        if not in_html:
+            in_html = node.tag in _HTML_HOSTS
+        if (text and text.strip()) or any([child.tail and (in_html or child.tail.strip()) for child in children]):
+            lines.append(pad + _inline(node, head, extra))
+            return
+        name, attrs = head(node)
+        lines.append(f"{pad}<{name}{extra}{attrs}>")
+        for child in children:
+            _serialize(child, head, lines, depth + 1, pretty, "", in_html)
+        lines.append(f"{pad}</{name}>")
+    elif text:
         lines.append(pad + _inline(node, head, extra))
-        return
-    name, attrs = head(node)
-    if not children:
+    else:
+        name, attrs = head(node)
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
-        return
-    lines.append(f"{pad}<{name}{extra}{attrs}>")
-    for child in children:
-        _serialize(child, head, lines, depth + 1, pretty)
-    lines.append(f"{pad}</{name}>")
 
 
 def _inline(node: Node, head: Head, extra: str = "") -> str:

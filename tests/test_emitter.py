@@ -227,6 +227,18 @@ class TestWhiteSpaceOnlyText:
         output, _ = convert_text(wrap_svg(body), ConvertOptions(pretty=pretty, strict=True))
         assert '<v:textbox style="left:1;top:1;"/>' in output
 
+    @MODES
+    @PRETTY
+    @pytest.mark.parametrize(
+        "content",
+        ["<div><b>a</b> <i>b</i></div>", "<b>a</b> <i>b</i>", "<div><p>x</p>\n  </div>"],
+        ids=["between-children", "in-the-foreign-object", "after-the-last-child"],
+    )
+    def test_a_tail_in_foreign_content(self, mode, pretty, content):
+        body = f"<foreignObject width='9' height='9'>{content}</foreignObject>"
+        output, diagnostics = convert_text(wrap_svg(body), ConvertOptions(mode=mode, pretty=pretty, strict=True))
+        assert content in output
+
     def test_an_empty_element_still_closes_itself(self):
         output = convert("<foreignObject width='9' height='9'><div>a<b></b>c</div></foreignObject>", "xhtml")
         assert "<div>a<b/>c</div>" in output
@@ -257,19 +269,23 @@ def reference_svg_head(node):
     return name, reference_attributes_text(node.attributes)
 
 
-def reference_serialize(node, head, lines, depth, pretty, extra=""):
+def reference_serialize(node, head, lines, depth, pretty, extra="", in_html=False):
     pad = "  " * depth if pretty else ""
     name, attrs = head(node)
+    # A foreignObject's content is HTML: there, a white-space tail is character content too.
+    in_html = in_html or name in ("v:textbox", "svg:foreignObject")
     has_text = bool(node.text and node.text.strip())
     if not node.children and not node.text:
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
         return
-    if has_text or not node.children or any(child.tail and child.tail.strip() for child in node.children):
+    if has_text or not node.children or any(
+        child.tail and (in_html or child.tail.strip()) for child in node.children
+    ):
         lines.append(pad + reference_inline(node, head, extra))
         return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
-        reference_serialize(child, head, lines, depth + 1, pretty)
+        reference_serialize(child, head, lines, depth + 1, pretty, in_html=in_html)
     lines.append(f"{pad}</{name}>")
 
 
@@ -333,7 +349,7 @@ def svg_trees():
     def node(name, attributes, children, text, tail):
         return SvgNode(name if name in IMPLEMENTED_TAGS else "unknown", name, attributes, children, text, tail)
 
-    names = st.sampled_from(["svg", "g", "rect", "text", "div", "b"])
+    names = st.sampled_from(["svg", "g", "rect", "text", "foreignObject", "div", "b"])
     leaf = st.builds(node, names, attribute_tables, st.just([]), maybe_payloads, maybe_payloads)
     return st.recursive(
         leaf,
