@@ -1,6 +1,7 @@
 """The differential check (tools/differential.py): its fragment generator and its classifier."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def test_the_copies_family_leaves_the_other_families_their_fragments(monkeypatch
     others = tuple(family for family in differential.FRAGMENT_FAMILIES if family != "copies")
     monkeypatch.setattr(differential, "FRAGMENT_FAMILIES", others)
     assert drawn == [(family, text) for family, _, text in differential.build_fragments(5, 44)]
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r'<div xmlns="http://www.w3.org/1999/xhtml">\s+<b>', r"</(b|i|span)>\s+<(b|i|span)>", r"</(b|i|span)><(b|i|span)>"],
+    ids=["white-space-before-a-first-child", "white-space-tail", "adjacent-elements"],
+)
+def test_foreign_content_draws_white_space_and_adjacent_elements(pattern):
+    assert re.search(pattern, "".join(text for _, _, text in differential.build_fragments(1, 240)))
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -132,6 +132,9 @@ INHERITING_ELEMENTS = ('<rect width="10" height="5"{p}/>', '<circle r="4"{p}/>',
                        '<polyline points="0,0 10,0 20,10"{p}/>', '<text x="1" y="20" font-size="8"{p}>t</text>',
                        '<foreignObject width="5" height="5"{p}/>', '<use xlink:href="#shared"{p}/>')
 TEXTS = ("plain", "a &amp; b", "<![CDATA[x<y]]>", "one <!-- c --> two", "&#38;&#169;", "p<?pi x?>q", "\n  ")
+# Text around the inline elements of foreignObject content: none (adjacent
+# elements), white space, which HTML renders, and a word.
+GAPS = ("", "", " ", "\n  ", "x")
 
 
 class _Fragments:
@@ -202,7 +205,9 @@ class _Fragments:
         if kind == "use":
             return f"<{p}use{self.attrs('x', 'y')}{self.href() if rng.random() < 0.9 else ''}/>"
         if kind == "foreignObject":
-            inner = f'{rng.choice(TEXTS)}<div xmlns="http://www.w3.org/1999/xhtml">{rng.choice(TEXTS)}<b>b</b></div>'
+            tags = rng.sample(("b", "i", "span"), rng.randint(1, 3))
+            run = "".join(f"<{tag}>{tag}</{tag}>{rng.choice(GAPS)}" for tag in tags)
+            inner = f'{rng.choice(TEXTS)}<div xmlns="http://www.w3.org/1999/xhtml">{rng.choice(TEXTS + GAPS)}{run}</div>'
             return f"<{p}foreignObject{self.attrs('x', 'y', 'width', 'height')}>{inner}</{p}foreignObject>"
         return f"<{p}{kind}{self.attrs()}>{rng.choice(TEXTS)}</{p}{kind}>"
 
