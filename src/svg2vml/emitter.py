@@ -63,28 +63,25 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
 
 
 # A foreignObject's tag in the mapped tree and in the parsed one: its
-# content is HTML, where white space between elements is text.
+# content is HTML, where all text, white space included, is character content.
 _HTML_HOSTS = ("v:textbox", "foreignObject")
 
 
-def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "",
-               in_html: bool = False) -> None:
-    """Append one line per element; an element with character content goes
-    on one line with its whole subtree, so the payload stays intact.  The
-    text of an element with no children counts even when it is white space,
-    and so does the tail of any element in a foreignObject."""
+def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "") -> None:
+    """Append one line per element; an HTML host and an element with
+    character content go on one line with their whole subtree, so the
+    payload stays as written.  The text of an element with no children
+    counts even when it is white space."""
     pad = _INDENT * depth if pretty else ""
     text, children = node.text, node.children
     if children:
-        if not in_html:
-            in_html = node.tag in _HTML_HOSTS
-        if (text and text.strip()) or any([child.tail and (in_html or child.tail.strip()) for child in children]):
+        if node.tag in _HTML_HOSTS or (text and text.strip()) or any([c.tail and c.tail.strip() for c in children]):
             lines.append(pad + _inline(node, head, extra))
             return
         name, attrs = head(node)
         lines.append(f"{pad}<{name}{extra}{attrs}>")
         for child in children:
-            _serialize(child, head, lines, depth + 1, pretty, "", in_html)
+            _serialize(child, head, lines, depth + 1, pretty)
         lines.append(f"{pad}</{name}>")
     elif text:
         lines.append(pad + _inline(node, head, extra))

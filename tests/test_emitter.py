@@ -243,6 +243,45 @@ class TestWhiteSpaceOnlyText:
         output = convert("<foreignObject width='9' height='9'><div>a<b></b>c</div></foreignObject>", "xhtml")
         assert "<div>a<b/>c</div>" in output
 
+
+def convert_strict(content, mode, pretty):
+    """The output for a foreignObject holding content, and the first reparsed element of each name."""
+    body = f"<foreignObject width='9' height='9'>{content}</foreignObject>"
+    output, diagnostics = convert_text(wrap_svg(body), ConvertOptions(mode=mode, pretty=pretty, strict=True))
+    elements = {}
+    for element in ET.fromstring(output).iter():
+        elements.setdefault(_local(element), element)
+    return output, elements
+
+
+class TestForeignContentAsParsed:
+    """foreignObject content is written as it was parsed, on one line, in both modes."""
+
+    @MODES
+    @PRETTY
+    @pytest.mark.parametrize(
+        "content,holder,text",
+        [("<p> <b>a</b></p>", "p", " "), ("<div>\n  <p>x</p></div>", "div", "\n  "),
+         ("<p>\t<b>a</b><i>b</i></p>", "p", "\t")],
+        ids=["space", "newline-and-indent", "tab-before-adjacent-elements"],
+    )
+    def test_white_space_before_a_first_child_is_kept(self, mode, pretty, content, holder, text):
+        output, elements = convert_strict(content, mode, pretty)
+        assert content in output
+        assert elements[holder].text == text
+
+    @MODES
+    @pytest.mark.parametrize(
+        "content,first",
+        [("<b>a</b><i>b</i>", "b"), ("<div><b>a</b><i>b</i></div>", "b"), ("<div><p>one</p><p>two</p></div>", "p")],
+        ids=["in-the-foreign-object", "inline-elements", "block-elements"],
+    )
+    def test_adjacent_elements_stay_adjacent_under_pretty(self, mode, content, first):
+        output, elements = convert_strict(content, mode, True)
+        assert content in output
+        assert elements[first].tail is None
+
+
 # The serializer as it was before the escapers checked for special
 # characters: every value goes through every replace.
 def reference_escape_text(text):
@@ -269,23 +308,23 @@ def reference_svg_head(node):
     return name, reference_attributes_text(node.attributes)
 
 
-def reference_serialize(node, head, lines, depth, pretty, extra="", in_html=False):
+def reference_serialize(node, head, lines, depth, pretty, extra=""):
     pad = "  " * depth if pretty else ""
     name, attrs = head(node)
-    # A foreignObject's content is HTML: there, a white-space tail is character content too.
-    in_html = in_html or name in ("v:textbox", "svg:foreignObject")
     has_text = bool(node.text and node.text.strip())
     if not node.children and not node.text:
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
         return
-    if has_text or not node.children or any(
-        child.tail and (in_html or child.tail.strip()) for child in node.children
+    # A foreignObject's content is HTML: it is written as it was parsed, white space included.
+    html_host = name in ("v:textbox", "svg:foreignObject")
+    if html_host or has_text or not node.children or any(
+        child.tail and child.tail.strip() for child in node.children
     ):
         lines.append(pad + reference_inline(node, head, extra))
         return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
-        reference_serialize(child, head, lines, depth + 1, pretty, in_html=in_html)
+        reference_serialize(child, head, lines, depth + 1, pretty)
     lines.append(f"{pad}</{name}>")
 
 
