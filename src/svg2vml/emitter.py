@@ -8,7 +8,10 @@ well-formed XML.
 One serializer and one document shell serve both modes.  The mapped
 VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
 head function gives each node's output name and rendered attributes (the
-style dict for VML, the svg: prefix on implemented tags for SVG).
+style dict for VML, the svg: prefix on implemented tags for SVG).  The
+content of a foreignObject is never mapped: in both modes the host (the
+v:textbox or the foreignObject) goes on one line, and its parsed content is
+written with the SVG head, as it was parsed.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ VML_NS = "urn:schemas-microsoft-com:vml"
 
 _INDENT = "  "
 
-# Both trees have the same shape; a head function gives a node's output
-# name and its rendered attributes.
 Node = Union[VmlNode, SvgNode]
 Head = Callable[[Node], tuple[str, str]]
 
@@ -95,6 +96,8 @@ def _inline(node: Node, head: Head, extra: str = "") -> str:
     if not node.children and not node.text:
         return f"<{name}{extra}{attrs}/>"
     inner = _escape_text(node.text) if node.text else ""
+    if node.tag in _HTML_HOSTS:
+        head = _svg_head
     for child in node.children:
         inner += _inline(child, head)
         if child.tail:

@@ -11,7 +11,8 @@ the box back from the style as written, rounded to the precision, and the
 moved origin goes through `_write_box` again.  The paint and transform of a
 group (a g or an a) are not emitted on the group itself: its context carries
 them down, parsed once (`style.Paint`, `transform.Chain`), and each element
-extends them by its own values, which take precedence.
+extends them by its own values, which take precedence.  The HTML content of a
+foreignObject is never mapped: its v:textbox holds the parsed nodes.
 
 VML has no reference mechanism, so a use holds a copy of its target, mapped
 under the use's context.  Each child of a defs and each use target goes
@@ -559,23 +560,16 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx
 
 
 def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
-    """foreignObject -> v:textbox carrying its markup through unchanged."""
+    """foreignObject -> v:textbox holding the parsed content, which the emitter writes as parsed."""
     _report_ignored(node, ctx, _DROPPED_PAINT, "a foreignObject")
     box = _new(node, "v:textbox")
     _write_box(ctx, box, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     if node.text and node.text.strip():
         box.text = node.text
-    for child in node.children:
-        box.children.append(_map_verbatim(child))
+    box.children = list(node.children)
     _paint(node, ctx, box, ("opacity",))
     _apply_box_transform(node, ctx, box)
     return box
-
-
-def _map_verbatim(node: SvgNode) -> VmlNode:
-    mapped = VmlNode(node.name, attributes=dict(node.attributes), text=node.text, tail=node.tail)
-    mapped.children = [_map_verbatim(child) for child in node.children]
-    return mapped
 
 
 def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:

@@ -308,6 +308,9 @@ def reference_svg_head(node):
     return name, reference_attributes_text(node.attributes)
 
 
+HTML_HOSTS = ("v:textbox", "svg:foreignObject")
+
+
 def reference_serialize(node, head, lines, depth, pretty, extra=""):
     pad = "  " * depth if pretty else ""
     name, attrs = head(node)
@@ -316,8 +319,7 @@ def reference_serialize(node, head, lines, depth, pretty, extra=""):
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
         return
     # A foreignObject's content is HTML: it is written as it was parsed, white space included.
-    html_host = name in ("v:textbox", "svg:foreignObject")
-    if html_host or has_text or not node.children or any(
+    if name in HTML_HOSTS or has_text or not node.children or any(
         child.tail and child.tail.strip() for child in node.children
     ):
         lines.append(pad + reference_inline(node, head, extra))
@@ -333,8 +335,10 @@ def reference_inline(node, head, extra=""):
     if not node.children and not node.text:
         return f"<{name}{extra}{attrs}/>"
     inner = reference_escape_text(node.text) if node.text else ""
+    # The parsed content of a foreignObject, in both modes.
+    child_head = reference_svg_head if name in HTML_HOSTS else head
     for child in node.children:
-        inner += reference_inline(child, head)
+        inner += reference_inline(child, child_head)
         if child.tail:
             inner += reference_escape_text(child.tail)
     return f"<{name}{extra}{attrs}>{inner}</{name}>"
@@ -363,37 +367,42 @@ maybe_payloads = st.none() | payloads
 attribute_tables = st.dictionaries(st.sampled_from(["id", "title", "href", "x"]), payloads, max_size=3)
 
 
-def vml_trees():
-    leaf = st.builds(
-        VmlNode,
-        st.sampled_from(["v:shape", "v:textbox", "div", "b"]),
-        attribute_tables,
-        st.dictionaries(st.sampled_from(["left", "font-family"]), payloads, max_size=2),
-        st.just(None),
-        maybe_payloads,
-        maybe_payloads,
-    )
-    return st.recursive(
-        leaf,
-        lambda children: st.builds(
-            lambda node, kids: VmlNode(node.tag, node.attributes, node.style, kids, node.text, node.tail),
-            leaf,
-            st.lists(children, max_size=3),
-        ),
-        max_leaves=12,
-    )
-
-
-def svg_trees():
+def svg_trees(names=("svg", "g", "rect", "text", "foreignObject", "div", "b"), foreign=False):
+    """Parsed trees; in foreign content, as inside a foreignObject, every element is unknown."""
     def node(name, attributes, children, text, tail):
-        return SvgNode(name if name in IMPLEMENTED_TAGS else "unknown", name, attributes, children, text, tail)
+        tag = name if name in IMPLEMENTED_TAGS and not foreign else "unknown"
+        return SvgNode(tag, name, attributes, children, text, tail)
 
-    names = st.sampled_from(["svg", "g", "rect", "text", "foreignObject", "div", "b"])
+    names = st.sampled_from(names)
     leaf = st.builds(node, names, attribute_tables, st.just([]), maybe_payloads, maybe_payloads)
     return st.recursive(
         leaf,
         lambda children: st.builds(node, names, attribute_tables, st.lists(children, max_size=3),
                                    maybe_payloads, maybe_payloads),
+        max_leaves=12,
+    )
+
+
+def vml_trees():
+    def node(tag):
+        return st.builds(VmlNode, st.just(tag), attribute_tables,
+                         st.dictionaries(st.sampled_from(["left", "font-family"]), payloads, max_size=2),
+                         st.just(None), maybe_payloads, maybe_payloads)
+
+    leaf = st.sampled_from(["v:shape", "div", "b"]).flatmap(node)
+    # A v:textbox holds the parsed content of a foreignObject.
+    textbox = st.builds(
+        lambda box, content: VmlNode(box.tag, box.attributes, box.style, content, box.text, box.tail),
+        node("v:textbox"),
+        st.lists(svg_trees(("div", "b", "rect", "foreignObject"), foreign=True), max_size=3),
+    )
+    return st.recursive(
+        leaf | textbox,
+        lambda children: st.builds(
+            lambda parent, kids: VmlNode(parent.tag, parent.attributes, parent.style, kids, parent.text, parent.tail),
+            leaf,
+            st.lists(children, max_size=3),
+        ),
         max_leaves=12,
     )
 

@@ -501,7 +501,7 @@ class TestTextAndForeignObject:
         )
         box = find_one(tree, "v:textbox")
         assert box.style == {"left": "400", "top": "300", "width": "600", "height": "400"}
-        assert box.children[0].tag == "div"
+        assert box.children[0].name == "div"
         assert box.children[0].attributes["style"] == "border:1px solid blue;"
         assert box.children[0].text == "Hello"
 
