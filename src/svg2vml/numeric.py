@@ -4,12 +4,12 @@ SVG 1.1's grammar, kept small: sign, ASCII digits, decimal point, no exponent,
 so parsing and emission stay symmetric and output never holds "e" forms.  A
 list splits on runs of space, tab, CR, LF and comma; every parser uses these.
 
-`read_numbers` reads the common case in C: a list made only of `LIST_CHARS`
-splits with `str.split()` and converts with `float`.  On those characters
-the two accept exactly the grammar's tokens; elsewhere `float` reads more
-(`_`, Unicode digits, exponents, "inf", "nan") and `split()` splits on more
-(`\x0b`, `\x0c`, `\x1c`-`\x1f`, NEL, Unicode spaces).  Any other list, and
-any token `float` rejects, goes to the grammar's regex, which decides.
+`read_numbers` reads a list in C: a list made only of `LIST_CHARS` splits
+with `str.split()` and converts with `float`.  On those characters the two
+accept exactly the grammar's tokens, so a token `float` rejects is outside
+the grammar; elsewhere `float` reads more (`_`, Unicode digits, exponents,
+"inf", "nan") and `split()` splits on more (`\x0b`, `\x0c`, `\x1c`-`\x1f`,
+NEL, Unicode spaces), so any other list is rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ NUMBER_LIST_PATTERN = rf"[{SEPARATORS}]*(?:{NUMBER_PATTERN}(?:[{SEPARATORS}]+{NU
 # Compiled once for every module: NUMBER_RE finds numbers anywhere, and its
 # fullmatch accepts a whole token and nothing else.
 NUMBER_RE = re.compile(NUMBER_PATTERN)
-_NUMBER_LIST_RE = re.compile(NUMBER_LIST_PATTERN)
 _SPLIT_RE = re.compile(f"[{SEPARATORS}]+")
 
 # The characters of a number list, as a regex class body; path_data adds letters.
@@ -44,17 +43,13 @@ def split_list(text: str) -> list[str]:
 
 def read_numbers(text: str) -> Optional[list[float]]:
     """The numbers of a whole list, or None when a token is not a finite number."""
-    numbers = None
-    if not _OUTSIDE_LIST_RE.search(text):
-        try:
-            numbers = list(map(float, text.replace(",", " ").split()))
-        except ValueError:
-            pass  # the regex below decides
-    if numbers is None and _NUMBER_LIST_RE.fullmatch(text):
-        numbers = list(map(float, NUMBER_RE.findall(text)))
-    if numbers is not None and all(map(math.isfinite, numbers)):
-        return numbers
-    return None
+    if _OUTSIDE_LIST_RE.search(text):
+        return None
+    try:
+        numbers = list(map(float, text.replace(",", " ").split()))
+    except ValueError:
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
 
 
 def parse_number(token: str) -> float:

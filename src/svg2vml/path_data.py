@@ -16,9 +16,9 @@ as `emit_vml_path(to_absolute(parse_path_data(d), dx, dy), precision)`:
 - `parse_path_data` splits the string on command letters and reads the
   numbers of every piece: in C, with `str.split()` and `float`, when the
   string holds only letters, number characters and separators and no
-  compact "1.2.3"; otherwise, and when `float` rejects a token, by the
-  grammar's regex and a length count, which decide validity
-  (`_read_pieces`).  The result is a list of segments
+  compact "1.2.3", where a token `float` rejects is outside the grammar;
+  otherwise by the grammar's regex and a length count, which decide
+  validity (`_read_pieces`).  The result is a list of segments
   `(kind, relative, values)`, one per command letter, with implicit
   repetitions kept in `values`.
 - `to_absolute` moves the cursor over plain floats, relative to absolute
@@ -120,17 +120,17 @@ def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
 
     None when d is outside the grammar.  A d made only of ASCII letters and
     `LIST_CHARS`, with no compact "1.2.3", is read in C: a space before every
-    sign, a split on the letters, then `str.split()` and `float` per piece.
-    Any other d, or a token `float` rejects, goes to the grammar's regex and
-    the length count, which decide.  A compact d goes there first: minified
-    paths hold many, and a split that fails late costs more than the regex.
+    sign, a split on the letters, then `str.split()` and `float` per piece,
+    where a token `float` rejects is outside the grammar.  Any other d goes
+    to the grammar's regex and the length count, which decide; so does a
+    compact d, as minified paths hold many and a late failed split costs more.
     """
     if not _COMPACT_RE.search(d) and not _OUTSIDE_PATH_RE.search(d):
         pieces = _LETTER_RE.split(d.replace(",", " ").replace("-", " -").replace("+", " +"))
         try:
             return pieces[1::2], [list(map(float, piece.split())) for piece in pieces[::2]]
         except ValueError:
-            pass
+            return None
     pieces = _LETTER_RE.split(d)
     groups = list(map(NUMBER_RE.findall, pieces[::2]))
     # Tokens never hold a separator, so every character outside them is one
