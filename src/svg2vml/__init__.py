@@ -1,6 +1,6 @@
 """svg2vml: batch transpiler from an SVG subset to VML/HTML for legacy IE."""
 
-from .diagnostics import ConversionError, Diagnostic, Diagnostics
+from .diagnostics import Diagnostic, Diagnostics
 from .emitter import emit_vml_html, emit_xhtml_passthrough
 from .mappers import MapperContext, VmlNode, map_document
 from .options import ConvertOptions
@@ -17,7 +17,6 @@ from .svg_dom import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConversionError",
     "ConvertOptions",
     "Diagnostic",
     "Diagnostics",

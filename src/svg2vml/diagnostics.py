@@ -1,9 +1,9 @@
 """Warning and error reporting for the conversion pipeline.
 
-Diagnostics are collected rather than raised so that lenient conversions can
-skip broken subtrees and keep going.  In strict mode every report (warnings
-included) is recorded with error severity and immediately aborts the
-conversion by raising ConversionError.
+Diagnostics are collected rather than raised, so a conversion skips a broken
+subtree and keeps going, and every loss is listed.  In strict mode a warning
+is recorded with error severity; that is all strict changes here, and
+pipeline.convert_text then returns no output.
 
 A location is a tree path such as "svg/g[0]/rect[3]@width".  Callers may
 pass it as a Location chain, which is joined into that text only when a
@@ -53,14 +53,6 @@ class Diagnostic(NamedTuple):
         return f"{self.severity} {self.code}: {self.message}{suffix}"
 
 
-class ConversionError(Exception):
-    """Aborts a strict-mode conversion; carries the triggering diagnostic."""
-
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
-
-
 class Diagnostics:
     """Ordered diagnostic collector shared across pipeline stages."""
 
@@ -76,26 +68,16 @@ class Diagnostics:
         return len(self.items)
 
     def warning(self, code: str, message: str, location: LocationLike = "") -> None:
-        if self.strict:
-            self.error(code, message, location)
-            return
-        self.items.append(Diagnostic("warning", code, message, str(location)))
+        self.items.append(Diagnostic("error" if self.strict else "warning", code, message, str(location)))
         self._codes.add(code)
 
     def error(self, code: str, message: str, location: LocationLike = "") -> None:
-        diagnostic = Diagnostic("error", code, message, str(location))
-        self.items.append(diagnostic)
+        self.items.append(Diagnostic("error", code, message, str(location)))
         self._codes.add(code)
-        if self.strict:
-            raise ConversionError(diagnostic)
 
     @property
     def has_errors(self) -> bool:
         return any(d.severity == "error" for d in self.items)
-
-    def errors_since(self, mark: int) -> bool:
-        """True if any error was recorded after position `mark`."""
-        return any(d.severity == "error" for d in self.items[mark:])
 
     def codes(self) -> list[str]:
         return [d.code for d in self.items]

@@ -385,7 +385,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
     """A DEGENERATE_SHAPE warning, unless a length read after mark was already reported."""
-    if not ctx.diagnostics.errors_since(mark):
+    if len(ctx.diagnostics) == mark:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
 
 
@@ -473,7 +473,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         return None
     mark = len(ctx.diagnostics)
     segments = parse_path_data(d, ctx.diagnostics, _attribute_location(ctx, "d"))
-    if ctx.diagnostics.errors_since(mark):
+    if len(ctx.diagnostics) > mark:
         return None
     if not segments:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)

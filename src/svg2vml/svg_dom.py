@@ -286,7 +286,7 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
 
     Returns None when no document can be built (malformed XML, or no svg
     element anywhere in the input); an error diagnostic is recorded in that
-    case.  In strict mode the same conditions raise ConversionError.
+    case, in strict mode too.
     """
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     try:

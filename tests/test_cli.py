@@ -105,6 +105,28 @@ class TestStrictAndDiagnostics:
         assert run(["convert", str(path)]) == 0
         assert run(["convert", str(path), "--strict"]) == 1
 
+    # A parse-time loss, then a mapping-time one.
+    LOSSES = wrap_svg('<blink/><rect width="1em" height="1"/>')
+
+    @pytest.mark.parametrize(
+        "mode,codes", [("vml", ["UNKNOWN_ELEMENT", "UNSUPPORTED_UNIT"]), ("xhtml", ["UNKNOWN_ELEMENT"])]
+    )
+    def test_strict_lists_every_loss_as_an_error(self, mode, codes):
+        output, diagnostics = convert_text(self.LOSSES, svg2vml.ConvertOptions(mode=mode, strict=True))
+        assert output is None
+        assert [(d.severity, d.code) for d in diagnostics] == [("error", code) for code in codes]
+
+    def test_strict_quiet_prints_every_error_line(self, tmp_path, capsys):
+        path = tmp_path / "losses.svg"
+        path.write_text(self.LOSSES, encoding="utf-8")
+        out = tmp_path / "out.html"
+        assert run(["convert", str(path), "-o", str(out), "--strict", "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]",
+            "error UNSUPPORTED_UNIT: unsupported length unit 'em' in '1em' @svg/rect[1]@width",
+        ]
+        assert not out.exists()
+
     def test_quiet_suppresses_warnings_but_not_errors(self, tmp_path, capsys):
         path = tmp_path / "mixed.svg"
         path.write_text(

@@ -100,7 +100,9 @@ STRICT_CASES = (
 
 
 @pytest.mark.parametrize("text,first", STRICT_CASES, ids=["parse", "map"])
-def test_strict_mode_stops_at_the_first_location(text, first):
+def test_strict_mode_lists_every_location_as_an_error(text, first):
     output, diagnostics = convert_text(text, ConvertOptions(strict=True))
     assert output is None
-    assert [str(diagnostic) for diagnostic in diagnostics] == [first]
+    assert str(diagnostics.items[0]) == first
+    lenient = [diagnostic._replace(severity="error") for diagnostic in convert_text(text)[1]]
+    assert diagnostics.items == lenient

@@ -812,7 +812,7 @@ class TestDroppedTextAndUseAttributes:
         output, diagnostics = convert_text(wrap_svg(source.format(attributes)), ConvertOptions(strict=strict))
         message = "{} on {} has no VML mapping and is ignored"
         expected = [("UNSUPPORTED_ATTRIBUTE", message.format(name, owner), location) for name in names]
-        assert [(d.code, d.message, d.location) for d in diagnostics] == expected[: 1 if strict else None]
+        assert [(d.code, d.message, d.location) for d in diagnostics] == expected
         assert output == (None if strict else convert_text(wrap_svg(source.format("")))[0])
 
     @pytest.mark.parametrize(

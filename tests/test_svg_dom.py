@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import structurally_equal
 
 from svg2vml import ConvertOptions, convert_text
-from svg2vml.diagnostics import ConversionError, Diagnostics
+from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN, parse_number
 from svg2vml.svg_dom import (
     MAX_DEPTH,
@@ -85,8 +85,9 @@ class TestParseSvg:
         assert "MALFORMED_XML" in diags.codes()
 
     def test_malformed_xml_aborts_in_strict_mode(self):
-        with pytest.raises(ConversionError):
-            parse_svg("<svg><rect</svg>", Diagnostics(strict=True))
+        diags = Diagnostics(strict=True)
+        assert parse_svg("<svg><rect</svg>", diags) is None
+        assert [(d.severity, d.code) for d in diags] == [("error", "MALFORMED_XML")]
 
     def test_no_svg_root_is_an_error(self):
         diags = Diagnostics()
