@@ -130,5 +130,19 @@ def test_classify_malformed_xml_that_now_parses_is_one_class():
 
 def test_classify_a_difference_at_strict_settings_only():
     old = results(strict=[None, ["error BAD_PATH: words @svg/path[0]@d"]])
-    new = results(strict=["raised ConversionError"])
-    assert differential.classify(old, new) == {"strict settings only": "see the +strict settings"}
+    new = results(strict=["raised ValueError"])
+    assert differential.classify(old, new) == {"strict raised: returned -> raised ValueError": "default+strict"}
+
+
+def test_classify_more_strict_errors_as_the_lenient_ones():
+    first = "error UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]"
+    second = "error UNSUPPORTED_UNIT: unsupported length unit 'em' in '1em' @svg/rect[1]@width"
+    old = results(strict=[None, [first]])
+    new = results(strict=[None, [first, second]])
+    assert differential.classify(old, new) == {"strict +UNSUPPORTED_UNIT": f"default+strict: {second}"}
+
+
+def test_classify_a_repeated_line():
+    line = "warning DUPLICATE_ID: duplicate id 'a'; first occurrence wins"
+    classes = differential.classify(results(lines=[line]), results(lines=[line, line]))
+    assert list(classes) == ["repeats"]

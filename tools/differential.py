@@ -451,14 +451,26 @@ def _split(line: str) -> tuple[str, str]:
 def classify(old: list, new: list) -> dict[str, str]:
     """The classes of difference in one document, each with an example.
 
-    Classes come from the lenient settings, where no diagnostic cuts the
-    conversion short: "~CODE" for a message changed at the same location,
-    "-CODE" and "+CODE" for a diagnostic gone or new, "bytes" for changed
-    output, and one class for a parse that now succeeds.
+    Classes come from the lenient settings, where the whole document is
+    converted whatever is reported: "~CODE" for a message changed at the
+    same location, "-CODE" and "+CODE" for a diagnostic gone or new,
+    "repeats" for the same lines in another order or number, "bytes" for
+    changed output, and one class for a parse that now succeeds.  A
+    document that differs only at the strict settings is classified the
+    same way there, each class name prefixed "strict ".
     """
+    runs = list(zip(SETTING_NAMES, old, new))
+    classes = _classes([run for run in runs if not run[0].endswith("+strict")])
+    if classes:
+        return classes
+    strict = _classes([run for run in runs if run[0].endswith("+strict")])
+    return {f"strict {kind}": example for kind, example in strict.items()}
+
+
+def _classes(runs: list) -> dict[str, str]:
     classes: dict[str, str] = {}
-    for setting, a, b in zip(SETTING_NAMES, old, new):
-        if a == b or setting.endswith("+strict"):
+    for setting, a, b in runs:
+        if a == b:
             continue
         if len(a) == 1 or len(b) == 1:
             classes.setdefault(f"raised: {a[0] if len(a) == 1 else 'returned'} -> {b[0] if len(b) == 1 else 'returned'}", setting)
@@ -475,9 +487,11 @@ def classify(old: list, new: list) -> dict[str, str]:
             for line in lines:
                 key = _split(line)
                 classes.setdefault(f"~{key[0]}" if key in changed else f"{sign}{key[0]}", f"{setting}: {line}")
+        if not gone and not came and a[1] != b[1]:
+            classes.setdefault("repeats", f"{setting}: {a[1]} -> {b[1]}")
         if a[0] != b[0]:
             classes.setdefault("bytes", f"{setting}: output {a[0]} -> {b[0]}")
-    return classes or {"strict settings only": "see the +strict settings"}
+    return classes
 
 
 def main(argv=None) -> int:
