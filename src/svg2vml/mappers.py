@@ -564,8 +564,7 @@ def map_foreign_object(node: SvgNode, ctx: MapperContext) -> VmlNode:
     _report_ignored(node, ctx, _DROPPED_PAINT, "a foreignObject")
     box = _new(node, "v:textbox")
     _write_box(ctx, box, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
-    if node.text and node.text.strip():
-        box.text = node.text
+    box.text = node.text
     box.children = list(node.children)
     _paint(node, ctx, box, ("opacity",))
     _apply_box_transform(node, ctx, box)

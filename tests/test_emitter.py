@@ -257,18 +257,21 @@ def convert_strict(content, mode, pretty):
 class TestForeignContentAsParsed:
     """foreignObject content is written as it was parsed, on one line, in both modes."""
 
+    # The element that holds the content in each mode's output.
+    HOST = {"vml": "textbox", "xhtml": "foreignObject"}
+
     @MODES
     @PRETTY
     @pytest.mark.parametrize(
         "content,holder,text",
         [("<p> <b>a</b></p>", "p", " "), ("<div>\n  <p>x</p></div>", "div", "\n  "),
-         ("<p>\t<b>a</b><i>b</i></p>", "p", "\t")],
-        ids=["space", "newline-and-indent", "tab-before-adjacent-elements"],
+         ("<p>\t<b>a</b><i>b</i></p>", "p", "\t"), (" <b>a</b>", None, " ")],
+        ids=["space", "newline-and-indent", "tab-before-adjacent-elements", "in-the-foreign-object"],
     )
     def test_white_space_before_a_first_child_is_kept(self, mode, pretty, content, holder, text):
         output, elements = convert_strict(content, mode, pretty)
         assert content in output
-        assert elements[holder].text == text
+        assert elements[holder or self.HOST[mode]].text == text
 
     @MODES
     @pytest.mark.parametrize(
