@@ -14,13 +14,26 @@ up where spans.py rebinds it.
   and `style`, are not called through those names while mapping.  They stay
   bound only so that the traced benchmark can rebind them; an import that
   looks unused could otherwise be removed and the traced run would crash.
+- Traced pipeline: perfbench/run.py's `Bench.pipeline` repeats
+  convert_text's steps so it can time each stage.  With a stage that does
+  nothing, it must give convert_text's output and diagnostics on a
+  transform_tree and a passthrough document.
 """
+
+import contextlib
+import sys
+from pathlib import Path
 
 import pytest
 
+import svg2vml
 from svg2vml import convert_text, mappers, path_data, style, transform
 
 from conftest import wrap_svg
+
+# perfbench/run.py imports its sibling modules by name, so their directory goes on the path.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run as perfbench_run  # noqa: E402
 
 CALLED = [
     (mappers, name)
@@ -62,3 +75,14 @@ def test_mapping_calls_the_rebound_name(owner, name, monkeypatch):
 @pytest.mark.parametrize("owner,name", CALLED + PINNED, ids=_ids(CALLED + PINNED))
 def test_rebound_name_exists_and_is_callable(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+@pytest.mark.parametrize("workload", ["transform_tree", "passthrough"])
+def test_the_traced_pipeline_converts_as_convert_text_does(workload):
+    bench = perfbench_run.Bench(svg2vml, perfbench_run.build_corpus(workload, 1))
+    text = bench.corpus.documents[0].text
+    output, diagnostics, parsed, tree = bench.pipeline(text, contextlib.nullcontext)
+    expected, expected_diagnostics = convert_text(text, bench.options)
+    assert output is not None and output == expected
+    assert diagnostics.items == expected_diagnostics.items
+    assert parsed is not None and (tree is None) == (workload == "passthrough")
