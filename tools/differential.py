@@ -451,13 +451,13 @@ def _split(line: str) -> tuple[str, str]:
 def classify(old: list, new: list) -> dict[str, str]:
     """The classes of difference in one document, each with an example.
 
-    Classes come from the lenient settings, where the whole document is
-    converted whatever is reported: "~CODE" for a message changed at the
-    same location, "-CODE" and "+CODE" for a diagnostic gone or new,
-    "repeats" for the same lines in another order or number, "bytes" for
-    changed output, and one class for a parse that now succeeds.  A
-    document that differs only at the strict settings is classified the
-    same way there, each class name prefixed "strict ".
+    Classes come from the lenient settings, which write output whatever is
+    reported: "~CODE" for a message changed at the same location, "-CODE"
+    and "+CODE" for a diagnostic gone or new, "repeats" for the same lines
+    in another order or number, "bytes" for changed output, and one class
+    for a parse that now succeeds.  A document that differs only at the
+    strict settings is classified the same way there, each class name
+    prefixed "strict ".
     """
     runs = list(zip(SETTING_NAMES, old, new))
     classes = _classes([run for run in runs if not run[0].endswith("+strict")])
