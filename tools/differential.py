@@ -1,6 +1,7 @@
 """Differential check: convert the same documents with this checkout and another revision.
 
     python tools/differential.py --against REV [--with REV2] [--fragments N] [--seed S]
+    python tools/differential.py --write-ledger
 
 REV (and REV2, when given instead of the working tree) is exported with
 `git archive` into a temporary directory under $TMPDIR, which is removed
@@ -21,11 +22,18 @@ differing documents of each family, then lists the documents under each
 class of difference they show (see `classify`), with the families they
 come from and one example.  The exit status is 1 when any document
 differs.
+
+The ledger, tests/golden/ledger.txt, pins this checkout's digests of the
+first 2,000 seed-1 fragments (the copies family only its first 40; see
+`ledger_fragments`) at the same ten settings, one line per fragment, and a
+tier-1 test recomputes it.  A behaviour change rewrites it in its own commit
+with --write-ledger, which converts with the working tree's src/.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -36,20 +44,22 @@ import tarfile
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEEDS = (1, 2)
 
-# One conversion per (settings, strict) pair; the settings are the golden ones.
-WORKER = r"""
-import hashlib, json, sys
+# One document converted at every (settings, strict) pair; the settings are the golden ones.
+CONVERT = r"""
+import hashlib
 from svg2vml import ConvertOptions, convert_text
 
 SETTINGS = (
     dict(), dict(precision=2), dict(pretty=True), dict(mode="xhtml"), dict(mode="xhtml", pretty=True),
 )
-results = []
-for text in json.load(sys.stdin):
+
+
+def convert(text):
     runs = []
     for settings in SETTINGS:
         for strict in (False, True):
@@ -60,8 +70,13 @@ for text in json.load(sys.stdin):
                 continue
             digest = None if output is None else hashlib.sha256(output.encode("utf-8", "replace")).hexdigest()
             runs.append([digest, [str(d) for d in diagnostics]])
-    results.append(runs)
-json.dump(results, sys.stdout)
+    return runs
+"""
+
+# Run in a checkout's own process: converts the JSON list of texts on stdin.
+WORKER = CONVERT + r"""
+import json, sys
+json.dump([convert(text) for text in json.load(sys.stdin)], sys.stdout)
 """
 
 SETTING_NAMES = [
@@ -419,6 +434,48 @@ def build_documents(seed: int, count: int) -> list[tuple[str, str, str]]:
     return documents
 
 
+# --- the output ledger --------------------------------------------------------------
+
+LEDGER = ROOT / "tests" / "golden" / "ledger.txt"
+LEDGER_SEED = 1
+LEDGER_FRAGMENTS = 2000
+# A copies fragment, with its chains near the depth cap, takes about fifty
+# times as long as another family's, so the ledger keeps its first ones only.
+LEDGER_CAPS = {"copies": 40}
+
+
+def ledger_fragments() -> list[tuple[str, str, str]]:
+    """The fragments the ledger records: the first LEDGER_FRAGMENTS of LEDGER_SEED, each family capped by LEDGER_CAPS."""
+    drawn: dict[str, int] = defaultdict(int)
+    kept = []
+    for family, name, text in build_fragments(LEDGER_SEED, LEDGER_FRAGMENTS):
+        drawn[family] += 1
+        if drawn[family] <= LEDGER_CAPS.get(family, LEDGER_FRAGMENTS):
+            kept.append((family, name, text))
+    return kept
+
+
+def ledger_line(family: str, name: str, runs: list) -> str:
+    """A fragment's ledger line: its family, its name and 16 hex digits of a sha256 over its runs.
+
+    A MALFORMED_XML line enters the digest as its severity and code only:
+    its message is expat's, which differs between expat versions.
+    """
+    stable = [
+        run if len(run) == 1
+        else [run[0], [line.split(":", 1)[0] if _split(line)[0] == "MALFORMED_XML" else line for line in run[1]]]
+        for run in runs
+    ]
+    return f"{family} {name} {hashlib.sha256(json.dumps(stable).encode('ascii')).hexdigest()[:16]}"
+
+
+def local_converter() -> Callable[[str], list]:
+    """The runs of one document with the svg2vml this process imports, as the worker gives them."""
+    namespace: dict = {}
+    exec(CONVERT, namespace)
+    return namespace["convert"]
+
+
 # --- running both checkouts ------------------------------------------------------
 
 
@@ -496,11 +553,22 @@ def _classes(runs: list) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, metavar="REV", help="the revision to compare with")
+    parser.add_argument("--against", metavar="REV", help="the revision to compare with")
     parser.add_argument("--with", dest="mine", metavar="REV", help="compare this revision instead of the working tree")
     parser.add_argument("--fragments", type=int, default=4000, help="seeded fragments to draw (default 4000)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the fragments (default 1)")
+    parser.add_argument("--write-ledger", action="store_true",
+                        help=f"rewrite {LEDGER.relative_to(ROOT)} from the working tree instead of comparing")
     args = parser.parse_args(argv)
+    if args.write_ledger:
+        fragments = ledger_fragments()
+        runs = convert_all(ROOT, [text for _, _, text in fragments])
+        lines = [ledger_line(family, name, run) for (family, name, _), run in zip(fragments, runs)]
+        LEDGER.write_text("".join(line + "\n" for line in lines))
+        print(f"wrote {len(lines)} lines to {LEDGER.relative_to(ROOT)}")
+        return 0
+    if args.against is None:
+        parser.error("--against is required unless --write-ledger is given")
 
     documents = build_documents(args.seed, args.fragments)
     texts = [text for _, _, text in documents]
