@@ -5,35 +5,37 @@ subtree and keeps going, and every loss is listed.  In strict mode a warning
 is recorded with error severity; that is all strict changes here, and
 pipeline.convert_text then returns no output.
 
-A location is a tree path such as "svg/g[0]/rect[3]@width".  Callers may
-pass it as a Location chain, which is joined into that text only when a
-diagnostic is recorded, so the conversion pays nothing for locations that
-are never reported.
+A location is a tree path such as "svg/g[0]/rect[3]@width".  The layers
+pass it as a Location chain, whose steps keep their name and index and are
+joined into that text only when a diagnostic is recorded, so a conversion
+pays nothing for the locations it never reports.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 
 class Location:
     """One step of a tree path, after the location of its parent.
 
-    The root is a plain string ("svg"); each step adds "/name[index]" for a
-    child or "@name" for an attribute.  str() joins the chain.
+    The root is a plain string ("svg").  A step with an index is a child,
+    rendered "/name[index]"; one without is an attribute, rendered "@name".
+    str() joins the chain.
     """
 
-    __slots__ = ("parent", "step")
+    __slots__ = ("parent", "name", "index")
 
-    def __init__(self, parent: "LocationLike", step: str):
+    def __init__(self, parent: "LocationLike", name: str, index: Optional[int] = None):
         self.parent = parent
-        self.step = step
+        self.name = name
+        self.index = index
 
     def __str__(self) -> str:
         steps = []
         location: LocationLike = self
         while isinstance(location, Location):
-            steps.append(location.step)
+            steps.append(f"@{location.name}" if location.index is None else f"/{location.name}[{location.index}]")
             location = location.parent
         steps.append(location)
         return "".join(reversed(steps))

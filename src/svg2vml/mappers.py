@@ -126,6 +126,9 @@ class MapperContext:
     A context is never changed once made: `at` and `derive` copy it.
     """
 
+    __slots__ = ("document", "root_size", "options", "diagnostics", "conversion", "paint", "chain", "location",
+                 "depth")
+
     def __init__(self, document: SvgDocument, root_size: RootSize, options: ConvertOptions,
                  diagnostics: Diagnostics, conversion: Conversion, paint: Paint = NO_PAINT,
                  chain: Chain = EMPTY_CHAIN, location: LocationLike = "svg", depth: int = 1):
@@ -139,20 +142,29 @@ class MapperContext:
         self.location = location
         self.depth = depth  # the root svg is level 1; each child and each use hop adds one
 
-    def at(self, step: str) -> "MapperContext":
-        """The context for a child element; step is "/name[index]"."""
-        derived = object.__new__(MapperContext)  # derive's copy, inlined: this runs once per child
-        derived.__dict__.update(self.__dict__, location=Location(self.location, step), depth=self.depth + 1)
+    def at(self, child: SvgNode, index: int) -> "MapperContext":
+        """The context for child, the index-th child of this context's element.
+
+        Runs once per child, so it copies the slots one by one and skips
+        __init__, and its location keeps the step unrendered.
+        """
+        derived = object.__new__(MapperContext)
+        derived.document = self.document
+        derived.root_size = self.root_size
+        derived.options = self.options
+        derived.diagnostics = self.diagnostics
+        derived.conversion = self.conversion
+        derived.paint = self.paint
+        derived.chain = self.chain
+        derived.location = Location(self.location, child.name, index)
+        derived.depth = self.depth + 1
         return derived
 
     def derive(self, **changes) -> "MapperContext":
-        """A copy with the given fields changed.
-
-        The copy skips __init__, which would cost more than the copy itself
-        on the per-child path.
-        """
+        """A copy with the given fields changed."""
         derived = object.__new__(MapperContext)
-        derived.__dict__.update(self.__dict__, **changes)
+        for name in MapperContext.__slots__:
+            setattr(derived, name, changes[name] if name in changes else getattr(self, name))
         return derived
 
 
@@ -161,7 +173,7 @@ def _fmt(ctx: MapperContext, value: float) -> str:
 
 
 def _attribute_location(ctx: MapperContext, name: str) -> Location:
-    return Location(ctx.location, f"@{name}")
+    return Location(ctx.location, name)
 
 
 def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
@@ -494,7 +506,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
         if child.tag == "textPath":
             dropped = ("opacity", "fill-opacity", "transform", "x", "y", "dx", "dy", *_DROPPED_PAINT)
             _report_ignored(node, ctx, dropped, "a text holding a textPath")
-            child_ctx = ctx.at(f"/{child.name}[{index}]")
+            child_ctx = ctx.at(child, index)
             _report_ignored(child, child_ctx, ("startOffset", *_DROPPED_PAINT), "a textPath")
             return map_text_path(child, child_ctx, node, ctx)
 
@@ -723,7 +735,7 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode,
                   map_child: Callable[[SvgNode, MapperContext], Optional[VmlNode]] = _map_node) -> None:
     for index, child in enumerate(node.children):
-        child_ctx = ctx.at(f"/{child.name}[{index}]")
+        child_ctx = ctx.at(child, index)
         mapped = map_child(child, child_ctx)
         if mapped is not None:
             parent.children.append(mapped)

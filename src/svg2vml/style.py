@@ -55,7 +55,7 @@ def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Dia
         return None if opacity is None else (target, format_number(opacity, precision))
     keywords = STROKE_KEYWORDS.get(name)
     if name == "stroke-width":
-        length = parse_length(value, diagnostics, Location(location, "@stroke-width"))
+        length = parse_length(value, diagnostics, Location(location, "stroke-width"))
         if length is None:
             return None
         if length >= 0.0:

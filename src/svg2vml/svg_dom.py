@@ -239,8 +239,8 @@ class _Builder:
         """The tree path of a new child `name` of the newest open element."""
         location: LocationLike = "svg"
         for parent, child in zip(self.open, self.open[1:]):
-            location = Location(location, f"/{child.name}[{len(parent.children) - 1}]")
-        return Location(location, f"/{name}[{len(self.open[-1].children)}]")
+            location = Location(location, child.name, len(parent.children) - 1)
+        return Location(location, name, len(self.open[-1].children))
 
 
 def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tuple[dict, dict]:
