@@ -165,7 +165,7 @@ class _Builder:
         self.ended = False
         self.unknown: list[tuple[str, LocationLike]] = []
         self.id_index: dict[str, SvgNode] = {}
-        self.duplicate_ids: list[str] = []
+        self.duplicate_ids: list[tuple[str, LocationLike]] = []  # each id with the element that lost it
         self.skipped = 0  # open elements past MAX_DEPTH
         self.elements = 0
         self.too_deep: Optional[LocationLike] = None
@@ -212,7 +212,7 @@ class _Builder:
         self.elements += 1
         node_id = attributes.get("id")
         if node_id is not None and self.id_index.setdefault(node_id, node) is not node:
-            self.duplicate_ids.append(node_id)
+            self.duplicate_ids.append((node_id, self.location()))
 
     def end(self, name: str) -> None:
         self.scopes.pop()
@@ -235,12 +235,12 @@ class _Builder:
         else:
             self.last = None
 
-    def location(self, name: str) -> Location:
-        """The tree path of a new child `name` of the newest open element."""
+    def location(self, name: Optional[str] = None) -> LocationLike:
+        """The tree path of the newest open element, or of a new child `name` of it."""
         location: LocationLike = "svg"
         for parent, child in zip(self.open, self.open[1:]):
             location = Location(location, child.name, len(parent.children) - 1)
-        return Location(location, name, len(self.open[-1].children))
+        return location if name is None else Location(location, name, len(self.open[-1].children))
 
 
 def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tuple[dict, dict]:
@@ -307,8 +307,8 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
         diagnostics.error(
             "TOO_DEEP", f"elements nest deeper than {MAX_DEPTH} levels; the deeper ones are skipped", builder.too_deep
         )
-    for node_id in builder.duplicate_ids:
-        diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins")
+    for node_id, location in builder.duplicate_ids:
+        diagnostics.warning("DUPLICATE_ID", f"duplicate id {node_id!r}; first occurrence wins", location)
     return SvgDocument(builder.root, builder.id_index, diagnostics, builder.elements)
 
 

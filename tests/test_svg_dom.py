@@ -99,6 +99,16 @@ class TestParseSvg:
         assert doc.id_index["a"].attributes.get("x") == "1"
         assert "DUPLICATE_ID" in doc.diagnostics.codes()
 
+    def test_each_duplicate_id_is_reported_at_the_element_that_lost(self):
+        doc = parse_svg(
+            '<svg><rect id="a" width="1"/><rect id="a" width="2"/>'
+            '<g><circle id="a" r="1"/><foreignObject><p id="a"/></foreignObject></g></svg>'
+        )
+        assert [str(d) for d in doc.diagnostics] == [
+            f"warning DUPLICATE_ID: duplicate id 'a'; first occurrence wins @{location}"
+            for location in ("svg/rect[1]", "svg/g[2]/circle[0]", "svg/g[2]/foreignObject[1]/p[0]")
+        ]
+
     def test_id_index_points_back_at_nodes(self):
         doc = parse_svg(
             '<svg id="root"><g id="grp"><circle id="c" r="5"/></g><defs id="d"/></svg>'
