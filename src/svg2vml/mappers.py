@@ -14,6 +14,10 @@ them down, parsed once (`style.Paint`, `transform.Chain`), and each element
 extends them by its own values, which take precedence.  The HTML content of a
 foreignObject is never mapped: its v:textbox holds the parsed nodes.
 
+Each child is mapped under its own context, which `MapperContext.at` copies
+slot by slot from its parent's; the location it adds keeps the child's name
+and index, and is rendered only if a diagnostic is reported there.
+
 VML has no reference mechanism, so a use holds a copy of its target, mapped
 under the use's context.  Each child of a defs and each use target goes
 through one helper, `_map_copy`: within one map_document call, a target
