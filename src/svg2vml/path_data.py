@@ -13,12 +13,12 @@ All VML commands are emitted in lower case over absolute coordinates.
 Conversion is three steps over plain tuples, which the path mapper chains
 as `emit_vml_path(to_absolute(parse_path_data(d), dx, dy), precision)`:
 
-- `parse_path_data` splits the string on command letters and reads the
-  numbers of every piece: in C, with `str.split()` and `float`, when the
-  string holds only letters, number characters and separators and no
-  compact "1.2.3", where a token `float` rejects is outside the grammar;
-  otherwise by the grammar's regex and a length count, which decide
-  validity (`_read_pieces`).  The result is a list of segments
+- `parse_path_data` rejects a string holding anything but letters, number
+  characters and separators at once.  It splits any other on command
+  letters and reads the numbers of every piece: in C, with `str.split()`
+  and `float`, when it holds no compact "1.2.3", where a token `float`
+  rejects is outside the grammar; otherwise by the grammar's regex and a
+  length count, which decide validity (`_read_pieces`).  The result is a list of segments
   `(kind, relative, values)`, one per command letter, with implicit
   repetitions kept in `values`.
 - `to_absolute` moves the cursor over plain floats, relative to absolute
@@ -118,14 +118,17 @@ def parse_path_data(d: str, diagnostics: Diagnostics, location: LocationLike) ->
 def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
     """The command letters of d and the numbers before, between and after them.
 
-    None when d is outside the grammar.  A d made only of ASCII letters and
-    `LIST_CHARS`, with no compact "1.2.3", is read in C: a space before every
-    sign, a split on the letters, then `str.split()` and `float` per piece,
-    where a token `float` rejects is outside the grammar.  Any other d goes
-    to the grammar's regex and the length count, which decide; so does a
-    compact d, as minified paths hold many and a late failed split costs more.
+    None when d is outside the grammar, at once when it holds a character
+    other than ASCII letters and `LIST_CHARS`.  A d with no compact "1.2.3"
+    is read in C: a space before every sign, a split on the letters, then
+    `str.split()` and `float` per piece, where a token `float` rejects is
+    outside the grammar.  A compact d goes to the grammar's regex and the
+    length count, which decide, as minified paths hold many and a late
+    failed split costs more.
     """
-    if not _COMPACT_RE.search(d) and not _OUTSIDE_PATH_RE.search(d):
+    if _OUTSIDE_PATH_RE.search(d):
+        return None
+    if not _COMPACT_RE.search(d):
         pieces = _LETTER_RE.split(d.replace(",", " ").replace("-", " -").replace("+", " +"))
         try:
             return pieces[1::2], [list(map(float, piece.split())) for piece in pieces[::2]]
