@@ -32,7 +32,7 @@ import math
 from typing import Callable, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import format_number, format_numbers
+from .numeric import format_number, format_numbers, read_number
 from .options import ConvertOptions
 from .path_data import emit_vml_path, is_finite_path, parse_path_data, to_absolute
 
@@ -184,10 +184,10 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
     raw = node.attributes.get(name)
     if raw is None:
         return None
-    value = parse_length(raw)
+    # A bare number, the common case, needs no location and no normalising.
+    value = read_number(raw)
     if value is None:
-        # Parsed again only to record the diagnostic at the attribute.
-        parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
+        value = parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
     return value
 
 

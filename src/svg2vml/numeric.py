@@ -9,7 +9,9 @@ with `str.split()` and converts with `float`.  On those characters the two
 accept exactly the grammar's tokens, so a token `float` rejects is outside
 the grammar; elsewhere `float` reads more (`_`, Unicode digits, exponents,
 "inf", "nan") and `split()` splits on more (`\x0b`, `\x0c`, `\x1c`-`\x1f`,
-NEL, Unicode spaces), so any other list is rejected.
+NEL, Unicode spaces), so any other list is rejected.  `read_number` reads
+one token the same way: a token made only of `NUMBER_CHARS` converts with
+`float`, which on those characters accepts exactly the grammar's numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ _SPLIT_RE = re.compile(f"[{SEPARATORS}]+")
 # The characters of a number list, as a regex class body; path_data adds letters.
 LIST_CHARS = rf"0-9.+\-{SEPARATORS}"
 _OUTSIDE_LIST_RE = re.compile(f"[^{LIST_CHARS}]")
+# The characters of one number, as a str.strip argument.
+NUMBER_CHARS = "0123456789.+-"
 
 
 def split_list(text: str) -> list[str]:
@@ -52,6 +56,17 @@ def read_numbers(text: str) -> Optional[list[float]]:
     return numbers if all(map(math.isfinite, numbers)) else None
 
 
+def read_number(token: str) -> Optional[float]:
+    """A whole token as a finite number, or None when it is outside the grammar or overflows."""
+    if token.strip(NUMBER_CHARS):
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_number(token: str) -> float:
     """Parse one numeric token; raises ValueError on anything else.
 
@@ -59,11 +74,11 @@ def parse_number(token: str) -> float:
     rejected as well.
     """
     token = token.strip(WSP)
-    if not NUMBER_RE.fullmatch(token):
-        raise ValueError(f"invalid number: {token!r}")
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"number out of range: {token!r}")
+    value = read_number(token)
+    if value is None:
+        # The regex only words the message.
+        fault = "number out of range" if NUMBER_RE.fullmatch(token) else "invalid number"
+        raise ValueError(f"{fault}: {token!r}")
     return value
 
 

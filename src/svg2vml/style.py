@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import WSP, format_number, parse_number
+from .numeric import WSP, format_number, parse_number, read_number
 from .svg_dom import SvgDocument, SvgNode, parse_length
 
 # SVG stroke attribute -> v:stroke attribute.
@@ -55,7 +55,9 @@ def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Dia
         return None if opacity is None else (target, format_number(opacity, precision))
     keywords = STROKE_KEYWORDS.get(name)
     if name == "stroke-width":
-        length = parse_length(value, diagnostics, Location(location, "stroke-width"))
+        length = read_number(value)
+        if length is None:
+            length = parse_length(value, diagnostics, Location(location, "stroke-width"))
         if length is None:
             return None
         if length >= 0.0:

@@ -31,13 +31,12 @@ any other character there is an error under the attribute's own code.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import NamedTuple, Optional
 from xml.parsers import expat
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import NUMBER_PATTERN, NUMBER_RE, WSP, parse_number, read_numbers, split_list
+from .numeric import NUMBER_RE, WSP, parse_number, read_number, read_numbers, split_list
 
 SVG_NS = "http://www.w3.org/2000/svg"
 XLINK_NS = "http://www.w3.org/1999/xlink"
@@ -348,11 +347,6 @@ def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -
     return list(map(Point, it, it))
 
 
-# A whole valid length: the number grammar with an optional "px" suffix,
-# white space allowed around both, as the slow path below reads it.
-_LENGTH_RE = re.compile(rf"[{WSP}]*({NUMBER_PATTERN})(?:[{WSP}]*px)?[{WSP}]*")
-
-
 def parse_length(
     value: str,
     diagnostics: Optional[Diagnostics] = None,
@@ -363,17 +357,13 @@ def parse_length(
     A bad length records UNSUPPORTED_UNIT when diagnostics are given and
     returns None.
     """
-    match = _LENGTH_RE.fullmatch(value)
-    if match is not None:
-        number = float(match[1])
-        if math.isfinite(number):
-            return number
-    if diagnostics is None:
-        return None
-    # Slow path, only to word the diagnostic.
     token = value.strip(WSP)
     if token.endswith("px"):
-        token = token[:-2].strip(WSP)
+        token = token[:-2].rstrip(WSP)
+    number = read_number(token)
+    if number is not None or diagnostics is None:
+        return number
+    # Only to word the diagnostic.
     suffix = NUMBER_RE.match(token)
     rest = token[suffix.end():] if suffix else ""
     unit = rest.strip(WSP)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svg2vml.numeric import (
-    NUMBER_LIST_PATTERN, NUMBER_PATTERN, NUMBER_RE, format_number, format_numbers, parse_number, read_numbers,
+    NUMBER_LIST_PATTERN, NUMBER_PATTERN, NUMBER_RE, format_number, format_numbers, parse_number, read_number,
+    read_numbers,
 )
 
 # Strings of the f"{value:.{precision}f}" formatter this table was recorded
@@ -125,3 +126,37 @@ list_chunks = st.one_of(
 @example(text="inf 1")
 def test_read_numbers_is_the_regex_reader(text):
     assert read_numbers(text) == regex_read_numbers(text)
+
+
+def regex_read_number(token):
+    """A token read by the grammar's regex alone: the reference for read_number."""
+    if NUMBER_RE.fullmatch(token):
+        value = float(token)
+        if math.isfinite(value):
+            return value
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(token=st.lists(list_chunks, max_size=3).map("".join))
+@example(token="")
+@example(token=".")
+@example(token="-0")
+@example(token="+-1")
+@example(token="1.2.3")
+@example(token="1_0")
+@example(token=" 1")
+@example(token="1e3")
+@example(token="\u0663")
+def test_read_number_is_the_regex_reader(token):
+    # repr keeps the sign of a zero apart.
+    assert repr(read_number(token)) == repr(regex_read_number(token))
+
+
+@pytest.mark.parametrize(
+    "token", ["1x", "1.5.", "9" * 400, "--1", "1\u2003"], ids=["unit", "point", "overflow", "signs", "em-space"]
+)
+def test_parse_number_words_its_two_faults(token):
+    fault = "number out of range" if token == "9" * 400 else "invalid number"
+    with pytest.raises(ValueError, match=f"^{fault}: "):
+        parse_number(token)
