@@ -18,9 +18,9 @@ as `emit_vml_path(to_absolute(parse_path_data(d), dx, dy), precision)`:
   letters and reads the numbers of every piece: in C, with `str.split()`
   and `float`, when it holds no compact "1.2.3", where a token `float`
   rejects is outside the grammar; otherwise by the grammar's regex and a
-  length count, which decide validity (`_read_pieces`).  The result is a list of segments
-  `(kind, relative, values)`, one per command letter, with implicit
-  repetitions kept in `values`.
+  length count, which decide validity (`_read_pieces`).  The result is a
+  list of segments `(kind, relative, values)`, one per command letter,
+  with implicit repetitions kept in `values`.
 - `to_absolute` moves the cursor over plain floats, relative to absolute
   first and then by the shift (dx, dy), and yields `(vml_letter, coords)`
   per coordinate group.

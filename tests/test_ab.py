@@ -1,0 +1,41 @@
+"""The in-process A/B tool (tools/ab.py): a second copy of the converter loads apart from the first."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import svg2vml
+
+from conftest import wrap_svg
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+DOCUMENT = wrap_svg('<rect x="1" y="2" width="3px" height="4em"/>')
+
+
+def test_a_second_copy_has_its_own_modules_and_converts_alike():
+    copy = ab.load_package("svg2vml_copy", ROOT / "src")
+    try:
+        assert sys.modules["svg2vml_copy.numeric"] is not sys.modules["svg2vml.numeric"]
+        assert copy.convert_text is not svg2vml.convert_text
+        output, diagnostics = copy.convert_text(DOCUMENT)
+        expected, expected_diagnostics = svg2vml.convert_text(DOCUMENT)
+        assert output == expected
+        assert [str(d) for d in diagnostics] == [str(d) for d in expected_diagnostics] != []
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "svg2vml_copy"]:
+            del sys.modules[name]
+
+
+def test_time_ratios_gives_one_ratio_per_round():
+    calls = []
+
+    def convert(text):
+        calls.append(text)
+
+    ratios = ab.time_ratios(convert, lambda text: convert(text), ["a", "b", "c"], 4)
+    assert len(ratios) == 4 and all(ratio > 0 for ratio in ratios)
+    assert calls == ["a", "a", "b", "b", "c", "c"] * 4

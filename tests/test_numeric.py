@@ -69,7 +69,7 @@ def test_format_number_matches_format_spec_at_any_precision(precision):
     "token", ["1" * 400, "-" + "9" * 309, "9" * 309 + ".5"], ids=["400-digits", "negative", "fraction"]
 )
 def test_parse_number_rejects_overflow(token):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^number out of range: "):
         parse_number(token)
 
 
@@ -84,7 +84,7 @@ def test_parse_number_keeps_large_finite_values():
 )
 def test_parse_number_rejects_long_runs_in_linear_time(token):
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid number: "):
         parse_number(token)
     assert time.perf_counter() - start < 1.0
 
@@ -152,11 +152,3 @@ def test_read_number_is_the_regex_reader(token):
     # repr keeps the sign of a zero apart.
     assert repr(read_number(token)) == repr(regex_read_number(token))
 
-
-@pytest.mark.parametrize(
-    "token", ["1x", "1.5.", "9" * 400, "--1", "1\u2003"], ids=["unit", "point", "overflow", "signs", "em-space"]
-)
-def test_parse_number_words_its_two_faults(token):
-    fault = "number out of range" if token == "9" * 400 else "invalid number"
-    with pytest.raises(ValueError, match=f"^{fault}: "):
-        parse_number(token)
