@@ -82,8 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3, help="corpus seed (default 3)")
     parser.add_argument("--rounds", type=int, default=20, help="timed rounds over the corpus (default 20)")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2, for quartiles")
 
     corpus = build_corpus(args.workload, args.seed)
     texts = [doc.text for doc in corpus.documents]
@@ -97,10 +97,7 @@ def main(argv=None) -> int:
                   f"e.g. {', '.join(differing[:5])}")
             return 1
         ratios = time_ratios(mine, theirs, texts, args.rounds)
-    if len(ratios) > 1:
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = ratios[0]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     print(f"{args.workload} seed {args.seed}: {len(texts)} documents identical; "
           f"time ratio working tree / {args.against} over {args.rounds} rounds: "
           f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
