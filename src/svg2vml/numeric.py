@@ -26,6 +26,8 @@ SEPARATORS = WSP + ","
 # Unambiguous on purpose: a digit run splits between the alternatives one way
 # only, and list numbers need a separator between them, so matches are linear.
 NUMBER_PATTERN = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+# The whole-list grammar: no reader runs it; it is the reference the tests
+# compare read_numbers and the list readers against.
 NUMBER_LIST_PATTERN = rf"[{SEPARATORS}]*(?:{NUMBER_PATTERN}(?:[{SEPARATORS}]+{NUMBER_PATTERN})*)?[{SEPARATORS}]*"
 
 # Compiled once for every module: NUMBER_RE finds numbers anywhere, and its
@@ -65,21 +67,6 @@ def read_number(token: str) -> Optional[float]:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
-
-
-def parse_number(token: str) -> float:
-    """Parse one numeric token; raises ValueError on anything else.
-
-    A token with too many digits for a float overflows to infinity and is
-    rejected as well.
-    """
-    token = token.strip(WSP)
-    value = read_number(token)
-    if value is None:
-        # The regex only words the message.
-        fault = "number out of range" if NUMBER_RE.fullmatch(token) else "invalid number"
-        raise ValueError(f"{fault}: {token!r}")
-    return value
 
 
 # printf-style fixed-point specs for the precisions ConvertOptions allows.

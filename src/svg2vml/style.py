@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import WSP, format_number, parse_number, read_number
+from .numeric import WSP, format_number, read_number
 from .svg_dom import SvgDocument, SvgNode, parse_length
 
 # SVG stroke attribute -> v:stroke attribute.
@@ -68,11 +68,8 @@ def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Dia
             return target, keywords[value]
         fault = f"is not one of {', '.join(keywords)}"
     else:
-        try:
-            limit = parse_number(value)
-        except ValueError:
-            limit = 0.0
-        if limit >= 1.0:
+        limit = read_number(value.strip(WSP))
+        if limit is not None and limit >= 1.0:
             return target, format_number(limit, precision)
         fault = "is not a number of at least 1"
     diagnostics.warning("BAD_ATTRIBUTE", f"{name} {value!r} {fault}", location)
@@ -81,9 +78,8 @@ def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Dia
 
 def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
     """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
-    try:
-        value = parse_number(raw)
-    except ValueError:
+    value = read_number(raw.strip(WSP))
+    if value is None:
         diagnostics.warning("BAD_ATTRIBUTE", f"unparseable {name} {raw!r}", location)
         return None
     if value < 0.0 or value > 1.0:
@@ -161,10 +157,8 @@ def _stop_offset(value: Optional[str]) -> Optional[float]:
     if token.endswith("%"):
         token = token[:-1].strip(WSP)
         scale = 0.01
-    try:
-        return parse_number(token) * scale
-    except ValueError:
-        return None
+    number = read_number(token)
+    return None if number is None else number * scale
 
 
 def resolve_gradient(node: SvgNode, diagnostics: Diagnostics, location: LocationLike) -> Optional[dict[str, str]]:

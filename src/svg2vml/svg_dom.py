@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 from xml.parsers import expat
 
 from .diagnostics import Diagnostics, Location, LocationLike
-from .numeric import NUMBER_RE, WSP, parse_number, read_number, read_numbers, split_list
+from .numeric import NUMBER_RE, WSP, read_number, read_numbers, split_list
 
 SVG_NS = "http://www.w3.org/2000/svg"
 XLINK_NS = "http://www.w3.org/1999/xlink"
@@ -336,9 +336,7 @@ def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -
     if coords is None:
         # Only to name the first bad token; a list the grammar rejects holds one.
         for token in split_list(value):
-            try:
-                parse_number(token)
-            except ValueError:
+            if read_number(token) is None:
                 diagnostics.error("BAD_POINTS", f"non-numeric coordinate {token!r}", location)
                 return []
     if len(coords) % 2 != 0:
@@ -347,21 +345,16 @@ def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -
     return list(map(Point, it, it))
 
 
-def parse_length(
-    value: str,
-    diagnostics: Optional[Diagnostics] = None,
-    location: LocationLike = "",
-) -> Optional[float]:
+def parse_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
     """Parse a length in user units; a "px" suffix is accepted and stripped.
 
-    A bad length records UNSUPPORTED_UNIT when diagnostics are given and
-    returns None.
+    A bad length records UNSUPPORTED_UNIT and returns None.
     """
     token = value.strip(WSP)
     if token.endswith("px"):
         token = token[:-2].rstrip(WSP)
     number = read_number(token)
-    if number is not None or diagnostics is None:
+    if number is not None:
         return number
     # Only to word the diagnostic.
     suffix = NUMBER_RE.match(token)

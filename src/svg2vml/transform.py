@@ -13,16 +13,13 @@ simulation strategy:
                   2x2 linear entries plus a position correction
 * distribute      g: the group's transform list is prepended to each child's
 
-A transform list the whole-list grammar accepts is read in one pass: each
-call's arguments split on separators and convert with float(), which is
-exact, since the grammar admits only its own numbers between runs of space,
-tab, CR, LF and comma.  One table, _SIGNATURES, gives each function's
-argument counts and completes a short list (translate(tx), scale(s)) for
-the reader and the scanner alike.  A list the grammar
-rejects, or with a wrong count, a non-finite argument or a skew on the
-tangent pole, goes to a scanner, which decides and words its diagnostics:
-the BAD_TRANSFORM message, or one SINGULAR_SKEW per pole skew, reported once
-where the list is read.  A Chain is plain data, a list with its
+A transform list is read in one pass: splitting it on the call pattern gives
+each call's gap, name and arguments, and numeric.read_numbers decides the
+arguments.  One table, _SIGNATURES, gives each function's argument counts
+and completes a short list (translate(tx), scale(s)).  The first fault drops
+the whole list with one BAD_TRANSFORM, whose message is worded from the
+call's tokens only then; a list that reads reports one SINGULAR_SKEW per
+skew on the tangent pole.  A Chain is plain data, a list with its
 left-to-right product: a group extends its parent's chain by its own list,
 so the product of a group's list is composed once for all its descendants,
 and a leaf extends it by its own list only.  Extending folds each op's
@@ -57,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
-    NUMBER_LIST_PATTERN, NUMBER_RE, SEPARATORS, WSP, format_number, format_numbers, split_list,
+    NUMBER_RE, SEPARATORS, WSP, format_number, format_numbers, read_numbers, split_list,
 )
 from .svg_dom import Point
 
@@ -81,18 +78,10 @@ class TransformOp(NamedTuple):
     args: tuple[float, ...]
 
 
-def _op(name: str, *args: float) -> TransformOp:
-    """The op for a call with these arguments, completed by its signature."""
-    args = tuple(map(float, args))
-    complete = _SIGNATURES[name][len(args)]
-    return TransformOp(name, args if complete is None else complete(*args))
-
-
 # Each function's argument counts, each with what completes the arguments
 # read: None keeps them as they are, a function returns them completed.
 # translate(tx) is translate(tx, 0) and scale(s) is scale(s, s); a rotate
-# centre coordinate of -0 reads as 0.  Both list readers complete every op
-# here.
+# centre coordinate of -0 reads as 0.
 _SIGNATURES = {
     "matrix": {6: None},
     "translate": {1: lambda tx: (tx, 0.0), 2: None},
@@ -105,78 +94,52 @@ _SKEWS = ("skewX", "skewY")
 
 _FUNCTION_RE = re.compile(rf"([A-Za-z]+)[{WSP}]*\(([^)]*)\)")
 
-# The whole list grammar: calls with number lists, between runs of separators.
-_LIST_RE = re.compile(
-    rf"[{SEPARATORS}]*(?:(?:{'|'.join(_SIGNATURES)})[{WSP}]*\({NUMBER_LIST_PATTERN}\)[{SEPARATORS}]*)*"
-)
-
 
 def parse_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[TransformOp]:
     """Parse a transform attribute into ops, filling in default arguments.
 
-    A list the grammar accepts whole, with finite arguments in counts the
-    functions take and no skew on the tangent pole, is read in one pass;
-    anything else goes to the scanner, which decides and words the
-    diagnostics.
+    The first fault is reported and the whole list dropped.  A list that
+    reads keeps its skews on the tangent pole, each reported as
+    SINGULAR_SKEW.
     """
-    if _LIST_RE.fullmatch(value):
-        ops = []
-        for name, raw_args in _FUNCTION_RE.findall(value):
-            # The grammar admits only its numbers between runs of space,
-            # tab, CR, LF and comma, so split() and float() read them exactly.
-            args = tuple(map(float, raw_args.replace(",", " ").split()))
-            forms = _SIGNATURES[name]
-            if len(args) not in forms or not all(map(math.isfinite, args)):
-                break
-            if name in _SKEWS and _is_tangent_pole(args[0]):
-                break
-            complete = forms[len(args)]
-            ops.append(TransformOp(name, args if complete is None else complete(*args)))
-        else:
-            return ops
-    return _scan_transform_list(value, diagnostics, location)
-
-
-def _scan_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[TransformOp]:
-    """Scan a transform list call by call; the first fault is reported and
-    the whole list dropped.  A list that reads keeps its pole skews, each
-    reported as SINGULAR_SKEW."""
+    pieces = _FUNCTION_RE.split(value)
     ops: list[TransformOp] = []
-    position = 0
-    for found in _FUNCTION_RE.finditer(value):
-        gap = value[position : found.start()]
-        if gap.strip(SEPARATORS):
-            diagnostics.error("BAD_TRANSFORM", f"unparseable transform text {gap.strip(WSP)!r}", location)
+    poles: list[TransformOp] = []
+    it = iter(pieces)
+    for gap, name, raw_args in zip(it, it, it):
+        forms = _SIGNATURES.get(name)
+        args = None if forms is None else read_numbers(raw_args)
+        if gap.strip(SEPARATORS) or args is None or len(args) not in forms:
+            diagnostics.error("BAD_TRANSFORM", _call_fault(gap, name, raw_args), location)
             return []
-        position = found.end()
-        name, raw_args = found.group(1), found.group(2)
-        if name not in _SIGNATURES:
-            diagnostics.error("BAD_TRANSFORM", f"unknown transform function {name!r}", location)
-            return []
-        tokens = split_list(raw_args)
-        if len(tokens) not in _SIGNATURES[name]:
-            counts = " or ".join(map(str, _SIGNATURES[name]))
-            diagnostics.error(
-                "BAD_TRANSFORM", f"{name}() takes {counts} arguments, got {len(tokens)}", location
-            )
-            return []
-        if not all(NUMBER_RE.fullmatch(token) for token in tokens):
-            diagnostics.error("BAD_TRANSFORM", f"non-numeric argument in {name}({raw_args})", location)
-            return []
-        args = [float(token) for token in tokens]
-        if not all(map(math.isfinite, args)):
-            diagnostics.error("BAD_TRANSFORM", f"argument out of range in {name}({raw_args})", location)
-            return []
-        ops.append(_op(name, *args))
-    if value[position:].strip(SEPARATORS):
-        diagnostics.error(
-            "BAD_TRANSFORM", f"trailing transform text {value[position:].strip(WSP)!r}", location
-        )
+        complete = forms[len(args)]
+        op = TransformOp(name, tuple(args) if complete is None else complete(*args))
+        ops.append(op)
+        if name in _SKEWS and _is_tangent_pole(args[0]):
+            poles.append(op)
+    if pieces[-1].strip(SEPARATORS):
+        diagnostics.error("BAD_TRANSFORM", f"trailing transform text {pieces[-1].strip(WSP)!r}", location)
         return []
-    for op in filter(_is_singular, ops):
+    for op in poles:
         message = f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
         diagnostics.error("SINGULAR_SKEW", message, location)
     return ops
+
+
+def _call_fault(gap: str, name: str, raw_args: str) -> str:
+    """The BAD_TRANSFORM message for a call that does not read: its first fault
+    in the order gap, name, count, number, range.  The regex only words it."""
+    if gap.strip(SEPARATORS):
+        return f"unparseable transform text {gap.strip(WSP)!r}"
+    forms = _SIGNATURES.get(name)
+    if forms is None:
+        return f"unknown transform function {name!r}"
+    tokens = split_list(raw_args)
+    if len(tokens) not in forms:
+        return f"{name}() takes {' or '.join(map(str, forms))} arguments, got {len(tokens)}"
+    if not all(map(NUMBER_RE.fullmatch, tokens)):
+        return f"non-numeric argument in {name}({raw_args})"
+    return f"argument out of range in {name}({raw_args})"
 
 
 def _fold(m: Sequence[float], matrices: Iterable[Sequence[float]]) -> tuple[float, ...]:
@@ -196,10 +159,6 @@ def _fold(m: Sequence[float], matrices: Iterable[Sequence[float]]) -> tuple[floa
 
 def _is_tangent_pole(angle_deg: float) -> bool:
     return math.isclose(math.fmod(abs(angle_deg), 180.0), 90.0, abs_tol=1e-12)
-
-
-def _is_singular(op: TransformOp) -> bool:
-    return op.name in _SKEWS and _is_tangent_pole(op.args[0])
 
 
 def _entries(name: str, args: tuple[float, ...]) -> tuple[float, ...]:

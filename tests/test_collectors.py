@@ -17,7 +17,7 @@ from svg2vml.diagnostics import Diagnostics
 from svg2vml.path_data import parse_path_data
 from svg2vml.style import map_stroke_attribute, resolve_fill_reference, resolve_gradient
 from svg2vml.svg_dom import parse_length, parse_points, parse_svg, parse_view_box
-from svg2vml.transform import _scan_transform_list, parse_transform_list
+from svg2vml.transform import parse_transform_list
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "svg2vml"
 
@@ -30,7 +30,6 @@ ONE_STOP = DOCUMENT.id_index["one"]
 READERS = {
     "parse_path_data": (lambda d, at: parse_path_data("M 0 0 B 1 2", d, at), "BAD_PATH"),
     "parse_transform_list": (lambda d, at: parse_transform_list("skew(3)", d, at), "BAD_TRANSFORM"),
-    "_scan_transform_list": (lambda d, at: _scan_transform_list("scale(1 2 3)", d, at), "BAD_TRANSFORM"),
     "parse_view_box": (lambda d, at: parse_view_box("0 0 1", d, at), "BAD_VIEWBOX"),
     "parse_points": (lambda d, at: parse_points("1,2 3", d, at), "BAD_POINTS"),
     "parse_length": (lambda d, at: parse_length("3em", d, at), "UNSUPPORTED_UNIT"),
@@ -41,9 +40,8 @@ READERS = {
     ),
 }
 
-# The readers whose collector and location have no default; parse_length
-# keeps one for its validate-only check.
-REQUIRED = [parse_path_data, parse_transform_list, _scan_transform_list, parse_view_box, parse_points,
+# The readers whose collector and location have no default: all of them.
+REQUIRED = [parse_path_data, parse_transform_list, parse_view_box, parse_points, parse_length,
             map_stroke_attribute, resolve_gradient, resolve_fill_reference]
 
 

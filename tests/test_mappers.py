@@ -8,7 +8,7 @@ from conftest import ctm_of, map_snippet, read_ops, wrap_svg
 from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _MAPPERS, VmlNode, map_document
-from svg2vml.numeric import format_number, parse_number
+from svg2vml.numeric import format_number, read_number
 from svg2vml.style import STROKE_TABLE
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, Point, parse_svg
 from svg2vml.transform import recalc_points
@@ -197,7 +197,7 @@ class TestPoly:
             ctm = ctm_of(read_ops(transform))
             expected = recalc_points(ctm, points)
             numbers = [
-                parse_number(token)
+                read_number(token)
                 for chunk in path[:-1].replace("m", "").replace("l", "").split()
                 for token in chunk.split(",")
             ]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svg2vml.numeric import (
-    NUMBER_LIST_PATTERN, NUMBER_PATTERN, NUMBER_RE, format_number, format_numbers, parse_number, read_number,
+    NUMBER_LIST_PATTERN, NUMBER_PATTERN, NUMBER_RE, format_number, format_numbers, read_number,
     read_numbers,
 )
 
@@ -68,13 +68,12 @@ def test_format_number_matches_format_spec_at_any_precision(precision):
 @pytest.mark.parametrize(
     "token", ["1" * 400, "-" + "9" * 309, "9" * 309 + ".5"], ids=["400-digits", "negative", "fraction"]
 )
-def test_parse_number_rejects_overflow(token):
-    with pytest.raises(ValueError, match="^number out of range: "):
-        parse_number(token)
+def test_read_number_rejects_overflow(token):
+    assert read_number(token) is None
 
 
-def test_parse_number_keeps_large_finite_values():
-    assert parse_number("9" * 300) == float("9" * 300)
+def test_read_number_keeps_large_finite_values():
+    assert read_number("9" * 300) == float("9" * 300)
 
 
 @pytest.mark.parametrize(
@@ -82,10 +81,9 @@ def test_parse_number_keeps_large_finite_values():
     ["1" * 200_000 + "x", "1" * 200_000 + ".5.", "." + "5" * 200_000 + "e"],
     ids=["digits", "second-point", "fraction"],
 )
-def test_parse_number_rejects_long_runs_in_linear_time(token):
+def test_read_number_rejects_long_runs_in_linear_time(token):
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^invalid number: "):
-        parse_number(token)
+    assert read_number(token) is None
     assert time.perf_counter() - start < 1.0
 
 

@@ -423,34 +423,43 @@ class TestParsePoints:
         assert parse_points(joined, diags, "svg/polyline[0]") == [Point(x, y) for x, y in points]
 
 
+WIDTH = "svg/rect[0]@width"  # where the parse_length calls below read their length
+
+
 class TestParseLength:
     def test_px_suffix(self, diags):
-        assert parse_length("10px", diags) == 10
+        assert parse_length("10px", diags, WIDTH) == 10
 
     def test_zero(self, diags):
-        assert parse_length("0", diags) == 0
+        assert parse_length("0", diags, WIDTH) == 0
 
     def test_bare_number(self, diags):
-        assert parse_length("70", diags) == 70
+        assert parse_length("70", diags, WIDTH) == 70
 
     @pytest.mark.parametrize("bad", ["10%", "2em", "abc", ""])
     def test_unsupported_units(self, bad, diags):
-        assert parse_length(bad, diags) is None
+        assert parse_length(bad, diags, WIDTH) is None
         assert "UNSUPPORTED_UNIT" in diags.codes()
 
     def test_scientific_notation_rejected(self, diags):
-        assert parse_length("1e3", diags) is None
-        assert [str(d) for d in diags] == ["error UNSUPPORTED_UNIT: exponent notation is not supported in '1e3'"]
+        assert parse_length("1e3", diags, WIDTH) is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("UNSUPPORTED_UNIT", "exponent notation is not supported in '1e3'")
+        ]
 
     @pytest.mark.parametrize("value", ["2E-3px", "-1e+1", ".5e2", " 1e3 ", "1e3em"])
     def test_exponent_notation_is_named_in_every_form(self, value, diags):
-        assert parse_length(value, diags) is None
-        assert [str(d) for d in diags] == [f"error UNSUPPORTED_UNIT: exponent notation is not supported in {value!r}"]
+        assert parse_length(value, diags, WIDTH) is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("UNSUPPORTED_UNIT", f"exponent notation is not supported in {value!r}")
+        ]
 
     @pytest.mark.parametrize("value,unit", [("1e", "e"), ("1em", "em"), ("1 e3", "e3"), ("1e-", "e-")])
     def test_an_e_without_exponent_digits_is_a_unit(self, value, unit, diags):
-        assert parse_length(value, diags) is None
-        assert [str(d) for d in diags] == [f"error UNSUPPORTED_UNIT: unsupported length unit {unit!r} in {value!r}"]
+        assert parse_length(value, diags, WIDTH) is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("UNSUPPORTED_UNIT", f"unsupported length unit {unit!r} in {value!r}")
+        ]
 
     @given(
         st.lists(
@@ -467,10 +476,9 @@ class TestParseLength:
     @example("1e-")
     def test_matches_the_reference_grammar(self, value):
         expected, actual = Diagnostics(), Diagnostics()
-        reference = reference_parse_length(value, expected, "svg/rect[0]@width")
-        assert parse_length(value, actual, "svg/rect[0]@width") == reference
+        reference = reference_parse_length(value, expected, WIDTH)
+        assert parse_length(value, actual, WIDTH) == reference
         assert actual.items == expected.items
-        assert parse_length(value) == reference
 
 
 # SVG 1.1 white space: the only characters a length may have around it.

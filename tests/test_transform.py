@@ -1,14 +1,16 @@
 import math
 import random
+import re
 from decimal import Decimal
 
 import pytest
 from conftest import ctm_of, read_ops, rejects, wrap_svg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
+from svg2vml.numeric import NUMBER_LIST_PATTERN, NUMBER_PATTERN, SEPARATORS, WSP, format_number
 from svg2vml.svg_dom import Point
 from svg2vml.transform import (
     DISTRIBUTE,
@@ -24,7 +26,6 @@ from svg2vml.transform import (
     TransformMatrix,
     TransformOp,
     _entries,
-    _scan_transform_list,
     parse_transform_list,
     place,
     recalc_points,
@@ -143,6 +144,16 @@ class TestParseTransformList:
             ("matrix(1 2 3)", "matrix() takes 6 arguments, got 3"),
             ("rotate(1, 2)", "rotate() takes 1 or 3 arguments, got 2"),
             ("scale()", "scale() takes 1 or 2 arguments, got 0"),
+            ("spin(10)", "unknown transform function 'spin'"),
+            ("scale(2) ; rotate(3)", "unparseable transform text ';'"),
+            ("rotate(1) junk", "trailing transform text 'junk'"),
+            ("rotate(1x)", "non-numeric argument in rotate(1x)"),
+            ("translate(1e400)", "non-numeric argument in translate(1e400)"),
+            pytest.param(
+                f"translate({'9' * 400})", f"argument out of range in translate({'9' * 400})", id="out-of-range"
+            ),
+            # A fault drops the whole list, pole skews and all, with only its own message.
+            ("skewX(90) scale(1 2 3)", "scale() takes 1 or 2 arguments, got 3"),
         ],
     )
     def test_argument_count_message(self, bad, message, diags):
@@ -168,9 +179,11 @@ _PIECES = _NAMES | _NUMBER_TEXT | _WHITESPACE | _STRAY | st.sampled_from(["(", "
 _ARG_COUNTS = {"matrix": [6], "translate": [1, 2], "scale": [1, 2], "rotate": [1, 3], "skewX": [1], "skewY": [1]}
 
 
-# Tokens float() reads that the grammar rejects, and zeros with a sign.
+# Tokens float() reads that the grammar rejects, zeros with a sign, and
+# angles on the tangent pole.
 _FLOAT_ONLY = st.sampled_from(["1e5", "2E-1", "inf", "-inf", "nan", "+nan", "Infinity", "1_0"])
 _ZEROS = st.sampled_from(["-0", "-0.", "-0.0", "-.0", "+0", "0"])
+_POLES = st.sampled_from(["90", "-90", "270.", "+450.0", "-630"])
 
 
 @st.composite
@@ -178,7 +191,8 @@ def _transform_lists(draw):
     """Lists of calls: half of them well formed, the rest with any name, count and spacing.
 
     A well-formed call's arguments are mostly grammar numbers, with now and
-    then a token only float() reads, or a signed zero (a rotate's -0 centre).
+    then a token only float() reads, a signed zero (a rotate's -0 centre) or
+    a pole angle (a skew's SINGULAR_SKEW).
     """
     if draw(st.booleans()):
         names = st.sampled_from(sorted(_ARG_COUNTS))
@@ -186,7 +200,7 @@ def _transform_lists(draw):
         inner = st.text(_WHITESPACE, max_size=1)
         comma_run = st.sampled_from([",,", ", ,", ",\t,", " ,, "])
         separator = st.text(_WHITESPACE | st.just(","), min_size=1, max_size=2) | comma_run
-        number = st.one_of(_NUMBER_TEXT, _NUMBER_TEXT, _NUMBER_TEXT, _FLOAT_ONLY, _ZEROS)
+        number = st.one_of(_NUMBER_TEXT, _NUMBER_TEXT, _NUMBER_TEXT, _FLOAT_ONLY, _ZEROS, _POLES)
     else:
         names = _NAMES
         gap = inner = separator = st.text(_WHITESPACE | _STRAY | st.just(","), max_size=2)
@@ -203,12 +217,46 @@ def _transform_lists(draw):
     return text + draw(gap)
 
 
+# The whole-list grammar: calls with number lists, between runs of separators.
+_CALL = rf"({'|'.join(_ARG_COUNTS)})[{WSP}]*\(({NUMBER_LIST_PATTERN})\)"
+_GRAMMAR_LIST_RE = re.compile(rf"[{SEPARATORS}]*(?:{_CALL}[{SEPARATORS}]*)*")
+# How a short list completes: translate(tx) and scale(s); a rotate centre of -0 is 0.
+_COMPLETE = {
+    ("translate", 1): lambda tx: (tx, 0.0),
+    ("scale", 1): lambda s: (s, s),
+    ("rotate", 3): lambda angle, cx, cy: (angle, 0.0 if cx == 0 else cx, 0.0 if cy == 0 else cy),
+}
+
+
+def oracle_transform_list(text):
+    """The ops of a list the grammar accepts with finite arguments in counts the
+    functions take, and the SINGULAR_SKEW message of each pole skew; None for
+    any other list."""
+    if not _GRAMMAR_LIST_RE.fullmatch(text):
+        return None
+    ops, poles = [], []
+    for name, raw_args in re.findall(_CALL, text):
+        args = tuple(float(token) for token in re.findall(NUMBER_PATTERN, raw_args))
+        if len(args) not in _ARG_COUNTS[name] or not all(map(math.isfinite, args)):
+            return None
+        ops.append(TransformOp(name, _COMPLETE.get((name, len(args)), lambda *same: same)(*args)))
+        if name.startswith("skew") and math.isclose(math.fmod(abs(args[0]), 180.0), 90.0, abs_tol=1e-12):
+            poles.append(f"{name}({format_number(args[0])}) is undefined (tangent pole)")
+    return ops, poles
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=_transform_lists() | st.lists(_PIECES, max_size=24).map("".join))
-def test_one_pass_parse_agrees_with_the_scanner(text):
-    fast, scanned = Diagnostics(), Diagnostics()
-    assert repr(parse_transform_list(text, fast, "here")) == repr(_scan_transform_list(text, scanned, "here"))
-    assert list(fast) == list(scanned)
+@example("skewX(90) skewY(-270.)")
+def test_the_reader_reads_exactly_the_lists_the_grammar_accepts(text):
+    diagnostics = Diagnostics()
+    ops = parse_transform_list(text, diagnostics, "here")
+    expected = oracle_transform_list(text)
+    if expected is None:
+        assert ops == [] and diagnostics.codes() == ["BAD_TRANSFORM"]
+    else:
+        assert repr(ops) == repr(expected[0])
+        assert [(d.code, d.message) for d in diagnostics] == [("SINGULAR_SKEW", pole) for pole in expected[1]]
 
 
 def test_rotate_centres_of_minus_zero_read_as_zero(diags):
