@@ -50,7 +50,6 @@ from .style import (  # noqa: F401
 )
 from .svg_dom import (
     MAX_DEPTH,
-    Point,
     SvgDocument,
     SvgNode,
     TreeNode,
@@ -439,13 +438,10 @@ def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """line/polyline/polygon -> v:shape; transforms recompute every point."""
     if node.tag == "line":
-        points = [
-            Point(_length(ctx, node, "x1") or 0.0, _length(ctx, node, "y1") or 0.0),
-            Point(_length(ctx, node, "x2") or 0.0, _length(ctx, node, "y2") or 0.0),
-        ]
+        coords = [_length(ctx, node, name) or 0.0 for name in ("x1", "y1", "x2", "y2")]
     else:
-        points = parse_points(node.attributes.get("points", ""), ctx.diagnostics, ctx.location)
-    if len(points) < 2:
+        coords = parse_points(node.attributes.get("points", ""), ctx.diagnostics, ctx.location)
+    if len(coords) < 4:
         ctx.diagnostics.warning(
             "DEGENERATE_SHAPE", f"{node.tag} needs at least 2 points; skipped", ctx.location
         )
@@ -454,27 +450,22 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     closed = node.tag == "polygon"
     chain = _effective_chain(node, ctx)
     if chain.ops:
-        # The points as read are finite, so only the transform can overflow.
-        path = _points_path(recalc_points(chain.ctm, points), closed, ctx.options.precision)
+        # The coordinates as read are finite, so only the transform can overflow.
+        path = _points_path(recalc_points(chain.ctm, coords), closed, ctx.options.precision)
         if is_finite_path(path):
             return _path_shape(node, ctx, path)
         ctx.diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, ctx.location)
-    return _path_shape(node, ctx, _points_path(points, closed, ctx.options.precision))
+    return _path_shape(node, ctx, _points_path(coords, closed, ctx.options.precision))
 
 
-def _points_path(points: list[Point], closed: bool, precision: int) -> str:
-    """The VML path through the points, closed for a polygon: one template, one format call."""
-    template = "m %s,%s" + " l %s,%s" * (len(points) - 1) + (" x e" if closed else " e")
-    return template % tuple(format_numbers([value for point in points for value in point], precision))
+def _points_path(coords: list[float], closed: bool, precision: int) -> str:
+    """The VML path through flat x, y coordinates, closed for a polygon: one template, one format call."""
+    template = "m %s,%s" + " l %s,%s" * (len(coords) // 2 - 1) + (" x e" if closed else " e")
+    return template % tuple(format_numbers(coords, precision))
 
 
-def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> Optional[VmlNode]:
-    """The painted v:shape for a VML path; None, reported, if it is not finite."""
-    if not is_finite_path(path):
-        ctx.diagnostics.error(
-            "BAD_PATH", f"{node.tag} coordinates overflow to a non-finite value; skipped", ctx.location
-        )
-        return None
+def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> VmlNode:
+    """The painted v:shape for a finite VML path."""
     shape = _new(node, "v:shape")
     shape.attributes["path"] = path
     _paint(node, ctx, shape)
@@ -498,8 +489,12 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     placed = _place(node, ctx, None)
     origin, skew = (placed.origin, placed.skew) if placed is not None else (None, None)
     dx, dy = origin or (0.0, 0.0)
-    shape = _path_shape(node, ctx, emit_vml_path(to_absolute(segments, dx, dy), ctx.options.precision))
-    if shape is not None and skew is not None:
+    path = emit_vml_path(to_absolute(segments, dx, dy), ctx.options.precision)
+    if not is_finite_path(path):
+        ctx.diagnostics.error("BAD_PATH", "path coordinates overflow to a non-finite value; skipped", ctx.location)
+        return None
+    shape = _path_shape(node, ctx, path)
+    if skew is not None:
         shape.children.append(VmlNode("v:skew", skew))
     return shape
 

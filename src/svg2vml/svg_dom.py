@@ -69,11 +69,6 @@ def expansion_budget(elements: int) -> int:
     return EXPANSION_ALLOWANCE + MAX_EXPANSION * elements
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
 class ViewBox(NamedTuple):
     min_x: float
     min_y: float
@@ -330,8 +325,8 @@ def parse_view_box(value: str, diagnostics: Diagnostics, location: LocationLike)
     return box
 
 
-def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[Point]:
-    """Parse a points list: a list of x,y pairs."""
+def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[float]:
+    """Parse a points list into its flat coordinates: x0, y0, x1, y1, ..."""
     coords = read_numbers(value)
     if coords is None:
         # Only to name the first bad token; a list the grammar rejects holds one.
@@ -341,8 +336,8 @@ def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -
                 return []
     if len(coords) % 2 != 0:
         diagnostics.error("BAD_POINTS", f"odd coordinate count ({len(coords)})", location)
-    it = iter(coords)
-    return list(map(Point, it, it))
+        del coords[-1]
+    return coords
 
 
 def parse_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:

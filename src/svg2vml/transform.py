@@ -56,7 +56,6 @@ from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
     NUMBER_RE, SEPARATORS, WSP, format_number, format_numbers, read_numbers, split_list,
 )
-from .svg_dom import Point
 
 
 class TransformMatrix(NamedTuple):
@@ -220,10 +219,11 @@ def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
     return EMPTY_CHAIN.extend(ops).ctm
 
 
-def recalc_points(m: TransformMatrix, points: list[Point]) -> list[Point]:
-    """Apply the matrix to every point, preserving order."""
+def recalc_points(m: TransformMatrix, coords: list[float]) -> list[float]:
+    """Apply the matrix to every point of a flat x0, y0, x1, y1, ... list, preserving order."""
     a, b, c, d, e, f = m
-    return [Point(a * x + c * y + e, b * x + d * y + f) for x, y in points]
+    it = iter(coords)
+    return [value for x, y in zip(it, it) for value in (a * x + c * y + e, b * x + d * y + f)]
 
 
 # --- offset rules -----------------------------------------------------------

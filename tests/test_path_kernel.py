@@ -12,7 +12,7 @@ from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import _points_path
 from svg2vml.numeric import NUMBER_PATTERN, NUMBER_RE, format_number
 from svg2vml.path_data import emit_vml_path, parse_path_data, to_absolute
-from svg2vml.svg_dom import Point, parse_points
+from svg2vml.svg_dom import parse_points
 
 from conftest import wrap_svg
 
@@ -184,15 +184,17 @@ def test_length_count_accepts_what_the_gap_check_accepted(d):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    points=st.lists(st.builds(Point, st.floats(), st.floats()), min_size=2, max_size=12),
+    coords=st.lists(st.tuples(st.floats(), st.floats()), min_size=2, max_size=12).map(
+        lambda pairs: [value for pair in pairs for value in pair]
+    ),
     closed=st.booleans(),
     precision=st.integers(0, 12),
 )
-def test_points_path_is_the_segment_form(points, closed, precision):
-    parts = [("m", points[0])] + [("l", point) for point in points[1:]]
+def test_points_path_is_the_segment_form(coords, closed, precision):
+    parts = [("m", coords[0:2])] + [("l", coords[i:i + 2]) for i in range(2, len(coords), 2)]
     if closed:
         parts.append(("x", ()))
-    assert _points_path(points, closed, precision) == emit_vml_path(parts, precision)
+    assert _points_path(coords, closed, precision) == emit_vml_path(parts, precision)
 
 
 FAULTS = {

@@ -14,7 +14,6 @@ from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN
 from svg2vml.svg_dom import (
     MAX_DEPTH,
-    Point,
     parse_length,
     parse_points,
     parse_svg,
@@ -396,18 +395,18 @@ class TestParseViewBox:
 
 class TestParsePoints:
     def test_three_point_polyline(self, diags):
-        assert parse_points("0,0 100,100 200,200", diags, "svg/polyline[0]") == [(0, 0), (100, 100), (200, 200)]
+        assert parse_points("0,0 100,100 200,200", diags, "svg/polyline[0]") == [0, 0, 100, 100, 200, 200]
 
     def test_empty(self, diags):
         assert parse_points("", diags, "svg/polyline[0]") == []
         assert not diags.has_errors
 
     def test_testing_elements_points(self, diags):
-        points = parse_points("300,300 350,300 350,250 400,250 400,300 450,300", diags, "svg/polyline[0]")
-        assert len(points) == 6
+        coords = parse_points("300,300 350,300 350,250 400,250 400,300 450,300", diags, "svg/polyline[0]")
+        assert len(coords) == 12
 
     def test_odd_count_is_error(self, diags):
-        parse_points("1,2 3", diags, "svg/polyline[0]")
+        assert parse_points("1,2 3", diags, "svg/polyline[0]") == [1.0, 2.0]
         assert "BAD_POINTS" in diags.codes()
 
     @pytest.mark.parametrize(
@@ -420,7 +419,7 @@ class TestParsePoints:
     )
     def test_join_then_parse_is_identity(self, points, diags):
         joined = " ".join(f"{x},{y}" for x, y in points)
-        assert parse_points(joined, diags, "svg/polyline[0]") == [Point(x, y) for x, y in points]
+        assert parse_points(joined, diags, "svg/polyline[0]") == [value for point in points for value in point]
 
 
 WIDTH = "svg/rect[0]@width"  # where the parse_length calls below read their length

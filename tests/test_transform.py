@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_LIST_PATTERN, NUMBER_PATTERN, SEPARATORS, WSP, format_number
-from svg2vml.svg_dom import Point
 from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,
@@ -403,59 +402,60 @@ def test_chain_extend_gives_the_left_fold_of_multiply_exactly(head, tail):
 
 
 def apply(m, point):
-    return recalc_points(m, [point])[0]
+    return tuple(recalc_points(m, list(point)))
 
 
 class TestRecalcOnePoint:
     def test_identity(self):
-        assert apply(IDENTITY, Point(7, 9)) == (7, 9)
+        assert apply(IDENTITY, (7, 9)) == (7, 9)
 
     def test_rotate_about_point(self):
         m = ctm_of(read_ops("rotate(90, 300, 300)"))
-        x, y = apply(m, Point(350, 300))
+        x, y = apply(m, (350, 300))
         assert abs(x - 300) < 1e-9 and abs(y - 350) < 1e-9
 
     def test_scale(self):
-        assert apply(ctm_of(read_ops("scale(3, 1)")), Point(100, 50)) == (300, 50)
+        assert apply(ctm_of(read_ops("scale(3, 1)")), (100, 50)) == (300, 50)
 
     def test_fold_matches_composition(self):
         rng = random.Random(3)
         for _ in range(1000):
             ops = random_ops(rng)
-            point = Point(rng.uniform(-100, 100), rng.uniform(-100, 100))
+            point = (rng.uniform(-100, 100), rng.uniform(-100, 100))
             composed = apply(ctm_of(ops), point)
             # right-to-left fold: the last matrix in the product hits first
             folded = point
             for op in reversed(ops):
                 folded = apply(ctm_of([op]), folded)
-            assert abs(composed.x - folded.x) < 1e-9
-            assert abs(composed.y - folded.y) < 1e-9
+            assert abs(composed[0] - folded[0]) < 1e-9
+            assert abs(composed[1] - folded[1]) < 1e-9
 
 
 class TestRecalcPoints:
     def test_rotate_90_about_300_300(self):
-        points = [Point(300, 300), Point(350, 300), Point(350, 250), Point(400, 250), Point(400, 300), Point(450, 300)]
-        got = recalc_points(ctm_of(read_ops("rotate(90, 300, 300)")), points)
-        expected = [(300, 300), (300, 350), (350, 350), (350, 400), (300, 400), (300, 450)]
-        for (gx, gy), (ex, ey) in zip(got, expected):
-            assert abs(gx - ex) < 1e-9 and abs(gy - ey) < 1e-9
+        coords = [300, 300, 350, 300, 350, 250, 400, 250, 400, 300, 450, 300]
+        got = recalc_points(ctm_of(read_ops("rotate(90, 300, 300)")), coords)
+        expected = [300, 300, 300, 350, 350, 350, 350, 400, 300, 400, 300, 450]
+        assert len(got) == len(expected)
+        for value, exact in zip(got, expected):
+            assert abs(value - exact) < 1e-9
 
     def test_identity_is_noop(self):
-        points = [Point(1, 2), Point(3, 4)]
-        assert recalc_points(IDENTITY, points) == points
+        coords = [1, 2, 3, 4]
+        assert recalc_points(IDENTITY, coords) == coords
 
     def test_translate(self):
-        got = recalc_points(ctm_of(read_ops("translate(10, -5)")), [Point(0, 0), Point(1, 1)])
-        assert got == [(10, -5), (11, -4)]
+        got = recalc_points(ctm_of(read_ops("translate(10, -5)")), [0, 0, 1, 1])
+        assert got == [10, -5, 11, -4]
 
     def test_preserves_length_and_order(self):
         rng = random.Random(4)
-        points = [Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(25)]
-        got = recalc_points(ctm_of(read_ops("rotate(33)")), points)
-        assert len(got) == len(points)
+        coords = [rng.uniform(-9, 9) for _ in range(50)]
+        got = recalc_points(ctm_of(read_ops("rotate(33)")), coords)
+        assert len(got) == len(coords)
         back = recalc_points(ctm_of(read_ops("rotate(-33)")), got)
-        for (gx, gy), (ex, ey) in zip(back, points):
-            assert abs(gx - ex) < 1e-9 and abs(gy - ey) < 1e-9
+        for value, exact in zip(back, coords):
+            assert abs(value - exact) < 1e-9
 
 
 # --- VML carrier strings --------------------------------------------------------
