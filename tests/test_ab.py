@@ -1,8 +1,11 @@
 """The in-process A/B tool (tools/ab.py): a second copy of the converter loads apart from the first."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 import svg2vml
 
@@ -39,3 +42,35 @@ def test_time_ratios_gives_one_ratio_per_round():
     ratios = ab.time_ratios(convert, lambda text: convert(text), ["a", "b", "c"], 4)
     assert len(ratios) == 4 and all(ratio > 0 for ratio in ratios)
     assert calls == ["a", "a", "b", "b", "c", "c"] * 4
+
+
+@pytest.fixture
+def against_this_checkout(monkeypatch):
+    """tools/ab.py with REV exported as a copy of this checkout's src, and its packages dropped afterwards."""
+    monkeypatch.setattr(ab, "export", lambda revision, directory: shutil.copytree(ROOT / "src", directory / "src"))
+    yield
+    for name in [name for name in sys.modules if name.split(".")[0] in ("svg2vml_mine", "svg2vml_against")]:
+        del sys.modules[name]
+
+
+def test_each_workload_given_gets_its_own_line(against_this_checkout, capsys):
+    status = ab.main(["--against", "REV", "--workload", "passthrough", "--workload", "long_paths",
+                      "--seed", "1", "--rounds", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(" ")[0] for line in lines] == ["passthrough", "long_paths"]
+    assert all("documents identical; time ratio over 2 rounds: median " in line for line in lines)
+
+
+def test_a_workload_whose_documents_differ_fails_the_run(against_this_checkout, monkeypatch, capsys):
+    real = ab.converter
+
+    def converter(package, corpus):
+        return (lambda text: ("", [])) if package.__name__ == "svg2vml_against" else real(package, corpus)
+
+    monkeypatch.setattr(ab, "converter", converter)
+    status = ab.main(["--against", "REV", "--workload", "passthrough", "--workload", "flat_shapes", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert [line.split(" ")[0] for line in lines] == ["passthrough", "flat_shapes"]
+    assert all("documents differ in output or diagnostics, e.g. " in line for line in lines)

@@ -1,6 +1,6 @@
-"""In-process A/B timing: this checkout's converter against another revision's, on one perfbench workload.
+"""In-process A/B timing: this checkout's converter against another revision's, on perfbench workloads.
 
-    python tools/ab.py --against REV --workload W [--seed S] [--rounds N]
+    python tools/ab.py --against REV --workload W [--workload W2 ...] [--seed S] [--rounds N]
 
 REV is exported with `git archive` into a temporary directory under $TMPDIR,
 as tools/differential.py does, and removed afterwards; nothing is fetched.
@@ -10,15 +10,18 @@ each moment.  Separate benchmark runs on a shared host can differ by more
 than a small change does; one process alternating the two sides cancels
 most of that drift.
 
-The documents are the workload's perfbench corpus at the seed, built by
-perfbench/corpus.py of this checkout, which is only imported, and converted
-with the workload's own options.  First every document is converted once by
-each side: the output and the diagnostic strings must be identical, or the
-tool lists the differing documents and exits with status 1.  Then each round
-converts every document with both sides, the side that goes first
-alternating from document to document, and takes the ratio of this
-checkout's total time to REV's.  The median ratio over the rounds and its
-quartiles are printed; below 1 means this checkout is faster.
+Each `--workload` is timed in turn, so one command covers every workload a
+change runs through.  Its documents are the workload's perfbench corpus at
+the seed, built by perfbench/corpus.py of this checkout, which is only
+imported, and converted with the workload's own options.  First every
+document is converted once by each side: the output and the diagnostic
+strings must be identical, or the tool names the differing documents and
+skips the timing.  Then each round converts every document with both sides,
+the side that goes first alternating from document to document, and takes
+the ratio of this checkout's total time to REV's.  One line per workload
+gives the median ratio over the rounds and its quartiles; below 1 means this
+checkout is faster.  The exit status is 1 when any workload's documents
+differ.
 """
 
 from __future__ import annotations
@@ -72,36 +75,43 @@ def time_ratios(mine, theirs, texts: list[str], rounds: int) -> list[float]:
     return ratios
 
 
+def compare(mine_package, theirs_package, corpus, rounds: int) -> tuple[bool, str]:
+    """Whether one workload's documents are identical, and its line: the differing ones or the time ratio."""
+    texts = [doc.text for doc in corpus.documents]
+    mine, theirs = converter(mine_package, corpus), converter(theirs_package, corpus)
+    differing = [doc.doc_id for doc, text in zip(corpus.documents, texts) if mine(text) != theirs(text)]
+    if differing:
+        return False, (f"{len(differing)} of {len(texts)} documents differ in output or diagnostics, "
+                       f"e.g. {', '.join(differing[:5])}")
+    q1, median, q3 = statistics.quantiles(time_ratios(mine, theirs, texts, rounds), n=4, method="inclusive")
+    return True, (f"{len(texts)} documents identical; time ratio over {rounds} rounds: "
+                  f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from corpus import WORKLOADS, build_corpus
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", required=True, help="the revision to compare with")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=WORKLOADS, action="append", required=True,
+                        help="a workload to time; give it once per workload")
     parser.add_argument("--seed", type=int, default=3, help="corpus seed (default 3)")
     parser.add_argument("--rounds", type=int, default=20, help="timed rounds over the corpus (default 20)")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for quartiles")
 
-    corpus = build_corpus(args.workload, args.seed)
-    texts = [doc.text for doc in corpus.documents]
+    status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         export(args.against, Path(scratch))
-        theirs = converter(load_package("svg2vml_against", Path(scratch, "src")), corpus)
-        mine = converter(load_package("svg2vml_mine", ROOT / "src"), corpus)
-        differing = [doc.doc_id for doc, text in zip(corpus.documents, texts) if mine(text) != theirs(text)]
-        if differing:
-            print(f"ab: {len(differing)} of {len(texts)} documents differ in output or diagnostics, "
-                  f"e.g. {', '.join(differing[:5])}")
-            return 1
-        ratios = time_ratios(mine, theirs, texts, args.rounds)
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    print(f"{args.workload} seed {args.seed}: {len(texts)} documents identical; "
-          f"time ratio working tree / {args.against} over {args.rounds} rounds: "
-          f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
-    return 0
+        theirs = load_package("svg2vml_against", Path(scratch, "src"))
+        mine = load_package("svg2vml_mine", ROOT / "src")
+        for workload in args.workload:
+            identical, line = compare(mine, theirs, build_corpus(workload, args.seed), args.rounds)
+            status |= not identical
+            print(f"{workload} seed {args.seed}, working tree / {args.against}: {line}", flush=True)
+    return status
 
 
 if __name__ == "__main__":
