@@ -450,7 +450,8 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     closed = node.tag == "polygon"
     chain = _effective_chain(node, ctx)
     if chain.ops:
-        # The coordinates as read are finite, so only the transform can overflow.
+        # The coordinates as read are finite, so only the transform can overflow
+        # and the untransformed path needs no check.
         path = _points_path(recalc_points(chain.ctm, coords), closed, ctx.options.precision)
         if is_finite_path(path):
             return _path_shape(node, ctx, path)

@@ -326,7 +326,10 @@ def parse_view_box(value: str, diagnostics: Diagnostics, location: LocationLike)
 
 
 def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[float]:
-    """Parse a points list into its flat coordinates: x0, y0, x1, y1, ..."""
+    """Parse a points list into its flat coordinates: x0, y0, x1, y1, ...
+
+    An odd count is reported and its last coordinate dropped.
+    """
     coords = read_numbers(value)
     if coords is None:
         # Only to name the first bad token; a list the grammar rejects holds one.
