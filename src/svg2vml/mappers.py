@@ -66,8 +66,6 @@ from .transform import (  # noqa: F401
     STRATEGY_BY_TAG,
     Chain,
     Placement,
-    RootSize,
-    ShapeBox,
     compose_ctm,
     parse_transform_list,
     place,
@@ -109,8 +107,8 @@ class Conversion:
                inside them may not name again
     deepest    the deepest level a _map_node call has reached since the copy
                being mapped began (see _map_copy)
-    copies     each exact copy of a reference target, keyed by (target, chain,
-               paint): the mapped subtree, its mapper calls, and how many
+    copies     each exact copy of a reference target, keyed by (target, chain
+               ops, paint): the mapped subtree, its mapper calls, and how many
                levels below the target it reaches
     """
 
@@ -132,7 +130,7 @@ class MapperContext:
     __slots__ = ("document", "root_size", "options", "diagnostics", "conversion", "paint", "chain", "location",
                  "depth")
 
-    def __init__(self, document: SvgDocument, root_size: RootSize, options: ConvertOptions,
+    def __init__(self, document: SvgDocument, root_size: tuple[float, float], options: ConvertOptions,
                  diagnostics: Diagnostics, conversion: Conversion, paint: Paint = NO_PAINT,
                  chain: Chain = EMPTY_CHAIN, location: LocationLike = "svg", depth: int = 1):
         self.document = document
@@ -273,7 +271,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
 
 # --- transform simulation ----------------------------------------------------
 
-_EMPTY_BOX = ShapeBox(0.0, 0.0, 0.0, 0.0)
+_EMPTY_BOX = (0.0, 0.0, 0.0, 0.0)
 
 
 def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Optional[Placement]:
@@ -289,7 +287,7 @@ def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Opti
         box = _EMPTY_BOX
     else:
         get = mapped.style.get
-        box = ShapeBox(float(get("left", 0)), float(get("top", 0)), float(get("width", 0)), float(get("height", 0)))
+        box = (float(get("left", 0)), float(get("top", 0)), float(get("width", 0)), float(get("height", 0)))
     strategy = STRATEGY_BY_TAG[node.tag]
     return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
 
@@ -347,7 +345,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
         # The skew-path offset rule reads the root size: width and height,
         # else the viewBox size, else 0.
         box_width, box_height = (box.width, box.height) if box is not None else (0.0, 0.0)
-        root_size = RootSize(box_width if width is None else width, box_height if height is None else height)
+        root_size = (box_width if width is None else width, box_height if height is None else height)
         ctx = ctx.derive(root_size=root_size)
     _map_children(node, ctx, group)
     return group
@@ -702,8 +700,8 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     """A reference target mapped under ctx: the subtree an earlier copy mapped, where it is exact.
 
     A copy depends only on its target, chain and paint, and the emitter only
-    reads the tree, so a copy under the same chain and paint appends the same
-    subtree again.  A copy is kept only when it is exact anywhere: it reported
+    reads the tree, so a copy under the same chain ops (which determine the
+    product) and paint appends the same subtree again.  A copy is kept only when it is exact anywhere: it reported
     nothing, stayed inside the budget and was not cut at the depth cap (after
     the first TOO_DEEP a cut is silent).  Its reuse charges the budget its
     mapper calls; where those calls or its levels do not fit, the target is
@@ -712,7 +710,7 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     conversion = ctx.conversion
     depth = ctx.depth
     paint = ctx.paint
-    key = (id(node), ctx.chain, tuple(paint.values.items()), paint.opacity)
+    key = (id(node), ctx.chain.ops, tuple(paint.values.items()), paint.opacity)
     copy = conversion.copies.get(key)
     if copy is not None:
         mapped, calls, span = copy
@@ -751,7 +749,7 @@ def map_document(
     diagnostics = diagnostics if diagnostics is not None else doc.diagnostics
     ctx = MapperContext(
         document=doc,
-        root_size=RootSize(0.0, 0.0),  # map_svg_root sets it from the root's size
+        root_size=(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
         conversion=Conversion(expansion_budget(doc.elements)),

@@ -9,7 +9,7 @@ element, so every value is parsed and reported once, where it is written.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import WSP, format_number, read_number
@@ -93,7 +93,7 @@ def alpha_filter(opacity: float, precision: int = 6) -> str:
     return f"progid:DXImageTransform.Microsoft.Alpha(opacity={format_number(100.0 * opacity, precision)})"
 
 
-class Paint(NamedTuple):
+class Paint:
     """The paint an element draws with: its own values over those its groups hand down.
 
     values maps each fill and stroke property, in writing order, to its VML:
@@ -104,8 +104,11 @@ class Paint(NamedTuple):
     product down the group chain, None when no element sets one.
     """
 
-    values: dict
-    opacity: Optional[float]
+    __slots__ = ("values", "opacity")
+
+    def __init__(self, values: dict, opacity: Optional[float]):
+        self.values = values
+        self.opacity = opacity
 
     def extend(self, node: SvgNode, document: SvgDocument, precision: int, diagnostics: Diagnostics,
                location: LocationLike, names: tuple[str, ...] = INHERITED) -> "Paint":

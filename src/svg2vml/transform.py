@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import starmap
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
@@ -58,23 +58,10 @@ from .numeric import (
 )
 
 
-class TransformMatrix(NamedTuple):
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-
-IDENTITY = TransformMatrix(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-
-class TransformOp(NamedTuple):
-    """One parsed transform definition with defaults already applied."""
-
-    name: str  # matrix | translate | scale | rotate | skewX | skewY
-    args: tuple[float, ...]
+# A matrix is a plain 6-tuple (a, b, c, d, e, f), and one parsed transform
+# definition, its defaults already applied, a (name, args) pair: name is one
+# of matrix, translate, scale, rotate, skewX and skewY, args a float tuple.
+IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 # Each function's argument counts, each with what completes the arguments
@@ -94,7 +81,7 @@ _SKEWS = ("skewX", "skewY")
 _FUNCTION_RE = re.compile(rf"([A-Za-z]+)[{WSP}]*\(([^)]*)\)")
 
 
-def parse_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[TransformOp]:
+def parse_transform_list(value: str, diagnostics: Diagnostics, location: LocationLike) -> list[tuple]:
     """Parse a transform attribute into ops, filling in default arguments.
 
     The first fault is reported and the whole list dropped.  A list that
@@ -102,8 +89,8 @@ def parse_transform_list(value: str, diagnostics: Diagnostics, location: Locatio
     SINGULAR_SKEW.
     """
     pieces = _FUNCTION_RE.split(value)
-    ops: list[TransformOp] = []
-    poles: list[TransformOp] = []
+    ops: list[tuple] = []
+    poles: list[tuple] = []
     it = iter(pieces)
     for gap, name, raw_args in zip(it, it, it):
         forms = _SIGNATURES.get(name)
@@ -112,15 +99,15 @@ def parse_transform_list(value: str, diagnostics: Diagnostics, location: Locatio
             diagnostics.error("BAD_TRANSFORM", _call_fault(gap, name, raw_args), location)
             return []
         complete = forms[len(args)]
-        op = TransformOp(name, tuple(args) if complete is None else complete(*args))
+        op = (name, tuple(args) if complete is None else complete(*args))
         ops.append(op)
         if name in _SKEWS and _is_tangent_pole(args[0]):
             poles.append(op)
     if pieces[-1].strip(SEPARATORS):
         diagnostics.error("BAD_TRANSFORM", f"trailing transform text {pieces[-1].strip(WSP)!r}", location)
         return []
-    for op in poles:
-        message = f"{op.name}({format_number(op.args[0])}) is undefined (tangent pole)"
+    for name, args in poles:
+        message = f"{name}({format_number(args[0])}) is undefined (tangent pole)"
         diagnostics.error("SINGULAR_SKEW", message, location)
     return ops
 
@@ -187,16 +174,19 @@ def _entries(name: str, args: tuple[float, ...]) -> tuple[float, ...]:
     raise ValueError(f"unknown transform op {name!r}")
 
 
-class Chain(NamedTuple):
-    """A transform list with its left-to-right product, composed once.
+class Chain:
+    """A transform list, a tuple of ops, with its left-to-right product, composed once.
 
     A group's chain is shared by everything under it.
     """
 
-    ops: tuple[TransformOp, ...]
-    ctm: TransformMatrix
+    __slots__ = ("ops", "ctm")
 
-    def extend(self, ops: Sequence[TransformOp]) -> "Chain":
+    def __init__(self, ops: tuple[tuple, ...], ctm: tuple[float, ...]):
+        self.ops = ops
+        self.ctm = ctm
+
+    def extend(self, ops: Sequence[tuple]) -> "Chain":
         """This chain followed by ops.
 
         The product is a left fold, so extending it gives the same floats
@@ -204,13 +194,13 @@ class Chain(NamedTuple):
         """
         if not ops:
             return self
-        return Chain(self.ops + tuple(ops), TransformMatrix(*_fold(self.ctm, starmap(_entries, ops))))
+        return Chain(self.ops + tuple(ops), _fold(self.ctm, starmap(_entries, ops)))
 
 
 EMPTY_CHAIN = Chain((), IDENTITY)
 
 
-def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
+def compose_ctm(ops: Sequence[tuple]) -> tuple[float, ...]:
     """Left-to-right product of a transform list; empty list is identity.
 
     Mapping composes through Chain.extend; this stays only because
@@ -219,7 +209,7 @@ def compose_ctm(ops: Sequence[TransformOp]) -> TransformMatrix:
     return EMPTY_CHAIN.extend(ops).ctm
 
 
-def recalc_points(m: TransformMatrix, coords: list[float]) -> list[float]:
+def recalc_points(m: Sequence[float], coords: list[float]) -> list[float]:
     """Apply the matrix to every point of a flat x0, y0, x1, y1, ... list, preserving order."""
     a, b, c, d, e, f = m
     it = iter(coords)
@@ -234,49 +224,34 @@ def recalc_points(m: TransformMatrix, coords: list[float]) -> list[float]:
 # part) needs no correction: its shift goes into the output coordinates.
 
 
-class Offset(NamedTuple):
-    dx: float
-    dy: float
+# Each rule takes the matrix, the untransformed box (x, y, width, height) and
+# the root size (width, height), and returns the correction as (dx, dy).
 
 
-class ShapeBox(NamedTuple):
-    """Untransformed element geometry consumed by the offset rules."""
-
-    x: float
-    y: float
-    width: float
-    height: float
-
-
-class RootSize(NamedTuple):
-    width: float
-    height: float
-
-
-def offset_for_linear_shape(m: TransformMatrix, box: ShapeBox, root: RootSize) -> Offset:
+def offset_for_linear_shape(m: Sequence[float], box: Sequence[float], root: Sequence[float]) -> tuple[float, float]:
     """Position correction for a skewed/filtered box, from the linear part.
 
     Specializes to (sx*w, sy*h) for scale, (tan*y + w, h) for skewX,
     (w, tan*x + h) for skewY and (w, h) for the identity.  Rotation does not
     follow this rule and is handled separately.
     """
-    return Offset(m.a * box.width + m.c * box.y, m.b * box.x + m.d * box.height)
+    x, y, width, height = box
+    return m[0] * width + m[2] * y, m[1] * x + m[3] * height
 
 
-def offset_for_linear_path(m: TransformMatrix, box: ShapeBox, root: RootSize) -> Offset:
+def offset_for_linear_path(m: Sequence[float], box: Sequence[float], root: Sequence[float]) -> tuple[float, float]:
     """Position correction for a skewed path, from the root element size."""
-    return Offset(
-        m.a * root.width + m.c * root.height - root.width,
-        m.b * root.width + m.d * root.height - root.height,
-    )
+    width, height = root
+    return m[0] * width + m[2] * height - width, m[1] * width + m[3] * height - height
 
 
-def _rotate_offset(angle_deg: float, box: ShapeBox, cx: float = 0.0, cy: float = 0.0) -> Offset:
+def _rotate_offset(angle_deg: float, box: Sequence[float], cx: float = 0.0, cy: float = 0.0) -> tuple[float, float]:
     radians = math.radians(angle_deg)
     cos_a, sin_a = math.cos(radians), math.sin(radians)
-    return Offset(
-        cos_a * (box.x - cx) - sin_a * (box.y - cy) - box.width + cx,
-        sin_a * (box.x - cx) + cos_a * (box.y - cy) - box.height + cy,
+    x, y, width, height = box
+    return (
+        cos_a * (x - cx) - sin_a * (y - cy) - width + cx,
+        sin_a * (x - cx) + cos_a * (y - cy) - height + cy,
     )
 
 
@@ -330,41 +305,31 @@ ROTATE_IN_PLACE = "in-place"
 ROTATE_ABOUT_CENTRE = "about-centre"
 
 
-class StrategyRule(NamedTuple):
-    """What one strategy can simulate, with which offset rule and carrier.
-
-    multi_ops  transform kinds a list of two or more may mix
-    offset     the linear offset rule, from the matrix and the element box
-               or the root size
-    rotation   how a lone rotate is simulated; None sends it through the
-               linear rule and drops the translation of its centre
-    carrier    the v:skew matrix's four linear entries in writing order,
-               from the linear part; the skew's offset slot takes the
-               correction.  None for the matrix filter, which has no offset
-               slot, so its correction moves the position
-    """
-
-    multi_ops: frozenset
-    offset: Callable[[TransformMatrix, ShapeBox, RootSize], Offset]
-    rotation: Optional[str]
-    carrier: Optional[Callable[[Sequence[float]], tuple[float, ...]]]
-
-
+# One row per strategy: what it can simulate, with which offset rule and carrier.
+#   multi_ops  transform kinds a list of two or more may mix
+#   offset     the linear offset rule, from the matrix and the element box
+#              or the root size
+#   rotation   how a lone rotate is simulated; None sends it through the
+#              linear rule and drops the translation of its centre
+#   carrier    the v:skew matrix's four linear entries in writing order,
+#              from the linear part; the skew's offset slot takes the
+#              correction.  None for the matrix filter, which has no offset
+#              slot, so its correction moves the position
 # The manual offset corrections are only worked out for these combinations.
 STRATEGIES = {
-    SKEW_SHAPE: StrategyRule(
+    SKEW_SHAPE: (
         frozenset({"scale", "translate", "skewX", "skewY"}),
         offset_for_linear_shape,
         ROTATE_ABOUT_CENTRE,
         _shape_skew,
     ),
-    SKEW_PATH: StrategyRule(
+    SKEW_PATH: (
         frozenset({"scale", "translate"}),
         offset_for_linear_path,
         None,
         _path_skew,
     ),
-    MATRIX_FILTER: StrategyRule(
+    MATRIX_FILTER: (
         frozenset({"scale", "skewX", "skewY"}),
         offset_for_linear_shape,
         ROTATE_IN_PLACE,
@@ -373,7 +338,7 @@ STRATEGIES = {
 }
 
 
-class Placement(NamedTuple):
+class Placement:
     """What a mapper writes for a transformed element.
 
     origin  the box origin after the transform, for left and top; for a
@@ -381,16 +346,20 @@ class Placement(NamedTuple):
             coordinate.  None keeps the position as written
     skew    the v:skew attributes, or None
     filter  the Matrix filter text, or None
-    offset  the raw position correction
+    offset  the raw position correction, (dx, dy)
     """
 
-    origin: Optional[tuple[float, float]]
-    skew: Optional[dict[str, str]]
-    filter: Optional[str]
-    offset: Offset
+    __slots__ = ("origin", "skew", "filter", "offset")
+
+    def __init__(self, origin: Optional[tuple[float, float]], skew: Optional[dict[str, str]],
+                 filter: Optional[str], offset: tuple[float, float]):
+        self.origin = origin
+        self.skew = skew
+        self.filter = filter
+        self.offset = offset
 
 
-_NO_OFFSET = Offset(0.0, 0.0)
+_NO_OFFSET = (0.0, 0.0)
 
 # The one overflow rule: an element whose transformed values would not be
 # finite is drawn untransformed, with this BAD_TRANSFORM message.
@@ -400,8 +369,8 @@ OVERFLOW_IGNORED = "transform overflows to a non-finite value; ignored"
 def place(
     strategy: str,
     chain: Chain,
-    box: ShapeBox,
-    root: RootSize,
+    box: Sequence[float],
+    root: Sequence[float],
     precision: int,
     diagnostics: Diagnostics,
     location: LocationLike = "",
@@ -410,46 +379,49 @@ def place(
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
     has no rule for the list or BAD_TRANSFORM when a value to be written
-    overflows; the element then stays untransformed.
+    overflows; the element then stays untransformed.  box is the element's
+    (x, y, width, height) and root the root size (width, height).
     """
     rule = STRATEGIES.get(strategy)
     if rule is None:
         diagnostics.error("UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location)
         return None
+    multi_ops, offset_rule, rotation, carrier = rule
     ops = chain.ops
     if len(ops) > 1:
-        offending = {op.name for op in ops} - rule.multi_ops
+        offending = {name for name, _ in ops} - multi_ops
         if offending:
             message = f"multi-transform with {', '.join(sorted(offending))} is not supported for {strategy}"
             diagnostics.error("UNSUPPORTED_TRANSFORM", message, location)
             return None
-    elif ops and ops[0].name == "matrix":
+    elif ops and ops[0][0] == "matrix":
         diagnostics.error("UNSUPPORTED_TRANSFORM", f"matrix() has no offset rule for {strategy}", location)
         return None
-    lone_rotate = len(ops) == 1 and ops[0].name == "rotate"
-    if lone_rotate and rule.rotation is not None:
-        angle, *centre = ops[0].args
+    lone_rotate = len(ops) == 1 and ops[0][0] == "rotate"
+    if lone_rotate and rotation is not None:
+        angle, *centre = ops[0][1]
         linear: Optional[Sequence[float]] = _entries("rotate", (angle,))
         # The re-shift from the centre is folded into the offset.
-        shift = (-centre[0], -centre[1]) if centre and rule.rotation == ROTATE_ABOUT_CENTRE else None
+        shift = (-centre[0], -centre[1]) if centre and rotation == ROTATE_ABOUT_CENTRE else None
         offset = _rotate_offset(angle, box, *centre)
     else:
         ctm = chain.ctm
         a, b, c, d, e, f = ctm
         shift = None if lone_rotate or (e == 0.0 and f == 0.0) else (e, f)
         linear = None if (a, b, c, d) == (1.0, 0.0, 0.0, 1.0) else ctm
-        offset = _NO_OFFSET if linear is None else rule.offset(ctm, box, root)
+        offset = _NO_OFFSET if linear is None else offset_rule(ctm, box, root)
     dx, dy = shift or (0.0, 0.0)
-    if rule.carrier is None and (linear is not None or shift is not None):
+    odx, ody = offset
+    if carrier is None and (linear is not None or shift is not None):
         # The matrix filter has no offset slot; its correction moves the position.
-        origin = (box.x + dx - offset.dx, box.y + dy - offset.dy)
+        origin = (box[0] + dx - odx, box[1] + dy - ody)
     else:
-        origin = None if shift is None else (box.x + dx, box.y + dy)
+        origin = None if shift is None else (box[0] + dx, box[1] + dy)
     if not all(map(math.isfinite, (*(origin or ()), *offset, *(linear or IDENTITY)[:4]))):
         diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, location)
         return None
     skew = filter_text = None
-    if linear is not None and rule.carrier is None:
+    if linear is not None and carrier is None:
         filter_text = _matrix_filter_text(linear, precision)
     elif linear is not None:
         # One format pass for the matrix and the offset.  The correction
@@ -457,6 +429,6 @@ def place(
         # applies additively, hence the sign flip.  The last two matrix
         # slots are perspective terms, not pixel offsets: they stay 0, and
         # translation is carried by the output coordinates instead.
-        m1, m2, m3, m4, ox, oy = format_numbers((*rule.carrier(linear), -offset.dx, -offset.dy), precision)
+        m1, m2, m3, m4, ox, oy = format_numbers((*carrier(linear), -odx, -ody), precision)
         skew = {"on": "t", "matrix": f"{m1}, {m2}, {m3}, {m4}, 0, 0", "offset": f"{ox}px,{oy}px"}
     return Placement(origin, skew, filter_text, offset)

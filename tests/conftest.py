@@ -11,10 +11,6 @@ from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,
     RECALC_POINTS,
-    RootSize,
-    ShapeBox,
-    TransformMatrix,
-    TransformOp,
     parse_transform_list,
     place,
     recalc_points,
@@ -63,7 +59,7 @@ def make_context(**overrides) -> MapperContext:
     doc = parse_svg(wrap_svg(""))
     defaults = dict(
         document=doc,
-        root_size=RootSize(800.0, 800.0),
+        root_size=(800.0, 800.0),
         options=ConvertOptions(),
         diagnostics=doc.diagnostics,
         conversion=Conversion(expansion_budget(doc.elements)),
@@ -72,15 +68,15 @@ def make_context(**overrides) -> MapperContext:
     return MapperContext(**defaults)
 
 
-def read_ops(text: str) -> list[TransformOp]:
-    """The ops of a transform list that reads without a diagnostic, as mapping reads them."""
+def read_ops(text: str) -> list[tuple]:
+    """The (name, args) ops of a transform list that reads without a diagnostic, as mapping reads them."""
     diagnostics = Diagnostics()
     ops = parse_transform_list(text, diagnostics, "svg/g[0]@transform")
     assert not list(diagnostics), text
     return ops
 
 
-def ctm_of(ops) -> TransformMatrix:
+def ctm_of(ops) -> tuple:
     """The product of ops as mapping composes it, through Chain.extend."""
     return EMPTY_CHAIN.extend(ops).ctm
 
@@ -97,7 +93,7 @@ def rejects(strategy: str, ops) -> bool:
     is distribute: a group carrying the list over that polyline must convert
     to the same bytes as the polyline carrying the list itself.
     """
-    attr = " ".join(f"{op.name}({' '.join(map(repr, op.args))})" for op in ops)  # parses back exactly
+    attr = " ".join(f"{name}({' '.join(map(repr, args))})" for name, args in ops)  # parses back exactly
     if strategy == RECALC_POINTS:
         got, diagnostics = map_snippet(f'<polyline points="{_POLYLINE_POINTS}" transform="{attr}"/>')
         moved = recalc_points(ctm_of(ops), parse_points(_POLYLINE_POINTS, Diagnostics(), "svg/polyline[0]"))
@@ -116,7 +112,7 @@ def rejects(strategy: str, ops) -> bool:
         assert grouped_diagnostics.codes() == direct_diagnostics.codes()
         return "UNSUPPORTED_TRANSFORM" in grouped_diagnostics.codes()
     diagnostics = Diagnostics()
-    box, root = ShapeBox(100.0, 50.0, 70.0, 40.0), RootSize(800.0, 800.0)
+    box, root = (100.0, 50.0, 70.0, 40.0), (800.0, 800.0)
     placed = place(strategy, EMPTY_CHAIN.extend(ops), box, root, 6, diagnostics)
     assert diagnostics.codes() == ([] if placed is not None else ["UNSUPPORTED_TRANSFORM"])
     return placed is None

@@ -21,9 +21,6 @@ from svg2vml.transform import (
     RECALC_POINTS,
     SKEW_PATH,
     SKEW_SHAPE,
-    RootSize,
-    ShapeBox,
-    TransformOp,
     place,
     recalc_points,
 )
@@ -76,10 +73,10 @@ def test_criterion_04_arcsize_quotient():
 
 def test_criterion_05_rotation_filter_parameters():
     chain = EMPTY_CHAIN.extend(read_ops("rotate(20)"))
-    placed = place(MATRIX_FILTER, chain, ShapeBox(0, 0, 10, 10), RootSize(9, 9), 2, Diagnostics())
+    placed = place(MATRIX_FILTER, chain, (0, 0, 10, 10), (9, 9), 2, Diagnostics())
     assert "(M11=0.94, M12=-0.34, M21=0.34, M22=0.94," in placed.filter
-    m = chain.ctm
-    assert abs(m.a**2 + m.b**2 - 1) < 1e-12 and abs(m.c**2 + m.d**2 - 1) < 1e-12
+    a, b, c, d, _, _ = chain.ctm
+    assert abs(a**2 + b**2 - 1) < 1e-12 and abs(c**2 + d**2 - 1) < 1e-12
     report(5, "rotate(20) filter entries round to 0.94, -0.34, 0.34, 0.94")
 
 
@@ -103,19 +100,18 @@ def test_criterion_07_skew_matrix_negation():
 
 def test_criterion_08_offset_formulas_against_direct_arithmetic():
     def compute_offset(name, args, box, root, strategy):
-        placed = place(strategy, EMPTY_CHAIN.extend([TransformOp(name, args)]), box, root, 6, Diagnostics())
+        placed = place(strategy, EMPTY_CHAIN.extend([(name, args)]), box, root, 6, Diagnostics())
         assert placed is not None
         return placed.offset
 
     rng = random.Random(20090401)
-    root = RootSize(1000.0, 1500.0)
+    root = (1000.0, 1500.0)
+    root_width, root_height = root
     worst = 0.0
     for _ in range(100):
         a = rng.uniform(-80.0, 80.0)
         r = math.radians(a)
-        box = ShapeBox(
-            rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(0, 400), rng.uniform(0, 400)
-        )
+        box = (rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(0, 400), rng.uniform(0, 400))
         cx, cy = rng.uniform(-400, 400), rng.uniform(-400, 400)
         x, y, w, h = box
 
@@ -136,20 +132,21 @@ def test_criterion_08_offset_formulas_against_direct_arithmetic():
             (
                 compute_offset("rotate", (a,), box, root, SKEW_PATH),
                 (
-                    math.cos(r) * root.width - math.sin(r) * root.height - root.width,
-                    math.sin(r) * root.width + math.cos(r) * root.height - root.height,
+                    math.cos(r) * root_width - math.sin(r) * root_height - root_width,
+                    math.sin(r) * root_width + math.cos(r) * root_height - root_height,
                 ),
             ),
         ]
         for got, want in checks:
-            worst = max(worst, abs(got.dx - want[0]), abs(got.dy - want[1]))
+            dx, dy = got
+            worst = max(worst, abs(dx - want[0]), abs(dy - want[1]))
     assert worst < 1e-9
     report(8, f"five offset rules match direct arithmetic (max err {worst:.2e})")
 
 
 def test_criterion_09_ctm_algebra():
     def oracle_matrix(op):
-        name, args = op.name, op.args
+        name, args = op
         if name == "translate":
             return [[1, 0, args[0]], [0, 1, args[1]], [0, 0, 1]]
         if name == "scale":
@@ -176,23 +173,24 @@ def test_criterion_09_ctm_algebra():
         for _ in range(rng.randint(0, 5)):
             choice = rng.randrange(5)
             if choice == 0:
-                ops.append(TransformOp("translate", (rng.uniform(-99, 99), rng.uniform(-99, 99))))
+                ops.append(("translate", (rng.uniform(-99, 99), rng.uniform(-99, 99))))
             elif choice == 1:
-                ops.append(TransformOp("scale", (rng.uniform(0.1, 10), rng.uniform(0.1, 10))))
+                ops.append(("scale", (rng.uniform(0.1, 10), rng.uniform(0.1, 10))))
             elif choice == 2:
                 ops.append(
-                    TransformOp("rotate", (rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50)))
+                    ("rotate", (rng.uniform(-80, 80), rng.uniform(-50, 50), rng.uniform(-50, 50)))
                     if rng.random() < 0.5
-                    else TransformOp("rotate", (rng.uniform(-80, 80),))
+                    else ("rotate", (rng.uniform(-80, 80),))
                 )
             else:
-                ops.append(TransformOp("skewX" if choice == 3 else "skewY", (rng.uniform(-80, 80),)))
+                ops.append(("skewX" if choice == 3 else "skewY", (rng.uniform(-80, 80),)))
 
         ctm = ctm_of(ops)
         expected = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         for op in ops:
             expected = matmul(expected, oracle_matrix(op))
-        got = [[ctm.a, ctm.c, ctm.e], [ctm.b, ctm.d, ctm.f], [0, 0, 1]]
+        a, b, c, d, e, f = ctm
+        got = [[a, c, e], [b, d, f], [0, 0, 1]]
         for i in range(3):
             for j in range(3):
                 worst = max(worst, abs(got[i][j] - expected[i][j]))

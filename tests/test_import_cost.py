@@ -5,6 +5,11 @@ standard modules out of its import: `dataclasses` alone pulls in `inspect`,
 `ast`, `dis` and `tokenize`.  A child run with `-I` and `src` on its path
 imports the package and converts a tiny document; its modules are compared
 with those of a bare `-I` child, so that the host's `site` hooks cancel out.
+
+Each `typing.NamedTuple` class definition evaluates a generated `__new__`,
+about 0.1 ms apiece, so only the exported value types are named tuples;
+internal values are plain tuples or `__slots__` classes.  `ConvertOptions`
+subclasses the named tuple `_Options`, so four definitions make five classes.
 """
 
 import subprocess
@@ -14,6 +19,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 NOT_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "svg2vml.cli"}
+
+NAMED_TUPLES = ["ConvertOptions", "Diagnostic", "SvgDocument", "ViewBox", "_Options"]
 
 CONVERT = """
 sys.path.insert(0, sys.argv[1])
@@ -29,6 +36,30 @@ def loaded_modules(code: str) -> set[str]:
         capture_output=True, text=True, timeout=60, check=True,
     )
     return set(child.stdout.split())
+
+
+# Every tuple subclass that the package's modules define, with the named tuple's _fields.
+NAMED = """
+sys.path.insert(0, sys.argv[1])
+import svg2vml, svg2vml.cli
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+print(" ".join(sorted(
+    cls.__qualname__ for cls in subclasses(tuple) if cls.__module__.startswith("svg2vml") and hasattr(cls, "_fields")
+)))
+"""
+
+
+def test_only_the_exported_value_types_are_named_tuples():
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys\n{NAMED}", str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert child.stdout.split() == NAMED_TUPLES
 
 
 def test_import_loads_no_heavy_module():

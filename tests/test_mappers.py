@@ -343,10 +343,10 @@ class TestPlacementReadsTheWrittenBox:
         element, tag = self.ELEMENTS[name]
         options = ConvertOptions(precision=precision)
         plain = find_one(map_snippet(element.format(""), options)[0], tag)
-        box = transform.ShapeBox(*(float(plain.style.get(key, 0)) for key in ("left", "top", "width", "height")))
+        box = tuple(float(plain.style.get(key, 0)) for key in ("left", "top", "width", "height"))
         chain = transform.EMPTY_CHAIN.extend(read_ops(transform_list))
         placed = transform.place(
-            transform.STRATEGY_BY_TAG[name], chain, box, transform.RootSize(800, 800), precision, Diagnostics()
+            transform.STRATEGY_BY_TAG[name], chain, box, (800, 800), precision, Diagnostics()
         )
         expected_style = dict(plain.style)
         if placed.origin is not None:

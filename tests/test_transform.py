@@ -20,10 +20,6 @@ from svg2vml.transform import (
     SKEW_PATH,
     SKEW_SHAPE,
     STRATEGIES,
-    RootSize,
-    ShapeBox,
-    TransformMatrix,
-    TransformOp,
     _entries,
     parse_transform_list,
     place,
@@ -37,7 +33,7 @@ AT = "svg/g[0]@transform"  # where the reader calls below read their list
 
 def oracle_matrix(op):
     """3x3 matrix for one op, built directly from its definition."""
-    name, args = op.name, op.args
+    name, args = op
     if name == "matrix":
         a, b, c, d, e, f = args
         return [[a, c, e], [b, d, f], [0, 0, 1]]
@@ -75,11 +71,12 @@ def oracle_compose(ops):
     return result
 
 
-def as_3x3(m: TransformMatrix):
-    return [[m.a, m.c, m.e], [m.b, m.d, m.f], [0, 0, 1]]
+def as_3x3(m):
+    a, b, c, d, e, f = m
+    return [[a, c, e], [b, d, f], [0, 0, 1]]
 
 
-def assert_matrix_close(got: TransformMatrix, want_3x3, tol=1e-9):
+def assert_matrix_close(got, want_3x3, tol=1e-9):
     got_3x3 = as_3x3(got)
     for i in range(3):
         for j in range(3):
@@ -100,7 +97,7 @@ def random_ops(rng, max_len=5):
             args = (*(rng.uniform(-2, 2) for _ in range(4)), rng.uniform(-10, 10), rng.uniform(-10, 10))
         else:
             args = (rng.uniform(-80, 80),)
-        ops.append(TransformOp(kind, args))
+        ops.append((kind, args))
     return ops
 
 
@@ -109,25 +106,25 @@ def random_ops(rng, max_len=5):
 
 class TestParseTransformList:
     def test_rotate_about_point(self, diags):
-        assert parse_transform_list("rotate(20, 300, 300)", diags, AT) == [TransformOp("rotate", (20.0, 300.0, 300.0))]
+        assert parse_transform_list("rotate(20, 300, 300)", diags, AT) == [("rotate", (20.0, 300.0, 300.0))]
 
     def test_empty(self, diags):
         assert parse_transform_list("", diags, AT) == []
 
     def test_scale_two_args(self, diags):
-        assert parse_transform_list("scale(3,1)", diags, AT) == [TransformOp("scale", (3.0, 1.0))]
+        assert parse_transform_list("scale(3,1)", diags, AT) == [("scale", (3.0, 1.0))]
 
     def test_defaults(self, diags):
-        assert parse_transform_list("translate(7)", diags, AT) == [TransformOp("translate", (7.0, 0.0))]
-        assert parse_transform_list("scale(2)", diags, AT) == [TransformOp("scale", (2.0, 2.0))]
-        assert parse_transform_list("rotate(30)", diags, AT) == [TransformOp("rotate", (30.0,))]
+        assert parse_transform_list("translate(7)", diags, AT) == [("translate", (7.0, 0.0))]
+        assert parse_transform_list("scale(2)", diags, AT) == [("scale", (2.0, 2.0))]
+        assert parse_transform_list("rotate(30)", diags, AT) == [("rotate", (30.0,))]
 
     def test_list_with_mixed_separators(self, diags):
         ops = parse_transform_list("translate(1 2), rotate(3)\nscale(4)", diags, AT)
-        assert [op.name for op in ops] == ["translate", "rotate", "scale"]
+        assert [name for name, _ in ops] == ["translate", "rotate", "scale"]
 
     def test_matrix_six_values(self, diags):
-        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags, AT) == [TransformOp("matrix", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
+        assert parse_transform_list("matrix(1 2 3 4 5 6)", diags, AT) == [("matrix", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
 
     @pytest.mark.parametrize(
         "bad",
@@ -238,7 +235,7 @@ def oracle_transform_list(text):
         args = tuple(float(token) for token in re.findall(NUMBER_PATTERN, raw_args))
         if len(args) not in _ARG_COUNTS[name] or not all(map(math.isfinite, args)):
             return None
-        ops.append(TransformOp(name, _COMPLETE.get((name, len(args)), lambda *same: same)(*args)))
+        ops.append((name, _COMPLETE.get((name, len(args)), lambda *same: same)(*args)))
         if name.startswith("skew") and math.isclose(math.fmod(abs(args[0]), 180.0), 90.0, abs_tol=1e-12):
             poles.append(f"{name}({format_number(args[0])}) is undefined (tangent pole)")
     return ops, poles
@@ -259,8 +256,8 @@ def test_the_reader_reads_exactly_the_lists_the_grammar_accepts(text):
 
 
 def test_rotate_centres_of_minus_zero_read_as_zero(diags):
-    (op,) = parse_transform_list("rotate(30,-0,-0.0)", diags, AT)
-    assert repr(op.args) == "(30.0, 0.0, 0.0)" and not list(diags)
+    ((_, args),) = parse_transform_list("rotate(30,-0,-0.0)", diags, AT)
+    assert repr(args) == "(30.0, 0.0, 0.0)" and not list(diags)
 
 
 # --- matrices -----------------------------------------------------------------
@@ -326,42 +323,42 @@ class TestChainProduct:
 
 
 def _reference_multiply(m, n):
-    """The reference product m . n, written on TransformMatrix fields, kept apart from the library."""
-    return TransformMatrix(
-        m.a * n.a + m.c * n.b,
-        m.b * n.a + m.d * n.b,
-        m.a * n.c + m.c * n.d,
-        m.b * n.c + m.d * n.d,
-        m.a * n.e + m.c * n.f + m.e,
-        m.b * n.e + m.d * n.f + m.f,
+    """The reference product m . n, written on the six unpacked entries, kept apart from the library."""
+    ma, mb, mc, md, me, mf = m
+    na, nb, nc, nd, ne, nf = n
+    return (
+        ma * na + mc * nb,
+        mb * na + md * nb,
+        ma * nc + mc * nd,
+        mb * nc + md * nd,
+        ma * ne + mc * nf + me,
+        mb * ne + md * nf + mf,
     )
 
 
 def _reference_op_to_matrix(op):
-    """The reference op matrix, built from TransformMatrix values, kept apart from the library."""
+    """The reference op matrix, built as a 6-tuple, kept apart from the library."""
     name, args = op
     if name == "matrix":
-        return TransformMatrix(*args)
+        return tuple(args)
     if name == "translate":
-        return TransformMatrix(1.0, 0.0, 0.0, 1.0, args[0], args[1])
+        return (1.0, 0.0, 0.0, 1.0, args[0], args[1])
     if name == "scale":
-        return TransformMatrix(args[0], 0.0, 0.0, args[1], 0.0, 0.0)
+        return (args[0], 0.0, 0.0, args[1], 0.0, 0.0)
     if name == "rotate":
         radians = math.radians(args[0])
-        rotation = TransformMatrix(
-            math.cos(radians), math.sin(radians), -math.sin(radians), math.cos(radians), 0.0, 0.0
-        )
+        rotation = (math.cos(radians), math.sin(radians), -math.sin(radians), math.cos(radians), 0.0, 0.0)
         if len(args) == 1:
             return rotation
         cx, cy = args[1], args[2]
-        shifted = _reference_multiply(TransformMatrix(1, 0, 0, 1, cx, cy), rotation)
-        return _reference_multiply(shifted, TransformMatrix(1, 0, 0, 1, -cx, -cy))
+        shifted = _reference_multiply((1, 0, 0, 1, cx, cy), rotation)
+        return _reference_multiply(shifted, (1, 0, 0, 1, -cx, -cy))
     if _on_tangent_pole(op):
         return IDENTITY
     t = math.tan(math.radians(args[0]))
     if name == "skewX":
-        return TransformMatrix(1.0, 0.0, t, 1.0, 0.0, 0.0)
-    return TransformMatrix(1.0, t, 0.0, 1.0, 0.0, 0.0)
+        return (1.0, 0.0, t, 1.0, 0.0, 0.0)
+    return (1.0, t, 0.0, 1.0, 0.0, 0.0)
 
 
 # Signed zeros, values whose products overflow (1e200 squared is inf, and
@@ -371,13 +368,13 @@ _EXACT_ARGS = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0
 
 def _ops(name, *args):
     """Ops named name with one argument drawn from each of args."""
-    return st.tuples(*args).map(lambda drawn: TransformOp(name, drawn))
+    return st.tuples(*args).map(lambda drawn: (name, drawn))
 
 
 _EXACT_OPS = st.one_of(
     _ops("translate", _EXACT_ARGS, _EXACT_ARGS),
     _ops("scale", _EXACT_ARGS, _EXACT_ARGS),
-    st.sampled_from([1e200, -1e200]).map(lambda s: TransformOp("scale", (s, s))),
+    st.sampled_from([1e200, -1e200]).map(lambda s: ("scale", (s, s))),
     _ops("rotate", _EXACT_ARGS),
     _ops("rotate", _EXACT_ARGS, _EXACT_ARGS, _EXACT_ARGS),
     _ops("skewX", _EXACT_ARGS),
@@ -393,7 +390,7 @@ def test_chain_extend_gives_the_left_fold_of_multiply_exactly(head, tail):
     for op in head + tail:
         want = _reference_multiply(want, _reference_op_to_matrix(op))
     got = EMPTY_CHAIN.extend(head).extend(tail).ctm
-    assert type(got) is TransformMatrix
+    assert type(got) is tuple
     assert list(map(repr, got)) == list(map(repr, want))
     # each op's own entries, signed zeros included, as Chain.extend and place read them
     assert [list(map(repr, _entries(*op))) for op in head] == [
@@ -485,7 +482,8 @@ class TestSkewMatrixStrings:
 
     def test_path_identity(self):
         # place() writes no skew for an identity linear part, so the carrier is asked directly
-        assert STRATEGIES[SKEW_PATH].carrier(IDENTITY) == (1, 0, 0, 1)
+        *_, carrier = STRATEGIES[SKEW_PATH]
+        assert carrier(IDENTITY) == (1, 0, 0, 1)
 
     def test_path_scale(self):
         assert skew_matrix(SKEW_PATH, "scale(2, 2)") == "2, 0, 0, 2, 0, 0"
@@ -510,15 +508,15 @@ class TestMatrixFilterParams:
     def test_rotation_rows_stay_unit_length(self):
         rng = random.Random(5)
         for _ in range(100):
-            m = ctm_of([TransformOp("rotate", (rng.uniform(-360, 360),))])
-            assert abs(m.a**2 + m.b**2 - 1) < 1e-9
+            a, b, *_ = ctm_of([("rotate", (rng.uniform(-360, 360),))])
+            assert abs(a**2 + b**2 - 1) < 1e-9
 
 
 # --- offsets --------------------------------------------------------------------
 
 
-BOX = ShapeBox(100.0, 50.0, 70.0, 40.0)
-ROOT = RootSize(800.0, 800.0)
+BOX = (100.0, 50.0, 70.0, 40.0)  # x, y, width, height
+ROOT = (800.0, 800.0)
 
 
 def compute_offset(ops, box, root, strategy):
@@ -530,33 +528,35 @@ def compute_offset(ops, box, root, strategy):
 
 class TestComputeOffset:
     def test_scale_times_box(self):
-        got = compute_offset(read_ops("scale(3, 1)"), ShapeBox(0, 150, 70, 50), ROOT, SKEW_SHAPE)
-        assert got.dx == pytest.approx(210)
-        assert got.dy == pytest.approx(50)
+        dx, dy = compute_offset(read_ops("scale(3, 1)"), (0, 150, 70, 50), ROOT, SKEW_SHAPE)
+        assert dx == pytest.approx(210)
+        assert dy == pytest.approx(50)
 
     def test_rotate_zero_angle(self):
         w, h = 70.0, 40.0
-        got = compute_offset(read_ops("rotate(0)"), ShapeBox(0, 0, w, h), ROOT, SKEW_SHAPE)
+        got = compute_offset(read_ops("rotate(0)"), (0, 0, w, h), ROOT, SKEW_SHAPE)
         assert got == (-w, -h)
 
     def test_skew_path_rotate(self):
         # frozen from direct evaluation: cos20*1000 - sin20*1500 - 1000 and
         # sin20*1000 + cos20*1500 - 1500
-        got = compute_offset(read_ops("rotate(20)"), ShapeBox(0, 0, 0, 0), RootSize(1000, 1500), SKEW_PATH)
-        assert got.dx == pytest.approx(-573.3375942025947, abs=1e-9)
-        assert got.dy == pytest.approx(251.55907450453128, abs=1e-9)
+        dx, dy = compute_offset(read_ops("rotate(20)"), (0, 0, 0, 0), (1000, 1500), SKEW_PATH)
+        assert dx == pytest.approx(-573.3375942025947, abs=1e-9)
+        assert dy == pytest.approx(251.55907450453128, abs=1e-9)
 
     def test_skew_x_formula(self):
         t = math.tan(math.radians(10))
-        got = compute_offset(read_ops("skewX(10)"), BOX, ROOT, SKEW_SHAPE)
-        assert got.dx == pytest.approx(t * BOX.y + BOX.width)
-        assert got.dy == pytest.approx(BOX.height)
+        x, y, width, height = BOX
+        dx, dy = compute_offset(read_ops("skewX(10)"), BOX, ROOT, SKEW_SHAPE)
+        assert dx == pytest.approx(t * y + width)
+        assert dy == pytest.approx(height)
 
     def test_skew_y_formula(self):
         t = math.tan(math.radians(10))
-        got = compute_offset(read_ops("skewY(10)"), BOX, ROOT, MATRIX_FILTER)
-        assert got.dx == pytest.approx(BOX.width)
-        assert got.dy == pytest.approx(t * BOX.x + BOX.height)
+        x, y, width, height = BOX
+        dx, dy = compute_offset(read_ops("skewY(10)"), BOX, ROOT, MATRIX_FILTER)
+        assert dx == pytest.approx(width)
+        assert dy == pytest.approx(t * x + height)
 
     def test_translate_has_no_offset(self):
         assert compute_offset(read_ops("translate(5, 6)"), BOX, ROOT, SKEW_SHAPE) == (0, 0)
@@ -566,11 +566,11 @@ class TestComputeOffset:
         rng = random.Random(6)
         for _ in range(100):
             angle = rng.uniform(-180, 180)
-            box = ShapeBox(rng.uniform(-99, 99), rng.uniform(-99, 99), rng.uniform(0, 99), rng.uniform(0, 99))
-            plain = compute_offset([TransformOp("rotate", (angle,))], box, ROOT, SKEW_SHAPE)
-            centered = compute_offset([TransformOp("rotate", (angle, 0.0, 0.0))], box, ROOT, SKEW_SHAPE)
-            assert plain.dx == pytest.approx(centered.dx, abs=1e-9)
-            assert plain.dy == pytest.approx(centered.dy, abs=1e-9)
+            box = (rng.uniform(-99, 99), rng.uniform(-99, 99), rng.uniform(0, 99), rng.uniform(0, 99))
+            plain_dx, plain_dy = compute_offset([("rotate", (angle,))], box, ROOT, SKEW_SHAPE)
+            centered_dx, centered_dy = compute_offset([("rotate", (angle, 0.0, 0.0))], box, ROOT, SKEW_SHAPE)
+            assert plain_dx == pytest.approx(centered_dx, abs=1e-9)
+            assert plain_dy == pytest.approx(centered_dy, abs=1e-9)
 
     def test_matrix_op_is_unsupported(self, diags):
         assert place(SKEW_SHAPE, EMPTY_CHAIN.extend(read_ops("matrix(1 0 0 1 0 0)")), BOX, ROOT, 6, diags) is None
@@ -582,53 +582,55 @@ class TestComputeOffset:
         for _ in range(100):
             angle = rng.uniform(-80, 80)
             r = math.radians(angle)
-            box = ShapeBox(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(0, 300), rng.uniform(0, 300))
-            root = RootSize(rng.uniform(1, 2000), rng.uniform(1, 2000))
+            box = (rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(0, 300), rng.uniform(0, 300))
+            root = (rng.uniform(1, 2000), rng.uniform(1, 2000))
             x, y, w, h = box
+            root_width, root_height = root
             cx, cy = rng.uniform(-300, 300), rng.uniform(-300, 300)
             sx, sy = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
 
-            got = compute_offset([TransformOp("skewX", (angle,))], box, root, SKEW_SHAPE)
-            assert abs(got.dx - (math.tan(r) * y + w)) < 1e-9 and abs(got.dy - h) < 1e-9
+            dx, dy = compute_offset([("skewX", (angle,))], box, root, SKEW_SHAPE)
+            assert abs(dx - (math.tan(r) * y + w)) < 1e-9 and abs(dy - h) < 1e-9
 
-            got = compute_offset([TransformOp("skewY", (angle,))], box, root, SKEW_SHAPE)
-            assert abs(got.dx - w) < 1e-9 and abs(got.dy - (math.tan(r) * x + h)) < 1e-9
+            dx, dy = compute_offset([("skewY", (angle,))], box, root, SKEW_SHAPE)
+            assert abs(dx - w) < 1e-9 and abs(dy - (math.tan(r) * x + h)) < 1e-9
 
-            got = compute_offset([TransformOp("rotate", (angle,))], box, root, SKEW_SHAPE)
-            assert abs(got.dx - (x * math.cos(r) - y * math.sin(r) - w)) < 1e-9
-            assert abs(got.dy - (x * math.sin(r) + y * math.cos(r) - h)) < 1e-9
+            dx, dy = compute_offset([("rotate", (angle,))], box, root, SKEW_SHAPE)
+            assert abs(dx - (x * math.cos(r) - y * math.sin(r) - w)) < 1e-9
+            assert abs(dy - (x * math.sin(r) + y * math.cos(r) - h)) < 1e-9
 
-            got = compute_offset([TransformOp("rotate", (angle, cx, cy))], box, root, SKEW_SHAPE)
-            assert abs(got.dx - (math.cos(r) * (x - cx) - math.sin(r) * (y - cy) - w + cx)) < 1e-9
-            assert abs(got.dy - (math.sin(r) * (x - cx) + math.cos(r) * (y - cy) - h + cy)) < 1e-9
+            dx, dy = compute_offset([("rotate", (angle, cx, cy))], box, root, SKEW_SHAPE)
+            assert abs(dx - (math.cos(r) * (x - cx) - math.sin(r) * (y - cy) - w + cx)) < 1e-9
+            assert abs(dy - (math.sin(r) * (x - cx) + math.cos(r) * (y - cy) - h + cy)) < 1e-9
 
-            got = compute_offset([TransformOp("scale", (sx, sy))], box, root, SKEW_SHAPE)
-            assert abs(got.dx - sx * w) < 1e-9 and abs(got.dy - sy * h) < 1e-9
+            dx, dy = compute_offset([("scale", (sx, sy))], box, root, SKEW_SHAPE)
+            assert abs(dx - sx * w) < 1e-9 and abs(dy - sy * h) < 1e-9
 
-            got = compute_offset([TransformOp("rotate", (angle,))], box, root, SKEW_PATH)
-            assert abs(got.dx - (math.cos(r) * root.width - math.sin(r) * root.height - root.width)) < 1e-9
-            assert abs(got.dy - (math.sin(r) * root.width + math.cos(r) * root.height - root.height)) < 1e-9
+            dx, dy = compute_offset([("rotate", (angle,))], box, root, SKEW_PATH)
+            assert abs(dx - (math.cos(r) * root_width - math.sin(r) * root_height - root_width)) < 1e-9
+            assert abs(dy - (math.sin(r) * root_width + math.cos(r) * root_height - root_height)) < 1e-9
 
 
 class TestPlace:
     """place() returns what a mapper writes, read from the strategy table."""
 
     def test_skew_shape_carries_the_correction_in_the_skew_offset_slot(self, diags):
-        placed = place(SKEW_SHAPE, EMPTY_CHAIN.extend(read_ops("scale(3, 1)")), ShapeBox(0, 150, 70, 50), ROOT, 6, diags)
+        placed = place(SKEW_SHAPE, EMPTY_CHAIN.extend(read_ops("scale(3, 1)")), (0, 150, 70, 50), ROOT, 6, diags)
         assert placed.origin is None and placed.filter is None
         assert placed.skew == {"on": "t", "matrix": "-3, 0, 0, -1, 0, 0", "offset": "-210px,-50px"}
         assert placed.offset == pytest.approx((210, 50))
 
     def test_skew_path_writes_the_plain_matrix_and_the_shift(self, diags):
         chain = EMPTY_CHAIN.extend(read_ops("translate(5, 6) scale(2)"))
-        placed = place(SKEW_PATH, chain, ShapeBox(0, 0, 0, 0), RootSize(100, 50), 6, diags)
+        placed = place(SKEW_PATH, chain, (0, 0, 0, 0), (100, 50), 6, diags)
         assert placed.origin == (5, 6)
         assert placed.skew == {"on": "t", "matrix": "2, 0, 0, 2, 0, 0", "offset": "-100px,-50px"}
 
     def test_matrix_filter_moves_the_position_by_the_correction(self, diags):
         placed = place(MATRIX_FILTER, EMPTY_CHAIN.extend(read_ops("scale(2)")), BOX, ROOT, 2, diags)
+        x, y, width, height = BOX
         assert placed.skew is None
-        assert placed.origin == (BOX.x - 2 * BOX.width, BOX.y - 2 * BOX.height)
+        assert placed.origin == (x - 2 * width, y - 2 * height)
         assert placed.filter == (
             "progid:DXImageTransform.Microsoft.Matrix(M11=2, M12=0, M21=0, M22=2, SizingMethod='auto expand')"
         )
@@ -636,12 +638,13 @@ class TestPlace:
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_translation_alone_only_moves_the_origin(self, strategy, diags):
         placed = place(strategy, EMPTY_CHAIN.extend(read_ops("translate(5, 6)")), BOX, ROOT, 6, diags)
-        assert placed == ((BOX.x + 5, BOX.y + 6), None, None, (0, 0))
+        x, y, _, _ = BOX
+        assert (placed.origin, placed.skew, placed.filter, placed.offset) == ((x + 5, y + 6), None, None, (0, 0))
 
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_overflow_is_reported_once(self, strategy, diags):
         big = float("1" + "0" * 308)  # finite, but twice it is not
-        assert place(strategy, EMPTY_CHAIN.extend([TransformOp("translate", (big, 0.0))]), ShapeBox(big, 0, 1, 1), ROOT, 6, diags) is None
+        assert place(strategy, EMPTY_CHAIN.extend([("translate", (big, 0.0))]), (big, 0, 1, 1), ROOT, 6, diags) is None
         assert [(d.code, d.message) for d in diags] == [
             ("BAD_TRANSFORM", "transform overflows to a non-finite value; ignored")
         ]
@@ -676,8 +679,8 @@ _OPS = st.one_of(
 @given(
     strategy=st.sampled_from([SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER]),
     ops=st.lists(_OPS, max_size=3),
-    box=st.builds(ShapeBox, _ARGS, _ARGS, _ARGS, _ARGS),
-    root=st.builds(RootSize, _ARGS, _ARGS),
+    box=st.tuples(_ARGS, _ARGS, _ARGS, _ARGS),
+    root=st.tuples(_ARGS, _ARGS),
     precision=st.integers(0, 12),
 )
 def test_place_either_places_finite_values_or_reports_one_error(strategy, ops, box, root, precision):
@@ -700,7 +703,7 @@ def _transform_attribute(ops) -> str:
     """The transform attribute for ops, empty for none; every argument parses back exactly."""
     if not ops:
         return ""
-    calls = (f"{op.name}({' '.join(format(Decimal(repr(arg)), 'f') for arg in op.args)})" for op in ops)
+    calls = (f"{name}({' '.join(format(Decimal(repr(arg)), 'f') for arg in args)})" for name, args in ops)
     return f' transform="{" ".join(calls)}"'
 
 
@@ -745,7 +748,8 @@ def test_nested_groups_map_like_the_leaf_carrying_the_whole_list(leaf, group_lis
 
 def _on_tangent_pole(op) -> bool:
     """A skew at 90 + k*180 degrees."""
-    return op.name in ("skewX", "skewY") and math.isclose(math.fmod(abs(op.args[0]), 180.0), 90.0, abs_tol=1e-12)
+    name, args = op
+    return name in ("skewX", "skewY") and math.isclose(math.fmod(abs(args[0]), 180.0), 90.0, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize(
