@@ -67,6 +67,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except OSError as io_error:
         print(f"error IO_ERROR: {io_error}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as not_utf8:
+        source = "stdin" if args.input == "-" else args.input
+        print(f"error IO_ERROR: {source} is not UTF-8 text ({not_utf8})", file=sys.stderr)
+        return 1
 
     try:
         options = ConvertOptions(

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from conftest import wrap_svg
 from svg2vml.cli import convert_text, run
 
 DEMO = wrap_svg('<rect x="1" y="1" width="1198" height="398" fill="red" stroke="blue" stroke-width="2"/>')
+# A well-formed document in its declared Latin-1 encoding, with one byte that is not UTF-8.
+LATIN1 = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n' + wrap_svg('<text x="1" y="5" font-size="10">caf\xe9</text>')).encode("latin-1")
 
 
 @pytest.fixture
@@ -58,6 +61,36 @@ class TestConvertCommand:
     def test_unreadable_input(self, tmp_path, capsys):
         assert run(["convert", str(tmp_path / "absent.svg")]) == 1
         assert "IO_ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data,codec_message",
+        [
+            (LATIN1, "byte 0xe9 in position %d: invalid continuation byte" % LATIN1.index(b"\xe9")),
+            (DEMO.encode("utf-16"), "byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["latin-1", "utf-16"],
+    )
+    def test_input_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys, data, codec_message):
+        page = tmp_path / "page.svg"
+        page.write_bytes(data)
+        assert run(["convert", str(page)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error IO_ERROR: {page} is not UTF-8 text ('utf-8' codec can't decode {codec_message})\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["page.svg"]
+
+    def test_stdin_that_is_not_utf8_is_an_io_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(LATIN1), encoding="utf-8"))
+        assert run(["convert", "-", "-o", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error IO_ERROR: stdin is not UTF-8 text ('utf-8' codec can't decode byte 0xe9")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_unwritable_output_is_an_io_error(self, demo_file, tmp_path, capsys):
+        assert run(["convert", str(demo_file), "-o", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error IO_ERROR: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_bad_precision_is_usage_error(self, demo_file, capsys):
         for precision in ("99", "-1"):
