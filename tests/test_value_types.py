@@ -86,3 +86,13 @@ class TestTreeNodes:
 def test_tree_nodes_of_different_kinds_are_unequal():
     assert VmlNode("rect") != SvgNode("rect", "rect")
     assert SvgNode("rect", "rect") != VmlNode("rect")
+
+
+def test_tree_node_repr_names_every_field_in_slot_order():
+    assert repr(SvgNode("rect", "rect", {"id": "a"}, text="t")) == (
+        "SvgNode(tag='rect', name='rect', attributes={'id': 'a'}, children=[], text='t', tail=None)"
+    )
+    assert repr(VmlNode("v:shape", {"path": "m 0,0 e"}, children=[VmlNode("v:fill")])) == (
+        "VmlNode(tag='v:shape', attributes={'path': 'm 0,0 e'}, style={}, children=[VmlNode(tag='v:fill', "
+        "attributes={}, style={}, children=[], text=None, tail=None)], text=None, tail=None)"
+    )
