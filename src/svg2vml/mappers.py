@@ -188,6 +188,17 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
     return value
 
 
+def _font_size(ctx: MapperContext, node: SvgNode) -> Optional[float]:
+    """node's font-size; None when it is absent or does not read.  A negative
+    size, which CSS does not allow, is reported and does not read."""
+    size = _length(ctx, node, "font-size")
+    if size is not None and size < 0.0:
+        message = f"font-size {node.attributes['font-size']!r} is negative"
+        ctx.diagnostics.warning("BAD_ATTRIBUTE", message, _attribute_location(ctx, "font-size"))
+        return None
+    return size
+
+
 def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
     """The inherited chain extended by the node's own transform list."""
     own_raw = node.attributes.get("transform")
@@ -512,7 +523,7 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     x = _length(ctx, node, "x")
     top = _length(ctx, node, "y")
     if top is not None:
-        font_size = _length(ctx, node, "font-size")
+        font_size = _font_size(ctx, node)
         if font_size is None:
             font_size = 16.0
             # An unreadable font-size was reported where it was read.
@@ -556,7 +567,7 @@ def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx
     text_path.attributes["on"] = "t"
     text_path.attributes["string"] = (node.text or "").strip()
     font_tokens = []
-    font_size = _length(parent_ctx, parent, "font-size")
+    font_size = _font_size(parent_ctx, parent)
     if font_size is not None:
         font_tokens.append(f"FONT-SIZE:{_fmt(ctx, font_size)}")
     family = parent.attributes.get("font-family")

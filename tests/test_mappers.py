@@ -495,6 +495,22 @@ class TestTextAndForeignObject:
             "error UNSUPPORTED_UNIT: unsupported length unit 'pt' in '12pt' @svg/text[0]@font-size"
         ]
 
+    @pytest.mark.parametrize("size", ["-5", "-5px", "-0.5"])
+    def test_a_negative_font_size_is_reported_once_and_16_assumed(self, size):
+        body = f'<text x="1" y="5" font-size="{size}">hi</text>'
+        tree, diags = map_snippet(body)
+        assert find_one(tree, "v:textbox").style == {"left": "1", "top": "-11"}
+        assert [str(d) for d in diags] == [
+            f"warning BAD_ATTRIBUTE: font-size '{size}' is negative @svg/text[0]@font-size"
+        ]
+        output, strict = convert_text(wrap_svg(body), ConvertOptions(strict=True))
+        assert output is None and strict.codes() == ["BAD_ATTRIBUTE"]
+
+    def test_a_zero_font_size_reads(self):
+        tree, diags = map_snippet('<text x="1" y="5" font-size="0">hi</text>')
+        assert find_one(tree, "v:textbox").style == {"left": "1", "top": "5"}
+        assert not len(diags)
+
     def test_foreign_object_geometry_and_payload(self):
         tree, _ = map_snippet(
             '<foreignObject x="400px" y="300px" width="600px" height="400px">'
@@ -709,6 +725,19 @@ class TestTextPath:
         assert text_path.attributes["on"] == "t"
         assert text_path.attributes["string"] == "We go up, then we go down"
         assert text_path.attributes["style"] == "FONT-SIZE:40;FONT-FAMILY:Verdana"
+
+    def test_a_negative_font_size_is_reported_once_and_writes_no_size(self):
+        tree, diags = map_snippet(
+            '<defs><path id="p" d="M 0 0 L 9 9"/></defs>'
+            '<text font-family="Verdana" font-size="-5"><textPath xlink:href="#p">x</textPath></text>'
+            '<text font-size="-5"><textPath xlink:href="#p">y</textPath></text>'
+        )
+        first, second = find_all(tree, "v:textpath")
+        assert first.attributes["style"] == "FONT-FAMILY:Verdana"
+        assert "style" not in second.attributes
+        assert [str(d) for d in diags] == [
+            f"warning BAD_ATTRIBUTE: font-size '-5' is negative @svg/text[{index}]@font-size" for index in (1, 2)
+        ]
 
     def test_empty_payload(self):
         tree, _ = map_snippet(
