@@ -712,11 +712,12 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
     A copy depends only on its target, chain and paint, and the emitter only
     reads the tree, so a copy under the same chain ops (which determine the
-    product) and paint appends the same subtree again.  A copy is kept only when it is exact anywhere: it reported
-    nothing, stayed inside the budget and was not cut at the depth cap (after
-    the first TOO_DEEP a cut is silent).  Its reuse charges the budget its
-    mapper calls; where those calls or its levels do not fit, the target is
-    mapped again, so each cut and its report fall where they would.
+    product) and paint appends the same subtree again.  A copy is kept only
+    when it is exact anywhere: it reported nothing, stayed inside the budget
+    and was not cut at the depth cap (after the first TOO_DEEP a cut is
+    silent).  Its reuse charges the budget its mapper calls; where those
+    calls or its levels do not fit, the target is mapped again, so each cut
+    and its report fall where they would.
     """
     conversion = ctx.conversion
     depth = ctx.depth

@@ -222,8 +222,6 @@ def recalc_points(m: Sequence[float], coords: list[float]) -> list[float]:
 # rules were established experimentally against IE rendering and are not
 # derivable from the matrices alone.  A translation (any identity linear
 # part) needs no correction: its shift goes into the output coordinates.
-
-
 # Each rule takes the matrix, the untransformed box (x, y, width, height) and
 # the root size (width, height), and returns the correction as (dx, dy).
 
