@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .diagnostics import Diagnostics
 from .options import MODE_VML, MODE_XHTML, ConvertOptions
@@ -45,7 +44,7 @@ def _print_diagnostics(diagnostics: Diagnostics, quiet: bool) -> None:
         print(diagnostic, file=sys.stderr)
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

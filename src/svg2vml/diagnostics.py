@@ -13,7 +13,7 @@ pays nothing for the locations it never reports.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from collections import namedtuple
 
 
 class Location:
@@ -26,7 +26,7 @@ class Location:
 
     __slots__ = ("parent", "name", "index")
 
-    def __init__(self, parent: "LocationLike", name: str, index: Optional[int] = None):
+    def __init__(self, parent: "LocationLike", name: str, index: int | None = None):
         self.parent = parent
         self.name = name
         self.index = index
@@ -41,18 +41,25 @@ class Location:
         return "".join(reversed(steps))
 
 
-LocationLike = Union[str, Location]
+LocationLike = str | Location
 
 
-class Diagnostic(NamedTuple):
-    severity: str  # "warning" | "error"
-    code: str
-    message: str
-    location: str = ""
+Diagnostic = namedtuple("Diagnostic", "severity code message location", defaults=("",))
+Diagnostic.__doc__ = """One reported problem; str() gives the line the CLI prints.
 
-    def __str__(self) -> str:
-        suffix = f" @{self.location}" if self.location else ""
-        return f"{self.severity} {self.code}: {self.message}{suffix}"
+severity: str, "warning" or "error"
+code: str, such as "BAD_PATH"
+message: str
+location: str, the tree path, or "" when the problem has no place
+"""
+
+
+def _diagnostic_line(diagnostic: Diagnostic) -> str:
+    suffix = f" @{diagnostic.location}" if diagnostic.location else ""
+    return f"{diagnostic.severity} {diagnostic.code}: {diagnostic.message}{suffix}"
+
+
+Diagnostic.__str__ = _diagnostic_line
 
 
 class Diagnostics:

@@ -16,7 +16,7 @@ written with the SVG head, as it was parsed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from collections.abc import Callable
 
 from .mappers import VmlNode
 from .options import ConvertOptions
@@ -26,7 +26,7 @@ VML_NS = "urn:schemas-microsoft-com:vml"
 
 _INDENT = "  "
 
-Node = Union[VmlNode, SvgNode]
+Node = VmlNode | SvgNode
 Head = Callable[[Node], tuple[str, str]]
 
 
@@ -124,7 +124,7 @@ def _document(
     return ("\n" if pretty else "").join(lines) + "\n"
 
 
-def emit_vml_html(tree: VmlNode, options: Optional[ConvertOptions] = None) -> str:
+def emit_vml_html(tree: VmlNode, options: ConvertOptions | None = None) -> str:
     """Serialize a mapped tree as a complete VML/HTML document."""
     options = options or ConvertOptions()
     return _document(
@@ -138,7 +138,7 @@ def emit_vml_html(tree: VmlNode, options: Optional[ConvertOptions] = None) -> st
     )
 
 
-def emit_xhtml_passthrough(doc: SvgDocument, options: Optional[ConvertOptions] = None) -> str:
+def emit_xhtml_passthrough(doc: SvgDocument, options: ConvertOptions | None = None) -> str:
     """Serialize the parsed SVG unchanged inside an XHTML host document."""
     options = options or ConvertOptions()
     return _document(

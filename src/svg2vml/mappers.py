@@ -29,7 +29,7 @@ at several places; the emitter only reads it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import format_number, format_numbers, read_number
@@ -82,9 +82,9 @@ class VmlNode(TreeNode):
 
     __slots__ = ("tag", "attributes", "style", "children", "text", "tail")
 
-    def __init__(self, tag: str, attributes: Optional[dict[str, str]] = None,
-                 style: Optional[dict[str, str]] = None, children: Optional[list["VmlNode"]] = None,
-                 text: Optional[str] = None, tail: Optional[str] = None):
+    def __init__(self, tag: str, attributes: dict[str, str] | None = None,
+                 style: dict[str, str] | None = None, children: list["VmlNode"] | None = None,
+                 text: str | None = None, tail: str | None = None):
         self.tag = tag
         self.attributes = {} if attributes is None else attributes
         self.style = {} if style is None else style
@@ -92,7 +92,7 @@ class VmlNode(TreeNode):
         self.text = text
         self.tail = tail
 
-    def find(self, tag: str) -> Optional["VmlNode"]:
+    def find(self, tag: str) -> "VmlNode" | None:
         for child in self.children:
             if child.tag == tag:
                 return child
@@ -118,7 +118,7 @@ class Conversion:
         self.budget = budget
         self.referring: set[str] = set()
         self.deepest = 0
-        self.copies: dict[tuple, tuple[Optional[VmlNode], int, int]] = {}
+        self.copies: dict[tuple, tuple[VmlNode | None, int, int]] = {}
 
 
 class MapperContext:
@@ -177,7 +177,7 @@ def _attribute_location(ctx: MapperContext, name: str) -> Location:
     return Location(ctx.location, name)
 
 
-def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
+def _length(ctx: MapperContext, node: SvgNode, name: str) -> float | None:
     raw = node.attributes.get(name)
     if raw is None:
         return None
@@ -188,7 +188,7 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> Optional[float]:
     return value
 
 
-def _font_size(ctx: MapperContext, node: SvgNode) -> Optional[float]:
+def _font_size(ctx: MapperContext, node: SvgNode) -> float | None:
     """node's font-size; None when it is absent or does not read.  A negative
     size, which CSS does not allow, is reported and does not read."""
     size = _length(ctx, node, "font-size")
@@ -221,8 +221,8 @@ def _new(node: SvgNode, tag: str) -> VmlNode:
     return VmlNode(tag, {"id": node_id} if node_id is not None else {})
 
 
-def _write_box(ctx: MapperContext, mapped: VmlNode, left: Optional[float], top: Optional[float],
-               width: Optional[float] = None, height: Optional[float] = None) -> None:
+def _write_box(ctx: MapperContext, mapped: VmlNode, left: float | None, top: float | None,
+               width: float | None = None, height: float | None = None) -> None:
     """Write left, top, width and height ahead of every other style key; None leaves a key out.
 
     The one place a mapper writes an element's position and size.
@@ -263,7 +263,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
     "f" instead.  Opacity becomes an alpha filter.
     """
     paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, names)
-    stroke_child: Optional[VmlNode] = None
+    stroke_child: VmlNode | None = None
     for name, mapped in paint.values.items():
         if mapped is None:
             continue
@@ -285,7 +285,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
 _EMPTY_BOX = (0.0, 0.0, 0.0, 0.0)
 
 
-def _place(node: SvgNode, ctx: MapperContext, mapped: Optional[VmlNode]) -> Optional[Placement]:
+def _place(node: SvgNode, ctx: MapperContext, mapped: VmlNode | None) -> Placement | None:
     """The placement of the element's transform chain; None when the chain is empty.
 
     The offset rules read the box as written in mapped's style, 0.0 for an
@@ -375,7 +375,7 @@ def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
     return group
 
 
-def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_rect(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """rect -> v:roundrect; rx/ry become the arcsize rounding ratio."""
     mark = len(ctx.diagnostics)
     width = _length(ctx, node, "width")
@@ -387,7 +387,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     y = _length(ctx, node, "y")
 
     shape = _new(node, "v:roundrect")
-    arcsize: Optional[float] = None
+    arcsize: float | None = None
     for name in node.attributes:
         if name == "rx":
             radius = _length(ctx, node, "rx")
@@ -413,7 +413,7 @@ def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
 
 
-def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_oval(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """circle/ellipse -> v:oval with left/top/width/height derived from cx, cy and r or rx, ry."""
     mark = len(ctx.diagnostics)
     if node.tag == "circle":
@@ -444,7 +444,7 @@ def map_oval(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return oval
 
 
-def map_poly(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_poly(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """line/polyline/polygon -> v:shape; transforms recompute every point."""
     if node.tag == "line":
         coords = [_length(ctx, node, name) or 0.0 for name in ("x1", "y1", "x2", "y2")]
@@ -482,7 +482,7 @@ def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> VmlNode:
     return shape
 
 
-def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_path(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """path -> v:shape; the d attribute is normalized to absolute commands."""
     d = node.attributes.get("d")
     if d is None:
@@ -509,7 +509,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return shape
 
 
-def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_text(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """text -> v:textbox (or the referenced shape when wrapping a textPath)."""
     for index, child in enumerate(node.children):
         if child.tag == "textPath":
@@ -541,7 +541,9 @@ def map_text(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return box
 
 
-def map_text_path(node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx: MapperContext) -> Optional[VmlNode]:
+def map_text_path(
+    node: SvgNode, ctx: MapperContext, parent: SvgNode, parent_ctx: MapperContext
+) -> VmlNode | None:
     """textPath -> the referenced path's v:shape, augmented for text-on-path.
 
     ctx locates the textPath's own reference and transform; the target path
@@ -600,7 +602,7 @@ def map_defs(node: SvgNode, ctx: MapperContext) -> VmlNode:
     return div
 
 
-def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def map_use(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """use -> a div containing the referenced element's copy under the use's paint."""
     div = _new(node, "div")
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
@@ -624,12 +626,12 @@ def map_use(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return div
 
 
-def _href(node: SvgNode) -> Optional[str]:
+def _href(node: SvgNode) -> str | None:
     """The link target: xlink:href when present, else href."""
     return node.attributes.get("xlink:href", node.attributes.get("href"))
 
 
-def _resolve_reference(node: SvgNode, ctx: MapperContext) -> Optional[SvgNode]:
+def _resolve_reference(node: SvgNode, ctx: MapperContext) -> SvgNode | None:
     raw = _href(node)
     if raw is None or not raw.startswith("#"):
         ctx.diagnostics.error("DANGLING_REF", f"unresolvable reference {raw!r}", ctx.location)
@@ -659,7 +661,7 @@ def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
     return anchor
 
 
-_MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
+_MAPPERS: dict[str, Callable[[SvgNode, MapperContext], VmlNode | None]] = {
     "svg": map_svg_root,
     "g": map_g,
     "rect": map_rect,
@@ -676,7 +678,7 @@ _MAPPERS: dict[str, Callable[[SvgNode, MapperContext], Optional[VmlNode]]] = {
     "a": map_anchor,
 }
 
-def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def _map_node(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     conversion = ctx.conversion
     depth = ctx.depth
     if depth > conversion.deepest:
@@ -707,7 +709,7 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
     return None
 
 
-def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
+def _map_copy(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """A reference target mapped under ctx: the subtree an earlier copy mapped, where it is exact.
 
     A copy depends only on its target, chain and paint, and the emitter only
@@ -743,7 +745,7 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> Optional[VmlNode]:
 
 
 def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode,
-                  map_child: Callable[[SvgNode, MapperContext], Optional[VmlNode]] = _map_node) -> None:
+                  map_child: Callable[[SvgNode, MapperContext], VmlNode | None] = _map_node) -> None:
     for index, child in enumerate(node.children):
         child_ctx = ctx.at(child, index)
         mapped = map_child(child, child_ctx)
@@ -753,8 +755,8 @@ def _map_children(node: SvgNode, ctx: MapperContext, parent: VmlNode,
 
 def map_document(
     doc: SvgDocument,
-    options: Optional[ConvertOptions] = None,
-    diagnostics: Optional[Diagnostics] = None,
+    options: ConvertOptions | None = None,
+    diagnostics: Diagnostics | None = None,
 ) -> tuple[VmlNode, Diagnostics]:
     """Translate a parsed document into its VML/HTML counterpart tree."""
     options = options or ConvertOptions()

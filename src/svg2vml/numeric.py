@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 WSP = " \t\r\n"
 SEPARATORS = WSP + ","
@@ -33,7 +33,8 @@ NUMBER_LIST_PATTERN = rf"[{SEPARATORS}]*(?:{NUMBER_PATTERN}(?:[{SEPARATORS}]+{NU
 # Compiled once for every module: NUMBER_RE finds numbers anywhere, and its
 # fullmatch accepts a whole token and nothing else.
 NUMBER_RE = re.compile(NUMBER_PATTERN)
-_SPLIT_RE = re.compile(f"[{SEPARATORS}]+")
+# Only split_list reads it, after a reader has failed, through re's own cache.
+_SPLIT = f"[{SEPARATORS}]+"
 
 # The characters of a number list, as a regex class body; path_data adds letters.
 LIST_CHARS = rf"0-9.+\-{SEPARATORS}"
@@ -44,10 +45,10 @@ NUMBER_CHARS = "0123456789.+-"
 
 def split_list(text: str) -> list[str]:
     """The tokens between runs of separators."""
-    return [token for token in _SPLIT_RE.split(text) if token]
+    return [token for token in re.split(_SPLIT, text) if token]
 
 
-def read_numbers(text: str) -> Optional[list[float]]:
+def read_numbers(text: str) -> list[float] | None:
     """The numbers of a whole list, or None when a token is not a finite number."""
     if _OUTSIDE_LIST_RE.search(text):
         return None
@@ -58,7 +59,7 @@ def read_numbers(text: str) -> Optional[list[float]]:
     return numbers if all(map(math.isfinite, numbers)) else None
 
 
-def read_number(token: str) -> Optional[float]:
+def read_number(token: str) -> float | None:
     """A whole token as a finite number, or None when it is outside the grammar or overflows."""
     if token.strip(NUMBER_CHARS):
         return None

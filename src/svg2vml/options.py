@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 MODE_VML = "vml"
 MODE_XHTML = "xhtml"
 
 
-class _Options(NamedTuple):
-    mode: str = MODE_VML
-    precision: int = 6  # output decimals, 0..12
-    strict: bool = False
-    pretty: bool = False
-    title: Optional[str] = None
+_Options = namedtuple(
+    "_Options", "mode precision strict pretty title", defaults=(MODE_VML, 6, False, False, None)
+)
 
 
 class ConvertOptions(_Options):
-    """The options of one conversion; immutable, and checked when made."""
+    """The options of one conversion; immutable, and checked when made.
+
+    mode: str, MODE_VML or MODE_XHTML
+    precision: int, output decimals, 0..12
+    strict: bool, write nothing when anything is reported
+    pretty: bool, indent the output
+    title: str | None, the title of the emitted page
+    """
 
     __slots__ = ()
 

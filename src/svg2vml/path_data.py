@@ -38,7 +38,7 @@ check per value: `is_finite_path` tells the caller to reject the path
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import LIST_CHARS, NUMBER_RE, SEPARATORS, format_numbers
@@ -115,7 +115,7 @@ def parse_path_data(d: str, diagnostics: Diagnostics, location: LocationLike) ->
     return segments
 
 
-def _read_pieces(d: str) -> Optional[tuple[list[str], list[list[float]]]]:
+def _read_pieces(d: str) -> tuple[list[str], list[list[float]]] | None:
     """The command letters of d and the numbers before, between and after them.
 
     None when d is outside the grammar, at once when it holds a character

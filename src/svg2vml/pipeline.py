@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .diagnostics import Diagnostics
 from .emitter import emit_vml_html, emit_xhtml_passthrough
 from .mappers import map_document
@@ -11,7 +9,7 @@ from .options import MODE_XHTML, ConvertOptions
 from .svg_dom import parse_svg
 
 
-def convert_text(text: str, options: Optional[ConvertOptions] = None) -> tuple[Optional[str], Diagnostics]:
+def convert_text(text: str, options: ConvertOptions | None = None) -> tuple[str | None, Diagnostics]:
     """Run the full pipeline on SVG text; returns (output, diagnostics).
 
     Output is None when the conversion failed outright (unparseable input),

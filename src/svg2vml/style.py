@@ -9,8 +9,6 @@ element, so every value is parsed and reported once, where it is written.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import WSP, format_number, read_number
 from .svg_dom import SvgDocument, SvgNode, parse_length
@@ -39,7 +37,7 @@ NONE_FLAGS = {"fill": ("filled", "f"), "stroke": ("stroked", "f")}
 
 
 def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Diagnostics,
-                         location: LocationLike) -> Optional[tuple[str, str]]:
+                         location: LocationLike) -> tuple[str, str] | None:
     """Translate one stroke attribute of the element at location to its v:stroke counterpart.
 
     stroke-width is a length of at least 0, stroke-opacity a number clamped
@@ -76,7 +74,7 @@ def map_stroke_attribute(name: str, value: str, precision: int, diagnostics: Dia
     return None
 
 
-def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
+def _unit_interval(name: str, raw: str, diagnostics: Diagnostics, location: LocationLike) -> float | None:
     """raw as a number clamped to [0, 1]; None if it does not parse.  Both faults are BAD_ATTRIBUTE."""
     value = read_number(raw.strip(WSP))
     if value is None:
@@ -106,7 +104,7 @@ class Paint:
 
     __slots__ = ("values", "opacity")
 
-    def __init__(self, values: dict, opacity: Optional[float]):
+    def __init__(self, values: dict, opacity: float | None):
         self.values = values
         self.opacity = opacity
 
@@ -152,7 +150,7 @@ class Paint:
 NO_PAINT = Paint({}, None)
 
 
-def _stop_offset(value: Optional[str]) -> Optional[float]:
+def _stop_offset(value: str | None) -> float | None:
     if value is None:
         return None
     token = value.strip(WSP)
@@ -164,7 +162,7 @@ def _stop_offset(value: Optional[str]) -> Optional[float]:
     return None if number is None else number * scale
 
 
-def resolve_gradient(node: SvgNode, diagnostics: Diagnostics, location: LocationLike) -> Optional[dict[str, str]]:
+def resolve_gradient(node: SvgNode, diagnostics: Diagnostics, location: LocationLike) -> dict[str, str] | None:
     """The v:fill attributes of a two-stop horizontal or vertical gradient.
 
     Only gradients of exactly two stops at 0% and 100% along a horizontal or
@@ -210,7 +208,7 @@ def resolve_gradient(node: SvgNode, diagnostics: Diagnostics, location: Location
 
 
 def resolve_fill_reference(value: str, document: SvgDocument, diagnostics: Diagnostics,
-                           location: LocationLike) -> Optional[dict[str, str]]:
+                           location: LocationLike) -> dict[str, str] | None:
     """Resolve a fill of the form url(#id) to its gradient's v:fill attributes."""
     inner = value.strip()[4:-1].strip().strip("'\"")
     if not inner.startswith("#"):

@@ -6,13 +6,14 @@ tree is built from the first `svg` start tag in document order, whatever
 its prefix, to its end tag; everything outside it is ignored.
 
 One expat parser runs without namespace processing, so names arrive as
-written.  An element keeps its local name, the part after any prefix.  An
-attribute prefix resolves through the `xmlns:` declarations in scope,
-where an undeclared `xlink` means the XLink namespace: a name bound to
-XLink becomes "xlink:<local>", the `xml` prefix (always bound, never
-declared) is kept, as in "xml:space", any other prefix is stripped, and
-`xmlns` declarations are dropped.  When two names reduce alike, the first
-wins.
+written.  It comes from `pyexpat`, the C module that `xml.parsers.expat`
+re-exports, so the import loads none of the `xml` package.  An element
+keeps its local name, the part after any prefix.  An attribute prefix
+resolves through the `xmlns:` declarations in scope, where an undeclared
+`xlink` means the XLink namespace: a name bound to XLink becomes
+"xlink:<local>", the `xml` prefix (always bound, never declared) is kept,
+as in "xml:space", any other prefix is stripped, and `xmlns` declarations
+are dropped.  When two names reduce alike, the first wins.
 
 Text follows ElementTree's rules: an element's text runs up to its first
 child and each child's tail up to the next tag, the root's tail included;
@@ -31,9 +32,9 @@ any other character there is an error under the attribute's own code.
 
 from __future__ import annotations
 
+import pyexpat as expat
 import re
-from typing import NamedTuple, Optional
-from xml.parsers import expat
+from collections import namedtuple
 
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import NUMBER_RE, WSP, read_number, read_numbers, split_list
@@ -69,11 +70,8 @@ def expansion_budget(elements: int) -> int:
     return EXPANSION_ALLOWANCE + MAX_EXPANSION * elements
 
 
-class ViewBox(NamedTuple):
-    min_x: float
-    min_y: float
-    width: float
-    height: float
+ViewBox = namedtuple("ViewBox", "min_x min_y width height")
+ViewBox.__doc__ = """A parsed viewBox: four floats, min_x, min_y, width and height; both sizes positive."""
 
 
 class TreeNode:
@@ -109,9 +107,9 @@ class SvgNode(TreeNode):
 
     __slots__ = ("tag", "name", "attributes", "children", "text", "tail")
 
-    def __init__(self, tag: str, name: str, attributes: Optional[dict[str, str]] = None,
-                 children: Optional[list["SvgNode"]] = None, text: Optional[str] = None,
-                 tail: Optional[str] = None):
+    def __init__(self, tag: str, name: str, attributes: dict[str, str] | None = None,
+                 children: list["SvgNode"] | None = None, text: str | None = None,
+                 tail: str | None = None):
         self.tag = tag
         self.name = name
         self.attributes = {} if attributes is None else attributes
@@ -125,14 +123,17 @@ class SvgNode(TreeNode):
             yield from child.iter_nodes()
 
 
-class SvgDocument(NamedTuple):
-    root: SvgNode
-    id_index: dict[str, SvgNode]
-    diagnostics: Diagnostics
-    elements: int  # the nodes of the tree, the root included
+SvgDocument = namedtuple("SvgDocument", "root id_index diagnostics elements")
+SvgDocument.__doc__ = """What parse_svg returns.
 
+root: SvgNode, the first svg element
+id_index: dict[str, SvgNode], each id's first element
+diagnostics: Diagnostics, the collector the parse reported to
+elements: int, the nodes of the tree, the root included
+"""
 
-_XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>", re.DOTALL)
+# Only the fragment fallback reads it, through re's own cache.
+_XML_DECL = r"^\s*<\?xml[^>]*\?>"
 
 # Prefixes bound before any declaration; every other prefix is stripped.
 _UNDECLARED = {"xlink": XLINK_NS}
@@ -150,19 +151,19 @@ class _Builder:
     """
 
     def __init__(self) -> None:
-        self.root: Optional[SvgNode] = None
+        self.root: SvgNode | None = None
         self.open: list[SvgNode] = []
-        self.foreign: Optional[SvgNode] = None  # the open foreignObject, if any
+        self.foreign: SvgNode | None = None  # the open foreignObject, if any
         self.scopes = [_UNDECLARED]
         self.data: list[str] = []
-        self.last: Optional[SvgNode] = None
+        self.last: SvgNode | None = None
         self.ended = False
         self.unknown: list[tuple[str, LocationLike]] = []
         self.id_index: dict[str, SvgNode] = {}
         self.duplicate_ids: list[tuple[str, LocationLike]] = []  # each id with the element that lost it
         self.skipped = 0  # open elements past MAX_DEPTH
         self.elements = 0
-        self.too_deep: Optional[LocationLike] = None
+        self.too_deep: LocationLike | None = None
 
     def start(self, name: str, attributes: dict[str, str]) -> None:
         scope = self.scopes[-1]
@@ -229,7 +230,7 @@ class _Builder:
         else:
             self.last = None
 
-    def location(self, name: Optional[str] = None) -> LocationLike:
+    def location(self, name: str | None = None) -> LocationLike:
         """The tree path of the newest open element, or of a new child `name` of it."""
         location: LocationLike = "svg"
         for parent, child in zip(self.open, self.open[1:]):
@@ -275,7 +276,7 @@ def _build(text: str) -> _Builder:
     return builder
 
 
-def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[SvgDocument]:
+def parse_svg(text: str, diagnostics: Diagnostics | None = None) -> SvgDocument | None:
     """Parse SVG text into an SvgDocument.
 
     Returns None when no document can be built (malformed XML, or no svg
@@ -288,7 +289,7 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     except (expat.ExpatError, UnicodeEncodeError) as error:  # expat reads UTF-8: a lone surrogate fails
         # A fragment: parse its body once more as the content of one element.
         try:
-            builder = _build(f"<wrapper>{_XML_DECL_RE.sub('', text)}</wrapper>")
+            builder = _build(f"<wrapper>{re.sub(_XML_DECL, '', text)}</wrapper>")
         except (expat.ExpatError, UnicodeEncodeError):
             diagnostics.error("MALFORMED_XML", f"not well-formed XML: {error}")
             return None
@@ -306,7 +307,7 @@ def parse_svg(text: str, diagnostics: Optional[Diagnostics] = None) -> Optional[
     return SvgDocument(builder.root, builder.id_index, diagnostics, builder.elements)
 
 
-def parse_view_box(value: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[ViewBox]:
+def parse_view_box(value: str, diagnostics: Diagnostics, location: LocationLike) -> ViewBox | None:
     """Parse a viewBox value: a list of four numbers."""
     numbers = read_numbers(value)
     tokens = numbers if numbers is not None else split_list(value)
@@ -343,7 +344,7 @@ def parse_points(value: str, diagnostics: Diagnostics, location: LocationLike) -
     return coords
 
 
-def parse_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> Optional[float]:
+def parse_length(value: str, diagnostics: Diagnostics, location: LocationLike) -> float | None:
     """Parse a length in user units; a "px" suffix is accepted and stripped.
 
     A bad length records UNSUPPORTED_UNIT and returns None.

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from itertools import starmap
-from typing import Iterable, Optional, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
 from .numeric import (
@@ -349,8 +349,8 @@ class Placement:
 
     __slots__ = ("origin", "skew", "filter", "offset")
 
-    def __init__(self, origin: Optional[tuple[float, float]], skew: Optional[dict[str, str]],
-                 filter: Optional[str], offset: tuple[float, float]):
+    def __init__(self, origin: tuple[float, float] | None, skew: dict[str, str] | None,
+                 filter: str | None, offset: tuple[float, float]):
         self.origin = origin
         self.skew = skew
         self.filter = filter
@@ -372,7 +372,7 @@ def place(
     precision: int,
     diagnostics: Diagnostics,
     location: LocationLike = "",
-) -> Optional[Placement]:
+) -> Placement | None:
     """Simulate a transform chain with the strategy's offset rule and carrier.
 
     Returns None, after reporting UNSUPPORTED_TRANSFORM when the strategy
@@ -398,7 +398,7 @@ def place(
     lone_rotate = len(ops) == 1 and ops[0][0] == "rotate"
     if lone_rotate and rotation is not None:
         angle, *centre = ops[0][1]
-        linear: Optional[Sequence[float]] = _entries("rotate", (angle,))
+        linear: Sequence[float] | None = _entries("rotate", (angle,))
         # The re-shift from the centre is folded into the offset.
         shift = (-centre[0], -centre[1]) if centre and rotation == ROTATE_ABOUT_CENTRE else None
         offset = _rotate_offset(angle, box, *centre)
