@@ -1,7 +1,8 @@
 """Command-line front end: read the input, convert it, write it, report diagnostics.
 
 Exit codes: 0 success (warnings allowed unless --strict), 1 conversion
-error, 2 usage error.
+error, 2 usage error.  Input and output are UTF-8 whatever the locale or
+PYTHONIOENCODING, "-" (stdin or stdout) included, so "-" behaves like a file.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             text = Path(args.input).read_text(encoding="utf-8")
     except OSError as io_error:
@@ -86,7 +87,9 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if destination == "-":
-            sys.stdout.write(output_text)
+            sys.stdout.flush()  # text printed before stays ahead of the bytes
+            sys.stdout.buffer.write(output_text.encode("utf-8"))
+            sys.stdout.buffer.flush()
         else:
             Path(destination).write_text(output_text, encoding="utf-8")
     except OSError as io_error:

@@ -80,7 +80,8 @@ class TestConvertCommand:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["page.svg"]
 
     def test_stdin_that_is_not_utf8_is_an_io_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(LATIN1), encoding="utf-8"))
+        # The text layer reads Latin-1 without fault: only a reader of the bytes reports.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(LATIN1), encoding="latin-1"))
         assert run(["convert", "-", "-o", "-"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error IO_ERROR: stdin is not UTF-8 text ('utf-8' codec can't decode byte 0xe9")
@@ -109,6 +110,44 @@ class TestConvertCommand:
         assert result.returncode == 0
         assert result.stdout == convert_text(DEMO)[0]
         assert result.stderr == ""
+
+
+# The same document on either side of "-": a UTF-8 file, or stdin and stdout in a
+# stream encoding that cannot hold it or would misread it.
+CAFE = wrap_svg('<text x="1" y="5" font-size="10">caf\xe9 \u2192</text>')
+
+
+def run_cli(args, encoding, stdin=b""):
+    src = str(Path(svg2vml.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": encoding,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "svg2vml", *args], input=stdin, capture_output=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+class TestStreamsAreUtf8:
+    def test_stdout_is_utf8(self, tmp_path, encoding):
+        page = tmp_path / "page.svg"
+        page.write_text(CAFE, encoding="utf-8")
+        result = run_cli(["convert", str(page), "-o", "-"], encoding)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == convert_text(CAFE)[0].encode("utf-8")
+        assert "caf\xe9 \u2192" in result.stdout.decode("utf-8")
+
+    def test_stdin_is_utf8(self, tmp_path, encoding):
+        out = tmp_path / "out.html"
+        result = run_cli(["convert", "-", "-o", str(out)], encoding, stdin=CAFE.encode("utf-8"))
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+        assert out.read_text(encoding="utf-8") == convert_text(CAFE)[0]
+
+    def test_stdin_that_is_not_utf8_is_one_io_error_line(self, encoding):
+        result = run_cli(["convert", "-", "-o", "-"], encoding, stdin=LATIN1)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode("ascii").startswith(
+            "error IO_ERROR: stdin is not UTF-8 text ('utf-8' codec can't decode byte 0xe9"
+        )
+        assert result.stderr.count(b"\n") == 1
 
 
 class TestStrictAndDiagnostics:
