@@ -6,15 +6,24 @@ standard modules out of its import: `dataclasses` alone pulls in `inspect`,
 imports the package and converts a tiny document; its modules are compared
 with those of a bare `-I` child, so that the host's `site` hooks cancel out.
 
-Each `typing.NamedTuple` class definition evaluates a generated `__new__`,
-about 0.1 ms apiece, so only the exported value types are named tuples;
-internal values are plain tuples or `__slots__` classes.  `ConvertOptions`
-subclasses the named tuple `_Options`, so four definitions make five classes.
+Each named-tuple definition evaluates a generated `__new__`, about 0.1 ms
+apiece, so only the exported value types are named tuples; internal values
+are plain tuples or `__slots__` classes.  `ConvertOptions` subclasses the
+named tuple `_Options`, so four definitions make five classes.
+
+Neither `typing` nor the `xml` package is imported, the CLI included: the
+named tuples come from `collections`, annotations are `X | None` strings and
+`collections.abc` names, and the parser is `pyexpat` itself.  A host's
+`site` hooks may import `typing` on their own, so that child also runs
+with `-S`.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+from xml.parsers import expat
+
+from svg2vml import svg_dom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,9 +39,9 @@ assert output and not len(diagnostics)
 """
 
 
-def loaded_modules(code: str) -> set[str]:
+def loaded_modules(code: str, *flags: str) -> set[str]:
     child = subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))", str(SRC)],
+        [sys.executable, "-I", *flags, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))", str(SRC)],
         capture_output=True, text=True, timeout=60, check=True,
     )
     return set(child.stdout.split())
@@ -66,3 +75,14 @@ def test_import_loads_no_heavy_module():
     added = loaded_modules(CONVERT) - loaded_modules("")
     assert "svg2vml.pipeline" in added
     assert sorted(added & NOT_LOADED) == []
+
+
+def test_neither_typing_nor_the_xml_package_is_imported():
+    loaded = loaded_modules(CONVERT + "import svg2vml.cli", "-S")
+    assert {"svg2vml.pipeline", "svg2vml.cli", "pyexpat"} <= loaded
+    assert sorted(loaded & {"typing", "xml", "xml.parsers", "xml.parsers.expat"}) == []
+
+
+def test_the_parser_module_is_the_one_xml_parsers_expat_re_exports():
+    assert svg_dom.expat.ExpatError is expat.ExpatError
+    assert svg_dom.expat.ParserCreate is expat.ParserCreate
