@@ -293,6 +293,14 @@ class TestOneOpProduct:
         assert len(ops) == 1 and ctm_of(ops) == IDENTITY
         assert [(d.code, d.location) for d in diags] == [("SINGULAR_SKEW", "here")]
 
+    def test_an_op_the_reader_never_makes_is_a_value_error(self):
+        # parse_transform_list only makes the six SVG names; anything else is a caller's fault.
+        for name in ("shear", "Scale", ""):
+            with pytest.raises(ValueError, match=f"unknown transform op {name!r}"):
+                _entries(name, (1.0,))
+        with pytest.raises(ValueError, match="unknown transform op 'shear'"):
+            EMPTY_CHAIN.extend([("scale", (2.0, 2.0)), ("shear", (1.0,))])
+
 
 class TestChainProduct:
     def test_inverse_pair_is_identity(self):
