@@ -1,4 +1,4 @@
-"""The in-process A/B tool (tools/ab.py): a second copy of the converter loads apart from the first."""
+"""The A/B tool (tools/ab.py): a second copy of the converter loads apart from the first."""
 
 import importlib.util
 import shutil
@@ -74,3 +74,12 @@ def test_a_workload_whose_documents_differ_fails_the_run(against_this_checkout, 
     assert status == 1
     assert [line.split(" ")[0] for line in lines] == ["passthrough", "flat_shapes"]
     assert all("documents differ in output or diagnostics, e.g. " in line for line in lines)
+
+
+def test_cold_start_times_pairs_of_fresh_interpreters(against_this_checkout, capsys):
+    status = ab.main(["--against", "REV", "--cold-start", "--rounds", "3"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert line.startswith("cold start, working tree / REV: time ratio over 3 pairs of fresh interpreters: median ")
+    assert line.endswith(" of 3") and " ms; working tree faster in " in line
+    assert not any(name.split(".")[0] in ("svg2vml_mine", "svg2vml_against") for name in sys.modules)
