@@ -13,7 +13,10 @@ resolves through the `xmlns:` declarations in scope, where an undeclared
 `xlink` means the XLink namespace: a name bound to XLink becomes
 "xlink:<local>", the `xml` prefix (always bound, never declared) is kept,
 as in "xml:space", any other prefix is stripped, and `xmlns` declarations
-are dropped.  When two names reduce alike, the first wins.
+are dropped.  When two names reduce alike, the first wins.  Only an
+element with a name outside its scope's plain set (common SVG names, and
+`xlink:href` while `xlink` means XLink) runs these rules; the rest keep
+their attributes as expat gives them, which the rules would not change.
 
 Text follows ElementTree's rules: an element's text runs up to its first
 child and each child's tail up to the next tag, the root's tail included;
@@ -135,8 +138,28 @@ elements: int, the nodes of the tree, the root included
 # Only the fragment fallback reads it, through re's own cache.
 _XML_DECL = r"^\s*<\?xml[^>]*\?>"
 
+# Attribute names that read as written in any scope: common SVG names, none
+# with a colon and none of them `xmlns`.  While `xlink` means XLink,
+# `xlink:href` reads as written too.
+_PLAIN = frozenset({
+    "id", "class", "style", "transform", "x", "y", "width", "height", "rx", "ry", "cx", "cy", "r",
+    "x1", "y1", "x2", "y2", "d", "points", "viewBox", "preserveAspectRatio", "version", "baseProfile",
+    "fill", "fill-opacity", "fill-rule", "stroke", "stroke-width", "stroke-opacity", "stroke-linecap",
+    "stroke-linejoin", "stroke-miterlimit", "stroke-dasharray", "stroke-dashoffset", "opacity",
+    "display", "visibility", "clip-path", "mask", "filter", "color", "offset", "stop-color", "stop-opacity",
+    "gradientUnits", "gradientTransform", "spreadMethod", "href", "target", "startOffset", "font-size",
+    "font-family", "font-weight", "font-style", "text-anchor", "dx", "dy",
+})
+_PLAIN_XLINK = _PLAIN | {"xlink:href"}
+
+
+def _scope(bindings: dict[str, str]) -> tuple[dict[str, str], frozenset[str]]:
+    """A scope-stack entry: the prefix bindings and the names that read as written under them."""
+    return bindings, _PLAIN_XLINK if bindings.get("xlink") == XLINK_NS else _PLAIN
+
+
 # Prefixes bound before any declaration; every other prefix is stripped.
-_UNDECLARED = {"xlink": XLINK_NS}
+_UNDECLARED = _scope({"xlink": XLINK_NS})
 
 
 class _Builder:
@@ -144,7 +167,10 @@ class _Builder:
 
     `open` runs from the root to the current element, each the last child
     of the one before it.  Elements outside the first svg only open and
-    close their prefix scope.  Both handlers write the pending character
+    close their prefix scope.  Each `scopes` entry pairs the bindings with
+    their plain set, and only an element with a name outside it runs
+    `_resolve_prefixes`: a declaration, `xmlns`, another prefix, or a name
+    that set does not list.  Both handlers write the pending character
     data to the text of `last`, or to its tail once it has `ended`, inline
     (the per-element hot path).  An element past MAX_DEPTH is skipped with
     its subtree, text and tail; `too_deep` keeps the location of the first one.
@@ -167,7 +193,7 @@ class _Builder:
 
     def start(self, name: str, attributes: dict[str, str]) -> None:
         scope = self.scopes[-1]
-        if ":" in "".join(attributes) or "xmlns" in attributes:
+        if not scope[1].issuperset(attributes):
             scope, attributes = _resolve_prefixes(scope, attributes)
         self.scopes.append(scope)
         data = self.data
@@ -238,17 +264,19 @@ class _Builder:
         return location if name is None else Location(location, name, len(self.open[-1].children))
 
 
-def _resolve_prefixes(scope: dict[str, str], attributes: dict[str, str]) -> tuple[dict, dict]:
-    """The element's prefix scope, and its attributes under resolved names."""
+def _resolve_prefixes(scope: tuple, attributes: dict[str, str]) -> tuple[tuple, dict]:
+    """The element's scope-stack entry, and its attributes under resolved names."""
     declared = {raw[6:]: uri for raw, uri in attributes.items() if raw.startswith("xmlns:")}
-    scope = {**scope, **declared} if declared else scope
+    if declared:
+        scope = _scope({**scope[0], **declared})
+    bindings = scope[0]
     resolved: dict[str, str] = {}
     for raw, value in attributes.items():
         prefix, colon, local = raw.partition(":")
         if prefix != "xmlns":
             name = raw
             if colon and prefix != "xml":
-                name = "xlink:" + local if scope.get(prefix) == XLINK_NS else local
+                name = "xlink:" + local if bindings.get(prefix) == XLINK_NS else local
             resolved.setdefault(name, value)
     return scope, resolved
 

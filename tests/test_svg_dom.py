@@ -12,8 +12,10 @@ from conftest import structurally_equal
 from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN
+from svg2vml import svg_dom
 from svg2vml.svg_dom import (
     MAX_DEPTH,
+    XLINK_NS,
     parse_length,
     parse_points,
     parse_svg,
@@ -364,6 +366,115 @@ class TestReader:
         doc = parse_svg('<svg><blink id="x"/></svg><svg id="x"/>', diags)
         assert [child.name for child in doc.root.children] == ["blink"]
         assert [str(d) for d in diags] == ["warning UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]"]
+
+
+def resolve_by_the_rules(bindings, attributes):
+    """The module docstring's rules for one element: its new bindings and its resolved attributes."""
+    bindings = {**bindings, **{raw[6:]: uri for raw, uri in attributes.items() if raw.startswith("xmlns:")}}
+    resolved = {}
+    for raw, value in attributes.items():
+        if raw == "xmlns" or raw.startswith("xmlns:"):
+            continue
+        if ":" in raw and not raw.startswith("xml:"):
+            prefix, local = raw.split(":", 1)
+            raw = "xlink:" + local if bindings.get(prefix) == XLINK_NS else local
+        resolved.setdefault(raw, value)
+    return bindings, resolved
+
+
+def attributes_by_the_rules(text):
+    """Each element's attributes below the first svg, in document order, by the rules applied to every element."""
+    found, stack = [], [{"xlink": XLINK_NS}]
+    inside = []
+
+    def start(name, attributes):
+        bindings, resolved = resolve_by_the_rules(stack[-1], attributes)
+        stack.append(bindings)
+        if inside or name.rpartition(":")[2] == "svg" and not found:
+            found.append(list(resolved.items()))
+            inside.append(name)
+
+    def end(name):
+        stack.pop()
+        if inside:
+            inside.pop()
+
+    parser = expat.ParserCreate()
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.Parse(text, True)
+    return found
+
+
+def parsed_attributes(text):
+    return [list(node.attributes.items()) for node in parse_svg(text).root.iter_nodes()]
+
+
+PREFIX_NAMES = ["x", "href", "id", "fill", "xlink:href", "l:href", "p:x", "p:href", "xml:space", "inkscape:label",
+                "xmlns", "xmlns:p", "xmlns:l", "xmlns:xlink", "data-x"]
+NAMESPACES = [XLINK_NS, "urn:other", svg_dom.SVG_NS]
+
+
+@st.composite
+def scoped_elements(draw, depth=0):
+    """A random element under prefix declarations, its children up to four levels down."""
+    tag = draw(st.sampled_from(["g", "use", "svg:rect", "foo:bar"]))
+    names = draw(st.lists(st.sampled_from(PREFIX_NAMES), unique=True, max_size=5))
+    attributes = "".join(
+        f' {name}="{draw(st.sampled_from(NAMESPACES)) if name.startswith("xmlns") else "v"}"' for name in names
+    )
+    children = draw(st.lists(scoped_elements(depth + 1), max_size=0 if depth == 3 else 3))
+    return f"<{tag}{attributes}>{''.join(children)}</{tag}>"
+
+
+class TestPrefixScopes:
+    """Which names change under which declarations, on elements that skip _resolve_prefixes and on those that run it."""
+
+    def test_a_rebinding_ends_with_its_element(self):
+        doc = parse_svg('<svg><g xmlns:xlink="urn:other"><use xlink:href="#a"/></g><use xlink:href="#b"/></svg>')
+        group, after = doc.root.children
+        assert group.attributes == {} and group.children[0].attributes == {"href": "#a"}
+        assert after.attributes == {"xlink:href": "#b"}
+
+    def test_another_prefix_bound_to_xlink_reads_as_xlink(self):
+        doc = parse_svg(f'<svg><g><use xmlns:l="{XLINK_NS}" l:href="#a"/></g><use l:href="#b"/></svg>')
+        assert [node.attributes for node in doc.root.iter_nodes()] == [{}, {}, {"xlink:href": "#a"}, {"href": "#b"}]
+
+    def test_xml_prefix_is_kept_and_another_is_stripped(self):
+        doc = parse_svg('<svg><g xml:space="preserve" inkscape:label="layer" fill="red"/></svg>')
+        assert list(doc.root.children[0].attributes.items()) == [("xml:space", "preserve"), ("label", "layer"),
+                                                                 ("fill", "red")]
+
+    def test_a_declaration_past_the_depth_cap_does_not_outlive_its_element(self):
+        # The innermost g is at the cap, so its child is skipped with its declaration and subtree.
+        chain = '<g><g xmlns:xlink="urn:other"><use xlink:href="#in"/></g></g><use xlink:href="#after"/>'
+        for _ in range(MAX_DEPTH - 2):
+            chain = f"<g>{chain}</g>"
+        doc = parse_svg(f"<svg>{chain}<use xlink:href='#last'/></svg>")
+        assert doc.diagnostics.codes() == ["TOO_DEEP"]
+        uses = [node.attributes for node in doc.root.iter_nodes() if node.tag == "use"]
+        assert uses == [{"xlink:href": "#after"}, {"xlink:href": "#last"}]
+
+    @given(st.lists(scoped_elements(), max_size=4))
+    @example(['<g xmlns:xlink="urn:other"><use xlink:href="v"/></g>', '<use xlink:href="v" href="w"/>'])
+    def test_every_element_reads_as_the_rules_say(self, children):
+        text = f'<svg xmlns="{svg_dom.SVG_NS}">{"".join(children)}</svg>'
+        assert parsed_attributes(text) == attributes_by_the_rules(text)
+
+    @pytest.mark.parametrize("xlink", [XLINK_NS, "urn:other", None])
+    def test_every_plain_name_reads_as_written_under_its_bindings(self, xlink):
+        bindings = {} if xlink is None else {"xlink": xlink}
+        _, plain = svg_dom._scope(bindings)
+        assert plain >= svg_dom._PLAIN and ("xlink:href" in plain) == (xlink == XLINK_NS)
+        for name in plain:
+            assert resolve_by_the_rules(bindings, {name: "v"}) == (bindings, {name: "v"})
+
+    def test_an_element_of_plain_names_does_not_resolve_prefixes(self, monkeypatch):
+        resolved = []
+        real = svg_dom._resolve_prefixes
+        monkeypatch.setattr(svg_dom, "_resolve_prefixes", lambda scope, attributes: resolved.append(
+            list(attributes)) or real(scope, attributes))
+        parse_svg(f'<svg xmlns="{svg_dom.SVG_NS}"><use xlink:href="#a" x="1"/><rect fill="red" data-x="1"/></svg>')
+        assert resolved == [["xmlns"], ["fill", "data-x"]]
 
 
 class TestParseViewBox:
