@@ -3,6 +3,8 @@
 Exit codes: 0 success (warnings allowed unless --strict), 1 conversion
 error, 2 usage error.  Input and output are UTF-8 whatever the locale or
 PYTHONIOENCODING, "-" (stdin or stdout) included, so "-" behaves like a file.
+A text stream swapped in for stdin or stdout with no bytes layer under it
+(an io.StringIO) is read or written as text.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if args.input == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
+            stdin = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
             text = Path(args.input).read_text(encoding="utf-8")
     except OSError as io_error:
@@ -88,8 +91,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if destination == "-":
             sys.stdout.flush()  # text printed before stays ahead of the bytes
-            sys.stdout.buffer.write(output_text.encode("utf-8"))
-            sys.stdout.buffer.flush()
+            stdout = getattr(sys.stdout, "buffer", None)
+            if stdout is None:
+                sys.stdout.write(output_text)
+            else:
+                stdout.write(output_text.encode("utf-8"))
+                stdout.flush()
         else:
             Path(destination).write_text(output_text, encoding="utf-8")
     except OSError as io_error:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -86,6 +87,19 @@ class TestConvertCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error IO_ERROR: stdin is not UTF-8 text ('utf-8' codec can't decode byte 0xe9")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_a_swapped_stdout_gets_the_output_as_text(self, demo_file, capsys):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert run(["convert", str(demo_file), "-o", "-"]) == 0
+        assert stdout.getvalue() == convert_text(DEMO)[0]
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_swapped_stdin_is_read_as_text(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(DEMO))
+        out = tmp_path / "out.html"
+        assert run(["convert", "-", "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == convert_text(DEMO)[0]
+        assert capsys.readouterr() == ("", "")
 
     def test_unwritable_output_is_an_io_error(self, demo_file, tmp_path, capsys):
         assert run(["convert", str(demo_file), "-o", str(tmp_path)]) == 1
