@@ -1,6 +1,7 @@
 """The A/B tool (tools/ab.py): a second copy of the converter loads apart from the first."""
 
 import importlib.util
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -60,6 +61,14 @@ def test_each_workload_given_gets_its_own_line(against_this_checkout, capsys):
     assert status == 0
     assert [line.split(" ")[0] for line in lines] == ["passthrough", "long_paths"]
     assert all("documents identical; time ratio over 2 rounds: median " in line for line in lines)
+    assert all(re.search(r"; working tree faster in [012] of 2$", line) for line in lines)
+
+
+def test_the_workload_line_counts_the_rounds_this_checkout_won(against_this_checkout, monkeypatch, capsys):
+    monkeypatch.setattr(ab, "time_ratios", lambda mine, theirs, texts, rounds: [0.9, 1.1, 0.95, 1.0, 0.8][:rounds])
+    assert ab.main(["--against", "REV", "--workload", "passthrough", "--seed", "1", "--rounds", "5"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith("time ratio over 5 rounds: median 0.950, quartiles 0.900-1.000; working tree faster in 3 of 5")
 
 
 def test_a_workload_whose_documents_differ_fails_the_run(against_this_checkout, monkeypatch, capsys):

@@ -20,8 +20,8 @@ strings must be identical, or the tool names the differing documents and
 skips the timing.  Then each round converts every document with both sides,
 the side that goes first alternating from document to document, and takes
 the ratio of this checkout's total time to REV's.  One line per workload
-gives the median ratio over the rounds and its quartiles; below 1 means this
-checkout is faster.
+gives the median ratio over the rounds, its quartiles and how many rounds
+this checkout won; below 1 means this checkout is faster.
 
 `--cold-start` times what a fresh interpreter pays before its first
 conversion instead, which no in-process timing can see.  Each round is a
@@ -97,9 +97,11 @@ def compare(mine_package, theirs_package, corpus, rounds: int) -> tuple[bool, st
     if differing:
         return False, (f"{len(differing)} of {len(texts)} documents differ in output or diagnostics, "
                        f"e.g. {', '.join(differing[:5])}")
-    q1, median, q3 = statistics.quantiles(time_ratios(mine, theirs, texts, rounds), n=4, method="inclusive")
+    ratios = time_ratios(mine, theirs, texts, rounds)
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    won = sum(ratio < 1 for ratio in ratios)
     return True, (f"{len(texts)} documents identical; time ratio over {rounds} rounds: "
-                  f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+                  f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; working tree faster in {won} of {rounds}")
 
 
 def setup_child(src: Path) -> tuple[float, str]:
