@@ -383,24 +383,16 @@ def resolve_by_the_rules(bindings, attributes):
 
 
 def attributes_by_the_rules(text):
-    """Each element's attributes below the first svg, in document order, by the rules applied to every element."""
+    """Each element's attributes in document order, the rules applied to every element; the root is the svg."""
     found, stack = [], [{"xlink": XLINK_NS}]
-    inside = []
 
     def start(name, attributes):
         bindings, resolved = resolve_by_the_rules(stack[-1], attributes)
         stack.append(bindings)
-        if inside or name.rpartition(":")[2] == "svg" and not found:
-            found.append(list(resolved.items()))
-            inside.append(name)
-
-    def end(name):
-        stack.pop()
-        if inside:
-            inside.pop()
+        found.append(list(resolved.items()))
 
     parser = expat.ParserCreate()
-    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.StartElementHandler, parser.EndElementHandler = start, lambda name: stack.pop()
     parser.Parse(text, True)
     return found
 
@@ -471,8 +463,12 @@ class TestPrefixScopes:
     def test_an_element_of_plain_names_does_not_resolve_prefixes(self, monkeypatch):
         resolved = []
         real = svg_dom._resolve_prefixes
-        monkeypatch.setattr(svg_dom, "_resolve_prefixes", lambda scope, attributes: resolved.append(
-            list(attributes)) or real(scope, attributes))
+
+        def resolve(scope, attributes):
+            resolved.append(list(attributes))
+            return real(scope, attributes)
+
+        monkeypatch.setattr(svg_dom, "_resolve_prefixes", resolve)
         parse_svg(f'<svg xmlns="{svg_dom.SVG_NS}"><use xlink:href="#a" x="1"/><rect fill="red" data-x="1"/></svg>')
         assert resolved == [["xmlns"], ["fill", "data-x"]]
 
