@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import structurally_equal
 
-from svg2vml import ConvertOptions, convert_text
+from svg2vml import ConvertOptions, convert_text, svg_dom
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_PATTERN
-from svg2vml import svg_dom
 from svg2vml.svg_dom import (
     MAX_DEPTH,
     XLINK_NS,
