@@ -14,9 +14,10 @@ resolves through the `xmlns:` declarations in scope, where an undeclared
 "xlink:<local>", the `xml` prefix (always bound, never declared) is kept,
 as in "xml:space", any other prefix is stripped, and `xmlns` declarations
 are dropped.  When two names reduce alike, the first wins.  Only an
-element with a name outside its scope's plain set (common SVG names, and
-`xlink:href` while `xlink` means XLink) runs these rules; the rest keep
-their attributes as expat gives them, which the rules would not change.
+element with a prefixed name or `xmlns` runs these rules, and of those
+only one with a name outside its scope's plain set (the names the mappers
+read, and `xlink:href` while `xlink` means XLink); the rest keep their
+attributes as expat gives them, which the rules would not change.
 
 Text follows ElementTree's rules: an element's text runs up to its first
 child and each child's tail up to the next tag, the root's tail included;
@@ -138,17 +139,17 @@ elements: int, the nodes of the tree, the root included
 # Only the fragment fallback reads it, through re's own cache.
 _XML_DECL = r"^\s*<\?xml[^>]*\?>"
 
-# Attribute names that read as written in any scope: common SVG names, none
-# with a colon and none of them `xmlns`.  While `xlink` means XLink,
-# `xlink:href` reads as written too.
+# Attribute names that read as written in any scope: those the mappers and
+# style read (a superset of what perfbench/corpus.py writes), none with a
+# colon and none of them `xmlns`.  While `xlink` means XLink, `xlink:href`
+# reads as written too.  The set only spares an element with a prefixed
+# name, such as a use with `xlink:href`, from resolving; an element without
+# one skips resolution whatever its names, so a name left out costs nothing.
 _PLAIN = frozenset({
-    "id", "class", "style", "transform", "x", "y", "width", "height", "rx", "ry", "cx", "cy", "r",
-    "x1", "y1", "x2", "y2", "d", "points", "viewBox", "preserveAspectRatio", "version", "baseProfile",
-    "fill", "fill-opacity", "fill-rule", "stroke", "stroke-width", "stroke-opacity", "stroke-linecap",
-    "stroke-linejoin", "stroke-miterlimit", "stroke-dasharray", "stroke-dashoffset", "opacity",
-    "display", "visibility", "clip-path", "mask", "filter", "color", "offset", "stop-color", "stop-opacity",
-    "gradientUnits", "gradientTransform", "spreadMethod", "href", "target", "startOffset", "font-size",
-    "font-family", "font-weight", "font-style", "text-anchor", "dx", "dy",
+    "id", "transform", "x", "y", "width", "height", "rx", "ry", "cx", "cy", "r", "x1", "y1", "x2", "y2", "d",
+    "points", "viewBox", "fill", "fill-opacity", "stroke", "stroke-width", "stroke-opacity", "stroke-linecap",
+    "stroke-linejoin", "stroke-miterlimit", "opacity", "offset", "stop-color", "href", "startOffset",
+    "font-size", "font-family", "dx", "dy",
 })
 _PLAIN_XLINK = _PLAIN | {"xlink:href"}
 
@@ -168,12 +169,12 @@ class _Builder:
     `open` runs from the root to the current element, each the last child
     of the one before it.  Elements outside the first svg only open and
     close their prefix scope.  Each `scopes` entry pairs the bindings with
-    their plain set, and only an element with a name outside it runs
-    `_resolve_prefixes`: a declaration, `xmlns`, another prefix, or a name
-    that set does not list.  Both handlers write the pending character
-    data to the text of `last`, or to its tail once it has `ended`, inline
-    (the per-element hot path).  An element past MAX_DEPTH is skipped with
-    its subtree, text and tail; `too_deep` keeps the location of the first one.
+    their plain set, and only an element with a name outside it and a
+    prefixed name or `xmlns` among its names runs `_resolve_prefixes`.
+    Both handlers write the pending character data to the text of `last`,
+    or to its tail once it has `ended`, inline (the per-element hot path).
+    An element past MAX_DEPTH is skipped with its subtree, text and tail;
+    `too_deep` keeps the location of the first one.
     """
 
     def __init__(self) -> None:
@@ -193,7 +194,7 @@ class _Builder:
 
     def start(self, name: str, attributes: dict[str, str]) -> None:
         scope = self.scopes[-1]
-        if not scope[1].issuperset(attributes):
+        if not scope[1].issuperset(attributes) and (":" in "".join(attributes) or "xmlns" in attributes):
             scope, attributes = _resolve_prefixes(scope, attributes)
         self.scopes.append(scope)
         data = self.data

@@ -1,6 +1,8 @@
 import gc
 import math
 import re
+import sys
+from pathlib import Path
 from xml.parsers import expat
 
 import pytest
@@ -468,8 +470,24 @@ class TestPrefixScopes:
             return real(scope, attributes)
 
         monkeypatch.setattr(svg_dom, "_resolve_prefixes", resolve)
-        parse_svg(f'<svg xmlns="{svg_dom.SVG_NS}"><use xlink:href="#a" x="1"/><rect fill="red" data-x="1"/></svg>')
-        assert resolved == [["xmlns"], ["fill", "data-x"]]
+        parse_svg(f'<svg xmlns="{svg_dom.SVG_NS}"><use xlink:href="#a" x="1"/><rect fill="red" data-x="1"/>'
+                  '<use xlink:href="#a" data-x="1"/></svg>')
+        # Unlisted names cost a resolution only beside a prefixed name or xmlns.
+        assert resolved == [["xmlns"], ["xlink:href", "data-x"]]
+
+    def test_the_benchmark_corpora_write_plain_names_and_declarations_only(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            import corpus
+        finally:
+            del sys.path[0]
+        names = set()
+        for workload in ("flat_shapes", "long_paths", "transform_tree"):
+            for document in corpus.build_corpus(workload, 3).documents:
+                parser = expat.ParserCreate()
+                parser.StartElementHandler = lambda name, attributes: names.update(attributes.keys())
+                parser.Parse(document.text, True)
+        assert {name for name in names if name.split(":")[0] != "xmlns"} <= svg_dom._PLAIN_XLINK
 
 
 class TestParseViewBox:
