@@ -8,10 +8,12 @@ well-formed XML.
 One serializer and one document shell serve both modes.  The mapped
 VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
 head function gives each node's output name and rendered attributes (the
-style dict for VML, the svg: prefix on implemented tags for SVG).  The
-content of a foreignObject is never mapped: in both modes the host (the
-v:textbox or the foreignObject) goes on one line, and its parsed content is
-written with the SVG head, as it was parsed.
+style dict for VML, the svg: prefix on implemented tags for SVG), escaping
+only a value that holds one of the four characters to escape.  A child with
+no children and no text is written by its parent's loop, without a call of
+its own.  The content of a foreignObject is never mapped: in both modes the
+host (the v:textbox or the foreignObject) goes on one line, and its parsed
+content is written with the SVG head, as it was parsed.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ def _style_text(style: dict[str, str]) -> str:
     return "".join([f"{name}:{value};" for name, value in style.items()])
 
 
-def _attributes_text(attributes: dict[str, str]) -> str:
-    return "".join([f' {n}="{_escape_attr(v)}"' for n, v in attributes.items()])
-
-
+# Each head writes its attributes in one comprehension, with _escape_attr's
+# test inline, so only a value that needs escaping costs a call.
 def _vml_head(node: VmlNode) -> tuple[str, str]:
-    attrs = _attributes_text(node.attributes)
+    attrs = "".join([
+        f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
+        for n, v in node.attributes.items()
+    ])
     if node.style:
         attrs += f' style="{_escape_attr(_style_text(node.style))}"'
     return node.tag, attrs
@@ -60,7 +63,10 @@ def _vml_head(node: VmlNode) -> tuple[str, str]:
 
 def _svg_head(node: SvgNode) -> tuple[str, str]:
     name = f"svg:{node.name}" if node.tag in IMPLEMENTED_TAGS else node.name
-    return name, _attributes_text(node.attributes)
+    return name, "".join([
+        f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
+        for n, v in node.attributes.items()
+    ])
 
 
 # A foreignObject's tag in the mapped tree and in the parsed one: its
@@ -81,8 +87,13 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
             return
         name, attrs = head(node)
         lines.append(f"{pad}<{name}{extra}{attrs}>")
+        child_pad = pad + _INDENT if pretty else ""
         for child in children:
-            _serialize(child, head, lines, depth + 1, pretty)
+            if child.children or child.text:
+                _serialize(child, head, lines, depth + 1, pretty)
+            else:
+                child_name, child_attrs = head(child)
+                lines.append(f"{child_pad}<{child_name}{child_attrs}/>")
         lines.append(f"{pad}</{name}>")
     elif text:
         lines.append(pad + _inline(node, head, extra))

@@ -14,10 +14,11 @@ resolves through the `xmlns:` declarations in scope, where an undeclared
 "xlink:<local>", the `xml` prefix (always bound, never declared) is kept,
 as in "xml:space", any other prefix is stripped, and `xmlns` declarations
 are dropped.  When two names reduce alike, the first wins.  Only an
-element with a prefixed name or `xmlns` runs these rules, and of those
-only one with a name outside its scope's plain set (the names the mappers
-read, and `xlink:href` while `xlink` means XLink); the rest keep their
-attributes as expat gives them, which the rules would not change.
+element with a prefixed name and a name outside its scope's plain set (the
+names the mappers read, and `xlink:href` while `xlink` means XLink) runs
+these rules.  Another element with a name outside that set loses its
+`xmlns`, if it has one, in place; the rules would change nothing else, and
+the rest keep their attributes as expat gives them.
 
 Text follows ElementTree's rules: an element's text runs up to its first
 child and each child's tail up to the next tag, the root's tail included;
@@ -170,7 +171,7 @@ class _Builder:
     of the one before it.  Elements outside the first svg only open and
     close their prefix scope.  Each `scopes` entry pairs the bindings with
     their plain set, and only an element with a name outside it and a
-    prefixed name or `xmlns` among its names runs `_resolve_prefixes`.
+    prefixed name among its names runs `_resolve_prefixes`.
     Both handlers write the pending character data to the text of `last`,
     or to its tail once it has `ended`, inline (the per-element hot path).
     An element past MAX_DEPTH is skipped with its subtree, text and tail;
@@ -194,8 +195,11 @@ class _Builder:
 
     def start(self, name: str, attributes: dict[str, str]) -> None:
         scope = self.scopes[-1]
-        if not scope[1].issuperset(attributes) and (":" in "".join(attributes) or "xmlns" in attributes):
-            scope, attributes = _resolve_prefixes(scope, attributes)
+        if not scope[1].issuperset(attributes):
+            if ":" in "".join(attributes):
+                scope, attributes = _resolve_prefixes(scope, attributes)
+            elif "xmlns" in attributes:
+                del attributes["xmlns"]  # all _resolve_prefixes would change
         self.scopes.append(scope)
         data = self.data
         if data:

@@ -419,6 +419,22 @@ def scoped_elements(draw, depth=0):
     return f"<{tag}{attributes}>{''.join(children)}</{tag}>"
 
 
+XHTML_NS = "http://www.w3.org/1999/xhtml"
+
+
+def resolutions(monkeypatch):
+    """The attribute names of each element that runs _resolve_prefixes from now on, in call order."""
+    resolved = []
+    real = svg_dom._resolve_prefixes
+
+    def resolve(scope, attributes):
+        resolved.append(list(attributes))
+        return real(scope, attributes)
+
+    monkeypatch.setattr(svg_dom, "_resolve_prefixes", resolve)
+    return resolved
+
+
 class TestPrefixScopes:
     """Which names change under which declarations, on elements that skip _resolve_prefixes and on those that run it."""
 
@@ -462,18 +478,34 @@ class TestPrefixScopes:
             assert resolve_by_the_rules(bindings, {name: "v"}) == (bindings, {name: "v"})
 
     def test_an_element_of_plain_names_does_not_resolve_prefixes(self, monkeypatch):
-        resolved = []
-        real = svg_dom._resolve_prefixes
-
-        def resolve(scope, attributes):
-            resolved.append(list(attributes))
-            return real(scope, attributes)
-
-        monkeypatch.setattr(svg_dom, "_resolve_prefixes", resolve)
+        resolved = resolutions(monkeypatch)
         parse_svg(f'<svg xmlns="{svg_dom.SVG_NS}"><use xlink:href="#a" x="1"/><rect fill="red" data-x="1"/>'
                   '<use xlink:href="#a" data-x="1"/></svg>')
-        # Unlisted names cost a resolution only beside a prefixed name or xmlns.
-        assert resolved == [["xmlns"], ["xlink:href", "data-x"]]
+        # Unlisted names cost a resolution only beside a prefixed name; a lone xmlns is dropped in place.
+        assert resolved == [["xlink:href", "data-x"]]
+
+    @pytest.mark.parametrize("attributes,kept", [
+        (f'xmlns="{XHTML_NS}"', []),
+        (f'id="d" xmlns="{XHTML_NS}" data-x="1"', [("id", "d"), ("data-x", "1")]),
+        (f'data-x="1" xmlns="{XHTML_NS}" fill="red" class="c"', [("data-x", "1"), ("fill", "red"), ("class", "c")]),
+    ], ids=["lone", "between-names", "before-names"])
+    def test_a_default_namespace_without_prefixed_names_is_dropped_in_place(self, attributes, kept, monkeypatch):
+        resolved = resolutions(monkeypatch)
+        doc = parse_svg(f'<svg><foreignObject><div {attributes}>a</div></foreignObject></svg>')
+        assert list(doc.root.children[0].children[0].attributes.items()) == kept
+        assert resolved == []
+
+    @pytest.mark.parametrize("attributes,kept", [
+        (f'xmlns="{XHTML_NS}" xmlns:p="urn:p" p:x="1" id="d"', [("x", "1"), ("id", "d")]),
+        (f'xmlns="{XHTML_NS}" xmlns:p="urn:p"', []),
+        (f'xlink:href="#a" xmlns="{XHTML_NS}" data-x="1"', [("xlink:href", "#a"), ("data-x", "1")]),
+        (f'xmlns="{XHTML_NS}" inkscape:label="l"', [("label", "l")]),
+    ], ids=["declaration-and-prefixed-name", "declaration", "xlink-href", "undeclared-prefix"])
+    def test_a_default_namespace_beside_a_prefixed_name_still_resolves(self, attributes, kept, monkeypatch):
+        resolved = resolutions(monkeypatch)
+        doc = parse_svg(f'<svg><foreignObject><div {attributes}>a</div></foreignObject></svg>')
+        assert list(doc.root.children[0].children[0].attributes.items()) == kept
+        assert len(resolved) == 1
 
     def test_the_benchmark_corpora_write_plain_names_and_declarations_only(self):
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
