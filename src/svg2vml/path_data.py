@@ -13,13 +13,14 @@ All VML commands are emitted in lower case over absolute coordinates.
 Conversion is three steps over plain tuples, which the path mapper chains
 as `emit_vml_path(to_absolute(parse_path_data(d), dx, dy), precision)`:
 
-- `parse_path_data` rejects a string holding anything but letters, number
-  characters and separators at once.  It splits any other on command
-  letters and reads the numbers of every piece: in C, with `str.split()`
-  and `float`, when it holds no compact "1.2.3", where a token `float`
-  rejects is outside the grammar; otherwise by the grammar's regex and a
-  length count, which decide validity (`_read_pieces`).  The result is a
-  list of segments `(kind, relative, values)`, one per command letter,
+- `parse_path_data` rejects a string holding anything but ASCII letters,
+  number characters and separators at once.  It splits any other on
+  command letters and reads the numbers of every piece: in C, with
+  `str.split()` and `float`, when it holds no compact "1.2.3", where a
+  token `float` rejects is outside the grammar; otherwise by the grammar's
+  regex and a length count, which decide validity (`_read_pieces`).  The
+  gates and the split are `str.translate` tables, not regexes.  The result
+  is a list of segments `(kind, relative, values)`, one per command letter,
   with implicit repetitions kept in `values`.
 - `to_absolute` moves the cursor over plain floats, relative to absolute
   first and then by the shift (dx, dy), and yields `(vml_letter, coords)`
@@ -37,11 +38,10 @@ check per value: `is_finite_path` tells the caller to reject the path
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Sequence
 
 from .diagnostics import Diagnostics, LocationLike
-from .numeric import LIST_CHARS, NUMBER_RE, SEPARATORS, format_numbers
+from .numeric import DELETE_LIST_CHARS, NUMBER_RE, SEPARATORS, format_numbers
 
 # Not called here; bound because perfbench/spans.py rebinds format_number by
 # name in this module during its traced run.
@@ -53,10 +53,14 @@ ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "Z": 0}
 _UNSUPPORTED = {"S", "Q", "T"}
 _ARC = "A"
 
-_LETTER_RE = re.compile(r"([A-Za-z])")
-_OUTSIDE_PATH_RE = re.compile(f"[^A-Za-z{LIST_CHARS}]")
-# A "." right after a fraction: the compact "1.2.3", valid, which float rejects.
-_COMPACT_RE = re.compile(r"\.[0-9]*\.")
+# str.translate tables.  Each maps a character to one ASCII character or
+# deletes it, which keeps CPython on its ASCII fast path; a table that maps
+# to longer strings leaves it.  Deleting the digits turns a compact "1.2.3",
+# valid, which float rejects, into "..".
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+# Each ASCII letter to NUL, which d cannot hold, to split on; a comma to a space.
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_SPLIT_AT_LETTERS = str.maketrans(_LETTERS + ",", "\x00" * len(_LETTERS) + " ")
 
 # A segment: canonical kind, relative flag, and its coordinates, a whole
 # number of groups.  After a moveto, every group past the first is a lineto.
@@ -115,33 +119,36 @@ def parse_path_data(d: str, diagnostics: Diagnostics, location: LocationLike) ->
     return segments
 
 
-def _read_pieces(d: str) -> tuple[list[str], list[list[float]]] | None:
+def _read_pieces(d: str) -> tuple[str, list[list[float]]] | None:
     """The command letters of d and the numbers before, between and after them.
 
     None when d is outside the grammar, at once when it holds a character
-    other than ASCII letters and `LIST_CHARS`.  A d with no compact "1.2.3"
-    is read in C: a space before every sign, a split on the letters, then
-    `str.split()` and `float` per piece, where a token `float` rejects is
-    outside the grammar.  A compact d goes to the grammar's regex and the
-    length count, which decide, as minified paths hold many and a late
-    failed split costs more.
+    other than ASCII letters and `LIST_CHARS`: deleting the list characters
+    leaves the letters in order, and anything else left over is not both
+    ASCII and alphabetic.  A d with no compact "1.2.3" is read in C: a split
+    on the letters, a space before every sign, then `str.split()` and
+    `float` per piece, where a token `float` rejects is outside the grammar.
+    A compact d goes to the grammar's regex and the length count, which
+    decide, as minified paths hold many and a late failed split costs more.
     """
-    if _OUTSIDE_PATH_RE.search(d):
+    digitless = d.translate(_DELETE_DIGITS)
+    letters = digitless.translate(DELETE_LIST_CHARS)
+    if letters and not (letters.isascii() and letters.isalpha()):
         return None
-    if not _COMPACT_RE.search(d):
-        pieces = _LETTER_RE.split(d.replace(",", " ").replace("-", " -").replace("+", " +"))
+    pieces = d.translate(_SPLIT_AT_LETTERS)
+    if ".." not in digitless:
+        pieces = pieces.replace("-", " -").replace("+", " +").split("\x00")
         try:
-            return pieces[1::2], [list(map(float, piece.split())) for piece in pieces[::2]]
+            return letters, [list(map(float, piece.split())) for piece in pieces]
         except ValueError:
             return None
-    pieces = _LETTER_RE.split(d)
-    groups = list(map(NUMBER_RE.findall, pieces[::2]))
+    groups = list(map(NUMBER_RE.findall, pieces.split("\x00")))
     # Tokens never hold a separator, so every character outside them is one
     # exactly when the letters, the numbers and the separators add up to d.
-    tokens = len(pieces) // 2 + len("".join(map("".join, groups)))
+    tokens = len(letters) + len("".join(map("".join, groups)))
     if tokens + sum(map(d.count, SEPARATORS)) != len(d):
         return None
-    return pieces[1::2], [list(map(float, numbers)) for numbers in groups]
+    return letters, [list(map(float, numbers)) for numbers in groups]
 
 
 def to_absolute(

@@ -16,6 +16,13 @@ named tuples come from `collections`, annotations are `X | None` strings and
 `collections.abc` names, and the parser is `pyexpat` itself.  A host's
 `site` hooks may import `typing` on their own, so that child also runs
 with `-S`.
+
+Each regex compiled at import costs the set-up too, so only two patterns are
+module-level `re.Pattern` objects: `numeric.NUMBER_RE`, the one number
+grammar, and `transform._FUNCTION_RE`, which splits a transform list into
+calls.  The path and number-list readers gate and split with `str.translate`
+tables instead, and `path_data` does not import `re` at all.  Patterns that
+only word a fault are strings, compiled through `re`'s cache on first use.
 """
 
 import subprocess
@@ -23,13 +30,19 @@ import sys
 from pathlib import Path
 from xml.parsers import expat
 
-from svg2vml import svg_dom
+from svg2vml import path_data, svg_dom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 NOT_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "svg2vml.cli"}
 
 NAMED_TUPLES = ["ConvertOptions", "Diagnostic", "SvgDocument", "ViewBox", "_Options"]
+
+# One entry per module-level re.Pattern object: every module-level name bound to it.
+PATTERNS = [
+    ["numeric.NUMBER_RE", "path_data.NUMBER_RE", "svg_dom.NUMBER_RE", "transform.NUMBER_RE"],
+    ["transform._FUNCTION_RE"],
+]
 
 CONVERT = """
 sys.path.insert(0, sys.argv[1])
@@ -69,6 +82,32 @@ def test_only_the_exported_value_types_are_named_tuples():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert child.stdout.split() == NAMED_TUPLES
+
+
+# Every re.Pattern that the package's modules bind, with the names bound to it, one per line.
+BOUND_PATTERNS = """
+import re
+sys.path.insert(0, sys.argv[1])
+import svg2vml, svg2vml.cli
+
+bound = {}
+for module_name, module in sorted(sys.modules.items()):
+    if module_name.startswith("svg2vml."):
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                bound.setdefault(id(value), []).append(f"{module_name[len('svg2vml.'):]}.{name}")
+for names in sorted(map(sorted, bound.values())):
+    print(" ".join(names))
+"""
+
+
+def test_only_two_patterns_are_compiled_at_import():
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys\n{BOUND_PATTERNS}", str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert [line.split() for line in child.stdout.splitlines()] == PATTERNS
+    assert "re" not in vars(path_data)
 
 
 def test_import_loads_no_heavy_module():

@@ -50,9 +50,11 @@ PARSERS = {
 WHITE_SPACE = [" ", "\t", "\r", "\n"]
 # Unicode spaces, the ASCII controls Python's str.strip() and str.split()
 # also treat as white space (FF, VT and the information separators
-# \x1c-\x1f), NEL, ARABIC-INDIC DIGIT THREE, which float() reads as 3, and
-# the underscore, which float() reads as a digit separator.
-OUTSIDE = ["\u2003", "\u00a0", "\f", "\v", "\x1c", "\x1f", "\u0085", "\u0663", "_"]
+# \x1c-\x1f), NEL, ARABIC-INDIC DIGIT THREE, which float() reads as 3, the
+# underscore, which float() reads as a digit separator, and three
+# non-ASCII letters: LONG S (upper-cases to S), the KELVIN SIGN (lower-cases
+# to k) and SCRIPT SMALL L.
+OUTSIDE = ["\u2003", "\u00a0", "\f", "\v", "\x1c", "\x1f", "\u0085", "\u0663", "_", "\u017f", "\u212a", "\u2113"]
 
 ACCEPTED = [
     (name, c) for name, (_, _, _, commas) in PARSERS.items() for c in WHITE_SPACE + ([","] if commas else [])

@@ -154,8 +154,15 @@ def old_scan_path(d, diagnostics):
 # Every command letter, the exponent letter, number characters, the five
 # separators, Unicode spaces, Unicode digits (which \d matches) and NUL, plus
 # what the split reader must keep out: the underscore float() reads as a digit
-# separator, and VT, FF and the information separators str.split() splits on.
-PATH_ALPHABET = "MmLlHhVvCcZzSsQqTtAaEe0123456789.+- \t\r\n,\u2003\u00a0\u0663\uff11\x00_\x0b\x0c\x1c\x1f"
+# separator, VT, FF and the information separators str.split() splits on, and
+# non-ASCII letters that str.isalpha() accepts: LONG S, which upper-cases to
+# S, the KELVIN SIGN, which lower-cases to k, and SCRIPT SMALL L.  float()
+# rejects those letters anyway, so only a compact path catches a letter gate
+# that tests isalpha() without isascii().
+PATH_ALPHABET = (
+    "MmLlHhVvCcZzSsQqTtAaEe0123456789.+- \t\r\n,\u2003\u00a0\u0663\uff11\x00_\x0b\x0c\x1c\x1f"
+    "\u017f\u212a\u2113"
+)
 
 
 @st.composite
@@ -176,6 +183,9 @@ def path_texts(draw):
 @example(d="M 1\x0b2")
 @example(d="M 1\x1c2")
 @example(d="M 1.2.3")
+@example(d="M 1.2.3 \u017f 4")
+@example(d="M 1.2.3 \u212a 4")
+@example(d="M 1.2.3 \u2113 4")
 def test_length_count_accepts_what_the_gap_check_accepted(d):
     diagnostics, expected = Diagnostics(), Diagnostics()
     assert parse_path_data(d, diagnostics, "svg/path[0]@d") == old_scan_path(d, expected)
