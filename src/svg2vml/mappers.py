@@ -408,7 +408,7 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
 
 
 def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
-    """A DEGENERATE_SHAPE warning, unless a length read after mark was already reported."""
+    """A DEGENERATE_SHAPE warning, unless a length or point list read after mark was already reported."""
     if len(ctx.diagnostics) == mark:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
 
@@ -449,12 +449,11 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     if node.tag == "line":
         coords = [_length(ctx, node, name) or 0.0 for name in ("x1", "y1", "x2", "y2")]
     else:
+        mark = len(ctx.diagnostics)
         coords = parse_points(node.attributes.get("points", ""), ctx.diagnostics, ctx.location)
-    if len(coords) < 4:
-        ctx.diagnostics.warning(
-            "DEGENERATE_SHAPE", f"{node.tag} needs at least 2 points; skipped", ctx.location
-        )
-        return None
+        if len(coords) < 4:
+            _report_degenerate(ctx, mark, f"{node.tag} needs at least 2 points; skipped")
+            return None
 
     closed = node.tag == "polygon"
     chain = _effective_chain(node, ctx)
