@@ -58,7 +58,8 @@ _ARC = "A"
 # to longer strings leaves it.  Deleting the digits turns a compact "1.2.3",
 # valid, which float rejects, into "..".
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")
-# Each ASCII letter to NUL, which d cannot hold, to split on; a comma to a space.
+# Each ASCII letter to NUL, the split point (a d holding NUL fails the letter
+# gate first), and a comma to a space.
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _SPLIT_AT_LETTERS = str.maketrans(_LETTERS + ",", "\x00" * len(_LETTERS) + " ")
 
