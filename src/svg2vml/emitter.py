@@ -9,7 +9,10 @@ One serializer and one document shell serve both modes.  The mapped
 VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
 head function gives each node's output name and rendered attributes (the
 style dict for VML, the svg: prefix on implemented tags for SVG), escaping
-only a value that holds one of the four characters to escape.  A child with
+only a value that holds one of the four characters to escape.  The mappers
+write a VML element's childless children (v:fill, v:stroke, v:skew, v:path,
+v:textpath) through `vml_leaf`, with the VML head's attribute text, into its
+`leaves`, which go ahead of its children; in the passthrough, a child with
 no children and no text is written by its parent's loop, without a call of
 its own.  The content of a foreignObject is never mapped: in both modes the
 host (the v:textbox or the foreignObject) goes on one line, and its parsed
@@ -18,18 +21,19 @@ content is written with the SVG head, as it was parsed.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from .mappers import VmlNode
 from .options import ConvertOptions
 from .svg_dom import IMPLEMENTED_TAGS, SVG_NS, XLINK_NS, SvgDocument, SvgNode
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: mappers imports vml_leaf from here
+    from collections.abc import Callable
+    from .mappers import VmlNode
+    Node = VmlNode | SvgNode
+    Head = Callable[[Node], tuple[str, str]]
 
 VML_NS = "urn:schemas-microsoft-com:vml"
 
 _INDENT = "  "
-
-Node = VmlNode | SvgNode
-Head = Callable[[Node], tuple[str, str]]
 
 
 # Most values (numbers, colours, ids, path data) need no escaping: check first.
@@ -49,13 +53,22 @@ def _style_text(style: dict[str, str]) -> str:
     return "".join([f"{name}:{value};" for name, value in style.items()])
 
 
-# Each head writes its attributes in one comprehension, with _escape_attr's
-# test inline, so only a value that needs escaping costs a call.
+# Each head writes its attributes with _escape_attr's test inline, so only a
+# value that needs escaping costs a call; VML's few attributes take a loop.
+def _vml_attributes(pairs) -> str:
+    text = ""
+    for n, v in pairs:
+        text += f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
+    return text
+
+
+def vml_leaf(tag: str, pairs) -> str:
+    """A VML element with no children, no text and no style, with the (name, value) pairs as attributes."""
+    return f"<{tag}{_vml_attributes(pairs)}/>"
+
+
 def _vml_head(node: VmlNode) -> tuple[str, str]:
-    attrs = "".join([
-        f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
-        for n, v in node.attributes.items()
-    ])
+    attrs = _vml_attributes(node.attributes.items())
     if node.style:
         attrs += f' style="{_escape_attr(_style_text(node.style))}"'
     return node.tag, attrs
@@ -81,15 +94,18 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
     counts even when it is white space."""
     pad = _INDENT * depth if pretty else ""
     text, children = node.text, node.children
-    if children:
+    if children or head is _vml_head and node.leaves:
         if node.tag in _HTML_HOSTS or (text and text.strip()) or any([c.tail and c.tail.strip() for c in children]):
             lines.append(pad + _inline(node, head, extra))
             return
         name, attrs = head(node)
         lines.append(f"{pad}<{name}{extra}{attrs}>")
         child_pad = pad + _INDENT if pretty else ""
+        vml = head is _vml_head
+        if vml:
+            lines += [child_pad + leaf for leaf in node.leaves] if pretty else node.leaves
         for child in children:
-            if child.children or child.text:
+            if vml or child.children or child.text:  # a VML child may have leaves
                 _serialize(child, head, lines, depth + 1, pretty)
             else:
                 child_name, child_attrs = head(child)
@@ -104,9 +120,11 @@ def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: boo
 
 def _inline(node: Node, head: Head, extra: str = "") -> str:
     name, attrs = head(node)
-    if not node.children and not node.text:
-        return f"<{name}{extra}{attrs}/>"
     inner = _escape_text(node.text) if node.text else ""
+    if head is _vml_head and node.leaves:
+        inner += "".join(node.leaves)
+    elif not node.children and not inner:
+        return f"<{name}{extra}{attrs}/>"
     if node.tag in _HTML_HOSTS:
         head = _svg_head
     for child in node.children:

@@ -1,18 +1,21 @@
 """Element-by-element translation of the SVG tree into a VML/HTML tree.
 
-Every implemented element kind has exactly one mapper.  Each mapper makes
-its output node with one constructor, `_new`, which carries the element's id
+Every implemented element kind has exactly one mapper.  Each mapper makes its
+output node with one constructor, `_new`, which carries the element's id
 over, and writes its left, top, width and height with one box writer,
 `_write_box`.  Every drawn shape (rect, circle, ellipse, line, polyline,
-polygon, path) then takes one paint step, `_paint`: stroke and fill become
-v:stroke and v:fill children, opacity an alpha filter.  Last, the transform
-simulation strategy for the element's family runs; its offset rules read
-the box back from the style as written, rounded to the precision, and the
-moved origin goes through `_write_box` again.  The paint and transform of a
-group (a g or an a) are not emitted on the group itself: its context carries
-them down, parsed once (`style.Paint`, `transform.Chain`), and each element
-extends them by its own values, which take precedence.  The HTML content of a
-foreignObject is never mapped: its v:textbox holds the parsed nodes.
+polygon, path) then takes one paint step, `_paint`: stroke and fill become a
+v:stroke and a v:fill, opacity an alpha filter.  Last, the transform
+simulation strategy for the element's family runs; its offset rules read the
+box back from the style as written, rounded to the precision, and the moved
+origin goes through `_write_box` again.  Children with no children of their
+own (v:fill, v:stroke, v:skew, v:path, v:textpath) are written on the spot
+by the emitter's `vml_leaf`, into the node's `leaves`.  The paint and
+transform of a group (a g or an a) are not emitted on the group itself: its
+context carries them down, parsed once (`style.Paint`, `transform.Chain`),
+and each element extends them by its own values, which take precedence.  The
+HTML content of a foreignObject is never mapped: its v:textbox holds the
+parsed nodes.
 
 Each child is mapped under its own context, which `MapperContext.at` copies
 slot by slot from its parent's; the location it adds keeps the child's name
@@ -32,6 +35,7 @@ import math
 from collections.abc import Callable
 
 from .diagnostics import Diagnostics, Location, LocationLike
+from .emitter import vml_leaf
 from .numeric import format_number, format_numbers, read_number
 from .options import ConvertOptions
 from .path_data import emit_vml_path, is_finite_path, parse_path_data, to_absolute
@@ -78,25 +82,20 @@ shift_commands = to_absolute
 
 
 class VmlNode(TreeNode):
-    """Output tree node: a VML or plain HTML element."""
+    """Output tree node: a VML or plain HTML element; leaves holds its childless children as markup."""
 
-    __slots__ = ("tag", "attributes", "style", "children", "text", "tail")
+    __slots__ = ("tag", "attributes", "style", "children", "text", "tail", "leaves")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None,
                  style: dict[str, str] | None = None, children: list["VmlNode"] | None = None,
-                 text: str | None = None, tail: str | None = None):
+                 text: str | None = None, tail: str | None = None, leaves: list[str] | None = None):
         self.tag = tag
         self.attributes = {} if attributes is None else attributes
         self.style = {} if style is None else style
         self.children = [] if children is None else children
         self.text = text
         self.tail = tail
-
-    def find(self, tag: str) -> "VmlNode" | None:
-        for child in self.children:
-            if child.tag == tag:
-                return child
-        return None
+        self.leaves = [] if leaves is None else leaves
 
 
 class Conversion:
@@ -258,24 +257,26 @@ def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], o
 def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, ...] = INHERITED) -> None:
     """Write the inherited paint, extended by the node's own properties among names, onto shape.
 
-    Fill and stroke values become one v:fill and one v:stroke child at most,
+    Fill and stroke values become one v:fill and one v:stroke leaf at most,
     in the paint's order; a "none" fill or stroke sets filled or stroked to
     "f" instead.  Opacity becomes an alpha filter.
     """
     paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, names)
-    stroke_child: VmlNode | None = None
+    leaves = shape.leaves
+    stroke = None
     for name, mapped in paint.values.items():
         if mapped is None:
             continue
         if mapped is NONE_FLAGS.get(name):
             shape.attributes[mapped[0]] = mapped[1]
         elif name == "fill":
-            shape.children.append(VmlNode("v:fill", dict(mapped)))
+            leaves.append(vml_leaf("v:fill", mapped))
+        elif stroke is None:  # the v:stroke goes where its first value came
+            stroke, stroke_at = [mapped], len(leaves)
         else:
-            if stroke_child is None:
-                stroke_child = VmlNode("v:stroke")
-                shape.children.append(stroke_child)
-            stroke_child.attributes[mapped[0]] = mapped[1]
+            stroke.append(mapped)
+    if stroke is not None:
+        leaves.insert(stroke_at, vml_leaf("v:stroke", stroke))
     if paint.opacity is not None:
         _append_filter(shape, alpha_filter(paint.opacity, ctx.options.precision))
 
@@ -319,7 +320,7 @@ def _apply_box_transform(node: SvgNode, ctx: MapperContext, mapped: VmlNode) -> 
     if placed.origin is not None:
         _write_box(ctx, mapped, *placed.origin)
     if placed.skew is not None:
-        mapped.children.append(VmlNode("v:skew", placed.skew))
+        mapped.leaves.append(vml_leaf("v:skew", placed.skew.items()))
     if placed.filter is not None:
         _append_filter(mapped, placed.filter)
 
@@ -504,7 +505,7 @@ def map_path(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
         return None
     shape = _path_shape(node, ctx, path)
     if skew is not None:
-        shape.children.append(VmlNode("v:skew", skew))
+        shape.leaves.append(vml_leaf("v:skew", skew.items()))
     return shape
 
 
@@ -560,13 +561,7 @@ def map_text_path(
     shape = map_path(target, parent_ctx)
     if shape is None:
         return None
-    path_flag = VmlNode("v:path")
-    path_flag.attributes["textpathok"] = "t"
-    shape.children.append(path_flag)
-
-    text_path = VmlNode("v:textpath")
-    text_path.attributes["on"] = "t"
-    text_path.attributes["string"] = (node.text or "").strip()
+    text_path = {"on": "t", "string": (node.text or "").strip()}
     font_tokens = []
     font_size = _font_size(parent_ctx, parent)
     if font_size is not None:
@@ -575,8 +570,8 @@ def map_text_path(
     if family is not None:
         font_tokens.append(f"FONT-FAMILY:{family}")
     if font_tokens:
-        text_path.attributes["style"] = ";".join(font_tokens)
-    shape.children.append(text_path)
+        text_path["style"] = ";".join(font_tokens)
+    shape.leaves += (vml_leaf("v:path", (("textpathok", "t"),)), vml_leaf("v:textpath", text_path.items()))
     _apply_box_transform(node, ctx, shape)
     return shape
 

@@ -122,11 +122,6 @@ class SvgNode(TreeNode):
         self.text = text
         self.tail = tail
 
-    def iter_nodes(self):
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
 
 SvgDocument = namedtuple("SvgDocument", "root id_index diagnostics elements")
 SvgDocument.__doc__ = """What parse_svg returns.

@@ -1,10 +1,12 @@
+import re
 from typing import Optional
+from xml.sax.saxutils import unescape
 
 import pytest
 
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.mappers import Conversion, MapperContext, map_document
+from svg2vml.mappers import Conversion, MapperContext, VmlNode, map_document
 from svg2vml.options import ConvertOptions
 from svg2vml.svg_dom import SvgNode, expansion_budget, parse_points, parse_svg
 from svg2vml.transform import (
@@ -45,6 +47,49 @@ def structurally_equal(a: Optional[SvgNode], b: Optional[SvgNode]) -> bool:
     if len(a.children) != len(b.children):
         return False
     return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+
+
+def iter_nodes(node):
+    """node and every node below it, depth first in document order."""
+    yield node
+    for child in node.children:
+        yield from iter_nodes(child)
+
+
+_LEAF = re.compile(r'<([\w:]+)((?: [\w:-]+="[^"]*")*)/>')
+_LEAF_ATTRIBUTE = re.compile(r' ([\w:-]+)="([^"]*)"')
+
+
+def parse_leaf(markup: str) -> VmlNode:
+    """A leaf as the mapper wrote it, read back into a node with its attributes unescaped."""
+    match = _LEAF.fullmatch(markup)
+    assert match is not None, markup
+    attributes = _LEAF_ATTRIBUTE.findall(match.group(2))
+    return VmlNode(match.group(1), {name: unescape(value, {"&quot;": '"'}) for name, value in attributes})
+
+
+def child_nodes(node) -> list:
+    """node's children in output order: its written leaves read back, then its child nodes."""
+    return [*map(parse_leaf, getattr(node, "leaves", ())), *node.children]
+
+
+def find(node, tag: str):
+    """node's first child with the tag, a written leaf included, or None."""
+    return next((child for child in child_nodes(node) if child.tag == tag), None)
+
+
+def find_all(node, tag: str) -> list:
+    """node and every node below it with the tag, written leaves included, in output order."""
+    found = [node] if node.tag == tag else []
+    for child in child_nodes(node):
+        found.extend(find_all(child, tag))
+    return found
+
+
+def find_one(node, tag: str):
+    matches = find_all(node, tag)
+    assert len(matches) == 1, f"expected one {tag}, found {len(matches)}"
+    return matches[0]
 
 
 def map_snippet(body: str, options: ConvertOptions = None, **wrap_kwargs):

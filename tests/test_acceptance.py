@@ -8,7 +8,7 @@ cursor simulation); tolerances are stated per criterion.
 import math
 import random
 
-from conftest import ctm_of, map_snippet, read_ops, rejects, structurally_equal, wrap_svg
+from conftest import ctm_of, find, find_all, iter_nodes, map_snippet, read_ops, rejects, structurally_equal, wrap_svg
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.options import ConvertOptions
@@ -28,13 +28,6 @@ from svg2vml.transform import (
 
 def report(number: int, label: str) -> None:
     print(f"PASS criterion {number:02d}: {label}")
-
-
-def find_all(node, tag):
-    found = [node] if node.tag == tag else []
-    for child in node.children:
-        found.extend(find_all(child, tag))
-    return found
 
 
 def test_criterion_01_straight_segment_translations():
@@ -285,9 +278,9 @@ def test_criterion_13_text_on_path_golden():
     augmented = find_all(tree, "v:shape")[-1]
     kinds = [token for token in augmented.attributes["path"].split() if token.isalpha()]
     assert kinds == ["m", "c", "c", "c", "e"]
-    path_flag = [c for c in augmented.children if c.tag == "v:path"][0]
+    path_flag = find(augmented, "v:path")
     assert path_flag.attributes == {"textpathok": "t"}
-    text_path = [c for c in augmented.children if c.tag == "v:textpath"][0]
+    text_path = find(augmented, "v:textpath")
     assert text_path.attributes == {
         "on": "t",
         "string": "We go up, then we go down",
@@ -361,7 +354,7 @@ def _corpus() -> str:
 def test_criterion_15_end_to_end_determinism_and_round_trip():
     source = _corpus()
     doc = parse_svg(source)
-    element_count = sum(1 for _ in doc.root.iter_nodes())
+    element_count = sum(1 for _ in iter_nodes(doc.root))
     assert element_count >= 50, element_count
 
     first, diags_a = convert_text(source, ConvertOptions(pretty=True))

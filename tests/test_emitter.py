@@ -1,14 +1,17 @@
+import ast
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import structurally_equal, wrap_svg
+import svg2vml
 from svg2vml import convert_text
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.emitter import VML_NS, emit_vml_html, emit_xhtml_passthrough
+from svg2vml.emitter import VML_NS, emit_vml_html, emit_xhtml_passthrough, vml_leaf
 from svg2vml.mappers import VmlNode, map_document
 from svg2vml.options import ConvertOptions
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, SVG_NS, XLINK_NS, SvgDocument, SvgNode, parse_svg
@@ -386,11 +389,19 @@ def svg_trees(names=("svg", "g", "rect", "text", "foreignObject", "div", "b"), f
     )
 
 
+LEAF_TAGS = ("v:fill", "v:stroke", "v:skew")
+
+
 def vml_trees():
+    """Mapped trees whose nodes outside a v:textbox may lead with childless leaf
+    children, as the reference serializer reads them; `written` turns them
+    into leaves as the mappers write them."""
+    leaf_children = st.lists(st.builds(VmlNode, st.sampled_from(LEAF_TAGS), attribute_tables), max_size=2)
+
     def node(tag):
         return st.builds(VmlNode, st.just(tag), attribute_tables,
                          st.dictionaries(st.sampled_from(["left", "font-family"]), payloads, max_size=2),
-                         st.just(None), maybe_payloads, maybe_payloads)
+                         st.just([]) if tag == "v:textbox" else leaf_children, maybe_payloads, maybe_payloads)
 
     leaf = st.sampled_from(["v:shape", "div", "b"]).flatmap(node)
     # A v:textbox holds the parsed content of a foreignObject.
@@ -402,12 +413,22 @@ def vml_trees():
     return st.recursive(
         leaf | textbox,
         lambda children: st.builds(
-            lambda parent, kids: VmlNode(parent.tag, parent.attributes, parent.style, kids, parent.text, parent.tail),
+            lambda parent, kids: VmlNode(parent.tag, parent.attributes, parent.style, parent.children + kids,
+                                         parent.text, parent.tail),
             leaf,
             st.lists(children, max_size=3),
         ),
         max_leaves=12,
     )
+
+
+def written(node):
+    """node with its leaf children written into leaves by vml_leaf, as the mappers write them."""
+    if not isinstance(node, VmlNode):
+        return node
+    leaves = [vml_leaf(child.tag, child.attributes.items()) for child in node.children if child.tag in LEAF_TAGS]
+    children = [written(child) for child in node.children if child.tag not in LEAF_TAGS]
+    return VmlNode(node.tag, node.attributes, node.style, children, node.text, node.tail, leaves)
 
 
 class TestEscapingProperty:
@@ -418,7 +439,7 @@ class TestEscapingProperty:
             f'<html xmlns:v="{VML_NS}">', title or "Converted SVG",
             ("<style>v\\:* { behavior: url(#default#VML); }</style>",), tree, reference_vml_head, "", pretty,
         )
-        assert emit_vml_html(tree, ConvertOptions(pretty=pretty, title=title or None)) == expected
+        assert emit_vml_html(written(tree), ConvertOptions(pretty=pretty, title=title or None)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(svg_trees(), payloads, st.booleans())
@@ -430,3 +451,97 @@ class TestEscapingProperty:
         )
         doc = SvgDocument(root, {}, Diagnostics(), 0)
         assert emit_xhtml_passthrough(doc, ConvertOptions(pretty=pretty, title=title or None)) == expected
+
+
+class TestLeaves:
+    """A mapped shape's childless children are written as markup when they are
+    mapped; the serializer writes them ahead of its children, in both routes.
+    The expected documents were captured from the serializer that wrote these
+    children as nodes."""
+
+    SOURCE = wrap_svg(
+        '<defs><path id="track" d="M 0 0 L 10 0"/></defs>'
+        '<a href="#x">go <rect x="1" y="2" width="3" height="4" fill="red" stroke="blue" transform="scale(2)"/></a>'
+        '<a href="#y" stroke="navy">on <text font-size="9"><textPath xlink:href="#track">a&amp;b&lt;&quot;\'</textPath>'
+        "</text></a>"
+    )
+    ANCHORS = (
+        '<a href="#x">go<v:roundrect style="left:1;top:2;width:3;height:4;"><v:fill color="red"/>'
+        '<v:stroke color="blue"/><v:skew on="t" matrix="-2, 0, 0, -2, 0, 0" offset="-6px,-8px"/></v:roundrect></a>',
+        '<a href="#y">on<v:shape id="track" path="m 0,0 l 10,0 e"><v:stroke color="navy"/><v:path textpathok="t"/>'
+        '<v:textpath on="t" string="a&amp;b&lt;&quot;\'" style="FONT-SIZE:9"/></v:shape></a>',
+    )
+    COMPACT = (
+        '<html xmlns:v="urn:schemas-microsoft-com:vml"><head>'
+        '<meta http-equiv="Content-Type" content="text/html; charset=utf-8"/><title>Converted SVG</title>'
+        "<style>v\\:* { behavior: url(#default#VML); }</style></head><body>"
+        '<v:group coordorigin="0,0" coordsize="800,800" style="width:800;height:800;">'
+        '<div style="visibility:hidden;"><v:shape id="track" path="m 0,0 l 10,0 e"/></div>'
+        f"{ANCHORS[0]}{ANCHORS[1]}"
+        "</v:group></body></html>\n"
+    )
+    PRETTY = (
+        '<html xmlns:v="urn:schemas-microsoft-com:vml">\n'
+        "  <head>\n"
+        '    <meta http-equiv="Content-Type" content="text/html; charset=utf-8"/>\n'
+        "    <title>Converted SVG</title>\n"
+        "    <style>v\\:* { behavior: url(#default#VML); }</style>\n"
+        "  </head>\n"
+        "  <body>\n"
+        '    <v:group coordorigin="0,0" coordsize="800,800" style="width:800;height:800;">\n'
+        '      <div style="visibility:hidden;">\n'
+        '        <v:shape id="track" path="m 0,0 l 10,0 e"/>\n'
+        "      </div>\n"
+        f"      {ANCHORS[0]}\n"
+        f"      {ANCHORS[1]}\n"
+        "    </v:group>\n"
+        "  </body>\n"
+        "</html>\n"
+    )
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_an_anchor_with_text_writes_its_shapes_leaves_inline(self, pretty):
+        output, diagnostics = convert_text(self.SOURCE, ConvertOptions(pretty=pretty))
+        assert not len(diagnostics)
+        assert output == (self.PRETTY if pretty else self.COMPACT)
+
+    def test_pretty_output_gives_each_leaf_a_line_of_its_own(self):
+        output, _ = convert_text(wrap_svg('<rect width="3" height="4" stroke="blue" fill="red"/>'),
+                                 ConvertOptions(pretty=True))
+        assert (
+            '    <v:group coordorigin="0,0" coordsize="800,800" style="width:800;height:800;">\n'
+            '      <v:roundrect style="width:3;height:4;">\n'
+            '        <v:stroke color="blue"/>\n'
+            '        <v:fill color="red"/>\n'
+            "      </v:roundrect>\n"
+            "    </v:group>\n"
+        ) in output
+
+
+SRC = Path(svg2vml.__file__).resolve().parent
+
+
+def test_the_mappers_write_no_markup():
+    """Markup is the emitter's: the mappers hand it tags and attribute values."""
+    tree = ast.parse((SRC / "mappers.py").read_text(encoding="utf-8"))
+    markup = [
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (re.search(r"</?[A-Za-z]", node.value) or "/>" in node.value)
+    ]
+    assert markup == []
+
+
+def test_the_emitter_does_not_import_the_mappers_at_run_time():
+    """mappers imports vml_leaf from the emitter; the emitter names VmlNode in annotations only."""
+    tree = ast.parse((SRC / "emitter.py").read_text(encoding="utf-8"))
+    type_only = {
+        id(node) for block in tree.body
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and id(node) not in type_only]
+    assert [node.module for node in imports if node.module and node.module.split(".")[-1] == "mappers"] == []
+    flags = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(target, ast.Name) and target.id == "TYPE_CHECKING" for target in node.targets)]
+    assert all(isinstance(flag, ast.Constant) and flag.value is False for flag in flags)

@@ -4,27 +4,14 @@ import random
 
 import pytest
 
-from conftest import ctm_of, map_snippet, read_ops, wrap_svg
+from conftest import ctm_of, find, find_all, find_one, map_snippet, read_ops, wrap_svg
 from svg2vml import ConvertOptions, convert_text, transform
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.mappers import _MAPPERS, VmlNode, map_document
+from svg2vml.mappers import _MAPPERS, map_document
 from svg2vml.numeric import format_number, read_number
 from svg2vml.style import STROKE_TABLE
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, parse_svg
 from svg2vml.transform import recalc_points
-
-
-def find_all(node: VmlNode, tag: str) -> list[VmlNode]:
-    found = [node] if node.tag == tag else []
-    for child in node.children:
-        found.extend(find_all(child, tag))
-    return found
-
-
-def find_one(node: VmlNode, tag: str) -> VmlNode:
-    matches = find_all(node, tag)
-    assert len(matches) == 1, f"expected one {tag}, found {len(matches)}"
-    return matches[0]
 
 
 class TestSvgRoot:
@@ -356,7 +343,7 @@ class TestPlacementReadsTheWrittenBox:
 
         mapped = find_one(map_snippet(element.format(f' transform="{transform_list}"'), options)[0], tag)
         assert mapped.style == expected_style
-        skew = mapped.find("v:skew")
+        skew = find(mapped, "v:skew")
         assert (None if skew is None else skew.attributes) == placed.skew
 
 
@@ -414,13 +401,13 @@ class TestGroups:
     @pytest.mark.parametrize(
         "name,group_value,child_value,probe",
         [
-            ("fill", "red", "blue", lambda rect: rect.find("v:fill").attributes["color"]),
-            ("stroke", "red", "blue", lambda rect: rect.find("v:stroke").attributes["color"]),
-            ("stroke-width", "9", "2", lambda rect: rect.find("v:stroke").attributes["weight"]),
-            ("stroke-linecap", "round", "square", lambda rect: rect.find("v:stroke").attributes["endcap"]),
-            ("stroke-linejoin", "round", "bevel", lambda rect: rect.find("v:stroke").attributes["joinstyle"]),
-            ("stroke-miterlimit", "8", "4", lambda rect: rect.find("v:stroke").attributes["miterlimit"]),
-            ("stroke-opacity", "0.25", "0.5", lambda rect: rect.find("v:stroke").attributes["opacity"]),
+            ("fill", "red", "blue", lambda rect: find(rect, "v:fill").attributes["color"]),
+            ("stroke", "red", "blue", lambda rect: find(rect, "v:stroke").attributes["color"]),
+            ("stroke-width", "9", "2", lambda rect: find(rect, "v:stroke").attributes["weight"]),
+            ("stroke-linecap", "round", "square", lambda rect: find(rect, "v:stroke").attributes["endcap"]),
+            ("stroke-linejoin", "round", "bevel", lambda rect: find(rect, "v:stroke").attributes["joinstyle"]),
+            ("stroke-miterlimit", "8", "4", lambda rect: find(rect, "v:stroke").attributes["miterlimit"]),
+            ("stroke-opacity", "0.25", "0.5", lambda rect: find(rect, "v:stroke").attributes["opacity"]),
             ("opacity", "0.25", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1]),
             ("opacity", "0.5", "0.5", lambda rect: rect.style["filter"].rsplit("=", 1)[1][:-1]),
         ],
@@ -454,7 +441,7 @@ class TestPaintInheritance:
 
     def test_group_linecap_reaches_a_path(self):
         tree, diags = map_snippet('<g stroke="red" stroke-linecap="round"><path d="M 0 0 L 5 5"/></g>')
-        assert find_one(tree, "v:shape").find("v:stroke").attributes == {"color": "red", "endcap": "round"}
+        assert find(find_one(tree, "v:shape"), "v:stroke").attributes == {"color": "red", "endcap": "round"}
         assert list(diags) == []
 
     def test_bad_group_linecap_is_reported_once_and_not_handed_down(self):
@@ -592,8 +579,8 @@ class TestReferences:
         )
         assert not len(diags)
         copy = tree.children[1].children[0]
-        assert copy.find("v:fill").attributes == {"color": "red"}
-        assert copy.find("v:stroke").attributes == {"color": "blue"}
+        assert find(copy, "v:fill").attributes == {"color": "red"}
+        assert find(copy, "v:stroke").attributes == {"color": "blue"}
         assert copy.style["filter"] == "progid:DXImageTransform.Microsoft.Alpha(opacity=50)"
 
     def test_a_use_paint_fault_is_reported_once_at_the_use(self):
@@ -675,8 +662,8 @@ class TestSharedCopies:
         assert plain is hidden
         assert scaled_again is scaled  # an equal chain under another group
         assert len({id(copy) for copy in copies}) == 5
-        assert moved.style["left"] == "1" and red.find("v:fill").attributes == {"color": "red"}
-        assert "Alpha(opacity=50)" in faded.style["filter"] and scaled.find("v:skew") is not None
+        assert moved.style["left"] == "1" and find(red, "v:fill").attributes == {"color": "red"}
+        assert "Alpha(opacity=50)" in faded.style["filter"] and find(scaled, "v:skew") is not None
 
     DEEP = "<g>" * 9 + '<rect width="1" height="1"/>' + "</g>" * 9
 
@@ -719,9 +706,9 @@ class TestTextPath:
         assert not diags.has_errors
         shapes = find_all(tree, "v:shape")
         augmented = shapes[-1]
-        flag = augmented.find("v:path")
+        flag = find(augmented, "v:path")
         assert flag.attributes == {"textpathok": "t"}
-        text_path = augmented.find("v:textpath")
+        text_path = find(augmented, "v:textpath")
         assert text_path.attributes["on"] == "t"
         assert text_path.attributes["string"] == "We go up, then we go down"
         assert text_path.attributes["style"] == "FONT-SIZE:40;FONT-FAMILY:Verdana"
@@ -917,8 +904,8 @@ class TestStrokeFillOnShapes:
             '<rect x="1" y="1" width="1198" height="398" fill="red" stroke="blue" stroke-width="2"/>'
         )
         rect = find_one(tree, "v:roundrect")
-        fill = rect.find("v:fill")
-        stroke = rect.find("v:stroke")
+        fill = find(rect, "v:fill")
+        stroke = find(rect, "v:stroke")
         assert fill.attributes == {"color": "red"}
         assert stroke.attributes == {"color": "blue", "weight": "2"}
 
@@ -926,7 +913,7 @@ class TestStrokeFillOnShapes:
         tree, _ = map_snippet('<rect width="5" height="5" fill="none"/>')
         rect = find_one(tree, "v:roundrect")
         assert rect.attributes["filled"] == "f"
-        assert rect.find("v:fill") is None
+        assert find(rect, "v:fill") is None
 
     def test_gradient_fill(self):
         tree, diags = map_snippet(
@@ -937,7 +924,7 @@ class TestStrokeFillOnShapes:
         )
         assert not diags.has_errors
         rect = find_all(tree, "v:roundrect")[-1]
-        fill = rect.find("v:fill")
+        fill = find(rect, "v:fill")
         assert fill.attributes["type"] == "gradient"
         assert fill.attributes["color"] == "red"
         assert fill.attributes["color2"] == "blue"
@@ -974,7 +961,7 @@ class TestStrokeFillOnShapes:
     def test_bad_stroke_width_is_reported_and_omitted(self, width, message):
         tree, diags = map_snippet(f'<rect width="5" height="5" stroke="blue" stroke-width="{width}"/>')
         rect = find_one(tree, "v:roundrect")
-        assert rect.find("v:stroke").attributes == {"color": "blue"}
+        assert find(rect, "v:stroke").attributes == {"color": "blue"}
         assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
             ("error", "UNSUPPORTED_UNIT", message, "svg/rect[0]@stroke-width")
         ]
@@ -987,7 +974,7 @@ class TestStrokeFillOnShapes:
     @pytest.mark.parametrize("cap,endcap", [("butt", "flat"), ("round", "round"), ("square", "square")])
     def test_linecap_takes_the_vml_name(self, cap, endcap):
         tree, diags = map_snippet(f'<rect width="5" height="5" stroke-linecap="{cap}"/>')
-        assert find_one(tree, "v:roundrect").find("v:stroke").attributes == {"endcap": endcap}
+        assert find(find_one(tree, "v:roundrect"), "v:stroke").attributes == {"endcap": endcap}
         assert list(diags) == []
 
     @pytest.mark.parametrize(
@@ -1003,7 +990,7 @@ class TestStrokeFillOnShapes:
         tree, diags = map_snippet(source)
         rect = find_one(tree, "v:roundrect")
         assert rect.attributes["stroked"] == "f"
-        assert rect.find("v:stroke") is None
+        assert find(rect, "v:stroke") is None
         assert list(diags) == []
 
     def test_stroke_properties_inherit(self):
@@ -1011,7 +998,7 @@ class TestStrokeFillOnShapes:
             '<g stroke="red" stroke-linecap="round"><a href="#x" stroke-linejoin="bevel" stroke-miterlimit="8"'
             ' stroke-opacity="0.5"><path d="M 0 0 L 5 5"/></a></g>'
         )
-        stroke = find_one(tree, "v:shape").find("v:stroke")
+        stroke = find(find_one(tree, "v:shape"), "v:stroke")
         assert stroke.attributes == {
             "color": "red", "endcap": "round", "joinstyle": "bevel", "miterlimit": "8", "opacity": "0.5"
         }
@@ -1021,12 +1008,12 @@ class TestStrokeFillOnShapes:
         tree, _ = map_snippet('<g stroke="none"><rect width="5" height="5" stroke="red"/></g>')
         rect = find_one(tree, "v:roundrect")
         assert "stroked" not in rect.attributes
-        assert rect.find("v:stroke").attributes == {"color": "red"}
+        assert find(rect, "v:stroke").attributes == {"color": "red"}
 
     def test_unchecked_stroke_values_are_reported_and_not_written(self):
         source = '<rect width="5" height="5" stroke-miterlimit="abc" stroke-linejoin="arcs" stroke-linecap="wide"/>'
         tree, diags = map_snippet(source)
-        assert find_one(tree, "v:roundrect").find("v:stroke") is None
+        assert find(find_one(tree, "v:roundrect"), "v:stroke") is None
         assert [(d.code, d.message, d.location) for d in diags] == [
             ("BAD_ATTRIBUTE", "stroke-miterlimit 'abc' is not a number of at least 1", "svg/rect[0]"),
             ("BAD_ATTRIBUTE", "stroke-linejoin 'arcs' is not one of miter, round, bevel", "svg/rect[0]"),
@@ -1044,7 +1031,7 @@ class TestStrokeFillOnShapes:
     )
     def test_a_negative_stroke_width_is_reported_and_not_written(self, source, location):
         tree, diags = map_snippet(source)
-        assert find_one(tree, "v:roundrect").find("v:stroke").attributes == {"color": "red"}
+        assert find(find_one(tree, "v:roundrect"), "v:stroke").attributes == {"color": "red"}
         assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
             ("warning", "BAD_ATTRIBUTE", "stroke-width '-2' is negative", location)
         ]
@@ -1061,7 +1048,7 @@ class TestStrokeFillOnShapes:
     def test_bad_stroke_opacity_is_reported_at_the_element(self, value, written, message):
         source = f'<rect width="5" height="5" stroke="blue" stroke-opacity="{value}"/>'
         tree, diags = map_snippet(source)
-        stroke = find_one(tree, "v:roundrect").find("v:stroke")
+        stroke = find(find_one(tree, "v:roundrect"), "v:stroke")
         assert stroke.attributes.get("opacity") == written
         assert [(d.severity, d.code, d.message, d.location) for d in diags] == [
             ("warning", "BAD_ATTRIBUTE", message, "svg/rect[0]")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import structurally_equal
+from conftest import iter_nodes, structurally_equal
 
 from svg2vml import ConvertOptions, convert_text, svg_dom
 from svg2vml.diagnostics import Diagnostics
@@ -116,7 +116,7 @@ class TestParseSvg:
         doc = parse_svg(
             '<svg id="root"><g id="grp"><circle id="c" r="5"/></g><defs id="d"/></svg>'
         )
-        for node in doc.root.iter_nodes():
+        for node in iter_nodes(doc.root):
             node_id = node.attributes.get("id")
             if node_id is not None:
                 assert doc.id_index[node_id] is node
@@ -399,7 +399,7 @@ def attributes_by_the_rules(text):
 
 
 def parsed_attributes(text):
-    return [list(node.attributes.items()) for node in parse_svg(text).root.iter_nodes()]
+    return [list(node.attributes.items()) for node in iter_nodes(parse_svg(text).root)]
 
 
 PREFIX_NAMES = ["x", "href", "id", "fill", "xlink:href", "l:href", "p:x", "p:href", "xml:space", "inkscape:label",
@@ -446,7 +446,7 @@ class TestPrefixScopes:
 
     def test_another_prefix_bound_to_xlink_reads_as_xlink(self):
         doc = parse_svg(f'<svg><g><use xmlns:l="{XLINK_NS}" l:href="#a"/></g><use l:href="#b"/></svg>')
-        assert [node.attributes for node in doc.root.iter_nodes()] == [{}, {}, {"xlink:href": "#a"}, {"href": "#b"}]
+        assert [node.attributes for node in iter_nodes(doc.root)] == [{}, {}, {"xlink:href": "#a"}, {"href": "#b"}]
 
     def test_xml_prefix_is_kept_and_another_is_stripped(self):
         doc = parse_svg('<svg><g xml:space="preserve" inkscape:label="layer" fill="red"/></svg>')
@@ -460,7 +460,7 @@ class TestPrefixScopes:
             chain = f"<g>{chain}</g>"
         doc = parse_svg(f"<svg>{chain}<use xlink:href='#last'/></svg>")
         assert doc.diagnostics.codes() == ["TOO_DEEP"]
-        uses = [node.attributes for node in doc.root.iter_nodes() if node.tag == "use"]
+        uses = [node.attributes for node in iter_nodes(doc.root) if node.tag == "use"]
         assert uses == [{"xlink:href": "#after"}, {"xlink:href": "#last"}]
 
     @given(st.lists(scoped_elements(), max_size=4))

@@ -21,6 +21,7 @@ from svg2vml.transform import (
     SKEW_SHAPE,
     STRATEGIES,
     _entries,
+    compose_ctm,
     parse_transform_list,
     place,
     recalc_points,
@@ -261,6 +262,20 @@ def test_rotate_centres_of_minus_zero_read_as_zero(diags):
 
 
 # --- matrices -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text", ["scale(3, 1)", "translate(3, 4) scale(2)", "rotate(20, 300, 300) skewX(10)", "matrix(1 2 3 4 5 6)"]
+)
+def test_compose_ctm_is_the_chain_product(text):
+    # Mapping composes through Chain.extend; compose_ctm stays because
+    # perfbench/spans.py rebinds it by name, and must compose alike.
+    ops = read_ops(text)
+    assert compose_ctm(ops) == EMPTY_CHAIN.extend(ops).ctm
+
+
+def test_compose_ctm_of_no_ops_is_identity():
+    assert compose_ctm([]) == IDENTITY
 
 
 class TestOneOpProduct:

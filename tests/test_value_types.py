@@ -88,6 +88,14 @@ class TestTreeNodes:
         assert second.attributes == {} and second.children == []
 
 
+def test_vml_leaves_compare_and_are_fresh_per_instance():
+    assert VmlNode("v:shape", leaves=["<v:fill/>"]) == VmlNode("v:shape", leaves=["<v:fill/>"])
+    assert VmlNode("v:shape", leaves=["<v:fill/>"]) != VmlNode("v:shape", leaves=["<v:stroke/>"])
+    first, second = VmlNode("v:shape"), VmlNode("v:shape")
+    first.leaves.append("<v:fill/>")
+    assert second.leaves == []
+
+
 def test_tree_nodes_of_different_kinds_are_unequal():
     assert VmlNode("rect") != SvgNode("rect", "rect")
     assert SvgNode("rect", "rect") != VmlNode("rect")
@@ -97,9 +105,10 @@ def test_tree_node_repr_names_every_field_in_slot_order():
     assert repr(SvgNode("rect", "rect", {"id": "a"}, text="t")) == (
         "SvgNode(tag='rect', name='rect', attributes={'id': 'a'}, children=[], text='t', tail=None)"
     )
-    assert repr(VmlNode("v:shape", {"path": "m 0,0 e"}, children=[VmlNode("v:fill")])) == (
-        "VmlNode(tag='v:shape', attributes={'path': 'm 0,0 e'}, style={}, children=[VmlNode(tag='v:fill', "
-        "attributes={}, style={}, children=[], text=None, tail=None)], text=None, tail=None)"
+    assert repr(VmlNode("a", {"href": "#x"}, children=[VmlNode("v:shape")], leaves=['<v:fill color="red"/>'])) == (
+        "VmlNode(tag='a', attributes={'href': '#x'}, style={}, children=[VmlNode(tag='v:shape', "
+        "attributes={}, style={}, children=[], text=None, tail=None, leaves=[])], text=None, tail=None, "
+        """leaves=['<v:fill color="red"/>'])"""
     )
 
 
