@@ -17,6 +17,10 @@ no children and no text is written by its parent's loop, without a call of
 its own.  The content of a foreignObject is never mapped: in both modes the
 host (the v:textbox or the foreignObject) goes on one line, and its parsed
 content is written with the SVG head, as it was parsed.
+
+A mapped tree holds a shared use copy at each place it is used.  Within one
+emit_vml_html call, a VML node with children that comes back at a depth
+where it was already written copies the lines it wrote there.
 """
 
 from __future__ import annotations
@@ -87,30 +91,44 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
 _HTML_HOSTS = ("v:textbox", "foreignObject")
 
 
-def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "") -> None:
+def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "",
+               written: dict[tuple[int, int], tuple[int, int]] | None = None) -> None:
     """Append one line per element; an HTML host and an element with
     character content go on one line with their whole subtree, so the
     payload stays as written.  The text of an element with no children
-    counts even when it is white space."""
+    counts even when it is white space.
+
+    written, given for a VML tree, maps each (id, depth) of a node with
+    children already written to the range of lines it wrote; a node that
+    comes back at that depth copies those lines."""
     pad = _INDENT * depth if pretty else ""
     text, children = node.text, node.children
     if children or head is _vml_head and node.leaves:
+        if written is not None and children:
+            key = (id(node), depth)
+            span = written.get(key)
+            if span is not None:
+                lines += lines[span[0]:span[1]]
+                return
+            start = len(lines)
         if node.tag in _HTML_HOSTS or (text and text.strip()) or any([c.tail and c.tail.strip() for c in children]):
             lines.append(pad + _inline(node, head, extra))
-            return
-        name, attrs = head(node)
-        lines.append(f"{pad}<{name}{extra}{attrs}>")
-        child_pad = pad + _INDENT if pretty else ""
-        vml = head is _vml_head
-        if vml:
-            lines += [child_pad + leaf for leaf in node.leaves] if pretty else node.leaves
-        for child in children:
-            if vml or child.children or child.text:  # a VML child may have leaves
-                _serialize(child, head, lines, depth + 1, pretty)
-            else:
-                child_name, child_attrs = head(child)
-                lines.append(f"{child_pad}<{child_name}{child_attrs}/>")
-        lines.append(f"{pad}</{name}>")
+        else:
+            name, attrs = head(node)
+            lines.append(f"{pad}<{name}{extra}{attrs}>")
+            child_pad = pad + _INDENT if pretty else ""
+            vml = head is _vml_head
+            if vml:
+                lines += [child_pad + leaf for leaf in node.leaves] if pretty else node.leaves
+            for child in children:
+                if vml or child.children or child.text:  # a VML child may have leaves
+                    _serialize(child, head, lines, depth + 1, pretty, "", written)
+                else:
+                    child_name, child_attrs = head(child)
+                    lines.append(f"{child_pad}<{child_name}{child_attrs}/>")
+            lines.append(f"{pad}</{name}>")
+        if written is not None and children:
+            written[key] = (start, len(lines))
     elif text:
         lines.append(pad + _inline(node, head, extra))
     else:
@@ -148,7 +166,7 @@ def _document(
         f"{pad}</head>",
         f"{pad}<body>",
     ]
-    _serialize(root, head, lines, 2 if pretty else 0, pretty, extra)
+    _serialize(root, head, lines, 2 if pretty else 0, pretty, extra, {} if head is _vml_head else None)
     lines += [f"{pad}</body>", "</html>"]
     return ("\n" if pretty else "").join(lines) + "\n"
 

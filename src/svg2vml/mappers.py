@@ -26,7 +26,11 @@ under the use's context.  Each child of a defs and each use target goes
 through one helper, `_map_copy`: within one map_document call, a target
 already mapped under the same chain and paint is appended again, not mapped
 again, where that copy is exact.  The mapped tree may therefore hold one node
-at several places; the emitter only reads it.
+at several places; the emitter only reads it.  The same call resolves each
+gradient fill once (`style.Paint.extend`) and parses the d of each path with
+an id once (`map_path`), the only paths a textPath or a use can name.  Each
+memo lives in the `Conversion` and keeps only what reported nothing, so a
+fault is reported again at each place it recurs.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ class VmlNode(TreeNode):
 class Conversion:
     """What every context of one map_document call shares.
 
+    document   the parsed document, in which references resolve
     budget     mapper calls left; the first call past it reports EXPANSION_LIMIT
     referring  the ids of the use targets being mapped, which a reference
                inside them may not name again
@@ -109,15 +114,25 @@ class Conversion:
     copies     each exact copy of a reference target, keyed by (target, chain
                ops, paint): the mapped subtree, its mapper calls, and how many
                levels below the target it reaches
+    fills      each fill reference that resolved without a report, keyed by
+               its raw fill text: its v:fill pairs (see style.Paint.extend)
+    paths      the segments of each path with an id whose d parsed without a
+               report, keyed by the id() of the path node (see map_path)
+
+    The three memos keep only results that reported nothing, so a fault is
+    computed and reported again wherever it recurs.
     """
 
-    __slots__ = ("budget", "referring", "deepest", "copies")
+    __slots__ = ("document", "budget", "referring", "deepest", "copies", "fills", "paths")
 
-    def __init__(self, budget: int):
+    def __init__(self, document: SvgDocument, budget: int):
+        self.document = document
         self.budget = budget
         self.referring: set[str] = set()
         self.deepest = 0
         self.copies: dict[tuple, tuple[VmlNode | None, int, int]] = {}
+        self.fills: dict[str, tuple] = {}
+        self.paths: dict[int, list] = {}
 
 
 class MapperContext:
@@ -160,11 +175,22 @@ class MapperContext:
         derived.depth = self.depth + 1
         return derived
 
-    def derive(self, **changes) -> "MapperContext":
-        """A copy with the given fields changed."""
+    def derive(self, *, document=None, root_size=None, options=None, diagnostics=None, conversion=None,
+               paint=None, chain=None, location=None, depth=None) -> "MapperContext":
+        """A copy with the given slots changed; a slot given as None (the default) is kept.
+
+        Assigns each slot by name, as `at` does; no slot takes None as a value.
+        """
         derived = object.__new__(MapperContext)
-        for name in MapperContext.__slots__:
-            setattr(derived, name, changes[name] if name in changes else getattr(self, name))
+        derived.document = self.document if document is None else document
+        derived.root_size = self.root_size if root_size is None else root_size
+        derived.options = self.options if options is None else options
+        derived.diagnostics = self.diagnostics if diagnostics is None else diagnostics
+        derived.conversion = self.conversion if conversion is None else conversion
+        derived.paint = self.paint if paint is None else paint
+        derived.chain = self.chain if chain is None else chain
+        derived.location = self.location if location is None else location
+        derived.depth = self.depth if depth is None else depth
         return derived
 
 
@@ -261,7 +287,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
     in the paint's order; a "none" fill or stroke sets filled or stroked to
     "f" instead.  Opacity becomes an alpha filter.
     """
-    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location, names)
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location, names)
     leaves = shape.leaves
     stroke = None
     for name, mapped in paint.values.items():
@@ -365,7 +391,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 def _group_context(node: SvgNode, ctx: MapperContext) -> MapperContext:
     """The context of a g's or an a's children: its inheritable paint and transform pushed down."""
-    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location)
     return ctx.derive(paint=paint, chain=_effective_chain(node, ctx))
 
 
@@ -488,10 +514,17 @@ def map_path(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     if d is None:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
-    mark = len(ctx.diagnostics)
-    segments = parse_path_data(d, ctx.diagnostics, _attribute_location(ctx, "d"))
-    if len(ctx.diagnostics) > mark:
-        return None
+    # A path with an id, which a textPath or a use can name, is parsed once per
+    # conversion; a d that reported anything is parsed, and reported, again.
+    paths = ctx.conversion.paths
+    segments = paths.get(id(node))
+    if segments is None:
+        mark = len(ctx.diagnostics)
+        segments = parse_path_data(d, ctx.diagnostics, _attribute_location(ctx, "d"))
+        if len(ctx.diagnostics) > mark:
+            return None
+        if "id" in node.attributes:
+            paths[id(node)] = segments
     if not segments:
         ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
         return None
@@ -602,7 +635,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
     # Read before the reference, so a paint fault is reported whether or not it resolves.
-    paint = ctx.paint.extend(node, ctx.document, ctx.options.precision, ctx.diagnostics, ctx.location)
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location)
 
     if _href(node) is None:
         ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
@@ -760,6 +793,6 @@ def map_document(
         root_size=(0.0, 0.0),  # map_svg_root sets it from the root's size
         options=options,
         diagnostics=diagnostics,
-        conversion=Conversion(expansion_budget(doc.elements)),
+        conversion=Conversion(doc, expansion_budget(doc.elements)),
     )
     return map_svg_root(doc.root, ctx), diagnostics

@@ -5,6 +5,9 @@ a v:fill child, and opacity an alpha filter; a "none" stroke or fill is a
 flag on the shape.  Colors pass through untranslated, valid on both sides.
 Inheritance is one fold, `Paint.extend`, applied by each g, a and drawn
 element, so every value is parsed and reported once, where it is written.
+A gradient fill is resolved once per conversion: the conversion keeps each
+one that resolved without a report, keyed by its raw fill text, and a fill
+that reported anything is resolved, and reported, again where it recurs.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from __future__ import annotations
 from .diagnostics import Diagnostics, Location, LocationLike
 from .numeric import WSP, format_number, read_number
 from .svg_dom import SvgDocument, SvgNode, parse_length
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: mappers imports this module
+    from .mappers import Conversion
 
 # SVG stroke attribute -> v:stroke attribute.
 STROKE_TABLE = {
@@ -108,12 +115,13 @@ class Paint:
         self.values = values
         self.opacity = opacity
 
-    def extend(self, node: SvgNode, document: SvgDocument, precision: int, diagnostics: Diagnostics,
+    def extend(self, node: SvgNode, conversion: Conversion, precision: int, diagnostics: Diagnostics,
                location: LocationLike, names: tuple[str, ...] = INHERITED) -> "Paint":
         """This paint extended by node's own properties among names, each parsed and reported here.
 
         names is INHERITED or an ordered part of it.  Own values come first, in
         document order, then inherited ones; fill-opacity is reported before opacity.
+        A fill reference resolves in conversion's document, through its fills.
         """
         values = {}
         own_opacity = None
@@ -126,8 +134,12 @@ class Paint:
                 values[name] = NONE_FLAGS[name]
             elif name == "fill":
                 if raw.strip().startswith("url("):
-                    fill = resolve_fill_reference(raw, document, diagnostics, location)
-                    values[name] = None if fill is None else tuple(fill.items())
+                    fill = conversion.fills.get(raw)
+                    if fill is None:
+                        resolved = resolve_fill_reference(raw, conversion.document, diagnostics, location)
+                        if resolved is not None:  # it reported nothing, so it is exact wherever raw recurs
+                            fill = conversion.fills[raw] = tuple(resolved.items())
+                    values[name] = fill
                 else:
                     values[name] = (("color", raw),)
             else:

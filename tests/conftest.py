@@ -107,7 +107,7 @@ def make_context(**overrides) -> MapperContext:
         root_size=(800.0, 800.0),
         options=ConvertOptions(),
         diagnostics=doc.diagnostics,
-        conversion=Conversion(expansion_budget(doc.elements)),
+        conversion=Conversion(doc, expansion_budget(doc.elements)),
     )
     defaults.update(overrides)
     return MapperContext(**defaults)
