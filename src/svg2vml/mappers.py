@@ -119,8 +119,8 @@ class Conversion:
     paths      the segments of each path with an id whose d parsed without a
                report, keyed by the id() of the path node (see map_path)
 
-    The three memos keep only results that reported nothing, so a fault is
-    computed and reported again wherever it recurs.
+    fills and paths, like copies, keep only results that reported nothing, so
+    a fault is computed and reported again wherever it recurs.
     """
 
     __slots__ = ("document", "budget", "referring", "deepest", "copies", "fills", "paths")

@@ -518,6 +518,42 @@ class TestLeaves:
         ) in output
 
 
+def unshared(node):
+    """The mapped tree rebuilt with a fresh VmlNode at each place, so that no node appears twice."""
+    if not isinstance(node, VmlNode):
+        return node  # a foreignObject's parsed content
+    children = [unshared(child) for child in node.children]
+    return VmlNode(node.tag, dict(node.attributes), dict(node.style), children, node.text, node.tail,
+                   list(node.leaves))
+
+
+class TestSharedCopies:
+    """A use copy appears in the mapped tree once per use; the emitter writes each
+    one at a depth once, and copies those lines where the copy comes back there."""
+
+    SOURCE = wrap_svg(
+        '<defs><g id="s"><rect width="2" height="2" fill="red"/><g><circle r="1" stroke="blue"/></g></g></defs>'
+        '<use xlink:href="#s"/><g><use xlink:href="#s"/></g><use xlink:href="#s"/>'
+        '<a href="#x">go <use xlink:href="#s"/></a>'
+    )
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_a_copy_shared_at_two_depths_writes_as_the_unshared_tree_does(self, pretty, monkeypatch):
+        tree, diagnostics = map_document(parse_svg(self.SOURCE))
+        assert not len(diagnostics)
+        shared = tree.children[0].children[0]
+        # the defs child at the use's depth, reused under a use one level deeper
+        assert tree.children[1].children[0] is shared is tree.children[2].children[0].children[0]
+        heads = []
+        head = svg2vml.emitter._vml_head
+        monkeypatch.setattr(svg2vml.emitter, "_vml_head", lambda node: heads.append(node) or head(node))
+        options = ConvertOptions(pretty=pretty)
+        output = emit_vml_html(tree, options)
+        written = len(heads)
+        assert output == emit_vml_html(unshared(tree), options)
+        assert written < len(heads) - written
+
+
 SRC = Path(svg2vml.__file__).resolve().parent
 
 

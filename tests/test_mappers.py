@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import ctm_of, find, find_all, find_one, map_snippet, read_ops, wrap_svg
-from svg2vml import ConvertOptions, convert_text, transform
+from conftest import ctm_of, find, find_all, find_one, make_context, map_snippet, read_ops, wrap_svg
+from svg2vml import ConvertOptions, convert_text, mappers, style, transform
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.mappers import _MAPPERS, map_document
+from svg2vml.mappers import _MAPPERS, MapperContext, map_document
 from svg2vml.numeric import format_number, read_number
 from svg2vml.style import STROKE_TABLE
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, parse_svg
@@ -691,6 +691,107 @@ class TestSharedCopies:
         cut_at = "svg/g[2]" + "/g[0]" * 189 + "/use[0]" + cut_below_use
         assert [(d.code, d.location) for d in diags] == [("TOO_DEEP", cut_at)]
         assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
+
+
+def counting(monkeypatch, owner, name) -> list:
+    """Rebind owner.name to a wrapper that appends its first argument to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda first, *rest: calls.append(first) or original(first, *rest))
+    return calls
+
+
+class TestPerConversionMemos:
+    """A gradient fill is resolved, and a path with an id parsed, once per conversion, where that is exact.
+
+    Only a result that reported nothing is kept, so a fault is computed and
+    reported again at each place it recurs.
+    """
+
+    STOPS = '<stop offset="0" stop-color="{}"/><stop offset="1" stop-color="{}"/>'
+
+    def test_a_faulty_gradient_is_reported_at_each_shape_it_fills(self, monkeypatch):
+        calls = counting(monkeypatch, style, "resolve_fill_reference")
+        three = self.STOPS.format("red", "blue") + '<stop offset="1" stop-color="gold"/>'
+        tree, diags = map_snippet(
+            f'<defs><linearGradient id="g">{three}</linearGradient></defs>'
+            '<rect width="2" height="2" fill="url(#g)"/><circle r="1" fill="url(#g)"/>'
+        )
+        message = "gradient needs exactly 2 stops, got 3"
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("UNSUPPORTED_GRADIENT", message, "svg/rect[1]"), ("UNSUPPORTED_GRADIENT", message, "svg/circle[2]")
+        ]
+        assert find_all(tree, "v:fill") == [] and len(calls) == 2
+
+    def test_a_gradient_shared_by_two_shapes_gives_equal_fills(self, monkeypatch):
+        calls = counting(monkeypatch, style, "resolve_fill_reference")
+        tree, diags = map_snippet(
+            f'<defs><linearGradient id="g">{self.STOPS.format("red", "blue")}</linearGradient></defs>'
+            '<rect width="2" height="2" fill="url(#g)"/><g><circle r="1" fill="url(#g)"/></g>'
+        )
+        assert not len(diags)
+        rect, circle = tree.children[1], tree.children[2].children[0]
+        assert rect.leaves == circle.leaves == ['<v:fill type="gradient" color="red" color2="blue" angle="270"/>']
+        assert len(calls) == 1
+
+    TEXT_PATHS = (
+        '<text font-size="10"><textPath xlink:href="#p">one</textPath></text>'
+        '<g transform="translate(3,4)"><text font-size="10"><textPath xlink:href="#p">two</textPath></text></g>'
+    )
+
+    def test_a_bad_d_named_by_two_text_paths_reports_as_the_parent_did(self, monkeypatch):
+        calls = counting(monkeypatch, mappers, "parse_path_data")
+        output, diags = convert_text(wrap_svg(f'<defs><path id="p" d="M 0 0 L 10"/></defs>{self.TEXT_PATHS}'))
+        message = "command L expects 2 coordinates"
+        assert [(d.code, d.message, d.location) for d in diags] == [
+            ("BAD_PATH", message, "svg/defs[0]/path[0]@d"),
+            ("BAD_PATH", message, "svg/text[1]@d"),
+            ("BAD_PATH", message, "svg/g[2]/text[0]@d"),
+        ]
+        assert len(calls) == 3
+        # the parent's output, captured before the memo
+        digest = "54e2167c4ce9bf278627f959e89ce3bcff66714f02bd2bacb8e0fa85e2ae0ea5"
+        assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
+
+    def test_a_path_named_by_two_text_paths_is_parsed_once(self, monkeypatch):
+        calls = counting(monkeypatch, mappers, "parse_path_data")
+        output, diags = convert_text(wrap_svg(f'<defs><path id="p" d="M 0 0 L 5 5"/></defs>{self.TEXT_PATHS}'))
+        assert not len(diags) and calls == ["M 0 0 L 5 5"]
+        digest = "f324d16d1866f4b67306033bbeb6757a34d1e857347f20e38bcda6e11dd79914"
+        assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
+
+    def test_a_path_without_an_id_is_parsed_each_time(self, monkeypatch):
+        calls = counting(monkeypatch, mappers, "parse_path_data")
+        tree, diags = map_snippet('<defs><g id="i"><path d="M 0 0 L 1 1"/></g></defs>'
+                                  '<use xlink:href="#i"/><use xlink:href="#i" fill="red"/>')
+        assert not len(diags) and len(calls) == 2
+
+    def test_two_conversions_resolve_their_own_gradients(self):
+        for colors in (("red", "blue"), ("gold", "teal")):
+            tree, diags = map_snippet(
+                f'<defs><linearGradient id="g">{self.STOPS.format(*colors)}</linearGradient>'
+                '<path id="p" d="M 0 0 L 1 1"/></defs><rect width="2" height="2" fill="url(#g)"/>'
+            )
+            assert not len(diags)
+            fill = find(tree.children[1], "v:fill").attributes
+            assert (fill["color"], fill["color2"]) == colors
+
+
+class TestMapperContext:
+    def test_derive_with_no_arguments_copies_every_slot(self):
+        ctx = make_context().at(parse_svg(wrap_svg("<g/>")).root.children[0], 0)
+        derived = ctx.derive()
+        assert derived is not ctx
+        for name in MapperContext.__slots__:
+            assert getattr(derived, name) is getattr(ctx, name)
+
+    @pytest.mark.parametrize("name", MapperContext.__slots__)
+    def test_derive_applies_each_keyword(self, name):
+        ctx = make_context()
+        value = object()
+        derived = ctx.derive(**{name: value})
+        for other in MapperContext.__slots__:
+            assert getattr(derived, other) is (value if other == name else getattr(ctx, other))
 
 
 class TestTextPath:
