@@ -64,6 +64,27 @@ def test_each_workload_given_gets_its_own_line(against_this_checkout, capsys):
     assert all(re.search(r"; working tree faster in [012] of 2$", line) for line in lines)
 
 
+def test_each_seed_given_gets_a_line_per_workload(against_this_checkout, monkeypatch, capsys):
+    built = []
+    real = ab.compare
+    monkeypatch.setattr(ab, "compare", lambda mine, theirs, corpus, rounds: built.append(
+        (corpus.workload, corpus.seed)) or real(mine, theirs, corpus, rounds))
+    status = ab.main(["--against", "REV", "--workload", "passthrough", "--workload", "long_paths",
+                      "--seed", "1", "--seed", "2", "--rounds", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    expected = [("passthrough", 1), ("passthrough", 2), ("long_paths", 1), ("long_paths", 2)]
+    assert built == expected
+    assert [line.split(",")[0] for line in lines] == [f"{workload} seed {seed}" for workload, seed in expected]
+    assert all("documents identical; time ratio over 2 rounds: median " in line for line in lines)
+
+
+def test_the_seed_defaults_to_3(against_this_checkout, monkeypatch, capsys):
+    monkeypatch.setattr(ab, "compare", lambda mine, theirs, corpus, rounds: (True, f"seed {corpus.seed}"))
+    assert ab.main(["--against", "REV", "--workload", "passthrough"]) == 0
+    assert capsys.readouterr().out == "passthrough seed 3, working tree / REV: seed 3\n"
+
+
 def test_the_workload_line_counts_the_rounds_this_checkout_won(against_this_checkout, monkeypatch, capsys):
     monkeypatch.setattr(ab, "time_ratios", lambda mine, theirs, texts, rounds: [0.9, 1.1, 0.95, 1.0, 0.8][:rounds])
     assert ab.main(["--against", "REV", "--workload", "passthrough", "--seed", "1", "--rounds", "5"]) == 0

@@ -1,6 +1,6 @@
 """A/B timing: this checkout's converter against another revision's, on perfbench workloads or from a cold start.
 
-    python tools/ab.py --against REV --workload W [--workload W2 ...] [--seed S] [--rounds N]
+    python tools/ab.py --against REV --workload W [--workload W2 ...] [--seed S [--seed S2 ...]] [--rounds N]
     python tools/ab.py --against REV --cold-start [--rounds N]
 
 REV is exported with `git archive` into a temporary directory under $TMPDIR,
@@ -11,16 +11,17 @@ each moment.  Separate benchmark runs on a shared host can differ by more
 than a small change does; one process alternating the two sides cancels
 most of that drift.
 
-Each `--workload` is timed in turn, so one command covers every workload a
-change runs through.  Its documents are the workload's perfbench corpus at
-the seed, built by perfbench/corpus.py of this checkout, which is only
+Each `--workload` is timed in turn at each `--seed` (3 when none is given),
+so one command covers every workload a change runs through and the seeds
+that check it.  The documents are the workload's perfbench corpus at the
+seed, built by perfbench/corpus.py of this checkout, which is only
 imported, and converted with the workload's own options.  First every
 document is converted once by each side: the output and the diagnostic
 strings must be identical, or the tool names the differing documents and
 skips the timing.  Then each round converts every document with both sides,
 the side that goes first alternating from document to document, and takes
 the ratio of this checkout's total time to REV's.  One line per workload
-gives the median ratio over the rounds, its quartiles and how many rounds
+and seed gives the median ratio over the rounds, its quartiles and how many rounds
 this checkout won; below 1 means this checkout is faster.
 
 `--cold-start` times what a fresh interpreter pays before its first
@@ -144,7 +145,8 @@ def main(argv=None) -> int:
                         help="a workload to time; give it once per workload")
     parser.add_argument("--cold-start", action="store_true",
                         help="time fresh interpreters that import the package and convert one tiny document")
-    parser.add_argument("--seed", type=int, default=3, help="corpus seed (default 3)")
+    parser.add_argument("--seed", type=int, action="append", default=[],
+                        help="a corpus seed; give it once per seed (default 3)")
     parser.add_argument("--rounds", type=int, default=20,
                         help="timed rounds over the corpus, or pairs of fresh interpreters (default 20)")
     args = parser.parse_args(argv)
@@ -164,9 +166,10 @@ def main(argv=None) -> int:
             theirs = load_package("svg2vml_against", Path(scratch, "src"))
             mine = load_package("svg2vml_mine", ROOT / "src")
         for workload in args.workload:
-            identical, line = compare(mine, theirs, build_corpus(workload, args.seed), args.rounds)
-            status |= not identical
-            print(f"{workload} seed {args.seed}, working tree / {args.against}: {line}", flush=True)
+            for seed in args.seed or [3]:
+                identical, line = compare(mine, theirs, build_corpus(workload, seed), args.rounds)
+                status |= not identical
+                print(f"{workload} seed {seed}, working tree / {args.against}: {line}", flush=True)
     return status
 
 
