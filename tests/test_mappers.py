@@ -769,8 +769,8 @@ class TestPerConversionMemos:
     def test_two_conversions_resolve_their_own_gradients(self):
         for colors in (("red", "blue"), ("gold", "teal")):
             tree, diags = map_snippet(
-                f'<defs><linearGradient id="g">{self.STOPS.format(*colors)}</linearGradient>'
-                '<path id="p" d="M 0 0 L 1 1"/></defs><rect width="2" height="2" fill="url(#g)"/>'
+                f'<defs><linearGradient id="g">{self.STOPS.format(*colors)}</linearGradient></defs>'
+                '<rect width="2" height="2" fill="url(#g)"/>'
             )
             assert not len(diags)
             fill = find(tree.children[1], "v:fill").attributes
