@@ -2,7 +2,7 @@
 
 from .diagnostics import Diagnostic, Diagnostics
 from .emitter import emit_vml_html, emit_xhtml_passthrough
-from .mappers import MapperContext, VmlNode, map_document
+from .mappers import VmlNode, map_document
 from .options import ConvertOptions
 from .pipeline import convert_text
 from .svg_dom import (
@@ -20,7 +20,6 @@ __all__ = [
     "ConvertOptions",
     "Diagnostic",
     "Diagnostics",
-    "MapperContext",
     "SvgDocument",
     "SvgNode",
     "VmlNode",

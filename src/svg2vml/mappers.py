@@ -19,7 +19,8 @@ parsed nodes.
 
 Each child is mapped under its own context, which `MapperContext.at` copies
 slot by slot from its parent's; the location it adds keeps the child's name
-and index, and is rendered only if a diagnostic is reported there.
+and index, and is rendered only if a diagnostic is reported there.  What the
+whole map_document call shares lives once, in its `Conversion`.
 
 VML has no reference mechanism, so a use holds a copy of its target, mapped
 under the use's context.  Each child of a defs and each use target goes
@@ -105,29 +106,38 @@ class VmlNode(TreeNode):
 class Conversion:
     """What every context of one map_document call shares.
 
-    document   the parsed document, in which references resolve
-    budget     mapper calls left; the first call past it reports EXPANSION_LIMIT
-    referring  the ids of the use targets being mapped, which a reference
-               inside them may not name again
-    deepest    the deepest level a _map_node call has reached since the copy
-               being mapped began (see _map_copy)
-    copies     each exact copy of a reference target, keyed by (target, chain
-               ops, paint): the mapped subtree, its mapper calls, and how many
-               levels below the target it reaches
-    fills      each fill reference that resolved without a report, keyed by
-               its raw fill text: its v:fill pairs (see style.Paint.extend)
-    paths      the segments of each path with an id whose d parsed without a
-               report, keyed by the id() of the path node (see map_path)
+    document     the parsed document, in which references resolve
+    diagnostics  the collector every report of the mapping goes to
+    precision    the decimal places of every number written
+    root_size    the root svg's size, which the skew-path offset rule reads;
+                 map_svg_root sets it at the document root, before any child
+                 is mapped, so it is fixed wherever a copy is mapped
+    budget       mapper calls left; the first call past it reports EXPANSION_LIMIT
+    referring    the ids of the use targets being mapped, which a reference
+                 inside them may not name again
+    deepest      the deepest level a _map_node call has reached since the copy
+                 being mapped began (see _map_copy)
+    copies       each exact copy of a reference target, keyed by (target, chain
+                 ops, paint): the mapped subtree, its mapper calls, and how many
+                 levels below the target it reaches
+    fills        each fill reference that resolved without a report, keyed by
+                 its raw fill text: its v:fill pairs (see style.Paint.extend)
+    paths        the segments of each path with an id whose d parsed without a
+                 report, keyed by the id() of the path node (see map_path)
 
     fills and paths, like copies, keep only results that reported nothing, so
     a fault is computed and reported again wherever it recurs.
     """
 
-    __slots__ = ("document", "budget", "referring", "deepest", "copies", "fills", "paths")
+    __slots__ = ("document", "diagnostics", "precision", "root_size", "budget", "referring", "deepest", "copies",
+                 "fills", "paths")
 
-    def __init__(self, document: SvgDocument, budget: int):
+    def __init__(self, document: SvgDocument, diagnostics: Diagnostics, precision: int):
         self.document = document
-        self.budget = budget
+        self.diagnostics = diagnostics
+        self.precision = precision
+        self.root_size = (0.0, 0.0)
+        self.budget = expansion_budget(document.elements)
         self.referring: set[str] = set()
         self.deepest = 0
         self.copies: dict[tuple, tuple[VmlNode | None, int, int]] = {}
@@ -136,21 +146,15 @@ class Conversion:
 
 
 class MapperContext:
-    """What mapping one element reads from its place in the tree.
+    """What mapping one element reads from its place in the tree; the rest is its conversion's.
 
-    A context is never changed once made: `at` and `derive` copy it.
+    A context is never changed once made: `at` copies it for a child.
     """
 
-    __slots__ = ("document", "root_size", "options", "diagnostics", "conversion", "paint", "chain", "location",
-                 "depth")
+    __slots__ = ("conversion", "paint", "chain", "location", "depth")
 
-    def __init__(self, document: SvgDocument, root_size: tuple[float, float], options: ConvertOptions,
-                 diagnostics: Diagnostics, conversion: Conversion, paint: Paint = NO_PAINT,
-                 chain: Chain = EMPTY_CHAIN, location: LocationLike = "svg", depth: int = 1):
-        self.document = document
-        self.root_size = root_size
-        self.options = options
-        self.diagnostics = diagnostics
+    def __init__(self, conversion: Conversion, paint: Paint = NO_PAINT, chain: Chain = EMPTY_CHAIN,
+                 location: LocationLike = "svg", depth: int = 1):
         self.conversion = conversion  # one per document, shared by every context
         self.paint = paint  # what the enclosing groups hand down
         self.chain = chain
@@ -164,10 +168,6 @@ class MapperContext:
         __init__, and its location keeps the step unrendered.
         """
         derived = object.__new__(MapperContext)
-        derived.document = self.document
-        derived.root_size = self.root_size
-        derived.options = self.options
-        derived.diagnostics = self.diagnostics
         derived.conversion = self.conversion
         derived.paint = self.paint
         derived.chain = self.chain
@@ -175,27 +175,9 @@ class MapperContext:
         derived.depth = self.depth + 1
         return derived
 
-    def derive(self, *, document=None, root_size=None, options=None, diagnostics=None, conversion=None,
-               paint=None, chain=None, location=None, depth=None) -> "MapperContext":
-        """A copy with the given slots changed; a slot given as None (the default) is kept.
-
-        Assigns each slot by name, as `at` does; no slot takes None as a value.
-        """
-        derived = object.__new__(MapperContext)
-        derived.document = self.document if document is None else document
-        derived.root_size = self.root_size if root_size is None else root_size
-        derived.options = self.options if options is None else options
-        derived.diagnostics = self.diagnostics if diagnostics is None else diagnostics
-        derived.conversion = self.conversion if conversion is None else conversion
-        derived.paint = self.paint if paint is None else paint
-        derived.chain = self.chain if chain is None else chain
-        derived.location = self.location if location is None else location
-        derived.depth = self.depth if depth is None else depth
-        return derived
-
 
 def _fmt(ctx: MapperContext, value: float) -> str:
-    return format_number(value, ctx.options.precision)
+    return format_number(value, ctx.conversion.precision)
 
 
 def _attribute_location(ctx: MapperContext, name: str) -> Location:
@@ -209,7 +191,7 @@ def _length(ctx: MapperContext, node: SvgNode, name: str) -> float | None:
     # A bare number, the common case, needs no location and no normalising.
     value = read_number(raw)
     if value is None:
-        value = parse_length(raw, ctx.diagnostics, _attribute_location(ctx, name))
+        value = parse_length(raw, ctx.conversion.diagnostics, _attribute_location(ctx, name))
     return value
 
 
@@ -219,7 +201,7 @@ def _font_size(ctx: MapperContext, node: SvgNode) -> float | None:
     size = _length(ctx, node, "font-size")
     if size is not None and size < 0.0:
         message = f"font-size {node.attributes['font-size']!r} is negative"
-        ctx.diagnostics.warning("BAD_ATTRIBUTE", message, _attribute_location(ctx, "font-size"))
+        ctx.conversion.diagnostics.warning("BAD_ATTRIBUTE", message, _attribute_location(ctx, "font-size"))
         return None
     return size
 
@@ -229,7 +211,7 @@ def _effective_chain(node: SvgNode, ctx: MapperContext) -> Chain:
     own_raw = node.attributes.get("transform")
     if own_raw is None:
         return ctx.chain
-    own = parse_transform_list(own_raw, ctx.diagnostics, _attribute_location(ctx, "transform"))
+    own = parse_transform_list(own_raw, ctx.conversion.diagnostics, _attribute_location(ctx, "transform"))
     return ctx.chain.extend(own)
 
 
@@ -252,7 +234,7 @@ def _write_box(ctx: MapperContext, mapped: VmlNode, left: float | None, top: flo
 
     The one place a mapper writes an element's position and size.
     """
-    precision = ctx.options.precision
+    precision = ctx.conversion.precision
     box = {}
     if left is not None:
         box["left"] = format_number(left, precision)
@@ -277,7 +259,7 @@ def _report_ignored(node: SvgNode, ctx: MapperContext, names: tuple[str, ...], o
     for name in names:
         if name in node.attributes:
             message = f"{name} on {owner} has no VML mapping and is ignored"
-            ctx.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
+            ctx.conversion.diagnostics.warning("UNSUPPORTED_ATTRIBUTE", message, ctx.location)
 
 
 def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, ...] = INHERITED) -> None:
@@ -287,7 +269,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
     in the paint's order; a "none" fill or stroke sets filled or stroked to
     "f" instead.  Opacity becomes an alpha filter.
     """
-    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location, names)
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.location, names)
     leaves = shape.leaves
     stroke = None
     for name, mapped in paint.values.items():
@@ -304,7 +286,7 @@ def _paint(node: SvgNode, ctx: MapperContext, shape: VmlNode, names: tuple[str, 
     if stroke is not None:
         leaves.insert(stroke_at, vml_leaf("v:stroke", stroke))
     if paint.opacity is not None:
-        _append_filter(shape, alpha_filter(paint.opacity, ctx.options.precision))
+        _append_filter(shape, alpha_filter(paint.opacity, ctx.conversion.precision))
 
 
 # --- transform simulation ----------------------------------------------------
@@ -327,14 +309,15 @@ def _place(node: SvgNode, ctx: MapperContext, mapped: VmlNode | None) -> Placeme
         get = mapped.style.get
         box = (float(get("left", 0)), float(get("top", 0)), float(get("width", 0)), float(get("height", 0)))
     strategy = STRATEGY_BY_TAG[node.tag]
-    return place(strategy, chain, box, ctx.root_size, ctx.options.precision, ctx.diagnostics, ctx.location)
+    conversion = ctx.conversion
+    return place(strategy, chain, box, conversion.root_size, conversion.precision, conversion.diagnostics, ctx.location)
 
 
 def _finite(ctx: MapperContext, message: str, *values: float) -> bool:
     """True when every value is finite; otherwise reports message as a DEGENERATE_SHAPE error."""
     if all(map(math.isfinite, values)):
         return True
-    ctx.diagnostics.error("DEGENERATE_SHAPE", message, ctx.location)
+    ctx.conversion.diagnostics.error("DEGENERATE_SHAPE", message, ctx.location)
     return False
 
 
@@ -362,7 +345,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
     raw_box = node.attributes.get("viewBox")
     box = (
-        parse_view_box(raw_box, ctx.diagnostics, _attribute_location(ctx, "viewBox"))
+        parse_view_box(raw_box, ctx.conversion.diagnostics, _attribute_location(ctx, "viewBox"))
         if raw_box is not None
         else None
     )
@@ -371,7 +354,7 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
         group.attributes["coordsize"] = f"{_fmt(ctx, box.width)},{_fmt(ctx, box.height)}"
     else:
         if raw_box is None:
-            ctx.diagnostics.warning(
+            ctx.conversion.diagnostics.warning(
                 "MISSING_VIEWBOX", "svg has no viewBox; coordinate system defaults", ctx.location
             )
         group.attributes["coordorigin"] = "0,0"
@@ -379,20 +362,19 @@ def map_svg_root(node: SvgNode, ctx: MapperContext) -> VmlNode:
             group.attributes["coordsize"] = f"{_fmt(ctx, width)},{_fmt(ctx, height)}"
 
     _write_box(ctx, group, None, None, width, height)
-    if node is ctx.document.root:
+    if node is ctx.conversion.document.root:
         # The skew-path offset rule reads the root size: width and height,
         # else the viewBox size, else 0.
         box_width, box_height = (box.width, box.height) if box is not None else (0.0, 0.0)
-        root_size = (box_width if width is None else width, box_height if height is None else height)
-        ctx = ctx.derive(root_size=root_size)
+        ctx.conversion.root_size = (box_width if width is None else width, box_height if height is None else height)
     _map_children(node, ctx, group)
     return group
 
 
 def _group_context(node: SvgNode, ctx: MapperContext) -> MapperContext:
     """The context of a g's or an a's children: its inheritable paint and transform pushed down."""
-    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location)
-    return ctx.derive(paint=paint, chain=_effective_chain(node, ctx))
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.location)
+    return MapperContext(ctx.conversion, paint, _effective_chain(node, ctx), ctx.location, ctx.depth)
 
 
 def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
@@ -404,7 +386,7 @@ def map_g(node: SvgNode, ctx: MapperContext) -> VmlNode:
 
 def map_rect(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """rect -> v:roundrect; rx/ry become the arcsize rounding ratio."""
-    mark = len(ctx.diagnostics)
+    mark = len(ctx.conversion.diagnostics)
     width = _length(ctx, node, "width")
     height = _length(ctx, node, "height")
     if width is None or height is None or width <= 0 or height <= 0:
@@ -436,13 +418,13 @@ def map_rect(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
 
 def _report_degenerate(ctx: MapperContext, mark: int, message: str) -> None:
     """A DEGENERATE_SHAPE warning, unless a length or point list read after mark was already reported."""
-    if len(ctx.diagnostics) == mark:
-        ctx.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
+    if len(ctx.conversion.diagnostics) == mark:
+        ctx.conversion.diagnostics.warning("DEGENERATE_SHAPE", message, ctx.location)
 
 
 def map_oval(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """circle/ellipse -> v:oval with left/top/width/height derived from cx, cy and r or rx, ry."""
-    mark = len(ctx.diagnostics)
+    mark = len(ctx.conversion.diagnostics)
     if node.tag == "circle":
         rx = ry = _length(ctx, node, "r")
         missing = "circle without r; skipped"
@@ -454,7 +436,7 @@ def map_oval(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
         _report_degenerate(ctx, mark, missing)
         return None
     if rx < 0 or ry < 0:
-        ctx.diagnostics.error("DEGENERATE_SHAPE", "negative radius", ctx.location)
+        ctx.conversion.diagnostics.error("DEGENERATE_SHAPE", "negative radius", ctx.location)
         return None
     cx = _length(ctx, node, "cx") or 0.0
     cy = _length(ctx, node, "cy") or 0.0
@@ -476,8 +458,8 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     if node.tag == "line":
         coords = [_length(ctx, node, name) or 0.0 for name in ("x1", "y1", "x2", "y2")]
     else:
-        mark = len(ctx.diagnostics)
-        coords = parse_points(node.attributes.get("points", ""), ctx.diagnostics, ctx.location)
+        mark = len(ctx.conversion.diagnostics)
+        coords = parse_points(node.attributes.get("points", ""), ctx.conversion.diagnostics, ctx.location)
         if len(coords) < 4:
             _report_degenerate(ctx, mark, f"{node.tag} needs at least 2 points; skipped")
             return None
@@ -487,11 +469,11 @@ def map_poly(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     if chain.ops:
         # The coordinates as read are finite, so only the transform can overflow
         # and the untransformed path needs no check.
-        path = _points_path(recalc_points(chain.ctm, coords), closed, ctx.options.precision)
+        path = _points_path(recalc_points(chain.ctm, coords), closed, ctx.conversion.precision)
         if is_finite_path(path):
             return _path_shape(node, ctx, path)
-        ctx.diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, ctx.location)
-    return _path_shape(node, ctx, _points_path(coords, closed, ctx.options.precision))
+        ctx.conversion.diagnostics.error("BAD_TRANSFORM", OVERFLOW_IGNORED, ctx.location)
+    return _path_shape(node, ctx, _points_path(coords, closed, ctx.conversion.precision))
 
 
 def _points_path(coords: list[float], closed: bool, precision: int) -> str:
@@ -510,31 +492,32 @@ def _path_shape(node: SvgNode, ctx: MapperContext, path: str) -> VmlNode:
 
 def map_path(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     """path -> v:shape; the d attribute is normalized to absolute commands."""
+    diagnostics = ctx.conversion.diagnostics
     d = node.attributes.get("d")
     if d is None:
-        ctx.diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
+        diagnostics.warning("DEGENERATE_SHAPE", "path without d; skipped", ctx.location)
         return None
     # A path with an id, which a textPath or a use can name, is parsed once per
     # conversion; a d that reported anything is parsed, and reported, again.
     paths = ctx.conversion.paths
     segments = paths.get(id(node))
     if segments is None:
-        mark = len(ctx.diagnostics)
-        segments = parse_path_data(d, ctx.diagnostics, _attribute_location(ctx, "d"))
-        if len(ctx.diagnostics) > mark:
+        mark = len(diagnostics)
+        segments = parse_path_data(d, diagnostics, _attribute_location(ctx, "d"))
+        if len(diagnostics) > mark:
             return None
         if "id" in node.attributes:
             paths[id(node)] = segments
     if not segments:
-        ctx.diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
+        diagnostics.warning("DEGENERATE_SHAPE", "path with empty d; skipped", ctx.location)
         return None
 
     placed = _place(node, ctx, None)
     origin, skew = (placed.origin, placed.skew) if placed is not None else (None, None)
     dx, dy = origin or (0.0, 0.0)
-    path = emit_vml_path(to_absolute(segments, dx, dy), ctx.options.precision)
+    path = emit_vml_path(to_absolute(segments, dx, dy), ctx.conversion.precision)
     if not is_finite_path(path):
-        ctx.diagnostics.error("BAD_PATH", "path coordinates overflow to a non-finite value; skipped", ctx.location)
+        diagnostics.error("BAD_PATH", "path coordinates overflow to a non-finite value; skipped", ctx.location)
         return None
     shape = _path_shape(node, ctx, path)
     if skew is not None:
@@ -561,7 +544,8 @@ def map_text(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
             font_size = 16.0
             # An unreadable font-size was reported where it was read.
             if node.attributes.get("font-size") is None:
-                ctx.diagnostics.warning("DEFAULT_FONT_SIZE", "text without font-size; assuming 16", ctx.location)
+                message = "text without font-size; assuming 16"
+                ctx.conversion.diagnostics.warning("DEFAULT_FONT_SIZE", message, ctx.location)
         top -= font_size
         if not _finite(ctx, "top overflows to a non-finite value; skipped", top):
             return None
@@ -586,7 +570,7 @@ def map_text_path(
     if target is None:
         return None
     if target.tag != "path":
-        ctx.diagnostics.error(
+        ctx.conversion.diagnostics.error(
             "DANGLING_REF", "textPath reference is not a path element", ctx.location
         )
         return None
@@ -635,10 +619,10 @@ def map_use(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     _write_box(ctx, div, *(_length(ctx, node, name) for name in ("x", "y", "width", "height")))
     _report_ignored(node, ctx, ("transform",), "a use")
     # Read before the reference, so a paint fault is reported whether or not it resolves.
-    paint = ctx.paint.extend(node, ctx.conversion, ctx.options.precision, ctx.diagnostics, ctx.location)
+    paint = ctx.paint.extend(node, ctx.conversion, ctx.location)
 
     if _href(node) is None:
-        ctx.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
+        ctx.conversion.diagnostics.warning("MISSING_HREF", "use without a reference", ctx.location)
         return div
     target = _resolve_reference(node, ctx)
     if target is None:
@@ -646,7 +630,7 @@ def map_use(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
     ref_id = target.attributes.get("id") or ""
     referring = ctx.conversion.referring
     referring.add(ref_id)
-    mapped = _map_copy(target, ctx.derive(paint=paint, depth=ctx.depth + 1))
+    mapped = _map_copy(target, MapperContext(ctx.conversion, paint, ctx.chain, ctx.location, ctx.depth + 1))
     referring.discard(ref_id)
     if mapped is not None:
         div.children.append(mapped)
@@ -661,15 +645,15 @@ def _href(node: SvgNode) -> str | None:
 def _resolve_reference(node: SvgNode, ctx: MapperContext) -> SvgNode | None:
     raw = _href(node)
     if raw is None or not raw.startswith("#"):
-        ctx.diagnostics.error("DANGLING_REF", f"unresolvable reference {raw!r}", ctx.location)
+        ctx.conversion.diagnostics.error("DANGLING_REF", f"unresolvable reference {raw!r}", ctx.location)
         return None
     ref_id = raw[1:]
     if ref_id in ctx.conversion.referring:
-        ctx.diagnostics.error("DANGLING_REF", f"circular reference to #{ref_id}", ctx.location)
+        ctx.conversion.diagnostics.error("DANGLING_REF", f"circular reference to #{ref_id}", ctx.location)
         return None
-    target = ctx.document.id_index.get(ref_id)
+    target = ctx.conversion.document.id_index.get(ref_id)
     if target is None:
-        ctx.diagnostics.error("DANGLING_REF", f"no element with id {ref_id!r}", ctx.location)
+        ctx.conversion.diagnostics.error("DANGLING_REF", f"no element with id {ref_id!r}", ctx.location)
         return None
     return target
 
@@ -679,7 +663,7 @@ def map_anchor(node: SvgNode, ctx: MapperContext) -> VmlNode:
     anchor = _new(node, "a")
     href = _href(node)
     if href is None:
-        ctx.diagnostics.warning("MISSING_HREF", "anchor without a link target", ctx.location)
+        ctx.conversion.diagnostics.warning("MISSING_HREF", "anchor without a link target", ctx.location)
     else:
         anchor.attributes["href"] = href
     if node.text and node.text.strip():
@@ -712,9 +696,9 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
         conversion.deepest = depth
     if depth > MAX_DEPTH:
         # Parsing caps the tree, but use targets stack their depth on the use's.
-        if not ctx.diagnostics.has_code("TOO_DEEP"):
+        if not conversion.diagnostics.has_code("TOO_DEEP"):
             message = f"elements nest deeper than {MAX_DEPTH} levels through use; the deeper ones are skipped"
-            ctx.diagnostics.error("TOO_DEEP", message, ctx.location)
+            conversion.diagnostics.error("TOO_DEEP", message, ctx.location)
         return None
     mapper = _MAPPERS.get(node.tag)
     if mapper is not None:
@@ -722,15 +706,15 @@ def _map_node(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
         if conversion.budget >= 0:
             return mapper(node, ctx)
         if conversion.budget == -1:
-            budget = expansion_budget(ctx.document.elements)
+            budget = expansion_budget(conversion.document.elements)
             message = f"use copies map more than {budget} elements; the rest are skipped"
-            ctx.diagnostics.error("EXPANSION_LIMIT", message, ctx.location)
+            conversion.diagnostics.error("EXPANSION_LIMIT", message, ctx.location)
         return None
     # Gradients and stops show through the fills that reference them, and
     # parsing already reported unknown elements; an orphaned textPath
     # (outside a text parent) is the one element skipped here.
     if node.tag == "textPath":
-        ctx.diagnostics.warning(
+        conversion.diagnostics.warning(
             "SKIPPED_ELEMENT", f"element <{node.name}> has no mapping; skipped", ctx.location
         )
     return None
@@ -760,11 +744,11 @@ def _map_copy(node: SvgNode, ctx: MapperContext) -> VmlNode | None:
             if depth + span > conversion.deepest:
                 conversion.deepest = depth + span
             return mapped
-    reported, budget, deepest = len(ctx.diagnostics), conversion.budget, conversion.deepest
+    reported, budget, deepest = len(conversion.diagnostics), conversion.budget, conversion.deepest
     conversion.deepest = depth
     mapped = _map_node(node, ctx)
     reached = conversion.deepest
-    if reached <= MAX_DEPTH and conversion.budget >= 0 and len(ctx.diagnostics) == reported:
+    if reached <= MAX_DEPTH and conversion.budget >= 0 and len(conversion.diagnostics) == reported:
         conversion.copies[key] = (mapped, budget - conversion.budget, reached - depth)
     if deepest > reached:
         conversion.deepest = deepest
@@ -786,13 +770,6 @@ def map_document(
     diagnostics: Diagnostics | None = None,
 ) -> tuple[VmlNode, Diagnostics]:
     """Translate a parsed document into its VML/HTML counterpart tree."""
-    options = options or ConvertOptions()
     diagnostics = diagnostics if diagnostics is not None else doc.diagnostics
-    ctx = MapperContext(
-        document=doc,
-        root_size=(0.0, 0.0),  # map_svg_root sets it from the root's size
-        options=options,
-        diagnostics=diagnostics,
-        conversion=Conversion(doc, expansion_budget(doc.elements)),
-    )
-    return map_svg_root(doc.root, ctx), diagnostics
+    conversion = Conversion(doc, diagnostics, (options or ConvertOptions()).precision)
+    return map_svg_root(doc.root, MapperContext(conversion)), diagnostics

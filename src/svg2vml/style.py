@@ -115,14 +115,16 @@ class Paint:
         self.values = values
         self.opacity = opacity
 
-    def extend(self, node: SvgNode, conversion: Conversion, precision: int, diagnostics: Diagnostics,
-               location: LocationLike, names: tuple[str, ...] = INHERITED) -> "Paint":
+    def extend(self, node: SvgNode, conversion: Conversion, location: LocationLike,
+               names: tuple[str, ...] = INHERITED) -> "Paint":
         """This paint extended by node's own properties among names, each parsed and reported here.
 
         names is INHERITED or an ordered part of it.  Own values come first, in
         document order, then inherited ones; fill-opacity is reported before opacity.
-        A fill reference resolves in conversion's document, through its fills.
+        Values are written at conversion's precision and reported to its
+        collector; a fill reference resolves in its document, through its fills.
         """
+        diagnostics = conversion.diagnostics
         values = {}
         own_opacity = None
         for name, raw in node.attributes.items():
@@ -143,7 +145,7 @@ class Paint:
                 else:
                     values[name] = (("color", raw),)
             else:
-                values[name] = map_stroke_attribute(name, raw, precision, diagnostics, location)
+                values[name] = map_stroke_attribute(name, raw, conversion.precision, diagnostics, location)
         if "fill-opacity" in node.attributes:
             diagnostics.warning("UNSUPPORTED_ATTRIBUTE", "fill-opacity has no VML mapping and is ignored", location)
         opacity = self.opacity

@@ -8,7 +8,7 @@ from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import Conversion, MapperContext, VmlNode, map_document
 from svg2vml.options import ConvertOptions
-from svg2vml.svg_dom import SvgNode, expansion_budget, parse_points, parse_svg
+from svg2vml.svg_dom import SvgNode, parse_points, parse_svg
 from svg2vml.transform import (
     DISTRIBUTE,
     EMPTY_CHAIN,
@@ -100,17 +100,12 @@ def map_snippet(body: str, options: ConvertOptions = None, **wrap_kwargs):
     return tree, diagnostics
 
 
-def make_context(**overrides) -> MapperContext:
+def make_context() -> MapperContext:
+    """The root context of an empty 800 by 800 document, its root size set as map_svg_root sets it."""
     doc = parse_svg(wrap_svg(""))
-    defaults = dict(
-        document=doc,
-        root_size=(800.0, 800.0),
-        options=ConvertOptions(),
-        diagnostics=doc.diagnostics,
-        conversion=Conversion(doc, expansion_budget(doc.elements)),
-    )
-    defaults.update(overrides)
-    return MapperContext(**defaults)
+    conversion = Conversion(doc, doc.diagnostics, ConvertOptions().precision)
+    conversion.root_size = (800.0, 800.0)
+    return MapperContext(conversion)
 
 
 def read_ops(text: str) -> list[tuple]:

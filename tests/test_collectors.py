@@ -4,7 +4,8 @@ A conversion has one Diagnostics collector: `pipeline.convert_text` makes
 it, or `svg_dom.parse_svg` when called alone, and every reader below takes
 it and the location of what it reads as required arguments.  A reader with
 a private fallback collector would drop its faults unseen, so the source
-holds no other construction.
+holds no other construction.  `mappers.map_document` reaches the collector
+it is given through its `Conversion`, on every route a mapping report takes.
 """
 
 import ast
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from svg2vml.diagnostics import Diagnostics
+from svg2vml.mappers import map_document
+from svg2vml.options import ConvertOptions
 from svg2vml.path_data import parse_path_data
 from svg2vml.style import map_stroke_attribute, resolve_fill_reference, resolve_gradient
 from svg2vml.svg_dom import parse_length, parse_points, parse_svg, parse_view_box
@@ -81,3 +84,31 @@ def test_only_the_pipeline_and_the_parser_make_a_collector():
         maker for path in sorted(SRC.glob("*.py")) for maker in _makers(ast.parse(path.read_text()), path.stem)
     ]
     assert makers == ["pipeline.convert_text", "svg_dom.parse_svg"]
+
+
+
+# One element per route by which mapping reports into the conversion's
+# collector (_length, Paint.extend, place, map_path, map_use twice and
+# parse_points), with the report it gives; the root's own is MISSING_VIEWBOX.
+MAPPING_FAULTS = [
+    ('<rect width="1em" height="1"/>', "UNSUPPORTED_UNIT", "svg/rect[1]@width"),
+    ('<rect width="1" height="1" fill="url(#missing)"/>', "DANGLING_REF", "svg/rect[2]"),
+    ('<rect width="1" height="1" transform="matrix(1 2 3 4 5 6)"/>', "UNSUPPORTED_TRANSFORM", "svg/rect[3]"),
+    ('<path d="M 0 0 B 1 2"/>', "BAD_PATH", "svg/path[4]@d"),
+    ('<use xlink:href="#missing"/>', "DANGLING_REF", "svg/use[5]"),
+    ("<use/>", "MISSING_HREF", "svg/use[6]"),
+    ('<polyline points="0,0 1,1 2"/>', "BAD_POINTS", "svg/polyline[7]"),
+]
+
+
+def test_map_document_reports_into_the_given_collector_only():
+    body = "".join(element for element, _, _ in MAPPING_FAULTS)
+    doc = parse_svg(f'<svg xmlns:xlink="http://www.w3.org/1999/xlink"><bogus/>{body}</svg>')
+    parsed = list(doc.diagnostics)
+    assert [d.code for d in parsed] == ["UNKNOWN_ELEMENT"]
+    other = Diagnostics()
+    assert map_document(doc, ConvertOptions(), other)[1] is other
+    assert list(doc.diagnostics) == parsed
+    assert [(d.code, d.location) for d in other] == [
+        ("MISSING_VIEWBOX", "svg"), *((code, location) for _, code, location in MAPPING_FAULTS)
+    ]

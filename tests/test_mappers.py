@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import ctm_of, find, find_all, find_one, make_context, map_snippet, read_ops, wrap_svg
+from conftest import ctm_of, find, find_all, find_one, map_snippet, read_ops, wrap_svg
 from svg2vml import ConvertOptions, convert_text, mappers, style, transform
 from svg2vml.diagnostics import Diagnostics
-from svg2vml.mappers import _MAPPERS, MapperContext, map_document
+from svg2vml.mappers import _MAPPERS, map_document
 from svg2vml.numeric import format_number, read_number
 from svg2vml.style import STROKE_TABLE
 from svg2vml.svg_dom import IMPLEMENTED_TAGS, parse_svg
@@ -775,23 +775,6 @@ class TestPerConversionMemos:
             assert not len(diags)
             fill = find(tree.children[1], "v:fill").attributes
             assert (fill["color"], fill["color2"]) == colors
-
-
-class TestMapperContext:
-    def test_derive_with_no_arguments_copies_every_slot(self):
-        ctx = make_context().at(parse_svg(wrap_svg("<g/>")).root.children[0], 0)
-        derived = ctx.derive()
-        assert derived is not ctx
-        for name in MapperContext.__slots__:
-            assert getattr(derived, name) is getattr(ctx, name)
-
-    @pytest.mark.parametrize("name", MapperContext.__slots__)
-    def test_derive_applies_each_keyword(self, name):
-        ctx = make_context()
-        value = object()
-        derived = ctx.derive(**{name: value})
-        for other in MapperContext.__slots__:
-            assert getattr(derived, other) is (value if other == name else getattr(ctx, other))
 
 
 class TestTextPath:

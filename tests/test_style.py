@@ -8,7 +8,7 @@ from svg2vml.style import (
     resolve_fill_reference,
     resolve_gradient,
 )
-from svg2vml.svg_dom import expansion_budget, parse_svg
+from svg2vml.svg_dom import parse_svg
 
 
 def gradient_node(body: str, attrs: str = ""):
@@ -27,8 +27,7 @@ def gradient_fill(color: str, color2: str, angle: str) -> dict:
 def alpha(value: float, diags) -> float:
     """The opacity in the alpha filter written for value, read through the paint fold."""
     doc = parse_svg(f'<svg><rect opacity="{value}"/></svg>')
-    conversion = Conversion(doc, expansion_budget(doc.elements))
-    text = alpha_filter(NO_PAINT.extend(doc.root.children[0], conversion, 6, diags, "").opacity, 6)
+    text = alpha_filter(NO_PAINT.extend(doc.root.children[0], Conversion(doc, diags, 6), "").opacity, 6)
     prefix = "progid:DXImageTransform.Microsoft.Alpha(opacity="
     assert text.startswith(prefix) and text.endswith(")")
     return float(text[len(prefix):-1])
