@@ -146,3 +146,41 @@ def test_classify_a_repeated_line():
     line = "warning DUPLICATE_ID: duplicate id 'a'; first occurrence wins"
     classes = differential.classify(results(lines=[line]), results(lines=[line, line]))
     assert list(classes) == ["repeats"]
+
+
+def changed_at(*settings, digest="bbbb", lines=()):
+    """results("aaaa"), with the run given at each setting named."""
+    return [[digest, list(lines)] if name in settings else ["aaaa", []] for name in differential.SETTING_NAMES]
+
+
+def test_class_settings_name_each_setting_a_class_occurs_at():
+    came = "warning UNSUPPORTED_ATTRIBUTE: fill on a text has no VML mapping and is ignored @svg/text[0]"
+    new = changed_at("xhtml", "xhtml+strict")
+    new[differential.SETTING_NAMES.index("pretty")] = ["aaaa", [came]]
+    assert differential.class_settings(results("aaaa"), new) == {
+        "bytes": ["xhtml", "xhtml+strict"], "+UNSUPPORTED_ATTRIBUTE": ["pretty"],
+    }
+
+
+def test_class_settings_of_a_class_at_strict_settings_only():
+    first = "error UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]"
+    second = "error UNSUPPORTED_UNIT: unsupported length unit 'em' in '1em' @svg/rect[1]@width"
+    settings = differential.class_settings(results(strict=[None, [first]]), results(strict=[None, [first, second]]))
+    assert settings == {"strict +UNSUPPORTED_UNIT": [name for name in differential.SETTING_NAMES if name.endswith("+strict")]}
+
+
+def test_each_class_line_counts_the_settings_it_occurs_at(monkeypatch, capsys):
+    documents = [("drawing", "drawing-0", "a"), ("drawing", "drawing-1", "b"), ("transforms", "transforms-2", "c")]
+    theirs = [results("aaaa")] * 3
+    mine = [results("aaaa"), changed_at("xhtml"), changed_at("xhtml", "xhtml+strict")]
+    monkeypatch.setattr(differential, "build_documents", lambda seed, count: documents)
+    monkeypatch.setattr(differential, "export", lambda revision, directory: None)
+    monkeypatch.setattr(differential, "convert_all", lambda checkout, texts: mine if checkout == differential.ROOT else theirs)
+    assert differential.main(["--against", "REV"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "  drawing: 1 of 2 differ",
+        "  transforms: 1 of 1 differ",
+        "class bytes: 2 (drawing 1, transforms 1) at xhtml 2, xhtml+strict 1",
+        "  e.g. drawing-1 at xhtml: output aaaa -> bbbb",
+    ]

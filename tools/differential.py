@@ -20,8 +20,8 @@ A document differs when, at any setting, the output bytes, the full
 diagnostic text or the exception raised differs.  The report counts the
 differing documents of each family, then lists the documents under each
 class of difference they show (see `classify`), with the families they
-come from and one example.  The exit status is 1 when any document
-differs.
+come from, the settings the class occurs at (see `class_settings`) and one
+example.  The exit status is 1 when any document differs.
 
 The ledger, tests/golden/ledger.txt, pins this checkout's digests of the
 first 2,000 seed-1 fragments (the copies family only its first 40; see
@@ -524,6 +524,17 @@ def classify(old: list, new: list) -> dict[str, str]:
     return {f"strict {kind}": example for kind, example in strict.items()}
 
 
+def class_settings(old: list, new: list) -> dict[str, list[str]]:
+    """The settings at which each class of `classify(old, new)` occurs: those
+    whose own runs show it, strict ones included, so a class found at the
+    lenient settings also names the strict settings it reaches."""
+    found: dict[str, list[str]] = defaultdict(list)
+    for run in zip(SETTING_NAMES, old, new):
+        for kind in _classes([run]):
+            found[kind].append(run[0])
+    return {kind: found[kind.removeprefix("strict ")] for kind in classify(old, new)}
+
+
 def _classes(runs: list) -> dict[str, str]:
     classes: dict[str, str] = {}
     for setting, a, b in runs:
@@ -582,12 +593,16 @@ def main(argv=None) -> int:
     totals: dict[str, int] = defaultdict(int)
     differing: dict[str, int] = defaultdict(int)
     classes: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
+    settings: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
     for (family, name, _), old, new in zip(documents, theirs, mine):
         totals[family] += 1
         if old != new:
             differing[family] += 1
+            at = class_settings(old, new)
             for kind, example in classify(old, new).items():
                 classes[kind].append((family, name, example))
+                for setting in at[kind]:
+                    settings[kind][setting] += 1
     print(f"{len(documents)} documents x {len(SETTING_NAMES)} settings, {args.against} -> {args.mine or 'working tree'}")
     for family, total in totals.items():
         print(f"  {family}: {differing[family]} of {total} differ")
@@ -595,7 +610,8 @@ def main(argv=None) -> int:
         families = defaultdict(int)
         for family, _, _ in cases:
             families[family] += 1
-        print(f"class {kind}: {len(cases)} ({', '.join(f'{f} {n}' for f, n in families.items())})")
+        at = ", ".join(f"{setting} {settings[kind][setting]}" for setting in SETTING_NAMES if setting in settings[kind])
+        print(f"class {kind}: {len(cases)} ({', '.join(f'{f} {n}' for f, n in families.items())}) at {at}")
         print(f"  e.g. {cases[0][1]} at {cases[0][2]}")
     return 1 if classes else 0
 
