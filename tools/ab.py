@@ -16,13 +16,14 @@ so one command covers every workload a change runs through and the seeds
 that check it.  The documents are the workload's perfbench corpus at the
 seed, built by perfbench/corpus.py of this checkout, which is only
 imported, and converted with the workload's own options.  First every
-document is converted once by each side: the output and the diagnostic
-strings must be identical, or the tool names the differing documents and
-skips the timing.  Then each round converts every document with both sides,
-the side that goes first alternating from document to document, and takes
-the ratio of this checkout's total time to REV's.  One line per workload
-and seed gives the median ratio over the rounds, its quartiles and how many rounds
-this checkout won; below 1 means this checkout is faster.
+document is converted once by each side, to compare the output and the
+diagnostic strings.  Then each round converts every document with both
+sides, the side that goes first alternating from document to document, and
+takes the ratio of this checkout's total time to REV's.  One line per
+workload and seed gives the median ratio over the rounds, its quartiles and
+how many rounds this checkout won; below 1 means this checkout is faster.
+When any document differs, as in a behaviour change's commit, the line
+names the differing documents first and then gives the same timing.
 
 `--cold-start` times what a fresh interpreter pays before its first
 conversion instead, which no in-process timing can see.  Each round is a
@@ -91,18 +92,17 @@ def time_ratios(mine, theirs, texts: list[str], rounds: int) -> list[float]:
 
 
 def compare(mine_package, theirs_package, corpus, rounds: int) -> tuple[bool, str]:
-    """Whether one workload's documents are identical, and its line: the differing ones or the time ratio."""
+    """Whether one workload's documents are identical, and its line: the differing ones, if any, and the time ratio."""
     texts = [doc.text for doc in corpus.documents]
     mine, theirs = converter(mine_package, corpus), converter(theirs_package, corpus)
     differing = [doc.doc_id for doc, text in zip(corpus.documents, texts) if mine(text) != theirs(text)]
-    if differing:
-        return False, (f"{len(differing)} of {len(texts)} documents differ in output or diagnostics, "
-                       f"e.g. {', '.join(differing[:5])}")
+    documents = (f"{len(differing)} of {len(texts)} documents differ in output or diagnostics, "
+                 f"e.g. {', '.join(differing[:5])}" if differing else f"{len(texts)} documents identical")
     ratios = time_ratios(mine, theirs, texts, rounds)
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     won = sum(ratio < 1 for ratio in ratios)
-    return True, (f"{len(texts)} documents identical; time ratio over {rounds} rounds: "
-                  f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; working tree faster in {won} of {rounds}")
+    return not differing, (f"{documents}; time ratio over {rounds} rounds: median {median:.3f}, "
+                           f"quartiles {q1:.3f}-{q3:.3f}; working tree faster in {won} of {rounds}")
 
 
 def setup_child(src: Path) -> tuple[float, str]:
