@@ -5,22 +5,25 @@ XHTML document that embeds the original SVG fragment for browsers with
 native support.  Both are deterministic for fixed options and re-parse as
 well-formed XML.
 
-One serializer and one document shell serve both modes.  The mapped
-VmlNode tree and the parsed SvgNode tree have the same shape; a per-mode
-head function gives each node's output name and rendered attributes (the
-style dict for VML, the svg: prefix on implemented tags for SVG), escaping
-only a value that holds one of the four characters to escape.  The mappers
-write a VML element's childless children (v:fill, v:stroke, v:skew, v:path,
-v:textpath) through `vml_leaf`, with the VML head's attribute text, into its
-`leaves`, which go ahead of its children; in the passthrough, a child with
-no children and no text is written by its parent's loop, without a call of
-its own.  The content of a foreignObject is never mapped: in both modes the
+One document shell serves both modes.  A compact body is one string, the
+root written by `_inline` with its whole subtree; `_serialize` lays out
+--pretty output, one indented line per element, and hands `_inline` each
+element that stays on one line.  The mapped VmlNode tree and the parsed
+SvgNode tree have the same shape; a per-mode head function gives each
+node's output name and rendered attributes (the style dict for VML, the
+svg: prefix on implemented tags for SVG), escaping only a value that holds
+one of the four characters to escape.  The mappers write a VML element's
+childless children (v:fill, v:stroke, v:skew, v:path, v:textpath) through
+`vml_leaf`, with the VML head's attribute text, into its `leaves`, which go
+ahead of its children; in pretty passthrough output, a child with no
+children and no text is written by its parent's loop, without a call of its
+own.  The content of a foreignObject is never mapped: in both modes the
 host (the v:textbox or the foreignObject) goes on one line, and its parsed
 content is written with the SVG head, as it was parsed.
 
 A mapped tree holds a shared use copy at each place it is used.  Within one
-emit_vml_html call, a VML node with children that comes back at a depth
-where it was already written copies the lines it wrote there.
+pretty emit_vml_html call, a VML node with children that comes back at a
+depth where it was already written copies the lines it wrote there.
 """
 
 from __future__ import annotations
@@ -91,49 +94,43 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
 _HTML_HOSTS = ("v:textbox", "foreignObject")
 
 
-def _serialize(node: Node, head: Head, lines: list[str], depth: int, pretty: bool, extra: str = "",
+def _serialize(node: Node, head: Head, lines: list[str], depth: int, extra: str = "",
                written: dict[tuple[int, int], tuple[int, int]] | None = None) -> None:
-    """Append one line per element; an HTML host and an element with
-    character content go on one line with their whole subtree, so the
-    payload stays as written.  The text of an element with no children
-    counts even when it is white space.
+    """Append one indented line per element: the --pretty layout.  An HTML
+    host, an element with character content and one with nothing inside to
+    indent go on one line, written by `_inline` with their whole subtree.
 
     written, given for a VML tree, maps each (id, depth) of a node with
     children already written to the range of lines it wrote; a node that
     comes back at that depth copies those lines."""
-    pad = _INDENT * depth if pretty else ""
+    pad = _INDENT * depth
     text, children = node.text, node.children
-    if children or head is _vml_head and node.leaves:
-        if written is not None and children:
-            key = (id(node), depth)
-            span = written.get(key)
-            if span is not None:
-                lines += lines[span[0]:span[1]]
-                return
-            start = len(lines)
-        if node.tag in _HTML_HOSTS or (text and text.strip()) or any([c.tail and c.tail.strip() for c in children]):
-            lines.append(pad + _inline(node, head, extra))
-        else:
-            name, attrs = head(node)
-            lines.append(f"{pad}<{name}{extra}{attrs}>")
-            child_pad = pad + _INDENT if pretty else ""
-            vml = head is _vml_head
-            if vml:
-                lines += [child_pad + leaf for leaf in node.leaves] if pretty else node.leaves
-            for child in children:
-                if vml or child.children or child.text:  # a VML child may have leaves
-                    _serialize(child, head, lines, depth + 1, pretty, "", written)
-                else:
-                    child_name, child_attrs = head(child)
-                    lines.append(f"{child_pad}<{child_name}{child_attrs}/>")
-            lines.append(f"{pad}</{name}>")
-        if written is not None and children:
-            written[key] = (start, len(lines))
-    elif text:
+    if written is not None and children:
+        key = (id(node), depth)
+        span = written.get(key)
+        if span is not None:
+            lines += lines[span[0]:span[1]]
+            return
+        start = len(lines)
+    if not (children or head is _vml_head and node.leaves) or node.tag in _HTML_HOSTS or (
+            text and text.strip()) or any([c.tail and c.tail.strip() for c in children]):
         lines.append(pad + _inline(node, head, extra))
     else:
         name, attrs = head(node)
-        lines.append(f"{pad}<{name}{extra}{attrs}/>")
+        lines.append(f"{pad}<{name}{extra}{attrs}>")
+        child_pad = pad + _INDENT
+        vml = head is _vml_head
+        if vml:
+            lines += [child_pad + leaf for leaf in node.leaves]
+        for child in children:
+            if vml or child.children or child.text:  # a VML child may have leaves
+                _serialize(child, head, lines, depth + 1, "", written)
+            else:
+                child_name, child_attrs = head(child)
+                lines.append(f"{child_pad}<{child_name}{child_attrs}/>")
+        lines.append(f"{pad}</{name}>")
+    if written is not None and children:
+        written[key] = (start, len(lines))
 
 
 def _inline(node: Node, head: Head, extra: str = "") -> str:
@@ -166,7 +163,10 @@ def _document(
         f"{pad}</head>",
         f"{pad}<body>",
     ]
-    _serialize(root, head, lines, 2 if pretty else 0, pretty, extra, {} if head is _vml_head else None)
+    if pretty:
+        _serialize(root, head, lines, 2, extra, {} if head is _vml_head else None)
+    else:
+        lines.append(_inline(root, head, extra))
     lines += [f"{pad}</body>", "</html>"]
     return ("\n" if pretty else "").join(lines) + "\n"
 

@@ -317,8 +317,8 @@ def reference_svg_head(node):
 HTML_HOSTS = ("v:textbox", "svg:foreignObject")
 
 
-def reference_serialize(node, head, lines, depth, pretty, extra=""):
-    pad = "  " * depth if pretty else ""
+def reference_serialize(node, head, lines, depth, extra=""):
+    pad = "  " * depth
     name, attrs = head(node)
     has_text = bool(node.text and node.text.strip())
     if not node.children and not node.text:
@@ -332,7 +332,7 @@ def reference_serialize(node, head, lines, depth, pretty, extra=""):
         return
     lines.append(f"{pad}<{name}{extra}{attrs}>")
     for child in node.children:
-        reference_serialize(child, head, lines, depth + 1, pretty)
+        reference_serialize(child, head, lines, depth + 1)
     lines.append(f"{pad}</{name}>")
 
 
@@ -361,7 +361,11 @@ def reference_document(opening, title, head_extra, root, head, extra, pretty):
         f"{pad}</head>",
         f"{pad}<body>",
     ]
-    reference_serialize(root, head, lines, 2 if pretty else 0, pretty, extra)
+    # A compact body is the root written inline; pretty output lays it out a line per element.
+    if pretty:
+        reference_serialize(root, head, lines, 2, extra)
+    else:
+        lines.append(reference_inline(root, head, extra))
     lines += [f"{pad}</body>", "</html>"]
     return ("\n" if pretty else "").join(lines) + "\n"
 
@@ -528,8 +532,9 @@ def unshared(node):
 
 
 class TestSharedCopies:
-    """A use copy appears in the mapped tree once per use; the emitter writes each
-    one at a depth once, and copies those lines where the copy comes back there."""
+    """A use copy appears in the mapped tree once per use.  Either layout writes it
+    as the unshared tree; pretty output writes each one at a depth once, and
+    copies those lines where the copy comes back there."""
 
     SOURCE = wrap_svg(
         '<defs><g id="s"><rect width="2" height="2" fill="red"/><g><circle r="1" stroke="blue"/></g></g></defs>'
@@ -551,7 +556,8 @@ class TestSharedCopies:
         output = emit_vml_html(tree, options)
         written = len(heads)
         assert output == emit_vml_html(unshared(tree), options)
-        assert written < len(heads) - written
+        if pretty:
+            assert written < len(heads) - written
 
 
 SRC = Path(svg2vml.__file__).resolve().parent
