@@ -315,6 +315,8 @@ def reference_svg_head(node):
 
 
 HTML_HOSTS = ("v:textbox", "svg:foreignObject")
+# Pretty output writes these on one line: white space in an SVG text is rendered.
+ONE_LINE = (*HTML_HOSTS, "svg:text")
 
 
 def reference_serialize(node, head, lines, depth, extra=""):
@@ -324,8 +326,8 @@ def reference_serialize(node, head, lines, depth, extra=""):
     if not node.children and not node.text:
         lines.append(f"{pad}<{name}{extra}{attrs}/>")
         return
-    # A foreignObject's content is HTML: it is written as it was parsed, white space included.
-    if name in HTML_HOSTS or has_text or not node.children or any(
+    # A foreignObject's content is HTML, and white space in a text renders: both are written as parsed.
+    if name in ONE_LINE or has_text or not node.children or any(
         child.tail and child.tail.strip() for child in node.children
     ):
         lines.append(pad + reference_inline(node, head, extra))

@@ -7,10 +7,6 @@ and is left out.  Compact output must give the tree back as parsed.
 Pretty output adds indentation as text, so there white-space-only text and
 tails outside a `text` element are stripped on both sides first.  An input
 with no tree must give no output.
-
-The fragments whose pretty output does not round-trip today are listed by
-id, each a strict xfail: item 21's mend turns each into a pass, and a new
-loss fails the test of its family.
 """
 
 import importlib.util
@@ -32,18 +28,8 @@ SEED = 7
 COUNT = 720  # 60 fragments of each family
 
 FRAGMENTS: dict[str, list[tuple[str, str]]] = defaultdict(list)
-TEXTS: dict[str, str] = {}
 for _family, _name, _text in differential.build_fragments(SEED, COUNT):
     FRAGMENTS[_family].append((_name, _text))
-    TEXTS[_name] = _text
-
-# Pretty output indents the children of a `text`, which adds text there.
-PRETTY_FAILURES = {
-    "host-page-145", "transforms-44", "transforms-68", "transforms-92", "transforms-116", "transforms-128",
-    "transforms-152", "transforms-236", "transforms-284", "transforms-404", "transforms-548", "transforms-560",
-    "transforms-572", "transforms-680", "transforms-704", "transforms-716",
-}
-ITEM_21 = "ROADMAP item 21: pretty XHTML output adds white space inside a text element"
 
 
 def _strip_white_space(node, inside_text=False):
@@ -75,23 +61,15 @@ def round_trips(text, pretty):
     return output is not None and tree(output, pretty) == expected
 
 
-def test_the_slice_holds_every_family_and_each_listed_failure():
+def test_the_slice_holds_every_family():
     assert sorted(FRAGMENTS) == sorted(differential.FRAGMENT_FAMILIES)
-    assert PRETTY_FAILURES <= TEXTS.keys()
 
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 @pytest.mark.parametrize("family", differential.FRAGMENT_FAMILIES)
 def test_output_reparses_to_the_input_tree(family, pretty):
-    known = PRETTY_FAILURES if pretty else set()
-    differing = [name for name, text in FRAGMENTS[family] if name not in known and not round_trips(text, pretty)]
+    differing = [name for name, text in FRAGMENTS[family] if not round_trips(text, pretty)]
     assert differing == []
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_21)
-@pytest.mark.parametrize("name", sorted(PRETTY_FAILURES))
-def test_pretty_failure_of_today(name):
-    assert round_trips(TEXTS[name], pretty=True)
 
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
