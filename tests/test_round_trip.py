@@ -1,7 +1,8 @@
 """The XHTML passthrough as a round trip (ROADMAP item 21): its output, parsed again, gives the input's tree.
 
 The documents are a fixed slice of `tools/differential.py`'s seeded
-fragments, every family included.  Both trees come from `parse_svg` and
+fragments, every family included, and the golden fixtures, which are
+indented by hand and so hold white space between most elements.  Both trees come from `parse_svg` and
 compare by `TreeNode.__eq__`; the root's own tail lies outside the drawing
 and is left out.  Compact output must give the tree back as parsed.
 Pretty output adds indentation as text, so there white-space-only text and
@@ -24,6 +25,7 @@ _SPEC = importlib.util.spec_from_file_location(
 differential = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(differential)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 7
 COUNT = 720  # 60 fragments of each family
 
@@ -70,6 +72,12 @@ def test_the_slice_holds_every_family():
 def test_output_reparses_to_the_input_tree(family, pretty):
     differing = [name for name, text in FRAGMENTS[family] if not round_trips(text, pretty)]
     assert differing == []
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.svg")))
+def test_a_golden_fixture_reparses_to_its_tree(name, pretty):
+    assert round_trips((GOLDEN / f"{name}.svg").read_text(encoding="utf-8"), pretty)
 
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
