@@ -93,6 +93,7 @@ def test_the_workload_line_counts_the_rounds_this_checkout_won(against_this_chec
 
 
 def test_a_workload_whose_documents_differ_fails_the_run(against_this_checkout, monkeypatch, capsys):
+    # A behaviour change's workloads differ by design: each is still named and then timed.
     real = ab.converter
 
     def converter(package, corpus):
@@ -104,26 +105,9 @@ def test_a_workload_whose_documents_differ_fails_the_run(against_this_checkout, 
     lines = capsys.readouterr().out.splitlines()
     assert status == 1
     assert [line.split(" ")[0] for line in lines] == ["passthrough", "flat_shapes"]
-    assert all("documents differ in output or diagnostics, e.g. " in line for line in lines)
-
-
-def test_a_workload_whose_documents_differ_still_gets_its_time_ratio(against_this_checkout, monkeypatch, capsys):
-    real = ab.converter
-
-    def converter(package, corpus):
-        convert = real(package, corpus)
-        if package.__name__ != "svg2vml_against":
-            return convert
-        changed = corpus.documents[0].text
-        return lambda text: (convert(text)[0] + " ", convert(text)[1]) if text == changed else convert(text)
-
-    monkeypatch.setattr(ab, "converter", converter)
-    status = ab.main(["--against", "REV", "--workload", "passthrough", "--seed", "1", "--rounds", "2"])
-    (line,) = capsys.readouterr().out.splitlines()
-    assert status == 1
-    assert re.fullmatch(r"passthrough seed 1, working tree / REV: 1 of \d+ documents differ in output or diagnostics, "
-                        r"e\.g\. \S+; time ratio over 2 rounds: median \d\.\d{3}, quartiles \d\.\d{3}-\d\.\d{3}; "
-                        r"working tree faster in [012] of 2", line)
+    assert all(re.fullmatch(r"\w+ seed 1, working tree / REV: (\d+) of \1 documents differ in output or diagnostics, "
+                            r"e\.g\. [^;]+; time ratio over 2 rounds: median [\d.]+, quartiles [\d.]+-[\d.]+; "
+                            r"working tree faster in 0 of 2", line) for line in lines)
 
 
 def test_cold_start_times_pairs_of_fresh_interpreters(against_this_checkout, capsys):
