@@ -19,8 +19,7 @@ ahead of its children; in pretty passthrough output, a child with no
 children and no text is written by its parent's loop, without a call of its
 own.  The content of a foreignObject is never mapped: in both modes the
 host (the v:textbox or the foreignObject) goes on one line, and its parsed
-content is written with the SVG head, as it was parsed.  A passthrough
-`text` goes on one line too, so its white space is written as parsed.
+content is written with the SVG head, as it was parsed.
 
 A mapped tree holds a shared use copy at each place it is used.  Within one
 pretty emit_vml_html call, a VML node with children that comes back at a
@@ -93,17 +92,14 @@ def _svg_head(node: SvgNode) -> tuple[str, str]:
 # A foreignObject's tag in the mapped tree and in the parsed one: its
 # content is HTML, where all text, white space included, is character content.
 _HTML_HOSTS = ("v:textbox", "foreignObject")
-# What pretty output writes on one line: the HTML hosts, and an SVG text,
-# where white space between children is rendered text too.
-_ONE_LINE = (*_HTML_HOSTS, "text")
+_ONE_LINE = (*_HTML_HOSTS, "text")  # white space inside an SVG text is rendered too
 
 
 def _serialize(node: Node, head: Head, lines: list[str], depth: int, extra: str = "",
                written: dict[tuple[int, int], tuple[int, int]] | None = None) -> None:
     """Append one indented line per element: the --pretty layout.  An HTML
     host, a `text`, an element with character content and one with nothing
-    inside to indent go on one line, written by `_inline` with their whole
-    subtree, so no indentation lands in rendered text.
+    inside to indent go on one line, written whole by `_inline`.
 
     written, given for a VML tree, maps each (id, depth) of a node with
     children already written to the range of lines it wrote; a node that
