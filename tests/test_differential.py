@@ -166,7 +166,8 @@ def test_class_settings_of_a_class_at_strict_settings_only():
     first = "error UNKNOWN_ELEMENT: unsupported element <blink> @svg/blink[0]"
     second = "error UNSUPPORTED_UNIT: unsupported length unit 'em' in '1em' @svg/rect[1]@width"
     settings = differential.class_settings(results(strict=[None, [first]]), results(strict=[None, [first, second]]))
-    assert settings == {"strict +UNSUPPORTED_UNIT": [name for name in differential.SETTING_NAMES if name.endswith("+strict")]}
+    strict = [name for name in differential.SETTING_NAMES if name.endswith("+strict")]
+    assert settings == {"strict +UNSUPPORTED_UNIT": strict}
 
 
 def test_each_class_line_counts_the_settings_it_occurs_at(monkeypatch, capsys):
@@ -175,7 +176,8 @@ def test_each_class_line_counts_the_settings_it_occurs_at(monkeypatch, capsys):
     mine = [results("aaaa"), changed_at("xhtml"), changed_at("xhtml", "xhtml+strict")]
     monkeypatch.setattr(differential, "build_documents", lambda seed, count: documents)
     monkeypatch.setattr(differential, "export", lambda revision, directory: None)
-    monkeypatch.setattr(differential, "convert_all", lambda checkout, texts: mine if checkout == differential.ROOT else theirs)
+    monkeypatch.setattr(differential, "convert_all",
+                        lambda checkout, texts: mine if checkout == differential.ROOT else theirs)
     assert differential.main(["--against", "REV"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == [

@@ -2,9 +2,10 @@
 
 The documents are a fixed slice of `tools/differential.py`'s seeded
 fragments, every family included, and the golden fixtures, which are
-indented by hand and so hold white space between most elements.  Both trees come from `parse_svg` and
-compare by `TreeNode.__eq__`; the root's own tail lies outside the drawing
-and is left out.  Compact output must give the tree back as parsed.
+indented by hand and so hold white space between most elements.  Both
+trees come from `parse_svg` and compare by `TreeNode.__eq__`; the root's
+own tail lies outside the drawing and is left out.  Compact output must
+give the tree back as parsed.
 Pretty output adds indentation as text, so there white-space-only text and
 tails outside a `text` element are stripped on both sides first.  An input
 with no tree must give no output.
