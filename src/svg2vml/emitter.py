@@ -10,16 +10,16 @@ root written by `_inline` with its whole subtree; `_serialize` lays out
 --pretty output, one indented line per element, and hands `_inline` each
 element that stays on one line.  The mapped VmlNode tree and the parsed
 SvgNode tree have the same shape; a per-mode head function gives each
-node's output name and rendered attributes (the style dict for VML, the
-svg: prefix on implemented tags for SVG), escaping only a value that holds
-one of the four characters to escape.  The mappers write a VML element's
-childless children (v:fill, v:stroke, v:skew, v:path, v:textpath) through
-`vml_leaf`, with the VML head's attribute text, into its `leaves`, which go
-ahead of its children; in pretty passthrough output, a child with no
-children and no text is written by its parent's loop, without a call of its
-own.  The content of a foreignObject is never mapped: in both modes the
-host (the v:textbox or the foreignObject) goes on one line, and its parsed
-content is written with the SVG head, as it was parsed.
+node's output name (svg: prefixed on implemented SVG tags) and attribute
+text (with the style dict for VML).  One loop, `_attributes`, writes the
+attributes of both heads and of `vml_leaf`, escaping only a value that
+holds one of the four characters to escape.  The mappers write a VML
+element's childless children (v:fill, v:stroke, v:skew, v:path, v:textpath)
+through `vml_leaf` into its `leaves`, which go ahead of its children; in
+pretty passthrough output, a child with no children and no text is written
+by its parent's loop.  The content of a foreignObject is never mapped: in
+both modes the host (the v:textbox or the foreignObject) goes on one line,
+and its parsed content is written with the SVG head, as it was parsed.
 
 A mapped tree holds a shared use copy at each place it is used.  Within one
 pretty emit_vml_html call, a VML node with children that comes back at a
@@ -60,9 +60,8 @@ def _style_text(style: dict[str, str]) -> str:
     return "".join([f"{name}:{value};" for name, value in style.items()])
 
 
-# Each head writes its attributes with _escape_attr's test inline, so only a
-# value that needs escaping costs a call; VML's few attributes take a loop.
-def _vml_attributes(pairs) -> str:
+# Both heads' attribute text: _escape_attr's test inline, so only a value that needs escaping costs a call.
+def _attributes(pairs) -> str:
     text = ""
     for n, v in pairs:
         text += f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
@@ -71,11 +70,11 @@ def _vml_attributes(pairs) -> str:
 
 def vml_leaf(tag: str, pairs) -> str:
     """A VML element with no children, no text and no style, with the (name, value) pairs as attributes."""
-    return f"<{tag}{_vml_attributes(pairs)}/>"
+    return f"<{tag}{_attributes(pairs)}/>"
 
 
 def _vml_head(node: VmlNode) -> tuple[str, str]:
-    attrs = _vml_attributes(node.attributes.items())
+    attrs = _attributes(node.attributes.items())
     if node.style:
         attrs += f' style="{_escape_attr(_style_text(node.style))}"'
     return node.tag, attrs
@@ -83,10 +82,7 @@ def _vml_head(node: VmlNode) -> tuple[str, str]:
 
 def _svg_head(node: SvgNode) -> tuple[str, str]:
     name = f"svg:{node.name}" if node.tag in IMPLEMENTED_TAGS else node.name
-    return name, "".join([
-        f' {n}="{_escape_attr(v)}"' if "&" in v or "<" in v or ">" in v or '"' in v else f' {n}="{v}"'
-        for n, v in node.attributes.items()
-    ])
+    return name, _attributes(node.attributes.items())
 
 
 # A foreignObject's tag in the mapped tree and in the parsed one: its
