@@ -578,6 +578,11 @@ def map_text_path(
     shape = map_path(target, parent_ctx)
     if shape is None:
         return None
+    # The shape stands for the text, not for the path it follows: it takes the text's id, or none.
+    del shape.attributes["id"]
+    text_id = parent.attributes.get("id")
+    if text_id is not None:
+        shape.attributes = {"id": text_id, **shape.attributes}
     text_path = {"on": "t", "string": (node.text or "").strip()}
     font_tokens = []
     font_size = _font_size(parent_ctx, parent)

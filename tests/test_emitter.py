@@ -463,7 +463,8 @@ class TestLeaves:
     """A mapped shape's childless children are written as markup when they are
     mapped; the serializer writes them ahead of its children, in both routes.
     The expected documents were captured from the serializer that wrote these
-    children as nodes."""
+    children as nodes; since then, the text on a path's shape carries its
+    text's id, here none, in place of its path's."""
 
     SOURCE = wrap_svg(
         '<defs><path id="track" d="M 0 0 L 10 0"/></defs>'
@@ -474,7 +475,7 @@ class TestLeaves:
     ANCHORS = (
         '<a href="#x">go<v:roundrect style="left:1;top:2;width:3;height:4;"><v:fill color="red"/>'
         '<v:stroke color="blue"/><v:skew on="t" matrix="-2, 0, 0, -2, 0, 0" offset="-6px,-8px"/></v:roundrect></a>',
-        '<a href="#y">on<v:shape id="track" path="m 0,0 l 10,0 e"><v:stroke color="navy"/><v:path textpathok="t"/>'
+        '<a href="#y">on<v:shape path="m 0,0 l 10,0 e"><v:stroke color="navy"/><v:path textpathok="t"/>'
         '<v:textpath on="t" string="a&amp;b&lt;&quot;\'" style="FONT-SIZE:9"/></v:shape></a>',
     )
     COMPACT = (

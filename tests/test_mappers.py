@@ -757,7 +757,7 @@ class TestPerConversionMemos:
         calls = counting(monkeypatch, mappers, "parse_path_data")
         output, diags = convert_text(wrap_svg(f'<defs><path id="p" d="M 0 0 L 5 5"/></defs>{self.TEXT_PATHS}'))
         assert not len(diags) and calls == ["M 0 0 L 5 5"]
-        digest = "f324d16d1866f4b67306033bbeb6757a34d1e857347f20e38bcda6e11dd79914"
+        digest = "6e8da6282c8518e1b1c083d35a55ab20aa3eb51c8e3e9ff9cb410bd08a2da5e1"
         assert hashlib.sha256(output.encode("utf-8")).hexdigest() == digest
 
     def test_a_path_without_an_id_is_parsed_each_time(self, monkeypatch):
@@ -796,6 +796,21 @@ class TestTextPath:
         assert text_path.attributes["on"] == "t"
         assert text_path.attributes["string"] == "We go up, then we go down"
         assert text_path.attributes["style"] == "FONT-SIZE:40;FONT-FAMILY:Verdana"
+
+    ONE_ID_EACH = '<defs><path id="p" d="M 0 0 L 5 5"/></defs><text{} font-size="8"><textPath xlink:href="#p">x</textPath></text>'
+
+    @pytest.mark.parametrize("text_id,names", [(' id="t"', ["id", "path"]), ("", ["path"])], ids=["text-id", "no-id"])
+    def test_the_shape_takes_the_text_id_not_the_path_id(self, text_id, names):
+        tree, diags = map_snippet(self.ONE_ID_EACH.format(text_id))
+        assert not len(diags)
+        path, shape = find_all(tree, "v:shape")
+        assert path.attributes["id"] == "p"
+        assert list(shape.attributes) == names and shape.attributes.get("id") in ("t", None)
+
+    def test_strict_output_holds_each_id_once(self):
+        output, diags = convert_text(wrap_svg(self.ONE_ID_EACH.format(' id="t"')), ConvertOptions(strict=True))
+        assert not len(diags)
+        assert output.count(' id="p"') == output.count(' id="t"') == 1
 
     def test_a_negative_font_size_is_reported_once_and_writes_no_size(self):
         tree, diags = map_snippet(
