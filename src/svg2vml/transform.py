@@ -32,13 +32,14 @@ position, how a lone rotate is handled, and the carrier: the v:skew
 matrix's four linear entries in writing order, formatted with the
 correction for the skew's offset slot in one pass, or none for the matrix
 filter, whose correction moves the position instead.  Only the three
-strategies that use offsets have a row; point recalculation takes any list,
-and distribution defers to the children.  No offset rule covers a lone
-matrix(), so every row rejects it.  place() is the only reader of the
-table and returns everything a mapper writes: the moved box origin, the
-v:skew attributes or the Matrix filter text, and the raw offset.  It
-reports an unsupported list, or any of those values overflowing, and the
-element then stays untransformed.
+strategies that use offsets have a row, and STRATEGY_BY_TAG names only the
+seven tags they place; point recalculation takes any list, and distribution
+defers to the children.  No offset rule covers a lone matrix(), so every
+row rejects it.  place() is the only reader of the table and returns
+everything a mapper writes: the moved box origin, the v:skew attributes or
+the Matrix filter text, and the raw offset.  It reports an unsupported
+list, or any of those values overflowing, and the element then stays
+untransformed.
 
 Matrices are the usual six-value affine form (a, b, c, d, e, f), read as
 [[a, c, e], [b, d, f], [0, 0, 1]].  Angles are written in degrees in source
@@ -279,22 +280,16 @@ def _matrix_filter_text(m: Sequence[float], precision: int) -> str:
 
 SKEW_SHAPE = "skew-shape"
 SKEW_PATH = "skew-path"
-RECALC_POINTS = "recalc-points"
 MATRIX_FILTER = "matrix-filter"
-DISTRIBUTE = "distribute"
 
 STRATEGY_BY_TAG = {
     "rect": SKEW_SHAPE,
     "circle": SKEW_SHAPE,
     "ellipse": SKEW_SHAPE,
     "path": SKEW_PATH,
-    "line": RECALC_POINTS,
-    "polyline": RECALC_POINTS,
-    "polygon": RECALC_POINTS,
     "text": MATRIX_FILTER,
     "textPath": MATRIX_FILTER,
     "foreignObject": MATRIX_FILTER,
-    "g": DISTRIBUTE,
 }
 
 # How a lone rotate is simulated when it does not go through the linear
@@ -380,11 +375,7 @@ def place(
     overflows; the element then stays untransformed.  box is the element's
     (x, y, width, height) and root the root size (width, height).
     """
-    rule = STRATEGIES.get(strategy)
-    if rule is None:
-        diagnostics.error("UNSUPPORTED_TRANSFORM", f"strategy {strategy} does not use offsets", location)
-        return None
-    multi_ops, offset_rule, rotation, carrier = rule
+    multi_ops, offset_rule, rotation, carrier = STRATEGIES[strategy]
     ops = chain.ops
     if len(ops) > 1:
         offending = {name for name, _ in ops} - multi_ops

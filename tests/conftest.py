@@ -9,14 +9,7 @@ from svg2vml.diagnostics import Diagnostics
 from svg2vml.mappers import Conversion, MapperContext, VmlNode, map_document
 from svg2vml.options import ConvertOptions
 from svg2vml.svg_dom import SvgNode, parse_points, parse_svg
-from svg2vml.transform import (
-    DISTRIBUTE,
-    EMPTY_CHAIN,
-    RECALC_POINTS,
-    parse_transform_list,
-    place,
-    recalc_points,
-)
+from svg2vml.transform import EMPTY_CHAIN, parse_transform_list, place, recalc_points
 
 
 @pytest.fixture
@@ -122,6 +115,11 @@ def ctm_of(ops) -> tuple:
 
 
 _POLYLINE_POINTS = "0,0 10,0 10,10"
+
+# The two strategies that place nothing: mappers run a polyline's points
+# through the CTM, and a group hands its list on to its children.
+RECALC_POINTS = "recalc-points"
+DISTRIBUTE = "distribute"
 
 
 def rejects(strategy: str, ops) -> bool:

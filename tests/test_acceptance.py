@@ -8,17 +8,27 @@ cursor simulation); tolerances are stated per criterion.
 import math
 import random
 
-from conftest import ctm_of, find, find_all, iter_nodes, map_snippet, read_ops, rejects, structurally_equal, wrap_svg
+from conftest import (
+    DISTRIBUTE,
+    RECALC_POINTS,
+    ctm_of,
+    find,
+    find_all,
+    iter_nodes,
+    map_snippet,
+    read_ops,
+    rejects,
+    structurally_equal,
+    wrap_svg,
+)
 from svg2vml.cli import convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.options import ConvertOptions
 from svg2vml.path_data import parse_path_data, to_absolute
 from svg2vml.svg_dom import parse_svg
 from svg2vml.transform import (
-    DISTRIBUTE,
     EMPTY_CHAIN,
     MATRIX_FILTER,
-    RECALC_POINTS,
     SKEW_PATH,
     SKEW_SHAPE,
     place,

@@ -4,7 +4,7 @@ import re
 from decimal import Decimal
 
 import pytest
-from conftest import ctm_of, read_ops, rejects, wrap_svg
+from conftest import DISTRIBUTE, RECALC_POINTS, ctm_of, read_ops, rejects, wrap_svg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +12,9 @@ from svg2vml import ConvertOptions, convert_text
 from svg2vml.diagnostics import Diagnostics
 from svg2vml.numeric import NUMBER_LIST_PATTERN, NUMBER_PATTERN, SEPARATORS, WSP, format_number
 from svg2vml.transform import (
-    DISTRIBUTE,
     EMPTY_CHAIN,
     IDENTITY,
     MATRIX_FILTER,
-    RECALC_POINTS,
     SKEW_PATH,
     SKEW_SHAPE,
     STRATEGIES,
@@ -675,12 +673,6 @@ class TestPlace:
     @pytest.mark.parametrize("strategy", [SKEW_SHAPE, SKEW_PATH, MATRIX_FILTER])
     def test_lone_matrix_is_unsupported(self, strategy, diags):
         assert place(strategy, EMPTY_CHAIN.extend(read_ops("matrix(1 0 0 1 0 0)")), BOX, ROOT, 6, diags) is None
-        assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
-
-    @pytest.mark.parametrize("strategy", [RECALC_POINTS, DISTRIBUTE])
-    def test_strategies_without_offsets_place_nothing(self, strategy):
-        diags = Diagnostics()
-        assert place(strategy, EMPTY_CHAIN.extend(read_ops("scale(2)")), BOX, ROOT, 6, diags) is None
         assert diags.codes() == ["UNSUPPORTED_TRANSFORM"]
 
 
