@@ -2,10 +2,12 @@
 
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
+from conftest import wrap_svg
 from svg2vml import convert_text
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -185,4 +187,25 @@ def test_each_class_line_counts_the_settings_it_occurs_at(monkeypatch, capsys):
         "  transforms: 1 of 1 differ",
         "class bytes: 2 (drawing 1, transforms 1) at xhtml 2, xhtml+strict 1",
         "  e.g. drawing-1 at xhtml: output aaaa -> bbbb",
+    ]
+
+
+def test_the_header_gives_the_src_lines_of_each_side(monkeypatch, capsys, tmp_path):
+    """Both sides are exported from this checkout's src; REV's copy carries three more lines."""
+    src = differential.ROOT / "src"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (src / "svg2vml").glob("*.py"))
+
+    def export(revision, directory):
+        shutil.copytree(src, directory / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        if revision == "REV":
+            with open(directory / "src" / "svg2vml" / "options.py", "a", encoding="utf-8") as options:
+                options.write("\n\n# REV's copy\n")
+
+    document = ("drawing", "drawing-0", wrap_svg('<rect width="3" height="4"/>'))
+    monkeypatch.setattr(differential, "build_documents", lambda seed, count: [document])
+    monkeypatch.setattr(differential, "export", export)
+    assert differential.main(["--against", "REV", "--with", "REV2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"1 documents x 10 settings, REV -> REV2, src/ {lines + 3:,} -> {lines:,} lines",
+        "  drawing: 0 of 1 differ",
     ]

@@ -16,6 +16,9 @@ The documents are:
   * the perfbench corpora of every workload at seeds 1 and 2, built by
     perfbench/corpus.py of this checkout, which is only imported.
 
+The report's first line also gives the line count of src/svg2vml/*.py on
+each side, the size that ROADMAP aim 2 tracks.
+
 A document differs when, at any setting, the output bytes, the full
 diagnostic text or the exception raised differs.  The report counts the
 differing documents of each family, then lists the documents under each
@@ -499,6 +502,11 @@ def export(revision: str, directory: Path) -> None:
         tar.extractall(directory)
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of the checkout's src/svg2vml/*.py, as `wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "svg2vml").glob("*.py"))
+
+
 def _split(line: str) -> tuple[str, str]:
     """A diagnostic line's code and location."""
     head, _, location = line.rpartition(" @")
@@ -588,7 +596,9 @@ def main(argv=None) -> int:
         theirs = convert_all(Path(scratch, "old"), texts)
         if args.mine:
             export(args.mine, Path(scratch, "new"))
-        mine = convert_all(Path(scratch, "new") if args.mine else ROOT, texts)
+        checkout = Path(scratch, "new") if args.mine else ROOT
+        mine = convert_all(checkout, texts)
+        sizes = f"src/ {src_lines(Path(scratch, 'old')):,} -> {src_lines(checkout):,} lines"
 
     totals: dict[str, int] = defaultdict(int)
     differing: dict[str, int] = defaultdict(int)
@@ -603,7 +613,8 @@ def main(argv=None) -> int:
                 classes[kind].append((family, name, example))
                 for setting in at[kind]:
                     settings[kind][setting] += 1
-    print(f"{len(documents)} documents x {len(SETTING_NAMES)} settings, {args.against} -> {args.mine or 'working tree'}")
+    print(f"{len(documents)} documents x {len(SETTING_NAMES)} settings, "
+          f"{args.against} -> {args.mine or 'working tree'}, {sizes}")
     for family, total in totals.items():
         print(f"  {family}: {differing[family]} of {total} differ")
     for kind, cases in sorted(classes.items(), key=lambda item: -len(item[1])):
